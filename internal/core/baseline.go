@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
@@ -40,6 +39,7 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 	}
 
 	out := &Result{Measures: make(map[string][]MeasureRecord, len(order))}
+	asm := assembler{arity: s.NumAttrs()}
 	addStats := func(js mr.JobStats) {
 		out.Stats.MapTasks = append(out.Stats.MapTasks, js.MapTasks...)
 		out.Stats.ReduceTasks = append(out.Stats.ReduceTasks, js.ReduceTasks...)
@@ -69,16 +69,11 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 		addStats(js)
 	}
 
-	// Intermediate results per measure: region coords (at the measure's
-	// grain) and value.
-	type row = struct {
-		coords []int64
-		value  float64
-	}
-	values := map[string][]row{}
+	values := map[string][]baselineRow{}
+	var enc []byte
 
 	for _, m := range order {
-		var rows []row
+		var rows []baselineRow
 		var js mr.JobStats
 		switch m.Kind {
 		case workflow.Basic:
@@ -86,7 +81,7 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 		case workflow.Rollup:
 			rows, js, err = e.rollupJob(ctx, w, m, values[m.Sources[0]])
 		case workflow.Self, workflow.Inherit:
-			srcRows := make([][]row, len(m.Sources))
+			srcRows := make([][]baselineRow, len(m.Sources))
 			for i, src := range m.Sources {
 				srcRows[i] = values[src]
 			}
@@ -101,17 +96,26 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 		}
 		addStats(js)
 		values[m.Name] = rows
-		records := make([]MeasureRecord, len(rows))
-		for i, r := range rows {
-			records[i] = MeasureRecord{Region: cube.Region{Grain: m.Grain, Coord: r.coords}, Value: r.value}
+		slot := asm.slot(out.Measures, m)
+		for _, r := range rows {
+			enc = appendMeasureRecord(enc[:0], r.coords, r.value)
+			if err := slot.add(enc); err != nil {
+				return nil, err
+			}
 		}
-		sort.Slice(records, func(i, j int) bool {
-			return cube.EncodeCoords(records[i].Region.Coord) < cube.EncodeCoords(records[j].Region.Coord)
-		})
-		out.Measures[m.Name] = records
+	}
+	// The engine's assembler, so both plans share one canonical order.
+	if err := asm.finish(ctx, e.cfg.Executor); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
 
+// baselineRow is one intermediate result row: region coordinates (at its
+// measure's grain) and value.
+type baselineRow struct {
+	coords []int64
+	value  float64
 }
 
 func grainKeyOf(g cube.Grain) string {
@@ -123,10 +127,7 @@ func grainKeyOf(g cube.Grain) string {
 }
 
 // runRowsJob executes one MapReduce job and decodes its output rows.
-func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapFn mr.MapFunc, reduceFn mr.ReduceFunc, arity int) ([]struct {
-	coords []int64
-	value  float64
-}, mr.JobStats, error) {
+func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapFn mr.MapFunc, reduceFn mr.ReduceFunc, arity int) ([]baselineRow, mr.JobStats, error) {
 	res, err := mr.RunContext(ctx, mr.Job{
 		Input:  input,
 		Map:    mapFn,
@@ -146,10 +147,7 @@ func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapFn mr.MapFun
 	if err != nil {
 		return nil, mr.JobStats{}, err
 	}
-	rows := make([]struct {
-		coords []int64
-		value  float64
-	}, len(res.Output))
+	rows := make([]baselineRow, len(res.Output))
 	for i, p := range res.Output {
 		coords, v, err := decodeMeasureRecord(p.Value, arity)
 		if err != nil {
@@ -183,7 +181,7 @@ func (e *Engine) occupancyJob(ctx context.Context, ds *Dataset, g cube.Grain) ([
 		if err != nil {
 			return err
 		}
-		ctx.EmitStable(occKey, encodeMeasureRecord(coords, 0))
+		ctx.EmitStable(occKey, appendMeasureRecord(nil, coords, 0))
 		return nil
 	}
 	rows, js, err := e.runRowsJob(ctx, ds.Input, mapFn, reduceFn, arity)
@@ -199,10 +197,7 @@ func (e *Engine) occupancyJob(ctx context.Context, ds *Dataset, g cube.Grain) ([
 
 // basicJob repartitions the raw data by the measure's grain and
 // aggregates each group (the intro's Steps 1–2 for one component).
-func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure) ([]struct {
-	coords []int64
-	value  float64
-}, mr.JobStats, error) {
+func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure) ([]baselineRow, mr.JobStats, error) {
 	s := ds.Schema
 	arity := s.NumAttrs()
 	nameKey := []byte(m.Name) // job-stable: one allocation shared by every output pair
@@ -241,20 +236,17 @@ func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure)
 		if err != nil {
 			return err
 		}
-		ctx.EmitStable(nameKey, encodeMeasureRecord(coords, v))
+		ctx.EmitStable(nameKey, appendMeasureRecord(nil, coords, v))
 		return nil
 	}
 	return e.runRowsJob(ctx, ds.Input, mapFn, reduceFn, arity)
 }
 
 // rowsInput wraps intermediate rows as a MapReduce input.
-func rowsInput(rows []struct {
-	coords []int64
-	value  float64
-}, tag byte) [][]byte {
+func rowsInput(rows []baselineRow, tag byte) [][]byte {
 	out := make([][]byte, len(rows))
 	for i, r := range rows {
-		out[i] = append([]byte{tag}, encodeMeasureRecord(r.coords, r.value)...)
+		out[i] = append([]byte{tag}, appendMeasureRecord(nil, r.coords, r.value)...)
 	}
 	return out
 }
@@ -262,7 +254,7 @@ func rowsInput(rows []struct {
 func occInput(coords [][]int64, tag byte) [][]byte {
 	out := make([][]byte, len(coords))
 	for i, c := range coords {
-		out[i] = append([]byte{tag}, encodeMeasureRecord(c, 0)...)
+		out[i] = append([]byte{tag}, appendMeasureRecord(nil, c, 0)...)
 	}
 	return out
 }
@@ -276,13 +268,7 @@ var occKey = []byte("occ")
 // joinJob evaluates a self or inherit measure: source results and the
 // target grain's occupancy are co-partitioned on the LCA of their grains
 // and joined reducer-side (the intro's Step 3).
-func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.Measure, srcRows [][]struct {
-	coords []int64
-	value  float64
-}, occ [][]int64) ([]struct {
-	coords []int64
-	value  float64
-}, mr.JobStats, error) {
+func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.Measure, srcRows [][]baselineRow, occ [][]int64) ([]baselineRow, mr.JobStats, error) {
 	s := w.Schema()
 	arity := s.NumAttrs()
 	srcs := make([]*workflow.Measure, len(m.Sources))
@@ -317,7 +303,7 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 		for i := range jc {
 			jc[i] = s.Attr(i).RollBetween(coords[i], from[i], join[i])
 		}
-		return ctx.Emit(cube.AppendCoords(nil, jc), append([]byte{tag}, encodeMeasureRecord(coords, v)...))
+		return ctx.Emit(cube.AppendCoords(nil, jc), append([]byte{tag}, appendMeasureRecord(nil, coords, v)...))
 	}
 	reduceFn := func(ctx *mr.ReduceCtx, key []byte, values *mr.GroupIter) error {
 		perSrc := make([]map[string]float64, len(srcs))
@@ -359,7 +345,7 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 				args[i] = v
 			}
 			if v := m.Expr.Eval(args); !math.IsNaN(v) {
-				ctx.EmitStable(nameKey, encodeMeasureRecord(c, v))
+				ctx.EmitStable(nameKey, appendMeasureRecord(nil, c, v))
 			}
 		}
 		return nil
@@ -370,13 +356,7 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 // rollupJob repartitions the source results by the parent grain and
 // aggregates each parent's children (child/parent relationship as its own
 // job).
-func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflow.Measure, srcRows []struct {
-	coords []int64
-	value  float64
-}) ([]struct {
-	coords []int64
-	value  float64
-}, mr.JobStats, error) {
+func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflow.Measure, srcRows []baselineRow) ([]baselineRow, mr.JobStats, error) {
 	s := w.Schema()
 	arity := s.NumAttrs()
 	src, _ := w.Measure(m.Sources[0])
@@ -411,7 +391,7 @@ func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflo
 			if err != nil {
 				return err
 			}
-			ctx.EmitStable(nameKey, encodeMeasureRecord(coords, v))
+			ctx.EmitStable(nameKey, appendMeasureRecord(nil, coords, v))
 		}
 		return nil
 	}
@@ -422,13 +402,7 @@ func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflo
 // is sent to every window (target region) it participates in, and each
 // occupied target aggregates what it received — the per-component version
 // of overlapping redistribution.
-func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Measure, srcRows []struct {
-	coords []int64
-	value  float64
-}, occ [][]int64) ([]struct {
-	coords []int64
-	value  float64
-}, mr.JobStats, error) {
+func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Measure, srcRows []baselineRow, occ [][]int64) ([]baselineRow, mr.JobStats, error) {
 	arity := s.NumAttrs()
 	nameKey := []byte(m.Name)
 	input := append(rowsInput(srcRows, 0), occInput(occ, occTag)...)
@@ -496,7 +470,7 @@ func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Mea
 			if err != nil {
 				return err
 			}
-			ctx.EmitStable(nameKey, encodeMeasureRecord(coords, v))
+			ctx.EmitStable(nameKey, appendMeasureRecord(nil, coords, v))
 		}
 		return nil
 	}
@@ -504,10 +478,21 @@ func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Mea
 }
 
 func encodeFloat(v float64) []byte {
-	return encodeMeasureRecord(nil, v)
+	return appendMeasureRecord(nil, nil, v)
 }
 
 func decodeFloat(b []byte) float64 {
-	_, v, _ := decodeMeasureRecord(b, 0)
+	_, v, _ := splitMeasureRecord(b)
 	return v
+}
+
+// decodeMeasureRecord unpacks a row the baseline's jobs pass between
+// each other; the coordinates are retained, hence allocated per row.
+func decodeMeasureRecord(b []byte, arity int) ([]int64, float64, error) {
+	key, v, err := splitMeasureRecord(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	coords := make([]int64, arity)
+	return coords, v, cube.DecodeCoordsInto(key, coords)
 }

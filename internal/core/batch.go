@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/casm-project/casm/internal/costmodel"
@@ -14,7 +13,6 @@ import (
 	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/recio"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -433,62 +431,25 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 			PlanCached:    q.outcome.DecisionCached,
 		}
 	}
-	type taggedMeasure struct {
-		res *Result
-		m   *workflow.Measure
-	}
-	byKey := make(map[string]taggedMeasure)
-	const coordChunk = 4096
-	var coordArena []int64
-	for {
-		_, pairs, ok, err := pipe.NextBatch()
-		if err != nil {
-			return err
+	asm := assembler{arity: arity}
+	err = asm.drain(pipe, func(key []byte) (*asmSlot, error) {
+		qi64, n := binary.Uvarint(key)
+		if n <= 0 || qi64 >= uint64(len(queries)) {
+			return nil, fmt.Errorf("core: output with bad query tag")
 		}
+		q := queries[qi64]
+		m, ok := q.w.Measure(string(key[n:]))
 		if !ok {
-			break
+			return nil, fmt.Errorf("core: output for unknown measure %q", key[n:])
 		}
-		for _, p := range pairs {
-			tm, ok := byKey[string(p.Key)]
-			if !ok {
-				qi64, n := binary.Uvarint(p.Key)
-				if n <= 0 || qi64 >= uint64(len(queries)) {
-					return fmt.Errorf("core: output with bad query tag")
-				}
-				q := queries[qi64]
-				name := string(p.Key[n:])
-				m, okm := q.w.Measure(name)
-				if !okm {
-					return fmt.Errorf("core: output for unknown measure %q", name)
-				}
-				tm = taggedMeasure{res: out.Results[q.idx], m: m}
-				byKey[string(p.Key)] = tm
-			}
-			if len(p.Value) < 8 {
-				return fmt.Errorf("core: truncated measure record")
-			}
-			if cap(coordArena)-len(coordArena) < arity {
-				size := coordChunk
-				if arity > size {
-					size = arity
-				}
-				coordArena = make([]int64, 0, size)
-			}
-			start := len(coordArena)
-			coordArena = coordArena[:start+arity]
-			coords := coordArena[start : start+arity : start+arity]
-			if err := cube.DecodeCoordsInto(p.Value[:len(p.Value)-8], coords); err != nil {
-				return err
-			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(p.Value[len(p.Value)-8:]))
-			tm.res.Measures[tm.m.Name] = append(tm.res.Measures[tm.m.Name], MeasureRecord{
-				Region: cube.Region{Grain: tm.m.Grain, Coord: coords},
-				Value:  v,
-			})
-		}
-		transport.RecycleBatch(pairs)
+		return asm.slot(out.Results[q.idx].Measures, m), nil
+	})
+	if err != nil {
+		return err
 	}
-	if err := pipe.Close(); err != nil {
+	// Canonical per-measure order, independent of reducer-completion
+	// interleaving — the sequential path's assembler and order.
+	if err := asm.finish(ctx, e.cfg.Executor); err != nil {
 		return err
 	}
 
@@ -507,22 +468,11 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 	est.ReduceSeconds += sampleSeconds
 
 	qidx := make([]int, len(queries))
-	var ea, eb []byte
 	for qi, q := range queries {
 		qidx[qi] = q.idx
 		res := out.Results[q.idx]
 		res.Stats = js
 		res.Estimate = est
-		// Canonical per-measure order, independent of reducer-completion
-		// interleaving — identical to the sequential path's sort.
-		for name := range res.Measures {
-			ms := res.Measures[name]
-			sort.Slice(ms, func(i, j int) bool {
-				ea = cube.AppendCoords(ea[:0], ms[i].Region.Coord)
-				eb = cube.AppendCoords(eb[:0], ms[j].Region.Coord)
-				return bytes.Compare(ea, eb) < 0
-			})
-		}
 	}
 	ginfo := make([][]int, len(groups))
 	for gi, g := range groups {

@@ -195,3 +195,16 @@ func TestCombinerFlushDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// decodePartial splits a partial payload and decodes its coordinates.
+func decodePartial(b []byte, arity int) (int, []int64, []byte, error) {
+	idx, ck, state, err := splitPartial(b)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	coords, err := cube.DecodeCoords(string(ck), arity)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	return idx, coords, state, nil
+}

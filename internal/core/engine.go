@@ -225,8 +225,11 @@ type MeasureRecord struct {
 
 // Result is a completed evaluation.
 type Result struct {
-	// Measures maps measure names to their records, each sorted by
-	// region key.
+	// Measures maps measure names to their records. Each measure's
+	// records are in canonical order: ascending bytes.Compare of the
+	// cube.AppendCoords (varint) encoding of Region.Coord — a total order,
+	// one record per region, but not numeric order: 256 (80 02) sorts
+	// before 255 (ff 01).
 	Measures map[string][]MeasureRecord
 	// Plan is the executed plan.
 	Plan optimizer.Plan

@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
 
 	"github.com/casm-project/casm/internal/blockstore"
-	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 )
@@ -22,11 +22,9 @@ func SaveResults(st *blockstore.Store, name string, res *Result, blockSize int) 
 	for m, records := range res.Measures {
 		for _, r := range records {
 			buf := make([]byte, 0, len(m)+2+len(r.Region.Coord)*3+8)
-			var tmp [binary.MaxVarintLen64]byte
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(m)))]...)
+			buf = binary.AppendUvarint(buf, uint64(len(m)))
 			buf = append(buf, m...)
-			buf = append(buf, encodeMeasureRecord(r.Region.Coord, r.Value)...)
-			rows = append(rows, buf)
+			rows = append(rows, appendMeasureRecord(buf, r.Region.Coord, r.Value))
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -69,8 +67,9 @@ func LoadResults(st *blockstore.Store, name string, w *workflow.Workflow) (map[s
 	if err != nil {
 		return nil, err
 	}
-	arity := w.Schema().NumAttrs()
+	asm := assembler{arity: w.Schema().NumAttrs()}
 	out := make(map[string][]MeasureRecord)
+	slots := make(map[string]*asmSlot)
 	for _, b := range blocks {
 		data, err := st.ReadBlock(name, b.Index)
 		if err != nil {
@@ -89,20 +88,24 @@ func LoadResults(st *blockstore.Store, name string, w *workflow.Workflow) (map[s
 			if n <= 0 || uint64(len(payload[n:])) < nameLen {
 				return nil, fmt.Errorf("core: corrupt result frame in %q", name)
 			}
-			mName := string(payload[n : n+int(nameLen)])
-			m, okM := w.Measure(mName)
-			if !okM {
-				return nil, fmt.Errorf("core: result for unknown measure %q", mName)
+			end := n + int(nameLen)
+			s, okS := slots[string(payload[n:end])]
+			if !okS {
+				mName := string(payload[n:end])
+				m, okM := w.Measure(mName)
+				if !okM {
+					return nil, fmt.Errorf("core: result for unknown measure %q", mName)
+				}
+				s = asm.slot(out, m)
+				slots[mName] = s
 			}
-			coords, v, err := decodeMeasureRecord(payload[n+int(nameLen):], arity)
-			if err != nil {
+			if err := s.add(payload[end:]); err != nil {
 				return nil, err
 			}
-			out[mName] = append(out[mName], MeasureRecord{
-				Region: cube.Region{Grain: m.Grain, Coord: coords},
-				Value:  v,
-			})
 		}
+	}
+	if err := asm.finish(context.Background(), nil); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

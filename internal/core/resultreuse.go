@@ -1,14 +1,13 @@
 package core
 
 import (
-	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
 	"github.com/casm-project/casm/internal/blockstore"
-	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workflow"
@@ -150,7 +149,7 @@ func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, rl *reduceLocal, rows []byt
 // bypassing the job entirely. Any gap — manifest missing, an entry
 // evicted since commit, a row that fails to decode — falls back to
 // running the job; reuse can be slow-pathed, never wrong.
-func (e *Engine) resultFromCache(w *workflow.Workflow, ds *Dataset, ru *resultReuse, outcome PlanOutcome) (*Result, bool) {
+func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *Dataset, ru *resultReuse, outcome PlanOutcome) (*Result, bool) {
 	keys, ok := ru.rc.Manifest(ru.queryKey)
 	if !ok {
 		return nil, false
@@ -163,7 +162,8 @@ func (e *Engine) resultFromCache(w *workflow.Workflow, ds *Dataset, ru *resultRe
 		PlanCached:    outcome.DecisionCached,
 		ResultReused:  true,
 	}
-	arity := ds.Schema.NumAttrs()
+	asm := assembler{arity: ds.Schema.NumAttrs()}
+	slots := make([]*asmSlot, len(ru.canon))
 	var hits, served int64
 	for _, k := range keys {
 		rows, ok := ru.rc.Get([]byte(k))
@@ -177,28 +177,19 @@ func (e *Engine) resultFromCache(w *workflow.Workflow, ds *Dataset, ru *resultRe
 			if err != nil || idx >= len(ru.canon) {
 				return nil, false
 			}
-			m := ru.canon[idx]
-			coords, v, err := decodeMeasureRecord(payload, arity)
-			if err != nil {
+			if slots[idx] == nil {
+				slots[idx] = asm.slot(out.Measures, ru.canon[idx])
+			}
+			if slots[idx].add(payload) != nil {
 				return nil, false
 			}
-			out.Measures[m.Name] = append(out.Measures[m.Name], MeasureRecord{
-				Region: cube.Region{Grain: m.Grain, Coord: coords},
-				Value:  v,
-			})
 			off = next
 		}
 	}
-	// Same canonical output order as the job path (RunWithPlanContext),
-	// so the reused result is byte-identical to the one it replays.
-	var ea, eb []byte
-	for name := range out.Measures {
-		ms := out.Measures[name]
-		sort.Slice(ms, func(i, j int) bool {
-			ea = cube.AppendCoords(ea[:0], ms[i].Region.Coord)
-			eb = cube.AppendCoords(eb[:0], ms[j].Region.Coord)
-			return bytes.Compare(ea, eb) < 0
-		})
+	// Same assembler, hence the same canonical order, as the job path: the
+	// reused result is byte-identical to the one it replays.
+	if asm.finish(ctx, e.cfg.Executor) != nil {
+		return nil, false
 	}
 	// The run's stats are one synthetic reduce task whose only non-zero
 	// counters are the reuse ones — all priced at zero, so the simulated

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/casm-project/casm/internal/costmodel"
@@ -17,7 +16,6 @@ import (
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/stats"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -498,7 +496,7 @@ func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, d
 	// workflow structure, plan) assembles the answer without a job — no
 	// input bytes scanned, no shuffle. Falls through on any gap.
 	if ru := e.newResultReuse(w, ds, outcome.Plan); ru != nil {
-		if out, ok := e.resultFromCache(w, ds, ru, outcome); ok {
+		if out, ok := e.resultFromCache(ctx, w, ds, ru, outcome); ok {
 			return out, nil
 		}
 	}
@@ -517,56 +515,15 @@ func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, d
 		SampleSeconds:   outcome.SampleSeconds,
 		PlanCached:      outcome.DecisionCached,
 	}
-	// Output assembly is per record, so it probes instead of allocating:
-	// measure lookups go through an interned-name cache keyed by the raw
-	// key bytes, and region coordinates are decoded into chunked arena
-	// storage (one allocation per coordChunk coordinates; handed-out
-	// sub-slices keep aliasing abandoned chunks).
-	byKey := make(map[string]*workflow.Measure, len(w.Measures()))
-	const coordChunk = 4096
-	var coordArena []int64
-	for {
-		_, pairs, ok, err := pipe.NextBatch()
-		if err != nil {
-			return nil, err
-		}
+	asm := assembler{arity: arity}
+	err = asm.drain(pipe, func(key []byte) (*asmSlot, error) {
+		m, ok := w.Measure(string(key))
 		if !ok {
-			break
+			return nil, fmt.Errorf("core: output for unknown measure %q", key)
 		}
-		for _, p := range pairs {
-			m, ok := byKey[string(p.Key)]
-			if !ok {
-				name := string(p.Key)
-				if m, ok = w.Measure(name); !ok {
-					return nil, fmt.Errorf("core: output for unknown measure %q", name)
-				}
-				byKey[name] = m
-			}
-			if len(p.Value) < 8 {
-				return nil, fmt.Errorf("core: truncated measure record")
-			}
-			if cap(coordArena)-len(coordArena) < arity {
-				size := coordChunk
-				if arity > size {
-					size = arity
-				}
-				coordArena = make([]int64, 0, size)
-			}
-			start := len(coordArena)
-			coordArena = coordArena[:start+arity]
-			coords := coordArena[start : start+arity : start+arity]
-			if err := cube.DecodeCoordsInto(p.Value[:len(p.Value)-8], coords); err != nil {
-				return nil, err
-			}
-			v := math.Float64frombits(binary.LittleEndian.Uint64(p.Value[len(p.Value)-8:]))
-			out.Measures[m.Name] = append(out.Measures[m.Name], MeasureRecord{
-				Region: cube.Region{Grain: m.Grain, Coord: coords},
-				Value:  v,
-			})
-		}
-		transport.RecycleBatch(pairs)
-	}
-	if err := pipe.Close(); err != nil {
+		return asm.slot(out.Measures, m), nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	out.Stats = pipe.Stats()
@@ -575,18 +532,10 @@ func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, d
 		// jobwide sum reads "plans this job did not recompute".
 		out.Stats.MapTasks[0].PlanCacheHits = 1
 	}
-	// Batches arrive in reduce-completion order, but every measure's
-	// records are sorted by encoded coordinates below — a total order,
-	// since the ownership filter emits each region exactly once — so the
-	// canonical result bytes are independent of arrival interleaving.
-	var ea, eb []byte // reused encode scratch for the output sort
-	for name := range out.Measures {
-		ms := out.Measures[name]
-		sort.Slice(ms, func(i, j int) bool {
-			ea = cube.AppendCoords(ea[:0], ms[i].Region.Coord)
-			eb = cube.AppendCoords(eb[:0], ms[j].Region.Coord)
-			return bytes.Compare(ea, eb) < 0
-		})
+	// Batches arrive in reduce-completion order; the assembler's sort makes
+	// the canonical result bytes independent of that interleaving.
+	if err := asm.finish(ctx, e.cfg.Executor); err != nil {
+		return nil, err
 	}
 	out.Estimate = EstimateFromStats(e.cfg.Cluster, out.Stats)
 	out.Estimate.ReduceSeconds += outcome.SampleSeconds
@@ -641,34 +590,6 @@ func EstimateFromStats(c costmodel.Cluster, js mr.JobStats) costmodel.Estimate {
 		}
 	}
 	return costmodel.EstimateJob(c, mw, rw)
-}
-
-// --- payload codecs ---
-
-// appendMeasureRecord appends a packed <region coordinates, value> record
-// to dst and returns the extended slice.
-func appendMeasureRecord(dst []byte, coords []int64, v float64) []byte {
-	dst = cube.AppendCoords(dst, coords)
-	var f [8]byte
-	binary.LittleEndian.PutUint64(f[:], math.Float64bits(v))
-	return append(dst, f[:]...)
-}
-
-// encodeMeasureRecord packs region coordinates and the value.
-func encodeMeasureRecord(coords []int64, v float64) []byte {
-	return appendMeasureRecord(make([]byte, 0, len(coords)*3+8), coords, v)
-}
-
-func decodeMeasureRecord(b []byte, arity int) ([]int64, float64, error) {
-	if len(b) < 8 {
-		return nil, 0, fmt.Errorf("core: truncated measure record")
-	}
-	coords := make([]int64, arity)
-	if err := cube.DecodeCoordsInto(b[:len(b)-8], coords); err != nil {
-		return nil, 0, err
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(b[len(b)-8:]))
-	return coords, v, nil
 }
 
 // blockPrefixLen returns the length of the block-key prefix (arity
@@ -829,18 +750,6 @@ func splitPartial(b []byte) (int, []byte, []byte, error) {
 	}
 	b = b[n:]
 	return int(idx), b[:ckLen], b[ckLen:], nil
-}
-
-func decodePartial(b []byte, arity int) (int, []int64, []byte, error) {
-	idx, ck, state, err := splitPartial(b)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	coords, err := cube.DecodeCoords(string(ck), arity)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	return idx, coords, state, nil
 }
 
 // mapLocal is one map task's reusable state (mr.Config.NewMapLocal).

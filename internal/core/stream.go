@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
@@ -110,13 +108,13 @@ func (s *ResultStream) Next() (ResultRow, bool, error) {
 		}
 		s.byKey[name] = m
 	}
-	if len(p.Value) < 8 {
-		return ResultRow{}, false, fmt.Errorf("core: truncated measure record")
+	key, v, err := splitMeasureRecord(p.Value)
+	if err == nil {
+		err = cube.DecodeCoordsInto(key, s.coords)
 	}
-	if err := cube.DecodeCoordsInto(p.Value[:len(p.Value)-8], s.coords); err != nil {
+	if err != nil {
 		return ResultRow{}, false, err
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(p.Value[len(p.Value)-8:]))
 	s.rows++
 	return ResultRow{
 		Measure: m.Name,
