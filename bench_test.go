@@ -225,7 +225,7 @@ func BenchmarkBaseline_ComponentAtATime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		naive, err := eng.RunComponentAtATime(w, ds)
+		naive, err := eng.RunComponentAtATimeContext(context.Background(), w, ds)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,7 +42,6 @@ import (
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/exec"
-	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
@@ -204,9 +203,6 @@ type DistributionKey = distkey.Key
 // Plan is an optimizer-chosen execution plan.
 type Plan = optimizer.Plan
 
-// PlanCache remembers previously successful plans across queries.
-type PlanCache = optimizer.PlanCache
-
 // DecisionCache is a bounded keyed cache of finished plan decisions:
 // repeated submissions of an equivalent query over the same dataset skip
 // planning (including the sampling pass under SkewSampling) entirely.
@@ -255,10 +251,6 @@ type Config = core.Config
 const (
 	TwoPassSort     = core.TwoPassSort
 	CombinedKeySort = core.CombinedKeySort
-
-	// Local-scan strategies for Config.LocalScan.
-	HashScan  = localeval.HashScan
-	ChainScan = localeval.ChainScan
 
 	StageFull    = core.StageFull
 	StageMapOnly = core.StageMapOnly

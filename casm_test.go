@@ -254,7 +254,6 @@ MEASURE back = INHERIT(tot) AT (prod:cat, time:day);
 	}
 	eng, err := casm.NewEngine(casm.Config{
 		NumReducers: 3,
-		LocalScan:   casm.ChainScan,
 		Transport:   casm.ChannelTransport(64),
 		TempDir:     t.TempDir(),
 	})

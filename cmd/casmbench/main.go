@@ -16,7 +16,7 @@
 // the substitution rationale). EXPERIMENTS.md records the paper-vs-
 // reproduced comparison for each panel. The -json snapshot carries the
 // raw panel data plus run metadata, so CI can archive comparable
-// baselines across commits (see BENCH_PR2.json for the current one).
+// baselines across commits (BENCH_PR10.json is the committed one).
 package main
 
 import (
@@ -68,13 +68,13 @@ type snapshot struct {
 	// Panels like the others: a reproduction-extension study in host
 	// wall-clock terms, never bit-guarded.
 	ServeLoad *panelResult `json:"serve_load,omitempty"`
-	// PlanCache reports the shared decision cache's traffic across the
+	// DecisionCache reports the shared decision cache's traffic across the
 	// whole panel run: the panels all execute through one resident
 	// executor and one decision cache (the casmserve state model), so
 	// repeated (workflow, dataset, config) runs skip planning. Cache hits
-	// are priced at zero in the cost model and skew-handled runs bypass
-	// the cache, so the published panel numbers are unchanged.
-	PlanCache *planCacheResult `json:"plan_cache,omitempty"`
+	// are an observation the cost model cannot see and skew-handled runs
+	// bypass the cache, so the published panel numbers are unchanged.
+	DecisionCache *planCacheResult `json:"plan_cache,omitempty"`
 	// ResultReuse is the -resultreuse cold-vs-warm materialized-result
 	// study over the persistent block store. Outside Panels like the
 	// other extension studies: it evaluates this reproduction's result
@@ -342,7 +342,7 @@ func main() {
 		}
 	}
 
-	snap.PlanCache = &planCacheResult{Hits: dcache.Hits(), Misses: dcache.Misses(), Entries: dcache.Len()}
+	snap.DecisionCache = &planCacheResult{Hits: dcache.Hits(), Misses: dcache.Misses(), Entries: dcache.Len()}
 	if !*asJSON {
 		fmt.Printf("(plan cache across panels: %d hits, %d misses, %d entries)\n",
 			dcache.Hits(), dcache.Misses(), dcache.Len())

@@ -1,7 +1,7 @@
 // Command casmbenchdiff compares two `casmbench -json` snapshots for
 // simulated-result regressions:
 //
-//	casmbenchdiff BENCH_PR2.json BENCH_PR3.json
+//	casmbenchdiff BENCH_PR10.json now.json
 //
 // It demands exact equality of the run parameters (scale, seed) and of
 // every panel's raw data — the simulated seconds are a pure function of

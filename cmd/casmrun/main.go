@@ -64,7 +64,6 @@ func run() error {
 		reducers = flag.Int("reducers", 8, "number of reducers (m)")
 		cf       = flag.Int64("cf", 0, "force clustering factor (0 = optimizer)")
 		sortMode = flag.String("sort", "twopass", "in-group sort: twopass | combined")
-		chain    = flag.Bool("chain", false, "use the chain-scan local evaluator")
 		early    = flag.String("early", "off", "early aggregation: off | on | auto")
 		skew     = flag.String("skew", "none", "skew handling: none | sampling")
 		minBlk   = flag.Int64("minblocks", 0, "minimum blocks per reducer heuristic (0 = off)")
@@ -77,7 +76,7 @@ func run() error {
 		sortMem  = flag.Int("sortmem", 0, "reducer in-memory grouping budget in items, 0 = default (set small to force spills)")
 		morsel   = flag.Bool("morsel", false, "morsel-driven map execution (work-stealing workers over carved splits)")
 		morselB  = flag.Int("morselbytes", 0, "morsel size in bytes (implies -morsel; 0 with -morsel = default size)")
-		localAgg = flag.Int("localagg", 0, "morsel workers' thread-local pre-aggregation budget in distinct states (0 = default)")
+		localAgg = flag.Int("localagg", 0, "each map task's early-aggregation table budget in distinct states (0 = default)")
 		stream   = flag.Bool("stream", false, "bounded-memory mode: stream splits off disk and rows to the sink, never materializing dataset or result")
 		storeDir = flag.String("store", "", "open the persistent block store at this directory; -data names the file inside it")
 		resCache = flag.Bool("resultcache", false, "enable the materialized result cache, persisted in the store (requires -store)")
@@ -143,9 +142,6 @@ func run() error {
 		cfg.MorselBytes = *morselB
 	} else if *morsel {
 		cfg.MorselBytes = mr.DefaultMorselBytes
-	}
-	if *chain {
-		cfg.LocalScan = casm.ChainScan
 	}
 	switch *sortMode {
 	case "twopass":

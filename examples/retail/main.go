@@ -68,10 +68,7 @@ func main() {
 		records[i] = casm.Record{p, amount, t}
 	}
 
-	engine, err := casm.NewEngine(casm.Config{
-		NumReducers: 8,
-		LocalScan:   casm.ChainScan, // stream contiguous groups off the sort
-	})
+	engine, err := casm.NewEngine(casm.Config{NumReducers: 8})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,8 +3,8 @@
 // whose timestamps all fall in the first quarter of the time range. The
 // example compares the model-only plan against the sampling-based plan
 // chooser (mappers sample their input, simulate the dispatch for every
-// candidate plan, and pick the most balanced one) and shows the plan
-// cache reusing a known-good key for a second query.
+// candidate plan, and pick the most balanced one) and shows the decision
+// cache answering a repeated query without planning or sampling again.
 //
 //	go run ./examples/skewtune
 package main
@@ -105,29 +105,36 @@ func main() {
 		"(its fixed overhead was %.1f simulated seconds — negligible at production scale)\n",
 		imbalance(rNormal), imbalance(rSampled), rSampled.SampleSeconds)
 
-	// Plan cache: a second, narrower query over the same data reuses the
-	// cached key because the cached key generalizes its minimal key.
-	cache := &casm.PlanCache{}
-	engine, err := casm.NewEngine(casm.Config{NumReducers: 32, Cache: cache})
+	// Decision cache: the sampling pass above is paid once per (query,
+	// dataset, planning knobs). A repeat — here the same query under new
+	// measure names, which the canonical fingerprint ignores — reuses the
+	// finished decision: no candidate scoring, no second sample.
+	cache := casm.NewDecisionCache(0)
+	engine, err := casm.NewEngine(casm.Config{
+		NumReducers: 32, SkewMode: casm.SkewSampling, SampleSize: 4000, DecisionCache: cache,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := engine.Run(query, casm.MemoryDataset(schema, uniform, 48)); err != nil {
+	ds := casm.MemoryDataset(schema, skewed, 48)
+	ds.Tag = "skewed" // sampled decisions are per dataset: name it
+	if _, err := engine.Run(query, ds); err != nil {
 		log.Fatal(err)
 	}
-	narrower, err := casm.Build(schema).
-		Basic("volume", casm.Agg(casm.Sum), "amount",
+	renamed, err := casm.Build(schema).
+		Basic("v", casm.Agg(casm.Sum), "amount",
 			casm.At("region", "country"), casm.At("time", "hour")).
-		Sliding("short", casm.Agg(casm.Avg), "volume", casm.Window("time", -3, 0),
+		Sliding("t12", casm.Agg(casm.Sum), "v", casm.Window("time", -11, 0),
 			casm.At("region", "country"), casm.At("time", "hour")).
 		Done()
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := engine.Run(narrower, casm.MemoryDataset(schema, uniform, 48))
+	res2, err := engine.Run(renamed, ds)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nplan cache holds %d plan(s); second query ran with key=%s cf=%d\n",
-		cache.Len(), res2.Plan.Key.Format(schema), res2.Plan.ClusteringFactor)
+	fmt.Printf("\ndecision cache: %d hit(s), %d miss(es); the repeat ran with key=%s cf=%d, plan cached=%v, sampling overhead %.1fs\n",
+		cache.Hits(), cache.Misses(), res2.Plan.Key.Format(schema), res2.Plan.ClusteringFactor,
+		res2.PlanCached, res2.SampleSeconds)
 }

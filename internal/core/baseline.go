@@ -11,7 +11,7 @@ import (
 	"github.com/casm-project/casm/internal/workflow"
 )
 
-// RunComponentAtATime evaluates the workflow with the naive strategy the
+// RunComponentAtATimeContext evaluates the workflow with the naive strategy the
 // paper's introduction argues against: every measure component gets its
 // own MapReduce job, respecting the dependency order — basic measures
 // repartition the raw data (once per component), composite measures run
@@ -22,15 +22,9 @@ import (
 //
 // The result is identical to Run's; Stats and Estimate accumulate over
 // all jobs (jobs execute sequentially, as the step-by-step plan implies).
-// It runs under context.Background(); see RunComponentAtATimeContext.
-func (e *Engine) RunComponentAtATime(w *workflow.Workflow, ds *Dataset) (*Result, error) {
-	return e.RunComponentAtATimeContext(context.Background(), w, ds)
-}
-
-// RunComponentAtATimeContext is the context-aware form of
-// RunComponentAtATime: each component job runs on Config.Executor's
-// shared pool under ctx, and cancellation aborts the remaining job
-// sequence with an error satisfying errors.Is(err, context.Canceled).
+// Each component job runs on Config.Executor's shared pool under ctx, and
+// cancellation aborts the remaining job sequence with an error satisfying
+// errors.Is(err, context.Canceled).
 func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Workflow, ds *Dataset) (*Result, error) {
 	s := ds.Schema
 	order, err := w.TopoOrder()
@@ -132,17 +126,7 @@ func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapFn mr.MapFun
 		Input:  input,
 		Map:    mapFn,
 		Reduce: reduceFn,
-		Config: mr.Config{
-			NumReducers:       e.cfg.NumReducers,
-			Executor:          e.cfg.Executor,
-			MapParallelism:    e.cfg.MapParallelism,
-			ReduceParallelism: e.cfg.ReduceParallelism,
-			Transport:         e.cfg.Transport,
-			MorselBytes:       e.cfg.MorselBytes,
-			LocalAggBudget:    e.cfg.LocalAggBudget,
-			SortMemoryItems:   e.cfg.SortMemoryItems,
-			TempDir:           e.cfg.TempDir,
-		},
+		Config: e.mrConfig(),
 	})
 	if err != nil {
 		return nil, mr.JobStats{}, err

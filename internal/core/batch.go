@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -105,15 +104,9 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, ws []*workflow.Workfl
 	// Count the dataset once for the whole batch instead of once per
 	// query (a local copy so the caller's Dataset is left alone).
 	d := *ds
-	if d.NumRecords == 0 {
-		counted, err := CountRecords(&d)
-		if err != nil {
-			return nil, err
-		}
-		if counted == 0 {
-			counted = 1
-		}
-		d.NumRecords = counted
+	var err error
+	if d.NumRecords, err = cardinality(ctx, ds); err != nil {
+		return nil, err
 	}
 
 	out := &BatchResult{Results: make([]*Result, len(ws))}
@@ -264,8 +257,7 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 			for _, qi := range g.members {
 				q := queries[qi]
 				gr.members = append(gr.members, &batchMemberReduce{
-					ev: q.ev.NewSession(), tag: q.tag,
-					names: make(map[string][]byte, len(q.w.Measures())),
+					ev: q.ev.NewSession(), out: newOwnedOutput(q.tag, len(q.w.Measures())),
 				})
 			}
 			rl.gs[gi] = gr
@@ -286,7 +278,7 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 			for _, block := range sess.Blocks(ml.rec) {
 				var key []byte
 				if combined {
-					key = ml.taggedCombined(g.tag, block, raw)
+					key = ml.arena.concat(g.tag, block, raw)
 				} else {
 					key = ml.taggedBlock(gi, g.tag, block)
 				}
@@ -336,10 +328,7 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 			}
 		}
 		for _, m := range gr.members {
-			results, est, err := m.ev.EvaluateBlock(localeval.Options{
-				SkipSort: combined,
-				Scan:     e.cfg.LocalScan,
-			})
+			results, est, err := m.ev.EvaluateBlock(localeval.Options{SkipSort: combined})
 			if err != nil {
 				return err
 			}
@@ -348,18 +337,7 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 			rctx.Stats.WindowLookups += est.WindowLookups
 			// Same ownership filter as the single-query job, against the
 			// group's shared block geometry (the tag is stripped above).
-			for _, r := range results {
-				if !bytes.Equal(gr.dk.Owner(r.Region), blockKey) {
-					continue
-				}
-				rl.enc = appendMeasureRecord(rl.enc[:0], r.Region.Coord, r.Value)
-				kb, ok := m.names[r.Measure]
-				if !ok {
-					kb = append(append(make([]byte, 0, len(m.tag)+len(r.Measure)), m.tag...), r.Measure...)
-					m.names[r.Measure] = kb
-				}
-				rctx.EmitStable(kb, append([]byte(nil), rl.enc...))
-			}
+			m.out.emit(rctx, gr.dk, blockKey, results, nil, nil)
 		}
 		var hits, arena, pool int64
 		for _, g := range rl.gs {
@@ -375,37 +353,13 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 		return nil
 	}
 
-	groupMode := e.cfg.GroupMode
-	if combined {
-		if groupMode == mr.GroupHash {
-			return fmt.Errorf("core: GroupHash is incompatible with CombinedKeySort (the combined key's secondary order needs the sorted path)")
-		}
-		groupMode = mr.GroupSort
-	}
-	job := mr.Job{
-		Name:   "casm-batch",
-		Input:  ds.Input,
-		Map:    mapFn,
-		Reduce: reduceFn,
-		Config: mr.Config{
-			NumReducers:       e.cfg.NumReducers,
-			Executor:          e.cfg.Executor,
-			MapParallelism:    e.cfg.MapParallelism,
-			ReduceParallelism: e.cfg.ReduceParallelism,
-			Transport:         e.cfg.Transport,
-			GroupMode:         groupMode,
-			MorselBytes:       e.cfg.MorselBytes,
-			LocalAggBudget:    e.cfg.LocalAggBudget,
-			SortMemoryItems:   e.cfg.SortMemoryItems,
-			TempDir:           e.cfg.TempDir,
-			NewMapLocal:       newMapLocal,
-			NewReduceLocal:    newReduceLocal,
-			FailureInjector:   e.cfg.FailureInjector,
-		},
-	}
+	job := mr.Job{Name: "casm-batch", Input: ds.Input, Map: mapFn, Reduce: reduceFn, Config: e.mrConfig()}
+	job.Config.NewMapLocal = newMapLocal
+	job.Config.NewReduceLocal = newReduceLocal
 	if combined {
 		// Group identity is the tag + block-key prefix of the combined
-		// shuffle key, still a zero-alloc sub-slice.
+		// shuffle key, still a zero-alloc sub-slice (and, as in the
+		// single-query job, what selects sorted grouping).
 		job.Config.GroupBy = func(key []byte) []byte {
 			_, n := binary.Uvarint(key)
 			if n <= 0 {
@@ -490,12 +444,10 @@ func (e *Engine) runShared(ctx context.Context, ws []*workflow.Workflow, evs []*
 // session per geometry group, one shared record decode buffer, an intern
 // table per group for tagged block keys, and the combined-key arena.
 type batchMapLocal struct {
-	dks  []*distkey.Session
-	rec  cube.Record
-	keys []map[string][]byte // per group: bare block key bytes → stable tagged key
-	// chunk/chunkNext: combined-key arena, as in mapLocal.
-	chunk     []byte
-	chunkNext int
+	dks   []*distkey.Session
+	rec   cube.Record
+	keys  []map[string][]byte // per group: bare block key bytes → stable tagged key
+	arena keyArena
 }
 
 // taggedBlock interns tag+block once per distinct block per task; the
@@ -510,37 +462,11 @@ func (ml *batchMapLocal) taggedBlock(gi int, tag, block []byte) []byte {
 	return k
 }
 
-// taggedCombined appends tag+block+raw into the task arena; combined keys
-// are unique per pair, so the arena amortizes their storage exactly like
-// mapLocal.combinedKey.
-func (ml *batchMapLocal) taggedCombined(tag, block, raw []byte) []byte {
-	need := len(tag) + len(block) + len(raw)
-	if cap(ml.chunk)-len(ml.chunk) < need {
-		size := ml.chunkNext
-		if size < combinedKeyChunkMin {
-			size = combinedKeyChunkMin
-		}
-		if next := size * 2; next <= combinedKeyChunkMax {
-			ml.chunkNext = next
-		} else {
-			ml.chunkNext = combinedKeyChunkMax
-		}
-		if need > size {
-			size = need
-		}
-		ml.chunk = make([]byte, 0, size)
-	}
-	start := len(ml.chunk)
-	ml.chunk = append(append(append(ml.chunk, tag...), block...), raw...)
-	return ml.chunk[start:len(ml.chunk):len(ml.chunk)]
-}
-
 // batchMemberReduce is one member query's slice of a shared reduce
-// task's state.
+// task's state; out carries the query's uvarint output-key prefix.
 type batchMemberReduce struct {
-	ev    *localeval.Session
-	tag   []byte            // the query's uvarint output-key prefix
-	names map[string][]byte // measure name → stable tagged output key
+	ev  *localeval.Session
+	out *ownedOutput
 }
 
 // batchGroupReduce is one geometry group's slice of a shared reduce
@@ -555,5 +481,4 @@ type batchGroupReduce struct {
 type batchReduceLocal struct {
 	gs  []*batchGroupReduce
 	rec cube.Record
-	enc []byte
 }

@@ -9,6 +9,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -17,7 +18,6 @@ import (
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/exec"
-	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/recio"
@@ -99,19 +99,11 @@ type Config struct {
 	// EarlyAggregation selects the combiner mode (default off).
 	EarlyAggregation EarlyAggMode
 	// SortMode selects two-pass vs combined-key sorting (default two-pass,
-	// matching the paper's unmodified MapReduce).
+	// matching the paper's unmodified MapReduce). It also decides how
+	// reducers group: two-pass sorting and early aggregation only need
+	// pairs grouped by block, so they take the substrate's hash collector;
+	// the combined key's secondary order needs its sorted path.
 	SortMode SortMode
-	// GroupMode selects the reducer's grouping strategy (default
-	// mr.GroupAuto: hash grouping for plain block grouping and early
-	// aggregation, sorted grouping for CombinedKeySort). mr.GroupHash is
-	// rejected with CombinedKeySort — the combined key's secondary order
-	// needs the sorted path.
-	GroupMode mr.GroupMode
-	// LocalScan selects the local evaluator's group-construction strategy
-	// (default hash; localeval.ChainScan streams contiguous groups off a
-	// grain-derived sort order, closer to [4]'s single sort+scan). Chain
-	// scanning performs its own sort, so it supersedes CombinedKeySort.
-	LocalScan localeval.ScanMode
 	// Stage optionally stops the pipeline early (default full).
 	Stage Stage
 	// SkewMode selects run-time skew handling (default none).
@@ -134,25 +126,20 @@ type Config struct {
 	// (mr.DefaultMorselBytes is the recommended size). 0 keeps the
 	// fixed-split map phase.
 	MorselBytes int
-	// LocalAggBudget caps each morsel worker's thread-local
-	// pre-aggregation table (distinct partial states before a sorted-key
-	// spill into the shuffle). 0 defaults to the engine's combine buffer
-	// size; ignored in fixed-split mode.
+	// LocalAggBudget caps each map task's early-aggregation table
+	// (distinct partial states before a sorted-key spill into the
+	// shuffle). 0 defaults to the substrate's 65536.
 	LocalAggBudget int
 	// TempDir hosts spill files.
 	TempDir string
 	// Cluster parameterizes the simulated-time estimate (zero value =
 	// the paper's 100-machine cluster).
 	Cluster costmodel.Cluster
-	// Cache, when non-nil, reuses previously successful plans (Section V).
-	Cache *optimizer.PlanCache
 	// DecisionCache, when non-nil, memoizes complete optimizer decisions
 	// under the canonical workflow fingerprint + dataset identity +
 	// planning knobs, so a repeated (or structurally identical) query
 	// skips candidate enumeration, scoring, and skew sampling entirely.
-	// Forced overrides (ForceKey/ForceCF) bypass it. Distinct from Cache:
-	// that one matches by key generalization and still re-scores; a
-	// decision-cache hit re-plans nothing.
+	// Forced overrides (ForceKey/ForceCF) bypass it.
 	DecisionCache *optimizer.DecisionCache
 	// ResultCache, when non-nil, materializes each block's reducer
 	// output under (dataset identity × measure fingerprint × block key)
@@ -277,34 +264,71 @@ func getRecordBuf(arity int) cube.Record {
 
 func putRecordBuf(rec cube.Record) { decodePool.Put(rec) }
 
+// cancelCheckStride is how many records a dataset scan processes between
+// cancellation polls (a non-blocking read of ctx.Done(), the mr hot-loop
+// idiom).
+const cancelCheckStride = 1024
+
+// scanDataset hands every raw record of the splits, in order, to visit,
+// closing each iterator on every path and polling ctx every
+// cancelCheckStride records.
+func scanDataset(ctx context.Context, splits []mr.Split, visit func(raw []byte) error) error {
+	done := ctx.Done()
+	var n int64
+	scan := func(sp mr.Split) error {
+		it, err := sp.Open()
+		if err != nil {
+			return err
+		}
+		defer it.Close()
+		for {
+			raw, ok, err := it.Next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				return it.Close()
+			}
+			if n++; n&(cancelCheckStride-1) == 0 {
+				select {
+				case <-done:
+					return ctx.Err()
+				default:
+				}
+			}
+			if err := visit(raw); err != nil {
+				return err
+			}
+		}
+	}
+	for _, sp := range splits {
+		if err := scan(sp); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CountRecords scans the dataset once and returns its cardinality.
-func CountRecords(ds *Dataset) (int64, error) {
+// Cancelling ctx aborts the scan with ctx's error.
+func CountRecords(ctx context.Context, ds *Dataset) (int64, error) {
 	splits, err := ds.Input.Splits()
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	for _, sp := range splits {
-		it, err := sp.Open()
-		if err != nil {
-			return 0, err
-		}
-		for {
-			_, ok, err := it.Next()
-			if err != nil {
-				it.Close()
-				return 0, err
-			}
-			if !ok {
-				break
-			}
-			n++
-		}
-		if err := it.Close(); err != nil {
-			return 0, err
-		}
+	err = scanDataset(ctx, splits, func([]byte) error { n++; return nil })
+	return n, err
+}
+
+// cardinality returns the optimizer's N for the dataset: NumRecords when
+// known, one counting scan otherwise (an empty dataset plans as N = 1).
+func cardinality(ctx context.Context, ds *Dataset) (int64, error) {
+	if ds.NumRecords != 0 {
+		return ds.NumRecords, nil
 	}
-	return n, nil
+	n, err := CountRecords(ctx, ds)
+	return max(n, 1), err
 }
 
 // MemoryDataset wraps in-memory records as a dataset with the given

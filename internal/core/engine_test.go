@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,6 @@ import (
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/measure"
-	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
@@ -294,45 +294,6 @@ func TestEngineMinBlocksHeuristic(t *testing.T) {
 	}
 }
 
-func TestEnginePlanCache(t *testing.T) {
-	su := workload.NewSuite()
-	records := su.Generate(1000, workload.Uniform, 19)
-	ds := MemoryDataset(su.Schema, records, 2)
-	w := su.Q5()
-	cache := &optimizer.PlanCache{}
-	cfg := Config{NumReducers: 2, Cache: cache, TempDir: t.TempDir()}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := eng.Plan(w, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.FromCache {
-		t.Error("first plan claimed cache hit")
-	}
-	if cache.Len() == 0 {
-		t.Fatal("plan not stored")
-	}
-	second, err := eng.Plan(w, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !second.FromCache {
-		t.Error("second plan missed the cache")
-	}
-	if !second.Plan.Key.Equal(first.Plan.Key) {
-		t.Error("cached key differs")
-	}
-	// The cached plan still runs correctly.
-	res, err := eng.RunWithPlan(w, ds, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compare(t, "cached", oracle(t, w, records), flatten(res))
-}
-
 func TestEngineForceKey(t *testing.T) {
 	// Forcing the non-overlapping fallback key (annotated attr at ALL)
 	// must still yield the exact answer — overlap is an optimization, not
@@ -370,7 +331,7 @@ func TestCountRecords(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(321, workload.Uniform, 2)
 	ds := MemoryDataset(su.Schema, records, 4)
-	n, err := CountRecords(ds)
+	n, err := CountRecords(context.Background(), ds)
 	if err != nil || n != 321 {
 		t.Fatalf("count = %d, %v", n, err)
 	}
@@ -411,7 +372,7 @@ func TestBaselineMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive, err := eng.RunComponentAtATime(w, ds)
+		naive, err := eng.RunComponentAtATimeContext(context.Background(), w, ds)
 		if err != nil {
 			t.Fatalf("Q%d baseline: %v", n, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/casm-project/casm/internal/cube"
-	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
@@ -175,9 +174,6 @@ func TestEngineMatchesOracleRandomWorkflows(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				cfg.SortMode = CombinedKeySort
 			}
-			if rng.Intn(2) == 0 {
-				cfg.LocalScan = localeval.ChainScan
-			}
 			if rng.Intn(3) == 0 {
 				cfg.SkewMode = SkewSampling
 				cfg.SampleSize = 300
@@ -198,8 +194,7 @@ func TestEngineMatchesOracleRandomWorkflows(t *testing.T) {
 
 // TestEngineMatchesOracleMappedSchemaFuzz repeats the oracle property over
 // a schema containing an irregular (table-driven) hierarchy, so mapped
-// roll-ups interact with overlapping plans, early aggregation, and both
-// scan modes.
+// roll-ups interact with overlapping plans and early aggregation.
 func TestEngineMatchesOracleMappedSchemaFuzz(t *testing.T) {
 	assign := make([]int64, 30)
 	for i := range assign {
@@ -254,9 +249,6 @@ func TestEngineMatchesOracleMappedSchemaFuzz(t *testing.T) {
 		}
 		ds := MemoryDataset(s, records, 1+rng.Intn(5))
 		cfg := Config{NumReducers: 1 + rng.Intn(6), EarlyAggregation: EarlyAggAuto}
-		if rng.Intn(2) == 0 {
-			cfg.LocalScan = localeval.ChainScan
-		}
 		want := oracle(t, w, records)
 		res := runEngine(t, cfg, w, ds)
 		compare(t, fmt.Sprintf("mapped fuzz seed %d", seed), want, flatten(res))

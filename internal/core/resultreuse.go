@@ -133,13 +133,7 @@ func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, rl *reduceLocal, rows []byt
 		if idx >= len(ru.canon) {
 			return fmt.Errorf("core: cached row references measure %d of %d", idx, len(ru.canon))
 		}
-		name := ru.canon[idx].Name
-		kb, ok := rl.names[name]
-		if !ok {
-			kb = []byte(name)
-			rl.names[name] = kb
-		}
-		ctx.EmitStable(kb, append([]byte(nil), payload...))
+		ctx.EmitStable(rl.out.key(ru.canon[idx].Name), append([]byte(nil), payload...))
 		off = next
 	}
 	return nil
@@ -192,12 +186,11 @@ func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *
 		return nil, false
 	}
 	// The run's stats are one synthetic reduce task whose only non-zero
-	// counters are the reuse ones — all priced at zero, so the simulated
+	// counters are the reuse observations — unpriced, so the simulated
 	// time is a single task overhead: the cost of answering from cache.
 	out.Stats = mr.JobStats{ReduceTasks: []mr.TaskStats{{
-		Task:             "reduce-cache",
-		ResultCacheHits:  hits,
-		ResultCacheBytes: served,
+		Task:     "reduce-cache",
+		Observed: mr.Observed{ResultCacheHits: hits, ResultCacheBytes: served},
 	}}}
 	out.Estimate = EstimateFromStats(e.cfg.Cluster, out.Stats)
 	out.Estimate.ReduceSeconds += outcome.SampleSeconds

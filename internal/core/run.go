@@ -23,21 +23,14 @@ import (
 type PlanOutcome struct {
 	Plan          optimizer.Plan
 	Sampled       bool
-	FromCache     bool
 	SampleSeconds float64
-	// DecisionCached indicates the complete decision (not just a key/cf
-	// hint) came from Config.DecisionCache; no planning work ran at all.
+	// DecisionCached indicates the complete decision came from
+	// Config.DecisionCache; no planning work ran at all.
 	DecisionCached bool
 }
 
-// Plan chooses the execution plan under context.Background(); see
-// PlanContext.
-func (e *Engine) Plan(w *workflow.Workflow, ds *Dataset) (PlanOutcome, error) {
-	return e.PlanContext(context.Background(), w, ds)
-}
-
 // PlanContext chooses the execution plan for the workflow over the
-// dataset, applying the plan cache, the cost-model optimizer, forced
+// dataset, applying the decision cache, the cost-model optimizer, forced
 // overrides, and (optionally) sampling-based skew handling, in that
 // order. Planning runs inline on the caller's goroutine; ctx bounds the
 // dataset scans (cardinality counting, skew sampling) it may perform.
@@ -45,16 +38,9 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 	if err := ctx.Err(); err != nil {
 		return PlanOutcome{}, err
 	}
-	n := ds.NumRecords
-	if n == 0 {
-		counted, err := CountRecords(ds)
-		if err != nil {
-			return PlanOutcome{}, err
-		}
-		if counted == 0 {
-			counted = 1
-		}
-		n = counted
+	n, err := cardinality(ctx, ds)
+	if err != nil {
+		return PlanOutcome{}, err
 	}
 	optCfg := optimizer.Config{
 		NumReducers:         e.cfg.NumReducers,
@@ -78,28 +64,7 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 		decisionKey = optimizer.DecisionKey(fp, ds.Tag, n, optCfg,
 			int(e.cfg.SkewMode), e.cfg.SampleSize, e.cfg.Seed)
 		if plan, sampled, ok := e.cfg.DecisionCache.Get(decisionKey); ok {
-			return PlanOutcome{Plan: plan, Sampled: sampled, FromCache: true, DecisionCached: true}, nil
-		}
-	}
-
-	if e.cfg.Cache != nil && e.cfg.ForceKey == nil {
-		minimal, _, err := distkey.Derive(w)
-		if err != nil {
-			return PlanOutcome{}, err
-		}
-		if key, cf, ok := e.cfg.Cache.Lookup(ds.Schema, minimal); ok {
-			cand, err := optimizer.ScoreKey(ds.Schema, key, optCfg)
-			if err != nil {
-				return PlanOutcome{}, err
-			}
-			return PlanOutcome{
-				Plan: optimizer.Plan{
-					Key: key, ClusteringFactor: cf,
-					PredictedWorkload: cand.Workload, Blocks: cand.Blocks,
-					Candidates: []optimizer.Candidate{cand},
-				},
-				FromCache: true,
-			}, nil
+			return PlanOutcome{Plan: plan, Sampled: sampled, DecisionCached: true}, nil
 		}
 	}
 
@@ -132,7 +97,7 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 		if err := ctx.Err(); err != nil {
 			return PlanOutcome{}, err
 		}
-		sample, bytesRead, err := sampleDataset(ds, e.cfg.SampleSize, e.cfg.Seed)
+		sample, bytesRead, err := sampleDataset(ctx, ds, e.cfg.SampleSize, e.cfg.Seed)
 		if err != nil {
 			return PlanOutcome{}, err
 		}
@@ -146,9 +111,6 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 		out.SampleSeconds = float64(bytesRead)/(m.DiskMBps*(1<<20)) +
 			float64(len(plan.Candidates)*len(sample))*m.MapSecPerRecord + 2*m.TaskOverheadSec
 	}
-	if e.cfg.Cache != nil {
-		e.cfg.Cache.Store(out.Plan.Key, out.Plan.ClusteringFactor)
-	}
 	if decide {
 		e.cfg.DecisionCache.Put(decisionKey, out.Plan, out.Sampled)
 	}
@@ -158,44 +120,30 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 // sampleDataset reservoir-samples up to n records from a handful of
 // evenly spaced splits, the way the paper's mappers sample the data they
 // acquire before the simulated dispatch.
-func sampleDataset(ds *Dataset, n int, seed int64) ([]cube.Record, int64, error) {
+func sampleDataset(ctx context.Context, ds *Dataset, n int, seed int64) ([]cube.Record, int64, error) {
 	splits, err := ds.Input.Splits()
 	if err != nil {
 		return nil, 0, err
 	}
-	res := stats.NewReservoir[cube.Record](n, seed)
+	stride := max(len(splits)/8, 1)
+	var picked []mr.Split
 	var bytesRead int64
-	stride := len(splits) / 8
-	if stride < 1 {
-		stride = 1
-	}
-	arity := ds.Schema.NumAttrs()
 	for i := 0; i < len(splits); i += stride {
-		sp := splits[i]
-		it, err := sp.Open()
+		picked = append(picked, splits[i])
+		bytesRead += splits[i].SizeBytes()
+	}
+	res := stats.NewReservoir[cube.Record](n, seed)
+	arity := ds.Schema.NumAttrs()
+	err = scanDataset(ctx, picked, func(raw []byte) error {
+		rec, err := recio.DecodeRecord(raw, arity)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		bytesRead += sp.SizeBytes()
-		for {
-			raw, ok, err := it.Next()
-			if err != nil {
-				it.Close()
-				return nil, 0, err
-			}
-			if !ok {
-				break
-			}
-			rec, err := recio.DecodeRecord(raw, arity)
-			if err != nil {
-				it.Close()
-				return nil, 0, err
-			}
-			res.Add(rec)
-		}
-		if err := it.Close(); err != nil {
-			return nil, 0, err
-		}
+		res.Add(rec)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return res.Sample(), bytesRead, nil
 }
@@ -220,12 +168,6 @@ func (e *Engine) EvaluateContext(ctx context.Context, w *workflow.Workflow, ds *
 		return nil, err
 	}
 	return e.RunWithPlanContext(ctx, w, ds, outcome)
-}
-
-// RunWithPlan executes the workflow under an explicit plan outcome and
-// context.Background(); see RunWithPlanContext.
-func (e *Engine) RunWithPlan(w *workflow.Workflow, ds *Dataset, outcome PlanOutcome) (*Result, error) {
-	return e.RunWithPlanContext(context.Background(), w, ds, outcome)
 }
 
 // jobStart is a launched evaluation job: the streaming output pipe plus
@@ -283,9 +225,9 @@ func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset
 	}
 	newReduceLocal := func(st *mr.TaskStats) any {
 		return &reduceLocal{
-			dk:    bm.NewSession(),
-			ev:    ev.NewSession(),
-			names: make(map[string][]byte, len(basics)+len(w.Measures())),
+			dk:  bm.NewSession(),
+			ev:  ev.NewSession(),
+			out: newOwnedOutput(nil, len(w.Measures())),
 		}
 	}
 
@@ -303,7 +245,7 @@ func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset
 				// bytes must be owned by the pair; the task arena gives
 				// them a stable home at one allocation per 64KiB of keys
 				// instead of one per pair.
-				key = ml.combinedKey(block, raw)
+				key = ml.keys.concat(nil, block, raw)
 			}
 			if err := ctx.Emit(key, raw); err != nil {
 				return err
@@ -378,10 +320,7 @@ func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset
 				return err
 			}
 			var err error
-			results, est, err = es.EvaluateBlock(localeval.Options{
-				SkipSort: combined,
-				Scan:     e.cfg.LocalScan,
-			})
+			results, est, err = es.EvaluateBlock(localeval.Options{SkipSort: combined})
 			if err != nil {
 				return err
 			}
@@ -389,89 +328,41 @@ func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset
 		}
 		ctx.Stats.GroupSortItems += est.SortedItems
 		ctx.Stats.WindowLookups += est.WindowLookups
-		// Ownership filter (Section III-B.2): only the block owning a
-		// result's region may output it; duplicated and partial results in
-		// overlapping neighbours are dropped here. The task session's
-		// intern cache makes each Owner probe allocation-free. Results
-		// alias the evaluator session's arenas and are only valid inside
-		// this group — emitting copies what survives the filter.
-		sess := rl.dk
-		for _, r := range results {
-			if !bytes.Equal(sess.Owner(r.Region), blockKey) {
-				continue
-			}
-			// Encode into the task scratch, then copy once at exact size:
-			// the value is handed off to the output, the key is interned
-			// per task so every record of a measure shares one key slice.
-			rl.enc = appendMeasureRecord(rl.enc[:0], r.Region.Coord, r.Value)
-			kb, ok := rl.names[r.Measure]
-			if !ok {
-				kb = []byte(r.Measure)
-				rl.names[r.Measure] = kb
-			}
-			ctx.EmitStable(kb, append([]byte(nil), rl.enc...))
-			if fill {
-				idx, ok := ru.canonIdx[r.Measure]
-				if !ok {
-					// Unmappable measure name: drop the fill and poison the
-					// manifest rather than cache an incomplete block.
-					fill = false
-					ru.markIncomplete()
-					continue
-				}
-				rl.capture = appendCachedRow(rl.capture, idx, rl.enc)
-			}
+		// Results alias the evaluator session's arenas and are only valid
+		// inside this group — emitting copies what survives the filter.
+		var canon map[string]int
+		if fill {
+			canon = ru.canonIdx
+		}
+		if !rl.out.emit(ctx, rl.dk, blockKey, results, canon, &rl.capture) {
+			// Unmappable measure name: drop the fill and poison the
+			// manifest rather than cache an incomplete block.
+			fill = false
+			ru.markIncomplete()
 		}
 		if fill {
 			ru.rc.Put(rl.cacheKey, append([]byte(nil), rl.capture...))
 			ru.note(rl.cacheKey)
 		}
-		ctx.Stats.KeyCacheHits = sess.Hits
+		ctx.Stats.KeyCacheHits = rl.dk.Hits
 		ctx.Stats.EvalArenaBytes = es.ArenaBytes
 		ctx.Stats.AggPoolHits = es.PoolHits
 		return nil
 	}
 
-	// Grouping mode: block grouping and early aggregation only need pairs
-	// grouped by block, so GroupAuto resolves to the hash collector; the
-	// combined-key sort genuinely needs the full-key order and keeps the
-	// external sorter (its composite keys also make GroupBy non-trivial).
-	groupMode := e.cfg.GroupMode
-	if combined {
-		if groupMode == mr.GroupHash {
-			return nil, fmt.Errorf("core: GroupHash is incompatible with CombinedKeySort (the combined key's secondary order needs the sorted path)")
-		}
-		groupMode = mr.GroupSort
-	}
-	job := mr.Job{
-		Name:   "casm",
-		Input:  ds.Input,
-		Map:    mapFn,
-		Reduce: reduceFn,
-		Config: mr.Config{
-			NumReducers:       e.cfg.NumReducers,
-			Executor:          e.cfg.Executor,
-			MapParallelism:    e.cfg.MapParallelism,
-			ReduceParallelism: e.cfg.ReduceParallelism,
-			Transport:         e.cfg.Transport,
-			NewCombiner:       combinerFactory,
-			ShuffleDisabled:   e.cfg.Stage == StageMapOnly,
-			GroupMode:         groupMode,
-			MorselBytes:       e.cfg.MorselBytes,
-			LocalAggBudget:    e.cfg.LocalAggBudget,
-			SortMemoryItems:   e.cfg.SortMemoryItems,
-			TempDir:           e.cfg.TempDir,
-			NewMapLocal:       newMapLocal,
-			NewReduceLocal:    newReduceLocal,
-			FailureInjector:   e.cfg.FailureInjector,
-		},
-	}
+	job := mr.Job{Name: "casm", Input: ds.Input, Map: mapFn, Reduce: reduceFn, Config: e.mrConfig()}
+	job.Config.NewCombiner = combinerFactory
+	job.Config.NewMapLocal = newMapLocal
+	job.Config.NewReduceLocal = newReduceLocal
 	if combined {
 		// Zero-alloc group identity: the block key is a prefix sub-slice
-		// of the combined shuffle key.
+		// of the combined shuffle key. Setting GroupBy is also what puts
+		// the reducers on the sorted path the combined key needs; plain
+		// block keys and early aggregation hash-group.
 		job.Config.GroupBy = func(key []byte) []byte { return key[:blockPrefixLen(key, arity)] }
 	}
 	if e.cfg.Stage == StageMapOnly {
+		job.Config.ShuffleDisabled = true
 		job.Reduce = nil
 	}
 	pipe, err := mr.RunPipe(ctx, job)
@@ -547,47 +438,34 @@ func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, d
 	return out, nil
 }
 
+// mrConfig is the substrate configuration every job of this engine
+// shares; each job adds its own hooks (combiner, task locals, GroupBy).
+func (e *Engine) mrConfig() mr.Config {
+	return mr.Config{
+		NumReducers:       e.cfg.NumReducers,
+		Executor:          e.cfg.Executor,
+		MapParallelism:    e.cfg.MapParallelism,
+		ReduceParallelism: e.cfg.ReduceParallelism,
+		Transport:         e.cfg.Transport,
+		MorselBytes:       e.cfg.MorselBytes,
+		LocalAggBudget:    e.cfg.LocalAggBudget,
+		SortMemoryItems:   e.cfg.SortMemoryItems,
+		TempDir:           e.cfg.TempDir,
+		FailureInjector:   e.cfg.FailureInjector,
+	}
+}
+
 // EstimateFromStats converts substrate counters into a simulated response
-// time on the given cluster.
+// time on the given cluster. Only the tasks' priced counters reach the
+// cost model; it cannot see mr.Observed.
 func EstimateFromStats(c costmodel.Cluster, js mr.JobStats) costmodel.Estimate {
 	mw := make([]costmodel.MapWork, len(js.MapTasks))
-	for i, t := range js.MapTasks {
-		mw[i] = costmodel.MapWork{
-			BytesRead:    t.BytesRead,
-			Records:      t.Records,
-			PairsOut:     t.PairsOut,
-			BytesOut:     t.BytesOut,
-			CombineItems: t.CombineInputs,
-
-			MorselsDispatched: t.MorselsDispatched,
-			MorselSteals:      t.MorselSteals,
-			LocalAggHits:      t.LocalAggHits,
-			LocalAggSpills:    t.LocalAggSpills,
-
-			PlanCacheHits:        t.PlanCacheHits,
-			SharedScanQueries:    t.SharedScanQueries,
-			SharedScanBytesSaved: t.SharedScanBytesSaved,
-		}
+	for i := range js.MapTasks {
+		mw[i] = js.MapTasks[i].MapWork
 	}
 	rw := make([]costmodel.ReduceWork, len(js.ReduceTasks))
-	for i, t := range js.ReduceTasks {
-		rw[i] = costmodel.ReduceWork{
-			BytesIn:        t.BytesIn,
-			PairsIn:        t.PairsIn,
-			SortItems:      t.SortItems,
-			SpillBytes:     t.SpillBytes,
-			GroupSortItems: t.GroupSortItems,
-			GroupSpill:     t.GroupSpillBytes,
-			EvalRecords:    t.EvalRecords,
-			OutputRecords:  t.OutputRecords,
-			EvalArenaBytes: t.EvalArenaBytes,
-			AggPoolHits:    t.AggPoolHits,
-			WindowLookups:  t.WindowLookups,
-
-			ResultCacheHits:   t.ResultCacheHits,
-			ResultCacheMisses: t.ResultCacheMisses,
-			ResultCacheBytes:  t.ResultCacheBytes,
-		}
+	for i := range js.ReduceTasks {
+		rw[i] = js.ReduceTasks[i].ReduceWork
 	}
 	return costmodel.EstimateJob(c, mw, rw)
 }
@@ -757,48 +635,97 @@ type mapLocal struct {
 	dk *distkey.Session
 	// rec is the task's record decode buffer, reused across records
 	// (nothing downstream retains it — block keys are interned copies).
-	rec cube.Record
-	// chunk is the current combined-key arena chunk. Combined keys are
-	// unique per pair (block prefix + raw record), so they cannot be
-	// interned; the arena instead amortizes their storage to one
-	// allocation per chunk.
+	rec  cube.Record
+	keys keyArena
+}
+
+// keyArena gives combined shuffle keys a stable home. They are unique per
+// pair (block prefix + raw record), so they cannot be interned; Emit
+// retains them, so they cannot live in scratch. The arena amortizes their
+// storage to one allocation per chunk instead of one per pair.
+type keyArena struct {
 	chunk []byte
-	// chunkNext is the next chunk's capacity: chunks grow geometrically
-	// from combinedKeyChunkMin to combinedKeyChunkMax, so the many tasks
-	// that emit only a few combined keys (sliding windows off, small
-	// splits) don't each pin a fixed 64KiB.
-	chunkNext int
+	// next is the next chunk's capacity: chunks grow geometrically from
+	// keyChunkMin to keyChunkMax, so the many tasks that emit only a few
+	// combined keys (sliding windows off, small splits) don't each pin a
+	// fixed 64KiB.
+	next int
 }
 
 const (
-	combinedKeyChunkMin = 256
-	combinedKeyChunkMax = 1 << 16
+	keyChunkMin = 256
+	keyChunkMax = 1 << 16
 )
 
-// combinedKey appends block+raw into the task arena and returns the
-// stable composite key. A full chunk is abandoned (kept alive by the
-// emitted keys pointing into it) and a fresh one started, so handed-out
-// keys are never moved or logically extended by later appends.
-func (ml *mapLocal) combinedKey(block, raw []byte) []byte {
-	need := len(block) + len(raw)
-	if cap(ml.chunk)-len(ml.chunk) < need {
-		size := ml.chunkNext
-		if size < combinedKeyChunkMin {
-			size = combinedKeyChunkMin
-		}
-		if next := size * 2; next <= combinedKeyChunkMax {
-			ml.chunkNext = next
-		} else {
-			ml.chunkNext = combinedKeyChunkMax
-		}
-		if need > size {
-			size = need
-		}
-		ml.chunk = make([]byte, 0, size)
+// concat appends tag+block+raw (tag is the shared-scan job's group
+// ordinal, nil otherwise) and returns the stable composite key. A full
+// chunk is abandoned (kept alive by the emitted keys pointing into it) and
+// a fresh one started, so handed-out keys are never moved or logically
+// extended by later appends.
+func (a *keyArena) concat(tag, block, raw []byte) []byte {
+	need := len(tag) + len(block) + len(raw)
+	if cap(a.chunk)-len(a.chunk) < need {
+		size := max(a.next, keyChunkMin)
+		a.next = min(size*2, keyChunkMax)
+		a.chunk = make([]byte, 0, max(size, need))
 	}
-	start := len(ml.chunk)
-	ml.chunk = append(append(ml.chunk, block...), raw...)
-	return ml.chunk[start:len(ml.chunk):len(ml.chunk)]
+	start := len(a.chunk)
+	a.chunk = append(append(append(a.chunk, tag...), block...), raw...)
+	return a.chunk[start:len(a.chunk):len(a.chunk)]
+}
+
+// ownedOutput is the tail of a reduce call, shared by the single-query
+// and the shared-scan job: the ownership filter, the output-record
+// encoding, and the emit under a per-task interned key.
+type ownedOutput struct {
+	tag []byte // output-key prefix: the shared-scan job's query ordinal, else nil
+	// names interns one stable []byte per measure name for EmitStable
+	// (output keys are retained by the framework uncopied, so they must
+	// never be scratch); enc is the output-record encode scratch.
+	names map[string][]byte
+	enc   []byte
+}
+
+func newOwnedOutput(tag []byte, measures int) *ownedOutput {
+	return &ownedOutput{tag: tag, names: make(map[string][]byte, measures)}
+}
+
+// key returns the measure's stable output key, interned per task so every
+// record of a measure shares one key slice.
+func (o *ownedOutput) key(measure string) []byte {
+	kb, ok := o.names[measure]
+	if !ok {
+		kb = append(append(make([]byte, 0, len(o.tag)+len(measure)), o.tag...), measure...)
+		o.names[measure] = kb
+	}
+	return kb
+}
+
+// emit applies the ownership filter (Section III-B.2) to one block's
+// results: only the block owning a result's region may output it;
+// duplicated and partial results in overlapping neighbours are dropped.
+// The session's intern cache makes each Owner probe allocation-free.
+// Survivors are encoded into scratch and copied once at exact size (the
+// value is handed off to the output). With a non-nil canon every emitted
+// row is also appended to *capture in cached-row form; emit reports false
+// when a measure was missing from canon, leaving the capture incomplete.
+func (o *ownedOutput) emit(ctx *mr.ReduceCtx, dk *distkey.Session, blockKey []byte, results []localeval.Result, canon map[string]int, capture *[]byte) bool {
+	complete := true
+	for _, r := range results {
+		if !bytes.Equal(dk.Owner(r.Region), blockKey) {
+			continue
+		}
+		o.enc = appendMeasureRecord(o.enc[:0], r.Region.Coord, r.Value)
+		ctx.EmitStable(o.key(r.Measure), append([]byte(nil), o.enc...))
+		if canon != nil {
+			if idx, ok := canon[r.Measure]; ok {
+				*capture = appendCachedRow(*capture, idx, o.enc)
+			} else {
+				canon, complete = nil, false
+			}
+		}
+	}
+	return complete
 }
 
 // reduceLocal is one reduce task's reusable state
@@ -806,13 +733,9 @@ func (ml *mapLocal) combinedKey(block, raw []byte) []byte {
 // arena-backed evaluator session, both shared across all of the task's
 // groups.
 type reduceLocal struct {
-	dk *distkey.Session
-	ev *localeval.Session
-	// enc is the output-record encode scratch; names interns one stable
-	// []byte per measure name for EmitStable (output keys are retained by
-	// the framework uncopied, so they must never be scratch).
-	enc   []byte
-	names map[string][]byte
+	dk  *distkey.Session
+	ev  *localeval.Session
+	out *ownedOutput
 	// cacheKey and capture are the result-reuse scratch: the probe key of
 	// the current group and the cached-row encoding of its emitted output
 	// (both copied before the cache retains them).

@@ -153,15 +153,11 @@ func (s *Service) Register(name string, ds *Dataset) error {
 		return fmt.Errorf("core: dataset %q needs a schema and an input", name)
 	}
 	d := *ds
-	if d.NumRecords == 0 {
-		n, err := CountRecords(&d)
-		if err != nil {
-			return fmt.Errorf("core: counting dataset %q: %w", name, err)
-		}
-		if n == 0 {
-			n = 1
-		}
-		d.NumRecords = n
+	var err error
+	// Register's signature carries no context; registration happens at
+	// service start-up, before there is a request to cancel.
+	if d.NumRecords, err = cardinality(context.TODO(), ds); err != nil {
+		return fmt.Errorf("core: counting dataset %q: %w", name, err)
 	}
 	if d.Tag == "" {
 		d.Tag = "svc:" + name
@@ -195,12 +191,9 @@ func (s *Service) RegisterFile(name string, schema *cube.Schema, path string, bl
 				}
 			}
 			if ds.NumRecords == 0 {
-				n, cerr := CountRecords(ds)
+				n, cerr := cardinality(context.TODO(), ds)
 				if cerr != nil {
 					return fmt.Errorf("core: counting dataset %q: %w", name, cerr)
-				}
-				if n == 0 {
-					n = 1
 				}
 				ds.NumRecords = n
 				if merr := s.store.PutMeta(key, []byte(strconv.FormatInt(n, 10))); merr != nil {

@@ -77,64 +77,58 @@ func DefaultCluster() Cluster {
 // Slots returns the cluster's total task slots.
 func (c Cluster) Slots() int { return c.Machines * c.Machine.SlotsPerMachine }
 
+// MapWork and ReduceWork are the priced counter set: the cost model's
+// sole input, so simulated seconds are a pure function of these fields.
+// mr.TaskStats embeds both; every other per-task counter is an unpriced
+// observation (mr.Observed) the model cannot see.
+
 // MapWork counts what one map task did.
 type MapWork struct {
-	BytesRead    int64 // input bytes fetched from the DFS
-	Records      int64 // input records parsed
-	PairsOut     int64 // key/value pairs emitted (after combining)
-	BytesOut     int64 // bytes handed to the shuffle
-	CombineItems int64 // records passed through the combiner (0 = off)
+	BytesRead     int64 // input bytes fetched from the DFS
+	Records       int64 // input records parsed
+	PairsOut      int64 // key/value pairs emitted (after combining)
+	BytesOut      int64 // bytes handed to the shuffle
+	CombineInputs int64 // pairs that entered the combiner (0 = off)
+}
 
-	// Observability-only counters, priced at zero (the ReduceWork
-	// pattern): morsel dispatch and local-table traffic are bookkeeping
-	// inside work already covered by Records and CombineItems, so
-	// simulated seconds stay a pure function of the priced fields above —
-	// and, in particular, identical between fixed-split and morsel mode
-	// for the same per-task record totals.
-	MorselsDispatched int64 // morsels pulled off the stealing deques
-	MorselSteals      int64 // of those, taken from another worker's deque
-	LocalAggHits      int64 // pairs absorbed by an existing thread-local partial state
-	LocalAggSpills    int64 // thread-local table overflow flushes
-
-	// Cross-query sharing counters, also priced at zero: a shared scan
-	// does not change what one task physically did (BytesRead, Records,
-	// PairsOut already count the real work) — these record what the scan
-	// was worth across queries, so the batching win shows up as fewer
-	// priced map tasks, not as a discounted per-task price.
-	PlanCacheHits        int64 // plans reused from the keyed decision cache
-	SharedScanQueries    int64 // queries served by this task's single scan
-	SharedScanBytesSaved int64 // input bytes not re-read thanks to sharing
+// Scaled returns w with every counter multiplied by rep (a laptop-scale
+// run standing in for a rep-times larger one).
+func (w MapWork) Scaled(rep int64) MapWork {
+	return MapWork{
+		BytesRead:     w.BytesRead * rep,
+		Records:       w.Records * rep,
+		PairsOut:      w.PairsOut * rep,
+		BytesOut:      w.BytesOut * rep,
+		CombineInputs: w.CombineInputs * rep,
+	}
 }
 
 // ReduceWork counts what one reduce task did. Zero-valued stages are
 // free, which is how the Figure 4(d) stage stops are modeled.
 type ReduceWork struct {
-	BytesIn        int64 // shuffled bytes received
-	PairsIn        int64 // pairs received
-	SortItems      int64 // items in the framework's group-by-key sort
-	SpillBytes     int64 // bytes spilled by that sort
-	GroupSortItems int64 // items re-sorted inside groups (local algorithm)
-	GroupSpill     int64 // bytes spilled by the in-group sort
-	EvalRecords    int64 // records scanned by the local evaluation
-	OutputRecords  int64 // measure records produced
+	BytesIn         int64 // shuffled bytes received
+	PairsIn         int64 // pairs received
+	SortItems       int64 // items grouped by the framework (priced as a sort on both grouping paths)
+	SpillBytes      int64 // bytes spilled by that grouping
+	GroupSortItems  int64 // items re-sorted inside groups (local algorithm)
+	GroupSpillBytes int64 // bytes spilled by the in-group sort
+	EvalRecords     int64 // records scanned by the local evaluation
+	OutputRecords   int64 // measure records produced
+}
 
-	// Observability-only counters, priced at zero: the work they count is
-	// already covered by EvalRecords (a window probe is part of scanning
-	// a region's measures, and arena/pool traffic is bookkeeping inside
-	// the evaluation loop). They exist so simulated seconds stay a pure
-	// function of the priced fields above while the evaluator's memory
-	// and recycling behaviour remain visible per task.
-	EvalArenaBytes int64 // high-water evaluator arena footprint
-	AggPoolHits    int64 // aggregators recycled from the session pool
-	WindowLookups  int64 // sibling-window probes
-
-	// Result-cache counters, also priced at zero: a cache hit's saving
-	// shows up as the EvalRecords the reducer never scanned, so pricing
-	// the counters themselves would double-count (and a cold run with
-	// the cache enabled must stay bit-identical to one without it).
-	ResultCacheHits   int64 // groups served from the materialized result cache
-	ResultCacheMisses int64 // groups evaluated and then materialized
-	ResultCacheBytes  int64 // cached result bytes served
+// Scaled returns w with every counter multiplied by rep; see
+// MapWork.Scaled.
+func (w ReduceWork) Scaled(rep int64) ReduceWork {
+	return ReduceWork{
+		BytesIn:         w.BytesIn * rep,
+		PairsIn:         w.PairsIn * rep,
+		SortItems:       w.SortItems * rep,
+		SpillBytes:      w.SpillBytes * rep,
+		GroupSortItems:  w.GroupSortItems * rep,
+		GroupSpillBytes: w.GroupSpillBytes * rep,
+		EvalRecords:     w.EvalRecords * rep,
+		OutputRecords:   w.OutputRecords * rep,
+	}
 }
 
 func nLogN(n int64) float64 {
@@ -152,7 +146,7 @@ func (m Machine) MapTime(w MapWork) float64 {
 	t := m.TaskOverheadSec
 	t += float64(w.BytesRead) / (m.DiskMBps * mb)
 	t += float64(w.Records) * m.MapSecPerRecord
-	t += float64(w.CombineItems) * m.CombineSecPerRecord
+	t += float64(w.CombineInputs) * m.CombineSecPerRecord
 	t += float64(w.BytesOut) / (m.NetMBps * mb)
 	return t
 }
@@ -164,7 +158,7 @@ func (m Machine) ReduceTime(w ReduceWork) float64 {
 	t += nLogN(w.SortItems) * m.SortSecPerItem
 	t += 2 * float64(w.SpillBytes) / (m.DiskMBps * mb) // write + re-read
 	t += nLogN(w.GroupSortItems) * m.SortSecPerItem
-	t += 2 * float64(w.GroupSpill) / (m.DiskMBps * mb)
+	t += 2 * float64(w.GroupSpillBytes) / (m.DiskMBps * mb)
 	t += float64(w.EvalRecords) * m.EvalSecPerRecord
 	t += float64(w.OutputRecords) * 0.2e-6 // result serialization
 	return t

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -77,7 +78,7 @@ func TestMapTimeComponents(t *testing.T) {
 	if m.MapTime(MapWork{Records: 1e6}) <= base {
 		t.Error("record CPU not charged")
 	}
-	if m.MapTime(MapWork{CombineItems: 1e6}) <= base {
+	if m.MapTime(MapWork{CombineInputs: 1e6}) <= base {
 		t.Error("combine CPU not charged")
 	}
 }
@@ -153,18 +154,26 @@ func TestJobTime(t *testing.T) {
 	}
 }
 
-// TestMorselCountersZeroPriced pins the observability contract: the
-// morsel-mode counters never change a task's simulated duration, so
-// simulated seconds stay a pure function of the priced work fields.
-func TestMorselCountersZeroPriced(t *testing.T) {
-	m := DefaultMachine()
-	w := MapWork{BytesRead: 8 << 20, Records: 100000, PairsOut: 5000, BytesOut: 1 << 20, CombineItems: 100000}
-	loud := w
-	loud.MorselsDispatched = 1 << 40
-	loud.MorselSteals = 1 << 40
-	loud.LocalAggHits = 1 << 40
-	loud.LocalAggSpills = 1 << 40
-	if got, want := m.MapTime(loud), m.MapTime(w); got != want {
-		t.Errorf("morsel counters priced: MapTime %v != %v", got, want)
+// TestScaledCoversEveryField guards the one hand-written field list the
+// priced set has: a counter added to MapWork or ReduceWork but forgotten
+// in Scaled would silently stay at laptop magnitude in every panel.
+func TestScaledCoversEveryField(t *testing.T) {
+	check := func(name string, in, out reflect.Value) {
+		for i := 0; i < in.NumField(); i++ {
+			if got, want := out.Field(i).Int(), 3*in.Field(i).Int(); got != want {
+				t.Errorf("%s.%s scaled to %d, want %d", name, in.Type().Field(i).Name, got, want)
+			}
+		}
 	}
+	fill := func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			v.Field(i).SetInt(int64(i + 1))
+		}
+	}
+	var mw MapWork
+	fill(reflect.ValueOf(&mw).Elem())
+	check("MapWork", reflect.ValueOf(mw), reflect.ValueOf(mw.Scaled(3)))
+	var rw ReduceWork
+	fill(reflect.ValueOf(&rw).Elem())
+	check("ReduceWork", reflect.ValueOf(rw), reflect.ValueOf(rw.Scaled(3)))
 }

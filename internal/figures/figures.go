@@ -76,52 +76,20 @@ func (c Config) withDefaults() Config {
 // cost model is applied. The fixed sampling overhead is added as-is (the
 // sample size does not grow with the dataset).
 func SimSeconds(res *core.Result, rep int64) float64 {
-	js := res.Stats
-	scaled := mrStatsScaled(js, rep)
-	est := core.EstimateFromStats(costmodel.DefaultCluster(), scaled)
+	est := core.EstimateFromStats(costmodel.DefaultCluster(), mrStatsScaled(res.Stats, rep))
 	return est.Total() + res.SampleSeconds
 }
 
+// mrStatsScaled scales the priced counters — all the cost model reads —
+// and leaves timing and observations at what the real run measured.
 func mrStatsScaled(js mr.JobStats, rep int64) mr.JobStats {
 	out := mr.JobStats{Shuffled: js.Shuffled * rep}
 	for _, t := range js.MapTasks {
-		t.BytesRead *= rep
-		t.Records *= rep
-		t.PairsOut *= rep
-		t.BytesOut *= rep
-		t.BatchesSent *= rep
-		t.CombineInputs *= rep
-		t.CombineMerges *= rep
-		t.KeyCacheHits *= rep
-		t.MorselsDispatched *= rep
-		t.MorselSteals *= rep
-		t.LocalAggHits *= rep
-		t.LocalAggSpills *= rep
-		t.PlanCacheHits *= rep
-		t.SharedScanQueries *= rep
-		t.SharedScanBytesSaved *= rep
+		t.MapWork = t.MapWork.Scaled(rep)
 		out.MapTasks = append(out.MapTasks, t)
 	}
 	for _, t := range js.ReduceTasks {
-		t.PairsIn *= rep
-		t.BytesIn *= rep
-		t.SortItems *= rep
-		t.SpillBytes *= rep
-		t.SortAllocsSaved *= rep
-		t.SpillRuns *= rep
-		t.KeyCacheHits *= rep
-		t.HashGroups *= rep
-		t.GroupSpills *= rep
-		t.GroupSortItems *= rep
-		t.GroupSpillBytes *= rep
-		t.EvalRecords *= rep
-		t.OutputRecords *= rep
-		t.EvalArenaBytes *= rep
-		t.AggPoolHits *= rep
-		t.WindowLookups *= rep
-		t.ResultCacheHits *= rep
-		t.ResultCacheMisses *= rep
-		t.ResultCacheBytes *= rep
+		t.ReduceWork = t.ReduceWork.Scaled(rep)
 		out.ReduceTasks = append(out.ReduceTasks, t)
 	}
 	return out

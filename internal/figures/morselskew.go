@@ -171,16 +171,9 @@ func MorselSkewPanel(ctx context.Context, cfg Config) (*MorselSkew, error) {
 // the map phase's simulated makespan.
 func mapMakespan(js mr.JobStats, rep int64, slots int) float64 {
 	m := costmodel.DefaultCluster().Machine
-	scaled := mrStatsScaled(js, rep)
-	durations := make([]float64, len(scaled.MapTasks))
-	for i, t := range scaled.MapTasks {
-		durations[i] = m.MapTime(costmodel.MapWork{
-			BytesRead:    t.BytesRead,
-			Records:      t.Records,
-			PairsOut:     t.PairsOut,
-			BytesOut:     t.BytesOut,
-			CombineItems: t.CombineInputs,
-		})
+	durations := make([]float64, len(js.MapTasks))
+	for i, t := range js.MapTasks {
+		durations[i] = m.MapTime(t.MapWork.Scaled(rep))
 	}
 	return costmodel.ScheduleLPT(durations, slots)
 }

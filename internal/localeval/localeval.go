@@ -53,19 +53,15 @@ type Stats struct {
 // Options tune one evaluation.
 type Options struct {
 	// SkipSort indicates the records already arrive in a total order
-	// (the combined-key optimization of Section III-D). Ignored by
-	// ChainScan, which requires its own attribute-permuted order.
+	// (the combined-key optimization of Section III-D).
 	SkipSort bool
-	// Scan selects the group-construction strategy (see ScanMode).
-	Scan ScanMode
 }
 
 // Evaluator holds the workflow-derived read-only plan for evaluating
 // blocks: the topological measure order, the distinct grains, source and
-// grain indices resolved to array offsets, the chain-scan permutation and
-// per-grain compatibility, and each sliding window's domain bounds. It is
-// immutable after New and safe for concurrent use; all mutable evaluation
-// state lives in Session.
+// grain indices resolved to array offsets, and each sliding window's
+// domain bounds. It is immutable after New and safe for concurrent use;
+// all mutable evaluation state lives in Session.
 type Evaluator struct {
 	w      *workflow.Workflow
 	schema *cube.Schema
@@ -79,8 +75,6 @@ type Evaluator struct {
 	basicOrder []int     // order indices of Basic measures, in topo order
 	basicsAt   [][]int   // basicsAt[gi] = order indices of Basic measures at grain gi
 	winMax     [][]int64 // winMax[oi][j] = max in-domain coordinate of order[oi].Window[j] (Sliding only)
-	perm       []int     // chain-scan attribute permutation
-	chainOK    []bool    // chainOK[gi]: grain gi streams contiguously under perm
 }
 
 // New validates the workflow and builds an evaluator.
@@ -129,11 +123,6 @@ func New(w *workflow.Workflow) (*Evaluator, error) {
 			gi := e.gidxOf[oi]
 			e.basicsAt[gi] = append(e.basicsAt[gi], oi)
 		}
-	}
-	e.perm = chainPermutation(e.schema, e.grains)
-	e.chainOK = make([]bool, len(e.grains))
-	for gi, g := range e.grains {
-		e.chainOK[gi] = chainCompatible(e.schema, g, e.perm)
 	}
 	return e, nil
 }

@@ -195,12 +195,8 @@ func TestSessionMatchesReferenceByteIdentical(t *testing.T) {
 			ss := e.NewSession() // one session across every block below
 			for blk := 0; blk < 3; blk++ {
 				records := randomRecords(rng, 50+rng.Intn(250))
-				for _, opt := range []Options{
-					{Scan: HashScan},
-					{Scan: HashScan, SkipSort: true},
-					{Scan: ChainScan},
-				} {
-					label := fmt.Sprintf("block %d scan=%v skip=%v", blk, opt.Scan, opt.SkipSort)
+				for _, opt := range []Options{{}, {SkipSort: true}} {
+					label := fmt.Sprintf("block %d skip=%v", blk, opt.SkipSort)
 					want, refStats := refEvaluate(t, e, cloneRecords(records), opt)
 					for _, r := range records {
 						ss.AppendRecord(r)
@@ -322,7 +318,7 @@ func TestWindowScanDomainBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	lastMinute := int64(2*1440 - 1) // domain: minutes 0..2879
-	records := []cube.Record{rec(0, 10, 0), rec(0, 20, lastMinute * 60)}
+	records := []cube.Record{rec(0, 10, 0), rec(0, 20, lastMinute*60)}
 
 	got, stats, err := e.Evaluate(cloneRecords(records), Options{})
 	if err != nil {

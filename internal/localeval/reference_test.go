@@ -33,11 +33,7 @@ func refEvaluate(t *testing.T, e *Evaluator, records []cube.Record, opt Options)
 		occupancy[i] = refRegionIndex{coords: make(map[string][]int64)}
 	}
 	basicAggs := make(map[string]map[string]measure.Aggregator)
-	if opt.Scan == ChainScan {
-		refScanChain(e, records, occupancy, basicAggs, &stats)
-	} else {
-		refScanHash(e, records, opt, occupancy, basicAggs, &stats)
-	}
+	refScanHash(e, records, opt, occupancy, basicAggs, &stats)
 	out, err := refFinish(e, occupancy, basicAggs, &stats)
 	if err != nil {
 		t.Fatal(err)
@@ -89,137 +85,6 @@ func refScanHash(e *Evaluator, records []cube.Record, opt Options, occupancy []r
 				agg.Add(0)
 			}
 		}
-	}
-}
-
-type refChainState struct {
-	gi     int
-	grain  cube.Grain
-	open   bool
-	coords []int64
-	basics []*refChainBasic
-	occ    *refRegionIndex
-}
-
-type refChainBasic struct {
-	m    *workflow.Measure
-	aggs map[string]measure.Aggregator
-	cur  measure.Aggregator
-}
-
-func (cs *refChainState) boundary(coords []int64) bool {
-	if !cs.open {
-		return true
-	}
-	for i, c := range coords {
-		if cs.coords[i] != c {
-			return true
-		}
-	}
-	return false
-}
-
-func (cs *refChainState) flush() {
-	if !cs.open {
-		return
-	}
-	k := cube.EncodeCoords(cs.coords)
-	if _, seen := cs.occ.coords[k]; !seen {
-		cs.occ.coords[k] = append([]int64(nil), cs.coords...)
-	}
-	for _, b := range cs.basics {
-		if b.cur != nil {
-			b.aggs[k] = b.cur
-			b.cur = nil
-		}
-	}
-	cs.open = false
-}
-
-func (cs *refChainState) openGroup(coords []int64) {
-	copy(cs.coords, coords)
-	cs.open = true
-	for _, b := range cs.basics {
-		b.cur = b.m.Agg.New()
-	}
-}
-
-func refScanChain(e *Evaluator, records []cube.Record, occupancy []refRegionIndex, basicAggs map[string]map[string]measure.Aggregator, stats *Stats) {
-	s := e.schema
-	perm := chainPermutation(s, e.grains)
-	sort.Slice(records, func(i, j int) bool {
-		a, b := records[i], records[j]
-		for _, k := range perm {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	stats.SortedItems = int64(len(records))
-
-	basicsByGrain := make([][]*workflow.Measure, len(e.grains))
-	for oi, m := range e.order {
-		if m.Kind == workflow.Basic {
-			basicAggs[m.Name] = make(map[string]measure.Aggregator)
-			basicsByGrain[e.gidxOf[oi]] = append(basicsByGrain[e.gidxOf[oi]], m)
-		}
-	}
-	var chains []*refChainState
-	var hashed []int
-	for gi, g := range e.grains {
-		if chainCompatible(s, g, perm) {
-			cs := &refChainState{gi: gi, grain: g, coords: make([]int64, s.NumAttrs()), occ: &occupancy[gi]}
-			for _, m := range basicsByGrain[gi] {
-				cs.basics = append(cs.basics, &refChainBasic{m: m, aggs: basicAggs[m.Name]})
-			}
-			chains = append(chains, cs)
-		} else {
-			hashed = append(hashed, gi)
-		}
-	}
-
-	coord := make([]int64, s.NumAttrs())
-	for _, rec := range records {
-		stats.ScannedRecords++
-		for _, cs := range chains {
-			s.CoordOf(rec, cs.grain, coord)
-			if cs.boundary(coord) {
-				cs.flush()
-				cs.openGroup(coord)
-			}
-			for _, b := range cs.basics {
-				if b.m.InputAttr >= 0 {
-					b.cur.Add(float64(rec[b.m.InputAttr]))
-				} else {
-					b.cur.Add(0)
-				}
-			}
-		}
-		for _, gi := range hashed {
-			g := e.grains[gi]
-			s.CoordOf(rec, g, coord)
-			k := cube.EncodeCoords(coord)
-			if _, ok := occupancy[gi].coords[k]; !ok {
-				occupancy[gi].coords[k] = append([]int64(nil), coord...)
-			}
-			for _, m := range basicsByGrain[gi] {
-				aggs := basicAggs[m.Name]
-				agg, ok := aggs[k]
-				if !ok {
-					agg = m.Agg.New()
-					aggs[k] = agg
-				}
-				if m.InputAttr >= 0 {
-					agg.Add(float64(rec[m.InputAttr]))
-				} else {
-					agg.Add(0)
-				}
-			}
-		}
-	}
-	for _, cs := range chains {
-		cs.flush()
 	}
 }
 

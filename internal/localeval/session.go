@@ -56,8 +56,6 @@ type Session struct {
 	// alias the old backing array); reset only truncates.
 	coordStore []int64
 
-	chain []chainRun // per-grain chain-scan streaming state
-
 	// Scratch buffers.
 	coord   []int64  // CoordOf target
 	roll    []int64  // RollBetween target for lookups
@@ -141,37 +139,21 @@ func (ss *Session) row(ri int32) cube.Record {
 // It returns the number of rows sorted.
 func (ss *Session) SortLoaded() int {
 	n := len(ss.rows)
-	ss.sortRows(nil)
+	ss.sortRows()
 	ss.data = ss.data[:0]
 	ss.rows = ss.rows[:0]
 	ss.noteArena()
 	return n
 }
 
-// sortRows permutes the row index so rows compare lexicographically by
-// the attributes in perm order (nil means natural attribute order).
-// Ties are fully identical records, so an unstable sort is fine.
-func (ss *Session) sortRows(perm []int) {
+// sortRows permutes the row index so rows compare lexicographically in
+// attribute order. Ties are fully identical records, so an unstable sort
+// is fine.
+func (ss *Session) sortRows() {
 	a := ss.e.arity
 	data := ss.data
-	if perm == nil {
-		slices.SortFunc(ss.rows, func(x, y int32) int {
-			return slices.Compare(data[int(x)*a:int(x)*a+a], data[int(y)*a:int(y)*a+a])
-		})
-		return
-	}
 	slices.SortFunc(ss.rows, func(x, y int32) int {
-		ra := data[int(x)*a : int(x)*a+a]
-		rb := data[int(y)*a : int(y)*a+a]
-		for _, k := range perm {
-			if ra[k] != rb[k] {
-				if ra[k] < rb[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
+		return slices.Compare(data[int(x)*a:int(x)*a+a], data[int(y)*a:int(y)*a+a])
 	})
 }
 
@@ -259,11 +241,7 @@ func (ss *Session) EvaluateBlock(opt Options) ([]Result, Stats, error) {
 	var stats Stats
 	ss.begin()
 	ss.pooled = true
-	if opt.Scan == ChainScan {
-		ss.scanChain(&stats)
-	} else {
-		ss.scanHash(opt, &stats)
-	}
+	ss.scanHash(opt, &stats)
 	out, err := ss.finish(&stats)
 	ss.data = ss.data[:0]
 	ss.rows = ss.rows[:0]
@@ -276,7 +254,7 @@ func (ss *Session) EvaluateBlock(opt Options) ([]Result, Stats, error) {
 func (ss *Session) scanHash(opt Options, stats *Stats) {
 	e, s := ss.e, ss.e.schema
 	if !opt.SkipSort {
-		ss.sortRows(nil)
+		ss.sortRows()
 		stats.SortedItems = int64(len(ss.rows))
 	}
 	for _, ri := range ss.rows {

@@ -45,7 +45,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 				return values.Drain()
 			},
-			Config: Config{NumReducers: 4, GroupMode: GroupHash},
+			Config: Config{NumReducers: 4},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 // reference: the same logical job, but every key round-trips through a Go
 // string into a fresh copy (the allocation pattern of the retired
 // EmitString shims). The byte-keyed plane must be byte-identical to it.
-func propJob(records [][]byte, stringKeyed bool, mode GroupMode, groupBy func([]byte) []byte) Job {
+func propJob(records [][]byte, stringKeyed bool, groupBy func([]byte) []byte) Job {
 	return Job{
 		Input: NewMemoryInput(records, 3),
 		Map: func(ctx *MapCtx, rec []byte) error {
@@ -109,9 +109,8 @@ func propJob(records [][]byte, stringKeyed bool, mode GroupMode, groupBy func([]
 			// Serialize map tasks so hash-path arrival order is
 			// deterministic across the byte/string runs.
 			MapParallelism:  1,
-			GroupMode:       mode,
-			GroupBy:         groupBy,
-			SortMemoryItems: 2, // force spill runs on both grouping paths
+			GroupBy:         groupBy, // nil = hash grouping, else sorted
+			SortMemoryItems: 2,       // force spill runs on both grouping paths
 		},
 	}
 }
@@ -162,10 +161,10 @@ func TestBytePathMatchesStringReference(t *testing.T) {
 			}
 
 			// Sorted grouping with a composite key.
-			gotSort := sortedOutput(t, propJob(records, false, GroupSort, prefix))
-			refSort := sortedOutput(t, propJob(records, true, GroupSort, prefixCopy))
+			gotSort := sortedOutput(t, propJob(records, false, prefix))
+			refSort := sortedOutput(t, propJob(records, true, prefixCopy))
 			if fmt.Sprint(gotSort) != fmt.Sprint(refSort) {
-				t.Errorf("GroupSort: byte-keyed output diverges from string reference\n got %q\nwant %q", gotSort, refSort)
+				t.Errorf("sorted grouping: byte-keyed output diverges from string reference\n got %q\nwant %q", gotSort, refSort)
 			}
 
 			// Plain in-memory reference for the sorted mode: sort emitted
@@ -189,14 +188,14 @@ func TestBytePathMatchesStringReference(t *testing.T) {
 			}
 			sort.Strings(want)
 			if fmt.Sprint(gotSort) != fmt.Sprint(want) {
-				t.Errorf("GroupSort: byte-keyed output diverges from in-memory reference\n got %q\nwant %q", gotSort, want)
+				t.Errorf("sorted grouping: byte-keyed output diverges from in-memory reference\n got %q\nwant %q", gotSort, want)
 			}
 
 			// Hash grouping (identity group, arrival order within groups).
-			gotHash := sortedOutput(t, propJob(records, false, GroupHash, nil))
-			refHash := sortedOutput(t, propJob(records, true, GroupHash, nil))
+			gotHash := sortedOutput(t, propJob(records, false, nil))
+			refHash := sortedOutput(t, propJob(records, true, nil))
 			if fmt.Sprint(gotHash) != fmt.Sprint(refHash) {
-				t.Errorf("GroupHash: byte-keyed output diverges from string reference\n got %q\nwant %q", gotHash, refHash)
+				t.Errorf("hash grouping: byte-keyed output diverges from string reference\n got %q\nwant %q", gotHash, refHash)
 			}
 		})
 	}
@@ -223,8 +222,8 @@ func TestBytePathMatchesStringReferenceTCP(t *testing.T) {
 		j.Config.Transport = transport.TCPFactory(0)
 		return j
 	}
-	got := sortedOutput(t, withTCP(propJob(records, false, GroupSort, prefix)))
-	ref := sortedOutput(t, propJob(records, true, GroupSort, prefix))
+	got := sortedOutput(t, withTCP(propJob(records, false, prefix)))
+	ref := sortedOutput(t, propJob(records, true, prefix))
 	if fmt.Sprint(got) != fmt.Sprint(ref) {
 		t.Errorf("TCP byte-keyed output diverges from channel string reference\n got %q\nwant %q", got, ref)
 	}

@@ -150,7 +150,7 @@ func TestCancelAtRandomPoints(t *testing.T) {
 						NumReducers:     3,
 						Transport:       tf.f,
 						SortMemoryItems: 2,
-						GroupMode:       GroupSort,
+						GroupBy:         fullKey,
 						TempDir:         dir,
 					})
 					var mapped, reduced atomic.Int64
@@ -233,7 +233,7 @@ func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 				NumReducers:     2,
 				Transport:       tf.f,
 				SortMemoryItems: 2,
-				GroupMode:       GroupSort,
+				GroupBy:         fullKey,
 				TempDir:         dir,
 			}
 		}
@@ -305,7 +305,7 @@ func TestSpillStateReclaimedOnReduceFailure(t *testing.T) {
 	job := sumJob(3000, Config{
 		NumReducers:     2,
 		SortMemoryItems: 2,
-		GroupMode:       GroupSort,
+		GroupBy:         fullKey,
 		TempDir:         dir,
 	})
 	job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {

@@ -1,97 +1,114 @@
 package mr
 
 import (
+	"bytes"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// sumCombine is a reentrant CombineFunc (its output is parseable as its
-// input), as the streaming contract requires.
-func sumCombine(key []byte, values [][]byte) ([][]byte, error) {
-	total := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
-			return nil, err
-		}
-		total += n
-	}
-	return [][]byte{[]byte(strconv.Itoa(total))}, nil
+// sumCombiner is the tests' Combiner: decimal values summed per key,
+// flushed in ascending key order as the interface requires.
+type sumCombiner struct {
+	st   *TaskStats
+	sums map[string]int
 }
 
-// TestFuncCombinerStreamingEqualsBuffered is the combine equivalence
-// property: folding each pair into the per-key state as it arrives must
-// flush the same result as buffering all of a key's values and applying
-// the function once.
-func TestFuncCombinerStreamingEqualsBuffered(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var keys []string
-	var vals []int
-	for i := 0; i < 2000; i++ {
-		keys = append(keys, fmt.Sprintf("k%02d", rng.Intn(30)))
-		vals = append(vals, rng.Intn(100))
-	}
+func newSumCombiner(st *TaskStats) Combiner {
+	return &sumCombiner{st: st, sums: make(map[string]int)}
+}
 
-	// Streaming path: one Add per pair; the incoming value buffer is
-	// deliberately reused to exercise the "valid only during Add" rule.
-	var st TaskStats
-	comb := newFuncCombiner(sumCombine, &st)
-	scratch := make([]byte, 0, 8)
-	for i, k := range keys {
-		scratch = strconv.AppendInt(scratch[:0], int64(vals[i]), 10)
-		if err := comb.Add([]byte(k), scratch); err != nil {
-			t.Fatal(err)
-		}
+func (c *sumCombiner) Add(key, value []byte) error {
+	n, err := strconv.Atoi(string(value))
+	if err != nil {
+		return err
 	}
-	streamed := map[string]int{}
-	var flushOrder []string
-	if err := comb.Flush(func(kb, v []byte) error {
-		k := string(kb)
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
+	if _, ok := c.sums[string(key)]; ok {
+		c.st.CombineMerges++
+	}
+	c.sums[string(key)] += n
+	return nil
+}
+
+func (c *sumCombiner) Len() int { return len(c.sums) }
+
+func (c *sumCombiner) Flush(emit func(key, value []byte) error) error {
+	keys := make([]string, 0, len(c.sums))
+	for k := range c.sums {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if err := emit([]byte(k), []byte(strconv.Itoa(c.sums[k]))); err != nil {
 			return err
 		}
-		if _, dup := streamed[k]; dup {
-			t.Errorf("key %q flushed twice", k)
-		}
-		streamed[k] = n
-		flushOrder = append(flushOrder, k)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if comb.Len() != 0 {
-		t.Errorf("combiner not reset: Len = %d", comb.Len())
-	}
-	if st.CombineMerges == 0 {
-		t.Error("no streaming merges counted")
-	}
-	if !sort.StringsAreSorted(flushOrder) {
-		t.Errorf("flush order not ascending: %v", flushOrder)
-	}
+	clear(c.sums)
+	return nil
+}
 
-	// Buffered reference: all of a key's values at once, one fold.
-	grouped := map[string][][]byte{}
-	for i, k := range keys {
-		grouped[k] = append(grouped[k], []byte(strconv.Itoa(vals[i])))
+// fullKey is an identity Config.GroupBy: same groups as the default, but
+// a non-nil GroupBy selects the sorted collector.
+func fullKey(k []byte) []byte { return k }
+
+// TestGroupingDerivedFromGroupBy pins the rule that replaced the grouping
+// option: no GroupBy means hash grouping (pairs of a group in arrival
+// order), any GroupBy — even the identity — means the external sorter
+// (pairs in full-key order, which a composite key relies on).
+func TestGroupingDerivedFromGroupBy(t *testing.T) {
+	records := make([][]byte, 400)
+	for i := range records {
+		records[i] = []byte(fmt.Sprintf("g%d|%03d", i%7, (i*37)%400))
 	}
-	if len(streamed) != len(grouped) {
-		t.Fatalf("streamed %d keys, want %d", len(streamed), len(grouped))
-	}
-	for k, vs := range grouped {
-		out, err := sumCombine([]byte(k), vs)
+	prefix := func(k []byte) []byte { return k[:bytes.IndexByte(k, '|')] }
+	run := func(groupBy func([]byte) []byte, reduce ReduceFunc) JobStats {
+		res, err := Run(Job{
+			Input: NewMemoryInput(records, 4),
+			Map: func(ctx *MapCtx, rec []byte) error {
+				return ctx.Emit(rec, nil)
+			},
+			Reduce: reduce,
+			Config: Config{NumReducers: 2, GroupBy: groupBy, TempDir: t.TempDir()},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := strconv.Atoi(string(out[0]))
-		if streamed[k] != want {
-			t.Errorf("key %q: streamed %d, buffered %d", k, streamed[k], want)
+		return res.Stats
+	}
+	hashGroups := func(js JobStats) (n int64) {
+		for _, rt := range js.ReduceTasks {
+			n += rt.HashGroups
 		}
+		return n
+	}
+	drain := func(ctx *ReduceCtx, key []byte, values *GroupIter) error { return values.Drain() }
+	if n := hashGroups(run(nil, drain)); n != int64(len(records)) {
+		t.Errorf("nil GroupBy: HashGroups = %d, want %d (one per distinct key)", n, len(records))
+	}
+	if n := hashGroups(run(fullKey, drain)); n != 0 {
+		t.Errorf("identity GroupBy: HashGroups = %d, want 0 (sorted path)", n)
+	}
+	var groups atomic.Int64 // reduce tasks run concurrently
+	js := run(prefix, func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+		groups.Add(1)
+		var prev []byte
+		for {
+			p, ok, err := values.Next()
+			if err != nil || !ok {
+				return err
+			}
+			if bytes.Compare(prev, p.Key) >= 0 {
+				t.Errorf("group %q: key %q after %q, want ascending full-key order", key, p.Key, prev)
+			}
+			prev = append(prev[:0], p.Key...)
+		}
+	})
+	if groups.Load() != 7 || hashGroups(js) != 0 {
+		t.Errorf("prefix GroupBy: %d groups (want 7), HashGroups = %d (want 0)", groups.Load(), hashGroups(js))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/casm-project/casm/internal/exec"
-	"github.com/casm-project/casm/internal/transport"
 )
 
 // Morsel-driven map execution (Config.MorselBytes > 0), after Leis et
@@ -19,15 +18,16 @@ import (
 // riding out one straggling task while its siblings idle.
 //
 // Aggregation keeps the two-phase shape of the same paper: each worker
-// folds emitted pairs into its thread-local combiner table (phase 1,
-// bounded by LocalAggBudget distinct states) and on overflow or
-// exhaustion flushes the partials — in deterministic ascending key order
-// — into the shuffle toward the reducers' global grouping collectors
-// (phase 2, the hash-grouped internal/groupx path). Worker-local flush
-// order is deterministic, and the reduce side is insensitive to the
-// cross-worker interleaving (the same property concurrent fixed-split
-// senders already rely on), so morsel output is byte-identical to
-// fixed-split output; the engine property tests pin that equivalence.
+// owns one mapPipeline for its whole tour, folding emitted pairs into its
+// combiner table (phase 1, bounded by LocalAggBudget distinct states) and
+// on overflow or exhaustion flushing the partials — in deterministic
+// ascending key order — into the shuffle toward the reducers' global
+// grouping collectors (phase 2, the hash-grouped internal/groupx path).
+// Worker-local flush order is deterministic, and the reduce side is
+// insensitive to the cross-worker interleaving (the same property
+// concurrent fixed-split senders already rely on), so morsel output is
+// byte-identical to fixed-split output; the engine property tests pin
+// that equivalence.
 
 // DefaultMorselBytes is the morsel size the engine uses when morsel mode
 // is enabled without an explicit size: 32KiB of records is a few
@@ -83,116 +83,27 @@ func newMorselDispatcher(workers int, items []morselItem, owners []int) *morselD
 	return d
 }
 
-// runMorselWorker is one worker's life: build the thread-local pipeline
-// (batch writer, combiner, user Local state), then pull morsels — own
-// deque first, stealing when dry — until global exhaustion, and flush.
-// It mirrors mapOnce except that the pipeline outlives any single
-// split's worth of records.
-func runMorselWorker(ctx context.Context, w int, d *morselDispatcher, mapFn MapFunc, st *TaskStats, cfg Config, tr transport.Transport) error {
-	var bw *transport.BatchWriter
-	if !cfg.ShuffleDisabled {
-		bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
-	}
-	send := func(key, value []byte) error {
-		st.PairsOut++
-		st.BytesOut += int64(len(key) + len(value))
-		if bw == nil {
-			return nil
-		}
-		return bw.Send(cfg.Partition(cfg.GroupBy(key), cfg.NumReducers), transport.Pair{Key: key, Value: value})
-	}
-
-	var comb Combiner
-	emit := send
-	switch {
-	case cfg.NewCombiner != nil:
-		comb = cfg.NewCombiner(st)
-	case cfg.Combine != nil:
-		comb = newFuncCombiner(cfg.Combine, st)
-	}
-	if comb != nil {
-		emit = func(key, value []byte) error {
-			st.CombineInputs++
-			before := comb.Len()
-			if err := comb.Add(key, value); err != nil {
-				return err
-			}
-			if comb.Len() == before {
-				// Fully absorbed into existing thread-local state — the
-				// pre-aggregation "hit" the local table exists to produce.
-				st.LocalAggHits++
-			}
-			if comb.Len() >= cfg.LocalAggBudget {
-				// Phase-1 overflow: spill the local table into the global
-				// collectors via the shuffle, sorted-key order (Flush's
-				// determinism contract).
-				st.LocalAggSpills++
-				return comb.Flush(send)
-			}
-			return nil
-		}
-	}
-	mctx := &MapCtx{Stats: st, emit: emit}
-	if cfg.NewMapLocal != nil {
-		mctx.Local = cfg.NewMapLocal(st)
-	}
-
+// scanMorsels is one morsel worker's tour: pull morsels — own deque
+// first, stealing when dry — until global exhaustion, scanning each
+// through the worker's pipeline.
+func (p *mapPipeline) scanMorsels(ctx context.Context, w int, d *morselDispatcher) error {
 	done := ctx.Done()
 	for {
 		item, stolen, ok := d.deques.Next(w)
 		if !ok {
-			break
+			return nil
 		}
-		st.MorselsDispatched++
+		p.st.MorselsDispatched++
 		if stolen {
-			st.MorselSteals++
+			p.st.MorselSteals++
 		}
 		select {
 		case <-done:
 			return ctx.Err()
 		default:
 		}
-		it, err := item.sp.Open()
-		if err != nil {
-			return err
-		}
-		st.BytesRead += item.sp.SizeBytes()
-		if err := scanRecords(ctx, it, mapFn, mctx, st); err != nil {
+		if err := p.scan(ctx, item.sp); err != nil {
 			return err
 		}
 	}
-	if comb != nil {
-		if err := comb.Flush(send); err != nil {
-			return err
-		}
-	}
-	if bw != nil {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		st.BatchesSent += bw.Batches()
-	}
-	return nil
-}
-
-// runMorselWorkerTask wraps runMorselWorker with the same start-of-task
-// retry contract as runMapTask: the failure injector fires before the
-// worker pulls any morsel (so retries cannot re-emit), and cancellation
-// is never retried.
-func runMorselWorkerTask(ctx context.Context, w int, d *morselDispatcher, mapFn MapFunc, st *TaskStats, cfg Config, tr transport.Transport) error {
-	var lastErr error
-	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.Attempts = attempt
-		if cfg.FailureInjector != nil {
-			if err := cfg.FailureInjector(st.Task, attempt); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		return runMorselWorker(ctx, w, d, mapFn, st, cfg, tr)
-	}
-	return fmt.Errorf("giving up after %d attempts: %w", cfg.MaxAttempts, lastErr)
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -177,17 +176,6 @@ func TestMorselWordCount(t *testing.T) {
 // combiner forced to spill (LocalAggBudget=2) and the reducer's sorter
 // forced to spill (SortMemoryItems=2).
 func TestMorselMatchesFixed(t *testing.T) {
-	comb := func(key []byte, values [][]byte) ([][]byte, error) {
-		total := 0
-		for _, v := range values {
-			n, err := strconv.Atoi(string(v))
-			if err != nil {
-				return nil, err
-			}
-			total += n
-		}
-		return [][]byte{[]byte(strconv.Itoa(total))}, nil
-	}
 	var lines []string
 	for i := 0; i < 40; i++ {
 		lines = append(lines, wcLines...)
@@ -199,7 +187,7 @@ func TestMorselMatchesFixed(t *testing.T) {
 				cfg := Config{
 					NumReducers:     3,
 					Transport:       tf,
-					Combine:         comb,
+					NewCombiner:     newSumCombiner,
 					SortMemoryItems: 2,
 					TempDir:         t.TempDir(),
 				}
@@ -254,15 +242,8 @@ func TestMorselStealsOnSkew(t *testing.T) {
 		Executor:       ex,
 		MapParallelism: 2,
 		MorselBytes:    256,
-		Combine: func(key []byte, values [][]byte) ([][]byte, error) {
-			total := 0
-			for _, v := range values {
-				n, _ := strconv.Atoi(string(v))
-				total += n
-			}
-			return [][]byte{[]byte(strconv.Itoa(total))}, nil
-		},
-		TempDir: t.TempDir(),
+		NewCombiner:    newSumCombiner,
+		TempDir:        t.TempDir(),
 	})
 	job.Input = NewMemoryInput(records, 1) // one giant split: worker 1 starts empty
 	// On a single-core runner worker 0 could drain every morsel before
@@ -299,15 +280,7 @@ func TestMorselStealsOnSkew(t *testing.T) {
 func TestMorselLocalAggSpills(t *testing.T) {
 	cfg := morselWCConfig(t.TempDir())
 	cfg.MapParallelism = 2
-	comb := func(key []byte, values [][]byte) ([][]byte, error) {
-		total := 0
-		for _, v := range values {
-			n, _ := strconv.Atoi(string(v))
-			total += n
-		}
-		return [][]byte{[]byte(strconv.Itoa(total))}, nil
-	}
-	cfg.Combine = comb
+	cfg.NewCombiner = newSumCombiner
 	res, err := Run(wordCountJob(wcLines, cfg))
 	if err != nil {
 		t.Fatal(err)

@@ -8,9 +8,10 @@
 //   - optional map-side combining (the paper's early aggregation);
 //   - a hash-partitioned shuffle over a pluggable transport (in-memory
 //     channels or real TCP with binary framing);
-//   - reducer-side grouping via external sort, with a configurable group
-//     identity so a composite sort key can carry a secondary order (the
-//     Section III-D combined-key optimization);
+//   - reducer-side grouping — a hash table for plain keys, the external
+//     sorter when a configured group identity (Config.GroupBy) lets a
+//     composite sort key carry a secondary order (the Section III-D
+//     combined-key optimization);
 //   - per-task counters that feed the cost model, and fault injection
 //     with bounded task retry.
 //
@@ -39,13 +40,17 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/iterx"
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// TaskStats counts one task's work; the fields mirror
-// costmodel.MapWork/ReduceWork.
+// TaskStats is one task's record: identity, scheduler timing, the priced
+// counters (the cost model's sole input — costmodel.MapWork for the map
+// side, costmodel.ReduceWork for the reduce side) and the unpriced
+// observations. All counter names are promoted, so callers read and bump
+// t.Records or t.SpillRuns without caring which group a counter is in.
 type TaskStats struct {
 	Task     string
 	Attempts int
@@ -53,26 +58,36 @@ type TaskStats struct {
 	// Timing is the scheduler-stamped task lifecycle: Start is when the
 	// executor dispatched the task (so Start minus the job's start is
 	// the queueing delay the shared pool imposed) and Wall how long it
-	// ran. Observability only — the cost model prices neither, and the
-	// figures pipeline never serializes them.
+	// ran. Never priced, never serialized by the figures pipeline.
 	exec.Timing
 
+	costmodel.MapWork
+	costmodel.ReduceWork
+	Observed
+
+	// CollectDone is when this reducer's shuffle drain completed,
+	// relative to the job's start — the moment its reduce task became
+	// runnable under per-reducer readiness. Never priced either.
+	CollectDone time.Duration
+}
+
+// Observed holds every per-task counter the cost model cannot see:
+// simulated seconds are a function of the embedded costmodel structs
+// alone, so a new counter is one line here and nothing else.
+type Observed struct {
 	// Map side.
-	BytesRead     int64
-	Records       int64
-	PairsOut      int64
-	BytesOut      int64
 	BatchesSent   int64 // shuffle batches shipped (≤ PairsOut; = PairsOut unbatched)
-	CombineInputs int64 // pairs that entered the combiner
 	CombineMerges int64 // pairs merged in place into an existing partial state
 	KeyCacheHits  int64 // shuffle keys served by the task's intern cache instead of a fresh allocation
+	LocalAggHits  int64 // emitted pairs fully absorbed by an existing partial state of the task's combiner table
+	// LocalAggSpills counts combiner-table overflows flushed into the
+	// shuffle before the task's input was exhausted (Config.LocalAggBudget).
+	LocalAggSpills int64
 
 	// Morsel-mode counters (zero in fixed-split mode). A map "task" is
 	// then one morsel worker, not one split; see Config.MorselBytes.
 	MorselsDispatched int64 // morsels this worker pulled and processed
 	MorselSteals      int64 // of those, morsels stolen from another worker's deque
-	LocalAggHits      int64 // emitted pairs fully absorbed by an existing thread-local partial state
-	LocalAggSpills    int64 // thread-local table overflows flushed into the shuffle before morsel exhaustion
 
 	// Cross-query sharing counters (zero outside batched/cached runs).
 	PlanCacheHits        int64 // plans this job reused from the keyed decision cache instead of re-planning
@@ -80,18 +95,10 @@ type TaskStats struct {
 	SharedScanBytesSaved int64 // input bytes NOT re-read thanks to sharing: (SharedScanQueries-1) * BytesRead
 
 	// Reduce side.
-	PairsIn         int64
-	BytesIn         int64
-	SortItems       int64 // items grouped (sorted or hash-collected) reducer-side
-	SpillBytes      int64
-	SpillRuns       int64
+	SpillRuns       int64 // sorted runs the grouping collector spilled
 	SortAllocsSaved int64 // sorter encode/decode ops served by reused buffers
 	HashGroups      int64 // distinct groups resident in the hash collector (0 on the sorted path)
 	GroupSpills     int64 // hash-table flushes into the sorted-run fallback
-	GroupSortItems  int64
-	GroupSpillBytes int64
-	EvalRecords     int64
-	OutputRecords   int64
 	EvalArenaBytes  int64 // high-water footprint of the evaluator session's arenas
 	AggPoolHits     int64 // aggregators served by the session pool instead of a fresh allocation
 	WindowLookups   int64 // sibling-window probes during sliding-measure evaluation
@@ -100,12 +107,6 @@ type TaskStats struct {
 	ResultCacheHits   int64 // groups whose output was served from the cache instead of evaluated
 	ResultCacheMisses int64 // groups evaluated and then materialized into the cache
 	ResultCacheBytes  int64 // cached result bytes served in place of evaluation
-
-	// CollectDone is when this reducer's shuffle drain completed,
-	// relative to the job's start — the moment its reduce task became
-	// runnable under per-reducer readiness. Observability only: never
-	// priced by the cost model, never serialized by the figures pipeline.
-	CollectDone time.Duration
 }
 
 // JobStats aggregates a run's counters.
@@ -203,17 +204,6 @@ func (c *MapCtx) Emit(key, value []byte) error { return c.emit(key, value) }
 // MapFunc processes one input record.
 type MapFunc func(ctx *MapCtx, record []byte) error
 
-// CombineFunc merges the values of one key map-side and returns the
-// (hopefully fewer/smaller) values to ship. The framework applies it
-// streamingly: each arriving value is folded into the key's current
-// partial state, so values may include the function's OWN prior outputs
-// (the standard Hadoop combiner contract — the function must be
-// associative over its output representation). Implementations needing to
-// distinguish raw records from partial states should use the Combiner
-// interface instead. The key is only valid during the call; input value
-// slices are owned by the framework and outputs may alias them.
-type CombineFunc func(key []byte, values [][]byte) ([][]byte, error)
-
 // Combiner is the streaming form of map-side early aggregation
 // (morsel-style thread-local pre-aggregation): one instance serves one
 // map task, absorbing emitted pairs into per-key partial states and
@@ -274,28 +264,6 @@ func (c *ReduceCtx) EmitStable(key, value []byte) {
 // the call — retain a copy if needed.
 type ReduceFunc func(ctx *ReduceCtx, groupKey []byte, values *GroupIter) error
 
-// GroupMode selects how a reducer groups its shuffled pairs.
-type GroupMode int
-
-const (
-	// GroupAuto picks hash grouping when no GroupBy is configured (every
-	// pair of a group then shares one full key, so a total order adds
-	// nothing) and sorted grouping otherwise (a composite key's suffix
-	// carries a secondary order the reduce function relies on).
-	GroupAuto GroupMode = iota
-	// GroupSort always drains the shuffle through the external sorter:
-	// groups arrive in ascending key order and pairs within a group in
-	// full-shuffle-key order.
-	GroupSort
-	// GroupHash collects pairs into a per-reducer hash table of group →
-	// pairs, spilling to sorted runs when Config.SortMemoryItems is
-	// exceeded. Groups still arrive in ascending group-key order (the
-	// table is drained sorted), but pairs within a group keep arrival
-	// order — only correct when the reduce function needs grouping, not
-	// a secondary sort.
-	GroupHash
-)
-
 // Config tunes a job run.
 type Config struct {
 	// NumReducers is the number of reduce tasks (required, ≥ 1).
@@ -320,42 +288,30 @@ type Config struct {
 	// disables batching and sends pair-at-a-time).
 	ShuffleBatchPairs int
 	// NewCombiner enables map-side early aggregation with a streaming
-	// combiner when non-nil. Takes precedence over Combine.
+	// combiner when non-nil.
 	NewCombiner CombinerFactory
-	// Combine enables map-side early aggregation when non-nil; the
-	// function is applied streamingly and must satisfy the CombineFunc
-	// reentrancy contract. Prefer NewCombiner for stateful aggregation.
-	Combine CombineFunc
-	// CombineBufferPairs flushes the combiner when this many per-key
-	// partial states are buffered (default 65536). With streaming merge
-	// this bounds distinct keys held, not raw pairs.
-	CombineBufferPairs int
 	// MorselBytes, when > 0, switches the map phase from one task per
 	// split to morsel-driven execution: every split that supports it (see
 	// MorselSplit) is carved into contiguous ~MorselBytes runs of records,
 	// dealt round-robin onto per-worker deques, and processed by
 	// MapParallelism workers that steal from each other's deques once
 	// their own drain — so a hot split is finished by many workers instead
-	// of riding out one straggler. Each worker owns one thread-local
-	// pipeline (combiner table, Local state, batch writer), and map-task
-	// counters are per worker rather than per split. FailureInjector fires
+	// of riding out one straggler. Each worker owns one map pipeline
+	// (combiner table, Local state, batch writer) for its whole tour, and
+	// map-task counters are per worker rather than per split. FailureInjector fires
 	// once per worker before it pulls any morsel (retried up to
 	// MaxAttempts, like a fixed-split task start); mid-stream errors are
 	// never retried in either mode. 0 keeps the fixed-split map phase.
 	MorselBytes int
-	// LocalAggBudget caps the distinct partial states a morsel worker's
-	// thread-local pre-aggregation table holds before it is spilled —
-	// flushed, in deterministic sorted-key order, into the shuffle toward
-	// the global grouping collectors (the Leis et al. two-phase shape:
-	// local hash table, overflow to global partitions). Default
-	// CombineBufferPairs; ignored in fixed-split mode.
+	// LocalAggBudget caps the distinct partial states a map task's
+	// combiner table holds before it is spilled — flushed, in
+	// deterministic sorted-key order, into the shuffle toward the global
+	// grouping collectors (the Leis et al. two-phase shape: local hash
+	// table, overflow to global partitions). Default 65536.
 	LocalAggBudget int
 	// ShuffleDisabled runs the map phase only (the Figure 4(d) "Map-Only"
 	// stage): pairs are counted but not sent, and no reduce phase runs.
 	ShuffleDisabled bool
-	// GroupMode selects the reducer's grouping strategy (default
-	// GroupAuto; see the GroupMode constants).
-	GroupMode GroupMode
 	// SortMemoryItems bounds the reducer's in-memory grouping buffer in
 	// items before spilling — the sort buffer on the sorted path, the
 	// buffered-pair count of the hash collector on the hash path (default
@@ -363,15 +319,21 @@ type Config struct {
 	SortMemoryItems int
 	// TempDir hosts spill files (default OS temp).
 	TempDir string
-	// Partition maps a key to a reducer (default FNV-1a hash). It must
-	// not retain or mutate the key bytes.
-	Partition func(key []byte, numReducers int) int
 	// GroupBy extracts the group identity from a shuffle key (default
 	// identity). With a composite key "block|sortsuffix" the engine sets
 	// this to strip the suffix, realizing the combined-key sort. The
 	// returned slice may alias the input key (a prefix sub-slice is the
 	// zero-alloc idiom) and must not be retained by the framework beyond
 	// the comparison it serves; implementations must not mutate key.
+	//
+	// GroupBy also decides how reducers group, because it says what the
+	// reduce function may rely on. Nil means the group identity IS the
+	// full key, so a total order adds nothing: pairs are collected into a
+	// per-reducer hash table (spilling to sorted runs past
+	// SortMemoryItems), groups arrive in ascending key order and pairs
+	// within a group in arrival order. Non-nil means the key's remainder
+	// carries a secondary order: the shuffle drains through the external
+	// sorter and pairs within a group arrive in full-key order.
 	GroupBy func(key []byte) []byte
 	// NewMapLocal, when non-nil, is called once per map task (attempt)
 	// and its result exposed as MapCtx.Local.
@@ -405,26 +367,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ShuffleBatchPairs < 1 {
 		c.ShuffleBatchPairs = DefaultShuffleBatchPairs
 	}
-	if c.CombineBufferPairs < 1 {
-		c.CombineBufferPairs = 1 << 16
-	}
 	if c.LocalAggBudget < 1 {
-		c.LocalAggBudget = c.CombineBufferPairs
+		c.LocalAggBudget = 1 << 16
 	}
 	if c.SortMemoryItems < 1 {
 		c.SortMemoryItems = 1 << 20
-	}
-	if c.Partition == nil {
-		c.Partition = HashPartition
-	}
-	if c.GroupMode == GroupAuto {
-		// Resolve before GroupBy is defaulted: a nil GroupBy means the
-		// group identity IS the full key, so hash grouping loses nothing.
-		if c.GroupBy == nil {
-			c.GroupMode = GroupHash
-		} else {
-			c.GroupMode = GroupSort
-		}
 	}
 	if c.GroupBy == nil {
 		c.GroupBy = func(k []byte) []byte { return k }
@@ -441,7 +388,7 @@ func (c Config) withDefaults() (Config, error) {
 // map task.
 const DefaultShuffleBatchPairs = 256
 
-// HashPartition is the default FNV-1a partitioner. The hash loop is
+// HashPartition is the shuffle's FNV-1a partitioner. The hash loop is
 // inlined (rather than hash/fnv) so partitioning a key allocates nothing;
 // the constants are FNV-1a's 32-bit offset basis and prime, producing
 // assignments identical to fnv.New32a over the same bytes.

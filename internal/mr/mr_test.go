@@ -151,24 +151,13 @@ func TestWordCountWithSpill(t *testing.T) {
 }
 
 func TestCombinerReducesTraffic(t *testing.T) {
-	comb := func(key []byte, values [][]byte) ([][]byte, error) {
-		total := 0
-		for _, v := range values {
-			n, err := strconv.Atoi(string(v))
-			if err != nil {
-				return nil, err
-			}
-			total += n
-		}
-		return [][]byte{[]byte(strconv.Itoa(total))}, nil
-	}
 	// Repeat the corpus so combining has something to merge.
 	var lines []string
 	for i := 0; i < 50; i++ {
 		lines = append(lines, wcLines...)
 	}
-	run := func(c CombineFunc) *Result {
-		job := wordCountJob(lines, Config{NumReducers: 2, Combine: c, TempDir: t.TempDir()})
+	run := func(c CombinerFactory) *Result {
+		job := wordCountJob(lines, Config{NumReducers: 2, NewCombiner: c, TempDir: t.TempDir()})
 		res, err := Run(job)
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +165,7 @@ func TestCombinerReducesTraffic(t *testing.T) {
 		return res
 	}
 	plain := run(nil)
-	combined := run(comb)
+	combined := run(newSumCombiner)
 	// Results identical.
 	want := map[string]int{}
 	for k, v := range wcWant {

@@ -21,7 +21,7 @@ import (
 // Next latches ok=false after exhaustion, Close after exhaustion is a
 // no-op, and double Close is idempotent.
 func TestPipeStreamsMatchRun(t *testing.T) {
-	cfg := Config{NumReducers: 3, SortMemoryItems: 2, GroupMode: GroupSort, TempDir: t.TempDir()}
+	cfg := Config{NumReducers: 3, SortMemoryItems: 2, GroupBy: fullKey, TempDir: t.TempDir()}
 	res, err := Run(sumJob(3000, cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestPipeCloseMidStreamReleasesSpillState(t *testing.T) {
 					NumReducers:     3,
 					Transport:       tf.f,
 					SortMemoryItems: 2, // spill every third pair
-					GroupMode:       GroupSort,
+					GroupBy:         fullKey,
 					TempDir:         dir,
 				}))
 				if err != nil {

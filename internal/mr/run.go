@@ -291,7 +291,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	}
 
 	// Reducer collectors: drain the shuffle into per-reducer grouping
-	// collectors (hash table or external sorter, per GroupMode)
+	// collectors (hash table or external sorter, see Config.GroupBy)
 	// concurrently with the map phase. They are service tasks — dedicated
 	// goroutines outside the executor's worker budget — because a
 	// collector parked in the queue behind map tasks would deadlock the
@@ -321,7 +321,8 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 		for r := 0; r < cfg.NumReducers; r++ {
 			r := r
 			reduceStats[r].Task = fmt.Sprintf("reduce-%d", r)
-			if cfg.GroupMode == GroupHash {
+			// job.Config, not cfg: withDefaults fills in the identity GroupBy.
+			if job.Config.GroupBy == nil {
 				collectors[r] = groupx.NewHashContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
 			} else {
 				collectors[r] = groupx.NewSortContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
@@ -346,7 +347,8 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	// fixed-split mode each split is one task; in morsel mode the tasks
 	// are long-lived workers self-scheduling over the carved morsels via
 	// work-stealing deques (see morsel.go), so a map "task" in the stats
-	// is then one worker's whole tour of the input.
+	// is then one worker's whole tour of the input. Either way a task is
+	// one mapPipeline fed by a different scan.
 	var mapStats []TaskStats
 	mapGroup := ex.NewGroup(jobCtx, exec.Options{Limit: cfg.MapParallelism, OnError: cancelJob})
 	if cfg.MorselBytes > 0 {
@@ -363,7 +365,9 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			w := w
 			mapStats[w].Task = fmt.Sprintf("map-worker-%d", w)
 			mapGroup.Go(fmt.Sprintf("mr: map worker %d", w), &mapStats[w].Timing, func(tctx context.Context) error {
-				return runMorselWorkerTask(tctx, w, d, job.Map, &mapStats[w], cfg, tr)
+				return runMapTask(tctx, job.Map, &mapStats[w], cfg, tr, func(p *mapPipeline) error {
+					return p.scanMorsels(tctx, w, d)
+				})
 			})
 		}
 	} else {
@@ -372,7 +376,9 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			i, sp := i, sp
 			mapStats[i].Task = sp.Label()
 			mapGroup.Go("mr: map task "+sp.Label(), &mapStats[i].Timing, func(tctx context.Context) error {
-				return runMapTask(tctx, job.Map, sp, &mapStats[i], cfg, tr)
+				return runMapTask(tctx, job.Map, &mapStats[i], cfg, tr, func(p *mapPipeline) error {
+					return p.scan(tctx, sp)
+				})
 			})
 		}
 	}
@@ -488,13 +494,15 @@ func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll group
 	return addErr
 }
 
-// runMapTask executes one split with retry. The failure injector only
-// fires at task start, before any pair is emitted, so retries are safe
-// (re-emission after partial sends would duplicate data; real systems
-// solve this with attempt-tagged output files, which our in-process
-// shuffle does not need). Cancellation is never retried: a cancelled
-// attempt is the job being torn down, not the task failing.
-func runMapTask(ctx context.Context, mapFn MapFunc, sp Split, st *TaskStats, cfg Config, tr transport.Transport) error {
+// runMapTask executes one map task — one split in fixed-split mode, one
+// morsel worker's whole tour in morsel mode (scan says which) — with
+// retry. The failure injector only fires at task start, before any pair
+// is emitted, so retries are safe (re-emission after partial sends would
+// duplicate data; real systems solve this with attempt-tagged output
+// files, which our in-process shuffle does not need). Mid-task errors are
+// therefore not retried, and neither is cancellation: a cancelled attempt
+// is the job being torn down, not the task failing.
+func runMapTask(ctx context.Context, mapFn MapFunc, st *TaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -502,24 +510,97 @@ func runMapTask(ctx context.Context, mapFn MapFunc, sp Split, st *TaskStats, cfg
 		}
 		st.Attempts = attempt
 		if cfg.FailureInjector != nil {
-			if err := cfg.FailureInjector(sp.Label(), attempt); err != nil {
+			if err := cfg.FailureInjector(st.Task, attempt); err != nil {
 				lastErr = err
 				continue
 			}
 		}
-		if err := mapOnce(ctx, mapFn, sp, st, cfg, tr); err != nil {
-			return err // mid-task errors are not retried (see above)
+		p := newMapPipeline(ctx, mapFn, st, cfg, tr)
+		if err := scan(p); err != nil {
+			return err
 		}
-		return nil
+		return p.flush()
 	}
 	return fmt.Errorf("giving up after %d attempts: %w", cfg.MaxAttempts, lastErr)
 }
 
-// scanRecords pulls one record iterator dry through the map function,
-// closing it on every path (record iterators are single-use and may hold
+// mapPipeline is one map task's data path, built once per task and
+// flushed once: map function → optional combiner table → per-reducer
+// batch writer → shuffle. It outlives any single record iterator, so the
+// same value serves a fixed-split task (one scan) and a morsel worker
+// (one scan per morsel pulled).
+type mapPipeline struct {
+	mapFn MapFunc
+	st    *TaskStats
+	cfg   Config
+	// bw accumulates pairs per reducer and ships them as framed batches,
+	// so channel operations and frame round-trips drop by the batch
+	// factor; nil under ShuffleDisabled (pairs are counted, not sent).
+	bw   *transport.BatchWriter
+	comb Combiner
+	mctx MapCtx
+}
+
+func newMapPipeline(ctx context.Context, mapFn MapFunc, st *TaskStats, cfg Config, tr transport.Transport) *mapPipeline {
+	p := &mapPipeline{mapFn: mapFn, st: st, cfg: cfg}
+	if !cfg.ShuffleDisabled {
+		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
+	}
+	p.mctx = MapCtx{Stats: st, emit: p.send}
+	if cfg.NewCombiner != nil {
+		p.comb = cfg.NewCombiner(st)
+		p.mctx.emit = p.combine
+	}
+	if cfg.NewMapLocal != nil {
+		p.mctx.Local = cfg.NewMapLocal(st)
+	}
+	return p
+}
+
+// send ships one pair toward its reducer.
+func (p *mapPipeline) send(key, value []byte) error {
+	p.st.PairsOut++
+	p.st.BytesOut += int64(len(key) + len(value))
+	if p.bw == nil {
+		return nil
+	}
+	// Partition by the group identity, not the full key, so that a
+	// composite sort key never scatters one group across reducers.
+	return p.bw.Send(HashPartition(p.cfg.GroupBy(key), p.cfg.NumReducers), transport.Pair{Key: key, Value: value})
+}
+
+// combine folds one emitted pair into the task's combiner table (phase 1
+// of the two-phase aggregation) and, once the table holds LocalAggBudget
+// distinct states, spills it — in Flush's sorted-key order — into the
+// shuffle toward the reducers' global grouping collectors (phase 2).
+func (p *mapPipeline) combine(key, value []byte) error {
+	p.st.CombineInputs++
+	before := p.comb.Len()
+	if err := p.comb.Add(key, value); err != nil {
+		return err
+	}
+	n := p.comb.Len()
+	if n == before {
+		p.st.LocalAggHits++
+	}
+	if n >= p.cfg.LocalAggBudget {
+		p.st.LocalAggSpills++
+		return p.comb.Flush(p.send)
+	}
+	return nil
+}
+
+// scan pulls one split's records through the map function, closing the
+// iterator on every path (record iterators are single-use and may hold
 // resources — a packed-file split's block buffer, for instance).
-func scanRecords(ctx context.Context, it RecordIter, mapFn MapFunc, mctx *MapCtx, st *TaskStats) error {
+func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
+	it, err := sp.Open()
+	if err != nil {
+		return err
+	}
 	defer it.Close()
+	st := p.st
+	st.BytesRead += sp.SizeBytes()
 	done := ctx.Done()
 	for {
 		rec, ok, err := it.Next()
@@ -537,75 +618,25 @@ func scanRecords(ctx context.Context, it RecordIter, mapFn MapFunc, mctx *MapCtx
 			default:
 			}
 		}
-		if err := mapFn(mctx, rec); err != nil {
+		if err := p.mapFn(&p.mctx, rec); err != nil {
 			return err
 		}
 	}
 	return it.Close()
 }
 
-func mapOnce(ctx context.Context, mapFn MapFunc, sp Split, st *TaskStats, cfg Config, tr transport.Transport) error {
-	it, err := sp.Open()
-	if err != nil {
-		return err
-	}
-	st.BytesRead += sp.SizeBytes()
-
-	// Each map task owns one batch writer: pairs accumulate per reducer
-	// and ship as one framed SendBatch, so channel operations and frame
-	// round-trips drop by the batch factor.
-	var bw *transport.BatchWriter
-	if !cfg.ShuffleDisabled {
-		bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
-	}
-	send := func(key, value []byte) error {
-		st.PairsOut++
-		st.BytesOut += int64(len(key) + len(value))
-		if bw == nil {
-			return nil
-		}
-		// Partition by the group identity, not the full key, so that a
-		// composite sort key never scatters one group across reducers.
-		return bw.Send(cfg.Partition(cfg.GroupBy(key), cfg.NumReducers), transport.Pair{Key: key, Value: value})
-	}
-
-	var comb Combiner
-	emit := send
-	switch {
-	case cfg.NewCombiner != nil:
-		comb = cfg.NewCombiner(st)
-	case cfg.Combine != nil:
-		comb = newFuncCombiner(cfg.Combine, st)
-	}
-	if comb != nil {
-		emit = func(key, value []byte) error {
-			st.CombineInputs++
-			if err := comb.Add(key, value); err != nil {
-				return err
-			}
-			if comb.Len() >= cfg.CombineBufferPairs {
-				return comb.Flush(send)
-			}
-			return nil
-		}
-	}
-	mctx := &MapCtx{Stats: st, emit: emit}
-	if cfg.NewMapLocal != nil {
-		mctx.Local = cfg.NewMapLocal(st)
-	}
-	if err := scanRecords(ctx, it, mapFn, mctx, st); err != nil {
-		return err
-	}
-	if comb != nil {
-		if err := comb.Flush(send); err != nil {
+// flush drains the combiner table and the batch writer at task end.
+func (p *mapPipeline) flush() error {
+	if p.comb != nil {
+		if err := p.comb.Flush(p.send); err != nil {
 			return err
 		}
 	}
-	if bw != nil {
-		if err := bw.Flush(); err != nil {
+	if p.bw != nil {
+		if err := p.bw.Flush(); err != nil {
 			return err
 		}
-		st.BatchesSent += bw.Batches()
+		p.st.BatchesSent += p.bw.Batches()
 	}
 	return nil
 }
@@ -685,7 +716,7 @@ func fillGroupStats(st *TaskStats, gs groupx.Stats) {
 
 // GroupIter yields the pairs of one group. On the sorted path pairs
 // arrive in full-shuffle-key order; on the hash path in arrival order
-// (grouping only — see GroupMode).
+// (grouping only — see Config.GroupBy).
 type GroupIter struct {
 	it       groupx.Iterator
 	groupBy  func([]byte) []byte

@@ -7,15 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// DecisionCache is a bounded, keyed cache of complete optimizer decisions.
-// Where PlanCache (Section V) remembers only (key, cf) pairs and matches
-// by key generalization, DecisionCache memoizes the entire planning
-// outcome — key, clustering factor, candidate scores — under an exact
-// string key built from the canonical workflow fingerprint, the dataset
-// identity, and every planning knob that influences the decision. A hit
-// therefore skips candidate enumeration, scoring, and skew sampling
-// entirely; it is the cache that makes repeated or structurally identical
-// queries plan in ~0 time (ROADMAP's casmserve plan-cache bullet).
+// DecisionCache is the engine's one plan cache: a bounded, keyed cache of
+// complete optimizer decisions. It memoizes the entire planning outcome —
+// key, clustering factor, candidate scores — under an exact string key
+// built from the canonical workflow fingerprint, the dataset identity,
+// and every planning knob that influences the decision. A hit therefore
+// skips candidate enumeration, scoring, and skew sampling entirely; it is
+// the cache that makes repeated or structurally identical queries plan in
+// ~0 time.
 //
 // Entries evict in LRU order once the capacity is reached. The cache is
 // safe for concurrent use and hands out defensive clones, so callers may

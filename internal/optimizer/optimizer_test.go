@@ -248,39 +248,3 @@ func TestChooseBySamplingPrefersBalancedPlan(t *testing.T) {
 		t.Error("empty sample changed the plan")
 	}
 }
-
-func TestPlanCache(t *testing.T) {
-	wSliding := slidingWorkflow(t, false)
-	s := wSliding.Schema()
-	minSliding, _, err := distkey.Derive(wSliding)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cache PlanCache
-	if _, _, ok := cache.Lookup(s, minSliding); ok {
-		t.Fatal("empty cache hit")
-	}
-	cache.Store(minSliding, 8)
-	cache.Store(minSliding, 8) // dedup
-	if cache.Len() != 1 {
-		t.Fatalf("cache len = %d", cache.Len())
-	}
-	key, cf, ok := cache.Lookup(s, minSliding)
-	if !ok || cf != 8 || !key.Equal(minSliding) {
-		t.Fatalf("lookup failed: %v %v %v", key, cf, ok)
-	}
-	// A different query whose minimal key is generalized by the cached key
-	// also hits: same grain, narrower annotation.
-	narrower := minSliding.Clone()
-	ti, _ := s.AttrIndex("t")
-	narrower.Anns[ti] = distkey.Ann{Low: -1, High: 0}
-	if _, _, ok := cache.Lookup(s, narrower); !ok {
-		t.Error("cache missed a feasible stored key")
-	}
-	// A query needing a *wider* window must miss.
-	wider := minSliding.Clone()
-	wider.Anns[ti] = distkey.Ann{Low: -100, High: 0}
-	if _, _, ok := cache.Lookup(s, wider); ok {
-		t.Error("cache returned an infeasible key")
-	}
-}

@@ -102,42 +102,3 @@ func ChooseBySampling(s *cube.Schema, model Plan, sample []cube.Record,
 	}
 	return choice, nil
 }
-
-// PlanCache remembers distribution keys that worked well. "As long as the
-// value distribution of the original data set does not change, a
-// distribution key which was previously identified as a good one will
-// still be a good candidate, as long as it is feasible for the given
-// query" — feasibility for a new query holds when the cached key
-// generalizes the new query's minimal key (Theorem 1).
-type PlanCache struct {
-	entries []cachedPlan
-}
-
-type cachedPlan struct {
-	key distkey.Key
-	cf  int64
-}
-
-// Store remembers a plan that executed well.
-func (c *PlanCache) Store(key distkey.Key, cf int64) {
-	for _, e := range c.entries {
-		if e.key.Equal(key) && e.cf == cf {
-			return
-		}
-	}
-	c.entries = append(c.entries, cachedPlan{key: key.Clone(), cf: cf})
-}
-
-// Len reports how many plans are cached.
-func (c *PlanCache) Len() int { return len(c.entries) }
-
-// Lookup returns a cached plan feasible for the query with the given
-// minimal key, if any.
-func (c *PlanCache) Lookup(s *cube.Schema, minimal distkey.Key) (distkey.Key, int64, bool) {
-	for _, e := range c.entries {
-		if distkey.Generalizes(s, e.key, minimal) {
-			return e.key.Clone(), e.cf, true
-		}
-	}
-	return distkey.Key{}, 0, false
-}
