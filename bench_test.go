@@ -289,33 +289,6 @@ func BenchmarkAblation_OverlapVsRolledUp(b *testing.B) {
 	b.ReportMetric(rolledSec/overlapSec, "overlap_speedup")
 }
 
-// BenchmarkAblation_TransportChannelVsTCP measures the *real* wall-clock
-// cost of the two shuffle transports on the same job.
-func BenchmarkAblation_TransportChannelVsTCP(b *testing.B) {
-	su := workload.NewSuite()
-	records := su.Generate(40_000, workload.Uniform, 1)
-	ds := core.MemoryDataset(su.Schema, records, 8)
-	w := su.Q2()
-	run := func(factory casm.TransportFactory) float64 {
-		eng, err := core.NewEngine(core.Config{NumReducers: 4, Transport: factory, TempDir: b.TempDir()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := eng.Run(w, ds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Stats.Wall.Seconds()
-	}
-	var ch, tcp float64
-	for i := 0; i < b.N; i++ {
-		ch = run(nil) // default channel transport
-		tcp = run(casm.TCPTransport(1024))
-	}
-	b.ReportMetric(ch*1000, "channel_ms_real")
-	b.ReportMetric(tcp*1000, "tcp_ms_real")
-}
-
 func BenchmarkSharedScan(b *testing.B) {
 	cfg := benchConfig(b)
 	var p *figures.SharedScan

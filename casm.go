@@ -45,7 +45,6 @@ import (
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -258,7 +257,6 @@ const (
 	StageSort    = core.StageSort
 
 	EarlyAggOff  = core.EarlyAggOff
-	EarlyAggOn   = core.EarlyAggOn
 	EarlyAggAuto = core.EarlyAggAuto
 
 	SkewNone     = core.SkewNone
@@ -275,7 +273,7 @@ type Result = core.Result
 type MeasureRecord = core.MeasureRecord
 
 // BatchResult is a completed multi-query evaluation; see
-// Engine.EvaluateBatch.
+// Engine.EvaluateBatchContext.
 type BatchResult = core.BatchResult
 
 // BatchJobInfo describes one job a batch ran and which queries shared
@@ -323,19 +321,6 @@ func NewEngine(cfg Config) (*Engine, error) { return core.NewEngine(cfg) }
 func MemoryDataset(schema *Schema, records []Record, splits int) *Dataset {
 	return core.MemoryDataset(schema, records, splits)
 }
-
-// TransportFactory creates the shuffle transport for a job.
-type TransportFactory = transport.Factory
-
-// TCPTransport returns a factory that shuffles over loopback TCP with
-// length-prefixed binary
-// framing instead of in-memory channels; set it as Config.Transport to
-// exercise real network paths. buffer sizes each reducer's receive
-// channel (< 1 uses the default).
-func TCPTransport(buffer int) TransportFactory { return transport.TCPFactory(buffer) }
-
-// ChannelTransport returns the default in-memory shuffle factory.
-func ChannelTransport(buffer int) TransportFactory { return transport.ChannelFactory(buffer) }
 
 // --- distributed storage ---
 

@@ -136,26 +136,6 @@ func TestPublicAPIStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicAPITCPTransport(t *testing.T) {
-	s := weblogSchema()
-	q := weblogQuery(t, s)
-	eng, err := casm.NewEngine(casm.Config{
-		NumReducers: 2,
-		Transport:   casm.TCPTransport(64),
-		TempDir:     t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(q, casm.MemoryDataset(s, genRecords(500), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalRecords() == 0 {
-		t.Error("no results over TCP")
-	}
-}
-
 func TestDeriveKeyAndExplain(t *testing.T) {
 	s := weblogSchema()
 	q := weblogQuery(t, s)
@@ -254,7 +234,6 @@ MEASURE back = INHERIT(tot) AT (prod:cat, time:day);
 	}
 	eng, err := casm.NewEngine(casm.Config{
 		NumReducers: 3,
-		Transport:   casm.ChannelTransport(64),
 		TempDir:     t.TempDir(),
 	})
 	if err != nil {

@@ -7,7 +7,7 @@
 //	casmexplain -query q6 -records 1000000000 -reducers 100
 //	casmexplain -batch q1,q2,q6
 //
-// With -batch, it instead explains how EvaluateBatch would share work
+// With -batch, it instead explains how EvaluateBatchContext would share work
 // across the named queries: which queries share one input scan, how they
 // partition into block-geometry groups (equal distribution key and
 // clustering factor — those also share the shuffle and the reducer-side
@@ -74,7 +74,7 @@ func pick(su *workload.Suite, name string) (*casm.Query, error) {
 }
 
 // explainBatch plans every named query and reports the sharing structure
-// EvaluateBatch would use: one shared scan over all of them, one shuffle
+// EvaluateBatchContext would use: one shared scan over all of them, one shuffle
 // per block-geometry group.
 func explainBatch(su *workload.Suite, batch string, records int64, reducers int) error {
 	names := strings.Split(batch, ",")
@@ -111,7 +111,7 @@ func explainBatch(su *workload.Suite, batch string, records int64, reducers int)
 	}
 
 	// Group by block geometry, preserving input order, exactly as
-	// EvaluateBatch's shared job does.
+	// a multi-query job does.
 	type group struct {
 		plan    casm.Plan
 		members []string

@@ -5,8 +5,8 @@
 //
 //	casmrun -data data.casm -query q6 -reducers 50
 //	casmrun -data data.casm -query q5 -cf 10 -sort combined
-//	casmrun -data data.casm -query ds0 -early on
-//	casmrun -data data.casm -query q5 -skew sampling -tcp
+//	casmrun -data data.casm -query ds0 -early auto
+//	casmrun -data data.casm -query q5 -skew sampling
 //	casmrun -data data.casm -batch q1,q2,q6
 //	casmrun -store /var/casm/store -data events.casm -query q2 -resultcache
 //
@@ -16,7 +16,7 @@
 // replicated blocks. Adding -resultcache materializes per-(block,
 // fingerprint) results into the store, so re-running the same query in a
 // later invocation assembles the answer without scanning any input.
-// With -batch, the named queries are evaluated in one EvaluateBatch call:
+// With -batch, the named queries are evaluated in one EvaluateBatchContext call:
 // compatible queries share a single input scan (and, when their plans
 // agree on block geometry, the shuffle too), with per-query answers
 // identical to running them one at a time.
@@ -64,11 +64,10 @@ func run() error {
 		reducers = flag.Int("reducers", 8, "number of reducers (m)")
 		cf       = flag.Int64("cf", 0, "force clustering factor (0 = optimizer)")
 		sortMode = flag.String("sort", "twopass", "in-group sort: twopass | combined")
-		early    = flag.String("early", "off", "early aggregation: off | on | auto")
+		early    = flag.String("early", "off", "early aggregation: off | auto (combine whenever the query supports it)")
 		skew     = flag.String("skew", "none", "skew handling: none | sampling")
 		minBlk   = flag.Int64("minblocks", 0, "minimum blocks per reducer heuristic (0 = off)")
 		stage    = flag.String("stage", "full", "pipeline stage: full | maponly | shuffle | sort")
-		tcp      = flag.Bool("tcp", false, "shuffle over loopback TCP instead of channels")
 		blockSz  = flag.Int("block", 4<<20, "block size used by casmgen")
 		values   = flag.Int("show", 0, "print the first N result rows per measure")
 		savePath = flag.String("save", "", "write result records to this file (block-aligned frames)")
@@ -152,8 +151,6 @@ func run() error {
 	}
 	switch *early {
 	case "off":
-	case "on":
-		cfg.EarlyAggregation = casm.EarlyAggOn
 	case "auto":
 		cfg.EarlyAggregation = casm.EarlyAggAuto
 	default:
@@ -176,9 +173,6 @@ func run() error {
 		cfg.Stage = casm.StageSort
 	default:
 		return fmt.Errorf("unknown stage %q", *stage)
-	}
-	if *tcp {
-		cfg.Transport = casm.TCPTransport(0)
 	}
 
 	// -store evaluates off the persistent block store: the dataset's
@@ -256,9 +250,7 @@ func run() error {
 	}
 
 	fmt.Println(q.Explain())
-	fmt.Printf("plan: key=%s cf=%d blocks=%d (sampled=%v cached=%v early-agg=%v)\n",
-		res.Plan.Key.Format(su.Schema), res.Plan.ClusteringFactor, res.Plan.Blocks,
-		res.SampledPlan, res.PlanCached, res.EarlyAggregated)
+	printPlan(su, res.ResultHeader)
 
 	names := make([]string, 0, len(res.Measures))
 	for n := range res.Measures {
@@ -309,7 +301,7 @@ func run() error {
 	return nil
 }
 
-// runBatch evaluates the named queries as one EvaluateBatch call and
+// runBatch evaluates the named queries as one EvaluateBatchContext call and
 // prints, per job, which queries shared its scan and shuffle, then the
 // usual per-query result summary.
 func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*casm.Query, names []string, ds *casm.Dataset, show int) error {
@@ -349,9 +341,7 @@ func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*c
 
 	for qi, res := range batch.Results {
 		fmt.Printf("\nquery %s:\n", names[qi])
-		fmt.Printf("plan: key=%s cf=%d blocks=%d (sampled=%v cached=%v early-agg=%v)\n",
-			res.Plan.Key.Format(su.Schema), res.Plan.ClusteringFactor, res.Plan.Blocks,
-			res.SampledPlan, res.PlanCached, res.EarlyAggregated)
+		printPlan(su, res.ResultHeader)
 		mnames := make([]string, 0, len(res.Measures))
 		for n := range res.Measures {
 			mnames = append(mnames, n)
@@ -374,6 +364,14 @@ func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*c
 	return nil
 }
 
+// printPlan prints an evaluation's header line — the same for a
+// materialized result, a batch member and a stream.
+func printPlan(su *workload.Suite, h core.ResultHeader) {
+	fmt.Printf("plan: key=%s cf=%d blocks=%d (sampled=%v cached=%v early-agg=%v)\n",
+		h.Plan.Key.Format(su.Schema), h.Plan.ClusteringFactor, h.Plan.Blocks,
+		h.SampledPlan, h.PlanCached, h.EarlyAggregated)
+}
+
 func jobBytesRead(js mr.JobStats) int64 {
 	var n int64
 	for _, t := range js.MapTasks {
@@ -393,9 +391,7 @@ func runStream(ctx context.Context, eng *casm.Engine, su *workload.Suite, q *cas
 	defer rs.Close()
 
 	fmt.Println(q.Explain())
-	fmt.Printf("plan: key=%s cf=%d blocks=%d (sampled=%v early-agg=%v)\n",
-		rs.Plan.Key.Format(su.Schema), rs.Plan.ClusteringFactor, rs.Plan.Blocks,
-		rs.SampledPlan, rs.EarlyAggregated)
+	printPlan(su, rs.ResultHeader)
 
 	counts := map[string]int64{}
 	shown := map[string]int{}

@@ -50,7 +50,6 @@ import (
 	"github.com/casm-project/casm/internal/core"
 	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/serve"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workload"
 )
 
@@ -78,7 +77,6 @@ func run() error {
 		queue    = flag.Int("queue", 0, "bounded admission queue size (0 = default)")
 		cacheSz  = flag.Int("cache", 0, "decision cache capacity (0 = default)")
 		tmpDir   = flag.String("tmp", "", "directory for reducer spill files (default OS temp)")
-		tcp      = flag.Bool("tcp", false, "shuffle over loopback TCP instead of channels")
 		inMem    = flag.Bool("mem", false, "load datasets fully into memory instead of streaming off disk")
 		storeDir = flag.String("store", "", "serve from the persistent block store at this directory; -data names files inside it")
 		ingest   = flag.Bool("ingest", false, "with -store: -data name=path ingests the flat file at path into the store as name")
@@ -99,9 +97,6 @@ func run() error {
 		ecfg.SkewMode = core.SkewSampling
 	default:
 		return fmt.Errorf("unknown skew mode %q", *skew)
-	}
-	if *tcp {
-		ecfg.Transport = transport.TCPFactory(0)
 	}
 
 	// The store is opened before registration so a process killed during

@@ -5,9 +5,9 @@
 // drift detector expressed as one composite subset measure query with a
 // sliding-window component.
 //
-// The example evaluates the same query under three clustering factors and
-// over the real TCP shuffle, showing how block granularity moves the
-// simulated response time while the answer stays identical.
+// The example evaluates the same query under three clustering factors,
+// showing how block granularity moves the simulated response time while
+// the answer stays identical.
 //
 //	go run ./examples/sensors
 package main
@@ -78,7 +78,6 @@ func main() {
 		engine, err := casm.NewEngine(casm.Config{
 			NumReducers: 8,
 			ForceCF:     cf,
-			Transport:   casm.TCPTransport(256), // real TCP shuffle
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -1,22 +1,30 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/casm-project/casm/internal/costmodel"
+	"github.com/casm-project/casm/internal/localeval"
+	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
 
-// TestEvaluateBatchMatchesSequentialByteIdentical is the shared-scan
-// property test: for random workflow sets, a batched evaluation must be
+// TestEvaluateBatchMatchesSequentialByteIdentical is the one-job property
+// test: for random workflow sets, a batched evaluation must be
 // byte-identical, per query, to running each query alone — across both
-// transports, both sort modes, forced reduce-side spills, and morsel mode
-// on/off. stableBits workflows keep rollup folds order-independent, so
-// "identical" really is canonical-bytes equality, not float tolerance.
+// sort modes, forced reduce-side spills, and morsel mode on/off.
+// stableBits workflows keep rollup folds order-independent, so "identical"
+// really is canonical-bytes equality, not float tolerance. Three inputs
+// per seed: the random set; a batch of ONE query, whose job must also
+// price exactly like the unary run (empty tags: same keys, same bytes);
+// and a mixed set under EarlyAggAuto, where the combinable queries run as
+// jobs of one and the rest share a job.
 func TestEvaluateBatchMatchesSequentialByteIdentical(t *testing.T) {
 	su := workload.NewSuite()
 	seeds := 8
@@ -36,47 +44,128 @@ func TestEvaluateBatchMatchesSequentialByteIdentical(t *testing.T) {
 			ds := MemoryDataset(su.Schema, records, 2+rng.Intn(5))
 			reducers := 1 + rng.Intn(6)
 
-			for _, tp := range []struct {
-				name    string
-				factory transport.Factory
-			}{
-				{"channel", nil},
-				{"tcp", transport.TCPFactory(64)},
-			} {
-				for _, sortMode := range []SortMode{TwoPassSort, CombinedKeySort} {
-					for _, morselBytes := range []int{0, 512} {
-						label := fmt.Sprintf("transport=%s sort=%d morsel=%d", tp.name, sortMode, morselBytes)
-						cfg := Config{
-							NumReducers:     reducers,
-							Transport:       tp.factory,
-							SortMode:        sortMode,
-							SortMemoryItems: 2, // force reduce-side spills
-							MorselBytes:     morselBytes,
-							TempDir:         t.TempDir(),
+			// The mixed set: draw until it holds one combinable query and
+			// two that are not.
+			var mixed []*workflow.Workflow
+			var combines []bool
+			for yes, no := 0, 0; yes < 1 || no < 2; {
+				w := randomWorkflowOpts(t, su.Schema, rng, true)
+				ev, err := localeval.New(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := ev.SupportsEarlyAggregation() == nil
+				if (c && yes == 1) || (!c && no == 2) {
+					continue
+				}
+				if c {
+					yes++
+				} else {
+					no++
+				}
+				mixed, combines = append(mixed, w), append(combines, c)
+			}
+
+			// check runs the batch and every member alone, compares
+			// bytes, and returns both sides.
+			check := func(label string, cfg Config, ws []*workflow.Workflow) (*BatchResult, []*Result) {
+				eng, err := NewEngine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batch, err := eng.EvaluateBatchContext(context.Background(), ws, ds)
+				if err != nil {
+					t.Fatalf("%s: batch: %v", label, err)
+				}
+				seqs := make([]*Result, len(ws))
+				for i, w := range ws {
+					if seqs[i], err = eng.Run(w, ds); err != nil {
+						t.Fatalf("%s: sequential query %d: %v", label, i, err)
+					}
+					if got, want := canonicalOutput(batch.Results[i]), canonicalOutput(seqs[i]); got != want {
+						t.Errorf("%s: query %d: batched output differs byte-wise from sequential\nbatched:\n%s\nsequential:\n%s",
+							label, i, got, want)
+					}
+				}
+				return batch, seqs
+			}
+
+			for _, sortMode := range []SortMode{TwoPassSort, CombinedKeySort} {
+				for _, morselBytes := range []int{0, 512} {
+					label := fmt.Sprintf("sort=%d morsel=%d", sortMode, morselBytes)
+					cfg := Config{
+						NumReducers:     reducers,
+						SortMode:        sortMode,
+						SortMemoryItems: 2, // force reduce-side spills
+						MorselBytes:     morselBytes,
+						TempDir:         t.TempDir(),
+					}
+					check(label, cfg, ws)
+
+					one, seqs := check(label+" batch-of-one", cfg, ws[:1])
+					if len(one.Jobs) != 1 || one.Jobs[0].Shared {
+						t.Errorf("%s: batch of one ran as %+v", label, one.Jobs)
+					}
+					if got, want := pricedSums(one.Results[0].Stats, false), pricedSums(seqs[0].Stats, false); got != want {
+						t.Errorf("%s: batch of one priced %+v, unary run %+v", label, got, want)
+					}
+
+					cfg.EarlyAggregation = EarlyAggAuto
+					mix, _ := check(label+" mixed", cfg, mixed)
+					sharedJobs := 0
+					for _, j := range mix.Jobs {
+						if j.Shared {
+							sharedJobs++
 						}
-						eng, err := NewEngine(cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						batch, err := eng.EvaluateBatch(ws, ds)
-						if err != nil {
-							t.Fatalf("%s: batch: %v", label, err)
-						}
-						for i, w := range ws {
-							seq, err := eng.Run(w, ds)
-							if err != nil {
-								t.Fatalf("%s: sequential query %d: %v", label, i, err)
-							}
-							if got, want := canonicalOutput(batch.Results[i]), canonicalOutput(seq); got != want {
-								t.Errorf("%s: query %d: batched output differs byte-wise from sequential\nbatched:\n%s\nsequential:\n%s",
-									label, i, got, want)
+						for _, i := range j.Queries {
+							if combines[i] == j.Shared || mix.Results[i].EarlyAggregated != combines[i] {
+								t.Errorf("%s mixed: query %d (combinable=%v) in job %+v, EarlyAggregated=%v",
+									label, i, combines[i], j.Queries, mix.Results[i].EarlyAggregated)
 							}
 						}
 					}
+					if sharedJobs != 1 {
+						t.Errorf("%s mixed: %d shared jobs, want 1", label, sharedJobs)
+					}
 				}
+			}
+
+			// Default sort budget: nothing spills, so every priced counter,
+			// the spill byte counts included, must match the unary run.
+			one, seqs := check("no-spill batch-of-one", Config{NumReducers: reducers, TempDir: t.TempDir()}, ws[:1])
+			if got, want := pricedSums(one.Results[0].Stats, true), pricedSums(seqs[0].Stats, true); got != want {
+				t.Errorf("no-spill batch of one priced %+v, unary run %+v", got, want)
 			}
 		})
 	}
+}
+
+// pricedSums totals a job's priced counters — everything the cost model
+// can see of it. spillBytes = false leaves out the spilled byte counts:
+// under a forced-spill budget which pairs are resident at each flush
+// follows arrival order, so those move by a few bytes between any two runs
+// of the same job (eight unary Q1 runs with SortMemoryItems 2 spilled
+// 22255 or 22256 bytes).
+func pricedSums(js mr.JobStats, spillBytes bool) (sums struct {
+	Map    costmodel.MapWork
+	Reduce costmodel.ReduceWork
+}) {
+	add := func(dst, src any) {
+		d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+		for f := 0; f < d.NumField(); f++ {
+			d.Field(f).SetInt(d.Field(f).Int() + s.Field(f).Int())
+		}
+	}
+	for _, t := range js.MapTasks {
+		add(&sums.Map, t.MapWork)
+	}
+	for _, t := range js.ReduceTasks {
+		add(&sums.Reduce, t.ReduceWork)
+	}
+	if !spillBytes {
+		sums.Reduce.SpillBytes, sums.Reduce.GroupSpillBytes = 0, 0
+	}
+	return sums
 }
 
 // TestEvaluateBatchSharedScanCounters pins the sharing accounting: a batch
@@ -93,7 +182,7 @@ func TestEvaluateBatchSharedScanCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := eng.EvaluateBatch(ws, ds)
+	batch, err := eng.EvaluateBatchContext(context.Background(), ws, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +221,7 @@ func TestEvaluateBatchUnshareableFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := eng.EvaluateBatch(ws, ds)
+	batch, err := eng.EvaluateBatchContext(context.Background(), ws, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +340,7 @@ func TestEvaluateBatchDeduplicatesPlanning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := eng.EvaluateBatch(ws, ds)
+	batch, err := eng.EvaluateBatchContext(context.Background(), ws, ds)
 	if err != nil {
 		t.Fatal(err)
 	}

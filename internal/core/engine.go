@@ -21,7 +21,6 @@ import (
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/recio"
-	"github.com/casm-project/casm/internal/transport"
 )
 
 // SortMode selects how the in-group sort of the local algorithm is paid
@@ -62,10 +61,8 @@ type EarlyAggMode int
 const (
 	// EarlyAggOff ships raw records.
 	EarlyAggOff EarlyAggMode = iota
-	// EarlyAggOn requires early aggregation and fails when the workflow
-	// does not support it.
-	EarlyAggOn
-	// EarlyAggAuto enables it when the workflow supports it.
+	// EarlyAggAuto combines on the map side whenever the workflow supports
+	// it; Result.EarlyAggregated reports what happened.
 	EarlyAggAuto
 )
 
@@ -84,19 +81,17 @@ const (
 type Config struct {
 	// NumReducers is the number of reduce tasks (the paper's m). Required.
 	NumReducers int
-	// MapParallelism / ReduceParallelism bound real concurrency
-	// (default GOMAXPROCS each).
-	MapParallelism    int
-	ReduceParallelism int
+	// MapParallelism bounds the job's concurrent map tasks (default
+	// GOMAXPROCS, which is also the fixed bound on its reduce tasks).
+	MapParallelism int
 	// Executor is the shared task-scheduler pool the engine's jobs run on
 	// (default: the process-wide exec.Default()). Give several engines the
 	// same executor and their concurrent EvaluateContext calls multiplex
 	// over one bounded worker pool with FIFO-fair admission, instead of
 	// oversubscribing the machine with per-call goroutine floods.
 	Executor *exec.Executor
-	// Transport picks the shuffle implementation (default in-memory).
-	Transport transport.Factory
-	// EarlyAggregation selects the combiner mode (default off).
+	// EarlyAggregation turns the map-side combiner off (default) or on for
+	// every workflow that supports it.
 	EarlyAggregation EarlyAggMode
 	// SortMode selects two-pass vs combined-key sorting (default two-pass,
 	// matching the paper's unmodified MapReduce). It also decides how
@@ -149,7 +144,7 @@ type Config struct {
 	// repeated query skip the job (and its input scan) entirely.
 	// Reuse needs a settled dataset identity: only StageFull runs over
 	// datasets with a non-empty Tag and known NumRecords participate
-	// (the batch path always recomputes). Correctness leans on the
+	// (a multi-query job always recomputes). Correctness leans on the
 	// pinned determinism of per-block results: byte-identical answers
 	// across cache states are property-tested.
 	ResultCache *blockstore.ResultCache
@@ -210,24 +205,16 @@ type MeasureRecord struct {
 	Value  float64
 }
 
-// Result is a completed evaluation.
-type Result struct {
-	// Measures maps measure names to their records. Each measure's
-	// records are in canonical order: ascending bytes.Compare of the
-	// cube.AppendCoords (varint) encoding of Region.Coord — a total order,
-	// one record per region, but not numeric order: 256 (80 02) sorts
-	// before 255 (ff 01).
-	Measures map[string][]MeasureRecord
+// ResultHeader is what a consumer learns about an evaluation before its
+// first row: the plan facts, identical on a materialized Result and on a
+// ResultStream (see PlanOutcome.header, their one producer).
+type ResultHeader struct {
 	// Plan is the executed plan.
 	Plan optimizer.Plan
 	// SampledPlan indicates the plan came from simulated dispatch.
 	SampledPlan bool
 	// EarlyAggregated indicates the combiner ran.
 	EarlyAggregated bool
-	// Stats are the substrate's per-task counters.
-	Stats mr.JobStats
-	// Estimate is the simulated response time on the configured cluster.
-	Estimate costmodel.Estimate
 	// SampleSeconds is the simulated cost of the sampling pass (0 when
 	// sampling is off); the paper reports ~10 s per dataset.
 	SampleSeconds float64
@@ -235,6 +222,21 @@ type Result struct {
 	// keyed decision cache (Config.DecisionCache) — no optimizer work,
 	// no sampling pass, was performed for this run.
 	PlanCached bool
+}
+
+// Result is a completed evaluation.
+type Result struct {
+	ResultHeader
+	// Measures maps measure names to their records. Each measure's
+	// records are in canonical order: ascending bytes.Compare of the
+	// cube.AppendCoords (varint) encoding of Region.Coord — a total order,
+	// one record per region, but not numeric order: 256 (80 02) sorts
+	// before 255 (ff 01).
+	Measures map[string][]MeasureRecord
+	// Stats are the substrate's per-task counters.
+	Stats mr.JobStats
+	// Estimate is the simulated response time on the configured cluster.
+	Estimate costmodel.Estimate
 	// ResultReused indicates the whole answer was assembled from the
 	// materialized result cache — no job ran, no input bytes were
 	// scanned.

@@ -11,7 +11,6 @@ import (
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/measure"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -191,7 +190,7 @@ func TestEngineEarlyAggregation(t *testing.T) {
 		}
 		want := oracle(t, w, records)
 		off := runEngine(t, Config{NumReducers: 4, EarlyAggregation: EarlyAggOff}, w, ds)
-		on := runEngine(t, Config{NumReducers: 4, EarlyAggregation: EarlyAggOn}, w, ds)
+		on := runEngine(t, Config{NumReducers: 4, EarlyAggregation: EarlyAggAuto}, w, ds)
 		compare(t, "earlyagg-off", want, flatten(off))
 		compare(t, "earlyagg-on", want, flatten(on))
 		if !on.EarlyAggregated || off.EarlyAggregated {
@@ -210,35 +209,18 @@ func TestEngineEarlyAggregation(t *testing.T) {
 	}
 }
 
-func TestEarlyAggregationOnRejectsHolistic(t *testing.T) {
+// TestEarlyAggregationAutoFallsBackOnHolistic: a workflow the combiner
+// cannot serve ships raw records, and says so.
+func TestEarlyAggregationAutoFallsBackOnHolistic(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(500, workload.Uniform, 1)
 	ds := MemoryDataset(su.Schema, records, 2)
 	w := su.Q6() // q6m1 is a median: holistic
-	cfg := Config{NumReducers: 2, EarlyAggregation: EarlyAggOn, TempDir: t.TempDir()}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(w, ds); err == nil {
-		t.Fatal("holistic basic accepted with EarlyAggOn")
-	}
-	// Auto silently falls back to raw records.
 	res := runEngine(t, Config{NumReducers: 2, EarlyAggregation: EarlyAggAuto}, w, ds)
 	if res.EarlyAggregated {
 		t.Error("auto mode aggregated a holistic workflow")
 	}
 	compare(t, "auto-fallback", oracle(t, w, records), flatten(res))
-}
-
-func TestEngineTCPTransport(t *testing.T) {
-	su := workload.NewSuite()
-	records := su.Generate(1500, workload.Uniform, 5)
-	ds := MemoryDataset(su.Schema, records, 3)
-	w := su.Q2()
-	want := oracle(t, w, records)
-	res := runEngine(t, Config{NumReducers: 3, Transport: transport.TCPFactory(128)}, w, ds)
-	compare(t, "tcp", want, flatten(res))
 }
 
 func TestEngineStages(t *testing.T) {

@@ -5,14 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workload"
 )
 
 // TestMorselEquivalenceByteIdentical is the engine-level morsel ≡
-// fixed-split property: over random bit-stable workflows, both transports,
-// a forced-spill sorter budget (SortMemoryItems=2), and a forced-overflow
-// local table (LocalAggBudget=2), morsel-driven map execution must produce
+// fixed-split property: over random bit-stable workflows, a forced-spill
+// sorter budget (SortMemoryItems=2), and a forced-overflow local table
+// (LocalAggBudget=2), morsel-driven map execution must produce
 // byte-identical measure output to the fixed-split path (and agree with
 // the single-block oracle). This is what licenses flipping MorselBytes on
 // for any workload: the knob may only move wall time, never a bit of
@@ -33,37 +32,27 @@ func TestMorselEquivalenceByteIdentical(t *testing.T) {
 			want := oracle(t, w, records)
 			reducers := 1 + rng.Intn(6)
 
-			for _, tp := range []struct {
-				name    string
-				factory transport.Factory
-			}{
-				{"channel", nil},
-				{"tcp", transport.TCPFactory(64)},
-			} {
-				var baseOut, baseLabel string
-				for _, morselBytes := range []int{0, 512} { // 0 = fixed splits; 512 carves every split
-					// EarlyAggAuto (not On): random workflows may draw
-					// holistic measures, where the combiner legitimately
-					// cannot run; Auto exercises the local table exactly
-					// when it is allowed to exist.
-					for _, early := range []EarlyAggMode{EarlyAggOff, EarlyAggAuto} {
-						label := fmt.Sprintf("transport=%s morsel=%d early=%v", tp.name, morselBytes, early)
-						cfg := Config{
-							NumReducers:      reducers,
-							Transport:        tp.factory,
-							EarlyAggregation: early,
-							SortMemoryItems:  2, // force reduce-side spills
-							MorselBytes:      morselBytes,
-							LocalAggBudget:   2, // force local-table overflow flushes
-						}
-						res := runEngine(t, cfg, w, ds)
-						compare(t, label, want, flatten(res))
-						out := canonicalOutput(res)
-						if baseOut == "" {
-							baseOut, baseLabel = out, label
-						} else if out != baseOut {
-							t.Errorf("output of %q differs byte-wise from %q", label, baseLabel)
-						}
+			var baseOut, baseLabel string
+			for _, morselBytes := range []int{0, 512} { // 0 = fixed splits; 512 carves every split
+				// Random workflows may draw holistic measures, where the
+				// combiner cannot run; EarlyAggAuto exercises the local
+				// table exactly when it is allowed to exist.
+				for _, early := range []EarlyAggMode{EarlyAggOff, EarlyAggAuto} {
+					label := fmt.Sprintf("morsel=%d early=%v", morselBytes, early)
+					cfg := Config{
+						NumReducers:      reducers,
+						EarlyAggregation: early,
+						SortMemoryItems:  2, // force reduce-side spills
+						MorselBytes:      morselBytes,
+						LocalAggBudget:   2, // force local-table overflow flushes
+					}
+					res := runEngine(t, cfg, w, ds)
+					compare(t, label, want, flatten(res))
+					out := canonicalOutput(res)
+					if baseOut == "" {
+						baseOut, baseLabel = out, label
+					} else if out != baseOut {
+						t.Errorf("output of %q differs byte-wise from %q", label, baseLabel)
 					}
 				}
 			}

@@ -124,7 +124,7 @@ func (ru *resultReuse) commit() {
 // path, mapping canonical measure indices back to this workflow's
 // interned names. The emitted rows are byte-identical to what a fresh
 // evaluation of the block would have produced.
-func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, rl *reduceLocal, rows []byte) error {
+func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, out *ownedOutput, rows []byte) error {
 	for off := 0; off < len(rows); {
 		idx, payload, next, err := readCachedRow(rows, off)
 		if err != nil {
@@ -133,7 +133,7 @@ func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, rl *reduceLocal, rows []byt
 		if idx >= len(ru.canon) {
 			return fmt.Errorf("core: cached row references measure %d of %d", idx, len(ru.canon))
 		}
-		ctx.EmitStable(rl.out.key(ru.canon[idx].Name), append([]byte(nil), payload...))
+		ctx.EmitStable(out.key(ru.canon[idx].Name), append([]byte(nil), payload...))
 		off = next
 	}
 	return nil
@@ -149,12 +149,9 @@ func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *
 		return nil, false
 	}
 	out := &Result{
-		Measures:      make(map[string][]MeasureRecord, len(w.Measures())),
-		Plan:          outcome.Plan,
-		SampledPlan:   outcome.Sampled,
-		SampleSeconds: outcome.SampleSeconds,
-		PlanCached:    outcome.DecisionCached,
-		ResultReused:  true,
+		ResultHeader: outcome.header(false),
+		Measures:     make(map[string][]MeasureRecord, len(w.Measures())),
+		ResultReused: true,
 	}
 	asm := assembler{arity: ds.Schema.NumAttrs()}
 	slots := make([]*asmSlot, len(ru.canon))
@@ -192,8 +189,7 @@ func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *
 		Task:     "reduce-cache",
 		Observed: mr.Observed{ResultCacheHits: hits, ResultCacheBytes: served},
 	}}}
-	out.Estimate = EstimateFromStats(e.cfg.Cluster, out.Stats)
-	out.Estimate.ReduceSeconds += outcome.SampleSeconds
+	out.Estimate = e.estimate(out.Stats, outcome.SampleSeconds)
 	return out, true
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/casm-project/casm/internal/costmodel"
@@ -170,107 +171,235 @@ func (e *Engine) EvaluateContext(ctx context.Context, w *workflow.Workflow, ds *
 	return e.RunWithPlanContext(ctx, w, ds, outcome)
 }
 
+// RunWithPlanContext executes the workflow under an explicit plan
+// outcome; see EvaluateContext for the execution and cancellation
+// contract. It is a job of one query.
+func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, ds *Dataset, outcome PlanOutcome) (*Result, error) {
+	q, err := newJobQuery(w, outcome)
+	if err != nil {
+		return nil, err
+	}
+	results, _, err := e.runJob(ctx, ds, []*jobQuery{q})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// header is the one producer of a ResultHeader: the plan outcome plus
+// whether the job combined on the map side.
+func (o PlanOutcome) header(early bool) ResultHeader {
+	return ResultHeader{
+		Plan:            o.Plan,
+		SampledPlan:     o.Sampled,
+		EarlyAggregated: early,
+		SampleSeconds:   o.SampleSeconds,
+		PlanCached:      o.DecisionCached,
+	}
+}
+
+// earlyFor decides map-side early aggregation for a workflow: on iff the
+// engine asks for it and every measure can be derived from mergeable
+// partial states.
+func (e *Engine) earlyFor(ev *localeval.Evaluator) bool {
+	return e.cfg.EarlyAggregation == EarlyAggAuto && ev.SupportsEarlyAggregation() == nil
+}
+
+// jobQuery is one query of an evaluation job.
+type jobQuery struct {
+	w       *workflow.Workflow
+	outcome PlanOutcome
+	ev      *localeval.Evaluator
+	// tag prefixes the query's output keys: its uvarint ordinal in a
+	// multi-query job, empty in a job of one (set by startJob).
+	tag []byte
+}
+
+func newJobQuery(w *workflow.Workflow, outcome PlanOutcome) (*jobQuery, error) {
+	ev, err := localeval.New(w)
+	if err != nil {
+		return nil, err
+	}
+	return &jobQuery{w: w, outcome: outcome, ev: ev}, nil
+}
+
+// jobGroup is a set of a job's queries whose plans agree on block geometry
+// (equal distribution key and clustering factor): they redistribute
+// records identically, so one emitted pair per (record, block) serves
+// every member and the reducer builds the record group once.
+type jobGroup struct {
+	// tag prefixes the group's shuffle keys: its uvarint ordinal in a
+	// multi-query job, empty in a job of one.
+	tag     []byte
+	bm      *distkey.BlockMapper
+	members []int // indices into the job's query slice
+}
+
 // jobStart is a launched evaluation job: the streaming output pipe plus
-// the plan facts consumers need to decode and label it.
+// the facts consumers need to decode, label and account it.
 type jobStart struct {
-	pipe  *mr.Pipe
-	plan  optimizer.Plan
-	early bool
-	arity int
+	eng     *Engine
+	pipe    *mr.Pipe
+	queries []*jobQuery
+	groups  []*jobGroup
+	early   bool
+	arity   int
 	// reuse is the run's result-reuse session (nil when reuse does not
 	// apply). The job fills it per block; only a consumer that drains the
 	// job to completion may commit its manifest.
 	reuse *resultReuse
 }
 
-// startJob builds the evaluation job for the workflow under the given
-// plan outcome and starts it, returning the streaming output. The caller
-// owns the pipe and must Close it on every path. RunWithPlanContext
-// drains it into a materialized Result; EvaluateStream hands it to the
-// caller row by row.
-func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset, outcome PlanOutcome) (*jobStart, error) {
+// startJob builds the one MapReduce job that answers the given queries
+// over the dataset and starts it, returning the streaming output. The
+// caller owns the pipe and must Close it on every path: runJob drains it
+// into materialized Results; EvaluateStream hands it to the caller row by
+// row.
+//
+// Every map task decodes each record once for the whole job and emits one
+// pair per (geometry group, block); every reduce group evaluates each
+// member query exactly as that query's own job would. A job of one query
+// is the degenerate case, not a separate path: its only group carries an
+// empty tag, so shuffle keys, output keys and the combined-key prefix are
+// the bare single-query bytes and the priced counters are those of a
+// hand-written single-query job. Only a job of one may combine on the map
+// side (the combiner's payloads are per-workflow), stop at a Stage, or use
+// the result cache; EvaluateBatchContext partitions accordingly.
+func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (*jobStart, error) {
 	s := ds.Schema
-	plan := outcome.Plan
-	bm, err := distkey.NewBlockMapper(s, plan.Key, plan.ClusteringFactor)
-	if err != nil {
-		return nil, fmt.Errorf("core: plan not executable: %w", err)
-	}
-	ev, err := localeval.New(w)
-	if err != nil {
-		return nil, err
-	}
-
-	early := false
-	switch e.cfg.EarlyAggregation {
-	case EarlyAggOn:
-		if err := ev.SupportsEarlyAggregation(); err != nil {
-			return nil, err
+	arity := s.NumAttrs()
+	tagged := len(queries) > 1
+	tag := func(ordinal int) []byte {
+		if !tagged {
+			return nil
 		}
-		early = true
-	case EarlyAggAuto:
-		early = ev.SupportsEarlyAggregation() == nil
+		return binary.AppendUvarint(nil, uint64(ordinal))
 	}
+	js := &jobStart{eng: e, queries: queries, arity: arity}
+
+	// Geometry grouping: the pair fan-out (and the reducers' group builds)
+	// scale with distinct geometries, not with queries.
+	for qi, q := range queries {
+		plan := q.outcome.Plan
+		gi := slices.IndexFunc(js.groups, func(g *jobGroup) bool {
+			return g.bm.ClusteringFactor() == plan.ClusteringFactor && g.bm.Key().Equal(plan.Key)
+		})
+		if gi < 0 {
+			bm, err := distkey.NewBlockMapper(s, plan.Key, plan.ClusteringFactor)
+			if err != nil {
+				return nil, fmt.Errorf("core: plan not executable: %w", err)
+			}
+			gi = len(js.groups)
+			js.groups = append(js.groups, &jobGroup{tag: tag(gi), bm: bm})
+		}
+		js.groups[gi].members = append(js.groups[gi].members, qi)
+		q.tag = tag(qi)
+	}
+	groups := js.groups
+
+	var basics []*workflow.Measure
+	if !tagged {
+		q := queries[0]
+		js.early = e.earlyFor(q.ev)
+		js.reuse = e.newResultReuse(q.w, ds, q.outcome.Plan)
+		basics = q.w.Basics()
+	}
+	early, ru := js.early, js.reuse
 	combined := e.cfg.SortMode == CombinedKeySort && !early
 
-	arity := s.NumAttrs()
-	basics := w.Basics()
+	job := mr.Job{Name: "casm", Input: ds.Input, Config: e.mrConfig()}
 
-	// Each map task gets a distkey.Session (scratch + block-key intern
-	// cache for allocation-free per-record key generation) plus a combined
-	// key scratch; each reduce task additionally gets a localeval.Session
-	// — the arena-backed evaluator state reused across all of the task's
-	// groups.
-	newMapLocal := func(st *mr.TaskStats) any {
-		return &mapLocal{dk: bm.NewSession(), rec: make(cube.Record, arity)}
-	}
-	newReduceLocal := func(st *mr.TaskStats) any {
-		return &reduceLocal{
-			dk:  bm.NewSession(),
-			ev:  ev.NewSession(),
-			out: newOwnedOutput(nil, len(w.Measures())),
+	// Each map task gets a distkey.Session per geometry group (scratch +
+	// block-key intern cache for allocation-free per-record key generation)
+	// plus a combined-key arena; each reduce task additionally gets a
+	// localeval.Session per query — the arena-backed evaluator state reused
+	// across all of the task's groups.
+	job.Config.NewMapLocal = func(*mr.TaskStats) any {
+		ml := &mapLocal{dks: make([]*distkey.Session, len(groups)), rec: make(cube.Record, arity)}
+		if tagged {
+			ml.keys = make([]map[string][]byte, len(groups))
 		}
+		for gi, g := range groups {
+			ml.dks[gi] = g.bm.NewSession()
+			if tagged {
+				ml.keys[gi] = make(map[string][]byte)
+			}
+		}
+		return ml
+	}
+	job.Config.NewReduceLocal = func(*mr.TaskStats) any {
+		rl := &reduceLocal{
+			dks:  make([]*distkey.Session, len(groups)),
+			evs:  make([]*localeval.Session, len(queries)),
+			outs: make([]*ownedOutput, len(queries)),
+			rec:  make(cube.Record, arity),
+		}
+		for gi, g := range groups {
+			rl.dks[gi] = g.bm.NewSession()
+		}
+		for qi, q := range queries {
+			rl.evs[qi] = q.ev.NewSession()
+			rl.outs[qi] = newOwnedOutput(q.tag, len(q.w.Measures()))
+		}
+		return rl
 	}
 
-	mapFn := func(ctx *mr.MapCtx, raw []byte) error {
+	job.Map = func(ctx *mr.MapCtx, raw []byte) error {
 		ml := ctx.Local.(*mapLocal)
-		sess := ml.dk
-		rec := ml.rec // per-task decode buffer: Blocks only reads it
-		if err := recio.DecodeRecordInto(raw, rec); err != nil {
+		// One decode for the whole job, one emit per geometry group and
+		// block: this loop is the shared scan and the shared shuffle. Every
+		// emitted value aliases the same raw record storage, so fan-out
+		// costs keys, not copies.
+		if err := recio.DecodeRecordInto(raw, ml.rec); err != nil {
 			return err
 		}
-		for _, block := range sess.Blocks(rec) {
-			key := block // interned: allocated once per distinct block per task
-			if combined {
-				// Emit retains the key, so the composite block+record
-				// bytes must be owned by the pair; the task arena gives
-				// them a stable home at one allocation per 64KiB of keys
-				// instead of one per pair.
-				key = ml.keys.concat(nil, block, raw)
+		var hits int64
+		for gi, g := range groups {
+			sess := ml.dks[gi]
+			for _, block := range sess.Blocks(ml.rec) {
+				key := block // interned: allocated once per distinct block per task
+				switch {
+				case combined:
+					// Emit retains the key, so the composite block+record
+					// bytes must be owned by the pair; the task arena gives
+					// them a stable home at one allocation per 64KiB of keys
+					// instead of one per pair.
+					key = ml.arena.concat(g.tag, block, raw)
+				case tagged:
+					key = ml.taggedBlock(gi, g.tag, block)
+				}
+				if err := ctx.Emit(key, raw); err != nil {
+					return err
+				}
 			}
-			if err := ctx.Emit(key, raw); err != nil {
-				return err
-			}
+			hits += sess.Hits
 		}
-		ctx.Stats.KeyCacheHits = sess.Hits
+		ctx.Stats.KeyCacheHits = hits
 		return nil
 	}
 
-	var combinerFactory mr.CombinerFactory
 	if early {
-		combinerFactory = func(st *mr.TaskStats) mr.Combiner {
+		job.Config.NewCombiner = func(st *mr.TaskStats) mr.Combiner {
 			return newEarlyAggCombiner(s, basics, st)
 		}
 	}
 
-	ru := e.newResultReuse(w, ds, plan)
-
-	reduceFn := func(ctx *mr.ReduceCtx, blockKey []byte, values *mr.GroupIter) error {
+	job.Reduce = func(ctx *mr.ReduceCtx, groupKey []byte, values *mr.GroupIter) error {
 		rl := ctx.Local.(*reduceLocal)
-		es := rl.ev
+		gi, blockKey := 0, groupKey
+		if tagged {
+			g, n := binary.Uvarint(groupKey)
+			if n <= 0 || g >= uint64(len(groups)) {
+				return fmt.Errorf("core: shuffle group key with bad group tag")
+			}
+			gi, blockKey = int(g), groupKey[n:]
+		}
+		dk, members := rl.dks[gi], groups[gi].members
 		switch e.cfg.Stage {
 		case StageShuffle:
 			return values.Drain()
 		case StageSort:
+			es := rl.evs[members[0]]
 			if err := loadGroup(values, es); err != nil {
 				return err
 			}
@@ -282,7 +411,7 @@ func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset
 		// from the cache (the shuffled records are drained unread, their
 		// evaluation skipped); a miss evaluates normally and captures the
 		// emitted rows for the cache on the way out.
-		fill := false
+		var canon map[string]int
 		if ru != nil {
 			rl.cacheKey = append(append(rl.cacheKey[:0], ru.prefix...), blockKey...)
 			if rows, ok := ru.rc.Get(rl.cacheKey); ok {
@@ -292,74 +421,92 @@ func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset
 					return err
 				}
 				ru.note(rl.cacheKey)
-				ctx.Stats.KeyCacheHits = rl.dk.Hits
-				return ru.emitCached(ctx, rl, rows)
+				ctx.Stats.KeyCacheHits = dk.Hits
+				return ru.emitCached(ctx, rl.outs[0], rows)
 			}
 			ctx.Stats.ResultCacheMisses++
-			fill = true
+			canon = ru.canonIdx
 			rl.capture = rl.capture[:0]
 		}
-		var results []localeval.Result
-		var est localeval.Stats
-		if early {
-			groups, pairs, err := collectPartials(values, basics, arity)
+		// Build the record group once and evaluate every member against it.
+		// Partial states merge per (basic, region); a lone member's records
+		// load straight into its block arena; several members decode each
+		// payload once and copy the decoded row.
+		var partials map[string][]localeval.BasicGroup
+		var pairs int64
+		var err error
+		switch {
+		case early:
+			partials, pairs, err = collectPartials(values, basics, arity)
+		case len(members) == 1:
+			err = loadGroup(values, rl.evs[members[0]])
+		default:
+			err = loadShared(values, rl, members)
+		}
+		if err != nil {
+			return err
+		}
+		for _, qi := range members {
+			es := rl.evs[qi]
+			var results []localeval.Result
+			var est localeval.Stats
+			if early {
+				results, est, err = es.EvaluateFromBasics(partials)
+				ctx.Stats.EvalRecords += pairs
+				// Merging the partial states requires grouping them by
+				// (measure, region); Hadoop does this by sorting, so the cost
+				// model prices it like the in-group sort it replaces.
+				ctx.Stats.GroupSortItems += pairs
+			} else {
+				results, est, err = es.EvaluateBlock(localeval.Options{SkipSort: combined})
+				ctx.Stats.EvalRecords += est.ScannedRecords
+			}
 			if err != nil {
 				return err
 			}
-			results, est, err = es.EvaluateFromBasics(groups)
-			if err != nil {
-				return err
+			ctx.Stats.GroupSortItems += est.SortedItems
+			ctx.Stats.WindowLookups += est.WindowLookups
+			// Results alias the evaluator session's arenas and are only valid
+			// inside this group — emitting copies what survives the filter.
+			if !rl.outs[qi].emit(ctx, dk, blockKey, results, canon, &rl.capture) {
+				// Unmappable measure name: drop the fill and poison the
+				// manifest rather than cache an incomplete block.
+				canon = nil
+				ru.markIncomplete()
 			}
-			ctx.Stats.EvalRecords += pairs
-			// Merging the partial states requires grouping them by
-			// (measure, region); Hadoop does this by sorting, so the cost
-			// model prices it like the in-group sort it replaces.
-			ctx.Stats.GroupSortItems += pairs
-		} else {
-			if err := loadGroup(values, es); err != nil {
-				return err
-			}
-			var err error
-			results, est, err = es.EvaluateBlock(localeval.Options{SkipSort: combined})
-			if err != nil {
-				return err
-			}
-			ctx.Stats.EvalRecords += est.ScannedRecords
 		}
-		ctx.Stats.GroupSortItems += est.SortedItems
-		ctx.Stats.WindowLookups += est.WindowLookups
-		// Results alias the evaluator session's arenas and are only valid
-		// inside this group — emitting copies what survives the filter.
-		var canon map[string]int
-		if fill {
-			canon = ru.canonIdx
-		}
-		if !rl.out.emit(ctx, rl.dk, blockKey, results, canon, &rl.capture) {
-			// Unmappable measure name: drop the fill and poison the
-			// manifest rather than cache an incomplete block.
-			fill = false
-			ru.markIncomplete()
-		}
-		if fill {
+		if canon != nil {
 			ru.rc.Put(rl.cacheKey, append([]byte(nil), rl.capture...))
 			ru.note(rl.cacheKey)
 		}
-		ctx.Stats.KeyCacheHits = rl.dk.Hits
-		ctx.Stats.EvalArenaBytes = es.ArenaBytes
-		ctx.Stats.AggPoolHits = es.PoolHits
+		var hits, arena, pool int64
+		for _, dk := range rl.dks {
+			hits += dk.Hits
+		}
+		for _, es := range rl.evs {
+			arena += es.ArenaBytes
+			pool += es.PoolHits
+		}
+		ctx.Stats.KeyCacheHits = hits
+		ctx.Stats.EvalArenaBytes = arena
+		ctx.Stats.AggPoolHits = pool
 		return nil
 	}
 
-	job := mr.Job{Name: "casm", Input: ds.Input, Map: mapFn, Reduce: reduceFn, Config: e.mrConfig()}
-	job.Config.NewCombiner = combinerFactory
-	job.Config.NewMapLocal = newMapLocal
-	job.Config.NewReduceLocal = newReduceLocal
 	if combined {
-		// Zero-alloc group identity: the block key is a prefix sub-slice
-		// of the combined shuffle key. Setting GroupBy is also what puts
-		// the reducers on the sorted path the combined key needs; plain
-		// block keys and early aggregation hash-group.
-		job.Config.GroupBy = func(key []byte) []byte { return key[:blockPrefixLen(key, arity)] }
+		// Zero-alloc group identity: the tag + block key is a prefix
+		// sub-slice of the combined shuffle key. Setting GroupBy is also
+		// what puts the reducers on the sorted path the combined key needs;
+		// plain block keys and early aggregation hash-group.
+		job.Config.GroupBy = func(key []byte) []byte {
+			n := 0
+			if tagged {
+				if _, n = binary.Uvarint(key); n <= 0 {
+					return key
+				}
+			}
+			return key[:n+blockPrefixLen(key[n:], arity)]
+		}
 	}
 	if e.cfg.Stage == StageMapOnly {
 		job.Config.ShuffleDisabled = true
@@ -369,90 +516,137 @@ func (e *Engine) startJob(ctx context.Context, w *workflow.Workflow, ds *Dataset
 	if err != nil {
 		return nil, err
 	}
-	return &jobStart{pipe: pipe, plan: plan, early: early, arity: arity, reuse: ru}, nil
+	js.pipe = pipe
+	return js, nil
 }
 
-// RunWithPlanContext executes the workflow under an explicit plan
-// outcome; see EvaluateContext for the execution and cancellation
-// contract.
+// stats returns the job's counters and simulated response time, sampling
+// passes included; valid once the pipe has ended. Every map task's one
+// scan served all Q queries, so Q-1 rescans of its input bytes never
+// happened; the plans the job did not recompute are tallied on the first
+// map task so the jobwide sum reads right.
+func (js *jobStart) stats() (mr.JobStats, costmodel.Estimate) {
+	st := js.pipe.Stats()
+	var planHits int64
+	var sampleSeconds float64
+	for _, q := range js.queries {
+		if q.outcome.DecisionCached {
+			planHits++
+		}
+		sampleSeconds += q.outcome.SampleSeconds
+	}
+	n := int64(len(js.queries))
+	for t := range st.MapTasks {
+		st.MapTasks[t].SharedScanQueries = n
+		st.MapTasks[t].SharedScanBytesSaved = (n - 1) * st.MapTasks[t].BytesRead
+	}
+	if len(st.MapTasks) > 0 {
+		st.MapTasks[0].PlanCacheHits = planHits
+	}
+	return st, js.eng.estimate(st, sampleSeconds)
+}
+
+// runJob answers the queries with one job: start it, drain its output into
+// one Result per query (in query order), and sort each measure into
+// canonical order. It also returns the job's geometry groups. A job of one
+// first tries the committed manifest of a previous identical run — no job,
+// no input bytes scanned.
 //
 // The job's output is streamed: batches of measure records are decoded
-// into the result as reduce tasks emit them, concurrently with the rest
+// into the results as reduce tasks emit them, concurrently with the rest
 // of the reduce phase, instead of materializing one all-reducers []Pair
 // first. The emitted Value buffers become garbage batch by batch and the
 // batch slices recycle through the transport pool, so peak memory holds
 // the decoded result, not the decoded result plus its full wire form.
-func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, ds *Dataset, outcome PlanOutcome) (*Result, error) {
-	// Whole-query reuse: a committed manifest for this exact (dataset,
-	// workflow structure, plan) assembles the answer without a job — no
-	// input bytes scanned, no shuffle. Falls through on any gap.
-	if ru := e.newResultReuse(w, ds, outcome.Plan); ru != nil {
-		if out, ok := e.resultFromCache(ctx, w, ds, ru, outcome); ok {
-			return out, nil
+func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) ([]*Result, []*jobGroup, error) {
+	if len(queries) == 1 {
+		q := queries[0]
+		if ru := e.newResultReuse(q.w, ds, q.outcome.Plan); ru != nil {
+			if out, ok := e.resultFromCache(ctx, q.w, ds, ru, q.outcome); ok {
+				return []*Result{out}, nil, nil
+			}
 		}
 	}
-	js, err := e.startJob(ctx, w, ds, outcome)
+	js, err := e.startJob(ctx, ds, queries)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pipe, arity := js.pipe, js.arity
-	defer pipe.Close() // tears the job down on assembly-error paths
+	defer js.pipe.Close() // tears the job down on assembly-error paths
 
-	out := &Result{
-		Measures:        make(map[string][]MeasureRecord, len(w.Measures())),
-		Plan:            js.plan,
-		SampledPlan:     outcome.Sampled,
-		EarlyAggregated: js.early,
-		SampleSeconds:   outcome.SampleSeconds,
-		PlanCached:      outcome.DecisionCached,
-	}
-	asm := assembler{arity: arity}
-	err = asm.drain(pipe, func(key []byte) (*asmSlot, error) {
-		m, ok := w.Measure(string(key))
-		if !ok {
-			return nil, fmt.Errorf("core: output for unknown measure %q", key)
+	results := make([]*Result, len(queries))
+	for qi, q := range queries {
+		results[qi] = &Result{
+			ResultHeader: q.outcome.header(js.early),
+			Measures:     make(map[string][]MeasureRecord, len(q.w.Measures())),
 		}
-		return asm.slot(out.Measures, m), nil
+	}
+	asm := assembler{arity: js.arity}
+	err = asm.drain(js.pipe, func(key []byte) (*asmSlot, error) {
+		qi, m, err := js.resolve(key)
+		if err != nil {
+			return nil, err
+		}
+		return asm.slot(results[qi].Measures, m), nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	out.Stats = pipe.Stats()
-	if outcome.DecisionCached && len(out.Stats.MapTasks) > 0 {
-		// One reused plan per job; stamped on the first map task so the
-		// jobwide sum reads "plans this job did not recompute".
-		out.Stats.MapTasks[0].PlanCacheHits = 1
+		return nil, nil, err
 	}
 	// Batches arrive in reduce-completion order; the assembler's sort makes
 	// the canonical result bytes independent of that interleaving.
 	if err := asm.finish(ctx, e.cfg.Executor); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out.Estimate = EstimateFromStats(e.cfg.Cluster, out.Stats)
-	out.Estimate.ReduceSeconds += outcome.SampleSeconds
+	st, est := js.stats()
+	for _, res := range results {
+		// The scan cost is joint — it cannot be attributed to one query.
+		res.Stats, res.Estimate = st, est
+	}
 	// The run drained every reduce group, so its touched-entry set is the
 	// complete answer: publish the manifest for whole-query reuse.
 	if js.reuse != nil {
 		js.reuse.commit()
 	}
-	return out, nil
+	return results, js.groups, nil
+}
+
+// resolve demultiplexes one output key into its query and measure.
+func (js *jobStart) resolve(key []byte) (int, *workflow.Measure, error) {
+	qi := 0
+	if len(js.queries) > 1 {
+		q, n := binary.Uvarint(key)
+		if n <= 0 || q >= uint64(len(js.queries)) {
+			return 0, nil, fmt.Errorf("core: output with bad query tag")
+		}
+		qi, key = int(q), key[n:]
+	}
+	m, ok := js.queries[qi].w.Measure(string(key))
+	if !ok {
+		return 0, nil, fmt.Errorf("core: output for unknown measure %q", key)
+	}
+	return qi, m, nil
 }
 
 // mrConfig is the substrate configuration every job of this engine
 // shares; each job adds its own hooks (combiner, task locals, GroupBy).
 func (e *Engine) mrConfig() mr.Config {
 	return mr.Config{
-		NumReducers:       e.cfg.NumReducers,
-		Executor:          e.cfg.Executor,
-		MapParallelism:    e.cfg.MapParallelism,
-		ReduceParallelism: e.cfg.ReduceParallelism,
-		Transport:         e.cfg.Transport,
-		MorselBytes:       e.cfg.MorselBytes,
-		LocalAggBudget:    e.cfg.LocalAggBudget,
-		SortMemoryItems:   e.cfg.SortMemoryItems,
-		TempDir:           e.cfg.TempDir,
-		FailureInjector:   e.cfg.FailureInjector,
+		NumReducers:     e.cfg.NumReducers,
+		Executor:        e.cfg.Executor,
+		MapParallelism:  e.cfg.MapParallelism,
+		MorselBytes:     e.cfg.MorselBytes,
+		LocalAggBudget:  e.cfg.LocalAggBudget,
+		SortMemoryItems: e.cfg.SortMemoryItems,
+		TempDir:         e.cfg.TempDir,
+		FailureInjector: e.cfg.FailureInjector,
 	}
+}
+
+// estimate is the simulated response time of a run with the given
+// counters on the engine's cluster, plus its sampling passes.
+func (e *Engine) estimate(st mr.JobStats, sampleSeconds float64) costmodel.Estimate {
+	est := EstimateFromStats(e.cfg.Cluster, st)
+	est.ReduceSeconds += sampleSeconds
+	return est
 }
 
 // EstimateFromStats converts substrate counters into a simulated response
@@ -630,13 +824,30 @@ func splitPartial(b []byte) (int, []byte, []byte, error) {
 	return int(idx), b[:ckLen], b[ckLen:], nil
 }
 
-// mapLocal is one map task's reusable state (mr.Config.NewMapLocal).
+// mapLocal is one map task's reusable state (mr.Config.NewMapLocal): a
+// distkey session per geometry group, one record decode buffer, and the
+// combined-key arena.
 type mapLocal struct {
-	dk *distkey.Session
+	dks []*distkey.Session
 	// rec is the task's record decode buffer, reused across records
 	// (nothing downstream retains it — block keys are interned copies).
-	rec  cube.Record
-	keys keyArena
+	rec cube.Record
+	// keys interns, per group of a multi-query job, bare block key bytes →
+	// stable tagged key; nil in a job of one, whose keys carry no tag.
+	keys  []map[string][]byte
+	arena keyArena
+}
+
+// taggedBlock interns tag+block once per distinct block per task; the
+// returned slice is stable for the job's duration, satisfying Emit's
+// retention rule at (amortized) zero allocations per pair.
+func (ml *mapLocal) taggedBlock(gi int, tag, block []byte) []byte {
+	if k, ok := ml.keys[gi][string(block)]; ok {
+		return k
+	}
+	k := append(append(make([]byte, 0, len(tag)+len(block)), tag...), block...)
+	ml.keys[gi][string(block)] = k
+	return k
 }
 
 // keyArena gives combined shuffle keys a stable home. They are unique per
@@ -657,8 +868,8 @@ const (
 	keyChunkMax = 1 << 16
 )
 
-// concat appends tag+block+raw (tag is the shared-scan job's group
-// ordinal, nil otherwise) and returns the stable composite key. A full
+// concat appends tag+block+raw (tag is a multi-query job's group ordinal,
+// empty otherwise) and returns the stable composite key. A full
 // chunk is abandoned (kept alive by the emitted keys pointing into it) and
 // a fresh one started, so handed-out keys are never moved or logically
 // extended by later appends.
@@ -674,11 +885,11 @@ func (a *keyArena) concat(tag, block, raw []byte) []byte {
 	return a.chunk[start:len(a.chunk):len(a.chunk)]
 }
 
-// ownedOutput is the tail of a reduce call, shared by the single-query
-// and the shared-scan job: the ownership filter, the output-record
-// encoding, and the emit under a per-task interned key.
+// ownedOutput is the tail of one query's reduce call: the ownership
+// filter, the output-record encoding, and the emit under a per-task
+// interned key.
 type ownedOutput struct {
-	tag []byte // output-key prefix: the shared-scan job's query ordinal, else nil
+	tag []byte // output-key prefix: a multi-query job's query ordinal, else empty
 	// names interns one stable []byte per measure name for EmitStable
 	// (output keys are retained by the framework uncopied, so they must
 	// never be scratch); enc is the output-record encode scratch.
@@ -729,13 +940,16 @@ func (o *ownedOutput) emit(ctx *mr.ReduceCtx, dk *distkey.Session, blockKey []by
 }
 
 // reduceLocal is one reduce task's reusable state
-// (mr.Config.NewReduceLocal): the block-key intern session and the
-// arena-backed evaluator session, both shared across all of the task's
-// groups.
+// (mr.Config.NewReduceLocal), shared across all of the task's groups: a
+// block-key intern session per geometry group (one ownership probe cache
+// serves every member), and an arena-backed evaluator session and output
+// tail per query.
 type reduceLocal struct {
-	dk  *distkey.Session
-	ev  *localeval.Session
-	out *ownedOutput
+	dks  []*distkey.Session
+	evs  []*localeval.Session
+	outs []*ownedOutput
+	// rec is the decode-once buffer of groups with several members.
+	rec cube.Record
 	// cacheKey and capture are the result-reuse scratch: the probe key of
 	// the current group and the cached-row encoding of its emitted output
 	// (both copied before the cache retains them).
@@ -757,6 +971,26 @@ func loadGroup(values *mr.GroupIter, es *localeval.Session) error {
 		}
 		if err := es.AppendRaw(p.Value); err != nil {
 			return err
+		}
+	}
+}
+
+// loadShared decodes each of a group's raw records once and appends the
+// decoded row to every member query's evaluator session.
+func loadShared(values *mr.GroupIter, rl *reduceLocal, members []int) error {
+	for {
+		p, ok, err := values.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return nil
+		}
+		if err := recio.DecodeRecordInto(p.Value, rl.rec); err != nil {
+			return err
+		}
+		for _, qi := range members {
+			rl.evs[qi].AppendRecord(rl.rec)
 		}
 	}
 }

@@ -281,8 +281,8 @@ func (s *Service) Evaluate(ctx context.Context, tenant, dataset string, w *workf
 }
 
 // EvaluateBatch runs a workflow batch for the tenant against a registered
-// dataset through the shared-scan batch path, under one admission slot
-// (the batch is one job submission, however many queries it carries).
+// dataset under one admission slot (the batch is one submission, however
+// many queries and jobs it carries).
 func (s *Service) EvaluateBatch(ctx context.Context, tenant, dataset string, ws []*workflow.Workflow) (*BatchResult, exec.Timing, error) {
 	var tm exec.Timing
 	ds, err := s.Dataset(dataset)
@@ -310,25 +310,31 @@ func (s *Service) EvaluateBatch(ctx context.Context, tenant, dataset string, ws 
 // the job lives. Close is idempotent.
 type ServiceStream struct {
 	*ResultStream
-	tk *exec.Ticket
-	tm exec.Timing
-	s  *Service
+	tk     *exec.Ticket
+	tm     exec.Timing
+	s      *Service
+	closed bool
 }
 
 // Close tears down the stream and releases the tenant's admission slot.
+// The first Close also stamps Timing().Wall and, when the stream was
+// consumed to its end without error, counts one completed evaluation.
 func (st *ServiceStream) Close() error {
 	err := st.ResultStream.Close()
-	st.tk.Release()
+	if !st.closed {
+		st.closed = true
+		st.tm.Wall = time.Since(st.tm.Start)
+		st.tk.Release()
+		if st.ended && err == nil {
+			st.s.countEval(1)
+		}
+	}
 	return err
 }
 
 // Timing returns the stream's admission/dispatch timing; Wall is filled
 // in by Close (or stays zero if never closed).
-func (st *ServiceStream) Timing() exec.Timing {
-	tm := st.tm
-	tm.Wall = time.Since(tm.Start)
-	return tm
-}
+func (st *ServiceStream) Timing() exec.Timing { return st.tm }
 
 // EvaluateStream starts a streaming evaluation for the tenant against a
 // registered dataset. The returned stream owns the tenant's admission
@@ -348,7 +354,6 @@ func (s *Service) EvaluateStream(ctx context.Context, tenant, dataset string, w 
 		tk.Release()
 		return nil, err
 	}
-	s.countEval(1)
 	return &ServiceStream{ResultStream: rs, tk: tk, tm: tm, s: s}, nil
 }
 

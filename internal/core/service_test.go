@@ -341,6 +341,85 @@ func TestServiceStreamHoldsAdmission(t *testing.T) {
 	}
 }
 
+// TestServiceStreamCountsOnlyCompleted: Evaluations counts completed
+// evaluations, so a stream abandoned mid-way is not one, and a stream
+// consumed to its end counts once, at Close.
+func TestServiceStreamCountsOnlyCompleted(t *testing.T) {
+	su := workload.NewSuite()
+	svc := newTestService(t, ServiceConfig{Engine: Config{NumReducers: 2}})
+	defer svc.Drain(context.Background())
+	if err := svc.Register("events", MemoryDataset(su.Schema, su.Generate(1500, workload.Uniform, 5), 4)); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := svc.EvaluateStream(context.Background(), "t", "events", su.Q1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := st.Next(); !ok || err != nil {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := svc.Stats().Evaluations; n != 0 {
+		t.Fatalf("Evaluations = %d after an early-closed stream, want 0", n)
+	}
+
+	st, err = svc.EvaluateStream(context.Background(), "t", "events", su.Q1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		_, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if n := svc.Stats().Evaluations; n != 0 {
+		t.Fatalf("Evaluations = %d before the drained stream was closed, want 0", n)
+	}
+	st.Close()
+	st.Close()
+	if n := svc.Stats().Evaluations; n != 1 {
+		t.Fatalf("Evaluations = %d after one completed stream, want 1", n)
+	}
+}
+
+// TestServiceStreamWallFrozenByClose: Timing().Wall is zero while the
+// stream is open and stops growing once Close has stamped it.
+func TestServiceStreamWallFrozenByClose(t *testing.T) {
+	su := workload.NewSuite()
+	svc := newTestService(t, ServiceConfig{Engine: Config{NumReducers: 2}})
+	defer svc.Drain(context.Background())
+	if err := svc.Register("events", MemoryDataset(su.Schema, su.Generate(1500, workload.Uniform, 5), 4)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.EvaluateStream(context.Background(), "t", "events", su.Q1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close() // a failed check must not leave Drain waiting on the slot
+	if w := st.Timing().Wall; w != 0 {
+		t.Fatalf("Wall = %v on an open stream, want 0", w)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wall := st.Timing().Wall
+	if wall <= 0 {
+		t.Fatalf("Wall = %v after Close", wall)
+	}
+	time.Sleep(5 * time.Millisecond)
+	st.Close()
+	if again := st.Timing().Wall; again != wall {
+		t.Fatalf("Wall moved after Close: %v then %v", wall, again)
+	}
+}
+
 // TestServiceRegistry: unknown datasets fail with the typed error,
 // duplicate registration is rejected, and registration settles identity
 // (cardinality counted once, tag stamped).

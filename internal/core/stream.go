@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
@@ -36,51 +34,42 @@ type ResultRow struct {
 // call (coordinates decode into a reused buffer); Measure is an interned
 // string, safe to retain.
 type ResultStream struct {
-	eng  *Engine
-	pipe *mr.Pipe
-	w    *workflow.Workflow
+	// The plan facts, valid immediately.
+	ResultHeader
 
-	// Plan facts, valid immediately.
-	Plan            optimizer.Plan
-	SampledPlan     bool
-	EarlyAggregated bool
-	SampleSeconds   float64
-
-	arity  int
+	js     *jobStart
 	byKey  map[string]*workflow.Measure
 	coords []int64
 	cur    []transport.Pair
 	i      int
 	rows   int64
+	ended  bool // Next reached the end of the stream without error
 }
 
 // EvaluateStream plans the workflow and starts its evaluation, returning
 // the streaming result. The engine, executor sharing, and cancellation
 // contract match EvaluateContext; only the output handoff differs — rows
-// flow to the caller while the job still runs, so a sink sees the first
-// row before the last record is mapped (given a transport whose
-// per-reducer streams can end early) and peak memory never holds the
-// whole result.
+// flow to the caller while the job still runs (a reducer whose shuffle
+// stream has ended starts emitting while its siblings still collect) and
+// peak memory never holds the whole result.
 func (e *Engine) EvaluateStream(ctx context.Context, w *workflow.Workflow, ds *Dataset) (*ResultStream, error) {
 	outcome, err := e.PlanContext(ctx, w, ds)
 	if err != nil {
 		return nil, err
 	}
-	js, err := e.startJob(ctx, w, ds, outcome)
+	q, err := newJobQuery(w, outcome)
+	if err != nil {
+		return nil, err
+	}
+	js, err := e.startJob(ctx, ds, []*jobQuery{q})
 	if err != nil {
 		return nil, err
 	}
 	return &ResultStream{
-		eng:             e,
-		pipe:            js.pipe,
-		w:               w,
-		Plan:            js.plan,
-		SampledPlan:     outcome.Sampled,
-		EarlyAggregated: js.early,
-		SampleSeconds:   outcome.SampleSeconds,
-		arity:           js.arity,
-		byKey:           make(map[string]*workflow.Measure, len(w.Measures())),
-		coords:          make([]int64, js.arity),
+		ResultHeader: outcome.header(js.early),
+		js:           js,
+		byKey:        make(map[string]*workflow.Measure, len(w.Measures())),
+		coords:       make([]int64, js.arity),
 	}, nil
 }
 
@@ -92,8 +81,9 @@ func (s *ResultStream) Next() (ResultRow, bool, error) {
 			transport.RecycleBatch(s.cur)
 			s.cur = nil
 		}
-		_, pairs, ok, err := s.pipe.NextBatch()
+		_, pairs, ok, err := s.js.pipe.NextBatch()
 		if err != nil || !ok {
+			s.ended = err == nil
 			return ResultRow{}, false, err
 		}
 		s.cur, s.i = pairs, 0
@@ -102,11 +92,11 @@ func (s *ResultStream) Next() (ResultRow, bool, error) {
 	s.i++
 	m, ok := s.byKey[string(p.Key)]
 	if !ok {
-		name := string(p.Key)
-		if m, ok = s.w.Measure(name); !ok {
-			return ResultRow{}, false, fmt.Errorf("core: output for unknown measure %q", name)
+		var err error
+		if _, m, err = s.js.resolve(p.Key); err != nil {
+			return ResultRow{}, false, err
 		}
-		s.byKey[name] = m
+		s.byKey[string(p.Key)] = m
 	}
 	key, v, err := splitMeasureRecord(p.Value)
 	if err == nil {
@@ -125,18 +115,20 @@ func (s *ResultStream) Next() (ResultRow, bool, error) {
 
 // Close tears the job down if it is still running and releases the
 // stream; idempotent (see mr.Pipe.Close for the early-close contract).
-func (s *ResultStream) Close() error { return s.pipe.Close() }
+func (s *ResultStream) Close() error { return s.js.pipe.Close() }
 
 // Rows reports how many rows the stream has yielded so far.
 func (s *ResultStream) Rows() int64 { return s.rows }
 
 // Stats returns the job's counters; valid once the stream has ended.
-func (s *ResultStream) Stats() mr.JobStats { return s.pipe.Stats() }
+func (s *ResultStream) Stats() mr.JobStats {
+	st, _ := s.js.stats()
+	return st
+}
 
 // Estimate returns the simulated response time on the engine's cluster,
 // including any sampling overhead; valid once the stream has ended.
 func (s *ResultStream) Estimate() costmodel.Estimate {
-	est := EstimateFromStats(s.eng.cfg.Cluster, s.pipe.Stats())
-	est.ReduceSeconds += s.SampleSeconds
+	_, est := s.js.stats()
 	return est
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/casm-project/casm/internal/cube"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -61,12 +60,11 @@ func streamToResult(t *testing.T, cfg Config, w *workflow.Workflow, ds *Dataset)
 }
 
 // TestStreamEquivalenceByteIdentical is the streaming plane's equivalence
-// property: over random bit-stable workflows, both transports, a
-// forced-spill sorter budget (SortMemoryItems=2), and morsel-driven map
-// execution on and off, consuming the evaluation through EvaluateStream
-// must yield byte-identical canonical output to the materialized
-// EvaluateContext result (which itself agrees with the single-block
-// oracle). This is what licenses streaming as the default sink for
+// property: over random bit-stable workflows, a forced-spill sorter
+// budget (SortMemoryItems=2), and morsel-driven map execution on and off,
+// consuming the evaluation through EvaluateStream must yield
+// byte-identical canonical output to the materialized EvaluateContext
+// result (which itself agrees with the single-block oracle). This is what licenses streaming as the default sink for
 // bounded-memory runs: the handoff mode may only change peak heap and
 // first-row latency, never a bit of output.
 func TestStreamEquivalenceByteIdentical(t *testing.T) {
@@ -85,31 +83,22 @@ func TestStreamEquivalenceByteIdentical(t *testing.T) {
 			want := oracle(t, w, records)
 			reducers := 1 + rng.Intn(6)
 
-			for _, tp := range []struct {
-				name    string
-				factory transport.Factory
-			}{
-				{"channel", nil},
-				{"tcp", transport.TCPFactory(64)},
-			} {
-				for _, morselBytes := range []int{0, 512} { // 0 = fixed splits; 512 carves every split
-					label := fmt.Sprintf("transport=%s morsel=%d", tp.name, morselBytes)
-					cfg := Config{
-						NumReducers:     reducers,
-						Transport:       tp.factory,
-						SortMemoryItems: 2, // force reduce-side spills
-						MorselBytes:     morselBytes,
-					}
-					mat := runEngine(t, cfg, w, ds)
-					str := streamToResult(t, cfg, w, ds)
-					compare(t, label+" (streamed)", want, flatten(str))
-					if got, wantOut := canonicalOutput(str), canonicalOutput(mat); got != wantOut {
-						t.Errorf("%s: streamed output differs byte-wise from materialized", label)
-					}
-					if str.Stats.TotalOutputRecords() != mat.Stats.TotalOutputRecords() {
-						t.Errorf("%s: streamed %d output records, materialized %d",
-							label, str.Stats.TotalOutputRecords(), mat.Stats.TotalOutputRecords())
-					}
+			for _, morselBytes := range []int{0, 512} { // 0 = fixed splits; 512 carves every split
+				label := fmt.Sprintf("morsel=%d", morselBytes)
+				cfg := Config{
+					NumReducers:     reducers,
+					SortMemoryItems: 2, // force reduce-side spills
+					MorselBytes:     morselBytes,
+				}
+				mat := runEngine(t, cfg, w, ds)
+				str := streamToResult(t, cfg, w, ds)
+				compare(t, label+" (streamed)", want, flatten(str))
+				if got, wantOut := canonicalOutput(str), canonicalOutput(mat); got != wantOut {
+					t.Errorf("%s: streamed output differs byte-wise from materialized", label)
+				}
+				if str.Stats.TotalOutputRecords() != mat.Stats.TotalOutputRecords() {
+					t.Errorf("%s: streamed %d output records, materialized %d",
+						label, str.Stats.TotalOutputRecords(), mat.Stats.TotalOutputRecords())
 				}
 			}
 		})

@@ -1,16 +1,15 @@
 // Package exec is the engine's task-scheduler runtime: a bounded worker
 // pool (Executor) shared by every concurrently running job, with per-job
 // task groups carrying a context end to end. It replaces the substrate's
-// original per-job goroutine spawning — one mr.Run used to start
-// MapParallelism + ReduceParallelism + NumReducers goroutines of its own,
-// so N concurrent queries meant N uncoordinated pools. With exec, all
+// original per-job goroutine spawning — one mr.Run used to start its own
+// map, reduce and collector goroutines, so N concurrent queries meant N
+// uncoordinated pools. With exec, all
 // jobs multiplex over one process-wide pool:
 //
 //   - admission is FIFO within a group and round-robin across groups, so
 //     a long job cannot starve a short one (FIFO-fair);
 //   - each group bounds its own in-flight tasks (the per-job
-//     MapParallelism / ReduceParallelism knobs keep their meaning on a
-//     shared pool);
+//     MapParallelism knob keeps its meaning on a shared pool);
 //   - every task receives the group's context and must return promptly
 //     once it is cancelled; task errors are aggregated with errors.Join
 //     and prefixed with the task's label, while pure cancellation is

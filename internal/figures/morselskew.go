@@ -129,7 +129,7 @@ func MorselSkewPanel(ctx context.Context, cfg Config) (*MorselSkew, error) {
 				NumReducers:      cfg.Reducers,
 				MapParallelism:   workers,
 				Executor:         ex,
-				EarlyAggregation: core.EarlyAggOn, // the combiner is the thread-local table
+				EarlyAggregation: core.EarlyAggAuto, // the combiner is the thread-local table
 				TempDir:          cfg.TempDir,
 			}
 			if morsel {

@@ -136,7 +136,7 @@ func Fig4e(ctx context.Context, cfg Config) (*PanelE, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, early := range []core.EarlyAggMode{core.EarlyAggOn, core.EarlyAggOff} {
+		for _, early := range []core.EarlyAggMode{core.EarlyAggAuto, core.EarlyAggOff} {
 			eng, err := core.NewEngine(core.Config{
 				NumReducers: cfg.Reducers, EarlyAggregation: early, TempDir: cfg.TempDir,
 				Executor: cfg.Executor, DecisionCache: cfg.DecisionCache,
@@ -151,7 +151,7 @@ func Fig4e(ctx context.Context, cfg Config) (*PanelE, error) {
 			if err != nil {
 				return nil, fmt.Errorf("figures: 4e DS%d: %w", i, err)
 			}
-			if early == core.EarlyAggOn {
+			if early == core.EarlyAggAuto {
 				p.With = append(p.With, SimSeconds(res, cfg.Represent))
 			} else {
 				p.Without = append(p.Without, SimSeconds(res, cfg.Represent))

@@ -19,7 +19,7 @@ import (
 // fine (a1:value, t1:minute) region set, the "many aggregates, one scan"
 // scenario of Computing Marginals Using MapReduce — evaluated as six
 // separate jobs (exactly what six Evaluate calls do) versus one
-// EvaluateBatch call. The six plans agree on block geometry, so the
+// EvaluateBatchContext call. The six plans agree on block geometry, so the
 // batch shares the scan, the shuffle, and the reducer-side group builds;
 // only the per-query aggregation itself fans out. Like MorselSkew this
 // is not one of the paper's Figure 4 panels — it evaluates this
@@ -145,7 +145,7 @@ func SharedScanPanel(ctx context.Context, cfg Config) (*SharedScan, error) {
 		}
 		p.SeqSeconds, p.SeqBytes = seqSim, seqBytes
 
-		// Batched arm: one EvaluateBatch over the same queries and records.
+		// Batched arm: one EvaluateBatchContext over the same queries and records.
 		eng, err := core.NewEngine(ecfg)
 		if err != nil {
 			return nil, err

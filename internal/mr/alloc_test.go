@@ -6,8 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"github.com/casm-project/casm/internal/transport"
 )
 
 // TestEmitShuffleGroupAllocs pins the steady-state allocation rate of the
@@ -198,33 +196,5 @@ func TestBytePathMatchesStringReference(t *testing.T) {
 				t.Errorf("hash grouping: byte-keyed output diverges from string reference\n got %q\nwant %q", gotHash, refHash)
 			}
 		})
-	}
-}
-
-// TestBytePathMatchesStringReferenceTCP re-runs one equivalence seed over
-// the TCP transport, so the binary framing's decode path is covered by
-// the same byte-identity property.
-func TestBytePathMatchesStringReferenceTCP(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	records := make([][]byte, 300)
-	for i := range records {
-		records[i] = []byte(fmt.Sprintf("g%02d|%04d v%d", rng.Intn(17), i, rng.Intn(100)))
-	}
-	prefix := func(k []byte) []byte {
-		for i, c := range k {
-			if c == '|' {
-				return k[:i]
-			}
-		}
-		return k
-	}
-	withTCP := func(j Job) Job {
-		j.Config.Transport = transport.TCPFactory(0)
-		return j
-	}
-	got := sortedOutput(t, withTCP(propJob(records, false, prefix)))
-	ref := sortedOutput(t, propJob(records, true, prefix))
-	if fmt.Sprint(got) != fmt.Sprint(ref) {
-		t.Errorf("TCP byte-keyed output diverges from channel string reference\n got %q\nwant %q", got, ref)
 	}
 }

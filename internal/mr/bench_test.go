@@ -4,18 +4,16 @@ import (
 	"fmt"
 	"strconv"
 	"testing"
-
-	"github.com/casm-project/casm/internal/transport"
 )
 
-// BenchmarkShuffleTransports measures framework throughput (map + shuffle
-// + sort + reduce) under both transports on a grouping job.
-func BenchmarkShuffleTransports(b *testing.B) {
+// BenchmarkShuffleJob measures framework throughput (map + shuffle +
+// group + reduce) on a grouping job.
+func BenchmarkShuffleJob(b *testing.B) {
 	records := make([][]byte, 100_000)
 	for i := range records {
 		records[i] = []byte(fmt.Sprintf("g%d %d", i%997, i))
 	}
-	job := func(factory transport.Factory, dir string) Job {
+	job := func(dir string) Job {
 		return Job{
 			Input: NewMemoryInput(records, 8),
 			Map: func(ctx *MapCtx, rec []byte) error {
@@ -43,28 +41,18 @@ func BenchmarkShuffleTransports(b *testing.B) {
 				ctx.Emit(key, []byte(strconv.Itoa(n)))
 				return nil
 			},
-			Config: Config{NumReducers: 4, Transport: factory, TempDir: dir},
+			Config: Config{NumReducers: 4, TempDir: dir},
 		}
 	}
-	for _, c := range []struct {
-		name    string
-		factory transport.Factory
-	}{
-		{"channel", transport.ChannelFactory(0)},
-		{"tcp", transport.TCPFactory(0)},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			dir := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				res, err := Run(job(c.factory, dir))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Output) != 997 {
-					b.Fatalf("groups = %d", len(res.Output))
-				}
-			}
-			b.ReportMetric(float64(len(records)*b.N)/b.Elapsed().Seconds(), "records/s")
-		})
+	dir := b.TempDir()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(job(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Output) != 997 {
+			b.Fatalf("groups = %d", len(res.Output))
+		}
 	}
+	b.ReportMetric(float64(len(records)*b.N)/b.Elapsed().Seconds(), "records/s")
 }

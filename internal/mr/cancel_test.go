@@ -74,8 +74,8 @@ func settleGoroutines(t *testing.T) int {
 }
 
 // waitForGoroutines asserts the goroutine count returns to the baseline
-// (teardown is asynchronous — TCP accept loops and collector services
-// need a moment to observe closed connections).
+// (teardown is asynchronous — collector services need a moment to observe
+// their closed streams).
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -117,7 +117,7 @@ func openFDsInDir(t *testing.T, dir string) []string {
 // record count or wall-clock timer) or mid-reduce (by group count) —
 // must return an error satisfying errors.Is(err, context.Canceled)
 // within 2 seconds of the cancel, leave no spill state behind, and leak
-// no goroutines. Both transports, spills forced on every third pair.
+// no goroutines. Spills are forced on every third pair.
 func TestCancelAtRandomPoints(t *testing.T) {
 	if _, err := Run(sumJob(500, Config{NumReducers: 2, TempDir: t.TempDir()})); err != nil {
 		t.Fatal(err) // warm the shared executor before baselining
@@ -125,173 +125,158 @@ func TestCancelAtRandomPoints(t *testing.T) {
 	baseline := settleGoroutines(t)
 
 	rng := rand.New(rand.NewSource(7))
-	factories := []struct {
-		name string
-		f    transport.Factory
-	}{
-		{"channel", transport.ChannelFactory(4)},
-		{"tcp", transport.TCPFactory(4)},
-	}
-	for _, tf := range factories {
-		for _, trigger := range []string{"map", "timer", "reduce"} {
-			for iter := 0; iter < 3; iter++ {
-				name := fmt.Sprintf("%s/%s/%d", tf.name, trigger, iter)
-				t.Run(name, func(t *testing.T) {
-					dir := t.TempDir()
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					var cancelledAt atomic.Int64
-					doCancel := func() {
-						cancelledAt.CompareAndSwap(0, time.Now().UnixNano())
-						cancel()
-					}
+	for _, trigger := range []string{"map", "timer", "reduce"} {
+		for iter := 0; iter < 3; iter++ {
+			// The "channel" name level is kept only so test IDs stay stable.
+			name := fmt.Sprintf("channel/%s/%d", trigger, iter)
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var cancelledAt atomic.Int64
+				doCancel := func() {
+					cancelledAt.CompareAndSwap(0, time.Now().UnixNano())
+					cancel()
+				}
 
-					job := sumJob(6000, Config{
-						NumReducers:     3,
-						Transport:       tf.f,
-						SortMemoryItems: 2,
-						GroupBy:         fullKey,
-						TempDir:         dir,
-					})
-					var mapped, reduced atomic.Int64
-					switch trigger {
-					case "map":
-						threshold := int64(1 + rng.Intn(6000))
-						inner := job.Map
-						job.Map = func(ctx *MapCtx, record []byte) error {
-							if mapped.Add(1) == threshold {
-								doCancel()
-							}
-							return inner(ctx, record)
-						}
-					case "timer":
-						// Lands anywhere in the pipeline, including the
-						// shuffle drain between map and reduce.
-						d := time.Duration(rng.Intn(12_000)) * time.Microsecond
-						timer := time.AfterFunc(d, doCancel)
-						defer timer.Stop()
-					case "reduce":
-						threshold := int64(1 + rng.Intn(40))
-						inner := job.Reduce
-						job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
-							if reduced.Add(1) == threshold {
-								doCancel()
-							}
-							return inner(ctx, key, values)
-						}
-					}
-
-					_, err := RunContext(ctx, job)
-					returned := time.Now().UnixNano()
-					if at := cancelledAt.Load(); at != 0 {
-						if err == nil {
-							// The job can win the race and complete before
-							// the cancellation lands; that is a pass.
-							t.Logf("job completed before cancellation took effect")
-						} else if !errors.Is(err, context.Canceled) {
-							t.Fatalf("want context.Canceled, got %v", err)
-						}
-						if lag := time.Duration(returned - at); lag > 2*time.Second {
-							t.Fatalf("teardown took %v after cancel", lag)
-						}
-					} else if err != nil {
-						t.Fatalf("uncancelled job failed: %v", err)
-					}
-
-					if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-						t.Fatalf("spill dir not empty after teardown: %v entries, err=%v", len(ents), err)
-					}
-					if fds := openFDsInDir(t, dir); len(fds) != 0 {
-						t.Fatalf("spill descriptors leaked: %v", fds)
-					}
+				job := sumJob(6000, Config{
+					NumReducers:     3,
+					Transport:       transport.ChannelFactory(4), // small buffer: senders sit on backpressure
+					SortMemoryItems: 2,
+					GroupBy:         fullKey,
+					TempDir:         dir,
 				})
-			}
+				var mapped, reduced atomic.Int64
+				switch trigger {
+				case "map":
+					threshold := int64(1 + rng.Intn(6000))
+					inner := job.Map
+					job.Map = func(ctx *MapCtx, record []byte) error {
+						if mapped.Add(1) == threshold {
+							doCancel()
+						}
+						return inner(ctx, record)
+					}
+				case "timer":
+					// Lands anywhere in the pipeline, including the
+					// shuffle drain between map and reduce.
+					d := time.Duration(rng.Intn(12_000)) * time.Microsecond
+					timer := time.AfterFunc(d, doCancel)
+					defer timer.Stop()
+				case "reduce":
+					threshold := int64(1 + rng.Intn(40))
+					inner := job.Reduce
+					job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+						if reduced.Add(1) == threshold {
+							doCancel()
+						}
+						return inner(ctx, key, values)
+					}
+				}
+
+				_, err := RunContext(ctx, job)
+				returned := time.Now().UnixNano()
+				if at := cancelledAt.Load(); at != 0 {
+					if err == nil {
+						// The job can win the race and complete before
+						// the cancellation lands; that is a pass.
+						t.Logf("job completed before cancellation took effect")
+					} else if !errors.Is(err, context.Canceled) {
+						t.Fatalf("want context.Canceled, got %v", err)
+					}
+					if lag := time.Duration(returned - at); lag > 2*time.Second {
+						t.Fatalf("teardown took %v after cancel", lag)
+					}
+				} else if err != nil {
+					t.Fatalf("uncancelled job failed: %v", err)
+				}
+
+				if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+					t.Fatalf("spill dir not empty after teardown: %v entries, err=%v", len(ents), err)
+				}
+				if fds := openFDsInDir(t, dir); len(fds) != 0 {
+					t.Fatalf("spill descriptors leaked: %v", fds)
+				}
+			})
 		}
 	}
 	waitForGoroutines(t, baseline)
 }
 
 // TestNoGoroutineLeakAcrossOutcomes pins the teardown contract for all
-// three job outcomes — success, task failure, external cancel — on both
-// transports: after each, the process returns to its goroutine baseline
-// and holds no descriptors into the spill directory.
+// three job outcomes — success, task failure, external cancel: after
+// each, the process returns to its goroutine baseline and holds no
+// descriptors into the spill directory.
 func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 	if _, err := Run(sumJob(500, Config{NumReducers: 2, TempDir: t.TempDir()})); err != nil {
 		t.Fatal(err)
 	}
 	baseline := settleGoroutines(t)
 
-	for _, tf := range []struct {
-		name string
-		f    transport.Factory
-	}{
-		{"channel", transport.ChannelFactory(4)},
-		{"tcp", transport.TCPFactory(4)},
-	} {
-		cfgFor := func(dir string) Config {
-			return Config{
-				NumReducers:     2,
-				Transport:       tf.f,
-				SortMemoryItems: 2,
-				GroupBy:         fullKey,
-				TempDir:         dir,
-			}
+	cfgFor := func(dir string) Config {
+		return Config{
+			NumReducers:     2,
+			Transport:       transport.ChannelFactory(4), // small buffer: senders sit on backpressure
+			SortMemoryItems: 2,
+			GroupBy:         fullKey,
+			TempDir:         dir,
 		}
-		t.Run(tf.name+"/success", func(t *testing.T) {
-			dir := t.TempDir()
-			if _, err := Run(sumJob(2000, cfgFor(dir))); err != nil {
-				t.Fatal(err)
-			}
-			if fds := openFDsInDir(t, dir); len(fds) != 0 {
-				t.Fatalf("spill descriptors leaked: %v", fds)
-			}
-		})
-		t.Run(tf.name+"/error", func(t *testing.T) {
-			dir := t.TempDir()
-			job := sumJob(2000, cfgFor(dir))
-			var n atomic.Int64
-			inner := job.Map
-			job.Map = func(ctx *MapCtx, record []byte) error {
-				if n.Add(1) == 1500 {
-					return fmt.Errorf("injected map failure")
-				}
-				return inner(ctx, record)
-			}
-			_, err := Run(job)
-			if err == nil || !strings.Contains(err.Error(), "injected map failure") {
-				t.Fatalf("err = %v", err)
-			}
-			if errors.Is(err, context.Canceled) {
-				t.Fatalf("real failure classified as cancellation: %v", err)
-			}
-			if !strings.Contains(err.Error(), "mr: map task ") {
-				t.Fatalf("error lost its task identity: %v", err)
-			}
-			if fds := openFDsInDir(t, dir); len(fds) != 0 {
-				t.Fatalf("spill descriptors leaked: %v", fds)
-			}
-		})
-		t.Run(tf.name+"/cancel", func(t *testing.T) {
-			dir := t.TempDir()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			job := sumJob(4000, cfgFor(dir))
-			var n atomic.Int64
-			inner := job.Map
-			job.Map = func(mctx *MapCtx, record []byte) error {
-				if n.Add(1) == 1000 {
-					cancel()
-				}
-				return inner(mctx, record)
-			}
-			if _, err := RunContext(ctx, job); !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled, got %v", err)
-			}
-			if fds := openFDsInDir(t, dir); len(fds) != 0 {
-				t.Fatalf("spill descriptors leaked: %v", fds)
-			}
-		})
 	}
+	// The "channel" name level is kept only so test IDs stay stable.
+	t.Run("channel/success", func(t *testing.T) {
+		dir := t.TempDir()
+		if _, err := Run(sumJob(2000, cfgFor(dir))); err != nil {
+			t.Fatal(err)
+		}
+		if fds := openFDsInDir(t, dir); len(fds) != 0 {
+			t.Fatalf("spill descriptors leaked: %v", fds)
+		}
+	})
+	t.Run("channel/error", func(t *testing.T) {
+		dir := t.TempDir()
+		job := sumJob(2000, cfgFor(dir))
+		var n atomic.Int64
+		inner := job.Map
+		job.Map = func(ctx *MapCtx, record []byte) error {
+			if n.Add(1) == 1500 {
+				return fmt.Errorf("injected map failure")
+			}
+			return inner(ctx, record)
+		}
+		_, err := Run(job)
+		if err == nil || !strings.Contains(err.Error(), "injected map failure") {
+			t.Fatalf("err = %v", err)
+		}
+		if errors.Is(err, context.Canceled) {
+			t.Fatalf("real failure classified as cancellation: %v", err)
+		}
+		if !strings.Contains(err.Error(), "mr: map task ") {
+			t.Fatalf("error lost its task identity: %v", err)
+		}
+		if fds := openFDsInDir(t, dir); len(fds) != 0 {
+			t.Fatalf("spill descriptors leaked: %v", fds)
+		}
+	})
+	t.Run("channel/cancel", func(t *testing.T) {
+		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		job := sumJob(4000, cfgFor(dir))
+		var n atomic.Int64
+		inner := job.Map
+		job.Map = func(mctx *MapCtx, record []byte) error {
+			if n.Add(1) == 1000 {
+				cancel()
+			}
+			return inner(mctx, record)
+		}
+		if _, err := RunContext(ctx, job); !errors.Is(err, context.Canceled) {
+			t.Fatalf("want context.Canceled, got %v", err)
+		}
+		if fds := openFDsInDir(t, dir); len(fds) != 0 {
+			t.Fatalf("spill descriptors leaked: %v", fds)
+		}
+	})
 	waitForGoroutines(t, baseline)
 }
 

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
-
-	"github.com/casm-project/casm/internal/transport"
 )
 
 // sumCombiner is the tests' Combiner: decimal values summed per key,
@@ -113,41 +111,35 @@ func TestGroupingDerivedFromGroupBy(t *testing.T) {
 }
 
 // TestWordCountAcrossBatchSizes runs the same job with batching disabled
-// (size 1), a small batch size, and the default, over both transports; the
-// output must be identical and the batch counters consistent.
+// (size 1), a small batch size, and the default; the output must be
+// identical and the batch counters consistent.
 func TestWordCountAcrossBatchSizes(t *testing.T) {
-	factories := map[string]transport.Factory{
-		"channel": nil, // job default
-		"tcp":     transport.TCPFactory(64),
-	}
-	for fname, factory := range factories {
-		for _, size := range []int{1, 2, DefaultShuffleBatchPairs} {
-			t.Run(fmt.Sprintf("%s/batch=%d", fname, size), func(t *testing.T) {
-				res, err := Run(wordCountJob(wcLines, Config{
-					NumReducers:       3,
-					Transport:         factory,
-					ShuffleBatchPairs: size,
-					TempDir:           t.TempDir(),
-				}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkWordCount(t, res)
-				var pairs, batches int64
-				for _, m := range res.Stats.MapTasks {
-					pairs += m.PairsOut
-					batches += m.BatchesSent
-				}
-				if batches == 0 || batches > pairs {
-					t.Errorf("BatchesSent = %d with PairsOut = %d", batches, pairs)
-				}
-				if size == 1 && batches != pairs {
-					t.Errorf("unbatched: BatchesSent = %d, want %d", batches, pairs)
-				}
-				if size >= 2 && batches >= pairs {
-					t.Errorf("batched (size %d): BatchesSent = %d not < PairsOut %d", size, batches, pairs)
-				}
-			})
-		}
+	for _, size := range []int{1, 2, DefaultShuffleBatchPairs} {
+		// The "channel" name level is kept only so test IDs stay stable.
+		t.Run(fmt.Sprintf("channel/batch=%d", size), func(t *testing.T) {
+			res, err := Run(wordCountJob(wcLines, Config{
+				NumReducers:       3,
+				ShuffleBatchPairs: size,
+				TempDir:           t.TempDir(),
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWordCount(t, res)
+			var pairs, batches int64
+			for _, m := range res.Stats.MapTasks {
+				pairs += m.PairsOut
+				batches += m.BatchesSent
+			}
+			if batches == 0 || batches > pairs {
+				t.Errorf("BatchesSent = %d with PairsOut = %d", batches, pairs)
+			}
+			if size == 1 && batches != pairs {
+				t.Errorf("unbatched: BatchesSent = %d, want %d", batches, pairs)
+			}
+			if size >= 2 && batches >= pairs {
+				t.Errorf("batched (size %d): BatchesSent = %d not < PairsOut %d", size, batches, pairs)
+			}
+		})
 	}
 }

@@ -6,8 +6,7 @@
 //   - input splits (DFS blocks or in-memory slices) fanned out to a pool
 //     of concurrent map tasks;
 //   - optional map-side combining (the paper's early aggregation);
-//   - a hash-partitioned shuffle over a pluggable transport (in-memory
-//     channels or real TCP with binary framing);
+//   - a hash-partitioned, batch-framed shuffle over in-memory channels;
 //   - reducer-side grouping — a hash table for plain keys, the external
 //     sorter when a configured group identity (Config.GroupBy) lets a
 //     composite sort key carry a secondary order (the Section III-D
@@ -276,12 +275,13 @@ type Config struct {
 	Executor *exec.Executor
 	// MapParallelism bounds this job's concurrent map tasks (default
 	// GOMAXPROCS); on a shared executor it is the job's admission limit,
-	// so one job cannot monopolize the pool.
+	// so one job cannot monopolize the pool. Reduce tasks are bounded by
+	// GOMAXPROCS, always.
 	MapParallelism int
-	// ReduceParallelism bounds this job's concurrent reduce tasks
-	// (default GOMAXPROCS); see MapParallelism.
-	ReduceParallelism int
-	// Transport produces the shuffle transport (default in-memory).
+	// Transport produces the shuffle transport. Production jobs leave it
+	// nil (the in-memory channel transport, the only implementation); it
+	// is a field so pipe_test.go can substitute a fake whose per-reducer
+	// streams end early, proving the collect→reduce barrier is gone.
 	Transport transport.Factory
 	// ShuffleBatchPairs sets how many pairs each map task buffers per
 	// reducer before shipping them as one framed batch (default 256; 1
@@ -357,9 +357,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.MapParallelism < 1 {
 		c.MapParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.ReduceParallelism < 1 {
-		c.ReduceParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.Transport == nil {
 		c.Transport = transport.ChannelFactory(0)

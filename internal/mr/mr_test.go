@@ -12,7 +12,6 @@ import (
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/recio"
-	"github.com/casm-project/casm/internal/transport"
 )
 
 // wordCountJob builds the canonical test job over the given lines.
@@ -114,18 +113,6 @@ func TestWordCountChannel(t *testing.T) {
 	if res.Stats.TotalOutputRecords() != int64(len(wcWant)) {
 		t.Errorf("output records = %d", res.Stats.TotalOutputRecords())
 	}
-}
-
-func TestWordCountTCP(t *testing.T) {
-	res, err := Run(wordCountJob(wcLines, Config{
-		NumReducers: 2,
-		Transport:   transport.TCPFactory(64),
-		TempDir:     t.TempDir(),
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWordCount(t, res)
 }
 
 func TestWordCountWithSpill(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -315,7 +316,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	// moment its drain completes (per-reducer readiness — the pipelined
 	// reduce), so a reducer never waits behind other reducers' shuffle
 	// streams.
-	reduceGroup := ex.NewGroup(jobCtx, exec.Options{Limit: cfg.ReduceParallelism, OnError: cancelJob})
+	reduceGroup := ex.NewGroup(jobCtx, exec.Options{Limit: runtime.GOMAXPROCS(0), OnError: cancelJob})
 	collectGroup := ex.NewGroup(jobCtx, exec.Options{OnError: cancelJob})
 	if !cfg.ShuffleDisabled {
 		for r := 0; r < cfg.NumReducers; r++ {

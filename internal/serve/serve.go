@@ -131,6 +131,19 @@ type planInfo struct {
 	EarlyAggregated  bool   `json:"early_aggregated"`
 }
 
+// planInfoOf renders an evaluation's header — the same on a materialized
+// result, a batch member and a stream.
+func planInfoOf(ds *core.Dataset, h core.ResultHeader) planInfo {
+	return planInfo{
+		Key:              h.Plan.Key.Format(ds.Schema),
+		ClusteringFactor: h.Plan.ClusteringFactor,
+		Blocks:           h.Plan.Blocks,
+		Sampled:          h.SampledPlan,
+		PlanCached:       h.PlanCached,
+		EarlyAggregated:  h.EarlyAggregated,
+	}
+}
+
 // rowOut is one wire result row.
 type rowOut struct {
 	Measure string  `json:"measure"`
@@ -193,16 +206,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := queryResponse{
-		Dataset: dataset,
-		Tenant:  tenant,
-		Plan: planInfo{
-			Key:              res.Plan.Key.Format(ds.Schema),
-			ClusteringFactor: res.Plan.ClusteringFactor,
-			Blocks:           res.Plan.Blocks,
-			Sampled:          res.SampledPlan,
-			PlanCached:       res.PlanCached,
-			EarlyAggregated:  res.EarlyAggregated,
-		},
+		Dataset:  dataset,
+		Tenant:   tenant,
+		Plan:     planInfoOf(ds, res.ResultHeader),
 		QueueMS:  float64(tm.Queue.Microseconds()) / 1e3,
 		WallMS:   float64(tm.Wall.Microseconds()) / 1e3,
 		Rows:     res.TotalRecords(),
@@ -253,14 +259,7 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, tenant, dat
 	enc.Encode(struct {
 		Type string   `json:"type"`
 		Plan planInfo `json:"plan"`
-	}{"plan", planInfo{
-		Key:              st.Plan.Key.Format(ds.Schema),
-		ClusteringFactor: st.Plan.ClusteringFactor,
-		Blocks:           st.Plan.Blocks,
-		Sampled:          st.SampledPlan,
-		PlanCached:       false, // streamed plans are reported via /stats
-		EarlyAggregated:  st.EarlyAggregated,
-	}})
+	}{"plan", planInfoOf(ds, st.ResultHeader)})
 	if flusher != nil {
 		flusher.Flush()
 	}
@@ -381,14 +380,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			Plan planInfo `json:"plan"`
 			Rows int64    `json:"rows"`
 		}{
-			Plan: planInfo{
-				Key:              qr.Plan.Key.Format(ds.Schema),
-				ClusteringFactor: qr.Plan.ClusteringFactor,
-				Blocks:           qr.Plan.Blocks,
-				Sampled:          qr.SampledPlan,
-				PlanCached:       qr.PlanCached,
-				EarlyAggregated:  qr.EarlyAggregated,
-			},
+			Plan: planInfoOf(ds, qr.ResultHeader),
 			Rows: qr.TotalRecords(),
 		})
 	}

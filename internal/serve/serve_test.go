@@ -113,53 +113,69 @@ func TestQueryUnary(t *testing.T) {
 
 func TestQueryStreamNDJSON(t *testing.T) {
 	ts, _ := newTestServer(t, core.ServiceConfig{})
-	resp, err := http.Post(ts.URL+"/query?dataset=events&stream=1", "text/plain", strings.NewReader(q1CQL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var sawPlan, sawEnd bool
-	var rows, endRows int64
-	for sc.Scan() {
-		var line struct {
-			Type  string  `json:"type"`
-			Rows  int64   `json:"rows"`
-			Value float64 `json:"value"`
-			Error string  `json:"error"`
+	// stream submits q1 in NDJSON mode, checks the stream's shape, and
+	// returns the plan header's plan_cached.
+	stream := func() bool {
+		resp, err := http.Post(ts.URL+"/query?dataset=events&stream=1", "text/plain", strings.NewReader(q1CQL))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
 		}
-		switch line.Type {
-		case "plan":
-			if sawPlan || rows > 0 {
-				t.Fatal("plan line out of order")
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Fatalf("content type %q", ct)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		var sawPlan, sawEnd, planCached bool
+		var rows, endRows int64
+		for sc.Scan() {
+			var line struct {
+				Type string `json:"type"`
+				Plan struct {
+					PlanCached bool `json:"plan_cached"`
+				} `json:"plan"`
+				Rows  int64   `json:"rows"`
+				Value float64 `json:"value"`
+				Error string  `json:"error"`
 			}
-			sawPlan = true
-		case "row":
-			rows++
-		case "end":
-			sawEnd = true
-			endRows = line.Rows
-		case "error":
-			t.Fatalf("stream error: %s", line.Error)
-		default:
-			t.Fatalf("unknown line type %q", line.Type)
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatalf("bad NDJSON line: %v\n%s", err, sc.Text())
+			}
+			switch line.Type {
+			case "plan":
+				if sawPlan || rows > 0 {
+					t.Fatal("plan line out of order")
+				}
+				sawPlan, planCached = true, line.Plan.PlanCached
+			case "row":
+				rows++
+			case "end":
+				sawEnd = true
+				endRows = line.Rows
+			case "error":
+				t.Fatalf("stream error: %s", line.Error)
+			default:
+				t.Fatalf("unknown line type %q", line.Type)
+			}
 		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !sawPlan || !sawEnd || rows == 0 || endRows != rows {
+			t.Fatalf("stream shape: plan=%v end=%v rows=%d endRows=%d", sawPlan, sawEnd, rows, endRows)
+		}
+		return planCached
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	if stream() {
+		t.Fatal("first stream claims a plan-cache hit")
 	}
-	if !sawPlan || !sawEnd || rows == 0 || endRows != rows {
-		t.Fatalf("stream shape: plan=%v end=%v rows=%d endRows=%d", sawPlan, sawEnd, rows, endRows)
+	// Like the unary path, the second identical submission skips planning
+	// and its header says so.
+	if !stream() {
+		t.Fatal("second identical stream does not report plan_cached")
 	}
 }
 

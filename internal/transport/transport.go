@@ -1,9 +1,8 @@
 // Package transport moves shuffled key/value pairs from mappers to
-// reducers. Two implementations are provided: an in-memory channel
-// transport (the default for tests and benchmarks) and a real TCP
-// transport using length-prefixed binary framing, which exercises the
-// same code paths a multi-node deployment would ("the result pairs are
-// shuffled and dispatched to reducers").
+// reducers ("the result pairs are shuffled and dispatched to reducers")
+// over in-memory channels, the engine's one shuffle transport. Transport
+// stays an interface so the substrate's tests can substitute a fake with a
+// different stream lifecycle (see mr.Config.Transport).
 //
 // A Transport instance serves one job execution: mappers call Send or
 // SendBatch concurrently, then the driver calls CloseSend exactly once;
@@ -16,22 +15,17 @@
 // channel-closing side even when the context is already cancelled —
 // teardown must always run so receivers terminate.
 //
-// Delivery is batch-framed end to end: the channel transport moves one
-// []Pair slice per channel operation and the TCP transport encodes one
-// binary frame per batch, so both the synchronization and the round-trip
-// count drop by the batch factor. Senders that emit pair-at-a-time use a
-// BatchWriter to accumulate per-reducer batches.
+// Delivery is batch-framed end to end: one []Pair slice moves per channel
+// operation, so the synchronization cost drops by the batch factor.
+// Senders that emit pair-at-a-time use a BatchWriter to accumulate
+// per-reducer batches.
 //
 // Ownership: a batch slice passed to SendBatch is handed off to the
-// transport (and, for the channel transport, surfaces unchanged at the
-// receiver) — the caller must not reuse or mutate it, nor the Key/Value
-// bytes it references, for the life of the job. Symmetrically, the bytes
-// a receiver sees stay valid and unmodified for the life of the job: the
-// channel transport hands the sender's batch through untouched, and the
-// TCP transport decodes each frame into a fresh buffer that the frame's
-// pairs alias and that nothing overwrites afterwards. Reducer-side
-// collectors may therefore retain received Key/Value slices without
-// copying.
+// transport and surfaces unchanged at the receiver — the caller must not
+// reuse or mutate it, nor the Key/Value bytes it references, for the life
+// of the job. Symmetrically, the bytes a receiver sees stay valid and
+// unmodified for the life of the job, so reducer-side collectors may
+// retain received Key/Value slices without copying.
 package transport
 
 import (
