@@ -288,140 +288,3 @@ func BenchmarkAblation_OverlapVsRolledUp(b *testing.B) {
 	}
 	b.ReportMetric(rolledSec/overlapSec, "overlap_speedup")
 }
-
-func BenchmarkSharedScan(b *testing.B) {
-	cfg := benchConfig(b)
-	var p *figures.SharedScan
-	var err error
-	for i := 0; i < b.N; i++ {
-		p, err = figures.SharedScanPanel(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + p.Table().String())
-	// The PR's headline claims. (1) Every workload query shares the
-	// batch's single scan — one job, one geometry group — so the batch
-	// reads 1/6 of the sequential arm's input bytes, and its own counter
-	// accounts for the difference exactly.
-	if p.SharedQueries != len(p.Queries) || p.Jobs != 1 || p.Groups != 1 {
-		b.Errorf("shared %d/%d queries in %d jobs / %d geometry groups, want all %d in 1/1",
-			p.SharedQueries, len(p.Queries), p.Jobs, p.Groups, len(p.Queries))
-	}
-	if p.BatchBytes*int64(len(p.Queries)) != p.SeqBytes {
-		b.Errorf("batch read %d bytes for %d queries, sequential read %d — not proportional",
-			p.BatchBytes, len(p.Queries), p.SeqBytes)
-	}
-	if p.BytesSaved != p.SeqBytes-p.BatchBytes {
-		b.Errorf("SharedScanBytesSaved = %d, want %d", p.BytesSaved, p.SeqBytes-p.BatchBytes)
-	}
-	// (2) Batching the suite beats six sequential jobs by >=30% real wall
-	// clock.
-	if imp := p.WallImprovement(); imp < 0.30 {
-		b.Errorf("batched wall improvement = %.0f%%, want >= 30%%", 100*imp)
-	}
-	// (3) The decision cache amortizes repeat planning to ~0: warm plans
-	// must be several times cheaper than cold ones.
-	if p.PlanWarm > p.PlanCold/3 {
-		b.Errorf("warm plan %.3gms not < 1/3 of cold %.3gms", 1e3*p.PlanWarm, 1e3*p.PlanCold)
-	}
-	b.ReportMetric(p.SeqWall, "wall_seq_s")
-	b.ReportMetric(p.BatchWall, "wall_batch_s")
-	b.ReportMetric(100*p.WallImprovement(), "wall_improvement_pct")
-	b.ReportMetric(100*p.SimImprovement(), "sim_improvement_pct")
-	b.ReportMetric(p.PlanSpeedup(), "plan_cache_speedup")
-}
-
-func BenchmarkServeLoad(b *testing.B) {
-	cfg := benchConfig(b)
-	var p *figures.ServeLoad
-	var err error
-	for i := 0; i < b.N; i++ {
-		p, err = figures.ServeLoadPanel(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + p.Table().String())
-	// The PR's headline claims. (1) With one warmup per distinct query,
-	// every measured request is served from the resident decision cache.
-	if float64(p.PlanCacheHits) < p.Total || p.PlanCacheMisses > int64(len(p.Queries)) {
-		b.Errorf("plan cache: %d hits / %d misses over %.0f queries, want all hits after %d warmups",
-			p.PlanCacheHits, p.PlanCacheMisses, p.Total, len(p.Queries))
-	}
-	// (2) Admission keeps every tenant at or under its in-flight limit.
-	if p.TenantPeak > 4 {
-		b.Errorf("tenant peak in-flight %d exceeds the default limit 4", p.TenantPeak)
-	}
-	// (3) Drain refuses new work with 503 (checked inside the panel) and
-	// the load completed: all clients, all queries.
-	if !p.DrainRejects {
-		b.Error("post-drain query was not rejected with 503")
-	}
-	if int(p.Total) != p.Clients*p.PerClient {
-		b.Errorf("completed %d of %d queries", int(p.Total), p.Clients*p.PerClient)
-	}
-	b.ReportMetric(p.QPS, "qps")
-	b.ReportMetric(p.P50MS, "p50_ms")
-	b.ReportMetric(p.P99MS, "p99_ms")
-}
-
-func BenchmarkResultReuse(b *testing.B) {
-	cfg := benchConfig(b)
-	var p *figures.ResultReuse
-	var err error
-	for i := 0; i < b.N; i++ {
-		p, err = figures.ResultReusePanel(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + p.Table().String())
-	// The PR's headline claim: a warm repeat of the same query over the
-	// store-backed dataset is manifest-served — identical answer, zero
-	// input bytes, and at least 5x faster in simulated seconds.
-	if !p.Reused {
-		b.Error("warm run was not manifest-served")
-	}
-	if !p.Identical {
-		b.Error("warm result not identical to cold result")
-	}
-	if p.WarmInputBytes != 0 {
-		b.Errorf("warm run scanned %d input bytes, want 0", p.WarmInputBytes)
-	}
-	if p.Speedup < 5 {
-		b.Errorf("warm speedup %.1fx, want >= 5x", p.Speedup)
-	}
-	b.ReportMetric(p.ColdSeconds, "simsec_cold")
-	b.ReportMetric(p.WarmSeconds, "simsec_warm")
-	b.ReportMetric(p.Speedup, "speedup_x")
-	b.ReportMetric(float64(p.Cache.Hits), "cache_hits")
-}
-
-func BenchmarkMorselSkew(b *testing.B) {
-	cfg := benchConfig(b)
-	var p *figures.MorselSkew
-	var err error
-	for i := 0; i < b.N; i++ {
-		p, err = figures.MorselSkewPanel(context.Background(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Log("\n" + p.Table().String())
-	// The PR's headline claim: on the zipf-hot clustered workload, morsel
-	// mode beats split-granular scheduling by >=25% simulated map makespan
-	// at 8 workers, and never loses at the other worker counts.
-	if imp := p.Improvement(2); imp < 0.25 {
-		b.Errorf("morsel improvement at 8 workers = %.0f%%, want >= 25%%", 100*imp)
-	}
-	for i, w := range p.Workers {
-		if p.MorselSeconds[i] > p.FixedSeconds[i] {
-			b.Errorf("morsel loses at %d workers: %.1fs vs %.1fs", w, p.MorselSeconds[i], p.FixedSeconds[i])
-		}
-	}
-	b.ReportMetric(p.FixedSeconds[2], "simsec_fixed_w8")
-	b.ReportMetric(p.MorselSeconds[2], "simsec_morsel_w8")
-	b.ReportMetric(100*p.Improvement(2), "improvement_pct_w8")
-	b.ReportMetric(float64(p.Steals[2]), "steals_w8")
-}

@@ -1,14 +1,16 @@
 // Command casmbenchdiff compares two `casmbench -json` snapshots for
 // simulated-result regressions:
 //
-//	casmbenchdiff BENCH_PR10.json now.json
+//	casmbenchdiff BENCH_FIG4.json now.json
 //
 // It demands exact equality of the run parameters (scale, seed) and of
 // every panel's raw data — the simulated seconds are a pure function of
 // the engine's priced counters, so across commits that only change real
 // performance they must match bit for bit. Run metadata (timestamps, Go
-// version, real wall-clock seconds) is ignored. Exits 1 when the
-// snapshots differ, 2 on usage or parse errors.
+// version), panel titles and any other top-level section are ignored. A
+// snapshot without panels, or a panel without data, is a difference: two
+// empty runs do not agree. Exits 1 when the snapshots differ, 2 on usage
+// or parse errors.
 package main
 
 import (
@@ -21,7 +23,7 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: casmbenchdiff OLD.json NEW.json\n")
+		fmt.Fprintf(os.Stderr, "usage: casmbenchdiff OLD.json NEW.json   (e.g. BENCH_FIG4.json now.json)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -30,14 +32,7 @@ func main() {
 		os.Exit(2)
 	}
 	oldPath, newPath := flag.Arg(0), flag.Arg(1)
-	a, b := load(oldPath), load(newPath)
-
-	var diffs []string
-	for _, key := range []string{"scale", "seed"} {
-		diffValue(key, a[key], b[key], &diffs)
-	}
-	diffPanels(asObject("panels", a["panels"], &diffs), asObject("panels", b["panels"], &diffs), &diffs)
-
+	diffs := diff(load(oldPath), load(newPath))
 	if len(diffs) > 0 {
 		fmt.Fprintf(os.Stderr, "casmbenchdiff: %s and %s differ in %d place(s):\n", oldPath, newPath, len(diffs))
 		for _, d := range diffs {
@@ -46,6 +41,21 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("casmbenchdiff: %s and %s agree on scale, seed, and all panel data\n", oldPath, newPath)
+}
+
+// diff lists every place two decoded snapshots disagree on what the
+// Figure 4 guard protects: scale, seed, and each panel's data.
+func diff(a, b map[string]any) []string {
+	var diffs []string
+	for _, key := range []string{"scale", "seed"} {
+		diffValue(key, a[key], b[key], &diffs)
+	}
+	pa, pb := asObject("panels", a["panels"], &diffs), asObject("panels", b["panels"], &diffs)
+	if pa != nil && pb != nil && len(pa)+len(pb) == 0 {
+		diffs = append(diffs, "panels: empty in both snapshots")
+	}
+	diffPanels(pa, pb, &diffs)
+	return diffs
 }
 
 func load(path string) map[string]any {
@@ -70,8 +80,8 @@ func asObject(path string, v any, diffs *[]string) map[string]any {
 	return m
 }
 
-// diffPanels compares the "data" member of every panel; the surrounding
-// metadata (title, real_seconds) is informational and may drift.
+// diffPanels compares the "data" member of every panel; the title beside
+// it is informational and may drift.
 func diffPanels(a, b map[string]any, diffs *[]string) {
 	for _, name := range unionKeys(a, b) {
 		path := "panels." + name
@@ -83,8 +93,12 @@ func diffPanels(a, b map[string]any, diffs *[]string) {
 		case !bok:
 			*diffs = append(*diffs, path+": only in old snapshot")
 		default:
-			da := asObject(path, pa, diffs)["data"]
-			db := asObject(path, pb, diffs)["data"]
+			da, aok := asObject(path, pa, diffs)["data"]
+			db, bok := asObject(path, pb, diffs)["data"]
+			if !aok || !bok {
+				*diffs = append(*diffs, path+".data: missing")
+				continue
+			}
 			diffValue(path+".data", da, db, diffs)
 		}
 	}

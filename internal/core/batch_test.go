@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"github.com/casm-project/casm/internal/costmodel"
+	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/localeval"
+	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workflow"
@@ -171,40 +173,97 @@ func pricedSums(js mr.JobStats, spillBytes bool) (sums struct {
 // TestEvaluateBatchSharedScanCounters pins the sharing accounting: a batch
 // of shareable queries runs as ONE shared job whose map tasks each record
 // serving every query from a single scan, with bytes-saved proportional to
-// the fan-out.
+// the fan-out; against the same queries run one at a time it reads 1/n of
+// the input and is priced below their sum. Two workloads: the suite's
+// Q1–Q4, and many aggregates over one region set (the marginals scenario),
+// whose plans agree on block geometry so the shuffle is shared as well.
 func TestEvaluateBatchSharedScanCounters(t *testing.T) {
 	su := workload.NewSuite()
-	ws := []*workflow.Workflow{mustQ(t, su, 1), mustQ(t, su, 2), mustQ(t, su, 3), mustQ(t, su, 4)}
+	fine := su.Schema.MustGrain(
+		cube.GrainSpec{Attr: "a1", Level: "value"},
+		cube.GrainSpec{Attr: "t1", Level: "minute"},
+	)
+	var marginals []*workflow.Workflow
+	for _, sp := range []struct {
+		f    measure.Func
+		attr string
+	}{{measure.Sum, "a2"}, {measure.Count, ""}, {measure.Avg, "a4"}, {measure.Max, "a3"}} {
+		w := workflow.New(su.Schema)
+		if err := w.AddBasic("m", fine, measure.Spec{Func: sp.f}, sp.attr); err != nil {
+			t.Fatal(err)
+		}
+		marginals = append(marginals, w)
+	}
 	records := su.Generate(3000, workload.Uniform, 1)
 	ds := MemoryDataset(su.Schema, records, 6)
 
-	eng, err := NewEngine(Config{NumReducers: 4, TempDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := eng.EvaluateBatchContext(context.Background(), ws, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Jobs) != 1 || !batch.Jobs[0].Shared {
-		t.Fatalf("want one shared job for 4 shareable queries, got %d jobs (shared=%v)",
-			len(batch.Jobs), len(batch.Jobs) > 0 && batch.Jobs[0].Shared)
-	}
-	if got := batch.SharedScanQueries(); got != 4 {
-		t.Errorf("SharedScanQueries() = %d, want 4", got)
-	}
-	js := batch.Jobs[0].Stats
-	if len(js.MapTasks) == 0 {
-		t.Fatal("shared job ran no map tasks")
-	}
-	for _, mt := range js.MapTasks {
-		if mt.SharedScanQueries != 4 {
-			t.Errorf("map task %s: SharedScanQueries = %d, want 4", mt.Task, mt.SharedScanQueries)
-		}
-		if want := 3 * mt.BytesRead; mt.SharedScanBytesSaved != want {
-			t.Errorf("map task %s: SharedScanBytesSaved = %d, want %d (3x BytesRead)",
-				mt.Task, mt.SharedScanBytesSaved, want)
-		}
+	for _, tc := range []struct {
+		name        string
+		ws          []*workflow.Workflow
+		oneGeometry bool
+	}{
+		{"Q1-Q4", []*workflow.Workflow{mustQ(t, su, 1), mustQ(t, su, 2), mustQ(t, su, 3), mustQ(t, su, 4)}, false},
+		{"marginals", marginals, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := len(tc.ws)
+			eng, err := NewEngine(Config{NumReducers: 4, TempDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := eng.EvaluateBatchContext(context.Background(), tc.ws, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch.Jobs) != 1 || !batch.Jobs[0].Shared {
+				t.Fatalf("want one shared job for %d shareable queries, got %d jobs (shared=%v)",
+					n, len(batch.Jobs), len(batch.Jobs) > 0 && batch.Jobs[0].Shared)
+			}
+			if got := batch.SharedScanQueries(); got != n {
+				t.Errorf("SharedScanQueries() = %d, want %d", got, n)
+			}
+			if got := len(batch.Jobs[0].Groups); tc.oneGeometry && got != 1 {
+				t.Errorf("geometry groups = %d, want 1", got)
+			}
+			js := batch.Jobs[0].Stats
+			if len(js.MapTasks) == 0 {
+				t.Fatal("shared job ran no map tasks")
+			}
+			var batchBytes int64
+			for _, mt := range js.MapTasks {
+				if mt.SharedScanQueries != int64(n) {
+					t.Errorf("map task %s: SharedScanQueries = %d, want %d", mt.Task, mt.SharedScanQueries, n)
+				}
+				if want := int64(n-1) * mt.BytesRead; mt.SharedScanBytesSaved != want {
+					t.Errorf("map task %s: SharedScanBytesSaved = %d, want %d (%dx BytesRead)",
+						mt.Task, mt.SharedScanBytesSaved, want, n-1)
+				}
+				batchBytes += mt.BytesRead
+			}
+
+			// Priced without the fixed per-task start-up, which alone would
+			// decide one job against n: what is compared is the counted work.
+			work := costmodel.DefaultCluster()
+			work.Machine.TaskOverheadSec = 0
+			var seqBytes int64
+			var seqSeconds float64
+			for i, w := range tc.ws {
+				res, err := eng.EvaluateContext(context.Background(), w, ds)
+				if err != nil {
+					t.Fatalf("sequential run %d: %v", i, err)
+				}
+				for _, mt := range res.Stats.MapTasks {
+					seqBytes += mt.BytesRead
+				}
+				seqSeconds += EstimateFromStats(work, res.Stats).Total()
+			}
+			if want := int64(n) * batchBytes; seqBytes != want {
+				t.Errorf("sequential runs read %d bytes, want %d (%d x the batch's %d)", seqBytes, want, n, batchBytes)
+			}
+			if got := EstimateFromStats(work, js).Total(); got >= seqSeconds {
+				t.Errorf("batch's work priced at %.4fs, not below the sequential runs' %.4fs", got, seqSeconds)
+			}
+		})
 	}
 }
 

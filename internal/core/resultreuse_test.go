@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/casm-project/casm/internal/blockstore"
+	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/workflow"
@@ -124,6 +125,13 @@ func TestResultReuseWarmRun(t *testing.T) {
 	}
 	if !bytes.Equal(resultBytes(t, cold), resultBytes(t, warm)) {
 		t.Fatal("warm result not byte-identical to cold result")
+	}
+	// Answering from the manifest is priced as one task start-up and
+	// nothing else.
+	overhead := costmodel.DefaultCluster().Machine.TaskOverheadSec
+	if got := warm.Estimate.Total(); got != overhead || got >= cold.Estimate.Total() {
+		t.Fatalf("warm run priced at %gs, want one task overhead (%gs) below the cold run's %gs",
+			got, overhead, cold.Estimate.Total())
 	}
 }
 

@@ -16,9 +16,7 @@ import (
 	"github.com/casm-project/casm/internal/core"
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
-	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workload"
 )
 
@@ -42,17 +40,6 @@ type Config struct {
 	TempDir string
 	// Seed drives data generation.
 	Seed int64
-	// Executor, when set, is a shared resident worker pool every panel run
-	// executes on instead of building per-engine pools. Purely an
-	// allocation-reuse knob: it never changes measured counters.
-	Executor *exec.Executor
-	// DecisionCache, when set, lets repeated panel runs of the same
-	// (workflow, dataset, config) reuse the prior plan decision. Attached
-	// only to skew-free runs: under SkewSampling, Panel F's uniform and
-	// skewed datasets share an identity (no Tag, equal N), so a cache hit
-	// would hand the uniform decision to the skewed run and zero its
-	// sampling overhead — changing the published numbers.
-	DecisionCache *optimizer.DecisionCache
 }
 
 func (c Config) withDefaults() Config {
@@ -143,10 +130,6 @@ func runQuery(ctx context.Context, su *workload.Suite, records []cube.Record, cf
 		return 0, nil, err
 	}
 	cfg.TempDir = fc.TempDir
-	cfg.Executor = fc.Executor
-	if cfg.SkewMode == core.SkewNone {
-		cfg.DecisionCache = fc.DecisionCache
-	}
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		return 0, nil, err

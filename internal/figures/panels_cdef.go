@@ -139,7 +139,6 @@ func Fig4e(ctx context.Context, cfg Config) (*PanelE, error) {
 		for _, early := range []core.EarlyAggMode{core.EarlyAggAuto, core.EarlyAggOff} {
 			eng, err := core.NewEngine(core.Config{
 				NumReducers: cfg.Reducers, EarlyAggregation: early, TempDir: cfg.TempDir,
-				Executor: cfg.Executor, DecisionCache: cfg.DecisionCache,
 			})
 			if err != nil {
 				return nil, err
