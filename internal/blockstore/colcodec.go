@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"github.com/casm-project/casm/internal/recio"
@@ -11,10 +12,50 @@ import (
 // []int64) are stored column-major, each column as a zigzag-encoded
 // delta-varint stream. Cube records are coordinates — small integers
 // with heavy run structure per attribute — so delta+varint routinely
-// shrinks a block several-fold relative to the row-major recio framing,
-// while decoding reproduces that framing byte for byte, which keeps the
-// whole zero-copy []byte plane (FrameReader, SplitFrameRuns, morsel
-// carving) oblivious to how blocks rest on disk.
+// shrinks a block several-fold relative to the row-major recio framing.
+//
+// A block decodes two ways. decodeColumnarFrames reproduces the recio
+// frame stream the writer measured, byte for byte, which keeps the
+// zero-copy []byte plane (FrameReader, SplitFrameRuns, morsel carving,
+// every job that shuffles the raw record as its value) oblivious to how
+// blocks rest on disk. RowReader hands the same records out as decoded
+// []int64 rows, a batch at a time, for consumers that would only decode
+// the frames again (a combining job's map side): no frame is ever
+// encoded and no whole-block matrix is ever live. Both run the same
+// checks — entry shape before any allocation, column truncation,
+// trailing bytes, the footer's raw-length invariant — and fail with
+// ErrCorruptBlock.
+
+// ErrCorruptBlock marks a columnar entry whose checksum verified but
+// whose contents do not decode: a shape the payload cannot hold, a
+// truncated or overlong column, or a decoded size that contradicts the
+// footer. A CRC is not a MAC, so these are input errors, not invariants.
+var ErrCorruptBlock = errors.New("blockstore: corrupt columnar block")
+
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptBlock}, args...)...)
+}
+
+// checkColumnarShape rejects, before anything is allocated from them,
+// entry-header fields no payload of payloadLen bytes can back: every
+// value occupies at least one payload byte, and every framed record at
+// least arity+1 and at most (arity+1)*MaxVarintLen64 bytes of rawLen.
+// The fields arrive as int(uint64), so negatives are overflowed headers.
+// A block holds at least one record (the Writer cuts none empty), which
+// is what bounds arity by the payload too.
+func checkColumnarShape(arity, n, rawLen, payloadLen int) error {
+	if arity <= 0 || n <= 0 || rawLen < 0 {
+		return corruptf("invalid shape arity=%d records=%d raw=%d", arity, n, rawLen)
+	}
+	if n > payloadLen/arity {
+		return corruptf("%d records of arity %d cannot fit a %d-byte payload", n, arity, payloadLen)
+	}
+	if min := n * (arity + 1); rawLen < min || rawLen > min*binary.MaxVarintLen64 {
+		return corruptf("raw length %d outside [%d,%d] for %d records of arity %d",
+			rawLen, min, min*binary.MaxVarintLen64, n, arity)
+	}
+	return nil
+}
 
 // zigzag maps signed deltas to unsigned varint-friendly space.
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
@@ -38,12 +79,10 @@ func appendColumnar(dst []byte, rows []int64, arity, n int) []byte {
 
 // decodeColumnarFrames decodes a columnar payload back into the exact
 // recio frame stream the writer measured: rawLen bytes of
-// uvarint-framed, uvarint-attribute records. The length equality is an
-// internal invariant (the payload is already CRC-verified); a mismatch
-// means the entry metadata itself is inconsistent.
+// uvarint-framed, uvarint-attribute records.
 func decodeColumnarFrames(payload []byte, arity, n, rawLen int) ([]byte, error) {
-	if arity <= 0 || n < 0 {
-		return nil, fmt.Errorf("blockstore: invalid columnar shape arity=%d records=%d", arity, n)
+	if err := checkColumnarShape(arity, n, rawLen, len(payload)); err != nil {
+		return nil, err
 	}
 	rows := make([]int64, n*arity)
 	off := 0
@@ -52,7 +91,7 @@ func decodeColumnarFrames(payload []byte, arity, n, rawLen int) ([]byte, error) 
 		for r := 0; r < n; r++ {
 			u, k := binary.Uvarint(payload[off:])
 			if k <= 0 {
-				return nil, fmt.Errorf("blockstore: truncated column %d at record %d", c, r)
+				return nil, corruptf("truncated column %d at record %d", c, r)
 			}
 			off += k
 			prev += unzigzag(u)
@@ -60,7 +99,7 @@ func decodeColumnarFrames(payload []byte, arity, n, rawLen int) ([]byte, error) 
 		}
 	}
 	if off != len(payload) {
-		return nil, fmt.Errorf("blockstore: %d trailing bytes in columnar payload", len(payload)-off)
+		return nil, corruptf("%d trailing bytes in columnar payload", len(payload)-off)
 	}
 	out := make([]byte, 0, rawLen)
 	rec := make([]byte, 0, 64)
@@ -73,7 +112,134 @@ func decodeColumnarFrames(payload []byte, arity, n, rawLen int) ([]byte, error) 
 		}
 	}
 	if len(out) != rawLen {
-		return nil, fmt.Errorf("blockstore: decoded %d bytes, footer says %d", len(out), rawLen)
+		return nil, corruptf("decoded %d bytes, footer says %d", len(out), rawLen)
 	}
 	return out, nil
+}
+
+// rowBatch is how many rows a RowReader decodes per refill: large enough
+// to amortize the per-column cursor switch over a long run of one
+// column's bytes, small enough that the batch (rowBatch*arity int64s)
+// stays cache-resident while the consumer walks it.
+const rowBatch = 1024
+
+// RowReader decodes one columnar block into rows, a batch at a time. It
+// keeps one cursor per column (found by a single skip pass over the
+// payload at open) and decodes the next rowBatch values of every column
+// into a row-major batch, so neither an n×arity matrix nor the rawLen
+// frame buffer of decodeColumnarFrames exists at any point. Next yields
+// one row per call; the row aliases the batch and is valid until the
+// following Next. A RowReader is single-goroutine and single-use.
+type RowReader struct {
+	payload []byte
+	arity   int
+	n       int     // records in the block
+	rawLen  int     // the footer's framed size, checked once the last row is decoded
+	decoded int     // rows decoded so far
+	raw     int     // framed bytes the decoded rows would occupy
+	cur     []int   // per column: offset of its next undecoded value
+	prev    []int64 // per column: the last decoded value (deltas add to it)
+
+	batch []int64
+	rows  []int64 // undelivered remainder of the current batch
+	err   error
+}
+
+// newRowReader validates the entry shape, then locates every column: a
+// varint ends at its first byte below 0x80, so counting n of those per
+// column finds the column boundaries — and a column that runs out of
+// payload, or payload left over after the last one — without decoding.
+func newRowReader(payload []byte, arity, n, rawLen int) (*RowReader, error) {
+	if err := checkColumnarShape(arity, n, rawLen, len(payload)); err != nil {
+		return nil, err
+	}
+	r := &RowReader{payload: payload, arity: arity, n: n, rawLen: rawLen,
+		cur: make([]int, arity), prev: make([]int64, arity)}
+	off := 0
+	for c := 0; c < arity; c++ {
+		r.cur[c] = off
+		for left := n; left > 0; off++ {
+			if off == len(payload) {
+				return nil, corruptf("truncated column %d at record %d", c, n-left)
+			}
+			if payload[off] < 0x80 {
+				left--
+			}
+		}
+	}
+	if off != len(payload) {
+		return nil, corruptf("%d trailing bytes in columnar payload", len(payload)-off)
+	}
+	r.batch = make([]int64, min(n, rowBatch)*arity)
+	return r, nil
+}
+
+// Next returns the block's next record; ok=false after the last one. An
+// error is terminal.
+func (r *RowReader) Next() ([]int64, bool, error) {
+	if len(r.rows) == 0 {
+		if r.err != nil || r.decoded == r.n {
+			return nil, false, r.err
+		}
+		if r.err = r.fill(); r.err != nil {
+			return nil, false, r.err
+		}
+	}
+	row := r.rows[:r.arity:r.arity]
+	r.rows = r.rows[r.arity:]
+	return row, true, nil
+}
+
+// Close drops the reader's buffers. Idempotent.
+func (r *RowReader) Close() error {
+	r.payload, r.batch, r.rows = nil, nil, nil
+	r.decoded = r.n
+	return nil
+}
+
+// fill decodes the next batch, column by column, and accounts the bytes
+// its rows occupy in recio framing — arithmetically, so the footer's
+// raw-length invariant is still checked without a frame being built.
+func (r *RowReader) fill() error {
+	arity := r.arity
+	b := min(r.n-r.decoded, rowBatch)
+	batch := r.batch[:b*arity]
+	p := r.payload
+	for c := 0; c < arity; c++ {
+		off, prev := r.cur[c], r.prev[c]
+		for i := c; i < len(batch); i += arity {
+			// One- and two-byte deltas are nearly all of them. The skip pass
+			// found this value's terminator inside the column, so p[off+1]
+			// exists here and Uvarint below cannot run into the next column.
+			u := uint64(p[off])
+			if u < 0x80 {
+				off++
+			} else if b1 := uint64(p[off+1]); b1 < 0x80 {
+				u = u&0x7f | b1<<7
+				off += 2
+			} else {
+				var k int
+				if u, k = binary.Uvarint(p[off:]); k <= 0 {
+					return corruptf("truncated column %d at record %d", c, r.decoded+i/arity)
+				}
+				off += k
+			}
+			prev += unzigzag(u)
+			batch[i] = prev
+		}
+		r.cur[c], r.prev[c] = off, prev
+	}
+	for row := 0; row < len(batch); row += arity {
+		recLen := 0
+		for _, v := range batch[row : row+arity] {
+			recLen += recio.UvarintLen(uint64(v))
+		}
+		r.raw += recio.UvarintLen(uint64(recLen)) + recLen
+	}
+	r.decoded += b
+	if r.decoded == r.n && r.raw != r.rawLen {
+		return corruptf("decoded %d bytes, footer says %d", r.raw, r.rawLen)
+	}
+	r.rows = batch
+	return nil
 }

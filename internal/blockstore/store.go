@@ -465,22 +465,7 @@ func (s *Store) infoLocked(file string, i int, bm *blockMeta) BlockInfo {
 // the first replica whose checksum verifies and counting a failover for
 // each replica that doesn't.
 func (s *Store) ReadBlock(file string, index int) ([]byte, error) {
-	s.mu.Lock()
-	f, ok := s.files[file]
-	if !ok || index < 0 || index >= len(f.blocks) {
-		n := 0
-		if ok {
-			n = len(f.blocks)
-		}
-		s.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("blockstore: file %q not found", file)
-		}
-		return nil, fmt.Errorf("blockstore: block %d of %q out of range [0,%d)", index, file, n)
-	}
-	bm := f.blocks[index]
-	payload, err := s.readEntryLocked(file, bm)
-	s.mu.Unlock()
+	bm, payload, err := s.readIndexed(file, index)
 	if err != nil {
 		return nil, err
 	}
@@ -488,6 +473,37 @@ func (s *Store) ReadBlock(file string, index int) ([]byte, error) {
 		return decodeColumnarFrames(payload, bm.arity, bm.recCount, bm.rawLen)
 	}
 	return payload, nil
+}
+
+// ReadBlockRows opens one data block for decoded-row reading: the same
+// verified, failing-over entry read as ReadBlock (and the same BlockReads
+// and BytesRead accounting), with the columns decoded straight into rows
+// instead of back into frames. The reader owns the entry bytes.
+func (s *Store) ReadBlockRows(file string, index int) (*RowReader, error) {
+	bm, payload, err := s.readIndexed(file, index)
+	if err != nil {
+		return nil, err
+	}
+	if bm.flags&flagColumnar == 0 {
+		return nil, fmt.Errorf("blockstore: block %d of %q holds no columnar records", index, file)
+	}
+	return newRowReader(payload, bm.arity, bm.recCount, bm.rawLen)
+}
+
+// readIndexed reads and verifies the entry of a file's index-th block.
+func (s *Store) readIndexed(file string, index int) (*blockMeta, []byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.files[file]
+	if !ok {
+		return nil, nil, fmt.Errorf("blockstore: file %q not found", file)
+	}
+	if index < 0 || index >= len(f.blocks) {
+		return nil, nil, fmt.Errorf("blockstore: block %d of %q out of range [0,%d)", index, file, len(f.blocks))
+	}
+	bm := f.blocks[index]
+	payload, err := s.readEntryLocked(file, bm)
+	return bm, payload, err
 }
 
 // readEntryLocked reads and verifies one entry, failing over across
@@ -537,7 +553,15 @@ func (s *Store) readReplica(file string, bm *blockMeta, r replicaLoc) ([]byte, e
 	if !bytes.Equal(e.key, bm.key) || e.crc != bm.crc {
 		return nil, fmt.Errorf("blockstore: replica on node %d holds a different entry", r.node)
 	}
-	return append([]byte(nil), e.payload...), nil
+	if e.flags&flagColumnar != 0 {
+		// The header is checksummed, not authenticated: a shape the payload
+		// cannot back fails this replica over like a bad checksum does.
+		if err := checkColumnarShape(e.arity, e.recCount, e.rawLen, len(e.payload)); err != nil {
+			return nil, err
+		}
+	}
+	// The payload aliases buf, which nothing else holds: no second copy.
+	return e.payload, nil
 }
 
 // ScanRaw calls fn for every entry of a file in key order, with decoded
@@ -865,7 +889,7 @@ func (w *Writer) Append(rec cube.Record) error {
 		return w.err
 	}
 	w.rec = recio.AppendRecord(w.rec[:0], rec)
-	frameLen := uvarintLen(uint64(len(w.rec))) + len(w.rec)
+	frameLen := recio.UvarintLen(uint64(len(w.rec))) + len(w.rec)
 	if w.recCount > 0 && w.rawLen+frameLen > w.s.cfg.BlockSize {
 		if err := w.flushBlock(); err != nil {
 			return err
@@ -938,13 +962,4 @@ func (s *Store) WriteRecords(file string, arity int, schemaDigest string, record
 		}
 	}
 	return w.Close()
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

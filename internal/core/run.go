@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
@@ -344,6 +343,32 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		return rl
 	}
 
+	if early {
+		// A combining job (one query, one geometry group, bare block keys)
+		// ships partial states, never the record, so its map function wants
+		// the record decoded and nothing else: block keys, then one fold per
+		// block straight into the combiner table. A store split hands the
+		// rows over already decoded (mr.RowSplit) and no record byte is
+		// built or parsed on the map side at all; Map below decodes a bytes
+		// split's record once and joins here.
+		plan := newEarlyAggPlan(s, basics)
+		job.Config.NewCombiner = func(st *mr.TaskStats) mr.Combiner { return plan.newCombiner(st) }
+		job.MapRows = func(ctx *mr.MapCtx, rec []int64) error {
+			if len(rec) != arity {
+				return fmt.Errorf("core: stored record of arity %d, schema has %d attributes", len(rec), arity)
+			}
+			sess := ctx.Local.(*mapLocal).dks[0]
+			for _, block := range sess.Blocks(rec) {
+				if err := ctx.EmitRow(block, rec); err != nil {
+					return err
+				}
+			}
+			ctx.Stats.KeyCacheHits = sess.Hits
+			return nil
+		}
+	}
+
+	mapRows := job.MapRows // nil unless early
 	job.Map = func(ctx *mr.MapCtx, raw []byte) error {
 		ml := ctx.Local.(*mapLocal)
 		// One decode for the whole job, one emit per geometry group and
@@ -352,6 +377,9 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		// costs keys, not copies.
 		if err := recio.DecodeRecordInto(raw, ml.rec); err != nil {
 			return err
+		}
+		if early {
+			return mapRows(ctx, ml.rec)
 		}
 		var hits int64
 		for gi, g := range groups {
@@ -376,12 +404,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		}
 		ctx.Stats.KeyCacheHits = hits
 		return nil
-	}
-
-	if early {
-		job.Config.NewCombiner = func(st *mr.TaskStats) mr.Combiner {
-			return newEarlyAggCombiner(s, basics, st)
-		}
 	}
 
 	job.Reduce = func(ctx *mr.ReduceCtx, groupKey []byte, values *mr.GroupIter) error {
@@ -678,150 +700,6 @@ func blockPrefixLen(key []byte, arity int) int {
 		off = len(key)
 	}
 	return off
-}
-
-// partialTag prefixes early-aggregation payloads.
-const partialTag = 1
-
-// earlyAggCombiner is the streaming early-aggregation combiner: each raw
-// record emitted for a block is decoded once and folded straight into the
-// per-(basic measure, region) aggregator state — no buffered value
-// copies, no re-decoding at flush time. It implements mr.Combiner.
-type earlyAggCombiner struct {
-	s      *cube.Schema
-	basics []*workflow.Measure
-	arity  int
-	st     *mr.TaskStats
-
-	blocks map[string]*blockPartials
-	groups int // total aggregator groups across blocks (= Len)
-
-	// Reused per-Add decode/encode buffers.
-	rec   cube.Record
-	coord []int64
-	enc   []byte
-}
-
-type blockPartials struct {
-	perBasic []map[string]*partialGroup
-}
-
-type partialGroup struct {
-	coords []int64
-	agg    measure.Aggregator
-}
-
-func newEarlyAggCombiner(s *cube.Schema, basics []*workflow.Measure, st *mr.TaskStats) *earlyAggCombiner {
-	arity := s.NumAttrs()
-	return &earlyAggCombiner{
-		s: s, basics: basics, arity: arity, st: st,
-		blocks: make(map[string]*blockPartials),
-		rec:    make(cube.Record, arity),
-		coord:  make([]int64, arity),
-	}
-}
-
-func (c *earlyAggCombiner) Add(blockKey, raw []byte) error {
-	if err := recio.DecodeRecordInto(raw, c.rec); err != nil {
-		return err
-	}
-	// Alloc-free probe; blockKey is only valid during Add, so the map-key
-	// string materialized on first sight of a block is the mandatory copy.
-	bp, ok := c.blocks[string(blockKey)]
-	if !ok {
-		bp = &blockPartials{perBasic: make([]map[string]*partialGroup, len(c.basics))}
-		for i := range bp.perBasic {
-			bp.perBasic[i] = make(map[string]*partialGroup)
-		}
-		c.blocks[string(blockKey)] = bp
-	}
-	for i, b := range c.basics {
-		c.s.CoordOf(c.rec, b.Grain, c.coord)
-		// Alloc-free lookup via the compiler's map[string][]byte-key
-		// optimization; the key string is only materialized on first sight.
-		c.enc = cube.AppendCoords(c.enc[:0], c.coord)
-		g, ok := bp.perBasic[i][string(c.enc)]
-		if !ok {
-			g = &partialGroup{coords: append([]int64(nil), c.coord...), agg: b.Agg.New()}
-			bp.perBasic[i][string(c.enc)] = g
-			c.groups++
-		} else {
-			c.st.CombineMerges++
-		}
-		if b.InputAttr >= 0 {
-			g.agg.Add(float64(c.rec[b.InputAttr]))
-		} else {
-			g.agg.Add(0)
-		}
-	}
-	return nil
-}
-
-func (c *earlyAggCombiner) Len() int { return c.groups }
-
-func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
-	// Deterministic flush: blocks in ascending key order, and within a
-	// block the partials in (basic index, region coordinate) order.
-	blockKeys := make([]string, 0, len(c.blocks))
-	for k := range c.blocks {
-		blockKeys = append(blockKeys, k)
-	}
-	sort.Strings(blockKeys)
-	for _, bk := range blockKeys {
-		bp := c.blocks[bk]
-		// One key slice per block per flush, shared by all of the block's
-		// emitted partials — the shuffle retains it but never mutates it.
-		kb := []byte(bk)
-		for i := range c.basics {
-			regionKeys := make([]string, 0, len(bp.perBasic[i]))
-			for rk := range bp.perBasic[i] {
-				regionKeys = append(regionKeys, rk)
-			}
-			sort.Strings(regionKeys)
-			for _, rk := range regionKeys {
-				g := bp.perBasic[i][rk]
-				// The emitted value is retained by the shuffle until the
-				// job ends, so it gets its own allocation; the map key rk
-				// already IS the encoded region coordinate.
-				if err := emit(kb, appendPartial(nil, i, rk, g.agg.State())); err != nil {
-					return err
-				}
-			}
-		}
-		delete(c.blocks, bk)
-	}
-	c.groups = 0
-	return nil
-}
-
-// appendPartial appends a tagged partial-state payload to dst. ck is the
-// EncodeCoords form of the region coordinates.
-func appendPartial(dst []byte, basicIdx int, ck string, state []byte) []byte {
-	dst = append(dst, partialTag)
-	dst = binary.AppendUvarint(dst, uint64(basicIdx))
-	dst = binary.AppendUvarint(dst, uint64(len(ck)))
-	dst = append(dst, ck...)
-	return append(dst, state...)
-}
-
-// splitPartial slices a partial payload into its parts without decoding
-// the coordinates; ck and state alias b.
-func splitPartial(b []byte) (int, []byte, []byte, error) {
-	if len(b) < 2 || b[0] != partialTag {
-		return 0, nil, nil, fmt.Errorf("core: not a partial payload")
-	}
-	b = b[1:]
-	idx, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, nil, fmt.Errorf("core: corrupt partial index")
-	}
-	b = b[n:]
-	ckLen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) < ckLen {
-		return 0, nil, nil, fmt.Errorf("core: corrupt partial coords")
-	}
-	b = b[n:]
-	return int(idx), b[:ckLen], b[ckLen:], nil
 }
 
 // mapLocal is one map task's reusable state (mr.Config.NewMapLocal): a

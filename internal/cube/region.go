@@ -77,10 +77,8 @@ func (s *Schema) ContainsRegion(r, child Region) bool {
 // use the string([]byte) map-lookup optimization to avoid materializing a
 // string per record.
 func AppendCoords(dst []byte, coord []int64) []byte {
-	var tmp [binary.MaxVarintLen64]byte
 	for _, c := range coord {
-		n := binary.PutUvarint(tmp[:], uint64(c))
-		dst = append(dst, tmp[:n]...)
+		dst = binary.AppendUvarint(dst, uint64(c))
 	}
 	return dst
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -433,4 +434,93 @@ func readNFloat(b []byte, k int) (int64, []float64, []byte, error) {
 		vals[i] = readFloat(rest[8*i:])
 	}
 	return int64(n), vals, rest[8*k:], nil
+}
+
+// --- flat partial states ---
+
+// FlatKind says how a mergeable aggregate function uses a FlatState; the
+// update is a switch on it rather than an Aggregator interface call.
+type FlatKind uint8
+
+const (
+	FlatCount   FlatKind = iota // N
+	FlatSum                     // N, A = sum
+	FlatMin                     // N, A = minimum
+	FlatMax                     // N, A = maximum
+	FlatMoments                 // N, A = sum, B = sum of squares (avg, var, stddev)
+)
+
+// FlatKind returns the function's flat-state kind; ok is false for
+// holistic functions, which have no constant-size partial state.
+func (s Spec) FlatKind() (kind FlatKind, ok bool) {
+	switch s.Func {
+	case Count:
+		return FlatCount, true
+	case Sum:
+		return FlatSum, true
+	case Min:
+		return FlatMin, true
+	case Max:
+		return FlatMax, true
+	case Avg, Var, StdDev:
+		return FlatMoments, true
+	}
+	return 0, false
+}
+
+// FlatState is the fixed-width partial state of one mergeable aggregate:
+// what the matching Aggregator holds, without the pointer and the method
+// table, so a combiner can keep its states in one slab. The zero value is
+// the empty state. Add and AppendState mirror Aggregator.Add and State
+// value for value and byte for byte — the reduce side merges these bytes
+// with MergeState and must not be able to tell the two producers apart.
+type FlatState struct {
+	N    int64
+	A, B float64
+}
+
+// Add absorbs one raw value.
+func (s *FlatState) Add(kind FlatKind, v float64) {
+	switch kind {
+	case FlatSum:
+		s.A += v
+	case FlatMin:
+		if s.N == 0 || v < s.A {
+			s.A = v
+		}
+	case FlatMax:
+		if s.N == 0 || v > s.A {
+			s.A = v
+		}
+	case FlatMoments:
+		s.A += v
+		s.B += v * v
+	}
+	s.N++
+}
+
+// StateLen is the length of the bytes AppendState appends.
+func (s *FlatState) StateLen(kind FlatKind) int {
+	n := (bits.Len64(uint64(s.N)|1) + 6) / 7 // N's uvarint
+	switch kind {
+	case FlatCount:
+		return n
+	case FlatMoments:
+		return n + 16
+	}
+	return n + 8
+}
+
+// AppendState appends the serialized partial aggregate: the bytes the
+// function's Aggregator returns from State after the same Adds.
+func (s *FlatState) AppendState(dst []byte, kind FlatKind) []byte {
+	dst = binary.AppendUvarint(dst, uint64(s.N))
+	if kind == FlatCount {
+		return dst
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.A))
+	if kind == FlatMoments {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s.B))
+	}
+	return dst
 }

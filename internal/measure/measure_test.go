@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -396,5 +397,38 @@ func TestCountDistinct(t *testing.T) {
 	}
 	if err := s.New().MergeState([]byte{0xff}); err == nil {
 		t.Error("garbage state accepted")
+	}
+}
+
+// TestFlatStateMatchesAggregator: for every mergeable function a
+// FlatState fed a value stream serializes, at every prefix of the stream,
+// exactly the bytes the function's Aggregator does — the two are
+// interchangeable producers of one wire format — and holistic functions
+// have no flat kind.
+func TestFlatStateMatchesAggregator(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, fn := range []Func{Count, Sum, Min, Max, Avg, Var, StdDev} {
+		spec := Spec{Func: fn}
+		kind, ok := spec.FlatKind()
+		if !ok {
+			t.Fatalf("%s has no flat kind", fn)
+		}
+		agg := spec.New()
+		var flat FlatState
+		for i := 0; i < 200; i++ {
+			if got, want := flat.AppendState(nil, kind), agg.State(); !bytes.Equal(got, want) {
+				t.Fatalf("%s after %d values: flat state %x, aggregator state %x", fn, i, got, want)
+			} else if flat.StateLen(kind) != len(want) {
+				t.Fatalf("%s after %d values: StateLen %d, state is %d bytes", fn, i, flat.StateLen(kind), len(want))
+			}
+			v := float64(rng.Int63n(1<<uint(rng.Intn(54))) - rng.Int63n(1<<20))
+			flat.Add(kind, v)
+			agg.Add(v)
+		}
+	}
+	for _, spec := range []Spec{{Func: Median}, {Func: Quantile, Arg: 0.9}, {Func: CountDistinct}} {
+		if _, ok := spec.FlatKind(); ok {
+			t.Errorf("holistic %s claims a flat kind", spec)
+		}
 	}
 }

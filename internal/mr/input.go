@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"github.com/casm-project/casm/internal/blockstore"
@@ -155,6 +156,12 @@ func (sp *storeSplit) Open() (RecordIter, error) {
 	return &storeIter{fr: recio.NewFrameReader(data)}, nil
 }
 
+// OpenRows reads the block like Open but decodes its columns straight
+// into rows: no frame is built for the map function to parse again.
+func (sp *storeSplit) OpenRows() (RowIter, error) {
+	return sp.st.ReadBlockRows(sp.info.File, sp.info.Index)
+}
+
 func (it *storeIter) Next() ([]byte, bool, error) {
 	if it.fr == nil { // closed
 		return nil, false, nil
@@ -198,3 +205,39 @@ func (sp *frameRunSplit) SizeBytes() int64 { return int64(len(sp.data)) }
 func (sp *frameRunSplit) Open() (RecordIter, error) {
 	return &storeIter{fr: recio.NewFrameReader(sp.data)}, nil
 }
+
+// OpenRows decodes the run's frames into rows, so that a morsel of a
+// store block offers what the whole block does. The carve already paid
+// for the frames; what this saves is every decode after this one.
+func (sp *frameRunSplit) OpenRows() (RowIter, error) {
+	return &frameRowIter{fr: recio.NewFrameReader(sp.data)}, nil
+}
+
+// frameRowIter yields each frame of a run as a decoded row, reusing one
+// row buffer.
+type frameRowIter struct {
+	fr  *recio.FrameReader
+	row []int64
+}
+
+func (it *frameRowIter) Next() ([]int64, bool, error) {
+	if it.fr == nil { // closed
+		return nil, false, nil
+	}
+	rec, ok, err := it.fr.Next()
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	it.row = it.row[:0]
+	for len(rec) > 0 {
+		v, k := binary.Uvarint(rec)
+		if k <= 0 {
+			return nil, false, fmt.Errorf("mr: corrupt record in %d-byte frame", len(rec))
+		}
+		it.row = append(it.row, int64(v))
+		rec = rec[k:]
+	}
+	return it.row, true, nil
+}
+
+func (it *frameRowIter) Close() error { it.fr = nil; return nil }

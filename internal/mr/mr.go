@@ -174,6 +174,21 @@ type MorselSplit interface {
 	Morsels(targetBytes int) ([]Split, error)
 }
 
+// RowIter yields one split's records already decoded, one fixed-arity
+// row per Next; a row is only valid until the following Next (or Close).
+type RowIter = iterx.Iter[[]int64]
+
+// RowSplit is implemented by splits whose storage decodes to rows more
+// cheaply than to record bytes (a columnar store block). It is a
+// capability, not a mode: a job that supplies Job.MapRows and a combiner
+// that takes rows has such a split scanned through OpenRows — the same
+// records in the same order as Open, counted the same — and every other
+// pairing of job and split uses Open.
+type RowSplit interface {
+	Split
+	OpenRows() (RowIter, error)
+}
+
 // MapCtx is passed to the map function.
 type MapCtx struct {
 	// Stats are the task's counters; map functions may bump EvalRecords
@@ -183,9 +198,16 @@ type MapCtx struct {
 	// otherwise): scratch buffers, key arenas — anything a map function
 	// needs to carry across records without sharing it between
 	// concurrently running tasks.
-	Local any
-	emit  func(key, value []byte) error
+	Local   any
+	emit    func(key, value []byte) error
+	emitRow func(key []byte, row []int64) error
 }
+
+// EmitRow folds one decoded record into the job's combiner under key,
+// where Emit would hand the combiner the record's bytes to decode again;
+// it is counted like an Emit of that record. key and row only need to
+// stay valid for the call. The job's combiner must be a RowCombiner.
+func (c *MapCtx) EmitRow(key []byte, row []int64) error { return c.emitRow(key, row) }
 
 // Emit sends one key/value pair into the shuffle.
 //
@@ -202,6 +224,9 @@ func (c *MapCtx) Emit(key, value []byte) error { return c.emit(key, value) }
 
 // MapFunc processes one input record.
 type MapFunc func(ctx *MapCtx, record []byte) error
+
+// RowMapFunc is MapFunc over a decoded record (see RowSplit).
+type RowMapFunc func(ctx *MapCtx, row []int64) error
 
 // Combiner is the streaming form of map-side early aggregation
 // (morsel-style thread-local pre-aggregation): one instance serves one
@@ -221,6 +246,14 @@ type Combiner interface {
 	// Len reports the number of buffered partial states, the framework's
 	// flush trigger.
 	Len() int
+}
+
+// RowCombiner is a Combiner that also folds decoded records, the
+// receiving end of MapCtx.EmitRow: AddRow(key, row) must leave the
+// combiner in the state Add(key, the record's bytes) would.
+type RowCombiner interface {
+	Combiner
+	AddRow(key []byte, row []int64) error
 }
 
 // CombinerFactory creates one Combiner per map task. The factory may bump
@@ -400,11 +433,17 @@ func HashPartition(key []byte, n int) int {
 
 // Job couples input, user functions, and configuration.
 type Job struct {
-	Name   string
-	Input  Input
-	Map    MapFunc
-	Reduce ReduceFunc
-	Config Config
+	Name  string
+	Input Input
+	Map   MapFunc
+	// MapRows, when non-nil, is Map for splits that hand out decoded rows
+	// (RowSplit): it must emit for a row what Map emits for that record's
+	// bytes. Only a job whose combiner is a RowCombiner has it called —
+	// without one the shuffled value is the record's bytes, which a row
+	// split would have to re-encode.
+	MapRows RowMapFunc
+	Reduce  ReduceFunc
+	Config  Config
 }
 
 // Result is a completed job's output.

@@ -12,6 +12,7 @@ import (
 
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/groupx"
+	"github.com/casm-project/casm/internal/iterx"
 	"github.com/casm-project/casm/internal/transport"
 )
 
@@ -366,7 +367,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			w := w
 			mapStats[w].Task = fmt.Sprintf("map-worker-%d", w)
 			mapGroup.Go(fmt.Sprintf("mr: map worker %d", w), &mapStats[w].Timing, func(tctx context.Context) error {
-				return runMapTask(tctx, job.Map, &mapStats[w], cfg, tr, func(p *mapPipeline) error {
+				return runMapTask(tctx, job, &mapStats[w], cfg, tr, func(p *mapPipeline) error {
 					return p.scanMorsels(tctx, w, d)
 				})
 			})
@@ -377,7 +378,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			i, sp := i, sp
 			mapStats[i].Task = sp.Label()
 			mapGroup.Go("mr: map task "+sp.Label(), &mapStats[i].Timing, func(tctx context.Context) error {
-				return runMapTask(tctx, job.Map, &mapStats[i], cfg, tr, func(p *mapPipeline) error {
+				return runMapTask(tctx, job, &mapStats[i], cfg, tr, func(p *mapPipeline) error {
 					return p.scan(tctx, sp)
 				})
 			})
@@ -503,7 +504,7 @@ func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll group
 // files, which our in-process shuffle does not need). Mid-task errors are
 // therefore not retried, and neither is cancellation: a cancelled attempt
 // is the job being torn down, not the task failing.
-func runMapTask(ctx context.Context, mapFn MapFunc, st *TaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
+func runMapTask(ctx context.Context, job Job, st *TaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -516,7 +517,7 @@ func runMapTask(ctx context.Context, mapFn MapFunc, st *TaskStats, cfg Config, t
 				continue
 			}
 		}
-		p := newMapPipeline(ctx, mapFn, st, cfg, tr)
+		p := newMapPipeline(ctx, job, st, cfg, tr)
 		if err := scan(p); err != nil {
 			return err
 		}
@@ -532,25 +533,32 @@ func runMapTask(ctx context.Context, mapFn MapFunc, st *TaskStats, cfg Config, t
 // (one scan per morsel pulled).
 type mapPipeline struct {
 	mapFn MapFunc
-	st    *TaskStats
-	cfg   Config
+	// mapRows is the job's row map function, kept only when the task's
+	// combiner takes rows: scan then opens row splits as rows.
+	mapRows RowMapFunc
+	st      *TaskStats
+	cfg     Config
 	// bw accumulates pairs per reducer and ships them as framed batches,
 	// so channel operations and frame round-trips drop by the batch
 	// factor; nil under ShuffleDisabled (pairs are counted, not sent).
-	bw   *transport.BatchWriter
-	comb Combiner
-	mctx MapCtx
+	bw      *transport.BatchWriter
+	comb    Combiner
+	rowComb RowCombiner // comb, when it also takes rows
+	mctx    MapCtx
 }
 
-func newMapPipeline(ctx context.Context, mapFn MapFunc, st *TaskStats, cfg Config, tr transport.Transport) *mapPipeline {
-	p := &mapPipeline{mapFn: mapFn, st: st, cfg: cfg}
+func newMapPipeline(ctx context.Context, job Job, st *TaskStats, cfg Config, tr transport.Transport) *mapPipeline {
+	p := &mapPipeline{mapFn: job.Map, st: st, cfg: cfg}
 	if !cfg.ShuffleDisabled {
 		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
 	}
-	p.mctx = MapCtx{Stats: st, emit: p.send}
+	p.mctx = MapCtx{Stats: st, emit: p.send, emitRow: p.combineRow}
 	if cfg.NewCombiner != nil {
 		p.comb = cfg.NewCombiner(st)
 		p.mctx.emit = p.combine
+		if p.rowComb, _ = p.comb.(RowCombiner); p.rowComb != nil {
+			p.mapRows = job.MapRows
+		}
 	}
 	if cfg.NewMapLocal != nil {
 		p.mctx.Local = cfg.NewMapLocal(st)
@@ -575,9 +583,24 @@ func (p *mapPipeline) send(key, value []byte) error {
 // distinct states, spills it — in Flush's sorted-key order — into the
 // shuffle toward the reducers' global grouping collectors (phase 2).
 func (p *mapPipeline) combine(key, value []byte) error {
-	p.st.CombineInputs++
 	before := p.comb.Len()
-	if err := p.comb.Add(key, value); err != nil {
+	return p.combined(before, p.comb.Add(key, value))
+}
+
+// combineRow is combine for a record that is already decoded.
+func (p *mapPipeline) combineRow(key []byte, row []int64) error {
+	if p.rowComb == nil {
+		return fmt.Errorf("mr: EmitRow needs a combiner that takes rows")
+	}
+	before := p.comb.Len()
+	return p.combined(before, p.rowComb.AddRow(key, row))
+}
+
+// combined accounts one fold into the table, which held before states,
+// and applies the LocalAggBudget flush rule.
+func (p *mapPipeline) combined(before int, err error) error {
+	p.st.CombineInputs++
+	if err != nil {
 		return err
 	}
 	n := p.comb.Len()
@@ -591,11 +614,21 @@ func (p *mapPipeline) combine(key, value []byte) error {
 	return nil
 }
 
-// scan pulls one split's records through the map function, closing the
-// iterator on every path (record iterators are single-use and may hold
-// resources — a packed-file split's block buffer, for instance).
+// scan pulls one split's records through the map function — as decoded
+// rows when the split offers them and the job can take them, as record
+// bytes otherwise; both read the same records, and count them the same.
 func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
-	it, err := sp.Open()
+	if rs, ok := sp.(RowSplit); ok && p.mapRows != nil {
+		return scanRecords(ctx, p, sp, rs.OpenRows, p.mapRows)
+	}
+	return scanRecords(ctx, p, sp, sp.Open, p.mapFn)
+}
+
+// scanRecords is scan over either record form, closing the iterator on
+// every path (record iterators are single-use and may hold resources — a
+// packed-file split's block buffer, for instance).
+func scanRecords[R any, F ~func(*MapCtx, R) error](ctx context.Context, p *mapPipeline, sp Split, open func() (iterx.Iter[R], error), mapFn F) error {
+	it, err := open()
 	if err != nil {
 		return err
 	}
@@ -619,7 +652,7 @@ func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
 			default:
 			}
 		}
-		if err := p.mapFn(&p.mctx, rec); err != nil {
+		if err := mapFn(&p.mctx, rec); err != nil {
 			return err
 		}
 	}

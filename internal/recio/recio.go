@@ -11,6 +11,7 @@ package recio
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"github.com/casm-project/casm/internal/cube"
 )
@@ -170,7 +171,7 @@ func PackAligned(records []cube.Record, blockSize int) ([]byte, error) {
 	var scratch []byte
 	for _, rec := range records {
 		scratch = AppendRecord(scratch[:0], rec)
-		frameLen := uvarintLen(uint64(len(scratch))) + len(scratch)
+		frameLen := UvarintLen(uint64(len(scratch))) + len(scratch)
 		if frameLen+1 > blockSize { // +1 for the potential terminator
 			return nil, fmt.Errorf("recio: record of %d framed bytes exceeds block size %d", frameLen, blockSize)
 		}
@@ -218,11 +219,5 @@ func DecodeAll(data []byte, blockSize, arity int) ([]cube.Record, error) {
 	return out, nil
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+// UvarintLen is the encoded size of v as a uvarint.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
