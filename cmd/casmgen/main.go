@@ -1,12 +1,15 @@
 // Command casmgen generates the paper's synthetic datasets (Section VI)
-// as a packed record file that casmrun can evaluate:
+// and ingests them into the persistent replicated block store that
+// casmrun and casmserve evaluate from:
 //
-//	casmgen -n 1000000 -dist uniform -seed 1 -o data.casm
-//	casmgen -n 1000000 -zipf 2 -layout clustered -o skew.casm
+//	casmgen -n 1000000 -dist uniform -seed 1 -store /var/casm/store -o events.casm
+//	casmgen -n 1000000 -zipf 2 -layout clustered -store /var/casm/store -o skew.casm
 //
-// The file is a sequence of block-aligned varint-framed records over the
-// six-attribute evaluation schema (a1..a4 in [0,256) with a four-level
-// hierarchy; t1, t2 covering twenty days at second resolution).
+// Records follow the six-attribute evaluation schema (a1..a4 in [0,256)
+// with a four-level hierarchy; t1, t2 covering twenty days at second
+// resolution). -o names the file inside the store; its record count and
+// schema digest persist in block footers, so readers never recount.
+// Re-running casmgen into the same name replaces the file.
 //
 // The skew knobs build the §V straggler scenarios: -zipf draws a1..a4
 // zipf-distributed (exponent > 1; larger = more skew), and -layout
@@ -14,40 +17,58 @@
 // across all blocks, clustered sorts records so each hot key forms a
 // contiguous run, adversarial additionally parks the hottest runs at the
 // end of the file.
-//
-// With -store DIR, records ingest into the persistent replicated block
-// store rooted at DIR instead of a flat file; -o names the file inside
-// the store. casmserve and casmrun reopen it with their own -store flag
-// and skip recounting — the record count and schema digest persist in
-// block footers:
-//
-//	casmgen -n 1000000 -store /var/casm/store -o events.casm
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/casm-project/casm/internal/blockstore"
-	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workload"
 )
 
+// errUsage marks a command line casmgen cannot act on (exit status 2).
+var errUsage = errors.New("usage")
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("casmgen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	var (
-		n         = flag.Int("n", 100_000, "number of records")
-		dist      = flag.String("dist", "uniform", "data distribution: uniform | skewed")
-		zipf      = flag.Float64("zipf", 0, "zipf exponent for a1..a4 (> 1; 0 = uniform)")
-		layout    = flag.String("layout", "shuffled", "record layout: shuffled | clustered | adversarial")
-		seed      = flag.Int64("seed", 1, "generator seed")
-		out       = flag.String("o", "data.casm", "output file (with -store: the file name inside the store)")
-		blockSize = flag.Int("block", 4<<20, "block size in bytes (records never straddle blocks)")
-		storeDir  = flag.String("store", "", "ingest into the persistent block store at this directory instead of a flat file")
-		repl      = flag.Int("replication", 3, "store replication factor (with -store)")
-		nodes     = flag.Int("nodes", 10, "store node count (with -store)")
+		n         = fs.Int("n", 100_000, "number of records")
+		dist      = fs.String("dist", "uniform", "data distribution: uniform | skewed")
+		zipf      = fs.Float64("zipf", 0, "zipf exponent for a1..a4 (> 1; 0 = uniform)")
+		layout    = fs.String("layout", "shuffled", "record layout: shuffled | clustered | adversarial")
+		seed      = fs.Int64("seed", 1, "generator seed")
+		out       = fs.String("o", "data.casm", "name of the file inside the store")
+		blockSize = fs.Int("block", 4<<20, "store block size in decoded bytes (one block is one map split)")
+		storeDir  = fs.String("store", "", "directory of the persistent block store to ingest into (required)")
+		repl      = fs.Int("replication", 3, "store replication factor")
+		nodes     = fs.Int("nodes", 10, "store node count")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stdout)
+			fs.PrintDefaults()
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *storeDir == "" {
+		return fmt.Errorf("%w: -store DIR is required", errUsage)
+	}
 
 	var d workload.Distribution
 	switch *dist {
@@ -56,13 +77,11 @@ func main() {
 	case "skewed":
 		d = workload.SkewedTime
 	default:
-		fmt.Fprintf(os.Stderr, "casmgen: unknown distribution %q (want uniform or skewed)\n", *dist)
-		os.Exit(2)
+		return fmt.Errorf("%w: unknown distribution %q (want uniform or skewed)", errUsage, *dist)
 	}
 	lay, err := workload.ParseLayout(*layout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-		os.Exit(2)
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 
 	su := workload.NewSuite()
@@ -70,54 +89,33 @@ func main() {
 		N: *n, Dist: d, Seed: *seed, Zipf: *zipf, Layout: lay,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-		os.Exit(2)
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	if *storeDir != "" {
-		st, err := blockstore.Open(blockstore.Config{
-			Dir: *storeDir, BlockSize: *blockSize, Replication: *repl, NumNodes: *nodes, Seed: *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-			os.Exit(1)
-		}
-		// Replace, not append: re-running the same casmgen converges to
-		// exactly the generated records.
-		if _, ferr := st.FileInfo(*out); ferr == nil {
-			if err := st.Delete(*out); err != nil {
-				st.Close()
-				fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if err := workload.WriteStore(st, *out, su.Schema, records); err != nil {
-			st.Close()
-			fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-			os.Exit(1)
-		}
-		size, err := st.Size(*out)
-		if err != nil {
-			st.Close()
-			fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-			os.Exit(1)
-		}
-		if err := st.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("ingested %d records (%d stored bytes, %s distribution, zipf %g, %s layout, seed %d) into store %s as %s\n",
-			*n, size, d, *zipf, lay, *seed, *storeDir, *out)
-		return
-	}
-	data, err := recio.PackAligned(records, *blockSize)
+	st, err := blockstore.Open(blockstore.Config{
+		Dir: *storeDir, BlockSize: *blockSize, Replication: *repl, NumNodes: *nodes, Seed: *seed,
+	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "casmgen: %v\n", err)
-		os.Exit(1)
+	defer st.Close()
+	// Replace, not append: re-running the same casmgen converges to
+	// exactly the generated records.
+	if _, ferr := st.FileInfo(*out); ferr == nil {
+		if err := st.Delete(*out); err != nil {
+			return err
+		}
 	}
-	fmt.Printf("wrote %d records (%d bytes, %s distribution, zipf %g, %s layout, seed %d) to %s\n",
-		*n, len(data), d, *zipf, lay, *seed, *out)
+	if err := workload.WriteStore(st, *out, su.Schema, records); err != nil {
+		return err
+	}
+	info, err := st.FileInfo(*out)
+	if err != nil {
+		return err
+	}
+	if err := st.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "ingested %d records in %d blocks (%d raw bytes, %d stored per replica, %s distribution, zipf %g, %s layout, seed %d) into store %s as %s\n",
+		info.Records, info.Blocks, info.RawBytes, info.StoredBytes, d, *zipf, lay, *seed, *storeDir, *out)
+	return nil
 }

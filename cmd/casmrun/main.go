@@ -1,21 +1,23 @@
 // Command casmrun evaluates one of the paper's queries over a dataset
-// produced by casmgen, printing the chosen plan, per-measure result
-// counts, substrate counters, and the simulated response time on the
-// paper's 100-machine cluster:
+// that casmgen ingested into a block store, printing the chosen plan,
+// per-measure result counts, substrate counters, and the simulated
+// response time on the paper's 100-machine cluster:
 //
-//	casmrun -data data.casm -query q6 -reducers 50
-//	casmrun -data data.casm -query q5 -cf 10 -sort combined
-//	casmrun -data data.casm -query ds0 -early auto
-//	casmrun -data data.casm -query q5 -skew sampling
-//	casmrun -data data.casm -batch q1,q2,q6
-//	casmrun -store /var/casm/store -data events.casm -query q2 -resultcache
+//	casmrun -store DIR -data data.casm -query q6 -reducers 50
+//	casmrun -store DIR -data data.casm -query q5 -cf 10 -sort combined
+//	casmrun -store DIR -data data.casm -query ds0 -early auto
+//	casmrun -store DIR -data data.casm -query q5 -skew sampling
+//	casmrun -store DIR -data data.casm -batch q1,q2,q6
+//	casmrun -store DIR -data data.casm -query q2 -resultcache
 //
 // Queries: q1..q6 (Section VI), ds0..ds2 (early-aggregation study).
-// With -store, -data names a file inside the persistent block store
-// (written by casmgen -store) and evaluation streams off the store's
-// replicated blocks. Adding -resultcache materializes per-(block,
-// fingerprint) results into the store, so re-running the same query in a
-// later invocation assembles the answer without scanning any input.
+// -data names a file inside the store at -store; evaluation streams off
+// the store's replicated blocks, one block resident per open split, and
+// the dataset's cardinality comes from block footers. Adding -resultcache
+// materializes per-(block, fingerprint) results into the store, so
+// re-running the same query in a later invocation assembles the answer
+// without scanning any input. With -stream, result rows flow to the sink
+// while the job runs instead of being assembled first.
 // With -batch, the named queries are evaluated in one EvaluateBatchContext call:
 // compatible queries share a single input scan (and, when their plans
 // agree on block geometry, the shuffle too), with per-query answers
@@ -27,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -37,12 +40,14 @@ import (
 	"github.com/casm-project/casm/internal/core"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
-	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workload"
 )
 
+// errUsage marks a command line casmrun cannot act on (exit status 2).
+var errUsage = errors.New("usage")
+
 func main() {
-	switch err := run(); {
+	switch err := run(os.Args[1:], os.Stdout); {
 	case err == nil:
 	case errors.Is(err, context.Canceled):
 		// Interrupted runs exit with the conventional 128+SIGINT code; by
@@ -50,38 +55,52 @@ func main() {
 		// goroutines, no retained spill descriptors).
 		fmt.Fprintln(os.Stderr, "casmrun: interrupted")
 		os.Exit(130)
+	case errors.Is(err, errUsage):
+		fmt.Fprintf(os.Stderr, "casmrun: %v\n", err)
+		os.Exit(2)
 	default:
 		fmt.Fprintf(os.Stderr, "casmrun: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("casmrun", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
 	var (
-		dataPath = flag.String("data", "data.casm", "dataset file from casmgen")
-		queryStr = flag.String("query", "q1", "query: q1..q6 | ds0..ds2")
-		cqlPath  = flag.String("cql", "", "CQL file defining the query over the paper schema (overrides -query)")
-		reducers = flag.Int("reducers", 8, "number of reducers (m)")
-		cf       = flag.Int64("cf", 0, "force clustering factor (0 = optimizer)")
-		sortMode = flag.String("sort", "twopass", "in-group sort: twopass | combined")
-		early    = flag.String("early", "off", "early aggregation: off | auto (combine whenever the query supports it)")
-		skew     = flag.String("skew", "none", "skew handling: none | sampling")
-		minBlk   = flag.Int64("minblocks", 0, "minimum blocks per reducer heuristic (0 = off)")
-		stage    = flag.String("stage", "full", "pipeline stage: full | maponly | shuffle | sort")
-		blockSz  = flag.Int("block", 4<<20, "block size used by casmgen")
-		values   = flag.Int("show", 0, "print the first N result rows per measure")
-		savePath = flag.String("save", "", "write result records to this file (block-aligned frames)")
-		tmpDir   = flag.String("tmp", "", "directory for reducer spill files (default OS temp)")
-		sortMem  = flag.Int("sortmem", 0, "reducer in-memory grouping budget in items, 0 = default (set small to force spills)")
-		morsel   = flag.Bool("morsel", false, "morsel-driven map execution (work-stealing workers over carved splits)")
-		morselB  = flag.Int("morselbytes", 0, "morsel size in bytes (implies -morsel; 0 with -morsel = default size)")
-		localAgg = flag.Int("localagg", 0, "each map task's early-aggregation table budget in distinct states (0 = default)")
-		stream   = flag.Bool("stream", false, "bounded-memory mode: stream splits off disk and rows to the sink, never materializing dataset or result")
-		storeDir = flag.String("store", "", "open the persistent block store at this directory; -data names the file inside it")
-		resCache = flag.Bool("resultcache", false, "enable the materialized result cache, persisted in the store (requires -store)")
-		batchStr = flag.String("batch", "", "comma-separated queries (e.g. q1,q2,q6) evaluated as one shared-scan batch (overrides -query)")
+		dataPath = fs.String("data", "data.casm", "dataset file inside the store (casmgen -o)")
+		queryStr = fs.String("query", "q1", "query: q1..q6 | ds0..ds2")
+		cqlPath  = fs.String("cql", "", "CQL file defining the query over the paper schema (overrides -query)")
+		reducers = fs.Int("reducers", 8, "number of reducers (m)")
+		cf       = fs.Int64("cf", 0, "force clustering factor (0 = optimizer)")
+		sortMode = fs.String("sort", "twopass", "in-group sort: twopass | combined")
+		early    = fs.String("early", "off", "early aggregation: off | auto (combine whenever the query supports it)")
+		skew     = fs.String("skew", "none", "skew handling: none | sampling")
+		minBlk   = fs.Int64("minblocks", 0, "minimum blocks per reducer heuristic (0 = off)")
+		stage    = fs.String("stage", "full", "pipeline stage: full | maponly | shuffle | sort")
+		values   = fs.Int("show", 0, "print the first N result rows per measure")
+		savePath = fs.String("save", "", "write result records to a single-node block store at this directory")
+		tmpDir   = fs.String("tmp", "", "directory for reducer spill files (default OS temp)")
+		sortMem  = fs.Int("sortmem", 0, "reducer in-memory grouping budget in items, 0 = default (set small to force spills)")
+		morsel   = fs.Bool("morsel", false, "morsel-driven map execution (work-stealing workers over carved splits)")
+		morselB  = fs.Int("morselbytes", 0, "morsel size in bytes (implies -morsel; 0 with -morsel = default size)")
+		localAgg = fs.Int("localagg", 0, "each map task's early-aggregation table budget in distinct states (0 = default)")
+		stream   = fs.Bool("stream", false, "stream result rows to the sink while the job runs, never materializing the result")
+		storeDir = fs.String("store", "", "directory of the persistent block store holding -data (required)")
+		resCache = fs.Bool("resultcache", false, "enable the materialized result cache, persisted in the store")
+		batchStr = fs.String("batch", "", "comma-separated queries (e.g. q1,q2,q6) evaluated as one shared-scan batch (overrides -query)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stdout)
+			fs.PrintDefaults()
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	if *storeDir == "" {
+		return fmt.Errorf("%w: -store DIR is required (ingest a dataset with casmgen -store DIR -o FILE)", errUsage)
+	}
 
 	// Ctrl-C cancels the in-flight evaluation: the engine tears the job
 	// down promptly and run returns context.Canceled (exit code 130). A
@@ -175,73 +194,45 @@ func run() error {
 		return fmt.Errorf("unknown stage %q", *stage)
 	}
 
-	// -store evaluates off the persistent block store: the dataset's
-	// cardinality and schema digest come from block footers (no counting
-	// scan), and -resultcache materializes results back into the store so
-	// a later invocation of the same query skips the input entirely.
-	var st *casm.Store
+	// The dataset's cardinality and schema digest come from block footers
+	// (no counting scan), and -resultcache materializes results back into
+	// the store so a later invocation of the same query skips the input
+	// entirely.
+	st, err := casm.OpenStore(casm.StoreConfig{Dir: *storeDir, Replication: 3, NumNodes: 10, Seed: 1})
+	if err != nil {
+		return err
+	}
+	defer st.Close()
 	var rc *casm.ResultCache
-	if *storeDir != "" {
-		st, err = casm.OpenStore(casm.StoreConfig{
-			Dir: *storeDir, BlockSize: *blockSz, Replication: 3, NumNodes: 10, Seed: 1,
-		})
-		if err != nil {
+	if *resCache {
+		if rc, err = casm.NewResultCache(st, 0); err != nil {
 			return err
 		}
-		defer st.Close()
-		if *resCache {
-			if rc, err = casm.NewResultCache(st, 0); err != nil {
-				return err
-			}
-			defer rc.Close()
-			cfg.ResultCache = rc
-		}
-	} else if *resCache {
-		return fmt.Errorf("-resultcache persists into the block store; add -store")
+		defer rc.Close()
+		cfg.ResultCache = rc
 	}
 
 	eng, err := casm.NewEngine(cfg)
 	if err != nil {
 		return err
 	}
-
-	var ds *casm.Dataset
-	if st != nil {
-		if ds, err = casm.StoreDataset(su.Schema, st, *dataPath); err != nil {
-			return err
-		}
-		fmt.Printf("dataset: %d records from store %s (file %s)\n", ds.NumRecords, *storeDir, *dataPath)
+	ds, err := casm.StoreDataset(su.Schema, st, *dataPath)
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(stdout, "dataset: %d records from store %s (file %s)\n", ds.NumRecords, *storeDir, *dataPath)
 
 	if *stream {
 		if *savePath != "" {
 			return fmt.Errorf("-save needs the materialized result; drop -stream")
 		}
-		if ds == nil {
-			if ds, err = core.FileDataset(su.Schema, *dataPath, *blockSz); err != nil {
-				return err
-			}
-		}
-		return runStream(ctx, eng, su, q, ds, *values)
-	}
-
-	if ds == nil {
-		data, err := os.ReadFile(*dataPath)
-		if err != nil {
-			return err
-		}
-		records, err := recio.DecodeAll(data, *blockSz, su.Schema.NumAttrs())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("dataset: %d records (%d bytes)\n", len(records), len(data))
-		ds = core.MemoryDataset(su.Schema, records, 4**reducers)
+		return runStream(ctx, stdout, eng, su, q, ds, *values)
 	}
 	if len(batchQs) > 0 {
-		if err := runBatch(ctx, eng, su, batchQs, batchNames, ds, *values); err != nil {
+		if err := runBatch(ctx, stdout, eng, su, batchQs, batchNames, ds, *values); err != nil {
 			return err
 		}
-		fmt.Printf("plan cache: %d hits, %d misses\n", dcache.Hits(), dcache.Misses())
+		fmt.Fprintf(stdout, "plan cache: %d hits, %d misses\n", dcache.Hits(), dcache.Misses())
 		return nil
 	}
 	res, err := eng.EvaluateContext(ctx, q, ds)
@@ -249,8 +240,8 @@ func run() error {
 		return err
 	}
 
-	fmt.Println(q.Explain())
-	printPlan(su, res.ResultHeader)
+	fmt.Fprintln(stdout, q.Explain())
+	printPlan(stdout, su, res.ResultHeader)
 
 	names := make([]string, 0, len(res.Measures))
 	for n := range res.Measures {
@@ -259,44 +250,43 @@ func run() error {
 	sort.Strings(names)
 	for _, n := range names {
 		ms := res.Measures[n]
-		fmt.Printf("measure %-10s %8d records\n", n, len(ms))
+		fmt.Fprintf(stdout, "measure %-10s %8d records\n", n, len(ms))
 		for i := 0; i < *values && i < len(ms); i++ {
-			fmt.Printf("  %s = %g\n", su.Schema.FormatRegion(ms[i].Region), ms[i].Value)
+			fmt.Fprintf(stdout, "  %s = %g\n", su.Schema.FormatRegion(ms[i].Region), ms[i].Value)
 		}
 	}
-	fmt.Printf("shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
+	fmt.Fprintf(stdout, "shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
 		float64(res.Stats.Shuffled)/(1<<20), len(res.Stats.MapTasks), len(res.Stats.ReduceTasks),
 		res.Stats.Wall.Seconds())
-	fmt.Printf("simulated response time on the paper's cluster: %s\n", res.Estimate)
+	fmt.Fprintf(stdout, "simulated response time on the paper's cluster: %s\n", res.Estimate)
 	if res.SampleSeconds > 0 {
-		fmt.Printf("  (includes %.1fs simulated sampling overhead)\n", res.SampleSeconds)
+		fmt.Fprintf(stdout, "  (includes %.1fs simulated sampling overhead)\n", res.SampleSeconds)
 	}
 	if res.ResultReused {
-		fmt.Println("result assembled from the materialized cache (no input scanned)")
+		fmt.Fprintln(stdout, "result assembled from the materialized cache (no input scanned)")
 	}
 	if rc != nil {
 		cs := rc.Stats()
-		fmt.Printf("result cache: %d hits, %d misses, %d bytes materialized, %d evictions\n",
+		fmt.Fprintf(stdout, "result cache: %d hits, %d misses, %d bytes materialized, %d evictions\n",
 			cs.Hits, cs.Misses, cs.BytesMaterialized, cs.Evictions)
 	}
 	if *savePath != "" {
-		outStore, err := casm.OpenStore(casm.StoreConfig{Dir: *savePath, BlockSize: *blockSz, Replication: 1, NumNodes: 1, Seed: 1})
+		outStore, err := casm.OpenStore(casm.StoreConfig{Dir: *savePath, Replication: 1, NumNodes: 1, Seed: 1})
 		if err != nil {
 			return err
 		}
-		if err := casm.SaveResults(outStore, "results", res, *blockSz); err != nil {
-			outStore.Close()
+		defer outStore.Close()
+		if err := casm.SaveResults(outStore, "results", res, outStore.Config().BlockSize); err != nil {
 			return err
 		}
 		size, err := outStore.Size("results")
 		if err != nil {
-			outStore.Close()
 			return err
 		}
 		if err := outStore.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("saved %d measure records to store %s (%d bytes)\n", res.TotalRecords(), *savePath, size)
+		fmt.Fprintf(stdout, "saved %d measure records to store %s (%d bytes)\n", res.TotalRecords(), *savePath, size)
 	}
 	return nil
 }
@@ -304,13 +294,13 @@ func run() error {
 // runBatch evaluates the named queries as one EvaluateBatchContext call and
 // prints, per job, which queries shared its scan and shuffle, then the
 // usual per-query result summary.
-func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*casm.Query, names []string, ds *casm.Dataset, show int) error {
+func runBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workload.Suite, qs []*casm.Query, names []string, ds *casm.Dataset, show int) error {
 	batch, err := eng.EvaluateBatchContext(ctx, qs, ds)
 	if err != nil {
 		return err
 	}
 
-	fmt.Printf("batch: %d queries, %d job(s), %d served from shared scans\n",
+	fmt.Fprintf(stdout, "batch: %d queries, %d job(s), %d served from shared scans\n",
 		len(qs), len(batch.Jobs), batch.SharedScanQueries())
 	for ji, job := range batch.Jobs {
 		members := make([]string, len(job.Queries))
@@ -318,7 +308,7 @@ func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*c
 			members[i] = names[qi]
 		}
 		if !job.Shared {
-			fmt.Printf("job %d: %s (unshared)\n", ji, strings.Join(members, ","))
+			fmt.Fprintf(stdout, "job %d: %s (unshared)\n", ji, strings.Join(members, ","))
 			continue
 		}
 		groups := make([]string, len(job.Groups))
@@ -329,19 +319,19 @@ func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*c
 			}
 			groups[gi] = "{" + strings.Join(gnames, ",") + "}"
 		}
-		fmt.Printf("job %d: %s shared one scan; geometry groups (shared shuffle): %s\n",
+		fmt.Fprintf(stdout, "job %d: %s shared one scan; geometry groups (shared shuffle): %s\n",
 			ji, strings.Join(members, ","), strings.Join(groups, " "))
 		var saved int64
 		for _, t := range job.Stats.MapTasks {
 			saved += t.SharedScanBytesSaved
 		}
-		fmt.Printf("job %d: %.1f MB input scanned once, %.1f MB of re-reads avoided\n",
+		fmt.Fprintf(stdout, "job %d: %.1f MB input scanned once, %.1f MB of re-reads avoided\n",
 			ji, float64(jobBytesRead(job.Stats))/(1<<20), float64(saved)/(1<<20))
 	}
 
 	for qi, res := range batch.Results {
-		fmt.Printf("\nquery %s:\n", names[qi])
-		printPlan(su, res.ResultHeader)
+		fmt.Fprintf(stdout, "\nquery %s:\n", names[qi])
+		printPlan(stdout, su, res.ResultHeader)
 		mnames := make([]string, 0, len(res.Measures))
 		for n := range res.Measures {
 			mnames = append(mnames, n)
@@ -349,9 +339,9 @@ func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*c
 		sort.Strings(mnames)
 		for _, n := range mnames {
 			ms := res.Measures[n]
-			fmt.Printf("measure %-10s %8d records\n", n, len(ms))
+			fmt.Fprintf(stdout, "measure %-10s %8d records\n", n, len(ms))
 			for i := 0; i < show && i < len(ms); i++ {
-				fmt.Printf("  %s = %g\n", su.Schema.FormatRegion(ms[i].Region), ms[i].Value)
+				fmt.Fprintf(stdout, "  %s = %g\n", su.Schema.FormatRegion(ms[i].Region), ms[i].Value)
 			}
 		}
 	}
@@ -359,15 +349,15 @@ func runBatch(ctx context.Context, eng *casm.Engine, su *workload.Suite, qs []*c
 	for _, job := range batch.Jobs {
 		sim += job.Estimate.Total()
 	}
-	fmt.Printf("\nsimulated response time on the paper's cluster (all %d job(s)): %.2fs\n",
+	fmt.Fprintf(stdout, "\nsimulated response time on the paper's cluster (all %d job(s)): %.2fs\n",
 		len(batch.Jobs), sim)
 	return nil
 }
 
 // printPlan prints an evaluation's header line — the same for a
 // materialized result, a batch member and a stream.
-func printPlan(su *workload.Suite, h core.ResultHeader) {
-	fmt.Printf("plan: key=%s cf=%d blocks=%d (sampled=%v cached=%v early-agg=%v)\n",
+func printPlan(stdout io.Writer, su *workload.Suite, h core.ResultHeader) {
+	fmt.Fprintf(stdout, "plan: key=%s cf=%d blocks=%d (sampled=%v cached=%v early-agg=%v)\n",
 		h.Plan.Key.Format(su.Schema), h.Plan.ClusteringFactor, h.Plan.Blocks,
 		h.SampledPlan, h.PlanCached, h.EarlyAggregated)
 }
@@ -383,15 +373,15 @@ func jobBytesRead(js mr.JobStats) int64 {
 // runStream is the bounded-memory sink: rows flow from the reducers to
 // stdout counters while the job still runs, so peak heap is set by the
 // in-flight blocks and spill buffers, not by dataset or result size.
-func runStream(ctx context.Context, eng *casm.Engine, su *workload.Suite, q *casm.Query, ds *casm.Dataset, show int) error {
+func runStream(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workload.Suite, q *casm.Query, ds *casm.Dataset, show int) error {
 	rs, err := eng.EvaluateStream(ctx, q, ds)
 	if err != nil {
 		return err
 	}
 	defer rs.Close()
 
-	fmt.Println(q.Explain())
-	printPlan(su, rs.ResultHeader)
+	fmt.Fprintln(stdout, q.Explain())
+	printPlan(stdout, su, rs.ResultHeader)
 
 	counts := map[string]int64{}
 	shown := map[string]int{}
@@ -406,7 +396,7 @@ func runStream(ctx context.Context, eng *casm.Engine, su *workload.Suite, q *cas
 		counts[row.Measure]++
 		if shown[row.Measure] < show {
 			shown[row.Measure]++
-			fmt.Printf("  %s: %s = %g\n", row.Measure, su.Schema.FormatRegion(row.Region), row.Value)
+			fmt.Fprintf(stdout, "  %s: %s = %g\n", row.Measure, su.Schema.FormatRegion(row.Region), row.Value)
 		}
 	}
 	if err := rs.Close(); err != nil {
@@ -419,15 +409,15 @@ func runStream(ctx context.Context, eng *casm.Engine, su *workload.Suite, q *cas
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Printf("measure %-10s %8d records\n", n, counts[n])
+		fmt.Fprintf(stdout, "measure %-10s %8d records\n", n, counts[n])
 	}
 	st := rs.Stats()
-	fmt.Printf("shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
+	fmt.Fprintf(stdout, "shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
 		float64(st.Shuffled)/(1<<20), len(st.MapTasks), len(st.ReduceTasks), st.Wall.Seconds())
-	fmt.Printf("streamed %d rows; simulated response time on the paper's cluster: %s\n",
+	fmt.Fprintf(stdout, "streamed %d rows; simulated response time on the paper's cluster: %s\n",
 		rs.Rows(), rs.Estimate())
 	if rs.SampleSeconds > 0 {
-		fmt.Printf("  (includes %.1fs simulated sampling overhead)\n", rs.SampleSeconds)
+		fmt.Fprintf(stdout, "  (includes %.1fs simulated sampling overhead)\n", rs.SampleSeconds)
 	}
 	return nil
 }

@@ -14,17 +14,15 @@ import (
 // with heavy run structure per attribute — so delta+varint routinely
 // shrinks a block several-fold relative to the row-major recio framing.
 //
-// A block decodes two ways. decodeColumnarFrames reproduces the recio
-// frame stream the writer measured, byte for byte, which keeps the
-// zero-copy []byte plane (FrameReader, SplitFrameRuns, morsel carving,
-// every job that shuffles the raw record as its value) oblivious to how
-// blocks rest on disk. RowReader hands the same records out as decoded
-// []int64 rows, a batch at a time, for consumers that would only decode
-// the frames again (a combining job's map side): no frame is ever
-// encoded and no whole-block matrix is ever live. Both run the same
-// checks — entry shape before any allocation, column truncation,
-// trailing bytes, the footer's raw-length invariant — and fail with
-// ErrCorruptBlock.
+// RowReader is the decoder: it hands a block's records out as decoded
+// []int64 rows, a batch at a time, after checking the entry shape before
+// any allocation, then column truncation, trailing bytes and the footer's
+// raw-length invariant — each failing with ErrCorruptBlock. frameColumnar
+// frames those batches back into the recio frame stream the writer
+// measured, byte for byte, for the consumers of the []byte plane
+// (FrameReader, SplitFrameRuns, morsel carving, every job that shuffles
+// the raw record as its value), which stay oblivious to how blocks rest
+// on disk.
 
 // ErrCorruptBlock marks a columnar entry whose checksum verified but
 // whose contents do not decode: a shape the payload cannot hold, a
@@ -77,38 +75,28 @@ func appendColumnar(dst []byte, rows []int64, arity, n int) []byte {
 	return dst
 }
 
-// decodeColumnarFrames decodes a columnar payload back into the exact
-// recio frame stream the writer measured: rawLen bytes of
-// uvarint-framed, uvarint-attribute records.
-func decodeColumnarFrames(payload []byte, arity, n, rawLen int) ([]byte, error) {
-	if err := checkColumnarShape(arity, n, rawLen, len(payload)); err != nil {
+// frameColumnar decodes a columnar payload into the exact recio frame
+// stream the writer measured: rawLen bytes of uvarint-framed,
+// uvarint-attribute records, built batch by batch from a RowReader into
+// the one buffer it returns (each frame in place: recio.AppendFrame would
+// want the record encoded somewhere else first).
+func frameColumnar(payload []byte, arity, n, rawLen int) ([]byte, error) {
+	r, err := newRowReader(payload, arity, n, rawLen)
+	if err != nil {
 		return nil, err
 	}
-	rows := make([]int64, n*arity)
-	off := 0
-	for c := 0; c < arity; c++ {
-		prev := int64(0)
-		for r := 0; r < n; r++ {
-			u, k := binary.Uvarint(payload[off:])
-			if k <= 0 {
-				return nil, corruptf("truncated column %d at record %d", c, r)
-			}
-			off += k
-			prev += unzigzag(u)
-			rows[r*arity+c] = prev
-		}
-	}
-	if off != len(payload) {
-		return nil, corruptf("%d trailing bytes in columnar payload", len(payload)-off)
-	}
 	out := make([]byte, 0, rawLen)
-	rec := make([]byte, 0, 64)
-	for r := 0; r < n; r++ {
-		rec = recio.AppendRecord(rec[:0], rows[r*arity:(r+1)*arity])
-		var err error
-		out, err = recio.AppendFrame(out, rec)
-		if err != nil {
+	for r.decoded < r.n {
+		if err := r.fill(); err != nil {
 			return nil, err
+		}
+		for row := r.rows; len(row) > 0; row = row[arity:] {
+			recLen := 0
+			for _, v := range row[:arity] {
+				recLen += recio.UvarintLen(uint64(v))
+			}
+			out = binary.AppendUvarint(out, uint64(recLen))
+			out = recio.AppendRecord(out, row[:arity])
 		}
 	}
 	if len(out) != rawLen {
@@ -126,10 +114,9 @@ const rowBatch = 1024
 // RowReader decodes one columnar block into rows, a batch at a time. It
 // keeps one cursor per column (found by a single skip pass over the
 // payload at open) and decodes the next rowBatch values of every column
-// into a row-major batch, so neither an n×arity matrix nor the rawLen
-// frame buffer of decodeColumnarFrames exists at any point. Next yields
-// one row per call; the row aliases the batch and is valid until the
-// following Next. A RowReader is single-goroutine and single-use.
+// into a row-major batch, so no n×arity matrix exists at any point. Next
+// yields one row per call; the row aliases the batch and is valid until
+// the following Next. A RowReader is single-goroutine and single-use.
 type RowReader struct {
 	payload []byte
 	arity   int

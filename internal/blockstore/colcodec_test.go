@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -25,14 +26,51 @@ func columnarBlock(rows []int64, arity int) (payload []byte, n, rawLen int) {
 	return appendColumnar(nil, rows, arity, n), n, rawLen
 }
 
-// decodeBoth runs one entry through both decoders and demands that they
-// agree: the same records, or an ErrCorruptBlock from each. It returns
-// the rows and whether the entry was accepted. The fuzz target and the
-// parity table share it.
-func decodeBoth(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64, bool) {
+// referenceDecode is the naive column-at-a-time decoder RowReader is held
+// against: it runs the same checks, then decodes every column into an
+// n×arity matrix and frames the matrix row by row. It returns the rows and
+// the recio frame stream the writer measured.
+func referenceDecode(payload []byte, arity, n, rawLen int) (rows []int64, frames []byte, err error) {
+	if err := checkColumnarShape(arity, n, rawLen, len(payload)); err != nil {
+		return nil, nil, err
+	}
+	rows = make([]int64, n*arity)
+	off := 0
+	for c := 0; c < arity; c++ {
+		prev := int64(0)
+		for r := 0; r < n; r++ {
+			u, k := binary.Uvarint(payload[off:])
+			if k <= 0 {
+				return nil, nil, corruptf("truncated column %d at record %d", c, r)
+			}
+			off += k
+			prev += unzigzag(u)
+			rows[r*arity+c] = prev
+		}
+	}
+	if off != len(payload) {
+		return nil, nil, corruptf("%d trailing bytes in columnar payload", len(payload)-off)
+	}
+	for r := 0; r < n; r++ {
+		if frames, err = recio.AppendFrame(frames, recio.AppendRecord(nil, rows[r*arity:(r+1)*arity])); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(frames) != rawLen {
+		return nil, nil, corruptf("decoded %d bytes, footer says %d", len(frames), rawLen)
+	}
+	return rows, frames, nil
+}
+
+// decodeChecked runs one entry through RowReader — row by row, and framed
+// the way ReadBlock frames it — and through the reference, and demands
+// that all three agree: the same records and the same frame bytes, or an
+// ErrCorruptBlock from each. It returns the rows and whether the entry
+// was accepted. The fuzz target and the parity table share it.
+func decodeChecked(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64, bool) {
 	t.Helper()
-	shapeErr := checkColumnarShape(arity, n, rawLen, len(payload))
-	frames, ferr := decodeColumnarFrames(payload, arity, n, rawLen)
+	wantRows, wantFrames, referr := referenceDecode(payload, arity, n, rawLen)
+	frames, ferr := frameColumnar(payload, arity, n, rawLen)
 	var rows []int64
 	rr, rerr := newRowReader(payload, arity, n, rawLen)
 	for rerr == nil {
@@ -49,17 +87,14 @@ func decodeBoth(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64, bo
 		}
 		rows = append(rows, row...)
 	}
-	if (ferr == nil) != (rerr == nil) {
-		t.Fatalf("decoders disagree: frames err=%v, rows err=%v", ferr, rerr)
+	if (referr == nil) != (rerr == nil) || (referr == nil) != (ferr == nil) {
+		t.Fatalf("decoders disagree: reference err=%v, rows err=%v, frames err=%v", referr, rerr, ferr)
 	}
-	if ferr != nil {
-		if !errors.Is(ferr, ErrCorruptBlock) || !errors.Is(rerr, ErrCorruptBlock) {
-			t.Fatalf("untyped decode error: frames %v, rows %v", ferr, rerr)
+	if referr != nil {
+		if !errors.Is(rerr, ErrCorruptBlock) || !errors.Is(ferr, ErrCorruptBlock) {
+			t.Fatalf("untyped decode error: rows %v, frames %v", rerr, ferr)
 		}
 		return nil, false
-	}
-	if shapeErr != nil {
-		t.Fatalf("decoded an entry whose shape is rejected: %v", shapeErr)
 	}
 	// Accepted, so the shape bounds held and bound both allocations: the
 	// frame buffer is rawLen ≤ 2*MaxVarintLen64*len(payload) bytes, the
@@ -68,24 +103,11 @@ func decodeBoth(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64, bo
 		t.Fatalf("decoded %d values and %d frame bytes from a %d-byte payload of shape %dx%d raw %d",
 			len(rows), len(frames), len(payload), n, arity, rawLen)
 	}
-	fr := recio.NewFrameReader(frames)
-	rec := make([]int64, arity)
-	for r := 0; r < n; r++ {
-		frame, ok, err := fr.Next()
-		if err != nil || !ok {
-			t.Fatalf("frame %d: ok=%v err=%v", r, ok, err)
-		}
-		if err := recio.DecodeRecordInto(frame, rec); err != nil {
-			t.Fatalf("frame %d: %v", r, err)
-		}
-		for c, v := range rec {
-			if rows[r*arity+c] != v {
-				t.Fatalf("record %d attribute %d: row decoder %d, frame decoder %d", r, c, rows[r*arity+c], v)
-			}
-		}
+	if !slices.Equal(rows, wantRows) {
+		t.Fatal("RowReader and the reference decoded different records")
 	}
-	if _, ok, _ := fr.Next(); ok {
-		t.Fatal("frame decoder produced extra frames")
+	if !bytes.Equal(frames, wantFrames) {
+		t.Fatal("frameColumnar and the reference built different frame streams")
 	}
 	return rows, true
 }
@@ -146,11 +168,11 @@ func codecCases(records int) []codecCase {
 
 // TestColumnarDecodersAgree is the decoder parity table: every payload,
 // well-formed or not, gets the same verdict — and on acceptance the same
-// records — from the frame decoder and the row decoder.
+// records and frames — from RowReader and the reference decoder.
 func TestColumnarDecodersAgree(t *testing.T) {
 	for _, tc := range codecCases(rowBatch + 100) { // two batches, the second one partial
 		t.Run(tc.name, func(t *testing.T) {
-			rows, accepted := decodeBoth(t, tc.payload, tc.arity, tc.n, tc.rawLen)
+			rows, accepted := decodeChecked(t, tc.payload, tc.arity, tc.n, tc.rawLen)
 			if accepted != tc.valid {
 				t.Fatalf("accepted=%v, want %v", accepted, tc.valid)
 			}
@@ -223,6 +245,109 @@ func TestCraftedEntryShapeRejected(t *testing.T) {
 	defer s.Close()
 	if got := readAllRows(t, s, "data"); !slices.Equal(got, []int64{1, 2, 3, 4, 5, 6, 7, 8}) {
 		t.Fatalf("control block decoded to %v", got)
+	}
+}
+
+// TestMalformedEntriesCorruptThroughFailover: every malformed shape of the
+// parity table, stored under a valid checksum on two nodes, yields
+// ErrCorruptBlock from ReadBlock and from ReadBlockRows — also when the
+// replica tried first has rotted since open, so the read reaches the
+// malformed entry only by failing over to the second.
+func TestMalformedEntriesCorruptThroughFailover(t *testing.T) {
+	key := []byte{0, 0, 0, 0}
+	for _, tc := range codecCases(rowBatch + 100) {
+		if tc.valid {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			entry := appendEntry(nil, key, flagColumnar, tc.arity, tc.n, tc.rawLen, tc.payload)
+			writeSegment(t, dir, 0, "data", entry)
+			writeSegment(t, dir, 1, "data", entry)
+			s, err := Open(Config{Dir: dir, NumNodes: 2, Replication: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			blocks, err := s.Blocks("data")
+			if err != nil || len(blocks) != 1 || len(blocks[0].Replicas) != 2 {
+				t.Fatalf("entry not indexed on both nodes: %v %v", blocks, err)
+			}
+			path := SegmentPath(dir, blocks[0].Replicas[0], "data")
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0x40 // the entry's checksum footer
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := s.ReadBlock("data", 0); !errors.Is(err, ErrCorruptBlock) {
+				t.Fatalf("ReadBlock: %v, want ErrCorruptBlock", err)
+			}
+			rr, err := s.ReadBlockRows("data", 0)
+			for err == nil { // footer and varint defects surface while rows are drawn
+				var ok bool
+				if _, ok, err = rr.Next(); err == nil && !ok {
+					t.Fatal("ReadBlockRows decoded a malformed entry to the end")
+				}
+			}
+			if !errors.Is(err, ErrCorruptBlock) {
+				t.Fatalf("ReadBlockRows: %v, want ErrCorruptBlock", err)
+			}
+			// Each read fails over off the rotted replica; a shape the payload
+			// cannot back fails the second replica over too.
+			want := int64(2)
+			if checkColumnarShape(tc.arity, tc.n, tc.rawLen, len(tc.payload)) != nil {
+				want = 4
+			}
+			if got := s.Stats().ChecksumFailovers; got != want {
+				t.Fatalf("%d failovers, want %d", got, want)
+			}
+		})
+	}
+}
+
+// TestReadBlockAllocatesOneFrameBuffer: framing a block costs the entry
+// read, the rawLen buffer it returns and one row batch — never a decoded
+// copy of the whole block (8·records·arity bytes) beside them.
+func TestReadBlockAllocatesOneFrameBuffer(t *testing.T) {
+	const records, arity = 16 << 10, 6
+	s, err := Open(Config{Dir: t.TempDir(), BlockSize: 1 << 20, NumNodes: 1, Replication: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WriteRecords("data", arity, "", genRecords(records, arity, 22)); err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := s.Blocks("data")
+	if err != nil || len(blocks) != 1 || blocks[0].Records != records {
+		t.Fatalf("want one block of %d records, got %v %v", records, blocks, err)
+	}
+	read := func() {
+		if got, err := s.ReadBlock("data", 0); err != nil || len(got) != blocks[0].Size {
+			t.Fatalf("ReadBlock: %d bytes, %v", len(got), err)
+		}
+	}
+	before := s.Stats().BytesRead
+	read() // warm: file-table and runtime one-offs
+	entry := s.Stats().BytesRead - before
+	const rounds = 8
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&m1)
+	perRead := int64(m1.TotalAlloc-m0.TotalAlloc) / rounds
+	// The constant covers the three buffers' rounding up to whole pages,
+	// the file handle and the reader itself.
+	ceiling := entry + int64(blocks[0].Size) + rowBatch*arity*8 + 32<<10
+	t.Logf("%d bytes per read: entry %d, frames %d, ceiling %d", perRead, entry, blocks[0].Size, ceiling)
+	if perRead > ceiling {
+		t.Fatalf("a read allocates %d bytes, ceiling %d (a decoded matrix would add %d)", perRead, ceiling, 8*records*arity)
 	}
 }
 
@@ -359,6 +484,6 @@ func TestReadEntryCopiesOnce(t *testing.T) {
 // a real block and every malformed shape of the parity table.
 func FuzzColumnarDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte, arity, n, rawLen int) {
-		decodeBoth(t, payload, arity, n, rawLen)
+		decodeChecked(t, payload, arity, n, rawLen)
 	})
 }

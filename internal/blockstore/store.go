@@ -5,10 +5,9 @@
 // segment scans on open — so a service restart reopens its datasets
 // (identity, cardinality, schema digest) without recounting a record.
 //
-// It keeps the properties the paper's evaluation depends on from the
-// old in-memory dfs — block-granular input splits, replica placement
-// for locality and failure injection, per-node usage accounting — and
-// adds the ones a store needs to deserve the name: persistence across
+// It has the properties the paper's evaluation depends on — block-granular
+// input splits, replica placement for locality and failure injection —
+// and the ones a store needs to deserve the name: persistence across
 // restarts, per-column compression, checksum-verified reads that fail
 // over to a surviving replica, and torn-tail truncation so a crash
 // mid-append recovers to the last committed block.
@@ -31,7 +30,7 @@ import (
 )
 
 // MetaFile is the logical file holding store metadata entries (schema
-// digests, cached cardinalities). It is hidden from List.
+// digests, file generations). It is hidden from List.
 const MetaFile = "__meta__"
 
 // CacheFile is the logical file backing the materialized result cache.
@@ -153,7 +152,6 @@ type Store struct {
 	rng     *rand.Rand
 	files   map[string]*storeFile
 	down    map[int]bool
-	used    map[int]int64
 	handles map[string]*writeHandle // keyed node|file
 	stats   Stats
 	closed  bool
@@ -178,7 +176,6 @@ func Open(cfg Config) (*Store, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		files:   make(map[string]*storeFile),
 		down:    make(map[int]bool),
-		used:    make(map[int]int64),
 		handles: make(map[string]*writeHandle),
 	}
 	if err := s.recover(); err != nil {
@@ -263,7 +260,6 @@ func (s *Store) register(node int, file string, e entry, off, n int64) {
 		f = &storeFile{byKey: make(map[string]*blockMeta)}
 		s.files[file] = f
 	}
-	s.used[node] += n
 	if bm := f.byKey[string(e.key)]; bm != nil {
 		if bm.crc == e.crc {
 			// Another replica of the same content.
@@ -470,7 +466,7 @@ func (s *Store) ReadBlock(file string, index int) ([]byte, error) {
 		return nil, err
 	}
 	if bm.flags&flagColumnar != 0 {
-		return decodeColumnarFrames(payload, bm.arity, bm.recCount, bm.rawLen)
+		return frameColumnar(payload, bm.arity, bm.recCount, bm.rawLen)
 	}
 	return payload, nil
 }
@@ -611,7 +607,7 @@ func (s *Store) ReadByKey(file string, key []byte) ([]byte, error) {
 		return nil, err
 	}
 	if bm.flags&flagColumnar != 0 {
-		return decodeColumnarFrames(payload, bm.arity, bm.recCount, bm.rawLen)
+		return frameColumnar(payload, bm.arity, bm.recCount, bm.rawLen)
 	}
 	return payload, nil
 }
@@ -717,9 +713,6 @@ func (s *Store) deleteLocked(file string) error {
 		s.stats.Blocks--
 		s.stats.RawBytes -= int64(bm.rawLen)
 		s.stats.StoredBytes -= int64(bm.payloadLen)
-		for _, r := range bm.replicas {
-			s.used[r.node] -= r.n
-		}
 	}
 	delete(s.files, file)
 	for node := 0; node < s.cfg.NumNodes; node++ {
@@ -766,19 +759,6 @@ func (s *Store) RecoverNode(id int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.down, id)
-}
-
-// UsedBytes reports the bytes stored per node (replicas included).
-func (s *Store) UsedBytes() map[int]int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[int]int64, len(s.used))
-	for n, b := range s.used {
-		if b != 0 {
-			out[n] = b
-		}
-	}
-	return out
 }
 
 // Stats returns a snapshot of store shape and fault counters.

@@ -112,7 +112,7 @@ func TestReopenRebuildsIndexWithoutRescan(t *testing.T) {
 	if err := s.WriteRecords("data", 5, "dg", recs); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutMeta("filecard/x", []byte("12345")); err != nil {
+	if err := s.PutMeta("schema/x", []byte("12345")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -131,7 +131,7 @@ func TestReopenRebuildsIndexWithoutRescan(t *testing.T) {
 	if info.Records != int64(len(recs)) || info.SchemaDigest != "dg" {
 		t.Fatalf("after reopen FileInfo = %+v", info)
 	}
-	if v, ok := s2.GetMeta("filecard/x"); !ok || string(v) != "12345" {
+	if v, ok := s2.GetMeta("schema/x"); !ok || string(v) != "12345" {
 		t.Fatalf("meta after reopen = %q, %v", v, ok)
 	}
 	got := readAll(t, s2, "data", 5)
@@ -345,7 +345,7 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
 		arity := 1 + rng.Intn(8)
-		n := 1 + rng.Intn(200) // the Writer never cuts an empty block, and the decoders reject one
+		n := 1 + rng.Intn(200) // the Writer never cuts an empty block, and the decoder rejects one
 		rows := make([]int64, n*arity)
 		var want []byte
 		rec := make(cube.Record, arity)
@@ -363,7 +363,7 @@ func TestColumnarCodecRoundTrip(t *testing.T) {
 			}
 		}
 		payload := appendColumnar(nil, rows, arity, n)
-		got, err := decodeColumnarFrames(payload, arity, n, len(want))
+		got, err := frameColumnar(payload, arity, n, len(want))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -346,16 +346,3 @@ func MemoryDataset(schema *cube.Schema, records []cube.Record, splits int) *Data
 		NumRecords: int64(len(records)),
 	}
 }
-
-// FileDataset wraps an on-disk recio.PackAligned file (casmgen's output
-// format) as a streaming dataset: one split per block, each block read
-// into memory only while a map task consumes it, so evaluating a file
-// never loads it whole (see mr.NewFileInput). NumRecords is left unknown
-// — the optimizer counts with one streaming scan on first need.
-func FileDataset(schema *cube.Schema, path string, blockSize int) (*Dataset, error) {
-	in, err := mr.NewFileInput(path, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Schema: schema, Input: in}, nil
-}

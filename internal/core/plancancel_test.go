@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/casm-project/casm/internal/iterx"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
@@ -23,16 +22,16 @@ type endlessInput struct {
 	read     atomic.Int64
 }
 
-func (in *endlessInput) Splits() ([]mr.Split, error) { return []mr.Split{in}, nil }
-func (in *endlessInput) Label() string               { return "endless" }
-func (in *endlessInput) SizeBytes() int64            { return 1 << 40 }
-func (in *endlessInput) Open() (mr.RecordIter, error) {
-	return iterx.New(func() ([]byte, bool, error) {
-		if in.read.Add(1) == in.cancelAt {
-			in.cancel()
-		}
-		return in.raw, true, nil
-	}, nil), nil
+func (in *endlessInput) Splits() ([]mr.Split, error)  { return []mr.Split{in}, nil }
+func (in *endlessInput) Label() string                { return "endless" }
+func (in *endlessInput) SizeBytes() int64             { return 1 << 40 }
+func (in *endlessInput) Open() (mr.RecordIter, error) { return in, nil }
+func (in *endlessInput) Close() error                 { return nil }
+func (in *endlessInput) Next() ([]byte, bool, error) {
+	if in.read.Add(1) == in.cancelAt {
+		in.cancel()
+	}
+	return in.raw, true, nil
 }
 
 // TestPlanningScansHonourCancellation pins PlanContext's documented

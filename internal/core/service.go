@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -40,10 +38,9 @@ type ServiceConfig struct {
 	PerTenantInFlight int
 	AdmissionQueue    int
 	// Store, when non-nil, is the service's persistent block store: the
-	// backing for RegisterStore datasets, the write-behind home of the
-	// owned result cache, and the memo that lets RegisterFile skip
-	// recounting files it has seen before. The caller keeps ownership
-	// (Drain flushes it but does not close it).
+	// backing for RegisterStore datasets and the write-behind home of the
+	// owned result cache. The caller keeps ownership (Drain flushes it but
+	// does not close it).
 	Store *blockstore.Store
 	// ResultCacheBytes bounds the owned result cache built when
 	// Engine.ResultCache is nil (> 0, or Store non-nil with 0 for the
@@ -169,40 +166,6 @@ func (s *Service) Register(name string, ds *Dataset) error {
 	}
 	s.datasets[name] = &d
 	return nil
-}
-
-// RegisterFile opens a casmgen-format file as a streaming dataset and
-// registers it; see FileDataset and Register. With a configured Store,
-// the file's cardinality is memoized in store metadata keyed by the
-// file's identity (path, size, mtime, schema digest), so a restarted
-// service re-registers known files without the counting scan.
-func (s *Service) RegisterFile(name string, schema *cube.Schema, path string, blockSize int) error {
-	ds, err := FileDataset(schema, path, blockSize)
-	if err != nil {
-		return err
-	}
-	if s.store != nil {
-		if fi, statErr := os.Stat(path); statErr == nil {
-			key := fmt.Sprintf("filecard/%s?size=%d&mtime=%d&schema=%s",
-				path, fi.Size(), fi.ModTime().UnixNano(), workflow.SchemaDigest(schema))
-			if v, ok := s.store.GetMeta(key); ok {
-				if n, perr := strconv.ParseInt(string(v), 10, 64); perr == nil && n > 0 {
-					ds.NumRecords = n
-				}
-			}
-			if ds.NumRecords == 0 {
-				n, cerr := cardinality(context.TODO(), ds)
-				if cerr != nil {
-					return fmt.Errorf("core: counting dataset %q: %w", name, cerr)
-				}
-				ds.NumRecords = n
-				if merr := s.store.PutMeta(key, []byte(strconv.FormatInt(n, 10))); merr != nil {
-					return fmt.Errorf("core: memoizing cardinality of %q: %w", name, merr)
-				}
-			}
-		}
-	}
-	return s.Register(name, ds)
 }
 
 // RegisterStore registers a block store file as a dataset. Cardinality

@@ -18,7 +18,7 @@ type ResultRow struct {
 }
 
 // ResultStream is the streaming form of an evaluation: an
-// iterx.Iter[ResultRow] yielding result rows as the job's reduce tasks
+// mr.Iter[ResultRow] yielding result rows as the job's reduce tasks
 // emit them, concurrently with the rest of the run, instead of one
 // Result assembled after the job completes. Rows arrive in
 // reduce-completion order, NOT the per-measure region order of

@@ -196,14 +196,6 @@ func ScheduleLPT(durations []float64, slots int) float64 {
 	return mx
 }
 
-// JobTime combines per-task map and reduce durations into a job response
-// time: the map wave's makespan plus the reduce wave's makespan (the
-// paper's three response-time components, with transfer attributed to the
-// task that performs it).
-func JobTime(c Cluster, mapDur, reduceDur []float64) float64 {
-	return ScheduleLPT(mapDur, c.Slots()) + ScheduleLPT(reduceDur, c.Slots())
-}
-
 // Estimate holds a job's simulated timing breakdown.
 type Estimate struct {
 	MapSeconds    float64

@@ -146,14 +146,6 @@ func TestEstimateJobShape(t *testing.T) {
 	}
 }
 
-func TestJobTime(t *testing.T) {
-	c := Cluster{Machine: DefaultMachine(), Machines: 1}
-	got := JobTime(c, []float64{1, 1}, []float64{2})
-	if math.Abs(got-3) > 1e-12 {
-		t.Errorf("JobTime = %v, want 3 (two 1s map tasks on 2 slots, then 2s reduce)", got)
-	}
-}
-
 // TestScaledCoversEveryField guards the one hand-written field list the
 // priced set has: a counter added to MapWork or ReduceWork but forgotten
 // in Scaled would silently stay at laptop magnitude in every panel.

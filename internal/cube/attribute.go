@@ -168,16 +168,6 @@ func (a *Attribute) LevelIndex(name string) (int, bool) {
 	return i, ok
 }
 
-// FinestUnits returns the number of finest-level values covered by one
-// unit of level i (the cumulative span). For ALL it equals Card. It
-// panics for mapped attributes, whose levels have no uniform span.
-func (a *Attribute) FinestUnits(i int) int64 {
-	if a.mapped {
-		panic(fmt.Sprintf("cube: attribute %q has irregular levels; FinestUnits is undefined", a.name))
-	}
-	return a.cumSpan[i]
-}
-
 // SpanBetween returns how many units of level `from` make up one unit of
 // the coarser level `to`. It panics if from > to, and for mapped
 // attributes (whose levels have no uniform span; mapped attributes are

@@ -91,7 +91,6 @@ func TestMappedSpanOperationsPanic(t *testing.T) {
 	a := mappedAttr(t)
 	for _, f := range []func(){
 		func() { a.SpanBetween(0, 1) },
-		func() { a.FinestUnits(1) },
 	} {
 		func() {
 			defer func() {

@@ -68,15 +68,6 @@ func (bm *BlockMapper) Key() Key { return bm.key }
 // ClusteringFactor returns the plan's clustering factor.
 func (bm *BlockMapper) ClusteringFactor() int64 { return bm.cf }
 
-// AnnotatedAttr returns the first annotated attribute index, or -1 when
-// the key is non-overlapping.
-func (bm *BlockMapper) AnnotatedAttr() int {
-	if len(bm.annAttrs) == 0 {
-		return -1
-	}
-	return bm.annAttrs[0]
-}
-
 // NumBlocks returns the total number of distribution blocks the plan
 // produces (the paper's n_G/cf for single-annotated overlapping keys).
 func (bm *BlockMapper) NumBlocks() int64 {

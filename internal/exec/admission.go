@@ -97,9 +97,6 @@ type Ticket struct {
 	once   sync.Once
 }
 
-// Tenant names the ticket's tenant.
-func (t *Ticket) Tenant() string { return t.tenant }
-
 // Release hands the tenant's in-flight slot back, admitting the oldest
 // eligible waiter. Idempotent.
 func (t *Ticket) Release() {

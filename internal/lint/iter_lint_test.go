@@ -10,7 +10,7 @@ import (
 )
 
 // iterFiles are the files that produce or consume single-use iterators
-// (iterx.Iter and its concrete implementations: record iterators, group
+// (mr.Iter and its concrete implementations: record iterators, group
 // iterators, the result pipe). The streaming data plane's contract is
 // that a consumed iterator is dead — Next after exhaustion returns
 // ok=false forever and Close is terminal — so no caller may drain one
@@ -19,7 +19,7 @@ func iterFiles(t *testing.T) []string {
 	t.Helper()
 	var files []string
 	for _, pat := range []string{
-		"../iterx/*.go", "../mr/*.go", "../groupx/*.go",
+		"../mr/*.go", "../groupx/*.go",
 		"../sortx/*.go", "../core/*.go",
 	} {
 		m, err := filepath.Glob(pat)

@@ -71,9 +71,9 @@ func (it *memoryIter) Next() ([]byte, bool, error) {
 	return r, true, nil
 }
 
-// Close releases nothing: the records belong to the caller of
-// NewMemoryInput. Present to satisfy the RecordIter single-use contract.
-func (it *memoryIter) Close() error { return nil }
+// Close ends the stream; the records belong to the caller of
+// NewMemoryInput, so there is nothing to release.
+func (it *memoryIter) Close() error { it.records = nil; return nil }
 
 // Morsels carves the split's records into contiguous runs of whole
 // records, each targeting targetBytes (the tail may be smaller). Runs

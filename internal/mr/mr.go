@@ -41,7 +41,6 @@ import (
 
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/exec"
-	"github.com/casm-project/casm/internal/iterx"
 	"github.com/casm-project/casm/internal/transport"
 )
 
@@ -137,12 +136,42 @@ func (s JobStats) TotalOutputRecords() int64 {
 	return n
 }
 
-// RecordIter yields the raw records of one split: a single-use iterx
-// stream of record byte-slices, each only valid until the following Next
-// (or Close). The framework closes every iterator it opens, including on
+// Iter is the streaming data plane's iterator: a pull-based, SINGLE-USE,
+// explicitly closed stream of values. Record sources, the job's output
+// Pipe and the engine's result stream all have this shape, so stages
+// compose without materializing between them and peak memory is bounded
+// by what is in flight, not by the dataset. Obtain it, consume it with
+// Next until ok=false (or an error), Close it, and never touch it again:
+//
+//   - After Next has returned ok=false or a non-nil error the stream is
+//     exhausted: every subsequent Next must keep returning ok=false (it
+//     must not panic, restart, or invent values).
+//   - Close releases the stream's resources (descriptors, buffers,
+//     goroutine-backed stages) and is IDEMPOTENT — calling it again is a
+//     no-op returning the first call's error. Close may be called before
+//     exhaustion; the stream then tears down early and every later Next
+//     returns ok=false. Every Iter must be Closed, including on error
+//     paths — defer it.Close() at acquisition.
+//   - Ownership: unless an implementation documents otherwise, the value
+//     returned by Next is only guaranteed valid until the following Next
+//     or Close call (sources that decode into reused buffers hand out
+//     aliases). Callers that retain a value must copy what it references.
+//   - Iterators are single-goroutine; wrap externally to share.
+//
+// A repo lint (internal/lint) enforces the single-use discipline at the
+// call sites the compiler cannot: no internal caller re-uses an iterator
+// after consuming or closing it.
+type Iter[T any] interface {
+	Next() (v T, ok bool, err error)
+	Close() error
+}
+
+// RecordIter yields the raw records of one split: a single-use stream of
+// record byte-slices, each only valid until the following Next (or
+// Close). The framework closes every iterator it opens, including on
 // error paths, so sources may tie resources (block buffers, descriptors)
 // to the iterator's lifetime.
-type RecordIter = iterx.Iter[[]byte]
+type RecordIter = Iter[[]byte]
 
 // Split is one independently processable chunk of input.
 type Split interface {
@@ -176,7 +205,7 @@ type MorselSplit interface {
 
 // RowIter yields one split's records already decoded, one fixed-arity
 // row per Next; a row is only valid until the following Next (or Close).
-type RowIter = iterx.Iter[[]int64]
+type RowIter = Iter[[]int64]
 
 // RowSplit is implemented by splits whose storage decodes to rows more
 // cheaply than to record bytes (a columnar store block). It is a

@@ -17,7 +17,7 @@ import (
 )
 
 // TestPipeStreamsMatchRun pins the streaming plane's equivalence with the
-// materialized one (same job, same pairs) and the Pipe's iterx contract:
+// materialized one (same job, same pairs) and the Pipe's Iter contract:
 // Next latches ok=false after exhaustion, Close after exhaustion is a
 // no-op, and double Close is idempotent.
 func TestPipeStreamsMatchRun(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/groupx"
-	"github.com/casm-project/casm/internal/iterx"
 	"github.com/casm-project/casm/internal/transport"
 )
 
@@ -93,8 +92,8 @@ type outBatch struct {
 // the output pairs, yielding each reduce task's records as soon as that
 // task emits them — concurrently with the rest of the reduce phase —
 // instead of after the whole job completes. It implements
-// iterx.Iter[transport.Pair] (Next + idempotent Close; see the iterx
-// package for the full single-use contract). Pipe is single-goroutine.
+// Iter[transport.Pair] (Next + idempotent Close; see Iter for the full
+// single-use contract). Pipe is single-goroutine.
 //
 // Lifecycle: consume with Next (or NextBatch) until ok=false, then check
 // the error and call Close; or Close early to abandon the stream, which
@@ -148,7 +147,7 @@ func (p *Pipe) NextBatch() (r int, pairs []transport.Pair, ok bool, err error) {
 	return b.r, b.pairs, true, nil
 }
 
-// Next yields the stream's pairs one at a time (iterx.Iter). Use either
+// Next yields the stream's pairs one at a time (Iter). Use either
 // Next or NextBatch on a given Pipe, not both.
 func (p *Pipe) Next() (transport.Pair, bool, error) {
 	for p.i >= len(p.cur) {
@@ -626,8 +625,8 @@ func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
 
 // scanRecords is scan over either record form, closing the iterator on
 // every path (record iterators are single-use and may hold resources — a
-// packed-file split's block buffer, for instance).
-func scanRecords[R any, F ~func(*MapCtx, R) error](ctx context.Context, p *mapPipeline, sp Split, open func() (iterx.Iter[R], error), mapFn F) error {
+// store split's block buffers, for instance).
+func scanRecords[R any, F ~func(*MapCtx, R) error](ctx context.Context, p *mapPipeline, sp Split, open func() (Iter[R], error), mapFn F) error {
 	it, err := open()
 	if err != nil {
 		return err

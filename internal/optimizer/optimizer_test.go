@@ -170,7 +170,18 @@ func TestOptimizeValidation(t *testing.T) {
 	}
 }
 
-func TestSimulatedDispatchAndDetectSkew(t *testing.T) {
+// TestSimulatedDispatchSeesSkew: dispatching a sample reproduces the load
+// imbalance of the data — near 1 (heaviest over mean reducer) on uniform
+// records, far above it when the key attributes are skewed.
+func TestSimulatedDispatchSeesSkew(t *testing.T) {
+	imbalance := func(loads []float64) float64 {
+		var sum, mx float64
+		for _, l := range loads {
+			sum += l
+			mx = max(mx, l)
+		}
+		return mx / (sum / float64(len(loads)))
+	}
 	w := slidingWorkflow(t, false)
 	s := w.Schema()
 	plan, err := Optimize(w, Config{NumReducers: 10, TotalRecords: 100_000})
@@ -195,11 +206,11 @@ func TestSimulatedDispatchAndDetectSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if DetectSkew(lu, 2.0) {
-		t.Errorf("uniform data flagged as skewed: %v", lu)
+	if imbalance(lu) > 2 {
+		t.Errorf("uniform data dispatched unevenly: %v", lu)
 	}
-	if !DetectSkew(ls, 2.0) {
-		t.Errorf("temporally skewed data not flagged: %v", ls)
+	if imbalance(ls) <= 2 {
+		t.Errorf("temporally skewed data dispatched evenly: %v", ls)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/stats"
 )
 
 // Section V: run-time skew handling. The mappers sample the records they
@@ -35,16 +34,6 @@ func SimulatedDispatch(s *cube.Schema, key distkey.Key, cf int64, sample []cube.
 		}
 	}
 	return loads, nil
-}
-
-// DetectSkew reports whether the estimated loads are imbalanced: the
-// heaviest reducer exceeds threshold × the mean (2.0 is a reasonable
-// default; uniform data stays near 1).
-func DetectSkew(loads []float64, threshold float64) bool {
-	if threshold <= 1 {
-		threshold = 2
-	}
-	return stats.SkewRatio(loads) > threshold
 }
 
 // SamplingChoice is the outcome of ChooseBySampling.

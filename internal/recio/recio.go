@@ -1,11 +1,12 @@
-// Package recio defines the on-disk record format used throughout the
-// system: records are varint-framed byte strings packed into DFS blocks
-// such that no record straddles a block boundary, so every DFS block is an
+// Package recio defines the byte encodings of the []byte data plane: a
+// cube record is the concatenation of its attributes as uvarints, and a
+// block (a store block decoded for a map task, a morsel, a saved result
+// block) is a sequence of length-prefixed frames, so every block is an
 // independently readable input split for a mapper.
 //
 // Frame format: uvarint payload length, then the payload. A length of 0
-// terminates a block (the remainder is alignment padding); genuine records
-// are never empty because a cube record has at least one attribute.
+// ends a block early; genuine records are never empty because a cube
+// record has at least one attribute, and AppendFrame writes no empty frame.
 package recio
 
 import (
@@ -17,10 +18,10 @@ import (
 )
 
 // AppendFrame appends a framed payload to buf and returns the extended
-// slice. Empty payloads are reserved for padding and rejected.
+// slice. Empty payloads are reserved as the terminator and rejected.
 func AppendFrame(buf, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
-		return buf, fmt.Errorf("recio: empty payload is reserved for padding")
+		return buf, fmt.Errorf("recio: empty payload is reserved as the block terminator")
 	}
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], uint64(len(payload)))
@@ -38,7 +39,7 @@ type FrameReader struct {
 func NewFrameReader(data []byte) *FrameReader { return &FrameReader{data: data} }
 
 // Next returns the next frame's payload (aliasing the block buffer), or
-// ok=false at end of block / padding.
+// ok=false at end of block or at a terminator.
 func (r *FrameReader) Next() ([]byte, bool, error) {
 	if r.off >= len(r.data) {
 		return nil, false, nil
@@ -48,7 +49,6 @@ func (r *FrameReader) Next() ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("recio: corrupt frame header at offset %d", r.off)
 	}
 	if n == 0 {
-		// Padding terminator.
 		r.off = len(r.data)
 		return nil, false, nil
 	}
@@ -125,8 +125,8 @@ func DecodeRecordAppend(data []byte, arity int, arena []int64) ([]int64, error) 
 // smaller; a single frame larger than the target gets a run of its own).
 // The returned slices alias data, so each run is independently readable
 // with a FrameReader as long as the block stays alive — this is what
-// carves a map split into morsels. Padding terminates the scan exactly
-// like FrameReader does.
+// carves a map split into morsels. A zero length terminates the scan
+// exactly like FrameReader does.
 func SplitFrameRuns(data []byte, targetBytes int) ([][]byte, error) {
 	if targetBytes < 1 {
 		targetBytes = 1
@@ -139,7 +139,7 @@ func SplitFrameRuns(data []byte, targetBytes int) ([][]byte, error) {
 			return nil, fmt.Errorf("recio: corrupt frame header at offset %d", off)
 		}
 		if n == 0 {
-			break // padding terminator
+			break
 		}
 		end := off + k + int(n)
 		if end > len(data) {
@@ -155,68 +155,6 @@ func SplitFrameRuns(data []byte, targetBytes int) ([][]byte, error) {
 		runs = append(runs, data[runStart:off:off])
 	}
 	return runs, nil
-}
-
-// PackAligned frames the records into a byte stream where no frame
-// straddles a blockSize boundary: when a record would not fit in the
-// current block, the block is padded (with a zero terminator and zero
-// fill) and the record starts the next block. The result's length is a
-// multiple of blockSize except possibly the final block.
-func PackAligned(records []cube.Record, blockSize int) ([]byte, error) {
-	if blockSize < 16 {
-		return nil, fmt.Errorf("recio: block size %d too small", blockSize)
-	}
-	var out []byte
-	blockStart := 0
-	var scratch []byte
-	for _, rec := range records {
-		scratch = AppendRecord(scratch[:0], rec)
-		frameLen := UvarintLen(uint64(len(scratch))) + len(scratch)
-		if frameLen+1 > blockSize { // +1 for the potential terminator
-			return nil, fmt.Errorf("recio: record of %d framed bytes exceeds block size %d", frameLen, blockSize)
-		}
-		if len(out)-blockStart+frameLen > blockSize {
-			// Pad to the boundary; a zero byte terminates, zeros fill.
-			pad := blockSize - (len(out) - blockStart)
-			out = append(out, make([]byte, pad)...)
-			blockStart = len(out)
-		}
-		var err error
-		out, err = AppendFrame(out, scratch)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// DecodeAll parses every record in a packed stream, given the block size
-// used by PackAligned and the record arity. Intended for tests and small
-// files; production paths iterate block by block.
-func DecodeAll(data []byte, blockSize, arity int) ([]cube.Record, error) {
-	var out []cube.Record
-	for start := 0; start < len(data); start += blockSize {
-		end := start + blockSize
-		if end > len(data) {
-			end = len(data)
-		}
-		fr := NewFrameReader(data[start:end])
-		for {
-			payload, ok, err := fr.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			rec, err := DecodeRecord(payload, arity)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rec)
-		}
-	}
-	return out, nil
 }
 
 // UvarintLen is the encoded size of v as a uvarint.

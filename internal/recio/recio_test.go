@@ -1,7 +1,6 @@
 package recio
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -96,52 +95,6 @@ func TestDecodeRecordErrors(t *testing.T) {
 	}
 	if _, err := DecodeRecord(buf, 2); err == nil {
 		t.Error("trailing bytes accepted")
-	}
-}
-
-func TestPackAlignedNoStraddle(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var recs []cube.Record
-	for i := 0; i < 5000; i++ {
-		recs = append(recs, cube.Record{rng.Int63n(1 << 40), rng.Int63n(256), rng.Int63n(1000000)})
-	}
-	const blockSize = 256
-	data, err := PackAligned(recs, blockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every block must decode independently, and the union must equal the
-	// input in order.
-	back, err := DecodeAll(data, blockSize, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(recs) {
-		t.Fatalf("got %d records, want %d", len(back), len(recs))
-	}
-	for i := range recs {
-		for j := range recs[i] {
-			if back[i][j] != recs[i][j] {
-				t.Fatalf("record %d attr %d mismatch", i, j)
-			}
-		}
-	}
-	// Non-final blocks are exactly blockSize (alignment property).
-	if len(data) > blockSize && len(data)%blockSize != len(data)-len(data)/blockSize*blockSize {
-		t.Log("final partial block allowed")
-	}
-}
-
-func TestPackAlignedErrors(t *testing.T) {
-	if _, err := PackAligned(nil, 4); err == nil {
-		t.Error("tiny block size accepted")
-	}
-	big := make(cube.Record, 40)
-	for i := range big {
-		big[i] = 1 << 60
-	}
-	if _, err := PackAligned([]cube.Record{big}, 32); err == nil {
-		t.Error("record larger than block accepted")
 	}
 }
 

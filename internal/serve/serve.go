@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/casm-project/casm/internal/core"
 	"github.com/casm-project/casm/internal/cql"
@@ -45,6 +46,30 @@ const streamFlushRows = 64
 // statusClientClosedRequest is nginx's conventional code for a request
 // whose client went away mid-flight; there is no standard constant.
 const statusClientClosedRequest = 499
+
+// Connection timeouts of the HTTP server: a client gets this long to
+// deliver its request header, its whole request (the body is capped at
+// maxCQLBytes), and its next request on a kept-alive connection, so a
+// client that opens a connection and stalls cannot hold a goroutine and a
+// descriptor forever. There is no write timeout: an NDJSON stream lasts as
+// long as its query.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server casmserve runs: the service's
+// handler behind the connection timeouts above. The caller sets no
+// address; it serves on a listener of its own.
+func NewHTTPServer(svc *core.Service) *http.Server {
+	return &http.Server{
+		Handler:           New(svc),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // Server is the HTTP handler over one resident service.
 type Server struct {

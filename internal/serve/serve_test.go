@@ -4,12 +4,16 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/casm-project/casm/internal/core"
 	"github.com/casm-project/casm/internal/cql"
@@ -35,7 +39,9 @@ func newTestServer(t *testing.T, cfg core.ServiceConfig) (*httptest.Server, *cor
 	if err := svc.Register("events", core.MemoryDataset(su.Schema, records, 6)); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(svc))
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = NewHTTPServer(svc)
+	ts.Start()
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Drain(context.Background())
@@ -323,5 +329,39 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 	if st.Admission.InFlight != 0 {
 		t.Fatalf("in-flight %d after all responses", st.Admission.InFlight)
+	}
+}
+
+// TestStalledClientIsDisconnected: a client that opens a connection and
+// never finishes its request line is dropped within the header timeout —
+// it does not hold its goroutine and descriptor for as long as it likes —
+// while a well-formed query on another connection still answers.
+func TestStalledClientIsDisconnected(t *testing.T) {
+	ts, _ := newTestServer(t, core.ServiceConfig{})
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /query?dataset=events HT")); err != nil {
+		t.Fatal(err)
+	}
+
+	if resp, body := postCQL(t, ts.URL+"/query?dataset=events&limit=1", q1CQL); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query beside a stalled client: %d %s", resp.StatusCode, body)
+	}
+
+	// The server hangs up (EOF or a reset); only our own deadline expiring
+	// means it was still waiting for the rest of the header.
+	const slack = 5 * time.Second
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + slack))
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled client still connected %v after its half request line", time.Since(start).Round(time.Second))
+	}
+	if held := time.Since(start); held < readHeaderTimeout/2 {
+		t.Fatalf("disconnected after %v: before the header timeout could have fired", held)
 	}
 }

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery behind the paper's cost
 // model (ICDE'08, Section IV): approximations for the first moment of the
-// largest order statistic of a multinomial distribution, plus general
-// samplers and summaries used by the workload generators and the skew
-// detector.
+// largest order statistic of a multinomial distribution, plus the
+// reservoir sampler behind run-time skew handling (Section V).
 package stats
 
 import "math"

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // Reservoir maintains a fixed-size uniform random sample of a stream using
 // Vitter's algorithm R. The skew detector (paper Section V) uses it on each
@@ -40,80 +36,6 @@ func (r *Reservoir[T]) Add(item T) {
 // Sample returns the current sample. The slice aliases the reservoir's
 // internal storage and must not be mutated while sampling continues.
 func (r *Reservoir[T]) Sample() []T { return r.items }
-
-// Seen reports how many elements have been offered so far.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }
-
-// Summary holds basic descriptive statistics of a numeric series, used in
-// bench reports and skew diagnostics.
-type Summary struct {
-	Count  int
-	Min    float64
-	Max    float64
-	Mean   float64
-	StdDev float64
-}
-
-// Summarize computes a Summary of xs. An empty series yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.Count = len(xs)
-	if s.Count == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.Count)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	s.StdDev = math.Sqrt(ss / float64(s.Count))
-	return s
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// nearest-rank on a sorted copy. It returns 0 for an empty series.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(cp))))
-	if rank < 1 {
-		rank = 1
-	}
-	return cp[rank-1]
-}
-
-// SkewRatio quantifies load imbalance as max/mean of the per-bucket loads;
-// 1.0 means perfectly balanced. The skew detector flags a plan when the
-// estimated ratio exceeds a threshold.
-func SkewRatio(loads []float64) float64 {
-	s := Summarize(loads)
-	if s.Mean == 0 {
-		return 1
-	}
-	return s.Max / s.Mean
-}
 
 // MonteCarloMaxBinCount estimates E[max bin count] for n balls in m bins by
 // simulation with the given number of trials. Tests use it to validate

@@ -146,7 +146,7 @@ func SchemaForm(s *cube.Schema) string {
 	for i := 0; i < s.NumAttrs(); i++ {
 		a := s.Attr(i)
 		fmt.Fprintf(&b, "a%d %s|%d|card=%d|", i, a.Name(), int(a.Kind()), a.Card())
-		// CardAt (not FinestUnits, undefined for irregular levels) fixes
+		// CardAt (not a span, undefined for irregular levels) fixes
 		// each level's structure: with Card known, the coordinate counts
 		// determine every regular level's span.
 		for l := 0; l < a.NumLevels(); l++ {

@@ -84,9 +84,6 @@ type Measure struct {
 	Window []RangeAnn
 }
 
-// IsComposite reports whether the measure derives from other measures.
-func (m *Measure) IsComposite() bool { return m.Kind != Basic }
-
 // Workflow is a validated DAG of measures over one schema.
 type Workflow struct {
 	schema   *cube.Schema
@@ -330,24 +327,6 @@ func (w *Workflow) HasSibling() bool {
 		}
 	}
 	return false
-}
-
-// Grains returns the distinct grains of all measures.
-func (w *Workflow) Grains() []cube.Grain {
-	var out []cube.Grain
-	for _, m := range w.measures {
-		dup := false
-		for _, g := range out {
-			if g.Equal(m.Grain) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, m.Grain)
-		}
-	}
-	return out
 }
 
 // Validate re-checks the whole workflow. Workflows built through the Add*

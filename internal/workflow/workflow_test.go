@@ -72,9 +72,6 @@ func TestWeblogWorkflow(t *testing.T) {
 	if got := len(w.Basics()); got != 2 {
 		t.Errorf("basics = %d, want 2", got)
 	}
-	if got := len(w.Grains()); got != 2 {
-		t.Errorf("distinct grains = %d, want 2 (kw-minute, kw-hour)", got)
-	}
 	m4, ok := w.Measure("M4")
 	if !ok || m4.Kind != Sliding {
 		t.Fatalf("M4 lookup failed: %v %v", m4, ok)
