@@ -62,6 +62,14 @@ type rowsOnlySplit struct{ mr.RowSplit }
 
 func (rowsOnlySplit) Open() (mr.RecordIter, error) { return nil, errBytesPathOpened }
 
+func (sp rowsOnlySplit) Morsels(targetBytes int) ([]mr.Split, error) {
+	subs, err := sp.RowSplit.(mr.MorselSplit).Morsels(targetBytes)
+	for i, sub := range subs {
+		subs[i] = rowsOnlySplit{sub.(mr.RowSplit)}
+	}
+	return subs, err
+}
+
 func withInput(ds *Dataset, in mr.Input) *Dataset {
 	cp := *ds
 	cp.Input = in
@@ -95,16 +103,17 @@ func observedAgg(js mr.JobStats) (o struct{ hits, spills, merges int64 }) {
 	return o
 }
 
-// TestRowPathIsBytesPath is the row capability's property: a combining
-// job answers a store dataset through decoded rows, the same store with
-// the capability hidden through record bytes, and the same records held
-// in memory through record bytes, and all three results are byte-identical.
-// Between the two store runs — equal splits, so equal tasks — every priced
-// counter sum and every combiner observation is equal too, under a local
+// TestRowPathIsBytesPath is the row capability's property: a job answers
+// a store dataset through decoded rows, the same store with the capability
+// hidden through record bytes, and the same records held in memory through
+// record bytes, and all three results are byte-identical. Between the two
+// store runs — equal splits, so equal tasks — a combining job's every
+// priced counter sum and combiner observation is equal too, under a local
 // table that spills on every fold, every few folds, or never, with fixed
 // splits and with morsels. (The memory dataset carves different splits and
 // counts unframed bytes, so its counters are not comparable, only its
-// answer.)
+// answer.) A job that ships the record ships, over rows, only the columns
+// it reads: see shippedRecordRowPath.
 func TestRowPathIsBytesPath(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(3000, workload.Uniform, 17)
@@ -158,36 +167,235 @@ func TestRowPathIsBytesPath(t *testing.T) {
 			}
 		}
 	}
+	t.Run("shipped", func(t *testing.T) { shippedRecordRowPath(t, su) })
 }
 
-// TestCombiningStoreJobNeverOpensFrames shows by construction what a
-// profile shows by absence: over a store dataset a combining job's map
-// tasks read rows and nothing else — a split whose byte form fails to open
-// still answers — so no frame is encoded for them (recio.AppendRecord) and
-// none parsed (recio.DecodeRecordInto). A job that shuffles the raw record
-// needs the frames, and the same input fails it.
-func TestCombiningStoreJobNeverOpensFrames(t *testing.T) {
+// shippedRecordRowPath is TestRowPathIsBytesPath for jobs that shuffle the
+// record itself: the suite's non-combining shapes, a workflow that reads
+// all six attributes and one that reads none, and a batch whose two
+// geometries share one scan — with two-pass and combined-key sorting, a
+// grouping budget that spills often, rarely or never, fixed splits and
+// morsels. Store rows, the same store with rows hidden, and memory answer
+// the same bytes. Between the two store runs every priced counter and the
+// spill and group observations are equal, except the four byte counters:
+// over rows a pair carries only the columns the job reads, so BytesOut,
+// BytesIn and Shuffled are lower by exactly the unread attributes' bytes
+// of every pair (twice that under a combined key, which embeds the value),
+// and SpillBytes by those of every spilled pair. Every record here encodes
+// each attribute at a fixed width, which makes "exactly" a product.
+func shippedRecordRowPath(t *testing.T, su *workload.Suite) {
+	s := su.Schema
+	widths := []int64{2, 2, 2, 2, 3, 3}
+	records := su.Generate(3000, workload.SkewedTime, 29)
+	for _, r := range records {
+		for a := range r {
+			r[a] |= 1 << (7 * (widths[a] - 1)) // a 2-byte uvarint is ≥ 128, a 3-byte one ≥ 16384
+		}
+		if err := s.Validate(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 4096, Replication: 1, NumNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := workload.WriteStore(st, "data", s, records); err != nil {
+		t.Fatal(err)
+	}
+	rowsDS := &Dataset{Schema: s, Input: mr.NewStoreInput(st, "data"), NumRecords: int64(len(records))}
+	hiddenDS := withInput(rowsDS, bytesOnlyInput{rowsDS.Input})
+	memDS := MemoryDataset(s, records, 6)
+
+	basic := func(fn measure.Func, attr string, specs ...cube.GrainSpec) *workflow.Workflow {
+		w := workflow.New(s)
+		if err := w.AddBasic("m", s.MustGrain(specs...), measure.Spec{Func: fn}, attr); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w24 := basic(measure.Sum, "a2", cube.GrainSpec{Attr: "a1", Level: "high"}, cube.GrainSpec{Attr: "t1", Level: "hour"})
+	t1, _ := s.AttrIndex("t1")
+	if err := w24.AddSliding("win", w24.Measures()[0].Grain, measure.Spec{Func: measure.Sum}, "m",
+		workflow.RangeAnn{Attr: t1, Low: -23, High: 0}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		ws     []*workflow.Workflow
+		unread int64 // encoded bytes of the attributes no workflow of the job reads
+	}{
+		{"q1", []*workflow.Workflow{su.Q1()}, 2 + 3},     // a3, t2
+		{"q5", []*workflow.Workflow{su.Q5()}, 2 + 2 + 3}, // a3, a4, t2
+		{"q6", []*workflow.Workflow{su.Q6()}, 2 + 2 + 3}, // a3, a4, t2
+		{"24h", []*workflow.Workflow{w24}, 2 + 2 + 3},    // a3, a4, t2
+		{"q1+q5", []*workflow.Workflow{su.Q1(), su.Q5()}, 2 + 3},
+		{"all six", []*workflow.Workflow{basic(measure.Sum, "a3",
+			cube.GrainSpec{Attr: "a1", Level: "high"}, cube.GrainSpec{Attr: "a2", Level: "high"}, cube.GrainSpec{Attr: "a4", Level: "high"},
+			cube.GrainSpec{Attr: "t1", Level: "day"}, cube.GrainSpec{Attr: "t2", Level: "day"})}, 0},
+		{"none", []*workflow.Workflow{basic(measure.Count, "")}, 14},
+	}
+	type shipped struct {
+		answers [][]byte
+		stats   mr.JobStats
+	}
+	run := func(t *testing.T, cfg Config, ws []*workflow.Workflow, ds *Dataset) shipped {
+		t.Helper()
+		cfg.TempDir = t.TempDir()
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := eng.EvaluateBatchContext(context.Background(), ws, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(batch.Jobs) != 1 {
+			t.Fatalf("%d jobs, want the one shared job", len(batch.Jobs))
+		}
+		out := shipped{stats: batch.Jobs[0].Stats}
+		for _, res := range batch.Results {
+			if res.EarlyAggregated {
+				t.Fatal("the job combined")
+			}
+			out.answers = append(out.answers, resultBytes(t, res))
+		}
+		return out
+	}
+	for _, tc := range cases {
+		for _, sortMode := range []SortMode{TwoPassSort, CombinedKeySort} {
+			for _, sortMem := range []int{64, 4096, 0} {
+				for _, morselBytes := range []int{0, 512} {
+					t.Run(fmt.Sprintf("%s/sort=%d/mem=%d/morsel=%d", tc.name, sortMode, sortMem, morselBytes), func(t *testing.T) {
+						// One map task at a time: arrival order at each
+						// reducer, and so which pairs spill, repeats.
+						cfg := Config{NumReducers: 3, SortMode: sortMode, SortMemoryItems: sortMem,
+							MorselBytes: morselBytes, MapParallelism: 1}
+						rows, hidden, mem := run(t, cfg, tc.ws, rowsDS), run(t, cfg, tc.ws, hiddenDS), run(t, cfg, tc.ws, memDS)
+						for i := range tc.ws {
+							if !bytes.Equal(rows.answers[i], hidden.answers[i]) {
+								t.Errorf("query %d: row path and bytes path over the same store differ", i)
+							}
+							if !bytes.Equal(rows.answers[i], mem.answers[i]) {
+								t.Errorf("query %d: store rows and memory bytes differ", i)
+							}
+						}
+						perPair := tc.unread
+						if sortMode == CombinedKeySort {
+							perPair *= 2
+						}
+						got, want := pricedSums(rows.stats, true), pricedSums(hidden.stats, true)
+						var spilled int64
+						for _, rt := range rows.stats.ReduceTasks {
+							spilled += rt.SpillRuns * int64(sortMem)
+						}
+						if sortMem == 64 && spilled == 0 {
+							t.Error("a 64-pair budget never spilled")
+						}
+						for _, c := range []struct {
+							name        string
+							rows, bytes *int64
+							pairs       int64
+						}{
+							{"BytesOut", &got.Map.BytesOut, &want.Map.BytesOut, got.Map.PairsOut},
+							{"BytesIn", &got.Reduce.BytesIn, &want.Reduce.BytesIn, got.Reduce.PairsIn},
+							{"Shuffled", &rows.stats.Shuffled, &hidden.stats.Shuffled, got.Map.PairsOut},
+							{"SpillBytes", &got.Reduce.SpillBytes, &want.Reduce.SpillBytes, spilled},
+						} {
+							if saved := *c.bytes - *c.rows; saved != c.pairs*perPair {
+								t.Errorf("%s: rows %d, bytes %d: %d saved, want %d pairs × %d unread bytes = %d",
+									c.name, *c.rows, *c.bytes, saved, c.pairs, perPair, c.pairs*perPair)
+							}
+							*c.rows, *c.bytes = 0, 0
+						}
+						if got != want {
+							t.Errorf("priced counters differ beyond the four byte counters:\nrows  %+v\nbytes %+v", got, want)
+						}
+						observed := func(js mr.JobStats) (o struct{ batches, runs, groups, spills, arena, lookups int64 }) {
+							for _, mt := range js.MapTasks {
+								o.batches += mt.BatchesSent
+							}
+							for _, rt := range js.ReduceTasks {
+								o.runs += rt.SpillRuns
+								o.groups += rt.HashGroups
+								o.spills += rt.GroupSpills
+								o.arena += rt.EvalArenaBytes
+								o.lookups += rt.WindowLookups
+							}
+							return o
+						}
+						if got, want := observed(rows.stats), observed(hidden.stats); got != want {
+							t.Errorf("observations differ: rows %+v, bytes %+v", got, want)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestStoreJobNeverOpensFrames shows by construction what a profile shows
+// by absence: over a store dataset every job's map tasks read rows and
+// nothing else — splits and morsels whose byte form fails to open still
+// answer, the same bytes — so no frame is parsed for them
+// (recio.DecodeRecordInto) and, outside morsel carving, none built. That
+// holds for a combining job, which ships partial states, and for every job
+// that ships the record: unary, streamed, a batch sharing one scan, and
+// stopped at each stage.
+func TestStoreJobNeverOpensFrames(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(2000, workload.Uniform, 3)
 	_, ds := storeDataset(t, su, records)
-	w, err := su.DS(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	poisoned := withInput(ds, rowsOnlyInput{ds.Input})
-	cfg := Config{NumReducers: 3, EarlyAggregation: EarlyAggAuto}
-	got := runEngine(t, cfg, w, poisoned)
-	if !bytes.Equal(resultBytes(t, got), resultBytes(t, runEngine(t, cfg, w, ds))) {
-		t.Fatal("rows-only input changed the answer")
-	}
-	compare(t, "rows-only", oracle(t, w, records), flatten(got))
-
-	eng, err := NewEngine(Config{NumReducers: 3, TempDir: t.TempDir()}) // EarlyAggOff: the record itself is shuffled
+	ds1, err := su.DS(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(w, poisoned); !errors.Is(err, errBytesPathOpened) {
-		t.Fatalf("non-combining job over a rows-only input: %v, want the bytes path to have been opened", err)
+	ws := []*workflow.Workflow{ds1, su.Q1(), su.Q5(), su.Q6()}
+	for _, morselBytes := range []int{0, 1024} {
+		t.Run(fmt.Sprintf("morsel=%d", morselBytes), func(t *testing.T) {
+			var unary [][]byte
+			for i, w := range ws {
+				cfg := Config{NumReducers: 3, MorselBytes: morselBytes}
+				if i == 0 {
+					cfg.EarlyAggregation = EarlyAggAuto
+				}
+				got := runEngine(t, cfg, w, poisoned)
+				if got.EarlyAggregated != (i == 0) {
+					t.Fatalf("query %d: combined = %v", i, got.EarlyAggregated)
+				}
+				unary = append(unary, resultBytes(t, got))
+				if !bytes.Equal(unary[i], resultBytes(t, runEngine(t, cfg, w, ds))) {
+					t.Errorf("query %d: rows-only input changed the answer", i)
+				}
+				compare(t, fmt.Sprintf("rows-only query %d", i), oracle(t, w, records), flatten(got))
+			}
+			cfg := Config{NumReducers: 3, MorselBytes: morselBytes}
+			if got := resultBytes(t, streamToResult(t, cfg, ws[3], poisoned)); !bytes.Equal(got, unary[3]) {
+				t.Error("streamed answer differs from the materialized one")
+			}
+			cfg.TempDir = t.TempDir()
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := eng.EvaluateBatchContext(context.Background(), ws[1:], poisoned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch.SharedScanQueries() != 3 {
+				t.Fatalf("batch shared %d queries, want 3", batch.SharedScanQueries())
+			}
+			for i, res := range batch.Results {
+				if !bytes.Equal(resultBytes(t, res), unary[i+1]) {
+					t.Errorf("batch query %d differs from its unary answer", i)
+				}
+			}
+			for _, stage := range []Stage{StageMapOnly, StageShuffle, StageSort} {
+				cfg.Stage = stage
+				runEngine(t, cfg, ws[2], poisoned)
+			}
+		})
 	}
 }
 

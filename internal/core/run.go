@@ -308,11 +308,31 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 
 	job := mr.Job{Name: "casm", Input: ds.Input, Config: e.mrConfig()}
 
+	// A shuffled record value comes in one of two layouts, one per job: the
+	// record's own bytes, every attribute, when the input hands out bytes
+	// (Map ships them uncopied); or only the columns some query of the job
+	// reads, when it hands out rows (MapRows encodes them, once). full and
+	// projected tell each query's sessions how to load the two.
+	var cols []int
+	for a := 0; a < arity; a++ {
+		if slices.ContainsFunc(queries, func(q *jobQuery) bool { return slices.Contains(q.ev.Columns(), a) }) {
+			cols = append(cols, a)
+		}
+	}
+	full, projected := make([]localeval.Layout, len(queries)), make([]localeval.Layout, len(queries))
+	for qi, q := range queries {
+		var err error
+		full[qi] = q.ev.FullLayout()
+		if projected[qi], err = q.ev.Layout(cols); err != nil {
+			return nil, err
+		}
+	}
+
 	// Each map task gets a distkey.Session per geometry group (scratch +
 	// block-key intern cache for allocation-free per-record key generation)
-	// plus a combined-key arena; each reduce task additionally gets a
-	// localeval.Session per query — the arena-backed evaluator state reused
-	// across all of the task's groups.
+	// plus a byte arena for what it emits; each reduce task additionally
+	// gets a localeval.Session per query — the arena-backed evaluator state
+	// reused across all of the task's groups.
 	job.Config.NewMapLocal = func(*mr.TaskStats) any {
 		ml := &mapLocal{dks: make([]*distkey.Session, len(groups)), rec: make(cube.Record, arity)}
 		if tagged {
@@ -331,7 +351,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			dks:  make([]*distkey.Session, len(groups)),
 			evs:  make([]*localeval.Session, len(queries)),
 			outs: make([]*ownedOutput, len(queries)),
-			rec:  make(cube.Record, arity),
 		}
 		for gi, g := range groups {
 			rl.dks[gi] = g.bm.NewSession()
@@ -344,47 +363,28 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	}
 
 	if early {
-		// A combining job (one query, one geometry group, bare block keys)
-		// ships partial states, never the record, so its map function wants
-		// the record decoded and nothing else: block keys, then one fold per
-		// block straight into the combiner table. A store split hands the
-		// rows over already decoded (mr.RowSplit) and no record byte is
-		// built or parsed on the map side at all; Map below decodes a bytes
-		// split's record once and joins here.
 		plan := newEarlyAggPlan(s, basics)
 		job.Config.NewCombiner = func(st *mr.TaskStats) mr.Combiner { return plan.newCombiner(st) }
-		job.MapRows = func(ctx *mr.MapCtx, rec []int64) error {
-			if len(rec) != arity {
-				return fmt.Errorf("core: stored record of arity %d, schema has %d attributes", len(rec), arity)
-			}
-			sess := ctx.Local.(*mapLocal).dks[0]
-			for _, block := range sess.Blocks(rec) {
-				if err := ctx.EmitRow(block, rec); err != nil {
-					return err
-				}
-			}
-			ctx.Stats.KeyCacheHits = sess.Hits
-			return nil
-		}
 	}
 
-	mapRows := job.MapRows // nil unless early
-	job.Map = func(ctx *mr.MapCtx, raw []byte) error {
-		ml := ctx.Local.(*mapLocal)
-		// One decode for the whole job, one emit per geometry group and
-		// block: this loop is the shared scan and the shared shuffle. Every
-		// emitted value aliases the same raw record storage, so fan-out
-		// costs keys, not copies.
-		if err := recio.DecodeRecordInto(raw, ml.rec); err != nil {
-			return err
-		}
-		if early {
-			return mapRows(ctx, ml.rec)
-		}
+	// emit is the one map-function body: block keys for the decoded record
+	// under every geometry group, then one pair per group and block — this
+	// loop is the shared scan and the shared shuffle. A combining job (one
+	// query, one group, bare block keys) folds the decoded record straight
+	// into the combiner table and ships partial states, never the record;
+	// every other job ships value, the same bytes under every key, so
+	// fan-out costs keys, not copies.
+	emit := func(ctx *mr.MapCtx, ml *mapLocal, rec cube.Record, value []byte) error {
 		var hits int64
 		for gi, g := range groups {
 			sess := ml.dks[gi]
-			for _, block := range sess.Blocks(ml.rec) {
+			for _, block := range sess.Blocks(rec) {
+				if early {
+					if err := ctx.EmitRow(block, rec); err != nil {
+						return err
+					}
+					continue
+				}
 				key := block // interned: allocated once per distinct block per task
 				switch {
 				case combined:
@@ -392,11 +392,11 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 					// bytes must be owned by the pair; the task arena gives
 					// them a stable home at one allocation per 64KiB of keys
 					// instead of one per pair.
-					key = ml.arena.concat(g.tag, block, raw)
+					key = ml.arena.concat(g.tag, block, value)
 				case tagged:
 					key = ml.taggedBlock(gi, g.tag, block)
 				}
-				if err := ctx.Emit(key, raw); err != nil {
+				if err := ctx.Emit(key, value); err != nil {
 					return err
 				}
 			}
@@ -404,6 +404,29 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		}
 		ctx.Stats.KeyCacheHits = hits
 		return nil
+	}
+	// A bytes split's record is decoded once for the whole job and shipped
+	// as it is; a row split's arrives decoded (mr.RowSplit) and only the
+	// job's read columns are encoded, once, into the task arena — no record
+	// frame is built or parsed on the map side at all, and a combining job
+	// encodes nothing.
+	job.Map = func(ctx *mr.MapCtx, raw []byte) error {
+		ml := ctx.Local.(*mapLocal)
+		if err := recio.DecodeRecordInto(raw, ml.rec); err != nil {
+			return err
+		}
+		return emit(ctx, ml, ml.rec, raw)
+	}
+	job.MapRows = func(ctx *mr.MapCtx, rec []int64) error {
+		if len(rec) != arity {
+			return fmt.Errorf("core: stored record of arity %d, schema has %d attributes", len(rec), arity)
+		}
+		ml := ctx.Local.(*mapLocal)
+		var value []byte
+		if !early {
+			value = ml.arena.record(rec, cols)
+		}
+		return emit(ctx, ml, rec, value)
 	}
 
 	job.Reduce = func(ctx *mr.ReduceCtx, groupKey []byte, values *mr.GroupIter) error {
@@ -417,12 +440,16 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			gi, blockKey = int(g), groupKey[n:]
 		}
 		dk, members := rl.dks[gi], groups[gi].members
+		lays := full
+		if ctx.Rows {
+			lays = projected
+		}
 		switch e.cfg.Stage {
 		case StageShuffle:
 			return values.Drain()
 		case StageSort:
 			es := rl.evs[members[0]]
-			if err := loadGroup(values, es); err != nil {
+			if err := loadGroup(ctx, values, rl.evs, lays, members[:1]); err != nil {
 				return err
 			}
 			ctx.Stats.GroupSortItems += int64(es.SortLoaded())
@@ -451,19 +478,15 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			rl.capture = rl.capture[:0]
 		}
 		// Build the record group once and evaluate every member against it.
-		// Partial states merge per (basic, region); a lone member's records
-		// load straight into its block arena; several members decode each
-		// payload once and copy the decoded row.
+		// Partial states merge per (basic, region); records load straight
+		// into each member's block arena.
 		var partials map[string][]localeval.BasicGroup
 		var pairs int64
 		var err error
-		switch {
-		case early:
+		if early {
 			partials, pairs, err = collectPartials(values, basics, arity)
-		case len(members) == 1:
-			err = loadGroup(values, rl.evs[members[0]])
-		default:
-			err = loadShared(values, rl, members)
+		} else {
+			err = loadGroup(ctx, values, rl.evs, lays, members)
 		}
 		if err != nil {
 			return err
@@ -704,7 +727,7 @@ func blockPrefixLen(key []byte, arity int) int {
 
 // mapLocal is one map task's reusable state (mr.Config.NewMapLocal): a
 // distkey session per geometry group, one record decode buffer, and the
-// combined-key arena.
+// arena of the bytes it emits.
 type mapLocal struct {
 	dks []*distkey.Session
 	// rec is the task's record decode buffer, reused across records
@@ -728,16 +751,17 @@ func (ml *mapLocal) taggedBlock(gi int, tag, block []byte) []byte {
 	return k
 }
 
-// keyArena gives combined shuffle keys a stable home. They are unique per
-// pair (block prefix + raw record), so they cannot be interned; Emit
-// retains them, so they cannot live in scratch. The arena amortizes their
+// keyArena gives the bytes a map task builds and emits a stable home:
+// combined shuffle keys, which are unique per pair (block prefix + record
+// value) and so cannot be interned, and projected record values. Emit
+// retains both, so they cannot live in scratch; the arena amortizes their
 // storage to one allocation per chunk instead of one per pair.
 type keyArena struct {
 	chunk []byte
 	// next is the next chunk's capacity: chunks grow geometrically from
 	// keyChunkMin to keyChunkMax, so the many tasks that emit only a few
-	// combined keys (sliding windows off, small splits) don't each pin a
-	// fixed 64KiB.
+	// bytes (sliding windows off, small splits) don't each pin a fixed
+	// 64KiB.
 	next int
 }
 
@@ -746,20 +770,35 @@ const (
 	keyChunkMax = 1 << 16
 )
 
-// concat appends tag+block+raw (tag is a multi-query job's group ordinal,
-// empty otherwise) and returns the stable composite key. A full
-// chunk is abandoned (kept alive by the emitted keys pointing into it) and
-// a fresh one started, so handed-out keys are never moved or logically
+// reserve makes the current chunk hold need more bytes. A full chunk is
+// abandoned (kept alive by the emitted slices pointing into it) and a
+// fresh one started, so handed-out slices are never moved or logically
 // extended by later appends.
-func (a *keyArena) concat(tag, block, raw []byte) []byte {
-	need := len(tag) + len(block) + len(raw)
+func (a *keyArena) reserve(need int) {
 	if cap(a.chunk)-len(a.chunk) < need {
 		size := max(a.next, keyChunkMin)
 		a.next = min(size*2, keyChunkMax)
 		a.chunk = make([]byte, 0, max(size, need))
 	}
+}
+
+// concat appends tag+block+value (tag is a multi-query job's group
+// ordinal, empty otherwise) and returns the stable composite key.
+func (a *keyArena) concat(tag, block, value []byte) []byte {
+	a.reserve(len(tag) + len(block) + len(value))
 	start := len(a.chunk)
-	a.chunk = append(append(append(a.chunk, tag...), block...), raw...)
+	a.chunk = append(append(append(a.chunk, tag...), block...), value...)
+	return a.chunk[start:len(a.chunk):len(a.chunk)]
+}
+
+// record appends the uvarints of rec's attributes cols — a record value
+// projected to those columns — and returns the stable bytes.
+func (a *keyArena) record(rec cube.Record, cols []int) []byte {
+	a.reserve(len(cols) * binary.MaxVarintLen64)
+	start := len(a.chunk)
+	for _, c := range cols {
+		a.chunk = binary.AppendUvarint(a.chunk, uint64(rec[c]))
+	}
 	return a.chunk[start:len(a.chunk):len(a.chunk)]
 }
 
@@ -826,8 +865,6 @@ type reduceLocal struct {
 	dks  []*distkey.Session
 	evs  []*localeval.Session
 	outs []*ownedOutput
-	// rec is the decode-once buffer of groups with several members.
-	rec cube.Record
 	// cacheKey and capture are the result-reuse scratch: the probe key of
 	// the current group and the cached-row encoding of its emitted output
 	// (both copied before the cache retains them).
@@ -835,27 +872,14 @@ type reduceLocal struct {
 	capture  []byte
 }
 
-// loadGroup streams a group's raw records straight into the evaluator
-// session's columnar arena — one flat decode per record, no per-record
-// slice allocations.
-func loadGroup(values *mr.GroupIter, es *localeval.Session) error {
-	for {
-		p, ok, err := values.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := es.AppendRaw(p.Value); err != nil {
-			return err
-		}
+// loadGroup streams a group's record values straight into the columnar
+// arena of every member query's evaluator session — one flat decode per
+// record and member, no per-record slice allocations — each arena sized
+// beforehand for the task's largest group when the collector knows it.
+func loadGroup(ctx *mr.ReduceCtx, values *mr.GroupIter, evs []*localeval.Session, lays []localeval.Layout, members []int) error {
+	for _, qi := range members {
+		evs[qi].Reserve(ctx.MaxGroupPairs)
 	}
-}
-
-// loadShared decodes each of a group's raw records once and appends the
-// decoded row to every member query's evaluator session.
-func loadShared(values *mr.GroupIter, rl *reduceLocal, members []int) error {
 	for {
 		p, ok, err := values.Next()
 		if err != nil {
@@ -863,12 +887,11 @@ func loadShared(values *mr.GroupIter, rl *reduceLocal, members []int) error {
 		}
 		if !ok {
 			return nil
-		}
-		if err := recio.DecodeRecordInto(p.Value, rl.rec); err != nil {
-			return err
 		}
 		for _, qi := range members {
-			rl.evs[qi].AppendRecord(rl.rec)
+			if err := evs[qi].AppendRaw(p.Value, lays[qi]); err != nil {
+				return err
+			}
 		}
 	}
 }

@@ -10,11 +10,12 @@
 //     partitioned grouping, the Hespe et al. in-memory OLAP shape): when
 //     reduce only needs pairs *grouped* — block grouping, early
 //     aggregation — no total order is required, so pairs go straight
-//     into a group → pairs table and the per-item comparison sort
-//     disappears. When the buffered-pair budget is exceeded the table is
-//     flushed into sorted runs and the collector degrades to exactly the
-//     external-sort path, so memory stays bounded and the output stream
-//     (groups ascending by key) is identical either way.
+//     into one flat buffer, chained per group by a key → group table, and
+//     the per-item comparison sort disappears. When the buffered-pair
+//     budget is exceeded the buffer is written out as a sorted run and
+//     the collector degrades to exactly the external-sort path, so memory
+//     stays bounded and the output stream (groups ascending by key) is
+//     identical either way.
 //
 // Both collectors are single-goroutine: Add all pairs, then Iterate once.
 package groupx
@@ -22,6 +23,7 @@ package groupx
 import (
 	"bytes"
 	"context"
+	"math"
 	"slices"
 
 	"github.com/casm-project/casm/internal/sortx"
@@ -32,6 +34,7 @@ import (
 type Stats struct {
 	Items        int64 // pairs added
 	Groups       int64 // distinct resident groups (hash collector; 0 sorted)
+	MaxGroup     int64 // pairs in the largest group, known once Iterate has run (hash collector; 0 sorted)
 	Spills       int64 // hash-table flushes into the sorted-run fallback
 	Runs         int   // spilled run files
 	SpilledBytes int64 // bytes written to spill runs
@@ -103,10 +106,28 @@ func (c *sortCollector) Stats() Stats {
 
 // --- hash path ---
 
+// hashGroup is one distinct group key: the chain of its buffered pairs
+// (indices into the pair buffer, -1 when none) and how many pairs it has
+// received in all.
 type hashGroup struct {
-	key   []byte
-	pairs []transport.Pair
+	key        []byte
+	head, tail int32
+	total      int64
 }
+
+// hashPair is one buffered pair, linked to its group's next in arrival
+// order (-1 at the end).
+type hashPair struct {
+	transport.Pair
+	next int32
+}
+
+// pairChunk is the pair buffer's allocation unit: whole chunks are added
+// as the buffer fills, never regrown, so a buffered pair is written once.
+// The first chunk alone grows from nothing, for the many reducers that
+// receive a handful of pairs. 292 pairs of 56 bytes and the allocator's
+// 8-byte header fill a 16 KiB size class; 256 would waste an eighth of it.
+const pairChunk = 292
 
 type hashCollector struct {
 	ctx      context.Context
@@ -114,17 +135,28 @@ type hashCollector struct {
 	dir      string
 	memItems int
 
-	groups   map[string]*hashGroup
-	buffered int
-	stats    Stats
+	// The group table outlives flushes: a group seen again after a flush
+	// is found, not rebuilt. order lists the groups by ascending key and is
+	// brought up to date when a flush or the iteration needs it.
+	ids    map[string]int32
+	groups []hashGroup
+	order  []int32
 
-	// sorter is the spill fallback, created on the first flush. Flushes
-	// feed it exactly memItems pairs in (group key, arrival) order — a
-	// stable key sort of the flushed batch — so its run files are
-	// byte-identical to the ones the sorted path would have written for
-	// the same arrival sequence.
+	// chunks holds the n buffered pairs; pair i is chunks[i/pairChunk][i%pairChunk].
+	chunks [][]hashPair
+	n      int
+	stats  Stats
+
+	// sorter is the spill fallback, created on the first flush. A flush
+	// hands it the memItems buffered pairs in (group key, arrival) order —
+	// what a stable key sort of the batch yields — as one finished run, so
+	// its run files are byte-identical to the ones the sorted path would
+	// have written for the same arrival sequence.
 	sorter *sortx.Sorter[transport.Pair]
-	done   bool
+
+	// The iteration, once Iterate has run: mem over the table, or merged.
+	mem    func() (transport.Pair, bool)
+	merged *sortx.Iterator[transport.Pair]
 }
 
 // NewHash returns the hash-grouped collector. memItems bounds the pairs
@@ -138,12 +170,15 @@ func NewHash(codec sortx.Codec[transport.Pair], dir string, memItems int) Collec
 // NewHashContext is NewHash with a cancellation context threaded into
 // the spill-fallback sorter's spill and merge loops.
 func NewHashContext(ctx context.Context, codec sortx.Codec[transport.Pair], dir string, memItems int) Collector {
+	if memItems < 1 || memItems > math.MaxInt32 {
+		memItems = math.MaxInt32 // pairs are chained by int32 index
+	}
 	return &hashCollector{
 		ctx:      ctx,
 		codec:    codec,
 		dir:      dir,
 		memItems: memItems,
-		groups:   make(map[string]*hashGroup),
+		ids:      make(map[string]int32),
 	}
 }
 
@@ -152,103 +187,122 @@ func (c *hashCollector) Add(p transport.Pair) error {
 	// only materializes on first sight of a distinct group. p.Key doubles
 	// as the group key — transport bytes stay valid for the job, so this
 	// retains a borrowed slice, not a copy.
-	g, ok := c.groups[string(p.Key)]
+	id, ok := c.ids[string(p.Key)]
 	if !ok {
-		g = &hashGroup{key: p.Key}
-		c.groups[string(p.Key)] = g
-		c.stats.Groups++
+		id = int32(len(c.groups))
+		c.ids[string(p.Key)] = id
+		c.groups = append(c.groups, hashGroup{key: p.Key, head: -1})
 	}
-	g.pairs = append(g.pairs, p)
-	c.buffered++
+	g := &c.groups[id]
+	i := int32(c.n)
+	k, off := c.n/pairChunk, c.n%pairChunk
+	if k == len(c.chunks) {
+		var chunk []hashPair
+		if k > 0 {
+			chunk = make([]hashPair, 0, pairChunk)
+		}
+		c.chunks = append(c.chunks, chunk)
+	}
+	c.chunks[k] = append(c.chunks[k][:off], hashPair{Pair: p, next: -1})
+	if g.head < 0 {
+		g.head = i
+		c.stats.Groups++ // resident in this table; counted again after a flush
+	} else {
+		c.pair(g.tail).next = i
+	}
+	g.tail = i
+	g.total++
+	c.n++
 	c.stats.Items++
-	if c.memItems > 0 && c.buffered >= c.memItems {
+	if c.n >= c.memItems {
 		return c.flush()
 	}
 	return nil
 }
 
-// sortedGroups drains the table into a slice ordered by group key.
-func (c *hashCollector) sortedGroups() []*hashGroup {
-	gs := make([]*hashGroup, 0, len(c.groups))
-	for _, g := range c.groups {
-		gs = append(gs, g)
-	}
-	slices.SortFunc(gs, func(a, b *hashGroup) int { return bytes.Compare(a.key, b.key) })
-	return gs
+func (c *hashCollector) pair(i int32) *hashPair {
+	return &c.chunks[i/pairChunk][i%pairChunk]
 }
 
-// flush moves every buffered pair into the spill sorter in (group key,
-// arrival) order and resets the table. Pairs carry their original key
-// bytes straight into the byte-keyed spill codec — no string round-trip
-// anywhere on the spill path.
+// drain returns the buffered pairs in (group key, arrival) order — each
+// group's chain in turn, groups by ascending key — as a pull function, and
+// empties the table behind it: once it has yielded ok=false no group holds
+// a pair. The pairs stay where Add wrote them; nothing is copied.
+func (c *hashCollector) drain() func() (transport.Pair, bool) {
+	if len(c.order) < len(c.groups) {
+		for id := len(c.order); id < len(c.groups); id++ {
+			c.order = append(c.order, int32(id))
+		}
+		slices.SortFunc(c.order, func(a, b int32) int { return bytes.Compare(c.groups[a].key, c.groups[b].key) })
+	}
+	rank, at := 0, int32(-1)
+	return func() (transport.Pair, bool) {
+		for at < 0 {
+			if rank == len(c.order) {
+				c.n = 0
+				return transport.Pair{}, false
+			}
+			g := &c.groups[c.order[rank]]
+			rank++
+			at, g.head = g.head, -1
+		}
+		p := c.pair(at)
+		at = p.next
+		return p.Pair, true
+	}
+}
+
+// flush writes every buffered pair to the spill sorter as one sorted run
+// and empties the table. Pairs carry their original key bytes straight
+// into the byte-keyed spill codec — no string round-trip anywhere on the
+// spill path.
 func (c *hashCollector) flush() error {
 	if c.sorter == nil {
-		c.sorter = sortx.NewContext(c.ctx, PairKeyCompare, c.codec, c.dir, c.memItems)
-	}
-	for _, g := range c.sortedGroups() {
-		for _, p := range g.pairs {
-			if err := c.sorter.Add(p); err != nil {
-				return err
-			}
-		}
+		c.sorter = sortx.NewContext(c.ctx, PairKeyCompare, c.codec, c.dir, 0)
 	}
 	c.stats.Spills++
-	c.groups = make(map[string]*hashGroup, len(c.groups))
-	c.buffered = 0
-	return nil
+	return c.sorter.SpillSorted(c.drain())
 }
 
+// Iterate returns the collector itself: it walks the table in place, or
+// the sorter's merge once it has spilled, and closing it releases both.
 func (c *hashCollector) Iterate() (Iterator, error) {
-	c.done = true
-	if c.sorter != nil {
-		// Degraded mode: the residue joins the spilled runs and the
-		// whole stream comes back merge-sorted, exactly like NewSort.
-		if c.buffered > 0 {
-			if err := c.flush(); err != nil {
-				return nil, err
-			}
-			c.stats.Spills-- // the final residue flush is not a table overflow
-		}
-		return c.sorter.Iterate()
+	for i := range c.groups {
+		c.stats.MaxGroup = max(c.stats.MaxGroup, c.groups[i].total)
 	}
-	gs := c.sortedGroups()
-	c.groups = nil
-	gi, pi := 0, 0
-	return &memIterator{next: func() (transport.Pair, bool, error) {
-		for gi < len(gs) {
-			if g := gs[gi]; pi < len(g.pairs) {
-				p := g.pairs[pi]
-				pi++
-				return p, true, nil
-			}
-			gi, pi = gi+1, 0
-		}
-		return transport.Pair{}, false, nil
-	}}, nil
+	if c.sorter == nil {
+		c.mem = c.drain()
+		return c, nil
+	}
+	// Degraded mode: the residue joins the spilled runs and the whole
+	// stream comes back merge-sorted, exactly like NewSort.
+	var err error
+	if c.merged, err = c.sorter.IterateSorted(c.n, c.drain()); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func (c *hashCollector) Next() (transport.Pair, bool, error) {
+	if c.merged != nil {
+		return c.merged.Next()
+	}
+	p, ok := c.mem()
+	return p, ok, nil
 }
 
 func (c *hashCollector) Close() {
 	if c.sorter != nil {
 		c.sorter.Close()
 	}
-	c.groups = nil
-	c.done = true
+	c.ids, c.groups, c.order, c.chunks = nil, nil, nil, nil
 }
 
 func (c *hashCollector) Stats() Stats {
 	st := c.stats
 	if c.sorter != nil {
 		ss := c.sorter.Stats()
-		st.Runs = ss.Runs
-		st.SpilledBytes = ss.SpilledBytes
-		st.AllocsSaved = ss.AllocsSaved
+		st.Runs, st.SpilledBytes, st.AllocsSaved = ss.Runs, ss.SpilledBytes, ss.AllocsSaved
 	}
 	return st
 }
-
-type memIterator struct {
-	next func() (transport.Pair, bool, error)
-}
-
-func (it *memIterator) Next() (transport.Pair, bool, error) { return it.next() }
-func (it *memIterator) Close()                              {}

@@ -32,19 +32,24 @@ func (testCodec) Decode(b []byte) (transport.Pair, error) {
 // which may alias reused read buffers).
 func drain(t *testing.T, c Collector) []transport.Pair {
 	t.Helper()
-	it, err := c.Iterate()
+	out, err := drainErr(c)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return out
+}
+
+func drainErr(c Collector) ([]transport.Pair, error) {
+	it, err := c.Iterate()
+	if err != nil {
+		return nil, err
 	}
 	defer it.Close()
 	var out []transport.Pair
 	for {
 		p, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
+		if err != nil || !ok {
+			return out, err
 		}
 		out = append(out, transport.Pair{
 			Key:   append([]byte(nil), p.Key...),

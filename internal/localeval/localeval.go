@@ -20,7 +20,8 @@
 // record), so result sets are always data-driven.
 //
 // The hot path is Session (see session.go): a per-reduce-task arena that
-// holds the block's records as fixed-stride rows in one flat []int64,
+// holds the block's records — the columns the workflow reads of them — as
+// fixed-stride rows in one flat []int64,
 // probes every string-keyed index through reused encode scratch, and
 // recycles aggregators across groups. Evaluator.Evaluate remains as a
 // convenience wrapper that runs a fresh session per call.
@@ -28,6 +29,7 @@ package localeval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/casm-project/casm/internal/cube"
@@ -69,7 +71,13 @@ type Evaluator struct {
 	grains []cube.Grain // distinct grains, indexed by grainIdx
 	gidx   map[string]int
 
-	arity      int
+	arity int
+	// cols are the attributes evaluation reads — every attribute some
+	// measure grain holds below ALL, plus every basic's input — ascending;
+	// colOf[attr] is the attribute's position in cols, -1 when unread. A
+	// session's arena holds these columns and nothing else.
+	cols       []int
+	colOf      []int
 	gidxOf     []int     // gidxOf[oi] = grain index of order[oi].Grain
 	srcIdx     [][]int   // srcIdx[oi] = order indices of order[oi].Sources
 	basicOrder []int     // order indices of Basic measures, in topo order
@@ -124,7 +132,48 @@ func New(w *workflow.Workflow) (*Evaluator, error) {
 			e.basicsAt[gi] = append(e.basicsAt[gi], oi)
 		}
 	}
+	e.colOf = make([]int, e.arity)
+	for a := range e.colOf {
+		e.colOf[a] = -1
+		if slices.ContainsFunc(order, func(m *workflow.Measure) bool {
+			return m.Grain[a] != e.schema.Attr(a).AllIndex() || m.Kind == workflow.Basic && m.InputAttr == a
+		}) {
+			e.colOf[a] = len(e.cols)
+			e.cols = append(e.cols, a)
+		}
+	}
 	return e, nil
+}
+
+// Columns returns the schema attributes evaluation reads, ascending. Every
+// other attribute of a record only ever rolls up to ALL, so a record value
+// may leave it out (see Layout).
+func (e *Evaluator) Columns() []int { return e.cols }
+
+// Layout describes a shuffled record value to one evaluator's sessions:
+// entry i is the arena column the value's i-th uvarint is loaded into, or
+// -1 for an attribute the evaluator does not read.
+type Layout []int
+
+// FullLayout is the layout of a whole record, every schema attribute in
+// order.
+func (e *Evaluator) FullLayout() Layout { return e.colOf }
+
+// Layout returns the layout of values projected to attrs, in that order —
+// a job's read columns. attrs must include every column the evaluator
+// reads.
+func (e *Evaluator) Layout(attrs []int) (Layout, error) {
+	lay := make(Layout, len(attrs))
+	found := 0
+	for i, a := range attrs {
+		if lay[i] = e.colOf[a]; lay[i] >= 0 {
+			found++
+		}
+	}
+	if found != len(e.cols) {
+		return nil, fmt.Errorf("localeval: a value of attributes %v lacks some of the read columns %v", attrs, e.cols)
+	}
+	return lay, nil
 }
 
 func grainKey(g cube.Grain) string {

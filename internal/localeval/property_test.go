@@ -176,7 +176,9 @@ func sameResults(t *testing.T, label string, want, got []Result) {
 // TestSessionMatchesReferenceByteIdentical is the arena evaluator's
 // equivalence property: across random workflows, one Session reused over
 // many blocks must reproduce the seed evaluator's output bit for bit
-// under every scan mode and sort option.
+// under every sort option, however the block reached its arena — as
+// decoded records, as full record values, or as values projected to the
+// columns the workflow reads.
 func TestSessionMatchesReferenceByteIdentical(t *testing.T) {
 	s := testSchema(t)
 	seeds := 30
@@ -193,13 +195,14 @@ func TestSessionMatchesReferenceByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			ss := e.NewSession() // one session across every block below
+			loaders := valueLoaders(t, e)
 			for blk := 0; blk < 3; blk++ {
 				records := randomRecords(rng, 50+rng.Intn(250))
-				for _, opt := range []Options{{}, {SkipSort: true}} {
-					label := fmt.Sprintf("block %d skip=%v", blk, opt.SkipSort)
+				for i, opt := range []Options{{}, {SkipSort: true}, {}, {SkipSort: true}, {}, {SkipSort: true}} {
+					label := fmt.Sprintf("block %d skip=%v loader %d", blk, opt.SkipSort, i%3)
 					want, refStats := refEvaluate(t, e, cloneRecords(records), opt)
 					for _, r := range records {
-						ss.AppendRecord(r)
+						loaders[i%3](ss, r)
 					}
 					got, stats, err := ss.EvaluateBlock(opt)
 					if err != nil {

@@ -1,6 +1,8 @@
 package localeval
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -8,7 +10,6 @@ import (
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/measure"
-	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -24,13 +25,14 @@ const maxPooledAggs = 1 << 16
 // scratch, and the aggregator free lists — are allocated once and
 // recycled.
 //
-// Records are held as fixed-stride rows in one flat []int64 arena
-// (AppendRaw decodes shuffled payloads straight into it); sorting
-// permutes an []int32 row index instead of swapping record headers. All
-// string-keyed indexes are probed through reused encode scratch via the
-// map[string(bytes)] compiler optimization, so steady-state evaluation
-// allocates only the key string and saved coordinates of each *new*
-// distinct region — O(regions), independent of record count.
+// Records are held as fixed-stride rows in one flat []int64 arena, one
+// value per column the evaluator reads (AppendRaw decodes shuffled
+// payloads straight into it); sorting permutes an []int32 row index
+// instead of swapping record headers. All string-keyed indexes are probed
+// through reused encode scratch via the map[string(bytes)] compiler
+// optimization, so steady-state evaluation allocates only the key string
+// and saved coordinates of each *new* distinct region — O(regions),
+// independent of record count.
 //
 // Value ownership: the []Result returned by EvaluateBlock and
 // EvaluateFromBasics, including each Result.Region.Coord, aliases session
@@ -40,7 +42,8 @@ const maxPooledAggs = 1 << 16
 type Session struct {
 	e *Evaluator
 
-	// Columnar block arena: rows*arity values, plus the row permutation.
+	// Columnar block arena: rows*len(e.cols) values, plus the row
+	// permutation.
 	data []int64
 	rows []int32
 
@@ -57,11 +60,12 @@ type Session struct {
 	coordStore []int64
 
 	// Scratch buffers.
-	coord   []int64  // CoordOf target
-	roll    []int64  // RollBetween target for lookups
-	probe   []int64  // windowScan sibling coordinates
-	encG    [][]byte // per-grain encoded key of the current record
-	enc     []byte   // general encode scratch
+	rec     cube.Record // the row being scanned at full arity: unread attributes stay 0, which rolls to ALL like any value
+	coord   []int64     // CoordOf target
+	roll    []int64     // RollBetween target for lookups
+	probe   []int64     // windowScan sibling coordinates
+	encG    [][]byte    // per-grain encoded key of the current record
+	enc     []byte      // general encode scratch
 	args    []float64
 	keybuf  []string
 	results []Result
@@ -83,6 +87,7 @@ type Session struct {
 func (e *Evaluator) NewSession() *Session {
 	ss := &Session{
 		e:      e,
+		rec:    make(cube.Record, e.arity),
 		coord:  make([]int64, e.arity),
 		roll:   make([]int64, e.arity),
 		probe:  make([]int64, e.arity),
@@ -105,33 +110,50 @@ func (e *Evaluator) NewSession() *Session {
 	return ss
 }
 
-// AppendRaw decodes one shuffled record payload into the block arena.
-func (ss *Session) AppendRaw(payload []byte) error {
-	n := len(ss.data)
-	arena, err := recio.DecodeRecordAppend(payload, ss.e.arity, ss.data)
-	if err != nil {
-		ss.data = ss.data[:n]
-		return err
+// ErrCorruptValue is wrapped by every AppendRaw failure.
+var ErrCorruptValue = errors.New("localeval: corrupt record value")
+
+// AppendRaw decodes one shuffled record value, laid out as lay says, into
+// the block arena: the uvarints of unread attributes are skipped, the rest
+// land in their columns. A value that is truncated, or longer than its
+// layout, is an error and leaves the arena as it was.
+func (ss *Session) AppendRaw(payload []byte, lay Layout) error {
+	n, stride := len(ss.data), len(ss.e.cols)
+	ss.data = slices.Grow(ss.data, stride)[:n+stride]
+	off := 0
+	for i, col := range lay {
+		v, k := binary.Uvarint(payload[off:])
+		if k <= 0 {
+			ss.data = ss.data[:n]
+			return fmt.Errorf("%w: truncated at attribute %d of %d", ErrCorruptValue, i, len(lay))
+		}
+		if col >= 0 {
+			ss.data[n+col] = int64(v)
+		}
+		off += k
 	}
-	ss.data = arena
+	if off != len(payload) {
+		ss.data = ss.data[:n]
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptValue, len(payload)-off)
+	}
 	ss.rows = append(ss.rows, int32(len(ss.rows)))
 	return nil
 }
 
-// AppendRecord copies one decoded record into the block arena. rec must
-// have the schema's arity.
+// AppendRecord copies the read columns of one decoded record into the
+// block arena. rec must have the schema's arity.
 func (ss *Session) AppendRecord(rec cube.Record) {
-	ss.data = append(ss.data, rec...)
+	for _, c := range ss.e.cols {
+		ss.data = append(ss.data, rec[c])
+	}
 	ss.rows = append(ss.rows, int32(len(ss.rows)))
 }
 
-// Rows reports how many records are loaded in the arena.
-func (ss *Session) Rows() int { return len(ss.rows) }
-
-// row returns the r-th loaded record (in arrival order) as an arena view.
-func (ss *Session) row(ri int32) cube.Record {
-	a := ss.e.arity
-	return cube.Record(ss.data[int(ri)*a : int(ri)*a+a])
+// Reserve makes room for a block of the given number of records, so that
+// a caller who knows its largest block sizes the arena once.
+func (ss *Session) Reserve(records int) {
+	ss.data = slices.Grow(ss.data, max(records*len(ss.e.cols)-len(ss.data), 0))
+	ss.rows = slices.Grow(ss.rows, max(records-len(ss.rows), 0))
 }
 
 // SortLoaded sorts the loaded rows lexicographically (the isolated
@@ -147,10 +169,10 @@ func (ss *Session) SortLoaded() int {
 }
 
 // sortRows permutes the row index so rows compare lexicographically in
-// attribute order. Ties are fully identical records, so an unstable sort
-// is fine.
+// column order. Ties agree on everything evaluation reads, so an unstable
+// sort is fine.
 func (ss *Session) sortRows() {
-	a := ss.e.arity
+	a := len(ss.e.cols)
 	data := ss.data
 	slices.SortFunc(ss.rows, func(x, y int32) int {
 		return slices.Compare(data[int(x)*a:int(x)*a+a], data[int(y)*a:int(y)*a+a])
@@ -257,8 +279,12 @@ func (ss *Session) scanHash(opt Options, stats *Stats) {
 		ss.sortRows()
 		stats.SortedItems = int64(len(ss.rows))
 	}
+	rec, stride := ss.rec, len(e.cols)
 	for _, ri := range ss.rows {
-		rec := ss.row(ri)
+		row := ss.data[int(ri)*stride:][:stride]
+		for j, c := range e.cols {
+			rec[c] = row[j]
+		}
 		stats.ScannedRecords++
 		for gi := range e.grains {
 			s.CoordOf(rec, e.grains[gi], ss.coord)

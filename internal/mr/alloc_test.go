@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -194,6 +195,123 @@ func TestBytePathMatchesStringReference(t *testing.T) {
 			refHash := sortedOutput(t, propJob(records, true, nil))
 			if fmt.Sprint(gotHash) != fmt.Sprint(refHash) {
 				t.Errorf("hash grouping: byte-keyed output diverges from string reference\n got %q\nwant %q", gotHash, refHash)
+			}
+		})
+	}
+}
+
+// TestReduceAllocsPerGroup pins what one more group costs the reduce side:
+// the group table's key string and entry — not a group iterator, a group
+// record and a pair slice of its own, as it once did. Two jobs of the same
+// pair count differ only in their distinct keys; per-job and per-pair costs
+// cancel.
+func TestReduceAllocsPerGroup(t *testing.T) {
+	const pairs = 1 << 16
+	mkRecords := func(nKeys int) [][]byte {
+		records := make([][]byte, pairs)
+		for i := range records {
+			records[i] = []byte(fmt.Sprintf("g%05d %d", i%nKeys, i))
+		}
+		return records
+	}
+	run := func(records [][]byte) {
+		_, err := Run(Job{
+			Input: NewMemoryInput(records, 4),
+			Map: func(ctx *MapCtx, rec []byte) error {
+				return ctx.Emit(rec[:6], rec[7:])
+			},
+			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+				return values.Drain()
+			},
+			Config: Config{NumReducers: 4},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	few, many := mkRecords(1<<9), mkRecords(1<<14)
+	run(few)
+	allocsFew := testing.AllocsPerRun(3, func() { run(few) })
+	allocsMany := testing.AllocsPerRun(3, func() { run(many) })
+	perGroup := (allocsMany - allocsFew) / float64(1<<14-1<<9)
+	t.Logf("allocs: %.0f @ %d groups, %.0f @ %d groups => %.2f allocs/group", allocsFew, 1<<9, allocsMany, 1<<14, perGroup)
+	if perGroup > 1.5 {
+		t.Errorf("each additional group costs %.2f allocations, want the key string and amortized table growth (< 1.5)", perGroup)
+	}
+}
+
+// TestReduceCtxKnowsLargestGroup: a reduce task on the hash path is told
+// the pair count of its largest group before its first group arrives —
+// resident or spilled — and on the sorted path, which cannot know, 0.
+func TestReduceCtxKnowsLargestGroup(t *testing.T) {
+	var records [][]byte
+	want := map[string]int{}
+	for i := 0; i < 4000; i++ {
+		key := fmt.Sprintf("g%02d", i*i%37)
+		records = append(records, []byte(fmt.Sprintf("%s %d", key, i)))
+		want[key]++
+	}
+	for _, tc := range []struct {
+		name    string
+		sortMem int
+		groupBy func([]byte) []byte
+		known   bool
+	}{
+		{"hash", 0, nil, true},
+		{"hash spilled", 64, nil, true},
+		{"sorted", 0, func(k []byte) []byte { return k }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			largest := map[string]int{} // task → largest group reduced
+			told := map[string]int{}
+			res, err := Run(Job{
+				Input: NewMemoryInput(records, 3),
+				Map: func(ctx *MapCtx, rec []byte) error {
+					return ctx.Emit(rec[:3], rec[4:])
+				},
+				Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+					n := 0
+					for {
+						_, ok, err := values.Next()
+						if err != nil {
+							return err
+						}
+						if !ok {
+							break
+						}
+						n++
+					}
+					if n != want[string(key)] {
+						return fmt.Errorf("group %s has %d pairs, want %d", key, n, want[string(key)])
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					largest[ctx.Stats.Task] = max(largest[ctx.Stats.Task], n)
+					told[ctx.Stats.Task] = ctx.MaxGroupPairs
+					return nil
+				},
+				Config: Config{NumReducers: 3, SortMemoryItems: tc.sortMem, GroupBy: tc.groupBy, TempDir: t.TempDir()},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.sortMem > 0 {
+				var runs int64
+				for _, rt := range res.Stats.ReduceTasks {
+					runs += rt.SpillRuns
+				}
+				if runs == 0 {
+					t.Fatal("a 64-pair budget never spilled")
+				}
+			}
+			for task, n := range largest {
+				if !tc.known {
+					n = 0
+				}
+				if told[task] != n {
+					t.Errorf("%s was told its largest group has %d pairs, it has %d", task, told[task], n)
+				}
 			}
 		})
 	}

@@ -36,20 +36,15 @@ import (
 // amortized over ~10^3 records of map work.
 const DefaultMorselBytes = 32 << 10
 
-// morselItem is one unit of stealable map work.
-type morselItem struct {
-	sp Split
-}
-
 // carveMorsels flattens the splits into a morsel list, carving splits
 // that support it and passing the rest through whole. The returned
 // owner[i] is the index of morsel i's originating split, used to deal
 // morsels onto deques so each worker starts with a contiguous share.
-func carveMorsels(splits []Split, targetBytes int) (items []morselItem, owners []int, err error) {
+func carveMorsels(splits []Split, targetBytes int) (items []Split, owners []int, err error) {
 	for si, sp := range splits {
 		ms, ok := sp.(MorselSplit)
 		if !ok {
-			items = append(items, morselItem{sp: sp})
+			items = append(items, sp)
 			owners = append(owners, si)
 			continue
 		}
@@ -58,7 +53,7 @@ func carveMorsels(splits []Split, targetBytes int) (items []morselItem, owners [
 			return nil, nil, fmt.Errorf("mr: carve %s: %w", sp.Label(), err)
 		}
 		for _, sub := range subs {
-			items = append(items, morselItem{sp: sub})
+			items = append(items, sub)
 			owners = append(owners, si)
 		}
 	}
@@ -67,7 +62,7 @@ func carveMorsels(splits []Split, targetBytes int) (items []morselItem, owners [
 
 // morselDispatcher deals carved morsels onto per-worker stealing deques.
 type morselDispatcher struct {
-	deques *exec.StealDeques[morselItem]
+	deques *exec.StealDeques[Split]
 }
 
 // newMorselDispatcher deals each split's morsels onto the deque of the
@@ -75,8 +70,8 @@ type morselDispatcher struct {
 // contiguous runs of whole splits — the sequential-scan locality of the
 // fixed-split mode — and stealing only rearranges work once some deque
 // runs dry.
-func newMorselDispatcher(workers int, items []morselItem, owners []int) *morselDispatcher {
-	d := &morselDispatcher{deques: exec.NewStealDeques[morselItem](workers)}
+func newMorselDispatcher(workers int, items []Split, owners []int) *morselDispatcher {
+	d := &morselDispatcher{deques: exec.NewStealDeques[Split](workers)}
 	for i, it := range items {
 		d.deques.Push(owners[i], it)
 	}
@@ -102,7 +97,7 @@ func (p *mapPipeline) scanMorsels(ctx context.Context, w int, d *morselDispatche
 			return ctx.Err()
 		default:
 		}
-		if err := p.scan(ctx, item.sp); err != nil {
+		if err := p.scan(ctx, item); err != nil {
 			return err
 		}
 	}

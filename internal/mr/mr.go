@@ -209,10 +209,10 @@ type RowIter = Iter[[]int64]
 
 // RowSplit is implemented by splits whose storage decodes to rows more
 // cheaply than to record bytes (a columnar store block). It is a
-// capability, not a mode: a job that supplies Job.MapRows and a combiner
-// that takes rows has such a split scanned through OpenRows — the same
-// records in the same order as Open, counted the same — and every other
-// pairing of job and split uses Open.
+// capability, not a mode: a job that supplies Job.MapRows over an input
+// whose every split has it is scanned through OpenRows — the same records
+// in the same order as Open, counted the same — and every other pairing
+// of job and input uses Open.
 type RowSplit interface {
 	Split
 	OpenRows() (RowIter, error)
@@ -296,7 +296,14 @@ type ReduceCtx struct {
 	// Local is per-task user state created by Config.NewReduceLocal (nil
 	// otherwise); see MapCtx.Local.
 	Local any
-	emit  func(key, value []byte)
+	// Rows reports that the job's pairs were emitted by Job.MapRows rather
+	// than Job.Map.
+	Rows bool
+	// MaxGroupPairs is the pair count of the largest group this task will
+	// reduce, 0 when the grouping collector cannot know it (the sorted
+	// path): what a reducer that buffers a group sizes its buffer by.
+	MaxGroupPairs int
+	emit          func(key, value []byte)
 }
 
 // Emit contributes one record to the job output. The framework COPIES
@@ -465,11 +472,13 @@ type Job struct {
 	Name  string
 	Input Input
 	Map   MapFunc
-	// MapRows, when non-nil, is Map for splits that hand out decoded rows
-	// (RowSplit): it must emit for a row what Map emits for that record's
-	// bytes. Only a job whose combiner is a RowCombiner has it called —
-	// without one the shuffled value is the record's bytes, which a row
-	// split would have to re-encode.
+	// MapRows, when non-nil, is Map for inputs that hand out decoded rows:
+	// when every split (every morsel, in morsel mode) is a RowSplit the
+	// job's map tasks call MapRows and never Map, and otherwise Map and
+	// never MapRows — one of the two produces the whole shuffle, and
+	// ReduceCtx.Rows says which. The pairs it emits for a row must group
+	// and reduce to what Map's pairs for that record's bytes do; their
+	// values may be encoded differently.
 	MapRows RowMapFunc
 	Reduce  ReduceFunc
 	Config  Config

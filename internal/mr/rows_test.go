@@ -61,16 +61,24 @@ func (c *rowSumCombiner) Flush(emit func(key, value []byte) error) error {
 	return nil
 }
 
-// bytesOnly hides a combiner's AddRow.
-type bytesOnly struct{ Combiner }
+// mixedInput hides the row capability of one split of a store input.
+type mixedInput struct{ Input }
 
-// TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem pins the capability
-// rule: a store split is scanned as rows exactly when the job supplies
-// MapRows and its combiner is a RowCombiner — for whole blocks and for
-// their morsels — and as bytes in every other pairing; and whichever way
-// it is scanned, the output and every counter the map side keeps are the
-// same.
-func TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem(t *testing.T) {
+func (in mixedInput) Splits() ([]Split, error) {
+	splits, err := in.Input.Splits()
+	if len(splits) > 0 {
+		splits[0] = struct{ MorselSplit }{splits[0].(MorselSplit)}
+	}
+	return splits, err
+}
+
+// TestRowsUsedWhenJobAndEverySplitTakeThem pins the capability rule, which
+// is one fact per job: an input is scanned as rows exactly when the job
+// supplies MapRows and every split of it — every morsel, in morsel mode —
+// offers rows, and as bytes otherwise, all of it; the reduce side is told
+// which (ReduceCtx.Rows); and whichever way it is scanned, the output and
+// every counter the map side keeps are the same.
+func TestRowsUsedWhenJobAndEverySplitTakeThem(t *testing.T) {
 	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 512, Replication: 1, NumNodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +98,7 @@ func TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem(t *testing.T) {
 		hits, spills     int64
 		viaBytes, viaRow int64
 	}
-	run := func(t *testing.T, mapRows, rowCombiner, memory bool, morselBytes int) outcome {
+	run := func(t *testing.T, mapRows, mixed, memory bool, morselBytes int) outcome {
 		var o outcome
 		keyOf := func(v int64) []byte { return strconv.AppendInt([]byte("k"), v, 10) }
 		job := Job{
@@ -103,6 +111,9 @@ func TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem(t *testing.T) {
 				return ctx.Emit(keyOf(rec[0]), raw)
 			},
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+				if want := mapRows && !mixed && !memory; ctx.Rows != want {
+					return fmt.Errorf("ReduceCtx.Rows = %v, want %v", ctx.Rows, want)
+				}
 				var sum int64
 				for {
 					p, ok, err := values.Next()
@@ -117,13 +128,12 @@ func TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem(t *testing.T) {
 			Config: Config{
 				NumReducers: 3, MapParallelism: 1, MorselBytes: morselBytes, LocalAggBudget: 5, TempDir: t.TempDir(),
 				NewCombiner: func(ts *TaskStats) Combiner {
-					c := &rowSumCombiner{st: ts, sums: map[string]int64{}, viaBytes: &o.viaBytes, viaRow: &o.viaRow}
-					if rowCombiner {
-						return c
-					}
-					return bytesOnly{c}
+					return &rowSumCombiner{st: ts, sums: map[string]int64{}, viaBytes: &o.viaBytes, viaRow: &o.viaRow}
 				},
 			},
+		}
+		if mixed {
+			job.Input = mixedInput{job.Input}
 		}
 		if memory {
 			raw := make([][]byte, len(records))
@@ -155,7 +165,7 @@ func TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem(t *testing.T) {
 
 	for _, morselBytes := range []int{0, 200} {
 		t.Run(fmt.Sprintf("morsel=%d", morselBytes), func(t *testing.T) {
-			rows := run(t, true, true, false, morselBytes)
+			rows := run(t, true, false, false, morselBytes)
 			if rows.viaRow != int64(len(records)) || rows.viaBytes != 0 {
 				t.Fatalf("rows job folded %d rows and %d byte records, want all %d as rows", rows.viaRow, rows.viaBytes, len(records))
 			}
@@ -163,8 +173,8 @@ func TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem(t *testing.T) {
 				t.Fatalf("budget of 5 over 41 keys: %d spills, %d hits", rows.spills, rows.hits)
 			}
 			for name, other := range map[string]outcome{
-				"no MapRows":          run(t, false, true, false, morselBytes),
-				"bytes-only combiner": run(t, true, false, false, morselBytes),
+				"no MapRows":           run(t, false, false, false, morselBytes),
+				"one split bytes-only": run(t, true, true, false, morselBytes),
 			} {
 				if other.viaRow != 0 || other.viaBytes != int64(len(records)) {
 					t.Errorf("%s: folded %d rows and %d byte records, want all as bytes", name, other.viaRow, other.viaBytes)
@@ -178,11 +188,11 @@ func TestRowsUsedOnlyWhenSplitJobAndCombinerAllTakeThem(t *testing.T) {
 	}
 
 	// A memory split has no rows to offer: the same job reads it as bytes.
-	mem := run(t, true, true, true, 0)
+	mem := run(t, true, false, true, 0)
 	if mem.viaRow != 0 || mem.viaBytes != int64(len(records)) {
 		t.Errorf("memory input: folded %d rows and %d byte records", mem.viaRow, mem.viaBytes)
 	}
-	if want := run(t, true, true, false, 0).out; mem.out != want {
+	if want := run(t, true, false, false, 0).out; mem.out != want {
 		t.Error("memory input answered differently")
 	}
 }

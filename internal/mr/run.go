@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -241,13 +242,20 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 	// Morsel mode carves splits before any task starts: the dispatch set
 	// must be complete up front (StealDeques treats empty as exhausted),
 	// and carve errors should fail the job at planning, not mid-pipeline.
-	var morselItems []morselItem
+	var morselItems []Split
 	var morselOwners []int
 	if cfg.MorselBytes > 0 {
 		morselItems, morselOwners, err = carveMorsels(splits, cfg.MorselBytes)
 		if err != nil {
 			return nil, err
 		}
+	}
+	// The row path is one fact per job, so that every pair of a shuffle was
+	// produced by the same map function: MapRows when the job has one and
+	// every unit of map work offers rows, Map otherwise.
+	noRows := func(sp Split) bool { _, ok := sp.(RowSplit); return !ok }
+	if slices.ContainsFunc(splits, noRows) || slices.ContainsFunc(morselItems, noRows) {
+		job.MapRows = nil
 	}
 	var tr transport.Transport
 	if !cfg.ShuffleDisabled {
@@ -284,7 +292,7 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 // runJob executes the job's stages under the coordinator. It returns
 // whatever stats were gathered even on failure (callers discard them as
 // needed).
-func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselItems []morselItem, morselOwners []int, tr transport.Transport, cancelJob context.CancelFunc, p *Pipe) (JobStats, error) {
+func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselItems []Split, morselOwners []int, tr transport.Transport, cancelJob context.CancelFunc, p *Pipe) (JobStats, error) {
 	start := time.Now()
 	ex := cfg.Executor
 	if tr != nil {
@@ -337,7 +345,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 				// reduce task now, without waiting for sibling drains.
 				reduceGroup.Go(fmt.Sprintf("mr: reduce task %d", r), &reduceStats[r].Timing, func(tctx context.Context) error {
 					w := &outputWriter{ctx: tctx, ch: p.out, r: r, start: start, first: &p.firstOut}
-					return runReduceTask(tctx, job.Reduce, collectors[r], &reduceStats[r], cfg, w)
+					return runReduceTask(tctx, job, collectors[r], &reduceStats[r], cfg, w)
 				})
 				return nil
 			})
@@ -532,8 +540,8 @@ func runMapTask(ctx context.Context, job Job, st *TaskStats, cfg Config, tr tran
 // (one scan per morsel pulled).
 type mapPipeline struct {
 	mapFn MapFunc
-	// mapRows is the job's row map function, kept only when the task's
-	// combiner takes rows: scan then opens row splits as rows.
+	// mapRows is the job's row map function, nil unless the job runs on
+	// rows (see RunPipe): scan then opens every split as rows.
 	mapRows RowMapFunc
 	st      *TaskStats
 	cfg     Config
@@ -547,7 +555,7 @@ type mapPipeline struct {
 }
 
 func newMapPipeline(ctx context.Context, job Job, st *TaskStats, cfg Config, tr transport.Transport) *mapPipeline {
-	p := &mapPipeline{mapFn: job.Map, st: st, cfg: cfg}
+	p := &mapPipeline{mapFn: job.Map, mapRows: job.MapRows, st: st, cfg: cfg}
 	if !cfg.ShuffleDisabled {
 		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
 	}
@@ -555,9 +563,7 @@ func newMapPipeline(ctx context.Context, job Job, st *TaskStats, cfg Config, tr 
 	if cfg.NewCombiner != nil {
 		p.comb = cfg.NewCombiner(st)
 		p.mctx.emit = p.combine
-		if p.rowComb, _ = p.comb.(RowCombiner); p.rowComb != nil {
-			p.mapRows = job.MapRows
-		}
+		p.rowComb, _ = p.comb.(RowCombiner)
 	}
 	if cfg.NewMapLocal != nil {
 		p.mctx.Local = cfg.NewMapLocal(st)
@@ -614,11 +620,11 @@ func (p *mapPipeline) combined(before int, err error) error {
 }
 
 // scan pulls one split's records through the map function — as decoded
-// rows when the split offers them and the job can take them, as record
-// bytes otherwise; both read the same records, and count them the same.
+// rows when the job runs on rows, as record bytes otherwise; both read the
+// same records, and count them the same.
 func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
-	if rs, ok := sp.(RowSplit); ok && p.mapRows != nil {
-		return scanRecords(ctx, p, sp, rs.OpenRows, p.mapRows)
+	if p.mapRows != nil {
+		return scanRecords(ctx, p, sp, sp.(RowSplit).OpenRows, p.mapRows)
 	}
 	return scanRecords(ctx, p, sp, sp.Open, p.mapFn)
 }
@@ -674,7 +680,7 @@ func (p *mapPipeline) flush() error {
 	return nil
 }
 
-func runReduceTask(ctx context.Context, reduceFn ReduceFunc, coll groupx.Collector, st *TaskStats, cfg Config, w *outputWriter) error {
+func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *TaskStats, cfg Config, w *outputWriter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -683,11 +689,14 @@ func runReduceTask(ctx context.Context, reduceFn ReduceFunc, coll groupx.Collect
 		return err
 	}
 	defer it.Close()
-	fillGroupStats(st, coll.Stats())
+	gs := coll.Stats()
+	fillGroupStats(st, gs)
 
 	rctx := &ReduceCtx{
-		Stats:   st,
-		TempDir: cfg.TempDir,
+		Stats:         st,
+		TempDir:       cfg.TempDir,
+		Rows:          job.MapRows != nil,
+		MaxGroupPairs: int(gs.MaxGroup),
 		// ReduceCtx.Emit already copied the key and hands off ownership
 		// of the value; the writer batches pairs onto the output stream.
 		emit: w.emit,
@@ -710,6 +719,7 @@ func runReduceTask(ctx context.Context, reduceFn ReduceFunc, coll groupx.Collect
 	if err != nil {
 		return err
 	}
+	gi := new(GroupIter) // one per task, reset for each group
 	for ok {
 		select {
 		case <-done:
@@ -717,8 +727,8 @@ func runReduceTask(ctx context.Context, reduceFn ReduceFunc, coll groupx.Collect
 		default:
 		}
 		groupBuf = append(groupBuf[:0], cfg.GroupBy(cur.Key)...)
-		gi := &GroupIter{it: it, groupBy: cfg.GroupBy, group: groupBuf, cur: cur, curValid: true}
-		if err := reduceFn(rctx, groupBuf, gi); err != nil {
+		*gi = GroupIter{it: it, groupBy: cfg.GroupBy, group: groupBuf, cur: cur, curValid: true}
+		if err := job.Reduce(rctx, groupBuf, gi); err != nil {
 			return err
 		}
 		if err := gi.Drain(); err != nil {

@@ -98,28 +98,6 @@ func DecodeRecordInto(data []byte, rec cube.Record) error {
 	return nil
 }
 
-// DecodeRecordAppend parses a record of the given arity from data and
-// appends its attribute values to arena, returning the extended slice.
-// Decoding a whole block's records through one arena lays them out as
-// fixed-stride rows in a single flat []int64 — no per-record slice
-// header allocations — which is what the local-evaluation session feeds
-// on.
-func DecodeRecordAppend(data []byte, arity int, arena []int64) ([]int64, error) {
-	off := 0
-	for i := 0; i < arity; i++ {
-		v, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			return arena, fmt.Errorf("recio: truncated record at attribute %d", i)
-		}
-		arena = append(arena, int64(v))
-		off += k
-	}
-	if off != len(data) {
-		return arena, fmt.Errorf("recio: %d trailing bytes in record", len(data)-off)
-	}
-	return arena, nil
-}
-
 // SplitFrameRuns carves one block's framed bytes into contiguous runs of
 // whole frames, each run targeting targetBytes (the last run may be
 // smaller; a single frame larger than the target gets a run of its own).

@@ -60,7 +60,8 @@ type Sorter[T any] struct {
 	cancel <-chan struct{}
 
 	buf     []T
-	scratch []byte // reused per-item encode buffer for spills
+	scratch []byte        // reused per-item encode buffer for spills
+	w       *bufio.Writer // reused run writer, Reset onto each new run file
 	runs    []*os.File
 	stats   Stats
 	done    bool
@@ -128,28 +129,74 @@ func (s *Sorter[T]) spill() error {
 		return err
 	}
 	slices.SortStableFunc(s.buf, s.cmp)
+	if _, err := s.writeRun(sliceSource(s.buf)); err != nil {
+		return err
+	}
+	s.buf = s.buf[:0]
+	return nil
+}
+
+// sliceSource yields items in order: the pull form SpillSorted and
+// IterateSorted take.
+func sliceSource[T any](items []T) func() (T, bool) {
+	i := 0
+	return func() (item T, ok bool) {
+		if i >= len(items) {
+			return item, false
+		}
+		i++
+		return items[i-1], true
+	}
+}
+
+// SpillSorted writes the items next yields as one run. They must already
+// be in cmp order: the run, and every counter, is what Add-ing them to an
+// empty buffer and spilling it would have produced, without the buffer and
+// without the sort.
+func (s *Sorter[T]) SpillSorted(next func() (T, bool)) error {
+	if s.done {
+		return fmt.Errorf("sortx: SpillSorted after Iterate")
+	}
+	if err := s.canceled(); err != nil {
+		return err
+	}
+	n, err := s.writeRun(next)
+	s.stats.Items += n
+	return err
+}
+
+// writeRun spills the sorted items next yields to a new run file and
+// returns how many there were (0 with an error: the run does not count).
+func (s *Sorter[T]) writeRun(next func() (T, bool)) (int64, error) {
 	f, err := os.CreateTemp(s.dir, "sortx-run-*.bin")
 	if err != nil {
-		return fmt.Errorf("sortx: create run: %w", err)
+		return 0, fmt.Errorf("sortx: create run: %w", err)
 	}
 	// The file is unlinked immediately so runs never outlive the process
 	// even on a crash; its disk space is reclaimed when the descriptor
 	// closes (happy path: the iterator's Close; teardown: Sorter.Close).
 	os.Remove(f.Name())
-	w := bufio.NewWriterSize(f, 1<<16)
+	if s.w == nil {
+		s.w = bufio.NewWriterSize(f, 1<<16)
+	} else {
+		s.w.Reset(f)
+	}
+	w := s.w
 	var lenBuf [binary.MaxVarintLen64]byte
-	for n, it := range s.buf {
-		if n%cancelCheckInterval == 0 && n > 0 {
+	var items int64
+	for it, ok := next(); ok; it, ok = next() {
+		if items%cancelCheckInterval == 0 && items > 0 {
 			if err := s.canceled(); err != nil {
 				f.Close()
-				return err
+				return 0, err
 			}
 		}
+		items++
 		before := cap(s.scratch)
 		data, err := s.codec.EncodeTo(s.scratch[:0], it)
 		if err != nil {
 			f.Close()
-			return fmt.Errorf("sortx: encode: %w", err)
+			return 0, fmt.Errorf("sortx: encode: %w", err)
 		}
 		s.scratch = data
 		if cap(data) == before && before > 0 {
@@ -158,23 +205,22 @@ func (s *Sorter[T]) spill() error {
 		n := binary.PutUvarint(lenBuf[:], uint64(len(data)))
 		if _, err := w.Write(lenBuf[:n]); err != nil {
 			f.Close()
-			return fmt.Errorf("sortx: write run: %w", err)
+			return 0, fmt.Errorf("sortx: write run: %w", err)
 		}
 		if _, err := w.Write(data); err != nil {
 			f.Close()
-			return fmt.Errorf("sortx: write run: %w", err)
+			return 0, fmt.Errorf("sortx: write run: %w", err)
 		}
 		s.stats.SpilledBytes += int64(n + len(data))
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
-		return fmt.Errorf("sortx: flush run: %w", err)
+		return 0, fmt.Errorf("sortx: flush run: %w", err)
 	}
 	s.stats.Runs++
-	s.stats.SpilledItems += int64(len(s.buf))
-	s.buf = s.buf[:0]
+	s.stats.SpilledItems += items
 	s.runs = append(s.runs, f)
-	return nil
+	return items, nil
 }
 
 // Iterator yields sorted items. Close releases spill files; it is safe to
@@ -203,6 +249,27 @@ func (it *Iterator[T]) Close() {
 // Iterate finalizes the sorter and returns an iterator over all items in
 // sorted order. The sorter cannot be reused afterwards.
 func (s *Sorter[T]) Iterate() (*Iterator[T], error) {
+	if !s.done && s.canceled() == nil { // merge refuses the others
+		slices.SortStableFunc(s.buf, s.cmp)
+	}
+	return s.merge(sliceSource(s.buf))
+}
+
+// IterateSorted is Iterate for a sorter fed through SpillSorted: the n
+// items residue yields — already in cmp order — are the in-memory
+// remainder Iterate would have found in the buffer, merged with the runs
+// from where they are rather than spilled as one more.
+func (s *Sorter[T]) IterateSorted(n int, residue func() (T, bool)) (*Iterator[T], error) {
+	it, err := s.merge(residue)
+	if err == nil {
+		s.stats.Items += int64(n)
+	}
+	return it, err
+}
+
+// merge finalizes the sorter over its runs plus one sorted in-memory
+// source.
+func (s *Sorter[T]) merge(mem func() (T, bool)) (*Iterator[T], error) {
 	if s.done {
 		return nil, fmt.Errorf("sortx: Iterate called twice")
 	}
@@ -211,24 +278,16 @@ func (s *Sorter[T]) Iterate() (*Iterator[T], error) {
 		s.closeRuns()
 		return nil, err
 	}
-	slices.SortStableFunc(s.buf, s.cmp)
 	if len(s.runs) == 0 {
-		i := 0
-		buf := s.buf
 		return &Iterator[T]{
 			next: func() (T, bool, error) {
-				var zero T
-				if i >= len(buf) {
-					return zero, false, nil
-				}
-				v := buf[i]
-				i++
-				return v, true, nil
+				item, ok := mem()
+				return item, ok, nil
 			},
 			close: func() {},
 		}, nil
 	}
-	// Merge spilled runs plus the residual in-memory buffer.
+	// Merge the spilled runs plus the in-memory source, last.
 	var sources []*runReader[T]
 	for _, f := range s.runs {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -237,9 +296,7 @@ func (s *Sorter[T]) Iterate() (*Iterator[T], error) {
 		}
 		sources = append(sources, &runReader[T]{r: bufio.NewReaderSize(f, 1<<16), codec: s.codec, stats: &s.stats})
 	}
-	if len(s.buf) > 0 {
-		sources = append(sources, &runReader[T]{mem: s.buf, codec: s.codec, stats: &s.stats})
-	}
+	sources = append(sources, &runReader[T]{mem: mem})
 	h := &mergeHeap[T]{cmp: s.cmp}
 	for i, src := range sources {
 		item, ok, err := src.next()
@@ -314,7 +371,7 @@ func (s *Sorter[T]) Close() {
 
 type runReader[T any] struct {
 	r     *bufio.Reader
-	mem   []T
+	mem   func() (T, bool) // the in-memory source, when r is nil
 	codec Codec[T]
 	buf   []byte
 	stats *Stats
@@ -323,12 +380,8 @@ type runReader[T any] struct {
 func (rr *runReader[T]) next() (T, bool, error) {
 	var zero T
 	if rr.r == nil {
-		if len(rr.mem) == 0 {
-			return zero, false, nil
-		}
-		v := rr.mem[0]
-		rr.mem = rr.mem[1:]
-		return v, true, nil
+		item, ok := rr.mem()
+		return item, ok, nil
 	}
 	n, err := binary.ReadUvarint(rr.r)
 	if err == io.EOF {
