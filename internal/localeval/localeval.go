@@ -256,8 +256,9 @@ func (e *Evaluator) SupportsEarlyAggregation() error {
 // values; any total order works for the hash-based group construction,
 // and a deterministic one makes runs reproducible (this is the in-group
 // sort whose cost Figure 4(d) isolates). Session.SortLoaded is the
-// arena-backed equivalent used by reduce tasks: it permutes row indices
-// over the flat block arena instead of swapping record headers.
+// arena-backed equivalent used by reduce tasks: it sorts the flat block
+// arena's rows as packed integers, or permutes their row index, instead
+// of swapping record headers.
 func SortRecords(records []cube.Record) {
 	sort.Slice(records, func(i, j int) bool {
 		a, b := records[i], records[j]

@@ -178,7 +178,9 @@ func sameResults(t *testing.T, label string, want, got []Result) {
 // many blocks must reproduce the seed evaluator's output bit for bit
 // under every sort option, however the block reached its arena — as
 // decoded records, as full record values, or as values projected to the
-// columns the workflow reads.
+// columns the workflow reads — and on either side of packMinRows, where
+// the in-block sort turns from the comparison sort to packed integers and
+// the reference keeps sorting records by comparison.
 func TestSessionMatchesReferenceByteIdentical(t *testing.T) {
 	s := testSchema(t)
 	seeds := 30
@@ -196,8 +198,9 @@ func TestSessionMatchesReferenceByteIdentical(t *testing.T) {
 			}
 			ss := e.NewSession() // one session across every block below
 			loaders := valueLoaders(t, e)
-			for blk := 0; blk < 3; blk++ {
-				records := randomRecords(rng, 50+rng.Intn(250))
+			sizes := []int{50 + rng.Intn(250), packMinRows - 1 + rng.Intn(3), 500 + rng.Intn(1500)}
+			for blk, n := range sizes {
+				records := randomRecords(rng, n)
 				for i, opt := range []Options{{}, {SkipSort: true}, {}, {SkipSort: true}, {}, {SkipSort: true}} {
 					label := fmt.Sprintf("block %d skip=%v loader %d", blk, opt.SkipSort, i%3)
 					want, refStats := refEvaluate(t, e, cloneRecords(records), opt)

@@ -119,7 +119,9 @@ type Aggregator interface {
 	Add(v float64)
 	// State serializes the current partial aggregate.
 	State() []byte
-	// MergeState absorbs a partial aggregate produced by State.
+	// MergeState absorbs a partial aggregate produced by State. Bytes
+	// that are not exactly one such state are an error and leave the
+	// aggregator as it was.
 	MergeState(state []byte) error
 	// Result finalizes the aggregate. For an empty group the result is 0
 	// for Count/Sum and NaN otherwise.
@@ -177,7 +179,7 @@ func (a *countAgg) State() []byte {
 }
 func (a *countAgg) MergeState(state []byte) error {
 	v, n := binary.Uvarint(state)
-	if n <= 0 {
+	if n <= 0 || n != len(state) {
 		return fmt.Errorf("measure: bad count state")
 	}
 	a.n += int64(v)
@@ -200,7 +202,7 @@ func (a *sumAgg) State() []byte {
 	return buf
 }
 func (a *sumAgg) MergeState(state []byte) error {
-	n, sum, _, err := readNFloat(state, 1)
+	n, sum, err := readNFloat(state, 1)
 	if err != nil {
 		return fmt.Errorf("measure: bad sum state: %w", err)
 	}
@@ -236,7 +238,7 @@ func (a *extremeAgg) State() []byte {
 	return buf
 }
 func (a *extremeAgg) MergeState(state []byte) error {
-	n, vals, _, err := readNFloat(state, 1)
+	n, vals, err := readNFloat(state, 1)
 	if err != nil {
 		return fmt.Errorf("measure: bad min/max state: %w", err)
 	}
@@ -292,7 +294,7 @@ func (a *momentAgg) State() []byte {
 	return buf
 }
 func (a *momentAgg) MergeState(state []byte) error {
-	n, vals, _, err := readNFloat(state, 2)
+	n, vals, err := readNFloat(state, 2)
 	if err != nil {
 		return fmt.Errorf("measure: bad moment state: %w", err)
 	}
@@ -347,8 +349,11 @@ func (a *bufferAgg) MergeState(state []byte) error {
 	if err != nil {
 		return fmt.Errorf("measure: bad buffer state: %w", err)
 	}
-	if uint64(len(rest)) < 8*n {
+	if n > uint64(len(rest))/8 {
 		return fmt.Errorf("measure: truncated buffer state")
+	}
+	if uint64(len(rest)) != 8*n {
+		return fmt.Errorf("measure: %d trailing bytes after buffer state", uint64(len(rest))-8*n)
 	}
 	for i := uint64(0); i < n; i++ {
 		a.vals = append(a.vals, readFloat(rest[8*i:]))
@@ -385,8 +390,11 @@ func (a *distinctAgg) MergeState(state []byte) error {
 		return fmt.Errorf("measure: bad distinct state: %w", err)
 	}
 	k, rest, err := readUvarint(rest)
-	if err != nil || uint64(len(rest)) < 8*k {
+	if err != nil || k > uint64(len(rest))/8 {
 		return fmt.Errorf("measure: truncated distinct state")
+	}
+	if uint64(len(rest)) != 8*k {
+		return fmt.Errorf("measure: %d trailing bytes after distinct state", uint64(len(rest))-8*k)
 	}
 	a.n += int64(n)
 	for i := uint64(0); i < k; i++ {
@@ -420,20 +428,20 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 	return v, b[n:], nil
 }
 
-// readNFloat decodes a count followed by k float64s.
-func readNFloat(b []byte, k int) (int64, []float64, []byte, error) {
+// readNFloat decodes a count followed by exactly k float64s.
+func readNFloat(b []byte, k int) (int64, []float64, error) {
 	n, rest, err := readUvarint(b)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
-	if len(rest) < 8*k {
-		return 0, nil, nil, fmt.Errorf("truncated floats")
+	if len(rest) != 8*k {
+		return 0, nil, fmt.Errorf("%d bytes after the count, want %d", len(rest), 8*k)
 	}
 	vals := make([]float64, k)
 	for i := 0; i < k; i++ {
 		vals[i] = readFloat(rest[8*i:])
 	}
-	return int64(n), vals, rest[8*k:], nil
+	return int64(n), vals, nil
 }
 
 // --- flat partial states ---

@@ -2,8 +2,10 @@ package measure
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -237,6 +239,132 @@ func TestMergeStateErrors(t *testing.T) {
 			t.Errorf("%v: garbage state accepted", s)
 		}
 	}
+}
+
+// wrappingStates are holistic states whose value count n makes 8·n wrap
+// around 2⁶⁴ — to 0 for n = 2⁶¹ with no values behind it, to 8 for
+// n = 2⁶¹+1 with one — which a length check of the form len < 8·n let
+// through into a read past the buffer.
+func wrappingStates() map[Func][][]byte {
+	zero := binary.AppendUvarint(nil, 1<<61)                                    // 9 bytes
+	eight := append(binary.AppendUvarint(nil, 1<<61+1), 1, 2, 3, 4, 5, 6, 7, 8) // 17 bytes
+	return map[Func][][]byte{
+		Median:        {zero, eight},
+		Quantile:      {zero, eight},
+		CountDistinct: {append([]byte{0}, zero...), append([]byte{1}, eight...)},
+	}
+}
+
+// TestMergeStateCountWrap: a holistic state claiming 2⁶¹ or 2⁶¹+1 values
+// is refused with an error, not an index-out-of-range panic, and leaves
+// the aggregator empty.
+func TestMergeStateCountWrap(t *testing.T) {
+	for fn, states := range wrappingStates() {
+		for _, state := range states {
+			agg := Spec{Func: fn, Arg: 0.5}.New()
+			if err := agg.MergeState(state); err == nil {
+				t.Errorf("%s accepted the %d-byte state %x", fn, len(state), state)
+			}
+			if agg.N() != 0 {
+				t.Errorf("%s: a refused state left N = %d", fn, agg.N())
+			}
+		}
+	}
+}
+
+// TestMergeStateRefusesTrailingBytes: a valid state with one byte more is
+// not a state, for every function.
+func TestMergeStateRefusesTrailingBytes(t *testing.T) {
+	for _, s := range allSpecs {
+		part := s.New()
+		part.Add(2)
+		if err := s.New().MergeState(append(part.State(), 0)); err == nil {
+			t.Errorf("%v accepted a state with a trailing byte", s)
+		}
+	}
+}
+
+// validState reports whether state is exactly one partial state of s, by
+// the format alone: a uvarint count N, then the function's float64s —
+// none (COUNT), one (SUM, MIN, MAX), two (AVG, VAR, STDDEV) or N (MEDIAN,
+// QUANTILE) — or, for DISTINCT, a second uvarint K and K float64s.
+func validState(s Spec, state []byte) bool {
+	n, k := binary.Uvarint(state)
+	if k <= 0 {
+		return false
+	}
+	rest, floats := state[k:], n
+	switch s.Func {
+	case Count:
+		floats = 0
+	case Sum, Min, Max:
+		floats = 1
+	case Avg, Var, StdDev:
+		floats = 2
+	case CountDistinct:
+		if floats, k = binary.Uvarint(rest); k <= 0 {
+			return false
+		}
+		rest = rest[k:]
+	}
+	return floats <= uint64(len(rest))/8 && uint64(len(rest)) == 8*floats
+}
+
+// FuzzMergeState throws arbitrary bytes at every function's partial-state
+// decoder, the one a reducer runs on each shuffled partial. It must not
+// panic; bytes that are not exactly one state (validState) are an error
+// and leave a fresh aggregator empty; a state that merges is retained in
+// no more bytes than it arrived in — nothing is sized from a count the
+// bytes do not back — and re-merging the aggregator's own State into a
+// fresh one gives the same aggregate.
+func FuzzMergeState(f *testing.F) {
+	for i, s := range allSpecs {
+		agg := s.New()
+		for _, v := range []float64{3, -1.5, 3, 1e300, 0} {
+			f.Add(uint8(i), agg.State())
+			agg.Add(v)
+		}
+		f.Add(uint8(i), agg.State())
+	}
+	for fn, states := range wrappingStates() {
+		i := slices.IndexFunc(allSpecs, func(s Spec) bool { return s.Func == fn })
+		for _, state := range states {
+			f.Add(uint8(i), state)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, which uint8, state []byte) {
+		s := allSpecs[int(which)%len(allSpecs)]
+		agg := s.New()
+		err := agg.MergeState(state)
+		if !validState(s, state) {
+			if err == nil {
+				t.Fatalf("%v accepted the malformed state %x", s, state)
+			}
+			if empty := s.New().State(); agg.N() != 0 || !bytes.Equal(agg.State(), empty) {
+				t.Fatalf("%v: refused state %x left %x, want %x", s, state, agg.State(), empty)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%v refused the well-formed state %x: %v", s, state, err)
+		}
+		own := agg.State()
+		if len(own) > len(state) {
+			t.Fatalf("%v: a %d-byte state is held as %d bytes", s, len(state), len(own))
+		}
+		again := s.New()
+		if err := again.MergeState(own); err != nil {
+			t.Fatalf("%v refused its own state %x: %v", s, own, err)
+		}
+		if s.Func == CountDistinct { // State lists the set in map order
+			if again.N() != agg.N() || math.Float64bits(again.Result()) != math.Float64bits(agg.Result()) || len(again.State()) != len(own) {
+				t.Fatalf("%v: re-merged N %d, result %v; merged N %d, result %v", s, again.N(), again.Result(), agg.N(), agg.Result())
+			}
+		} else if !bytes.Equal(again.State(), own) {
+			t.Fatalf("%v: re-merged state %x, merged %x", s, again.State(), own)
+		}
+	})
 }
 
 func TestMergeEmptyExtreme(t *testing.T) {
