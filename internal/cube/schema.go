@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -61,15 +62,20 @@ func (s *Schema) AttrIndex(name string) (int, bool) {
 	return i, ok
 }
 
+// ErrOutOfDomain is wrapped by Validate's error for a value outside its
+// attribute's domain.
+var ErrOutOfDomain = errors.New("cube: value outside its attribute's domain")
+
 // Validate checks that rec has the right arity and every value is within
-// its attribute's domain.
+// its attribute's domain. It allocates only to report a failure; a value
+// is named as the uvarint a record carries, so one ≥ 2⁶³ reads as itself.
 func (s *Schema) Validate(rec Record) error {
 	if len(rec) != len(s.attrs) {
 		return fmt.Errorf("cube: record arity %d, schema has %d attributes", len(rec), len(s.attrs))
 	}
 	for i, v := range rec {
-		if v < 0 || v >= s.attrs[i].Card() {
-			return fmt.Errorf("cube: attribute %q value %d outside [0, %d)", s.attrs[i].Name(), v, s.attrs[i].Card())
+		if uint64(v) >= uint64(s.attrs[i].Card()) {
+			return fmt.Errorf("%w: attribute %q value %d outside [0, %d)", ErrOutOfDomain, s.attrs[i].Name(), uint64(v), s.attrs[i].Card())
 		}
 	}
 	return nil
