@@ -58,7 +58,7 @@ func TestStreamingCombinerMatchesBufferedMerge(t *testing.T) {
 
 	// Streaming path: combiner Add per record, flush every 251 records so
 	// groups ship as multiple partials, then reduce-side MergeState.
-	var st mr.TaskStats
+	var st mr.MapTaskStats
 	comb := newEarlyAggCombiner(su.Schema, basics, &st)
 	type merged struct {
 		coords []int64
@@ -160,7 +160,7 @@ func TestCombinerFlushDeterministic(t *testing.T) {
 	records := su.Generate(500, workload.Uniform, 11)
 
 	flushed := func() ([]string, [][]byte) {
-		var st mr.TaskStats
+		var st mr.MapTaskStats
 		comb := newEarlyAggCombiner(su.Schema, basics, &st)
 		var raw []byte
 		for i, rec := range records {

@@ -12,12 +12,13 @@ import (
 )
 
 // TestObservationsNeverPriced is the counter split's property: the cost
-// model reads the priced structs embedded in mr.TaskStats and nothing
-// else, so whatever a task's observations, timing and identity say, the
-// estimate must not move by a bit. Every int64 of mr.Observed is filled
-// by reflection — a counter added there is covered without touching this
-// test — and a control perturbation of one priced counter proves the
-// comparison can fail.
+// model reads the priced structs embedded in mr.MapTaskStats and
+// mr.ReduceTaskStats and nothing else, so whatever a task's observations,
+// timing and identity say, the estimate must not move by a bit. Every
+// int64 of mr.MapObserved and mr.ReduceObserved is filled by reflection —
+// a counter added to either is covered without touching this test — and a
+// control perturbation of one priced counter proves the comparison can
+// fail.
 func TestObservationsNeverPriced(t *testing.T) {
 	su := workload.NewSuite()
 	ds := MemoryDataset(su.Schema, su.Generate(3000, workload.SkewedTime, 5), 6)
@@ -29,23 +30,26 @@ func TestObservationsNeverPriced(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(11))
-	scramble := func(tasks []mr.TaskStats) []mr.TaskStats {
-		out := append([]mr.TaskStats(nil), tasks...)
-		for i := range out {
-			obs := reflect.ValueOf(&out[i].Observed).Elem()
-			for f := 0; f < obs.NumField(); f++ {
-				obs.Field(f).SetInt(rng.Int63())
-			}
-			out[i].Task = "scrambled"
-			out[i].Attempts = rng.Intn(9)
-			out[i].Wall = time.Duration(rng.Int63())
-			out[i].CollectDone = time.Duration(rng.Int63())
+	fill := func(obs reflect.Value) {
+		for f := 0; f < obs.NumField(); f++ {
+			obs.Field(f).SetInt(rng.Int63())
 		}
-		return out
 	}
 	for round := 0; round < 20; round++ {
 		js := res.Stats
-		js.MapTasks, js.ReduceTasks = scramble(js.MapTasks), scramble(js.ReduceTasks)
+		js.MapTasks = append([]mr.MapTaskStats(nil), js.MapTasks...)
+		for i := range js.MapTasks {
+			mt := &js.MapTasks[i]
+			fill(reflect.ValueOf(&mt.MapObserved).Elem())
+			mt.Task, mt.Attempts, mt.Wall = "scrambled", rng.Intn(9), time.Duration(rng.Int63())
+		}
+		js.ReduceTasks = append([]mr.ReduceTaskStats(nil), js.ReduceTasks...)
+		for i := range js.ReduceTasks {
+			rt := &js.ReduceTasks[i]
+			fill(reflect.ValueOf(&rt.ReduceObserved).Elem())
+			rt.Task, rt.Attempts, rt.Wall = "scrambled", rng.Intn(9), time.Duration(rng.Int63())
+			rt.CollectDone = time.Duration(rng.Int63())
+		}
 		js.Wall, js.MapDone, js.FirstOutput = time.Duration(rng.Int63()), time.Duration(rng.Int63()), time.Duration(rng.Int63())
 		if got := EstimateFromStats(cluster, js); got != want {
 			t.Fatalf("round %d: observations moved the estimate: %+v, want %+v", round, got, want)
@@ -53,7 +57,7 @@ func TestObservationsNeverPriced(t *testing.T) {
 	}
 
 	js := res.Stats
-	js.ReduceTasks = append([]mr.TaskStats(nil), js.ReduceTasks...)
+	js.ReduceTasks = append([]mr.ReduceTaskStats(nil), js.ReduceTasks...)
 	for i := range js.ReduceTasks {
 		js.ReduceTasks[i].EvalRecords += 1 << 30
 	}

@@ -476,7 +476,7 @@ func TestFlatStateWireBytes(t *testing.T) {
 	}
 	for name, inputs := range cases {
 		t.Run(name, func(t *testing.T) {
-			var st mr.TaskStats
+			var st mr.MapTaskStats
 			comb := newEarlyAggCombiner(su.Schema, basics, &st)
 			rec := make(cube.Record, su.Schema.NumAttrs())
 			aggs := make([]measure.Aggregator, len(basics))
@@ -554,7 +554,7 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 
 	want := make([][]byte, tasks)
 	for task := range want {
-		var st mr.TaskStats
+		var st mr.MapTaskStats
 		var err error
 		if want[task], err = runTask(newEarlyAggCombiner(su.Schema, basics, &st), task); err != nil {
 			t.Fatal(err)
@@ -570,7 +570,7 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for task := range next {
-				var st mr.TaskStats
+				var st mr.MapTaskStats
 				out, err := runTask(plan.newCombiner(&st), task)
 				if err != nil {
 					t.Error(err)

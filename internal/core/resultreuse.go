@@ -185,9 +185,9 @@ func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *
 	// The run's stats are one synthetic reduce task whose only non-zero
 	// counters are the reuse observations — unpriced, so the simulated
 	// time is a single task overhead: the cost of answering from cache.
-	out.Stats = mr.JobStats{ReduceTasks: []mr.TaskStats{{
-		Task:     "reduce-cache",
-		Observed: mr.Observed{ResultCacheHits: hits, ResultCacheBytes: served},
+	out.Stats = mr.JobStats{ReduceTasks: []mr.ReduceTaskStats{{
+		Task:           "reduce-cache",
+		ReduceObserved: mr.ReduceObserved{ResultCacheHits: hits, ResultCacheBytes: served},
 	}}}
 	out.Estimate = e.estimate(out.Stats, outcome.SampleSeconds)
 	return out, true

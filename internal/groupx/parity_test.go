@@ -104,7 +104,7 @@ func (c *refHashCollector) Stats() Stats {
 	st := c.stats
 	if c.sorter != nil {
 		ss := c.sorter.Stats()
-		st.Runs, st.SpilledBytes, st.AllocsSaved = ss.Runs, ss.SpilledBytes, ss.AllocsSaved
+		st.Runs, st.SpilledBytes = ss.Runs, ss.SpilledBytes
 	}
 	return st
 }

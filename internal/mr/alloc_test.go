@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestEmitShuffleGroupAllocs pins the steady-state allocation rate of the
@@ -314,5 +315,21 @@ func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTaskRecordSizes pins the size of a task record. A job's JobStats
+// keeps one record per task, and a caller that keeps the JobStats of
+// every operation it ran (a benchmark's window, a service's history)
+// retains them all: on a job of 32 map tasks and 8 reducers, peak heap
+// measured ≈ 11.8 MB + 32.7 KB per retained job when each record was 336 B
+// and carried both sides' counters, ≈ 26 KB of that the map records with
+// their GC headroom. Each side's record holds its own counters only.
+func TestTaskRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(MapTaskStats{}); n > 176 {
+		t.Errorf("MapTaskStats is %d bytes, want ≤ 176", n)
+	}
+	if n := unsafe.Sizeof(ReduceTaskStats{}); n > 200 {
+		t.Errorf("ReduceTaskStats is %d bytes, want ≤ 200", n)
 	}
 }

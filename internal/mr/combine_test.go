@@ -12,11 +12,11 @@ import (
 // sumCombiner is the tests' Combiner: decimal values summed per key,
 // flushed in ascending key order as the interface requires.
 type sumCombiner struct {
-	st   *TaskStats
+	st   *MapTaskStats
 	sums map[string]int
 }
 
-func newSumCombiner(st *TaskStats) Combiner {
+func newSumCombiner(st *MapTaskStats) Combiner {
 	return &sumCombiner{st: st, sums: make(map[string]int)}
 }
 

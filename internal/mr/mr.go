@@ -44,12 +44,14 @@ import (
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// TaskStats is one task's record: identity, scheduler timing, the priced
-// counters (the cost model's sole input — costmodel.MapWork for the map
-// side, costmodel.ReduceWork for the reduce side) and the unpriced
-// observations. All counter names are promoted, so callers read and bump
-// t.Records or t.SpillRuns without caring which group a counter is in.
-type TaskStats struct {
+// MapTaskStats is one map task's record: identity, scheduler timing, the
+// priced counters (costmodel.MapWork, the cost model's sole input from the
+// map side) and the unpriced observations. Counter names are promoted, so
+// callers read and bump t.Records or t.BatchesSent without caring which
+// group a counter is in. A record carries only its own side's counters: a
+// job's records are kept with its JobStats for as long as any caller holds
+// them, so every field here is paid once per task of every retained job.
+type MapTaskStats struct {
 	Task     string
 	Attempts int
 
@@ -60,8 +62,18 @@ type TaskStats struct {
 	exec.Timing
 
 	costmodel.MapWork
+	MapObserved
+}
+
+// ReduceTaskStats is one reduce task's record: MapTaskStats' shape over
+// costmodel.ReduceWork, plus when the task became runnable.
+type ReduceTaskStats struct {
+	Task     string
+	Attempts int
+	exec.Timing
+
 	costmodel.ReduceWork
-	Observed
+	ReduceObserved
 
 	// CollectDone is when this reducer's shuffle drain completed,
 	// relative to the job's start — the moment its reduce task became
@@ -69,14 +81,13 @@ type TaskStats struct {
 	CollectDone time.Duration
 }
 
-// Observed holds every per-task counter the cost model cannot see:
-// simulated seconds are a function of the embedded costmodel structs
-// alone, so a new counter is one line here and nothing else.
-type Observed struct {
-	// Map side.
+// MapObserved and ReduceObserved hold every per-task counter the cost
+// model cannot see: simulated seconds are a function of the embedded
+// costmodel structs alone, so a new counter is one line here and nothing
+// else.
+type MapObserved struct {
 	BatchesSent   int64 // shuffle batches shipped (≤ PairsOut; = PairsOut unbatched)
 	CombineMerges int64 // pairs merged in place into an existing partial state
-	KeyCacheHits  int64 // shuffle keys served by the task's intern cache instead of a fresh allocation
 	LocalAggHits  int64 // emitted pairs fully absorbed by an existing partial state of the task's combiner table
 	// LocalAggSpills counts combiner-table overflows flushed into the
 	// shuffle before the task's input was exhausted (Config.LocalAggBudget).
@@ -91,15 +102,15 @@ type Observed struct {
 	PlanCacheHits        int64 // plans this job reused from the keyed decision cache instead of re-planning
 	SharedScanQueries    int64 // queries served by this task's single input scan (1 for an unshared job)
 	SharedScanBytesSaved int64 // input bytes NOT re-read thanks to sharing: (SharedScanQueries-1) * BytesRead
+}
 
-	// Reduce side.
-	SpillRuns       int64 // sorted runs the grouping collector spilled
-	SortAllocsSaved int64 // sorter encode/decode ops served by reused buffers
-	HashGroups      int64 // distinct groups resident in the hash collector (0 on the sorted path)
-	GroupSpills     int64 // hash-table flushes into the sorted-run fallback
-	EvalArenaBytes  int64 // high-water footprint of the evaluator session's arenas
-	AggPoolHits     int64 // aggregators served by the session pool instead of a fresh allocation
-	WindowLookups   int64 // sibling-window probes during sliding-measure evaluation
+// ReduceObserved is MapObserved for a reduce task.
+type ReduceObserved struct {
+	SpillRuns      int64 // sorted runs the grouping collector spilled
+	HashGroups     int64 // distinct groups resident in the hash collector (0 on the sorted path)
+	GroupSpills    int64 // hash-table flushes into the sorted-run fallback
+	EvalArenaBytes int64 // high-water footprint of the evaluator session's arenas
+	WindowLookups  int64 // sibling-window probes during sliding-measure evaluation
 
 	// Materialized result-cache counters (zero without a result cache).
 	ResultCacheHits   int64 // groups whose output was served from the cache instead of evaluated
@@ -109,8 +120,8 @@ type Observed struct {
 
 // JobStats aggregates a run's counters.
 type JobStats struct {
-	MapTasks    []TaskStats
-	ReduceTasks []TaskStats
+	MapTasks    []MapTaskStats
+	ReduceTasks []ReduceTaskStats
 	Shuffled    int64
 	Wall        time.Duration
 
@@ -222,7 +233,7 @@ type RowSplit interface {
 type MapCtx struct {
 	// Stats are the task's counters; map functions may bump EvalRecords
 	// etc. for engine-specific accounting.
-	Stats *TaskStats
+	Stats *MapTaskStats
 	// Local is per-task user state created by Config.NewMapLocal (nil
 	// otherwise): scratch buffers, key arenas — anything a map function
 	// needs to carry across records without sharing it between
@@ -287,11 +298,11 @@ type RowCombiner interface {
 
 // CombinerFactory creates one Combiner per map task. The factory may bump
 // the task's CombineMerges counter from inside the combiner.
-type CombinerFactory func(st *TaskStats) Combiner
+type CombinerFactory func(st *MapTaskStats) Combiner
 
 // ReduceCtx is passed to the reduce function.
 type ReduceCtx struct {
-	Stats   *TaskStats
+	Stats   *ReduceTaskStats
 	TempDir string
 	// Local is per-task user state created by Config.NewReduceLocal (nil
 	// otherwise); see MapCtx.Local.
@@ -406,10 +417,10 @@ type Config struct {
 	GroupBy func(key []byte) []byte
 	// NewMapLocal, when non-nil, is called once per map task (attempt)
 	// and its result exposed as MapCtx.Local.
-	NewMapLocal func(st *TaskStats) any
+	NewMapLocal func(st *MapTaskStats) any
 	// NewReduceLocal, when non-nil, is called once per reduce task and
 	// its result exposed as ReduceCtx.Local.
-	NewReduceLocal func(st *TaskStats) any
+	NewReduceLocal func(st *ReduceTaskStats) any
 	// FailureInjector, when non-nil, is called at each task start; a
 	// non-nil error fails that attempt (used by fault-tolerance tests).
 	FailureInjector func(task string, attempt int) error

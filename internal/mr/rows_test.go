@@ -17,7 +17,7 @@ import (
 // record's bytes (Add) or from the decoded row (AddRow), and counts which
 // of the two fed it.
 type rowSumCombiner struct {
-	st               *TaskStats
+	st               *MapTaskStats
 	sums             map[string]int64
 	viaBytes, viaRow *int64
 }
@@ -127,7 +127,7 @@ func TestRowsUsedWhenJobAndEverySplitTakeThem(t *testing.T) {
 			},
 			Config: Config{
 				NumReducers: 3, MapParallelism: 1, MorselBytes: morselBytes, LocalAggBudget: 5, TempDir: t.TempDir(),
-				NewCombiner: func(ts *TaskStats) Combiner {
+				NewCombiner: func(ts *MapTaskStats) Combiner {
 					return &rowSumCombiner{st: ts, sums: map[string]int64{}, viaBytes: &o.viaBytes, viaRow: &o.viaRow}
 				},
 			},

@@ -305,7 +305,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	// goroutines outside the executor's worker budget — because a
 	// collector parked in the queue behind map tasks would deadlock the
 	// pool on transport backpressure.
-	reduceStats := make([]TaskStats, cfg.NumReducers)
+	reduceStats := make([]ReduceTaskStats, cfg.NumReducers)
 	collectors := make([]groupx.Collector, cfg.NumReducers)
 	defer func() {
 		// Teardown runs on every exit path: release collector resources
@@ -358,7 +358,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	// work-stealing deques (see morsel.go), so a map "task" in the stats
 	// is then one worker's whole tour of the input. Either way a task is
 	// one mapPipeline fed by a different scan.
-	var mapStats []TaskStats
+	var mapStats []MapTaskStats
 	mapGroup := ex.NewGroup(jobCtx, exec.Options{Limit: cfg.MapParallelism, OnError: cancelJob})
 	if cfg.MorselBytes > 0 {
 		workers := cfg.MapParallelism
@@ -369,7 +369,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			workers = 1
 		}
 		d := newMorselDispatcher(workers, morselItems, morselOwners)
-		mapStats = make([]TaskStats, workers)
+		mapStats = make([]MapTaskStats, workers)
 		for w := 0; w < workers; w++ {
 			w := w
 			mapStats[w].Task = fmt.Sprintf("map-worker-%d", w)
@@ -380,7 +380,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			})
 		}
 	} else {
-		mapStats = make([]TaskStats, len(splits))
+		mapStats = make([]MapTaskStats, len(splits))
 		for i, sp := range splits {
 			i, sp := i, sp
 			mapStats[i].Task = sp.Label()
@@ -475,7 +475,7 @@ func (w *outputWriter) flush() {
 // Consumed batch slices are recycled into the transport batch pool (the
 // pairs' key/value bytes live on; the slice itself is dead once its
 // pairs are in the collector).
-func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll groupx.Collector, st *TaskStats, cancelJob context.CancelFunc) error {
+func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll groupx.Collector, st *ReduceTaskStats, cancelJob context.CancelFunc) error {
 	done := ctx.Done()
 	var addErr error
 	for batch := range tr.Receive(r) {
@@ -511,7 +511,7 @@ func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll group
 // files, which our in-process shuffle does not need). Mid-task errors are
 // therefore not retried, and neither is cancellation: a cancelled attempt
 // is the job being torn down, not the task failing.
-func runMapTask(ctx context.Context, job Job, st *TaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
+func runMapTask(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -543,7 +543,7 @@ type mapPipeline struct {
 	// mapRows is the job's row map function, nil unless the job runs on
 	// rows (see RunPipe): scan then opens every split as rows.
 	mapRows RowMapFunc
-	st      *TaskStats
+	st      *MapTaskStats
 	cfg     Config
 	// bw accumulates pairs per reducer and ships them as framed batches,
 	// so channel operations and frame round-trips drop by the batch
@@ -554,7 +554,7 @@ type mapPipeline struct {
 	mctx    MapCtx
 }
 
-func newMapPipeline(ctx context.Context, job Job, st *TaskStats, cfg Config, tr transport.Transport) *mapPipeline {
+func newMapPipeline(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport) *mapPipeline {
 	p := &mapPipeline{mapFn: job.Map, mapRows: job.MapRows, st: st, cfg: cfg}
 	if !cfg.ShuffleDisabled {
 		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
@@ -680,7 +680,7 @@ func (p *mapPipeline) flush() error {
 	return nil
 }
 
-func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *TaskStats, cfg Config, w *outputWriter) error {
+func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *ReduceTaskStats, cfg Config, w *outputWriter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -748,11 +748,10 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Task
 // grouping uniformly (the paper's Hadoop always sorts), which keeps
 // simulated seconds comparable across modes; HashGroups/GroupSpills
 // record what the hash path actually did.
-func fillGroupStats(st *TaskStats, gs groupx.Stats) {
+func fillGroupStats(st *ReduceTaskStats, gs groupx.Stats) {
 	st.SortItems = gs.Items
 	st.SpillBytes = gs.SpilledBytes
 	st.SpillRuns = int64(gs.Runs)
-	st.SortAllocsSaved = gs.AllocsSaved
 	st.HashGroups = gs.Groups
 	st.GroupSpills = gs.Spills
 }
