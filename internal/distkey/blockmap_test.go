@@ -352,10 +352,12 @@ func TestSessionMatchesPerCall(t *testing.T) {
 				}
 				interns++
 				r := s.RegionOf(rec, key.Grain)
-				if o, w := string(ss.Owner(r)), bm.Owner(r); o != w {
-					t.Fatalf("record %d: session owner %q, per-call %q", i, o, w)
+				if owner := []byte(bm.Owner(r)); !ss.Owns(r, owner) || ss.Owns(r, append(owner, 0)) {
+					t.Fatalf("record %d: the session disowns owner %q or owns a longer key", i, owner)
 				}
-				interns++
+				if n := testing.AllocsPerRun(5, func() { ss.Owns(r, got[0]) }); n != 0 {
+					t.Fatalf("record %d: Owns allocated %.0f times", i, n)
+				}
 			}
 			// Accounting: misses happen exactly once per distinct key (no
 			// cache overflow here), and the cache absorbs at least every

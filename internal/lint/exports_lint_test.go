@@ -24,6 +24,7 @@ var testOnlyAllowed = map[string]string{
 	"internal/core.Engine.RunComponentAtATimeContext": "the introduction's naive baseline the engine is compared with (bench_test.go)",
 	"internal/localeval.SortRecords":                  "sort of the reference evaluator in reference_test.go",
 	"internal/distkey.BlockMapper.BlocksFor":          "allocating form of Session.Blocks the session is tested against",
+	"internal/distkey.BlockMapper.Owner":              "the owning block the ownership tests state and Session.Owns is tested against",
 	"internal/distkey.BlockMapper.NumBlocks":          "the paper's n_G/cf, which tests pin the mapper's geometry to",
 	"internal/distkey.BlockMapper.ReplicationFactor":  "the paper's (d+cf)/cf, which tests pin measured duplication to",
 	"internal/distkey.Generalizes":                    "Theorem 1's order on keys, the property the key tests state",

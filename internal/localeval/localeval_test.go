@@ -455,7 +455,7 @@ func TestEvaluateFromBasicsEquivalence(t *testing.T) {
 	}
 	// Simulate early aggregation: partition records into 3 mapper shards,
 	// partially aggregate per shard, then feed the merged groups.
-	basics := map[string][]BasicGroup{}
+	basics := map[string][]basicGroup{}
 	for shard := 0; shard < 3; shard++ {
 		type ba struct {
 			coords []int64
@@ -485,11 +485,13 @@ func TestEvaluateFromBasicsEquivalence(t *testing.T) {
 		}
 		for name, groups := range perMeasure {
 			for _, b := range groups {
-				basics[name] = append(basics[name], BasicGroup{Coords: b.coords, Agg: b.agg})
+				basics[name] = append(basics[name], basicGroup{coords: b.coords, agg: b.agg})
 			}
 		}
 	}
-	early, _, err := e.EvaluateFromBasics(basics)
+	ss := e.NewSession()
+	mergeBasics(t, ss, basics)
+	early, _, err := ss.EvaluatePartials()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +547,7 @@ func TestSupportsEarlyAggregationRejections(t *testing.T) {
 	if err := e2.SupportsEarlyAggregation(); err == nil {
 		t.Error("uncovered fine grain accepted")
 	}
-	if _, _, err := e2.EvaluateFromBasics(nil); err == nil {
-		t.Error("EvaluateFromBasics did not enforce the coverage check")
+	if _, _, err := e2.NewSession().EvaluatePartials(); err == nil {
+		t.Error("EvaluatePartials did not enforce the coverage check")
 	}
 }

@@ -257,8 +257,8 @@ func TestSessionFromBasicsMatchesReference(t *testing.T) {
 
 		// buildBasics partially aggregates 3 simulated mapper shards into
 		// fresh aggregator instances, in deterministic group order.
-		buildBasics := func() map[string][]BasicGroup {
-			basics := map[string][]BasicGroup{}
+		buildBasics := func() map[string][]basicGroup {
+			basics := map[string][]basicGroup{}
 			grains := []struct {
 				name string
 				g    cube.Grain
@@ -270,7 +270,7 @@ func TestSessionFromBasicsMatchesReference(t *testing.T) {
 			for shard := 0; shard < 3; shard++ {
 				for _, gr := range grains {
 					idx := map[string]int{}
-					var groups []BasicGroup
+					var groups []basicGroup
 					for i, r := range records {
 						if i%3 != shard {
 							continue
@@ -281,9 +281,9 @@ func TestSessionFromBasicsMatchesReference(t *testing.T) {
 						if !ok {
 							gi = len(groups)
 							idx[k] = gi
-							groups = append(groups, BasicGroup{Coords: reg.Coord, Agg: gr.spec.New()})
+							groups = append(groups, basicGroup{coords: reg.Coord, agg: gr.spec.New()})
 						}
-						groups[gi].Agg.Add(float64(r[vi]))
+						groups[gi].agg.Add(float64(r[vi]))
 					}
 					basics[gr.name] = append(basics[gr.name], groups...)
 				}
@@ -294,7 +294,8 @@ func TestSessionFromBasicsMatchesReference(t *testing.T) {
 		ss := e.NewSession()
 		for round := 0; round < 2; round++ { // session reuse across calls
 			want, _ := refEvaluateFromBasics(t, e, buildBasics())
-			got, _, err := ss.EvaluateFromBasics(buildBasics())
+			mergeBasics(t, ss, buildBasics())
+			got, _, err := ss.EvaluatePartials()
 			if err != nil {
 				t.Fatal(err)
 			}

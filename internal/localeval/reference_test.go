@@ -88,7 +88,28 @@ func refScanHash(e *Evaluator, records []cube.Record, opt Options, occupancy []r
 	}
 }
 
-func refEvaluateFromBasics(t *testing.T, e *Evaluator, basics map[string][]BasicGroup) ([]Result, Stats) {
+// basicGroup is one pre-aggregated basic-measure group: a region's
+// coordinates at the basic's grain and the partial aggregate a mapper
+// shipped for it.
+type basicGroup struct {
+	coords []int64
+	agg    measure.Aggregator
+}
+
+// mergeBasics feeds pre-aggregated groups to a session the way a reducer
+// does: each group's state bytes through MergePartial, basic by basic.
+func mergeBasics(t *testing.T, ss *Session, basics map[string][]basicGroup) {
+	t.Helper()
+	for b, oi := range ss.e.basicOrder {
+		for _, g := range basics[ss.e.order[oi].Name] {
+			if err := ss.MergePartial(b, cube.AppendCoords(nil, g.coords), g.agg.State()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+func refEvaluateFromBasics(t *testing.T, e *Evaluator, basics map[string][]basicGroup) ([]Result, Stats) {
 	t.Helper()
 	var stats Stats
 	if err := e.SupportsEarlyAggregation(); err != nil {
@@ -112,20 +133,20 @@ func refEvaluateFromBasics(t *testing.T, e *Evaluator, basics map[string][]Basic
 		basicAggs[m.Name] = aggs
 		coord := make([]int64, s.NumAttrs())
 		for _, g := range groups {
-			k := cube.EncodeCoords(g.Coords)
+			k := cube.EncodeCoords(g.coords)
 			if prev, dup := aggs[k]; dup {
-				if err := prev.MergeState(g.Agg.State()); err != nil {
+				if err := prev.MergeState(g.agg.State()); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				aggs[k] = g.Agg
+				aggs[k] = g.agg
 			}
 			for gi, grain := range e.grains {
 				if !grain.GeneralizationOf(m.Grain) {
 					continue
 				}
 				for i := range coord {
-					coord[i] = s.Attr(i).RollBetween(g.Coords[i], m.Grain[i], grain[i])
+					coord[i] = s.Attr(i).RollBetween(g.coords[i], m.Grain[i], grain[i])
 				}
 				ck := cube.EncodeCoords(coord)
 				if _, seen := occupancy[gi].coords[ck]; !seen {
