@@ -57,10 +57,9 @@ func benchBlock(n int, clustered bool) []cube.Record {
 	return records
 }
 
-// BenchmarkEvaluate measures one session evaluating a 4096-record block,
-// the reduce-side inner loop. Run with -benchmem: steady-state allocs/op
-// stay proportional to the distinct region count (~2.4k here), not the
-// record count.
+// BenchmarkEvaluate measures one session evaluating a 4096-record block
+// (~2.4k distinct regions), the reduce-side inner loop. Run with
+// -benchmem: a warmed session allocates nothing per block.
 func BenchmarkEvaluate(b *testing.B) {
 	for _, win := range []struct {
 		name string
@@ -82,7 +81,7 @@ func BenchmarkEvaluate(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				run() // warm the arena, maps, and aggregator pool
+				run() // warm the arena, region indexes and slots
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
