@@ -79,8 +79,9 @@ func (c Cluster) Slots() int { return c.Machines * c.Machine.SlotsPerMachine }
 
 // MapWork and ReduceWork are the priced counter set: the cost model's
 // sole input, so simulated seconds are a pure function of these fields.
-// mr.TaskStats embeds both; every other per-task counter is an unpriced
-// observation (mr.Observed) the model cannot see.
+// mr.MapTaskStats embeds MapWork and mr.ReduceTaskStats ReduceWork; every
+// other per-task counter is an unpriced observation (mr.MapObserved,
+// mr.ReduceObserved) the model cannot see.
 
 // MapWork counts what one map task did.
 type MapWork struct {

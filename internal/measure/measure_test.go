@@ -529,25 +529,61 @@ func TestCountDistinct(t *testing.T) {
 }
 
 // TestFlatStateMatchesAggregator: for every mergeable function a
-// FlatState fed a value stream serializes, at every prefix of the stream,
-// exactly the bytes the function's Aggregator does — the two are
-// interchangeable producers of one wire format — and holistic functions
-// have no flat kind.
+// FlatState fed a value stream agrees with the function's Aggregator at
+// every prefix of the stream — the same state bytes and the same Result
+// bits, the two being interchangeable producers of one wire format — and
+// merging each prefix's bytes, and an empty state's, into a FlatState and
+// into an Aggregator keeps those two equal too. A state one byte short or one byte long is
+// refused by both and leaves each as it was. Holistic functions have no
+// flat kind.
 func TestFlatStateMatchesAggregator(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	sameBits := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
 	for _, fn := range []Func{Count, Sum, Min, Max, Avg, Var, StdDev} {
 		spec := Spec{Func: fn}
 		kind, ok := spec.FlatKind()
 		if !ok {
 			t.Fatalf("%s has no flat kind", fn)
 		}
-		agg := spec.New()
-		var flat FlatState
+		agg, merged := spec.New(), spec.New()
+		var flat, flatMerged FlatState
 		for i := 0; i < 200; i++ {
-			if got, want := flat.AppendState(nil, kind), agg.State(); !bytes.Equal(got, want) {
+			want := agg.State()
+			if got := flat.AppendState(nil, kind); !bytes.Equal(got, want) {
 				t.Fatalf("%s after %d values: flat state %x, aggregator state %x", fn, i, got, want)
 			} else if flat.StateLen(kind) != len(want) {
 				t.Fatalf("%s after %d values: StateLen %d, state is %d bytes", fn, i, flat.StateLen(kind), len(want))
+			}
+			if got, want := flat.Result(fn), agg.Result(); !sameBits(got, want) {
+				t.Fatalf("%s after %d values: flat result %v, aggregator result %v", fn, i, got, want)
+			}
+			for _, state := range [][]byte{want, spec.New().State()} { // the prefix's state, then an empty one
+				if err := flatMerged.MergeState(kind, state); err != nil {
+					t.Fatalf("%s after %d values: flat merge: %v", fn, i, err)
+				}
+				if err := merged.MergeState(state); err != nil {
+					t.Fatalf("%s after %d values: aggregator merge: %v", fn, i, err)
+				}
+			}
+			if got, want := flatMerged.AppendState(nil, kind), merged.State(); !bytes.Equal(got, want) {
+				t.Fatalf("%s after %d merges: flat state %x, aggregator state %x", fn, i, got, want)
+			}
+			if got, want := flatMerged.Result(fn), merged.Result(); !sameBits(got, want) {
+				t.Fatalf("%s after %d merges: flat result %v, aggregator result %v", fn, i, got, want)
+			}
+			for _, bad := range [][]byte{want[:len(want)-1], append(slices.Clip(want), 0)} {
+				before, beforeAgg := flatMerged, merged.State()
+				if flatMerged.MergeState(kind, bad) == nil {
+					t.Fatalf("%s: flat state accepted %x", fn, bad)
+				}
+				if merged.MergeState(bad) == nil {
+					t.Fatalf("%s: aggregator accepted %x", fn, bad)
+				}
+				if flatMerged != before || !bytes.Equal(merged.State(), beforeAgg) {
+					t.Fatalf("%s: a refused state %x changed the merged state", fn, bad)
+				}
 			}
 			v := float64(rng.Int63n(1<<uint(rng.Intn(54))) - rng.Int63n(1<<20))
 			flat.Add(kind, v)
