@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// tiny returns a configuration small enough for unit tests; panel shape
-// assertions live in the root benchmarks, which run at a larger scale —
-// these tests only guarantee the harness executes and renders.
+// tiny returns a configuration small enough for unit tests. Beside
+// executing and rendering each panel, the tests below hold the paper's
+// claims that survive this scale (see claims_test.go).
 func tiny(t *testing.T) Config {
 	return Config{Scale: 0.02, Reducers: 4, TempDir: t.TempDir(), Seed: 1}
 }
@@ -28,6 +28,7 @@ func TestFig4a(t *testing.T) {
 			}
 		}
 	}
+	reportClaims(t, "a", claimsA(p, 0.5))
 	tab := p.Table().String()
 	for _, want := range []string{"Figure 4(a)", "Q1", "Q6"} {
 		if !strings.Contains(tab, want) {
@@ -44,6 +45,7 @@ func TestFig4b(t *testing.T) {
 	if len(p.Rate) != len(p.Reducers) {
 		t.Fatalf("rows = %d", len(p.Rate))
 	}
+	reportClaims(t, "b", claimsB(p))
 	if !strings.Contains(p.Table().String(), "speed-up") {
 		t.Error("table title missing")
 	}
@@ -73,6 +75,7 @@ func TestFig4d(t *testing.T) {
 	if len(p.Seconds) != 4 || p.Combined <= 0 {
 		t.Fatalf("%+v", p)
 	}
+	reportClaims(t, "d", claimsD(p))
 	if !strings.Contains(p.Table().String(), "Map-Only") {
 		t.Error("table missing stage")
 	}
@@ -86,6 +89,7 @@ func TestFig4e(t *testing.T) {
 	if len(p.With) != 3 || len(p.Without) != 3 {
 		t.Fatalf("%+v", p)
 	}
+	reportClaims(t, "e", claimsE(p, 1))
 	if !strings.Contains(p.Table().String(), "DS2") {
 		t.Error("table missing DS2")
 	}
