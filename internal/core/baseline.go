@@ -153,6 +153,9 @@ func (e *Engine) occupancyJob(ctx context.Context, ds *Dataset, g cube.Grain) ([
 		if err := recio.DecodeRecordInto(raw, rec); err != nil {
 			return err
 		}
+		if err := s.Validate(rec); err != nil {
+			return err
+		}
 		coord := make([]int64, arity)
 		s.CoordOf(rec, g, coord)
 		return ctx.Emit(cube.AppendCoords(nil, coord), nil)
@@ -189,6 +192,9 @@ func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure)
 		rec := getRecordBuf(arity)
 		defer putRecordBuf(rec)
 		if err := recio.DecodeRecordInto(raw, rec); err != nil {
+			return err
+		}
+		if err := s.Validate(rec); err != nil {
 			return err
 		}
 		coord := make([]int64, arity)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -15,7 +16,8 @@ import (
 
 // TestOutOfDomainRecordIsAnError: a record value outside its attribute's
 // domain — equal to the cardinality, or a uvarint ≥ 2⁶³ — is a typed error
-// from the map body, never a panic on a worker (a mapped attribute's value
+// from the map body, the engine's or the component-at-a-time baseline's,
+// never a panic on a worker (a mapped attribute's value
 // indexes its hierarchy tables) nor an answer over regions no level has.
 // The failed job leaves no goroutine and no spill file behind.
 func TestOutOfDomainRecordIsAnError(t *testing.T) {
@@ -59,15 +61,25 @@ func TestOutOfDomainRecordIsAnError(t *testing.T) {
 			"store":  {Schema: s, Input: mr.NewStoreInput(st, "data"), NumRecords: int64(len(records)), Tag: "store:data"},
 		}
 		for dsName, ds := range datasets {
-			for _, early := range []EarlyAggMode{EarlyAggOff, EarlyAggAuto} {
+			// The third arm is the component-at-a-time baseline, whose own
+			// map functions read the records.
+			for arm := 0; arm < 3; arm++ {
+				early := []EarlyAggMode{EarlyAggOff, EarlyAggAuto, EarlyAggOff}[arm]
 				label := fmt.Sprintf("%s/%s/early=%d", bad.name, dsName, early)
+				if arm == 2 {
+					label = fmt.Sprintf("%s/%s/component-at-a-time", bad.name, dsName)
+				}
 				baseline := settleGoroutines(t)
 				tmp := t.TempDir()
 				eng, err := NewEngine(Config{NumReducers: 2, EarlyAggregation: early, SortMemoryItems: 8, TempDir: tmp})
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, err = eng.Run(w, ds)
+				if arm == 2 {
+					_, err = eng.RunComponentAtATimeContext(context.Background(), w, ds)
+				} else {
+					_, err = eng.Run(w, ds)
+				}
 				if !errors.Is(err, cube.ErrOutOfDomain) {
 					t.Fatalf("%s: err = %v, want cube.ErrOutOfDomain", label, err)
 				}
