@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/casm-project/casm/internal/recio"
 )
@@ -17,12 +18,11 @@ import (
 // RowReader is the decoder: it hands a block's records out as decoded
 // []int64 rows, a batch at a time, after checking the entry shape before
 // any allocation, then column truncation, trailing bytes and the footer's
-// raw-length invariant — each failing with ErrCorruptBlock. frameColumnar
-// frames those batches back into the recio frame stream the writer
-// measured, byte for byte, for the consumers of the []byte plane
-// (FrameReader, SplitFrameRuns, morsel carving, every job that shuffles
-// the raw record as its value), which stay oblivious to how blocks rest
-// on disk.
+// raw-length invariant — each failing with ErrCorruptBlock. carveRows cuts
+// a block into runs of rows by one decode of it, recording where each run
+// starts, so that a run's reader resumes there. frameColumnar frames the
+// rows back into the recio frame stream the writer measured, byte for
+// byte, for ReadBlock.
 
 // ErrCorruptBlock marks a columnar entry whose checksum verified but
 // whose contents do not decode: a shape the payload cannot hold, a
@@ -87,7 +87,7 @@ func frameColumnar(payload []byte, arity, n, rawLen int) ([]byte, error) {
 	}
 	out := make([]byte, 0, rawLen)
 	for r.decoded < r.n {
-		if err := r.fill(); err != nil {
+		if err := r.fill(rowBatch); err != nil {
 			return nil, err
 		}
 		for row := r.rows; len(row) > 0; row = row[arity:] {
@@ -168,7 +168,7 @@ func (r *RowReader) Next() ([]int64, bool, error) {
 		if r.err != nil || r.decoded == r.n {
 			return nil, false, r.err
 		}
-		if r.err = r.fill(); r.err != nil {
+		if r.err = r.fill(rowBatch); r.err != nil {
 			return nil, false, r.err
 		}
 	}
@@ -184,12 +184,13 @@ func (r *RowReader) Close() error {
 	return nil
 }
 
-// fill decodes the next batch, column by column, and accounts the bytes
-// its rows occupy in recio framing — arithmetically, so the footer's
-// raw-length invariant is still checked without a frame being built.
-func (r *RowReader) fill() error {
+// fill decodes the next batch of at most limit rows, column by column, and
+// accounts the bytes its rows occupy in recio framing — arithmetically, so
+// the footer's raw-length invariant is still checked without a frame
+// being built.
+func (r *RowReader) fill(limit int) error {
 	arity := r.arity
-	b := min(r.n-r.decoded, rowBatch)
+	b := min(r.n-r.decoded, limit)
 	batch := r.batch[:b*arity]
 	p := r.payload
 	for c := 0; c < arity; c++ {
@@ -229,4 +230,52 @@ func (r *RowReader) fill() error {
 	}
 	r.rows = batch
 	return nil
+}
+
+// rowCursor is where a RowReader stands between two rows: the rows
+// decoded and the framed bytes they occupy, and per column the offset of
+// its next value and the last value decoded.
+type rowCursor struct {
+	row, raw int
+	cur      []int
+	prev     []int64
+}
+
+func (r *RowReader) cursor() rowCursor {
+	return rowCursor{row: r.decoded, raw: r.raw, cur: slices.Clone(r.cur), prev: slices.Clone(r.prev)}
+}
+
+// carveRows cuts a columnar block into runs of whole rows, each closed as
+// soon as its framed size reaches targetBytes (the last may be smaller),
+// in one row-at-a-time decode that checks the block as RowReader does and
+// records the cursor each run starts at. It returns each run's framed
+// size and an opener of a RowReader over the run, resumed from its
+// cursor; an opener may be called any number of times. The runs retain
+// payload and their cursors, nothing else.
+func carveRows(payload []byte, arity, n, rawLen, targetBytes int) ([]int, []func() *RowReader, error) {
+	r, err := newRowReader(payload, arity, n, rawLen)
+	if err != nil {
+		return nil, nil, err
+	}
+	var sizes []int
+	var opens []func() *RowReader
+	start := r.cursor()
+	for r.decoded < r.n {
+		if err := r.fill(1); err != nil {
+			return nil, nil, err
+		}
+		if r.raw-start.raw >= targetBytes || r.decoded == r.n {
+			from, end, endRaw := start, r.decoded, r.raw
+			sizes = append(sizes, endRaw-from.raw)
+			opens = append(opens, func() *RowReader {
+				// The run ends where its rows do, and so does its framed
+				// size: the reader checks the run like a block.
+				return &RowReader{payload: payload, arity: arity, n: end, rawLen: endRaw,
+					decoded: from.row, raw: from.raw, cur: slices.Clone(from.cur), prev: slices.Clone(from.prev),
+					batch: make([]int64, min(end-from.row, rowBatch)*arity)}
+			})
+			start = r.cursor()
+		}
+	}
+	return sizes, opens, nil
 }

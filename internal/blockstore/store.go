@@ -486,6 +486,25 @@ func (s *Store) ReadBlockRows(file string, index int) (*RowReader, error) {
 	return newRowReader(payload, bm.arity, bm.recCount, bm.rawLen)
 }
 
+// ReadBlockRuns reads and verifies one data block once, as ReadBlockRows
+// does, and cuts its rows into runs of whole rows of at least targetBytes
+// framed bytes each — the measure BlockInfo.Size counts the block in —
+// except the last, which may be smaller. It returns each run's framed size
+// and an opener of a RowReader that resumes at the run's first row; a run
+// may be opened again (a retried map task reads it twice). All runs share
+// the block's verified payload, which beside one cursor per run is all
+// they keep, and a block that does not decode fails here, not at an open.
+func (s *Store) ReadBlockRuns(file string, index, targetBytes int) ([]int, []func() *RowReader, error) {
+	bm, payload, err := s.readIndexed(file, index)
+	if err != nil {
+		return nil, nil, err
+	}
+	if bm.flags&flagColumnar == 0 {
+		return nil, nil, fmt.Errorf("blockstore: block %d of %q holds no columnar records", index, file)
+	}
+	return carveRows(payload, bm.arity, bm.recCount, bm.rawLen, targetBytes)
+}
+
 // readIndexed reads and verifies the entry of a file's index-th block.
 func (s *Store) readIndexed(file string, index int) (*blockMeta, []byte, error) {
 	s.mu.Lock()

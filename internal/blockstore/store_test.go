@@ -46,8 +46,8 @@ func readAll(t *testing.T, s *Store, file string, arity int) []cube.Record {
 			if !ok {
 				break
 			}
-			rec, err := recio.DecodeRecord(payload, arity)
-			if err != nil {
+			rec := make(cube.Record, arity)
+			if err := recio.DecodeRecordInto(payload, rec); err != nil {
 				t.Fatalf("record: %v", err)
 			}
 			out = append(out, rec)

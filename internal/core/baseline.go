@@ -7,7 +7,6 @@ import (
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -147,12 +146,7 @@ func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapFn mr.MapFun
 func (e *Engine) occupancyJob(ctx context.Context, ds *Dataset, g cube.Grain) ([][]int64, mr.JobStats, error) {
 	s := ds.Schema
 	arity := s.NumAttrs()
-	mapFn := func(ctx *mr.MapCtx, raw []byte) error {
-		rec := getRecordBuf(arity)
-		defer putRecordBuf(rec)
-		if err := recio.DecodeRecordInto(raw, rec); err != nil {
-			return err
-		}
+	mapFn := func(ctx *mr.MapCtx, rec []int64) error {
 		if err := s.Validate(rec); err != nil {
 			return err
 		}
@@ -188,12 +182,7 @@ func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure)
 	s := ds.Schema
 	arity := s.NumAttrs()
 	nameKey := []byte(m.Name) // job-stable: one allocation shared by every output pair
-	mapFn := func(ctx *mr.MapCtx, raw []byte) error {
-		rec := getRecordBuf(arity)
-		defer putRecordBuf(rec)
-		if err := recio.DecodeRecordInto(raw, rec); err != nil {
-			return err
-		}
+	mapFn := func(ctx *mr.MapCtx, rec []int64) error {
 		if err := s.Validate(rec); err != nil {
 			return err
 		}
@@ -232,21 +221,36 @@ func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure)
 	return e.runRowsJob(ctx, ds.Input, mapFn, reduceFn, arity)
 }
 
-// rowsInput wraps intermediate rows as a MapReduce input.
-func rowsInput(rows []baselineRow, tag byte) [][]byte {
-	out := make([][]byte, len(rows))
-	for i, r := range rows {
-		out[i] = append([]byte{tag}, appendMeasureRecord(nil, r.coords, r.value)...)
-	}
-	return out
+// Intermediate rows travel to the next job as input rows of arity+2
+// values: a tag (the source, or occTag), the coordinates, and the value's
+// float64 bits.
+
+func appendTagged(dst []int64, tag int64, coords []int64, v float64) []int64 {
+	dst = append(append(dst, tag), coords...)
+	return append(dst, int64(math.Float64bits(v)))
 }
 
-func occInput(coords [][]int64, tag byte) [][]byte {
-	out := make([][]byte, len(coords))
-	for i, c := range coords {
-		out[i] = append([]byte{tag}, appendMeasureRecord(nil, c, 0)...)
+func splitTagged(row []int64, arity int) (tag int64, coords []int64, v float64) {
+	return row[0], row[1 : 1+arity], math.Float64frombits(uint64(row[1+arity]))
+}
+
+func rowsInput(dst []int64, rows []baselineRow, tag int64) []int64 {
+	for _, r := range rows {
+		dst = appendTagged(dst, tag, r.coords, r.value)
 	}
-	return out
+	return dst
+}
+
+func occInput(dst []int64, coords [][]int64) []int64 {
+	for _, c := range coords {
+		dst = appendTagged(dst, occTag, c, 0)
+	}
+	return dst
+}
+
+// taggedInput is the next job's memory input over a slab of tagged rows.
+func (e *Engine) taggedInput(rows []int64, arity int) mr.Input {
+	return mr.NewMemoryInput(rows, arity+2, e.cfg.NumReducers*2)
 }
 
 const occTag = 0xFF
@@ -271,18 +275,14 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 	join := s.LCA(grains...)
 	nameKey := []byte(m.Name)
 
-	var input [][]byte
+	var input []int64
 	for i, rows := range srcRows {
-		input = append(input, rowsInput(rows, byte(i))...)
+		input = rowsInput(input, rows, int64(i))
 	}
-	input = append(input, occInput(occ, occTag)...)
+	input = occInput(input, occ)
 
-	mapFn := func(ctx *mr.MapCtx, raw []byte) error {
-		tag := raw[0]
-		coords, v, err := decodeMeasureRecord(raw[1:], arity)
-		if err != nil {
-			return err
-		}
+	mapFn := func(ctx *mr.MapCtx, row []int64) error {
+		tag, coords, v := splitTagged(row, arity)
 		var from cube.Grain
 		if tag == occTag {
 			from = m.Grain
@@ -293,7 +293,7 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 		for i := range jc {
 			jc[i] = s.Attr(i).RollBetween(coords[i], from[i], join[i])
 		}
-		return ctx.Emit(cube.AppendCoords(nil, jc), append([]byte{tag}, appendMeasureRecord(nil, coords, v)...))
+		return ctx.Emit(cube.AppendCoords(nil, jc), append([]byte{byte(tag)}, appendMeasureRecord(nil, coords, v)...))
 	}
 	reduceFn := func(ctx *mr.ReduceCtx, key []byte, values *mr.GroupIter) error {
 		perSrc := make([]map[string]float64, len(srcs))
@@ -340,7 +340,7 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 		}
 		return nil
 	}
-	return e.runRowsJob(ctx, mr.NewMemoryInput(input, e.cfg.NumReducers*2), mapFn, reduceFn, arity)
+	return e.runRowsJob(ctx, e.taggedInput(input, arity), mapFn, reduceFn, arity)
 }
 
 // rollupJob repartitions the source results by the parent grain and
@@ -351,12 +351,9 @@ func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflo
 	arity := s.NumAttrs()
 	src, _ := w.Measure(m.Sources[0])
 	nameKey := []byte(m.Name)
-	input := rowsInput(srcRows, 0)
-	mapFn := func(ctx *mr.MapCtx, raw []byte) error {
-		coords, v, err := decodeMeasureRecord(raw[1:], arity)
-		if err != nil {
-			return err
-		}
+	input := rowsInput(nil, srcRows, 0)
+	mapFn := func(ctx *mr.MapCtx, row []int64) error {
+		_, coords, v := splitTagged(row, arity)
 		parent := make([]int64, arity)
 		for i := range parent {
 			parent[i] = s.Attr(i).RollBetween(coords[i], src.Grain[i], m.Grain[i])
@@ -385,7 +382,7 @@ func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflo
 		}
 		return nil
 	}
-	return e.runRowsJob(ctx, mr.NewMemoryInput(input, e.cfg.NumReducers*2), mapFn, reduceFn, arity)
+	return e.runRowsJob(ctx, e.taggedInput(input, arity), mapFn, reduceFn, arity)
 }
 
 // slidingJob redistributes source results with overlap: each source value
@@ -395,13 +392,9 @@ func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflo
 func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Measure, srcRows []baselineRow, occ [][]int64) ([]baselineRow, mr.JobStats, error) {
 	arity := s.NumAttrs()
 	nameKey := []byte(m.Name)
-	input := append(rowsInput(srcRows, 0), occInput(occ, occTag)...)
-	mapFn := func(ctx *mr.MapCtx, raw []byte) error {
-		tag := raw[0]
-		coords, v, err := decodeMeasureRecord(raw[1:], arity)
-		if err != nil {
-			return err
-		}
+	input := occInput(rowsInput(nil, srcRows, 0), occ)
+	mapFn := func(ctx *mr.MapCtx, row []int64) error {
+		tag, coords, v := splitTagged(row, arity)
 		if tag == occTag {
 			return ctx.Emit(cube.AppendCoords(nil, coords), append([]byte{occTag}, encodeFloat(0)...))
 		}
@@ -464,7 +457,7 @@ func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Mea
 		}
 		return nil
 	}
-	return e.runRowsJob(ctx, mr.NewMemoryInput(input, e.cfg.NumReducers*2), mapFn, reduceFn, arity)
+	return e.runRowsJob(ctx, e.taggedInput(input, arity), mapFn, reduceFn, arity)
 }
 
 func encodeFloat(v float64) []byte {

@@ -9,7 +9,6 @@ import (
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -81,10 +80,8 @@ func TestStreamingCombinerMatchesBufferedMerge(t *testing.T) {
 		}
 		return g.agg.MergeState(state)
 	}
-	var raw []byte
 	for i, rec := range records {
-		raw = recio.AppendRecord(raw[:0], rec)
-		if err := comb.Add([]byte("block"), raw); err != nil {
+		if err := comb.Add([]byte("block"), rec); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%251 == 0 {
@@ -162,10 +159,8 @@ func TestCombinerFlushDeterministic(t *testing.T) {
 	flushed := func() ([]string, [][]byte) {
 		var st mr.MapTaskStats
 		comb := newEarlyAggCombiner(su.Schema, basics, &st)
-		var raw []byte
 		for i, rec := range records {
-			raw = recio.AppendRecord(raw[:0], rec)
-			if err := comb.Add([]byte(fmt.Sprintf("block-%d", i%5)), raw); err != nil {
+			if err := comb.Add([]byte(fmt.Sprintf("block-%d", i%5)), rec); err != nil {
 				t.Fatal(err)
 			}
 		}

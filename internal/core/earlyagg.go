@@ -129,7 +129,6 @@ func (p *earlyAggPlan) getTable() *aggTable {
 	return &aggTable{
 		index:  make([]uint32, aggMinIndex),
 		bindex: make([]uint32, aggMinIndex),
-		rec:    make(cube.Record, p.arity),
 		coord:  make([]int64, p.arity),
 	}
 }
@@ -168,7 +167,6 @@ type aggTable struct {
 	slab    []measure.FlatState
 
 	// Per-fold scratch and the flush's orderings, recycled with the rest.
-	rec    cube.Record
 	coord  []int64
 	key    []byte
 	border []uint32
@@ -287,19 +285,9 @@ func (c *earlyAggCombiner) table() *aggTable {
 	return c.t
 }
 
-// Add decodes the record and folds it: the mr.Combiner form, for pairs
-// that reach the combiner as bytes.
-func (c *earlyAggCombiner) Add(blockKey, raw []byte) error {
-	t := c.table()
-	if err := recio.DecodeRecordInto(raw, t.rec); err != nil {
-		return err
-	}
-	return c.AddRow(blockKey, t.rec)
-}
-
-// AddRow folds one decoded record into the block's partial states: one
-// probe per distinct basic grain, one switch per basic measure.
-func (c *earlyAggCombiner) AddRow(blockKey []byte, rec []int64) error {
+// Add folds one record into the block's partial states: one probe per
+// distinct basic grain, one switch per basic measure.
+func (c *earlyAggCombiner) Add(blockKey []byte, rec []int64) error {
 	p, t := c.plan, c.table()
 	if len(rec) != p.arity {
 		return fmt.Errorf("core: record of arity %d, schema has %d attributes", len(rec), p.arity)

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -18,63 +17,6 @@ import (
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
-
-// bytesOnlyInput is a store input with the row capability hidden: the
-// same splits, blocks and morsels, reachable through Open alone. Running
-// a query over it and over the bare input compares the two map-side data
-// paths with everything else — split carving, task count, byte
-// accounting — held equal.
-type bytesOnlyInput struct{ mr.Input }
-
-func (in bytesOnlyInput) Splits() ([]mr.Split, error) {
-	splits, err := in.Input.Splits()
-	for i, sp := range splits {
-		splits[i] = bytesOnlySplit{sp.(mr.MorselSplit)}
-	}
-	return splits, err
-}
-
-type bytesOnlySplit struct{ mr.MorselSplit }
-
-func (sp bytesOnlySplit) Morsels(targetBytes int) ([]mr.Split, error) {
-	subs, err := sp.MorselSplit.Morsels(targetBytes)
-	for i, sub := range subs {
-		subs[i] = struct{ mr.Split }{sub}
-	}
-	return subs, err
-}
-
-// rowsOnlyInput is the converse: every split still offers rows, and
-// opening one as bytes fails the task.
-type rowsOnlyInput struct{ mr.Input }
-
-var errBytesPathOpened = errors.New("store split opened as record bytes")
-
-func (in rowsOnlyInput) Splits() ([]mr.Split, error) {
-	splits, err := in.Input.Splits()
-	for i, sp := range splits {
-		splits[i] = rowsOnlySplit{sp.(mr.RowSplit)}
-	}
-	return splits, err
-}
-
-type rowsOnlySplit struct{ mr.RowSplit }
-
-func (rowsOnlySplit) Open() (mr.RecordIter, error) { return nil, errBytesPathOpened }
-
-func (sp rowsOnlySplit) Morsels(targetBytes int) ([]mr.Split, error) {
-	subs, err := sp.RowSplit.(mr.MorselSplit).Morsels(targetBytes)
-	for i, sub := range subs {
-		subs[i] = rowsOnlySplit{sub.(mr.RowSplit)}
-	}
-	return subs, err
-}
-
-func withInput(ds *Dataset, in mr.Input) *Dataset {
-	cp := *ds
-	cp.Input = in
-	return &cp
-}
 
 // earlyAggWorkflows are the combining workflows the row-path tests run:
 // one basic of every mergeable kind at a shared grain, and Figure 4(e)'s
@@ -103,18 +45,15 @@ func observedAgg(js mr.JobStats) (o struct{ hits, spills, merges int64 }) {
 	return o
 }
 
-// TestRowPathIsBytesPath is the row capability's property: a job answers
-// a store dataset through decoded rows, the same store with the capability
-// hidden through record bytes, and the same records held in memory through
-// record bytes, and all three results are byte-identical. Between the two
-// store runs — equal splits, so equal tasks — a combining job's every
-// priced counter sum and combiner observation is equal too, under a local
-// table that spills on every fold, every few folds, or never, with fixed
-// splits and with morsels. (The memory dataset carves different splits and
-// counts unframed bytes, so its counters are not comparable, only its
-// answer.) A job that ships the record ships, over rows, only the columns
-// it reads: see shippedRecordRowPath.
-func TestRowPathIsBytesPath(t *testing.T) {
+// TestStoreRowsMatchMemory: a job answers a store dataset and the same
+// records held in memory with the same bytes — both read rows, the store's
+// decoded from its columns, memory's from one slab — for a combining job
+// under a local table that spills on every fold, every few folds, or
+// never, with fixed splits and with morsels. The two inputs carve different
+// splits, so a combining job's partial states differ between them; a job
+// that ships the record ships the same pairs from both: see
+// shippedRecordsMatchMemory.
+func TestStoreRowsMatchMemory(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(3000, workload.Uniform, 17)
 	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 4096, Replication: 2, NumNodes: 3, Seed: 5})
@@ -125,8 +64,7 @@ func TestRowPathIsBytesPath(t *testing.T) {
 	if err := workload.WriteStore(st, "data", su.Schema, records); err != nil {
 		t.Fatal(err)
 	}
-	rowsDS := &Dataset{Schema: su.Schema, Input: mr.NewStoreInput(st, "data"), NumRecords: int64(len(records))}
-	bytesDS := withInput(rowsDS, bytesOnlyInput{rowsDS.Input})
+	storeDS := &Dataset{Schema: su.Schema, Input: mr.NewStoreInput(st, "data"), NumRecords: int64(len(records))}
 	memDS := MemoryDataset(su.Schema, records, 6)
 	if blocks, _ := st.Blocks("data"); len(blocks) < 8 {
 		t.Fatalf("only %d store blocks: too few map tasks to mean anything", len(blocks))
@@ -138,65 +76,38 @@ func TestRowPathIsBytesPath(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/budget=%d/morsel=%d", name, budget, morselBytes), func(t *testing.T) {
 					cfg := Config{NumReducers: 3, EarlyAggregation: EarlyAggAuto,
 						LocalAggBudget: budget, MorselBytes: morselBytes, MapParallelism: 4}
-					if morselBytes > 0 {
-						// Which worker's table a morsel lands in follows the
-						// steal order; one worker makes the counters repeat.
-						cfg.MapParallelism = 1
-					}
-					rows, viaBytes, mem := runEngine(t, cfg, w, rowsDS), runEngine(t, cfg, w, bytesDS), runEngine(t, cfg, w, memDS)
-					if !rows.EarlyAggregated || !viaBytes.EarlyAggregated || !mem.EarlyAggregated {
+					store, mem := runEngine(t, cfg, w, storeDS), runEngine(t, cfg, w, memDS)
+					if !store.EarlyAggregated || !mem.EarlyAggregated {
 						t.Fatal("a run did not combine")
 					}
-					want := resultBytes(t, rows)
-					if !bytes.Equal(want, resultBytes(t, viaBytes)) {
-						t.Error("row path and bytes path over the same store differ")
+					if !bytes.Equal(resultBytes(t, store), resultBytes(t, mem)) {
+						t.Error("store rows and memory rows answer differently")
 					}
-					if !bytes.Equal(want, resultBytes(t, mem)) {
-						t.Error("store rows and memory bytes differ")
-					}
-					if got, want := pricedSums(rows.Stats, true), pricedSums(viaBytes.Stats, true); got != want {
-						t.Errorf("priced counters differ:\nrows  %+v\nbytes %+v", got, want)
-					}
-					if got, want := observedAgg(rows.Stats), observedAgg(viaBytes.Stats); got != want {
-						t.Errorf("combiner observations differ: rows %+v, bytes %+v", got, want)
-					}
-					if budget == 1 && observedAgg(rows.Stats).spills == 0 {
+					if budget == 1 && observedAgg(store.Stats).spills == 0 {
 						t.Error("a one-state budget never spilled")
 					}
 				})
 			}
 		}
 	}
-	t.Run("shipped", func(t *testing.T) { shippedRecordRowPath(t, su) })
+	t.Run("shipped", func(t *testing.T) { shippedRecordsMatchMemory(t, su) })
 }
 
-// shippedRecordRowPath is TestRowPathIsBytesPath for jobs that shuffle the
-// record itself: the suite's non-combining shapes, a workflow that reads
-// all six attributes and one that reads none, and a batch whose two
-// geometries share one scan — with two-pass and combined-key sorting, a
-// grouping budget that spills often, rarely or never, fixed splits and
-// morsels. Store rows, the same store with rows hidden, and memory answer
-// the same bytes. Between the two store runs every priced counter and the
-// spill and group observations are equal, except the four byte counters:
-// over rows a pair carries only the columns the job reads, so BytesOut,
-// BytesIn and Shuffled are lower by exactly the unread attributes' bytes
-// of every pair (twice that under a combined key, which embeds the value),
-// and SpillBytes by those of every spilled pair. Every record here encodes
-// each attribute at a fixed width, which makes "exactly" a product. Q5, Q6
+// shippedRecordsMatchMemory is TestStoreRowsMatchMemory for jobs that
+// shuffle the record itself: the suite's non-combining shapes, a workflow
+// that reads all six attributes and one that reads none, and a batch whose
+// two geometries share one scan — with two-pass and combined-key sorting,
+// a grouping budget that spills often, rarely or never, fixed splits and
+// morsels. Store and memory answer the same bytes, and since both ship
+// each record's read columns and, one map task at a time, deliver each
+// reducer its pairs in record order, every priced counter sum and every
+// spill and group observation is equal too — except BytesRead, which
+// counts a store block's frames and a memory split's bare records. Q5, Q6
 // and the 24-hour window evaluate blocks large enough for the reducer to
 // sort them as packed integers, so the identity covers that sort too.
-func shippedRecordRowPath(t *testing.T, su *workload.Suite) {
+func shippedRecordsMatchMemory(t *testing.T, su *workload.Suite) {
 	s := su.Schema
-	widths := []int64{2, 2, 2, 2, 3, 3}
 	records := su.Generate(3000, workload.SkewedTime, 29)
-	for _, r := range records {
-		for a := range r {
-			r[a] |= 1 << (7 * (widths[a] - 1)) // a 2-byte uvarint is ≥ 128, a 3-byte one ≥ 16384
-		}
-		if err := s.Validate(r); err != nil {
-			t.Fatal(err)
-		}
-	}
 	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 4096, Replication: 1, NumNodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +116,7 @@ func shippedRecordRowPath(t *testing.T, su *workload.Suite) {
 	if err := workload.WriteStore(st, "data", s, records); err != nil {
 		t.Fatal(err)
 	}
-	rowsDS := &Dataset{Schema: s, Input: mr.NewStoreInput(st, "data"), NumRecords: int64(len(records))}
-	hiddenDS := withInput(rowsDS, bytesOnlyInput{rowsDS.Input})
+	storeDS := &Dataset{Schema: s, Input: mr.NewStoreInput(st, "data"), NumRecords: int64(len(records))}
 	memDS := MemoryDataset(s, records, 6)
 
 	basic := func(fn measure.Func, attr string, specs ...cube.GrainSpec) *workflow.Workflow {
@@ -223,22 +133,21 @@ func shippedRecordRowPath(t *testing.T, su *workload.Suite) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name   string
-		ws     []*workflow.Workflow
-		unread int64 // encoded bytes of the attributes no workflow of the job reads
+		name string
+		ws   []*workflow.Workflow
 		// bigBlocks: the job's blocks average at least 96 records, the
 		// size from which a reducer sorts a block as packed integers.
 		bigBlocks bool
 	}{
-		{"q1", []*workflow.Workflow{su.Q1()}, 2 + 3, false},    // a3, t2
-		{"q5", []*workflow.Workflow{su.Q5()}, 2 + 2 + 3, true}, // a3, a4, t2
-		{"q6", []*workflow.Workflow{su.Q6()}, 2 + 2 + 3, true}, // a3, a4, t2
-		{"24h", []*workflow.Workflow{w24}, 2 + 2 + 3, true},    // a3, a4, t2
-		{"q1+q5", []*workflow.Workflow{su.Q1(), su.Q5()}, 2 + 3, false},
+		{"q1", []*workflow.Workflow{su.Q1()}, false},
+		{"q5", []*workflow.Workflow{su.Q5()}, true},
+		{"q6", []*workflow.Workflow{su.Q6()}, true},
+		{"24h", []*workflow.Workflow{w24}, true},
+		{"q1+q5", []*workflow.Workflow{su.Q1(), su.Q5()}, false},
 		{"all six", []*workflow.Workflow{basic(measure.Sum, "a3",
 			cube.GrainSpec{Attr: "a1", Level: "high"}, cube.GrainSpec{Attr: "a2", Level: "high"}, cube.GrainSpec{Attr: "a4", Level: "high"},
-			cube.GrainSpec{Attr: "t1", Level: "day"}, cube.GrainSpec{Attr: "t2", Level: "day"})}, 0, false},
-		{"none", []*workflow.Workflow{basic(measure.Count, "")}, 14, false},
+			cube.GrainSpec{Attr: "t1", Level: "day"}, cube.GrainSpec{Attr: "t2", Level: "day"})}, false},
+		{"none", []*workflow.Workflow{basic(measure.Count, "")}, false},
 	}
 	type shipped struct {
 		answers [][]byte
@@ -276,59 +185,35 @@ func shippedRecordRowPath(t *testing.T, su *workload.Suite) {
 						// reducer, and so which pairs spill, repeats.
 						cfg := Config{NumReducers: 3, SortMode: sortMode, SortMemoryItems: sortMem,
 							MorselBytes: morselBytes, MapParallelism: 1}
-						rows, hidden, mem := run(t, cfg, tc.ws, rowsDS), run(t, cfg, tc.ws, hiddenDS), run(t, cfg, tc.ws, memDS)
+						store, mem := run(t, cfg, tc.ws, storeDS), run(t, cfg, tc.ws, memDS)
 						for i := range tc.ws {
-							if !bytes.Equal(rows.answers[i], hidden.answers[i]) {
-								t.Errorf("query %d: row path and bytes path over the same store differ", i)
-							}
-							if !bytes.Equal(rows.answers[i], mem.answers[i]) {
-								t.Errorf("query %d: store rows and memory bytes differ", i)
+							if !bytes.Equal(store.answers[i], mem.answers[i]) {
+								t.Errorf("query %d: store and memory answer differently", i)
 							}
 						}
 						if tc.bigBlocks && sortMode == TwoPassSort && sortMem != 64 { // no spill splits a group
 							var items, groups int64
-							for _, rt := range rows.stats.ReduceTasks {
+							for _, rt := range store.stats.ReduceTasks {
 								items, groups = items+rt.GroupSortItems, groups+rt.HashGroups
 							}
 							if items < 96*groups {
 								t.Errorf("%d records sorted in %d blocks: too few for a packed in-block sort", items, groups)
 							}
 						}
-						perPair := tc.unread
-						if sortMode == CombinedKeySort {
-							perPair *= 2
-						}
-						got, want := pricedSums(rows.stats, true), pricedSums(hidden.stats, true)
+						got, want := pricedSums(store.stats, true), pricedSums(mem.stats, true)
 						var spilled int64
-						for _, rt := range rows.stats.ReduceTasks {
-							spilled += rt.SpillRuns * int64(sortMem)
+						for _, rt := range store.stats.ReduceTasks {
+							spilled += rt.SpillRuns
 						}
 						if sortMem == 64 && spilled == 0 {
 							t.Error("a 64-pair budget never spilled")
 						}
-						for _, c := range []struct {
-							name        string
-							rows, bytes *int64
-							pairs       int64
-						}{
-							{"BytesOut", &got.Map.BytesOut, &want.Map.BytesOut, got.Map.PairsOut},
-							{"BytesIn", &got.Reduce.BytesIn, &want.Reduce.BytesIn, got.Reduce.PairsIn},
-							{"Shuffled", &rows.stats.Shuffled, &hidden.stats.Shuffled, got.Map.PairsOut},
-							{"SpillBytes", &got.Reduce.SpillBytes, &want.Reduce.SpillBytes, spilled},
-						} {
-							if saved := *c.bytes - *c.rows; saved != c.pairs*perPair {
-								t.Errorf("%s: rows %d, bytes %d: %d saved, want %d pairs × %d unread bytes = %d",
-									c.name, *c.rows, *c.bytes, saved, c.pairs, perPair, c.pairs*perPair)
-							}
-							*c.rows, *c.bytes = 0, 0
+						got.Map.BytesRead, want.Map.BytesRead = 0, 0
+						if got != want || store.stats.Shuffled != mem.stats.Shuffled {
+							t.Errorf("priced counters differ beyond BytesRead:\nstore  %+v, shuffled %d\nmemory %+v, shuffled %d",
+								got, store.stats.Shuffled, want, mem.stats.Shuffled)
 						}
-						if got != want {
-							t.Errorf("priced counters differ beyond the four byte counters:\nrows  %+v\nbytes %+v", got, want)
-						}
-						observed := func(js mr.JobStats) (o struct{ batches, runs, groups, spills, arena, lookups int64 }) {
-							for _, mt := range js.MapTasks {
-								o.batches += mt.BatchesSent
-							}
+						observed := func(js mr.JobStats) (o struct{ runs, groups, spills, arena, lookups int64 }) {
 							for _, rt := range js.ReduceTasks {
 								o.runs += rt.SpillRuns
 								o.groups += rt.HashGroups
@@ -338,78 +223,13 @@ func shippedRecordRowPath(t *testing.T, su *workload.Suite) {
 							}
 							return o
 						}
-						if got, want := observed(rows.stats), observed(hidden.stats); got != want {
-							t.Errorf("observations differ: rows %+v, bytes %+v", got, want)
+						if got, want := observed(store.stats), observed(mem.stats); got != want {
+							t.Errorf("observations differ: store %+v, memory %+v", got, want)
 						}
 					})
 				}
 			}
 		}
-	}
-}
-
-// TestStoreJobNeverOpensFrames shows by construction what a profile shows
-// by absence: over a store dataset every job's map tasks read rows and
-// nothing else — splits and morsels whose byte form fails to open still
-// answer, the same bytes — so no frame is parsed for them
-// (recio.DecodeRecordInto) and, outside morsel carving, none built. That
-// holds for a combining job, which ships partial states, and for every job
-// that ships the record: unary, streamed, a batch sharing one scan, and
-// stopped at each stage.
-func TestStoreJobNeverOpensFrames(t *testing.T) {
-	su := workload.NewSuite()
-	records := su.Generate(2000, workload.Uniform, 3)
-	_, ds := storeDataset(t, su, records)
-	poisoned := withInput(ds, rowsOnlyInput{ds.Input})
-	ds1, err := su.DS(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := []*workflow.Workflow{ds1, su.Q1(), su.Q5(), su.Q6()}
-	for _, morselBytes := range []int{0, 1024} {
-		t.Run(fmt.Sprintf("morsel=%d", morselBytes), func(t *testing.T) {
-			var unary [][]byte
-			for i, w := range ws {
-				cfg := Config{NumReducers: 3, MorselBytes: morselBytes}
-				if i == 0 {
-					cfg.EarlyAggregation = EarlyAggAuto
-				}
-				got := runEngine(t, cfg, w, poisoned)
-				if got.EarlyAggregated != (i == 0) {
-					t.Fatalf("query %d: combined = %v", i, got.EarlyAggregated)
-				}
-				unary = append(unary, resultBytes(t, got))
-				if !bytes.Equal(unary[i], resultBytes(t, runEngine(t, cfg, w, ds))) {
-					t.Errorf("query %d: rows-only input changed the answer", i)
-				}
-				compare(t, fmt.Sprintf("rows-only query %d", i), oracle(t, w, records), flatten(got))
-			}
-			cfg := Config{NumReducers: 3, MorselBytes: morselBytes}
-			if got := resultBytes(t, streamToResult(t, cfg, ws[3], poisoned)); !bytes.Equal(got, unary[3]) {
-				t.Error("streamed answer differs from the materialized one")
-			}
-			cfg.TempDir = t.TempDir()
-			eng, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch, err := eng.EvaluateBatchContext(context.Background(), ws[1:], poisoned)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if batch.SharedScanQueries() != 3 {
-				t.Fatalf("batch shared %d queries, want 3", batch.SharedScanQueries())
-			}
-			for i, res := range batch.Results {
-				if !bytes.Equal(resultBytes(t, res), unary[i+1]) {
-					t.Errorf("batch query %d differs from its unary answer", i)
-				}
-			}
-			for _, stage := range []Stage{StageMapOnly, StageShuffle, StageSort} {
-				cfg.Stage = stage
-				runEngine(t, cfg, ws[2], poisoned)
-			}
-		})
 	}
 }
 
@@ -492,7 +312,7 @@ func TestFlatStateWireBytes(t *testing.T) {
 						aggs[i].Add(0)
 					}
 				}
-				if err := comb.AddRow([]byte("b"), rec); err != nil {
+				if err := comb.Add([]byte("b"), rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -540,7 +360,7 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 		}
 		for i, rec := range records[task*perTask : (task+1)*perTask] {
 			block := []byte{byte('a' + rec[0]%3)}
-			if err := comb.AddRow(block, rec); err != nil {
+			if err := comb.Add(block, rec); err != nil {
 				return nil, err
 			}
 			if (i+1)%97 == 0 {

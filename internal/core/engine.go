@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/costmodel"
@@ -20,7 +19,6 @@ import (
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
-	"github.com/casm-project/casm/internal/recio"
 )
 
 // SortMode selects how the in-group sort of the local algorithm is paid
@@ -252,29 +250,15 @@ func (r *Result) TotalRecords() int64 {
 	return n
 }
 
-// decodePool recycles per-record decode buffers across map invocations.
-var decodePool = sync.Pool{}
-
-func getRecordBuf(arity int) cube.Record {
-	if v := decodePool.Get(); v != nil {
-		if rec := v.(cube.Record); len(rec) == arity {
-			return rec
-		}
-	}
-	return make(cube.Record, arity)
-}
-
-func putRecordBuf(rec cube.Record) { decodePool.Put(rec) }
-
 // cancelCheckStride is how many records a dataset scan processes between
 // cancellation polls (a non-blocking read of ctx.Done(), the mr hot-loop
 // idiom).
 const cancelCheckStride = 1024
 
-// scanDataset hands every raw record of the splits, in order, to visit,
-// closing each iterator on every path and polling ctx every
-// cancelCheckStride records.
-func scanDataset(ctx context.Context, splits []mr.Split, visit func(raw []byte) error) error {
+// scanDataset hands every row of the splits, in order, to visit (the row
+// is only valid for the call), closing each iterator on every path and
+// polling ctx every cancelCheckStride records.
+func scanDataset(ctx context.Context, splits []mr.Split, visit func(row []int64) error) error {
 	done := ctx.Done()
 	var n int64
 	scan := func(sp mr.Split) error {
@@ -284,7 +268,7 @@ func scanDataset(ctx context.Context, splits []mr.Split, visit func(raw []byte) 
 		}
 		defer it.Close()
 		for {
-			raw, ok, err := it.Next()
+			row, ok, err := it.Next()
 			if err != nil {
 				return err
 			}
@@ -298,7 +282,7 @@ func scanDataset(ctx context.Context, splits []mr.Split, visit func(raw []byte) 
 				default:
 				}
 			}
-			if err := visit(raw); err != nil {
+			if err := visit(row); err != nil {
 				return err
 			}
 		}
@@ -319,7 +303,7 @@ func CountRecords(ctx context.Context, ds *Dataset) (int64, error) {
 		return 0, err
 	}
 	var n int64
-	err = scanDataset(ctx, splits, func([]byte) error { n++; return nil })
+	err = scanDataset(ctx, splits, func([]int64) error { n++; return nil })
 	return n, err
 }
 
@@ -334,15 +318,25 @@ func cardinality(ctx context.Context, ds *Dataset) (int64, error) {
 }
 
 // MemoryDataset wraps in-memory records as a dataset with the given
-// number of splits.
+// number of splits. The records are copied into one flat slab of rows,
+// the form every map task reads; a record whose arity is not the schema's
+// makes every scan of the dataset fail.
 func MemoryDataset(schema *cube.Schema, records []cube.Record, splits int) *Dataset {
-	raw := make([][]byte, len(records))
-	for i, r := range records {
-		raw[i] = recio.AppendRecord(nil, r)
+	arity := schema.NumAttrs()
+	ds := &Dataset{Schema: schema, NumRecords: int64(len(records))}
+	rows := make([]int64, 0, len(records)*arity)
+	for _, r := range records {
+		if len(r) != arity {
+			ds.Input = failedInput{fmt.Errorf("core: record of arity %d, schema has %d attributes", len(r), arity)}
+			return ds
+		}
+		rows = append(rows, r...)
 	}
-	return &Dataset{
-		Schema:     schema,
-		Input:      mr.NewMemoryInput(raw, splits),
-		NumRecords: int64(len(records)),
-	}
+	ds.Input = mr.NewMemoryInput(rows, arity, splits)
+	return ds
 }
+
+// failedInput is an input that cannot be read.
+type failedInput struct{ err error }
+
+func (in failedInput) Splits() ([]mr.Split, error) { return nil, in.err }

@@ -114,7 +114,7 @@ func FuzzCollectPartials(f *testing.F) {
 	s, basics := w.Schema(), w.Basics()
 	comb := newEarlyAggCombiner(s, basics, &mr.MapTaskStats{})
 	for i := int64(0); i < 40; i++ {
-		if err := comb.AddRow([]byte{7}, []int64{i % 8, i * 5 % 64}); err != nil {
+		if err := comb.Add([]byte{7}, []int64{i % 8, i * 5 % 64}); err != nil {
 			f.Fatal(err)
 		}
 	}

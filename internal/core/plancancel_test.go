@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -16,22 +15,22 @@ import (
 // it only ends by cancellation. It cancels the context itself once
 // cancelAt records have been read, so the tests below are deterministic.
 type endlessInput struct {
-	raw      []byte
+	row      []int64
 	cancelAt int64
 	cancel   context.CancelFunc
 	read     atomic.Int64
 }
 
-func (in *endlessInput) Splits() ([]mr.Split, error)  { return []mr.Split{in}, nil }
-func (in *endlessInput) Label() string                { return "endless" }
-func (in *endlessInput) SizeBytes() int64             { return 1 << 40 }
-func (in *endlessInput) Open() (mr.RecordIter, error) { return in, nil }
-func (in *endlessInput) Close() error                 { return nil }
-func (in *endlessInput) Next() ([]byte, bool, error) {
+func (in *endlessInput) Splits() ([]mr.Split, error) { return []mr.Split{in}, nil }
+func (in *endlessInput) Label() string               { return "endless" }
+func (in *endlessInput) SizeBytes() int64            { return 1 << 40 }
+func (in *endlessInput) Open() (mr.RowIter, error)   { return in, nil }
+func (in *endlessInput) Close() error                { return nil }
+func (in *endlessInput) Next() ([]int64, bool, error) {
 	if in.read.Add(1) == in.cancelAt {
 		in.cancel()
 	}
-	return in.raw, true, nil
+	return in.row, true, nil
 }
 
 // TestPlanningScansHonourCancellation pins PlanContext's documented
@@ -40,7 +39,7 @@ func (in *endlessInput) Next() ([]byte, bool, error) {
 // sample: each must stop within one poll stride of the cancellation.
 func TestPlanningScansHonourCancellation(t *testing.T) {
 	su := workload.NewSuite()
-	raw := recio.AppendRecord(nil, su.Generate(1, workload.Uniform, 1)[0])
+	row := su.Generate(1, workload.Uniform, 1)[0]
 	const cancelAt = 5000
 	cases := []struct {
 		name string
@@ -65,7 +64,7 @@ func TestPlanningScansHonourCancellation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			in := &endlessInput{raw: raw, cancelAt: cancelAt, cancel: cancel}
+			in := &endlessInput{row: row, cancelAt: cancelAt, cancel: cancel}
 			eng, err := NewEngine(tc.cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -12,7 +12,6 @@ import (
 	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
-	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/stats"
 	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
@@ -132,16 +131,13 @@ func sampleDataset(ctx context.Context, ds *Dataset, n int, seed int64) ([]cube.
 		bytesRead += splits[i].SizeBytes()
 	}
 	res := stats.NewReservoir[cube.Record](n, seed)
-	arity := ds.Schema.NumAttrs()
-	err = scanDataset(ctx, picked, func(raw []byte) error {
-		rec, err := recio.DecodeRecord(raw, arity)
-		if err != nil {
+	err = scanDataset(ctx, picked, func(row []int64) error {
+		if err := ds.Schema.Validate(row); err != nil {
 			return err
 		}
-		if err := ds.Schema.Validate(rec); err != nil {
-			return err
+		if slot := res.Slot(); slot != nil {
+			*slot = slices.Clone(row)
 		}
-		res.Add(rec)
 		return nil
 	})
 	if err != nil {
@@ -310,22 +306,19 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 
 	job := mr.Job{Name: "casm", Input: ds.Input, Config: e.mrConfig()}
 
-	// A shuffled record value comes in one of two layouts, one per job: the
-	// record's own bytes, every attribute, when the input hands out bytes
-	// (Map ships them uncopied); or only the columns some query of the job
-	// reads, when it hands out rows (MapRows encodes them, once). full and
-	// projected tell each query's sessions how to load the two.
+	// A shuffled record value holds only the columns some query of the job
+	// reads, encoded once per record into the task arena; lays tells each
+	// query's sessions where its own columns are.
 	var cols []int
 	for a := 0; a < arity; a++ {
 		if slices.ContainsFunc(queries, func(q *jobQuery) bool { return slices.Contains(q.ev.Columns(), a) }) {
 			cols = append(cols, a)
 		}
 	}
-	full, projected := make([]localeval.Layout, len(queries)), make([]localeval.Layout, len(queries))
+	lays := make([]localeval.Layout, len(queries))
 	for qi, q := range queries {
 		var err error
-		full[qi] = q.ev.FullLayout()
-		if projected[qi], err = q.ev.Layout(cols); err != nil {
+		if lays[qi], err = q.ev.Layout(cols); err != nil {
 			return nil, err
 		}
 	}
@@ -336,7 +329,7 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	// gets a localeval.Session per query — the arena-backed evaluator state
 	// reused across all of the task's groups.
 	job.Config.NewMapLocal = func(*mr.MapTaskStats) any {
-		ml := &mapLocal{dks: make([]*distkey.Session, len(groups)), rec: make(cube.Record, arity)}
+		ml := &mapLocal{dks: make([]*distkey.Session, len(groups))}
 		if tagged {
 			ml.keys = make([]map[string][]byte, len(groups))
 		}
@@ -369,14 +362,24 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		job.Config.NewCombiner = func(st *mr.MapTaskStats) mr.Combiner { return plan.newCombiner(st) }
 	}
 
-	// emit is the one map-function body: block keys for the decoded record
-	// under every geometry group, then one pair per group and block — this
-	// loop is the shared scan and the shared shuffle. A combining job (one
-	// query, one group, bare block keys) folds the decoded record straight
-	// into the combiner table and ships partial states, never the record;
-	// every other job ships value, the same bytes under every key, so
-	// fan-out costs keys, not copies.
-	emit := func(ctx *mr.MapCtx, ml *mapLocal, rec cube.Record, value []byte) error {
+	// The map function: block keys for the record under every geometry
+	// group, then one pair per group and block — this loop is the shared
+	// scan and the shared shuffle. A combining job (one query, one group,
+	// bare block keys) folds the record straight into the combiner table
+	// and ships partial states, never the record; every other job encodes
+	// the read columns once into the task arena and ships that value under
+	// every key, so fan-out costs keys, not copies.
+	job.Map = func(ctx *mr.MapCtx, rec []int64) error {
+		// A value outside its attribute's domain would index past a mapped
+		// hierarchy's tables, or evaluate regions no schema level has.
+		if err := s.Validate(rec); err != nil {
+			return err
+		}
+		ml := ctx.Local.(*mapLocal)
+		var value []byte
+		if !early {
+			value = ml.arena.record(rec, cols)
+		}
 		for gi, g := range groups {
 			for _, block := range ml.dks[gi].Blocks(rec) {
 				if early {
@@ -403,34 +406,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		}
 		return nil
 	}
-	// A bytes split's record is decoded once for the whole job and shipped
-	// as it is; a row split's arrives decoded (mr.RowSplit) and only the
-	// job's read columns are encoded, once, into the task arena — no record
-	// frame is built or parsed on the map side at all, and a combining job
-	// encodes nothing.
-	job.Map = func(ctx *mr.MapCtx, raw []byte) error {
-		ml := ctx.Local.(*mapLocal)
-		if err := recio.DecodeRecordInto(raw, ml.rec); err != nil {
-			return err
-		}
-		if err := s.Validate(ml.rec); err != nil {
-			return err
-		}
-		return emit(ctx, ml, ml.rec, raw)
-	}
-	job.MapRows = func(ctx *mr.MapCtx, rec []int64) error {
-		// A value outside its attribute's domain would index past a mapped
-		// hierarchy's tables, or evaluate regions no schema level has.
-		if err := s.Validate(rec); err != nil {
-			return err
-		}
-		ml := ctx.Local.(*mapLocal)
-		var value []byte
-		if !early {
-			value = ml.arena.record(rec, cols)
-		}
-		return emit(ctx, ml, rec, value)
-	}
 
 	job.Reduce = func(ctx *mr.ReduceCtx, groupKey []byte, values *mr.GroupIter) error {
 		rl := ctx.Local.(*reduceLocal)
@@ -443,10 +418,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			gi, blockKey = int(g), groupKey[n:]
 		}
 		dk, members := rl.dks[gi], groups[gi].members
-		lays := full
-		if ctx.Rows {
-			lays = projected
-		}
 		switch e.cfg.Stage {
 		case StageShuffle:
 			return values.Drain()
@@ -721,13 +692,9 @@ func blockPrefixLen(key []byte, arity int) int {
 }
 
 // mapLocal is one map task's reusable state (mr.Config.NewMapLocal): a
-// distkey session per geometry group, one record decode buffer, and the
-// arena of the bytes it emits.
+// distkey session per geometry group and the arena of the bytes it emits.
 type mapLocal struct {
 	dks []*distkey.Session
-	// rec is the task's record decode buffer, reused across records
-	// (nothing downstream retains it — block keys are interned copies).
-	rec cube.Record
 	// keys interns, per group of a multi-query job, bare block key bytes →
 	// stable tagged key; nil in a job of one, whose keys carry no tag.
 	keys  []map[string][]byte
@@ -797,7 +764,7 @@ func (a *keyArena) measureRecord(coords []int64, v float64) []byte {
 
 // record appends the uvarints of rec's attributes cols — a record value
 // projected to those columns — and returns the stable bytes.
-func (a *keyArena) record(rec cube.Record, cols []int) []byte {
+func (a *keyArena) record(rec []int64, cols []int) []byte {
 	a.reserve(len(cols) * binary.MaxVarintLen64)
 	start := len(a.chunk)
 	for _, c := range cols {

@@ -50,24 +50,25 @@ func encodeAttrs(rec cube.Record, attrs []int) []byte {
 }
 
 // valueLoaders returns the three ways a record reaches a session's arena:
-// decoded, as a full value, and as a value projected to the read columns.
+// decoded, as a value of every attribute (what a job shares with a query
+// that reads the rest), and as a value projected to the read columns.
 func valueLoaders(t *testing.T, e *Evaluator) [3]func(*Session, cube.Record) {
 	t.Helper()
-	raw := func(attrs []int, lay Layout) func(*Session, cube.Record) {
+	raw := func(attrs []int) func(*Session, cube.Record) {
+		lay, err := e.Layout(attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return func(ss *Session, rec cube.Record) {
 			if err := ss.AppendRaw(encodeAttrs(rec, attrs), lay); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	projected, err := e.Layout(e.Columns())
-	if err != nil {
-		t.Fatal(err)
-	}
 	return [3]func(*Session, cube.Record){
 		func(ss *Session, rec cube.Record) { ss.AppendRecord(rec) },
-		raw(allAttrs(e), e.FullLayout()),
-		raw(e.Columns(), projected),
+		raw(allAttrs(e)),
+		raw(e.Columns()),
 	}
 }
 
@@ -86,12 +87,9 @@ func TestLayoutNeedsEveryReadColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(lay, e.FullLayout()) {
-		t.Errorf("FullLayout %v is not the layout of all attributes %v", e.FullLayout(), lay)
-	}
 	for a, col := range lay {
 		if want := slices.Index(cols, a); col != want {
-			t.Errorf("full layout sends attribute %d to column %d, want %d", a, col, want)
+			t.Errorf("the layout of all attributes sends attribute %d to column %d, want %d", a, col, want)
 		}
 	}
 }
@@ -145,31 +143,38 @@ func TestArenaLoadsWithoutRegrowth(t *testing.T) {
 	}
 }
 
-// FuzzArenaLoad throws arbitrary bytes at the reducer's value decoder in
-// both layouts. It must not panic; a value is either loaded — then it is
+// FuzzArenaLoad throws arbitrary bytes at the reducer's value decoder,
+// laid out as a fuzzed projection: the read columns plus the attributes
+// extra's bits pick (a job shares its value with queries that read them),
+// seeded with none and with all of them. It must not panic; a value is either loaded — then it is
 // exactly the canonical encoding's length or an over-long varint form of
 // it, and the arena holds what a reference decode reads — or refused with
 // ErrCorruptValue, the arena left at its previous length; truncated and
 // trailing bytes are always refused.
 func FuzzArenaLoad(f *testing.F) {
 	e := narrowEvaluator(f)
-	layouts := [][]int{allAttrs(e), e.Columns()}
-	r := rec(7, 300, 86399)
-	for _, attrs := range layouts {
-		v := encodeAttrs(r, attrs)
-		f.Add(v, false)
-		f.Add(v, true)
-		f.Add(v[:len(v)-1], false)
-		f.Add(append(slices.Clone(v), 0), true)
-	}
-	f.Add([]byte{}, true)
-	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, false) // varint overflow
-
-	f.Fuzz(func(t *testing.T, payload []byte, projected bool) {
-		attrs := layouts[0]
-		if projected {
-			attrs = layouts[1]
+	projection := func(extra uint8) []int {
+		var attrs []int
+		for a := 0; a < e.arity; a++ {
+			if slices.Contains(e.Columns(), a) || extra&(1<<a) != 0 {
+				attrs = append(attrs, a)
+			}
 		}
+		return attrs
+	}
+	r := rec(7, 300, 86399)
+	for _, extra := range []uint8{0, 0xff} {
+		v := encodeAttrs(r, projection(extra))
+		f.Add(v, extra)
+		f.Add(v, ^extra)
+		f.Add(v[:len(v)-1], extra)
+		f.Add(append(slices.Clone(v), 0), extra)
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, uint8(0xff)) // varint overflow
+
+	f.Fuzz(func(t *testing.T, payload []byte, extra uint8) {
+		attrs := projection(extra)
 		lay, err := e.Layout(attrs)
 		if err != nil {
 			t.Fatal(err)

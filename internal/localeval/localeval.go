@@ -151,10 +151,6 @@ func (e *Evaluator) Columns() []int { return e.cols }
 // -1 for an attribute the evaluator does not read.
 type Layout []int
 
-// FullLayout is the layout of a whole record, every schema attribute in
-// order.
-func (e *Evaluator) FullLayout() Layout { return e.colOf }
-
 // Layout returns the layout of values projected to attrs, in that order —
 // a job's read columns. attrs must include every column the evaluator
 // reads.

@@ -31,12 +31,13 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 	}
 	run := func(records [][]byte) {
 		res, err := Run(Job{
-			Input: NewMemoryInput(records, 4),
-			Map: func(ctx *MapCtx, rec []byte) error {
+			Input: indexInput(len(records), 4),
+			Map: func(ctx *MapCtx, row []int64) error {
+				rec := records[row[0]]
 				for j := 0; j < len(rec); j++ {
 					if rec[j] == ' ' {
-						// Memory-input records are stable for the job's
-						// life, so zero-copy aliasing emits are legal.
+						// The records are stable for the job's life, so
+						// zero-copy aliasing emits are legal.
 						return ctx.Emit(rec[:j], rec[j+1:])
 					}
 				}
@@ -73,8 +74,9 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 // EmitString shims). The byte-keyed plane must be byte-identical to it.
 func propJob(records [][]byte, stringKeyed bool, groupBy func([]byte) []byte) Job {
 	return Job{
-		Input: NewMemoryInput(records, 3),
-		Map: func(ctx *MapCtx, rec []byte) error {
+		Input: indexInput(len(records), 3),
+		Map: func(ctx *MapCtx, row []int64) error {
+			rec := records[row[0]]
 			j := 0
 			for j < len(rec) && rec[j] != ' ' {
 				j++
@@ -217,8 +219,9 @@ func TestReduceAllocsPerGroup(t *testing.T) {
 	}
 	run := func(records [][]byte) {
 		_, err := Run(Job{
-			Input: NewMemoryInput(records, 4),
-			Map: func(ctx *MapCtx, rec []byte) error {
+			Input: indexInput(len(records), 4),
+			Map: func(ctx *MapCtx, row []int64) error {
+				rec := records[row[0]]
 				return ctx.Emit(rec[:6], rec[7:])
 			},
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
@@ -267,8 +270,9 @@ func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 			largest := map[string]int{} // task → largest group reduced
 			told := map[string]int{}
 			res, err := Run(Job{
-				Input: NewMemoryInput(records, 3),
-				Map: func(ctx *MapCtx, rec []byte) error {
+				Input: indexInput(len(records), 3),
+				Map: func(ctx *MapCtx, row []int64) error {
+					rec := records[row[0]]
 					return ctx.Emit(rec[:3], rec[4:])
 				},
 				Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {

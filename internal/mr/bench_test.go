@@ -15,11 +15,12 @@ func BenchmarkShuffleJob(b *testing.B) {
 	}
 	job := func(dir string) Job {
 		return Job{
-			Input: NewMemoryInput(records, 8),
-			Map: func(ctx *MapCtx, rec []byte) error {
+			Input: indexInput(len(records), 8),
+			Map: func(ctx *MapCtx, row []int64) error {
+				rec := records[row[0]]
 				for j := 0; j < len(rec); j++ {
 					if rec[j] == ' ' {
-						// Zero-copy emit: memory-input records are stable for the
+						// Zero-copy emit: the records are stable for the
 						// job's life, so key and value alias them directly.
 						return ctx.Emit(rec[:j], rec[j+1:])
 					}

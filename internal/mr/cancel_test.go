@@ -18,23 +18,15 @@ import (
 )
 
 // sumJob builds a job big enough to be mid-flight at any cancel point:
-// n numeric records mapped to (key mod groups, 1) pairs, reduced to
-// per-key counts. SortMemoryItems=2 forces a spill every third pair, so
-// cancellation always lands with spill state on disk.
+// n numeric records (the rows 0…n-1) mapped to (key mod groups, 1) pairs,
+// reduced to per-key counts. SortMemoryItems=2 forces a spill every third
+// pair, so cancellation always lands with spill state on disk.
 func sumJob(n int, cfg Config) Job {
-	records := make([][]byte, n)
-	for i := range records {
-		records[i] = []byte(strconv.Itoa(i))
-	}
 	return Job{
 		Name:  "sum",
-		Input: NewMemoryInput(records, 8),
-		Map: func(ctx *MapCtx, record []byte) error {
-			v, err := strconv.Atoi(string(record))
-			if err != nil {
-				return err
-			}
-			return ctx.Emit([]byte(strconv.Itoa(v%199)), []byte("1"))
+		Input: indexInput(n, 8),
+		Map: func(ctx *MapCtx, row []int64) error {
+			return ctx.Emit([]byte(strconv.Itoa(int(row[0])%199)), one)
 		},
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			total := 0
@@ -151,11 +143,11 @@ func TestCancelAtRandomPoints(t *testing.T) {
 				case "map":
 					threshold := int64(1 + rng.Intn(6000))
 					inner := job.Map
-					job.Map = func(ctx *MapCtx, record []byte) error {
+					job.Map = func(ctx *MapCtx, row []int64) error {
 						if mapped.Add(1) == threshold {
 							doCancel()
 						}
-						return inner(ctx, record)
+						return inner(ctx, row)
 					}
 				case "timer":
 					// Lands anywhere in the pipeline, including the
@@ -237,11 +229,11 @@ func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 		job := sumJob(2000, cfgFor(dir))
 		var n atomic.Int64
 		inner := job.Map
-		job.Map = func(ctx *MapCtx, record []byte) error {
+		job.Map = func(ctx *MapCtx, row []int64) error {
 			if n.Add(1) == 1500 {
 				return fmt.Errorf("injected map failure")
 			}
-			return inner(ctx, record)
+			return inner(ctx, row)
 		}
 		_, err := Run(job)
 		if err == nil || !strings.Contains(err.Error(), "injected map failure") {
@@ -264,11 +256,11 @@ func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 		job := sumJob(4000, cfgFor(dir))
 		var n atomic.Int64
 		inner := job.Map
-		job.Map = func(mctx *MapCtx, record []byte) error {
+		job.Map = func(mctx *MapCtx, row []int64) error {
 			if n.Add(1) == 1000 {
 				cancel()
 			}
-			return inner(mctx, record)
+			return inner(mctx, row)
 		}
 		if _, err := RunContext(ctx, job); !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)

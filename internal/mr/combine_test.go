@@ -5,36 +5,34 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
 
-// sumCombiner is the tests' Combiner: decimal values summed per key,
-// flushed in ascending key order as the interface requires.
-type sumCombiner struct {
+// countCombiner is the tests' Combiner: the rows folded under each key
+// counted, flushed as decimal counts in ascending key order as the
+// interface requires.
+type countCombiner struct {
 	st   *MapTaskStats
 	sums map[string]int
 }
 
-func newSumCombiner(st *MapTaskStats) Combiner {
-	return &sumCombiner{st: st, sums: make(map[string]int)}
+func newCountCombiner(st *MapTaskStats) Combiner {
+	return &countCombiner{st: st, sums: make(map[string]int)}
 }
 
-func (c *sumCombiner) Add(key, value []byte) error {
-	n, err := strconv.Atoi(string(value))
-	if err != nil {
-		return err
-	}
+func (c *countCombiner) Add(key []byte, row []int64) error {
 	if _, ok := c.sums[string(key)]; ok {
 		c.st.CombineMerges++
 	}
-	c.sums[string(key)] += n
+	c.sums[string(key)]++
 	return nil
 }
 
-func (c *sumCombiner) Len() int { return len(c.sums) }
+func (c *countCombiner) Len() int { return len(c.sums) }
 
-func (c *sumCombiner) Flush(emit func(key, value []byte) error) error {
+func (c *countCombiner) Flush(emit func(key, value []byte) error) error {
 	keys := make([]string, 0, len(c.sums))
 	for k := range c.sums {
 		keys = append(keys, k)
@@ -65,9 +63,9 @@ func TestGroupingDerivedFromGroupBy(t *testing.T) {
 	prefix := func(k []byte) []byte { return k[:bytes.IndexByte(k, '|')] }
 	run := func(groupBy func([]byte) []byte, reduce ReduceFunc) JobStats {
 		res, err := Run(Job{
-			Input: NewMemoryInput(records, 4),
-			Map: func(ctx *MapCtx, rec []byte) error {
-				return ctx.Emit(rec, nil)
+			Input: indexInput(len(records), 4),
+			Map: func(ctx *MapCtx, row []int64) error {
+				return ctx.Emit(records[row[0]], nil)
 			},
 			Reduce: reduce,
 			Config: Config{NumReducers: 2, GroupBy: groupBy, TempDir: t.TempDir()},
@@ -141,5 +139,31 @@ func TestWordCountAcrossBatchSizes(t *testing.T) {
 				t.Errorf("batched (size %d): BatchesSent = %d not < PairsOut %d", size, batches, pairs)
 			}
 		})
+	}
+}
+
+// indexInput serves n records as rows of one value, the record's index:
+// a test keeps its records' bytes in a slice of its own that the map
+// function reads by that index, bytes that stay valid for the job's life
+// as Emit's ownership rule asks.
+func indexInput(n, splits int) Input {
+	rows := make([]int64, n)
+	for i := range rows {
+		rows[i] = int64(i)
+	}
+	return NewMemoryInput(rows, 1, splits)
+}
+
+// TestEmitRowNeedsCombiner: EmitRow is the way into a combiner, and a job
+// without one fails with an error rather than dropping the row.
+func TestEmitRowNeedsCombiner(t *testing.T) {
+	_, err := Run(Job{
+		Input:  NewMemoryInput([]int64{7}, 1, 1),
+		Map:    func(ctx *MapCtx, row []int64) error { return ctx.EmitRow(one, row) },
+		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error { return values.Drain() },
+		Config: Config{NumReducers: 1},
+	})
+	if err == nil || !strings.Contains(err.Error(), "EmitRow needs a combiner") {
+		t.Fatalf("err = %v, want the missing combiner named", err)
 	}
 }

@@ -1,112 +1,114 @@
 package mr
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/recio"
 )
 
-// --- in-memory input (tests, small jobs) ---
+// --- in-memory input: rows of one flat slab ---
 
 type memoryInput struct {
 	splits []Split
 }
 
+// memorySplit is a run of whole rows of the slab, aliased.
 type memorySplit struct {
-	label   string
-	records [][]byte
-	bytes   int64
+	label string
+	rows  []int64
+	arity int
+	bytes int64
 }
 
 type memoryIter struct {
-	records [][]byte
-	i       int
+	rows  []int64
+	arity int
 }
 
-// NewMemoryInput splits the given records into numSplits in-memory
-// splits. Records alias the caller's slices.
-func NewMemoryInput(records [][]byte, numSplits int) Input {
-	if numSplits < 1 {
-		numSplits = 1
-	}
-	if numSplits > len(records) && len(records) > 0 {
-		numSplits = len(records)
+// NewMemoryInput splits the records of rows — one flat slab, arity values
+// per record, row-major — into numSplits in-memory splits. The splits
+// alias rows, which must stay unmodified while the job runs. A split's
+// SizeBytes is what its records occupy as recio records.
+func NewMemoryInput(rows []int64, arity, numSplits int) Input {
+	arity = max(arity, 1)
+	n := len(rows) / arity
+	numSplits = max(numSplits, 1)
+	if numSplits > n && n > 0 {
+		numSplits = n
 	}
 	in := &memoryInput{}
-	if len(records) == 0 {
-		in.splits = append(in.splits, &memorySplit{label: "mem-0"})
+	if n == 0 {
+		in.splits = append(in.splits, &memorySplit{label: "mem-0", arity: arity})
 		return in
 	}
-	per := (len(records) + numSplits - 1) / numSplits
-	for i := 0; i < len(records); i += per {
-		end := i + per
-		if end > len(records) {
-			end = len(records)
-		}
-		sp := &memorySplit{label: fmt.Sprintf("mem-%d", i/per), records: records[i:end]}
-		for _, r := range records[i:end] {
-			sp.bytes += int64(len(r))
+	per := (n + numSplits - 1) / numSplits
+	for i := 0; i < n; i += per {
+		end := min(i+per, n)
+		sp := &memorySplit{label: fmt.Sprintf("mem-%d", i/per), rows: rows[i*arity : end*arity], arity: arity}
+		for r := sp.rows; len(r) > 0; r = r[arity:] {
+			sp.bytes += recordBytes(r[:arity])
 		}
 		in.splits = append(in.splits, sp)
 	}
 	return in
 }
 
+// recordBytes is the size of row as a recio record: one uvarint per value.
+func recordBytes(row []int64) int64 {
+	var n int
+	for _, v := range row {
+		n += recio.UvarintLen(uint64(v))
+	}
+	return int64(n)
+}
+
 func (in *memoryInput) Splits() ([]Split, error) { return in.splits, nil }
 
 func (sp *memorySplit) Label() string    { return sp.label }
 func (sp *memorySplit) SizeBytes() int64 { return sp.bytes }
-func (sp *memorySplit) Open() (RecordIter, error) {
-	return &memoryIter{records: sp.records}, nil
+func (sp *memorySplit) Open() (RowIter, error) {
+	return &memoryIter{rows: sp.rows, arity: sp.arity}, nil
 }
 
-func (it *memoryIter) Next() ([]byte, bool, error) {
-	if it.i >= len(it.records) {
+func (it *memoryIter) Next() ([]int64, bool, error) {
+	if len(it.rows) == 0 {
 		return nil, false, nil
 	}
-	r := it.records[it.i]
-	it.i++
-	return r, true, nil
+	row := it.rows[:it.arity:it.arity]
+	it.rows = it.rows[it.arity:]
+	return row, true, nil
 }
 
-// Close ends the stream; the records belong to the caller of
+// Close ends the stream; the slab belongs to the caller of
 // NewMemoryInput, so there is nothing to release.
-func (it *memoryIter) Close() error { it.records = nil; return nil }
+func (it *memoryIter) Close() error { it.rows = nil; return nil }
 
-// Morsels carves the split's records into contiguous runs of whole
-// records, each targeting targetBytes (the tail may be smaller). Runs
-// alias the parent's record slices.
+// Morsels carves the split into contiguous runs of whole rows, each
+// closed once its records reach targetBytes (the tail may be smaller).
+// Runs alias the parent's rows.
 func (sp *memorySplit) Morsels(targetBytes int) ([]Split, error) {
-	if targetBytes < 1 {
-		targetBytes = 1
-	}
 	var out []Split
+	cut := func(rows []int64, bytes int64) {
+		out = append(out, &memorySplit{label: fmt.Sprintf("%s/m%d", sp.label, len(out)),
+			rows: rows, arity: sp.arity, bytes: bytes})
+	}
 	start := 0
 	var runBytes int64
-	for i, r := range sp.records {
-		runBytes += int64(len(r))
-		if runBytes >= int64(targetBytes) {
-			out = append(out, &memorySplit{
-				label:   fmt.Sprintf("%s/m%d", sp.label, len(out)),
-				records: sp.records[start : i+1],
-				bytes:   runBytes,
-			})
-			start, runBytes = i+1, 0
+	for i := 0; i < len(sp.rows); i += sp.arity {
+		runBytes += recordBytes(sp.rows[i : i+sp.arity])
+		if runBytes >= int64(max(targetBytes, 1)) {
+			cut(sp.rows[start:i+sp.arity], runBytes)
+			start, runBytes = i+sp.arity, 0
 		}
 	}
-	if start < len(sp.records) {
-		out = append(out, &memorySplit{
-			label:   fmt.Sprintf("%s/m%d", sp.label, len(out)),
-			records: sp.records[start:],
-			bytes:   runBytes,
-		})
+	if start < len(sp.rows) {
+		cut(sp.rows[start:], runBytes)
 	}
 	return out, nil
 }
 
-// --- block-store input: one split per store block, frames decoded by recio ---
+// --- block-store input: one split per store block, read as rows ---
 
 type storeInput struct {
 	st   *blockstore.Store
@@ -118,16 +120,12 @@ type storeSplit struct {
 	info blockstore.BlockInfo
 }
 
-type storeIter struct {
-	fr *recio.FrameReader
-}
-
 // NewStoreInput reads a logical file from the block store, one split
 // per block (records never straddle blocks by construction). Each split
-// open is a checksum-verified read that decodes the columnar block back
-// into the recio frame stream; replica failover happens inside the
-// store, and a map task whose replicas are all gone fails and is
-// re-executed by the mr retry machinery once a replica recovers.
+// open is a checksum-verified read whose columns decode straight into
+// rows; replica failover happens inside the store, and a map task whose
+// replicas are all gone fails and is re-executed by the mr retry
+// machinery once a replica recovers.
 func NewStoreInput(st *blockstore.Store, file string) Input {
 	return &storeInput{st: st, file: file}
 }
@@ -148,96 +146,40 @@ func (sp *storeSplit) Label() string {
 	return fmt.Sprintf("%s[%d]", sp.info.File, sp.info.Index)
 }
 func (sp *storeSplit) SizeBytes() int64 { return int64(sp.info.Size) }
-func (sp *storeSplit) Open() (RecordIter, error) {
-	data, err := sp.st.ReadBlock(sp.info.File, sp.info.Index)
+func (sp *storeSplit) Open() (RowIter, error) {
+	r, err := sp.st.ReadBlockRows(sp.info.File, sp.info.Index)
 	if err != nil {
 		return nil, err
 	}
-	return &storeIter{fr: recio.NewFrameReader(data)}, nil
+	return r, nil
 }
 
-// OpenRows reads the block like Open but decodes its columns straight
-// into rows: no frame is built for the map function to parse again.
-func (sp *storeSplit) OpenRows() (RowIter, error) {
-	return sp.st.ReadBlockRows(sp.info.File, sp.info.Index)
-}
-
-func (it *storeIter) Next() ([]byte, bool, error) {
-	if it.fr == nil { // closed
-		return nil, false, nil
-	}
-	return it.fr.Next()
-}
-
-// Close drops the iterator's reference to the decoded block buffer.
-func (it *storeIter) Close() error { it.fr = nil; return nil }
-
-// Morsels carves the block into frame runs of ~targetBytes. The block
-// is read (and decoded) once here and the runs alias that buffer, which
-// means replica availability is checked at carve time rather than when
-// a worker opens the morsel; a job in morsel mode fails at planning if
-// the block is unreadable, instead of in a map task.
+// Morsels carves the block into runs of rows of ~targetBytes framed
+// bytes. The block is read and verified once, here, and the runs keep its
+// compressed payload plus a cursor each, so replica availability and the
+// block's integrity are checked at carve time rather than when a worker
+// opens a morsel: a job in morsel mode fails at planning if the block is
+// unreadable, instead of in a map task.
 func (sp *storeSplit) Morsels(targetBytes int) ([]Split, error) {
-	data, err := sp.st.ReadBlock(sp.info.File, sp.info.Index)
+	sizes, opens, err := sp.st.ReadBlockRuns(sp.info.File, sp.info.Index, targetBytes)
 	if err != nil {
 		return nil, err
 	}
-	runs, err := recio.SplitFrameRuns(data, targetBytes)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Split, len(runs))
-	for i, run := range runs {
-		out[i] = &frameRunSplit{label: fmt.Sprintf("%s/m%d", sp.Label(), i), data: run}
+	out := make([]Split, len(opens))
+	for i, open := range opens {
+		out[i] = &runSplit{label: fmt.Sprintf("%s/m%d", sp.Label(), i), size: int64(sizes[i]), open: open}
 	}
 	return out, nil
 }
 
-// frameRunSplit is one morsel of a store block: a contiguous run of
-// whole frames aliasing the block's decoded buffer.
-type frameRunSplit struct {
+// runSplit is one morsel of a store block: a run of its rows, opened by
+// resuming a RowReader from the cursor the carve recorded.
+type runSplit struct {
 	label string
-	data  []byte
+	size  int64
+	open  func() *blockstore.RowReader
 }
 
-func (sp *frameRunSplit) Label() string    { return sp.label }
-func (sp *frameRunSplit) SizeBytes() int64 { return int64(len(sp.data)) }
-func (sp *frameRunSplit) Open() (RecordIter, error) {
-	return &storeIter{fr: recio.NewFrameReader(sp.data)}, nil
-}
-
-// OpenRows decodes the run's frames into rows, so that a morsel of a
-// store block offers what the whole block does. The carve already paid
-// for the frames; what this saves is every decode after this one.
-func (sp *frameRunSplit) OpenRows() (RowIter, error) {
-	return &frameRowIter{fr: recio.NewFrameReader(sp.data)}, nil
-}
-
-// frameRowIter yields each frame of a run as a decoded row, reusing one
-// row buffer.
-type frameRowIter struct {
-	fr  *recio.FrameReader
-	row []int64
-}
-
-func (it *frameRowIter) Next() ([]int64, bool, error) {
-	if it.fr == nil { // closed
-		return nil, false, nil
-	}
-	rec, ok, err := it.fr.Next()
-	if !ok || err != nil {
-		return nil, false, err
-	}
-	it.row = it.row[:0]
-	for len(rec) > 0 {
-		v, k := binary.Uvarint(rec)
-		if k <= 0 {
-			return nil, false, fmt.Errorf("mr: corrupt record in %d-byte frame", len(rec))
-		}
-		it.row = append(it.row, int64(v))
-		rec = rec[k:]
-	}
-	return it.row, true, nil
-}
-
-func (it *frameRowIter) Close() error { it.fr = nil; return nil }
+func (sp *runSplit) Label() string          { return sp.label }
+func (sp *runSplit) SizeBytes() int64       { return sp.size }
+func (sp *runSplit) Open() (RowIter, error) { return sp.open(), nil }

@@ -5,7 +5,6 @@ import (
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
-	"github.com/casm-project/casm/internal/recio"
 )
 
 // drainsThenLatches holds one iterator to the Iter contract: it yields
@@ -40,9 +39,9 @@ func drainsThenLatches[T any](t *testing.T, name string, it Iter[T], want int) {
 	}
 }
 
-// TestSplitIteratorsLatch: every record and row iterator a split hands
-// out — memory chunks, store blocks, their morsels — keeps the
-// single-use contract, and one closed before exhaustion is dead too.
+// TestSplitIteratorsLatch: every row iterator a split hands out — memory
+// chunks, store blocks, their morsels — keeps the single-use contract, and
+// one closed before exhaustion is dead too.
 func TestSplitIteratorsLatch(t *testing.T) {
 	const records = 300
 	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 1 << 20, Replication: 1, NumNodes: 1})
@@ -51,15 +50,15 @@ func TestSplitIteratorsLatch(t *testing.T) {
 	}
 	defer st.Close()
 	recs := make([]cube.Record, records)
-	raw := make([][]byte, records)
+	var rows []int64
 	for i := range recs {
 		recs[i] = cube.Record{int64(i), int64(i % 7)}
-		raw[i] = recio.AppendRecord(nil, recs[i])
+		rows = append(rows, recs[i]...)
 	}
 	if err := st.WriteRecords("data", 2, "", recs); err != nil {
 		t.Fatal(err)
 	}
-	mem, err := NewMemoryInput(raw, 1).Splits()
+	mem, err := NewMemoryInput(rows, 2, 1).Splits()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,14 +75,7 @@ func TestSplitIteratorsLatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainsThenLatches(t, name+" records", it, records)
-		if rs, ok := sp.(RowSplit); ok {
-			rows, err := rs.OpenRows()
-			if err != nil {
-				t.Fatal(err)
-			}
-			drainsThenLatches(t, name+" rows", rows, records)
-		}
+		drainsThenLatches(t, name+" rows", it, records)
 		early, err := sp.Open()
 		if err != nil {
 			t.Fatal(err)

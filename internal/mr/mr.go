@@ -3,8 +3,9 @@
 // implemented in any OLAP system which supports scatter-and-gather
 // evaluation paradigm"). It provides:
 //
-//   - input splits (DFS blocks or in-memory slices) fanned out to a pool
-//     of concurrent map tasks;
+//   - input splits (block-store blocks or in-memory row slabs), each
+//     handing its records out as decoded rows, fanned out to a pool of
+//     concurrent map tasks;
 //   - optional map-side combining (the paper's early aggregation);
 //   - a hash-partitioned, batch-framed shuffle over in-memory channels;
 //   - reducer-side grouping — a hash table for plain keys, the external
@@ -177,18 +178,21 @@ type Iter[T any] interface {
 	Close() error
 }
 
-// RecordIter yields the raw records of one split: a single-use stream of
-// record byte-slices, each only valid until the following Next (or
-// Close). The framework closes every iterator it opens, including on
-// error paths, so sources may tie resources (block buffers, descriptors)
-// to the iterator's lifetime.
-type RecordIter = Iter[[]byte]
+// RowIter yields one split's records, one fixed-arity decoded row per
+// Next; a row is only valid until the following Next (or Close), and the
+// map function must not modify it. The framework closes every iterator it
+// opens, including on error paths, so sources may tie resources (block
+// buffers) to the iterator's lifetime.
+type RowIter = Iter[[]int64]
 
-// Split is one independently processable chunk of input.
+// Split is one independently processable chunk of input. SizeBytes is
+// what the split's records occupy framed as recio records (a uvarint per
+// attribute; store blocks add each record's uvarint length), the bytes a
+// map task is charged for reading.
 type Split interface {
 	Label() string
 	SizeBytes() int64
-	Open() (RecordIter, error)
+	Open() (RowIter, error)
 }
 
 // Input enumerates a job's splits.
@@ -214,21 +218,6 @@ type MorselSplit interface {
 	Morsels(targetBytes int) ([]Split, error)
 }
 
-// RowIter yields one split's records already decoded, one fixed-arity
-// row per Next; a row is only valid until the following Next (or Close).
-type RowIter = Iter[[]int64]
-
-// RowSplit is implemented by splits whose storage decodes to rows more
-// cheaply than to record bytes (a columnar store block). It is a
-// capability, not a mode: a job that supplies Job.MapRows over an input
-// whose every split has it is scanned through OpenRows — the same records
-// in the same order as Open, counted the same — and every other pairing
-// of job and input uses Open.
-type RowSplit interface {
-	Split
-	OpenRows() (RowIter, error)
-}
-
 // MapCtx is passed to the map function.
 type MapCtx struct {
 	// Stats are the task's counters; map functions may bump EvalRecords
@@ -238,62 +227,47 @@ type MapCtx struct {
 	// otherwise): scratch buffers, key arenas — anything a map function
 	// needs to carry across records without sharing it between
 	// concurrently running tasks.
-	Local   any
-	emit    func(key, value []byte) error
-	emitRow func(key []byte, row []int64) error
+	Local any
+	p     *mapPipeline
 }
 
-// EmitRow folds one decoded record into the job's combiner under key,
-// where Emit would hand the combiner the record's bytes to decode again;
-// it is counted like an Emit of that record. key and row only need to
-// stay valid for the call. The job's combiner must be a RowCombiner.
-func (c *MapCtx) EmitRow(key []byte, row []int64) error { return c.emitRow(key, row) }
-
-// Emit sends one key/value pair into the shuffle.
-//
-// Ownership: without a combiner the framework does NOT copy key or value
-// — they are buffered in shuffle batches and retained until the job
-// completes, so both must reference memory that stays valid and
-// unmodified for the job's duration (input-split block bytes, interned
-// or arena-backed keys, and freshly allocated slices all qualify; a
-// scratch buffer the mapper rewrites does not). With a combiner, key and
-// value only need to stay valid for the duration of the Emit call — the
-// combiner copies the key on first sight and folds the value into its
+// EmitRow folds one record into the job's combiner (Config.NewCombiner)
+// under key. key and row only need to stay valid for the call: the
+// combiner copies the key on first sight and folds the row into its
 // partial state immediately.
-func (c *MapCtx) Emit(key, value []byte) error { return c.emit(key, value) }
+func (c *MapCtx) EmitRow(key []byte, row []int64) error { return c.p.combine(key, row) }
+
+// Emit sends one key/value pair into the shuffle, past any combiner.
+//
+// Ownership: the framework does NOT copy key or value — they are buffered
+// in shuffle batches and retained until the job completes, so both must
+// reference memory that stays valid and unmodified for the job's duration
+// (interned or arena-backed keys and freshly allocated slices qualify; a
+// scratch buffer the mapper rewrites does not).
+func (c *MapCtx) Emit(key, value []byte) error { return c.p.send(key, value) }
 
 // MapFunc processes one input record.
-type MapFunc func(ctx *MapCtx, record []byte) error
-
-// RowMapFunc is MapFunc over a decoded record (see RowSplit).
-type RowMapFunc func(ctx *MapCtx, row []int64) error
+type MapFunc func(ctx *MapCtx, row []int64) error
 
 // Combiner is the streaming form of map-side early aggregation
 // (morsel-style thread-local pre-aggregation): one instance serves one
-// map task, absorbing emitted pairs into per-key partial states and
-// emitting them on flush. Implementations are single-goroutine.
+// map task, absorbing the records MapCtx.EmitRow hands it into per-key
+// partial states and emitting them on flush. Implementations are
+// single-goroutine.
 type Combiner interface {
-	// Add folds one emitted pair into the key's partial state. key and
-	// value are only valid during the call; the combiner must copy (or
-	// intern) whatever it retains.
-	Add(key, value []byte) error
+	// Add folds one record into the key's partial state. key and row are
+	// only valid during the call; the combiner must copy (or intern)
+	// whatever it retains.
+	Add(key []byte, row []int64) error
 	// Flush emits every buffered partial state in ascending key order
 	// (keeping shuffle send order deterministic) and resets the combiner.
 	// Emitted keys and values are handed off to the framework (see
-	// MapCtx.Emit's no-combiner ownership rule: they must stay valid for
+	// MapCtx.Emit's ownership rule: they must stay valid for
 	// the job's duration).
 	Flush(emit func(key, value []byte) error) error
 	// Len reports the number of buffered partial states, the framework's
 	// flush trigger.
 	Len() int
-}
-
-// RowCombiner is a Combiner that also folds decoded records, the
-// receiving end of MapCtx.EmitRow: AddRow(key, row) must leave the
-// combiner in the state Add(key, the record's bytes) would.
-type RowCombiner interface {
-	Combiner
-	AddRow(key []byte, row []int64) error
 }
 
 // CombinerFactory creates one Combiner per map task. The factory may bump
@@ -307,9 +281,6 @@ type ReduceCtx struct {
 	// Local is per-task user state created by Config.NewReduceLocal (nil
 	// otherwise); see MapCtx.Local.
 	Local any
-	// Rows reports that the job's pairs were emitted by Job.MapRows rather
-	// than Job.Map.
-	Rows bool
 	// MaxGroupPairs is the pair count of the largest group this task will
 	// reduce, 0 when the grouping collector cannot know it (the sorted
 	// path): what a reducer that buffers a group sizes its buffer by.
@@ -480,19 +451,11 @@ func HashPartition(key []byte, n int) int {
 
 // Job couples input, user functions, and configuration.
 type Job struct {
-	Name  string
-	Input Input
-	Map   MapFunc
-	// MapRows, when non-nil, is Map for inputs that hand out decoded rows:
-	// when every split (every morsel, in morsel mode) is a RowSplit the
-	// job's map tasks call MapRows and never Map, and otherwise Map and
-	// never MapRows — one of the two produces the whole shuffle, and
-	// ReduceCtx.Rows says which. The pairs it emits for a row must group
-	// and reduce to what Map's pairs for that record's bytes do; their
-	// values may be encoded differently.
-	MapRows RowMapFunc
-	Reduce  ReduceFunc
-	Config  Config
+	Name   string
+	Input  Input
+	Map    MapFunc
+	Reduce ReduceFunc
+	Config Config
 }
 
 // Result is a completed job's output.

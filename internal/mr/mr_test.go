@@ -11,21 +11,58 @@ import (
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
-	"github.com/casm-project/casm/internal/recio"
 )
 
-// wordCountJob builds the canonical test job over the given lines.
-func wordCountJob(lines []string, cfg Config) Job {
-	records := make([][]byte, len(lines))
-	for i, l := range lines {
-		records[i] = []byte(l)
+// one is the value a word-count map function ships per word.
+var one = []byte("1")
+
+// wordCountJob builds the canonical test job over the given lines. A line
+// is a row of word ids, one per word and 0 past its last, as wide as the
+// longest line; the map function emits each word's bytes from the job's
+// vocabulary, which outlives the job as Emit requires, or — with a
+// combiner — folds the row under the word. The input has four splits.
+func wordCountJob(lines []string, cfg Config) Job { return wordCountSplits(lines, 4, cfg) }
+
+// wordCountSplits is wordCountJob over the given number of splits.
+func wordCountSplits(lines []string, splits int, cfg Config) Job {
+	var vocab [][]byte
+	ids := map[string]int64{}
+	var lineWords [][]string
+	arity := 1
+	for _, l := range lines {
+		ws := strings.Fields(l)
+		lineWords = append(lineWords, ws)
+		arity = max(arity, len(ws))
+		for _, w := range ws {
+			if _, ok := ids[w]; !ok {
+				vocab = append(vocab, []byte(w))
+				ids[w] = int64(len(vocab))
+			}
+		}
 	}
+	rows := make([]int64, len(lines)*arity)
+	for i, ws := range lineWords {
+		for j, w := range ws {
+			rows[i*arity+j] = ids[w]
+		}
+	}
+	combine := cfg.NewCombiner != nil
 	return Job{
 		Name:  "wordcount",
-		Input: NewMemoryInput(records, 4),
-		Map: func(ctx *MapCtx, record []byte) error {
-			for _, w := range strings.Fields(string(record)) {
-				if err := ctx.Emit([]byte(w), []byte("1")); err != nil {
+		Input: NewMemoryInput(rows, arity, splits),
+		Map: func(ctx *MapCtx, row []int64) error {
+			for _, id := range row {
+				if id == 0 {
+					break
+				}
+				w := vocab[id-1]
+				var err error
+				if combine {
+					err = ctx.EmitRow(w, row)
+				} else {
+					err = ctx.Emit(w, one)
+				}
+				if err != nil {
 					return err
 				}
 			}
@@ -152,7 +189,7 @@ func TestCombinerReducesTraffic(t *testing.T) {
 		return res
 	}
 	plain := run(nil)
-	combined := run(newSumCombiner)
+	combined := run(newCountCombiner)
 	// Results identical.
 	want := map[string]int{}
 	for k, v := range wcWant {
@@ -188,12 +225,11 @@ func TestCombinerReducesTraffic(t *testing.T) {
 func TestGroupByCompositeKey(t *testing.T) {
 	// Composite keys "block|suffix": grouping by the block prefix, values
 	// arrive ordered by the full key — the combined-key sort optimization.
-	records := [][]byte{[]byte("x")}
 	var groups []string
 	var orders [][]string
 	job := Job{
-		Input: NewMemoryInput(records, 1),
-		Map: func(ctx *MapCtx, record []byte) error {
+		Input: NewMemoryInput([]int64{0}, 1, 1),
+		Map: func(ctx *MapCtx, row []int64) error {
 			for _, k := range []string{"b|3", "a|2", "b|1", "a|1", "b|2"} {
 				if err := ctx.Emit([]byte(k), []byte(k)); err != nil {
 					return err
@@ -310,7 +346,7 @@ func TestFailureInjectionGivesUp(t *testing.T) {
 
 func TestMapErrorPropagates(t *testing.T) {
 	job := wordCountJob(wcLines, Config{NumReducers: 1, TempDir: t.TempDir()})
-	job.Map = func(ctx *MapCtx, record []byte) error { return fmt.Errorf("map boom") }
+	job.Map = func(ctx *MapCtx, row []int64) error { return fmt.Errorf("map boom") }
 	if _, err := Run(job); err == nil || !strings.Contains(err.Error(), "map boom") {
 		t.Fatalf("err = %v", err)
 	}
@@ -355,12 +391,8 @@ func TestStoreInputEndToEnd(t *testing.T) {
 	}
 	job := Job{
 		Input: NewStoreInput(st, "data"),
-		Map: func(ctx *MapCtx, record []byte) error {
-			rec, err := recio.DecodeRecord(record, 2)
-			if err != nil {
-				return err
-			}
-			return ctx.Emit(fmt.Appendf(nil, "g%d", rec[0]), []byte("1"))
+		Map: func(ctx *MapCtx, row []int64) error {
+			return ctx.Emit(fmt.Appendf(nil, "g%d", row[0]), one)
 		},
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			n := 0
@@ -419,7 +451,7 @@ func TestHashPartitionRange(t *testing.T) {
 }
 
 func TestMemoryInputEmpty(t *testing.T) {
-	in := NewMemoryInput(nil, 4)
+	in := NewMemoryInput(nil, 3, 4)
 	splits, err := in.Splits()
 	if err != nil || len(splits) != 1 {
 		t.Fatalf("splits = %d, %v", len(splits), err)

@@ -202,19 +202,14 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 	ex := exec.New(4)
 	defer ex.Close()
 
-	rec := []byte("1")
-	records := make([][]byte, n)
-	for i := range records {
-		records[i] = rec
-	}
 	key := []byte("g")
 
 	outputSeen := make(chan struct{})
 	var mapped atomic.Int64
 	job := Job{
 		Name:  "pipelined",
-		Input: NewMemoryInput(records, 16),
-		Map: func(ctx *MapCtx, record []byte) error {
+		Input: indexInput(n, 16),
+		Map: func(ctx *MapCtx, row []int64) error {
 			if mapped.Add(1) == n/2 {
 				select {
 				case <-outputSeen:
@@ -222,7 +217,7 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 					return fmt.Errorf("map gate timeout: no output reached the consumer while the map phase was still running")
 				}
 			}
-			return ctx.Emit(key, record)
+			return ctx.Emit(key, one)
 		},
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			total := 0

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -249,13 +248,6 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	// The row path is one fact per job, so that every pair of a shuffle was
-	// produced by the same map function: MapRows when the job has one and
-	// every unit of map work offers rows, Map otherwise.
-	noRows := func(sp Split) bool { _, ok := sp.(RowSplit); return !ok }
-	if slices.ContainsFunc(splits, noRows) || slices.ContainsFunc(morselItems, noRows) {
-		job.MapRows = nil
 	}
 	var tr transport.Transport
 	if !cfg.ShuffleDisabled {
@@ -540,30 +532,24 @@ func runMapTask(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr t
 // (one scan per morsel pulled).
 type mapPipeline struct {
 	mapFn MapFunc
-	// mapRows is the job's row map function, nil unless the job runs on
-	// rows (see RunPipe): scan then opens every split as rows.
-	mapRows RowMapFunc
-	st      *MapTaskStats
-	cfg     Config
+	st    *MapTaskStats
+	cfg   Config
 	// bw accumulates pairs per reducer and ships them as framed batches,
 	// so channel operations and frame round-trips drop by the batch
 	// factor; nil under ShuffleDisabled (pairs are counted, not sent).
-	bw      *transport.BatchWriter
-	comb    Combiner
-	rowComb RowCombiner // comb, when it also takes rows
-	mctx    MapCtx
+	bw   *transport.BatchWriter
+	comb Combiner
+	mctx MapCtx
 }
 
 func newMapPipeline(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport) *mapPipeline {
-	p := &mapPipeline{mapFn: job.Map, mapRows: job.MapRows, st: st, cfg: cfg}
+	p := &mapPipeline{mapFn: job.Map, st: st, cfg: cfg}
 	if !cfg.ShuffleDisabled {
 		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
 	}
-	p.mctx = MapCtx{Stats: st, emit: p.send, emitRow: p.combineRow}
+	p.mctx = MapCtx{Stats: st, p: p}
 	if cfg.NewCombiner != nil {
 		p.comb = cfg.NewCombiner(st)
-		p.mctx.emit = p.combine
-		p.rowComb, _ = p.comb.(RowCombiner)
 	}
 	if cfg.NewMapLocal != nil {
 		p.mctx.Local = cfg.NewMapLocal(st)
@@ -583,29 +569,17 @@ func (p *mapPipeline) send(key, value []byte) error {
 	return p.bw.Send(HashPartition(p.cfg.GroupBy(key), p.cfg.NumReducers), transport.Pair{Key: key, Value: value})
 }
 
-// combine folds one emitted pair into the task's combiner table (phase 1
-// of the two-phase aggregation) and, once the table holds LocalAggBudget
-// distinct states, spills it — in Flush's sorted-key order — into the
-// shuffle toward the reducers' global grouping collectors (phase 2).
-func (p *mapPipeline) combine(key, value []byte) error {
-	before := p.comb.Len()
-	return p.combined(before, p.comb.Add(key, value))
-}
-
-// combineRow is combine for a record that is already decoded.
-func (p *mapPipeline) combineRow(key []byte, row []int64) error {
-	if p.rowComb == nil {
-		return fmt.Errorf("mr: EmitRow needs a combiner that takes rows")
+// combine folds one record into the task's combiner table (phase 1 of the
+// two-phase aggregation) and, once the table holds LocalAggBudget distinct
+// states, spills it — in Flush's sorted-key order — into the shuffle toward
+// the reducers' global grouping collectors (phase 2).
+func (p *mapPipeline) combine(key []byte, row []int64) error {
+	if p.comb == nil {
+		return fmt.Errorf("mr: EmitRow needs a combiner")
 	}
 	before := p.comb.Len()
-	return p.combined(before, p.rowComb.AddRow(key, row))
-}
-
-// combined accounts one fold into the table, which held before states,
-// and applies the LocalAggBudget flush rule.
-func (p *mapPipeline) combined(before int, err error) error {
 	p.st.CombineInputs++
-	if err != nil {
+	if err := p.comb.Add(key, row); err != nil {
 		return err
 	}
 	n := p.comb.Len()
@@ -619,21 +593,11 @@ func (p *mapPipeline) combined(before int, err error) error {
 	return nil
 }
 
-// scan pulls one split's records through the map function — as decoded
-// rows when the job runs on rows, as record bytes otherwise; both read the
-// same records, and count them the same.
+// scan pulls one split's rows through the map function, closing the
+// iterator on every path (record iterators are single-use and may hold
+// resources — a store split's block buffers, for instance).
 func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
-	if p.mapRows != nil {
-		return scanRecords(ctx, p, sp, sp.(RowSplit).OpenRows, p.mapRows)
-	}
-	return scanRecords(ctx, p, sp, sp.Open, p.mapFn)
-}
-
-// scanRecords is scan over either record form, closing the iterator on
-// every path (record iterators are single-use and may hold resources — a
-// store split's block buffers, for instance).
-func scanRecords[R any, F ~func(*MapCtx, R) error](ctx context.Context, p *mapPipeline, sp Split, open func() (Iter[R], error), mapFn F) error {
-	it, err := open()
+	it, err := sp.Open()
 	if err != nil {
 		return err
 	}
@@ -657,7 +621,7 @@ func scanRecords[R any, F ~func(*MapCtx, R) error](ctx context.Context, p *mapPi
 			default:
 			}
 		}
-		if err := mapFn(&p.mctx, rec); err != nil {
+		if err := p.mapFn(&p.mctx, rec); err != nil {
 			return err
 		}
 	}
@@ -695,7 +659,6 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Redu
 	rctx := &ReduceCtx{
 		Stats:         st,
 		TempDir:       cfg.TempDir,
-		Rows:          job.MapRows != nil,
 		MaxGroupPairs: int(gs.MaxGroup),
 		// ReduceCtx.Emit already copied the key and hands off ownership
 		// of the value; the writer batches pairs onto the output stream.

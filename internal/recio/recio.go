@@ -1,8 +1,8 @@
-// Package recio defines the byte encodings of the []byte data plane: a
-// cube record is the concatenation of its attributes as uvarints, and a
-// block (a store block decoded for a map task, a morsel, a saved result
-// block) is a sequence of length-prefixed frames, so every block is an
-// independently readable input split for a mapper.
+// Package recio defines the byte encodings of records: a cube record is
+// the concatenation of its attributes as uvarints — the measure a split's
+// SizeBytes and a store block's raw length are counted in — and a block
+// of records (ReadBlock's frames, a saved result block) is a sequence of
+// length-prefixed frames.
 //
 // Frame format: uvarint payload length, then the payload. A length of 0
 // ends a block early; genuine records are never empty because a cube
@@ -71,15 +71,6 @@ func AppendRecord(buf []byte, rec cube.Record) []byte {
 	return buf
 }
 
-// DecodeRecord parses a record of the given arity from data.
-func DecodeRecord(data []byte, arity int) (cube.Record, error) {
-	rec := make(cube.Record, arity)
-	if err := DecodeRecordInto(data, rec); err != nil {
-		return nil, err
-	}
-	return rec, nil
-}
-
 // DecodeRecordInto parses a record into the caller's buffer, avoiding
 // allocation on hot paths.
 func DecodeRecordInto(data []byte, rec cube.Record) error {
@@ -96,43 +87,6 @@ func DecodeRecordInto(data []byte, rec cube.Record) error {
 		return fmt.Errorf("recio: %d trailing bytes in record", len(data)-off)
 	}
 	return nil
-}
-
-// SplitFrameRuns carves one block's framed bytes into contiguous runs of
-// whole frames, each run targeting targetBytes (the last run may be
-// smaller; a single frame larger than the target gets a run of its own).
-// The returned slices alias data, so each run is independently readable
-// with a FrameReader as long as the block stays alive — this is what
-// carves a map split into morsels. A zero length terminates the scan
-// exactly like FrameReader does.
-func SplitFrameRuns(data []byte, targetBytes int) ([][]byte, error) {
-	if targetBytes < 1 {
-		targetBytes = 1
-	}
-	var runs [][]byte
-	runStart, off := 0, 0
-	for off < len(data) {
-		n, k := binary.Uvarint(data[off:])
-		if k <= 0 {
-			return nil, fmt.Errorf("recio: corrupt frame header at offset %d", off)
-		}
-		if n == 0 {
-			break
-		}
-		end := off + k + int(n)
-		if end > len(data) {
-			return nil, fmt.Errorf("recio: frame of %d bytes exceeds block at offset %d", n, off)
-		}
-		off = end
-		if off-runStart >= targetBytes {
-			runs = append(runs, data[runStart:off:off])
-			runStart = off
-		}
-	}
-	if off > runStart {
-		runs = append(runs, data[runStart:off:off])
-	}
-	return runs, nil
 }
 
 // UvarintLen is the encoded size of v as a uvarint.

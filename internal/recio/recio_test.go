@@ -72,8 +72,8 @@ func TestRecordRoundTrip(t *testing.T) {
 			return true
 		}
 		buf := AppendRecord(nil, rec)
-		back, err := DecodeRecord(buf, len(rec))
-		if err != nil {
+		back := make(cube.Record, len(rec))
+		if err := DecodeRecordInto(buf, back); err != nil {
 			return false
 		}
 		for i := range rec {
@@ -90,10 +90,10 @@ func TestRecordRoundTrip(t *testing.T) {
 
 func TestDecodeRecordErrors(t *testing.T) {
 	buf := AppendRecord(nil, cube.Record{1, 2, 3})
-	if _, err := DecodeRecord(buf, 4); err == nil {
+	if err := DecodeRecordInto(buf, make(cube.Record, 4)); err == nil {
 		t.Error("short record accepted")
 	}
-	if _, err := DecodeRecord(buf, 2); err == nil {
+	if err := DecodeRecordInto(buf, make(cube.Record, 2)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }

@@ -21,16 +21,20 @@ func NewReservoir[T any](capacity int, seed int64) *Reservoir[T] {
 	return &Reservoir[T]{cap: capacity, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Add offers one stream element to the reservoir.
-func (r *Reservoir[T]) Add(item T) {
+// Slot offers one stream element to the reservoir: it returns where the
+// sample keeps the element, for the caller to store it there before the
+// next Slot, or nil when the sample passes it over — so an element the
+// sample does not keep is never copied.
+func (r *Reservoir[T]) Slot() *T {
 	r.seen++
 	if len(r.items) < r.cap {
-		r.items = append(r.items, item)
-		return
+		r.items = append(r.items, *new(T))
+		return &r.items[len(r.items)-1]
 	}
 	if j := r.rng.Int63n(r.seen); j < int64(r.cap) {
-		r.items[j] = item
+		return &r.items[j]
 	}
+	return nil
 }
 
 // Sample returns the current sample. The slice aliases the reservoir's

@@ -107,11 +107,18 @@ func TestOverlapReducesToNonOverlap(t *testing.T) {
 	}
 }
 
+// offer stores v where the reservoir keeps it, if it does.
+func offer[T any](r *Reservoir[T], v T) {
+	if slot := r.Slot(); slot != nil {
+		*slot = v
+	}
+}
+
 func TestReservoirUniformity(t *testing.T) {
 	// Sample 100 of 10000 and check the sample mean is near the stream mean.
 	r := NewReservoir[int](200, 7)
 	for i := 0; i < 10000; i++ {
-		r.Add(i)
+		offer(r, i)
 	}
 	s := r.Sample()
 	if len(s) != 200 {
@@ -129,8 +136,8 @@ func TestReservoirUniformity(t *testing.T) {
 
 func TestReservoirSmallStream(t *testing.T) {
 	r := NewReservoir[string](10, 1)
-	r.Add("a")
-	r.Add("b")
+	offer(r, "a")
+	offer(r, "b")
 	if got := len(r.Sample()); got != 2 {
 		t.Errorf("sample size = %d, want 2", got)
 	}

@@ -178,7 +178,7 @@ func TestWriteStoreRoundTrip(t *testing.T) {
 			if !ok {
 				break
 			}
-			if _, err := recio.DecodeRecord(payload, arity); err != nil {
+			if err := recio.DecodeRecordInto(payload, make(cube.Record, arity)); err != nil {
 				t.Fatal(err)
 			}
 			back++
