@@ -112,6 +112,65 @@ func decodeChecked(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64,
 	return rows, true
 }
 
+// carveChecked holds carveRows to what decodeChecked found for the same
+// entry: a rejected entry fails the carve with ErrCorruptBlock, and an
+// accepted one is cut into runs whose rows, opened in order — each run
+// twice, as a retried task would — are the block's rows; every run but
+// the last reaches target framed bytes (at least one) and would not
+// without its last row, and each run's size is what its rows occupy
+// framed.
+func carveChecked(t testing.TB, payload []byte, arity, n, rawLen, target int, rows []int64, accepted bool) {
+	t.Helper()
+	sizes, opens, err := carveRows(payload, arity, n, rawLen, target)
+	if !accepted {
+		if !errors.Is(err, ErrCorruptBlock) {
+			t.Fatalf("carve of a rejected entry: %v, want ErrCorruptBlock", err)
+		}
+		return
+	}
+	if err != nil || len(sizes) != len(opens) {
+		t.Fatalf("carve of an accepted entry: %d sizes, %d runs, %v", len(sizes), len(opens), err)
+	}
+	var got []int64
+	for i, open := range opens {
+		var run []int64
+		for pass := 0; pass < 2; pass++ {
+			var again []int64
+			r := open()
+			for {
+				row, ok, err := r.Next()
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				if !ok {
+					break
+				}
+				again = append(again, row...)
+			}
+			if pass == 1 && !slices.Equal(again, run) {
+				t.Fatalf("run %d read twice: %v, then %v", i, run, again)
+			}
+			run = again
+		}
+		framed, last := 0, 0
+		for r := 0; r < len(run); r += arity {
+			rec := recio.AppendRecord(nil, run[r:r+arity])
+			last = recio.UvarintLen(uint64(len(rec))) + len(rec)
+			framed += last
+		}
+		if len(run) == 0 || framed != sizes[i] {
+			t.Fatalf("run %d: %d values framed in %d bytes, size says %d", i, len(run), framed, sizes[i])
+		}
+		if cut := max(target, 1); i < len(opens)-1 && (framed < cut || framed-last >= cut) {
+			t.Fatalf("run %d of %d bytes, %d without its last row, at target %d", i, framed, framed-last, target)
+		}
+		got = append(got, run...)
+	}
+	if !slices.Equal(got, rows) {
+		t.Fatal("the runs' rows are not the block's")
+	}
+}
+
 // codecCase is one entry of the decoder parity table.
 type codecCase struct {
 	name             string
@@ -178,6 +237,9 @@ func TestColumnarDecodersAgree(t *testing.T) {
 			}
 			if accepted && !slices.Equal(rows, tc.wantRows) {
 				t.Fatal("decoded rows differ from the rows encoded")
+			}
+			for _, target := range []int{-1, 1, 64, 1 << 20} {
+				carveChecked(t, tc.payload, tc.arity, tc.n, tc.rawLen, target, rows, accepted)
 			}
 		})
 	}
@@ -250,9 +312,9 @@ func TestCraftedEntryShapeRejected(t *testing.T) {
 
 // TestMalformedEntriesCorruptThroughFailover: every malformed shape of the
 // parity table, stored under a valid checksum on two nodes, yields
-// ErrCorruptBlock from ReadBlock and from ReadBlockRows — also when the
-// replica tried first has rotted since open, so the read reaches the
-// malformed entry only by failing over to the second.
+// ErrCorruptBlock from ReadBlock, ReadBlockRows and ReadBlockRuns — also
+// when the replica tried first has rotted since open, so the read reaches
+// the malformed entry only by failing over to the second.
 func TestMalformedEntriesCorruptThroughFailover(t *testing.T) {
 	key := []byte{0, 0, 0, 0}
 	for _, tc := range codecCases(rowBatch + 100) {
@@ -296,11 +358,14 @@ func TestMalformedEntriesCorruptThroughFailover(t *testing.T) {
 			if !errors.Is(err, ErrCorruptBlock) {
 				t.Fatalf("ReadBlockRows: %v, want ErrCorruptBlock", err)
 			}
+			if _, _, err := s.ReadBlockRuns("data", 0, 64); !errors.Is(err, ErrCorruptBlock) {
+				t.Fatalf("ReadBlockRuns: %v, want ErrCorruptBlock", err)
+			}
 			// Each read fails over off the rotted replica; a shape the payload
 			// cannot back fails the second replica over too.
-			want := int64(2)
+			want := int64(3)
 			if checkColumnarShape(tc.arity, tc.n, tc.rawLen, len(tc.payload)) != nil {
-				want = 4
+				want = 6
 			}
 			if got := s.Stats().ChecksumFailovers; got != want {
 				t.Fatalf("%d failovers, want %d", got, want)
@@ -480,10 +545,13 @@ func TestReadEntryCopiesOnce(t *testing.T) {
 // segment can hold under a valid checksum — to both decoders: neither may
 // panic, both must agree, and a shape the payload cannot back must be
 // rejected before it sizes an allocation (decodeBoth checks all three).
-// The seed corpus under testdata/fuzz is codecCases(40), written out once:
-// a real block and every malformed shape of the parity table.
+// The carve of the entry at a fuzzed target must agree with them too
+// (carveChecked). The seed corpus under testdata/fuzz is codecCases(40),
+// written out once — a real block and every malformed shape of the parity
+// table — with a target each.
 func FuzzColumnarDecode(f *testing.F) {
-	f.Fuzz(func(t *testing.T, payload []byte, arity, n, rawLen int) {
-		decodeChecked(t, payload, arity, n, rawLen)
+	f.Fuzz(func(t *testing.T, payload []byte, arity, n, rawLen, target int) {
+		rows, accepted := decodeChecked(t, payload, arity, n, rawLen)
+		carveChecked(t, payload, arity, n, rawLen, target, rows, accepted)
 	})
 }

@@ -57,7 +57,7 @@ const (
 type EarlyAggMode int
 
 const (
-	// EarlyAggOff ships raw records.
+	// EarlyAggOff ships each record's read columns.
 	EarlyAggOff EarlyAggMode = iota
 	// EarlyAggAuto combines on the map side whenever the workflow supports
 	// it; Result.EarlyAggregated reports what happened.

@@ -179,6 +179,31 @@ func TestEngineSortModes(t *testing.T) {
 	}
 }
 
+// TestMemoryDatasetRejectsWrongArity: a memory record of the wrong arity
+// would shift every record after it in the dataset's slab — here into
+// values that are all still in their domains — so the dataset fails its
+// scans instead of answering.
+func TestMemoryDatasetRejectsWrongArity(t *testing.T) {
+	lv := cube.Level{Name: "v", Span: 1}
+	s := cube.MustSchema(cube.MustAttribute("x", cube.Numeric, 64, lv), cube.MustAttribute("y", cube.Numeric, 64, lv))
+	w := workflow.New(s)
+	if err := w.AddBasic("n", s.GrainAll(), measure.Spec{Func: measure.Count}, ""); err != nil {
+		t.Fatal(err)
+	}
+	records := make([]cube.Record, 100)
+	for i := range records {
+		records[i] = cube.Record{int64(i % 64), int64(i * 7 % 64)}
+	}
+	records[40] = records[40][:1]
+	eng, err := NewEngine(Config{NumReducers: 2, TempDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := eng.Run(w, MemoryDataset(s, records, 4)); err == nil {
+		t.Fatalf("a record of one attribute in a two-attribute schema answered %v", res.Measures["n"])
+	}
+}
+
 func TestEngineEarlyAggregation(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(3000, workload.Uniform, 11)

@@ -11,9 +11,10 @@ import (
 	"github.com/casm-project/casm/internal/workload"
 )
 
-// randomWorkflow builds a random but valid aggregation workflow over the
-// paper schema: 1–3 basic measures at random grains and 0–4 composite
-// measures of random kinds wired to random sources.
+// randomWorkflow builds a random but valid aggregation workflow over a
+// schema (the paper's, or any other): 1–3 basic measures of any aggregate
+// function at random grains and 0–4 composite measures of random kinds
+// wired to random sources.
 func randomWorkflow(t *testing.T, s *cube.Schema, rng *rand.Rand) *workflow.Workflow {
 	return randomWorkflowOpts(t, s, rng, false)
 }
@@ -44,8 +45,16 @@ func randomWorkflowOpts(t *testing.T, s *cube.Schema, rng *rand.Rand, stableBits
 		{Func: measure.Sum}, {Func: measure.Count}, {Func: measure.Avg},
 		{Func: measure.Min}, {Func: measure.Max}, {Func: measure.Median},
 		{Func: measure.StdDev}, {Func: measure.Quantile, Arg: 0.75},
+		{Func: measure.Var}, {Func: measure.CountDistinct},
 	}
-	inputs := []string{"a1", "a2", "a3", "a4", ""}
+	// Any attribute but a timestamp is an input; "" counts records.
+	var inputs []string
+	for a := 0; a < s.NumAttrs(); a++ {
+		if s.Attr(a).Kind() != cube.Temporal {
+			inputs = append(inputs, s.Attr(a).Name())
+		}
+	}
+	inputs = append(inputs, "")
 
 	nBasics := 1 + rng.Intn(3)
 	var names []string

@@ -7,8 +7,10 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/measure"
+	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -194,14 +196,17 @@ func naiveAggregate(spec measure.Spec, in []float64) float64 {
 }
 
 // TestEngineMatchesNaiveOracle runs the engine against the independent
-// oracle: the suite's queries and random workflows, over memory and store
-// datasets, with early aggregation off and auto, under the default and a
-// spill-forcing grouping budget.
+// oracle: the suite's queries and random workflows over the paper schema,
+// and hand-made and random workflows over a schema with a mapped product
+// hierarchy, each over memory and store datasets, with early aggregation
+// off and auto, under the default and a spill-forcing grouping budget, and
+// in morsel mode with morsels of a few records.
 func TestEngineMatchesNaiveOracle(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
 	su := workload.NewSuite()
-	records := su.Generate(1200, workload.SkewedTime, 17)
-	_, store := storeDataset(t, su, records)
-	datasets := map[string]*Dataset{"memory": MemoryDataset(su.Schema, records, 5), "store": store}
 	workflows := map[string]*workflow.Workflow{}
 	for n := 1; n <= 6; n++ {
 		w, _ := su.Query(n)
@@ -214,23 +219,91 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 		}
 		workflows[fmt.Sprintf("DS%d", i)] = w
 	}
-	seeds := 12
-	if testing.Short() {
-		seeds = 4
-	}
 	for seed := 0; seed < seeds; seed++ {
 		workflows[fmt.Sprintf("random%d", seed)] = randomWorkflow(t, su.Schema, rand.New(rand.NewSource(int64(500+seed))))
+	}
+	matchNaiveOracle(t, su.Schema, su.Generate(1200, workload.SkewedTime, 17), workflows)
+
+	mapped, records, ws := mappedOracleCase(t, seeds/2)
+	matchNaiveOracle(t, mapped, records, ws)
+}
+
+// matchNaiveOracle compares the engine with naiveOracle on every workflow
+// over records, across the datasets and configurations
+// TestEngineMatchesNaiveOracle names.
+func matchNaiveOracle(t *testing.T, s *cube.Schema, records []cube.Record, workflows map[string]*workflow.Workflow) {
+	t.Helper()
+	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 8192, Replication: 2, NumNodes: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := workload.WriteStore(st, "data", s, records); err != nil {
+		t.Fatal(err)
+	}
+	datasets := map[string]*Dataset{
+		"memory": MemoryDataset(s, records, 5),
+		"store":  {Schema: s, Input: mr.NewStoreInput(st, "data"), NumRecords: int64(len(records))},
+	}
+	configs := map[string]Config{
+		"budget=0":  {},
+		"budget=16": {SortMemoryItems: 16},
+		"morsel=64": {MorselBytes: 64},
 	}
 	for name, w := range workflows {
 		want := naiveOracle(w, records)
 		for dsName, ds := range datasets {
 			for _, early := range []EarlyAggMode{EarlyAggOff, EarlyAggAuto} {
-				for _, budget := range []int{0, 16} {
-					cfg := Config{NumReducers: 3, EarlyAggregation: early, SortMemoryItems: budget}
-					label := fmt.Sprintf("%s/%s/early=%d/budget=%d", name, dsName, early, budget)
+				for cfgName, cfg := range configs {
+					cfg.NumReducers, cfg.EarlyAggregation = 3, early
+					label := fmt.Sprintf("%s/%s/early=%d/%s", name, dsName, early, cfgName)
 					compare(t, label, want, flatten(runEngine(t, cfg, w, ds)))
 				}
 			}
 		}
 	}
+}
+
+// mappedOracleCase is a schema whose product attribute rolls up through an
+// explicit, irregular assignment table (the hierarchy no span describes),
+// 900 records over it, and workflows over both: one that reaches the
+// mapped level through every kind of measure, basics of the functions a
+// combiner and a holistic reducer each serve, and random workflows.
+func mappedOracleCase(t *testing.T, randoms int) (*cube.Schema, []cube.Record, map[string]*workflow.Workflow) {
+	t.Helper()
+	assign := []int64{0, 0, 0, 1, 2, 2, 3, 3, 3, 3, 4, 1, 5, 5, 2, 0, 4, 4, 5, 3}
+	s := cube.MustSchema(
+		cube.MustMappedAttribute("prod", int64(len(assign)), cube.MappedLevel{Name: "cat", Assign: assign}),
+		cube.MustAttribute("amt", cube.Numeric, 64, cube.Level{Name: "v", Span: 1}, cube.Level{Name: "band", Span: 8}),
+		cube.TimeAttribute("time", 2),
+	)
+	rng := rand.New(rand.NewSource(31))
+	records := make([]cube.Record, 900)
+	for i := range records {
+		records[i] = cube.Record{rng.Int63n(int64(len(assign))), rng.Int63n(64), rng.Int63n(2 * 86400)}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	catHour := s.MustGrain(cube.GrainSpec{Attr: "prod", Level: "cat"}, cube.GrainSpec{Attr: "time", Level: "hour"})
+	ti, _ := s.AttrIndex("time")
+	kinds := workflow.New(s)
+	must(kinds.AddBasic("b", catHour, measure.Spec{Func: measure.Sum}, "amt"))
+	must(kinds.AddRollup("r", s.MustGrain(cube.GrainSpec{Attr: "prod", Level: "cat"}), measure.Spec{Func: measure.Avg}, "b"))
+	must(kinds.AddSliding("sl", catHour, measure.Spec{Func: measure.Sum}, "b", workflow.RangeAnn{Attr: ti, Low: -2, High: 0}))
+	must(kinds.AddSelf("n", catHour, measure.Ratio(), "b", "sl"))
+	must(kinds.AddInherit("i", s.MustGrain(cube.GrainSpec{Attr: "prod", Level: "value"}, cube.GrainSpec{Attr: "time", Level: "hour"}), "r"))
+	funcs := workflow.New(s)
+	catBand := s.MustGrain(cube.GrainSpec{Attr: "prod", Level: "cat"}, cube.GrainSpec{Attr: "amt", Level: "band"})
+	for i, spec := range []measure.Spec{{Func: measure.Var}, {Func: measure.CountDistinct}, {Func: measure.Min}, {Func: measure.Median}} {
+		must(funcs.AddBasic(fmt.Sprintf("f%d", i), catBand, spec, "amt"))
+	}
+	workflows := map[string]*workflow.Workflow{"mapped-kinds": kinds, "mapped-funcs": funcs}
+	for seed := 0; seed < randoms; seed++ {
+		workflows[fmt.Sprintf("mapped-random%d", seed)] = randomWorkflow(t, s, rand.New(rand.NewSource(int64(900+seed))))
+	}
+	return s, records, workflows
 }

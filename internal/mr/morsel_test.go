@@ -47,8 +47,7 @@ func readRows(t *testing.T, sp Split) []int64 {
 // TestMemorySplitMorsels checks that carving partitions the records: every
 // record appears exactly once, in order, across the morsels. A morsel's
 // size is its records' recio encoding, and it closes at the first record
-// that brings it to the target — the cut the carve made when memory
-// splits held record bytes.
+// that brings it to the target.
 func TestMemorySplitMorsels(t *testing.T) {
 	const arity = 3
 	var rows []int64
@@ -92,12 +91,13 @@ func TestMemorySplitMorsels(t *testing.T) {
 }
 
 // TestStoreSplitMorsels checks the carve of store blocks into runs of
-// rows. The morsels of a block hold its rows in order, cut where the carve
-// over the block's recio frames cut them (the rows/bytes of every morsel
-// below are that carve's, at a 64-byte target); a morsel opened twice — a
-// retried task — reads the same rows; what the carve keeps is the block's
-// stored payload and a cursor per morsel, not the decoded block; and a
-// block that does not decode fails the carve with ErrCorruptBlock.
+// rows. The morsels of a block hold its rows in order, cut where cutting
+// the block's recio frames into runs of at least 65 bytes cuts them (the
+// rows/bytes of every morsel below; seven runs end at exactly 65); a
+// morsel opened twice — a retried task — reads the same rows; what the
+// carve keeps is the block's stored payload and a cursor per morsel, not
+// the decoded block; and a block that does not decode fails the carve
+// with ErrCorruptBlock.
 func TestStoreSplitMorsels(t *testing.T) {
 	dir := t.TempDir()
 	st, err := blockstore.Open(blockstore.Config{Dir: dir, BlockSize: 512, Replication: 1, NumNodes: 2, Seed: 1})
@@ -131,7 +131,7 @@ func TestStoreSplitMorsels(t *testing.T) {
 	var all []int64
 	for bi, sp := range splits {
 		block := readRows(t, sp)
-		morsels, err := sp.(MorselSplit).Morsels(64)
+		morsels, err := sp.(MorselSplit).Morsels(65)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -186,9 +186,9 @@ type Iter[T any] interface {
 type RowIter = Iter[[]int64]
 
 // Split is one independently processable chunk of input. SizeBytes is
-// what the split's records occupy framed as recio records (a uvarint per
-// attribute; store blocks add each record's uvarint length), the bytes a
-// map task is charged for reading.
+// what the split's records occupy as recio records (a uvarint per
+// attribute), plus each record's uvarint frame length for a store block:
+// the bytes a map task is charged for reading.
 type Split interface {
 	Label() string
 	SizeBytes() int64
@@ -262,8 +262,8 @@ type Combiner interface {
 	// Flush emits every buffered partial state in ascending key order
 	// (keeping shuffle send order deterministic) and resets the combiner.
 	// Emitted keys and values are handed off to the framework (see
-	// MapCtx.Emit's ownership rule: they must stay valid for
-	// the job's duration).
+	// MapCtx.Emit's ownership rule: they must stay valid for the job's
+	// duration).
 	Flush(emit func(key, value []byte) error) error
 	// Len reports the number of buffered partial states, the framework's
 	// flush trigger.
