@@ -221,10 +221,9 @@ func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure)
 	return e.runRowsJob(ctx, ds.Input, mapFn, reduceFn, arity)
 }
 
-// Intermediate rows travel to the next job as input rows of arity+2
-// values: a tag (the source, or occTag), the coordinates, and the value's
-// float64 bits.
-
+// appendTagged lays one intermediate row out as an input row of the next
+// job, arity+2 values: a tag (the source, or occTag), the coordinates, and
+// the value's float64 bits. splitTagged reads one back.
 func appendTagged(dst []int64, tag int64, coords []int64, v float64) []int64 {
 	dst = append(append(dst, tag), coords...)
 	return append(dst, int64(math.Float64bits(v)))
