@@ -140,7 +140,7 @@ func (p *earlyAggPlan) putTable(t *aggTable) {
 }
 
 // earlyAggCombiner is one map task's streaming early-aggregation combiner
-// (mr.RowCombiner). It holds a table only between its first fold and the
+// (mr.Combiner). It holds a table only between its first fold and the
 // flush that follows: a flush hands the emptied table, buffers and all,
 // back to the plan, where the job's next map task — or this one, after a
 // LocalAggBudget spill — picks it up.
