@@ -116,6 +116,27 @@ func TestErrorsJoinedWithLabels(t *testing.T) {
 	}
 }
 
+// TestWaitSeesTaskError: Wait returns only after a finished task's error
+// is recorded. Were the group released before the record, a waiter woken
+// in between would read a nil error; many one-task groups give that
+// interleaving its chances, pooled and service alike.
+func TestWaitSeesTaskError(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	boom := errors.New("boom")
+	for i := 0; i < 5000; i++ {
+		g := e.NewGroup(context.Background(), Options{})
+		if i%2 == 0 {
+			g.Go("pooled", nil, func(ctx context.Context) error { return boom })
+		} else {
+			g.GoService("service", func(ctx context.Context) error { return boom })
+		}
+		if err := g.Wait(); !errors.Is(err, boom) {
+			t.Fatalf("group %d: Wait = %v, want the task's error", i, err)
+		}
+	}
+}
+
 func TestCancellationClassifiedSeparately(t *testing.T) {
 	e := New(2)
 	defer e.Close()

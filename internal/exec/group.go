@@ -70,24 +70,21 @@ func (g *Group) Go(label string, tm *Timing, fn func(ctx context.Context) error)
 // against map-side backpressure if they had to wait for a pool slot).
 func (g *Group) GoService(label string, fn func(ctx context.Context) error) {
 	g.wg.Add(1)
-	t := task{label: label, fn: fn}
-	go func() {
-		g.run(t)
-		g.wg.Done()
-	}()
+	go g.run(task{label: label, fn: fn})
 }
 
-// run executes one task and records its outcome. Pooled tasks are run by
-// executor workers, service tasks by their own goroutine.
+// run executes one task, records its outcome, and only then releases the
+// group's WaitGroup, so Wait never returns ahead of a task's error.
+// Pooled tasks are run by executor workers, service tasks by their own
+// goroutine.
 func (g *Group) run(t task) {
+	defer g.wg.Done()
 	g.errs.Add(t.label, t.fn(g.ctx))
 }
 
-// timed wraps fn to stamp tm at dispatch and completion, and to release
-// the group's WaitGroup (pooled tasks only; GoService releases its own).
+// timed wraps fn to stamp tm at dispatch and completion.
 func (g *Group) timed(tm *Timing, fn func(ctx context.Context) error) func(ctx context.Context) error {
 	return func(ctx context.Context) error {
-		defer g.wg.Done()
 		if tm != nil {
 			tm.Start = time.Now()
 			defer func() { tm.Wall = time.Since(tm.Start) }()

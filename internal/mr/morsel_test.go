@@ -12,9 +12,11 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
@@ -337,6 +339,115 @@ func TestMorselMatchesFixed(t *testing.T) {
 	})
 }
 
+// TestStoreAndMemoryInputsMapAlike: one record set, held in memory and
+// written to a store, maps alike. In fixed-split mode the two inputs split
+// differently and a store split counts its stored block, so the answer,
+// the records read and the combiner inputs agree. A single morsel worker
+// tours either input as the same run of rows, so there every map-side
+// counter agrees but BytesRead: a memory morsel counts its records' recio
+// encoding, a store morsel its recio frames, which add one length prefix
+// per record.
+func TestStoreAndMemoryInputsMapAlike(t *testing.T) {
+	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 512, Replication: 1, NumNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const arity = 2
+	records := make([]cube.Record, 3000)
+	var rows []int64
+	for i := range records {
+		records[i] = cube.Record{int64(i / 4 % 41), int64(i)} // runs of four per key: hits as well as spills
+		rows = append(rows, records[i]...)
+	}
+	if err := st.WriteRecords("data", arity, "", records); err != nil {
+		t.Fatal(err)
+	}
+	var prefixes int64
+	for _, r := range records {
+		prefixes += int64(recio.UvarintLen(uint64(len(recio.AppendRecord(nil, r)))))
+	}
+
+	// counters sums the map side: Records, BytesRead, CombineInputs,
+	// PairsOut, BytesOut, CombineMerges, LocalAggHits, LocalAggSpills.
+	type counters [8]int64
+	run := func(t *testing.T, in Input, morselBytes int) (string, counters) {
+		res, err := Run(Job{
+			Input: in,
+			Map: func(ctx *MapCtx, row []int64) error {
+				return ctx.EmitRow(strconv.AppendInt([]byte("k"), row[0], 10), row)
+			},
+			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+				sum := 0
+				for {
+					p, ok, err := values.Next()
+					if err != nil {
+						return err
+					}
+					if !ok {
+						ctx.Emit(key, []byte(strconv.Itoa(sum)))
+						return nil
+					}
+					n, err := strconv.Atoi(string(p.Value))
+					if err != nil {
+						return err
+					}
+					sum += n
+				}
+			},
+			Config: Config{
+				NumReducers: 3, MapParallelism: 1, MorselBytes: morselBytes, LocalAggBudget: 5,
+				NewCombiner: newCountCombiner, TempDir: t.TempDir(),
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, p := range res.Output {
+			lines = append(lines, fmt.Sprintf("%s=%s", p.Key, p.Value))
+		}
+		sort.Strings(lines)
+		var c counters
+		for _, mt := range res.Stats.MapTasks {
+			for i, v := range []int64{mt.Records, mt.BytesRead, mt.CombineInputs, mt.PairsOut, mt.BytesOut,
+				mt.CombineMerges, mt.LocalAggHits, mt.LocalAggSpills} {
+				c[i] += v
+			}
+		}
+		return strings.Join(lines, " "), c
+	}
+
+	for _, morselBytes := range []int{0, 200} {
+		t.Run(fmt.Sprintf("morsel=%d", morselBytes), func(t *testing.T) {
+			storeOut, store := run(t, NewStoreInput(st, "data"), morselBytes)
+			memOut, mem := run(t, NewMemoryInput(rows, arity, 4), morselBytes)
+			if storeOut != memOut {
+				t.Fatalf("answers differ\nstore  %s\nmemory %s", storeOut, memOut)
+			}
+			if store[0] != int64(len(records)) || store[2] != int64(len(records)) {
+				t.Fatalf("store run read %d records and combined %d, want %d", store[0], store[2], len(records))
+			}
+			if morselBytes == 0 {
+				if store[0] != mem[0] || store[2] != mem[2] {
+					t.Errorf("records/combine inputs: store %d/%d, memory %d/%d", store[0], store[2], mem[0], mem[2])
+				}
+				return
+			}
+			if store[6] == 0 || store[7] == 0 {
+				t.Fatalf("budget of 5 over 41 keys: %d hits, %d spills", store[6], store[7])
+			}
+			if store[1] != mem[1]+prefixes {
+				t.Errorf("BytesRead: store %d, memory %d, want the memory's plus %d bytes of frame prefixes", store[1], mem[1], prefixes)
+			}
+			store[1] = mem[1]
+			if store != mem {
+				t.Errorf("map-side counters differ\nstore  %v\nmemory %v", store, mem)
+			}
+		})
+	}
+}
+
 // TestMorselStealsOnSkew pins the load-balancing claim: with two workers
 // and all the data in one split (maximally clustered), the idle worker
 // must steal.
@@ -355,12 +466,24 @@ func TestMorselStealsOnSkew(t *testing.T) {
 		NewCombiner:    newCountCombiner,
 		TempDir:        t.TempDir(),
 	})
-	// On a single-core runner worker 0 could drain every morsel before
-	// worker 1's goroutine ever runs; yield between records so both
-	// workers observe a non-empty dispatch set.
+	// Left alone, worker 0 can drain every morsel before worker 1's
+	// goroutine is first scheduled. Hold the first record mapped until a
+	// second is mapped concurrently: that one is the other worker's, so
+	// both workers take morsels from the one deque before it runs dry.
+	var mapped atomic.Int32
+	release := make(chan struct{})
 	inner := job.Map
 	job.Map = func(mctx *MapCtx, row []int64) error {
-		runtime.Gosched()
+		switch mapped.Add(1) {
+		case 1:
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+				return errors.New("no second worker mapped a record within 10s")
+			}
+		case 2:
+			close(release)
+		}
 		return inner(mctx, row)
 	}
 	res, err := Run(job)
