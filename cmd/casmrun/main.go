@@ -33,11 +33,13 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 
 	casm "github.com/casm-project/casm"
 	"github.com/casm-project/casm/internal/core"
+	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workload"
@@ -248,11 +250,13 @@ func run(args []string, stdout io.Writer) error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	var line []byte
 	for _, n := range names {
 		ms := res.Measures[n]
 		fmt.Fprintf(stdout, "measure %-10s %8d records\n", n, len(ms))
 		for i := 0; i < *values && i < len(ms); i++ {
-			fmt.Fprintf(stdout, "  %s = %g\n", su.Schema.FormatRegion(ms[i].Region), ms[i].Value)
+			line = appendShownRow(line[:0], su.Schema, "", ms[i].Region, ms[i].Value)
+			stdout.Write(line)
 		}
 	}
 	fmt.Fprintf(stdout, "shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
@@ -329,6 +333,7 @@ func runBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workl
 			ji, float64(jobBytesRead(job.Stats))/(1<<20), float64(saved)/(1<<20))
 	}
 
+	var line []byte
 	for qi, res := range batch.Results {
 		fmt.Fprintf(stdout, "\nquery %s:\n", names[qi])
 		printPlan(stdout, su, res.ResultHeader)
@@ -341,7 +346,8 @@ func runBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workl
 			ms := res.Measures[n]
 			fmt.Fprintf(stdout, "measure %-10s %8d records\n", n, len(ms))
 			for i := 0; i < show && i < len(ms); i++ {
-				fmt.Fprintf(stdout, "  %s = %g\n", su.Schema.FormatRegion(ms[i].Region), ms[i].Value)
+				line = appendShownRow(line[:0], su.Schema, "", ms[i].Region, ms[i].Value)
+				stdout.Write(line)
 			}
 		}
 	}
@@ -352,6 +358,21 @@ func runBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workl
 	fmt.Fprintf(stdout, "\nsimulated response time on the paper's cluster (all %d job(s)): %.2fs\n",
 		len(batch.Jobs), sim)
 	return nil
+}
+
+// appendShownRow appends one printed result row, "  <region> = <value>"
+// and a newline, with "<measure>: " before the region when measure is
+// non-empty. The value is %g's shortest form.
+func appendShownRow(dst []byte, schema *cube.Schema, measure string, r cube.Region, v float64) []byte {
+	dst = append(dst, "  "...)
+	if measure != "" {
+		dst = append(dst, measure...)
+		dst = append(dst, ": "...)
+	}
+	dst = schema.AppendRegion(dst, r)
+	dst = append(dst, " = "...)
+	dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+	return append(dst, '\n')
 }
 
 // printPlan prints an evaluation's header line — the same for a
@@ -385,6 +406,7 @@ func runStream(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *work
 
 	counts := map[string]int64{}
 	shown := map[string]int{}
+	var line []byte
 	for {
 		row, ok, err := rs.Next()
 		if err != nil {
@@ -396,7 +418,8 @@ func runStream(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *work
 		counts[row.Measure]++
 		if shown[row.Measure] < show {
 			shown[row.Measure]++
-			fmt.Fprintf(stdout, "  %s: %s = %g\n", row.Measure, su.Schema.FormatRegion(row.Region), row.Value)
+			line = appendShownRow(line[:0], su.Schema, row.Measure, row.Region, row.Value)
+			stdout.Write(line)
 		}
 	}
 	if err := rs.Close(); err != nil {

@@ -126,6 +126,25 @@ func TestRunMatchesEngine(t *testing.T) {
 	}
 }
 
+// TestShownRowsGolden pins the printed row form, "  <region> = <%g>", on
+// an integer, a fractional and a second-grain measure of q6.
+func TestShownRowsGolden(t *testing.T) {
+	dir, _ := testStore(t)
+	var out bytes.Buffer
+	if err := run([]string{"-store", dir, "-data", "data", "-tmp", t.TempDir(), "-query", "q6", "-show", "2"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\n  [a2=0@high, t1=0@hour] = 212\n",
+		"\n  [a2=0@high, t1=1@day] = 27.887323943661972\n",
+		"\n  [a2=0@high, t1=0@hour] = 7.534733441033926\n",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output lacks %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // readTree returns every file under dir by relative path.
 func readTree(t *testing.T, dir string) map[string][]byte {
 	t.Helper()

@@ -12,12 +12,17 @@ import (
 // local evaluation for blocks whose results are already known — the
 // HaCube cuboid-reuse idea generalized to composite subset measures.
 //
-// Entries live in a byte-bounded in-memory LRU and are persisted
-// write-behind to the store's cache file by a single flusher goroutine.
-// A query manifest (the set of entry keys a full query produced) is
-// enqueued only after its entries, so a crash between cache writes and
-// the manifest commit degrades to per-block reuse: the reload drops any
-// manifest referencing an entry the store doesn't hold.
+// Entries and query manifests (the set of entry keys a full query
+// produced) live in one byte-bounded in-memory LRU — an entry charged its
+// rows, a manifest its key bytes plus manifestKeyOverhead per key — and
+// are persisted write-behind to the store's cache file by a single
+// flusher goroutine. Evicting either deletes it from the store too: the
+// flusher writes its tombstone after any pending write of the same key,
+// so the cache file's index holds what memory holds, not every key ever
+// cached. A manifest is enqueued only after its entries, so a crash
+// between cache writes and the manifest commit degrades to per-block
+// reuse: the reload drops any manifest referencing an entry the store
+// doesn't hold.
 //
 // The cached value is an opaque row blob owned by the caller's codec;
 // the cache never interprets it beyond its length.
@@ -38,14 +43,32 @@ type CacheStats struct {
 	DroppedManifests  int64 `json:"dropped_manifests"`
 }
 
+// cacheEntry is one LRU item: an entry (rows) or, by its key's tag, a
+// manifest (keys).
 type cacheEntry struct {
 	key  string
 	rows []byte
+	keys []string
+	size int64 // bytes charged against maxBytes
+}
+
+// manifestKeyOverhead is what a manifest is charged per key it holds,
+// its own included, beyond the key bytes: the string header and its
+// share of the list element, map slot and slice holding it.
+const manifestKeyOverhead = 64
+
+func manifestSize(queryKey string, keys []string) int64 {
+	n := int64(len(queryKey)) + int64(len(keys)+1)*manifestKeyOverhead
+	for _, k := range keys {
+		n += int64(len(k))
+	}
+	return n
 }
 
 type flushOp struct {
 	key  []byte
 	val  []byte
+	del  bool          // write key's tombstone instead of val
 	done chan struct{} // non-nil: sync barrier, no write
 }
 
@@ -55,9 +78,9 @@ type ResultCache struct {
 	maxBytes int64
 
 	mu        sync.Mutex
-	ll        *list.List // front = most recently used
+	ll        *list.List // entries and manifests; front = most recently used
 	entries   map[string]*list.Element
-	manifests map[string][]string
+	manifests map[string]*list.Element
 	curBytes  int64
 	stats     CacheStats
 	closed    bool
@@ -82,15 +105,24 @@ func NewResultCache(st *Store, maxBytes int64) (*ResultCache, error) {
 		maxBytes:  maxBytes,
 		ll:        list.New(),
 		entries:   make(map[string]*list.Element),
-		manifests: make(map[string][]string),
-		flushCh:   make(chan flushOp, 1024),
+		manifests: make(map[string]*list.Element),
+		// Puts enqueue without waiting for the disk; the buffer absorbs
+		// a burst of one job's blocks.
+		flushCh: make(chan flushOp, 1024),
 	}
 	if st != nil {
-		if err := c.reload(); err != nil {
+		if err := st.dropLegacyCache(); err != nil {
 			return nil, err
 		}
+		// The flusher runs before the reload, which may enqueue more
+		// tombstones than the channel holds.
 		c.flushWG.Add(1)
 		go c.flusher()
+		if err := c.reload(); err != nil {
+			close(c.flushCh)
+			c.flushWG.Wait()
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -138,30 +170,30 @@ func appendLenPrefixed(dst, v []byte) []byte {
 
 // reload pulls persisted entries and manifests back in, then drops
 // manifests with missing entries (crash between entry flush and
-// manifest commit, or an entry evicted beyond the persisted set) and
-// evicts down to the byte bound.
+// manifest commit) and evicts down to the byte bound, deleting both
+// from the store.
 func (c *ResultCache) reload() error {
 	err := c.st.ScanRaw(CacheFile, func(key, payload []byte) error {
 		switch {
 		case len(key) > 0 && key[0] == entryTag:
-			c.insert(string(key), append([]byte(nil), payload...))
+			c.insert(&cacheEntry{key: string(key), rows: append([]byte(nil), payload...), size: int64(len(payload))})
 			c.stats.ReloadedEntries++
 		case len(key) > 0 && key[0] == manifestTag:
 			keys, err := decodeManifest(payload)
 			if err != nil {
 				return err
 			}
-			c.manifests[string(key)] = keys
+			c.insert(&cacheEntry{key: string(key), keys: keys, size: manifestSize(string(key), keys)})
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for qk, keys := range c.manifests {
-		for _, ek := range keys {
+	for _, el := range c.manifests {
+		for _, ek := range el.Value.(*cacheEntry).keys {
 			if _, ok := c.entries[ek]; !ok {
-				delete(c.manifests, qk)
+				c.remove(el)
 				c.stats.DroppedManifests++
 				break
 			}
@@ -200,19 +232,38 @@ func decodeManifest(b []byte) ([]string, error) {
 	return out, nil
 }
 
-// insert adds or replaces an entry at the LRU front. Caller holds c.mu
+// index returns the map holding key's kind of item.
+func (c *ResultCache) index(key string) map[string]*list.Element {
+	if len(key) > 0 && key[0] == manifestTag {
+		return c.manifests
+	}
+	return c.entries
+}
+
+// insert adds or replaces an item at the LRU front. Caller holds c.mu
 // (or is single-threaded during reload).
-func (c *ResultCache) insert(key string, rows []byte) {
-	if el, ok := c.entries[key]; ok {
-		ce := el.Value.(*cacheEntry)
-		c.curBytes += int64(len(rows)) - int64(len(ce.rows))
-		ce.rows = rows
+func (c *ResultCache) insert(ce *cacheEntry) {
+	idx := c.index(ce.key)
+	if el, ok := idx[ce.key]; ok {
+		c.curBytes += ce.size - el.Value.(*cacheEntry).size
+		el.Value = ce
 		c.ll.MoveToFront(el)
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, rows: rows})
-	c.entries[key] = el
-	c.curBytes += int64(len(rows))
+	idx[ce.key] = c.ll.PushFront(ce)
+	c.curBytes += ce.size
+}
+
+// remove drops an item from memory and enqueues its deletion from the
+// store. Caller holds c.mu (or is reloading).
+func (c *ResultCache) remove(el *list.Element) {
+	ce := el.Value.(*cacheEntry)
+	c.ll.Remove(el)
+	delete(c.index(ce.key), ce.key)
+	c.curBytes -= ce.size
+	if c.st != nil {
+		c.flushCh <- flushOp{key: []byte(ce.key), del: true}
+	}
 }
 
 func (c *ResultCache) evictTo(bound int64) {
@@ -221,10 +272,7 @@ func (c *ResultCache) evictTo(bound int64) {
 		if el == nil {
 			return
 		}
-		ce := el.Value.(*cacheEntry)
-		c.ll.Remove(el)
-		delete(c.entries, ce.key)
-		c.curBytes -= int64(len(ce.rows))
+		c.remove(el)
 		c.stats.Evictions++
 	}
 }
@@ -250,31 +298,41 @@ func (c *ResultCache) Get(key []byte) ([]byte, bool) {
 // key is copied. Persistence is write-behind.
 func (c *ResultCache) Put(key, rows []byte) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
-	c.insert(string(key), rows)
+	ce := &cacheEntry{key: string(key), rows: rows, size: int64(len(rows))}
+	c.insert(ce)
 	c.stats.Puts++
 	c.stats.BytesMaterialized += int64(len(rows))
-	c.evictTo(c.maxBytes)
+	c.persist(ce.key, rows)
+}
+
+// persist enqueues an inserted item's write, then evicts down to the
+// bound: the write goes ahead of any tombstone the eviction enqueues for
+// the same item. Caller holds c.mu.
+func (c *ResultCache) persist(key string, val []byte) {
 	if c.st != nil {
 		// Sending under c.mu serializes against Close; the flusher
 		// never takes c.mu, so a full channel drains independently.
-		c.flushCh <- flushOp{key: append([]byte(nil), key...), val: rows}
+		c.flushCh <- flushOp{key: []byte(key), val: val}
 	}
-	c.mu.Unlock()
+	c.evictTo(c.maxBytes)
 }
 
-// Manifest returns the entry keys a committed query produced, if known.
+// Manifest returns the entry keys a committed query produced, if known,
+// and marks the manifest recently used.
 func (c *ResultCache) Manifest(queryKey string) ([]string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys, ok := c.manifests[queryKey]
-	if ok {
-		c.stats.ManifestHits++
+	el, ok := c.manifests[queryKey]
+	if !ok {
+		return nil, false
 	}
-	return keys, ok
+	c.ll.MoveToFront(el)
+	c.stats.ManifestHits++
+	return el.Value.(*cacheEntry).keys, true
 }
 
 // Commit records a completed query's entry set. The manifest is
@@ -282,16 +340,13 @@ func (c *ResultCache) Manifest(queryKey string) ([]string, bool) {
 // a persisted manifest implies persisted entries.
 func (c *ResultCache) Commit(queryKey string, entryKeys []string) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return
 	}
 	keys := append([]string(nil), entryKeys...)
-	c.manifests[queryKey] = keys
-	if c.st != nil {
-		c.flushCh <- flushOp{key: []byte(queryKey), val: encodeManifest(keys)}
-	}
-	c.mu.Unlock()
+	c.insert(&cacheEntry{key: queryKey, keys: keys, size: manifestSize(queryKey, keys)})
+	c.persist(queryKey, encodeManifest(keys))
 }
 
 func (c *ResultCache) flusher() {
@@ -303,8 +358,13 @@ func (c *ResultCache) flusher() {
 		}
 		// A write failure here loses persistence, not correctness: the
 		// in-memory entry still serves this process, and reload just
-		// sees fewer entries.
-		_ = c.st.PutRaw(CacheFile, op.key, op.val)
+		// sees fewer entries. A failed tombstone leaves a key the next
+		// reload serves or evicts again.
+		if op.del {
+			_ = c.st.deleteRaw(CacheFile, op.key)
+		} else {
+			_ = c.st.PutRaw(CacheFile, op.key, op.val)
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 //
 //	header:  8-byte magic "CASMSEG1"
 //	entry:   uvarint keyLen | key
-//	         uvarint flags              (bit0: columnar payload)
+//	         uvarint flags              (bit0: columnar payload;
+//	                                     bit1: tombstone)
 //	         uvarint arity              (columnar entries only)
 //	         uvarint recCount           (records in the block; 0 for raw)
 //	         uvarint rawLen             (decoded frame-stream length)
@@ -28,10 +29,19 @@ import (
 // truncates the segment at the first entry whose frame or checksum does
 // not parse — a torn tail from a crash mid-append — keeping everything
 // committed before it.
+//
+// A tombstone has an empty payload and deletes the key's replica on the
+// node whose segment holds it, as of its place in that segment: recovery
+// drops the replica, and the key once no replica is left. Only the result
+// cache's file (CacheFile) is ever written one; segments written before
+// the bit existed never carry it.
 
 const segMagic = "CASMSEG1"
 
-const flagColumnar = 1
+const (
+	flagColumnar  = 1
+	flagTombstone = 2
+)
 
 // castagnoli is the CRC32C table; Castagnoli has hardware support on
 // both amd64 and arm64, so checksumming stays off the read-path profile.

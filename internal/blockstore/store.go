@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -34,7 +35,21 @@ import (
 const MetaFile = "__meta__"
 
 // CacheFile is the logical file backing the materialized result cache.
-const CacheFile = "__cache__"
+// It is the only file whose entries are ever deleted, by tombstone.
+const CacheFile = "__cache.v2__"
+
+// legacyCacheFile is where the result cache lived before its evictions
+// wrote tombstones. A binary of that time would read a tombstone as a
+// cached block with no rows, so the cache moved: an older binary opens
+// this file (cold, once the first result cache here dropped it) and never
+// sees CacheFile's tombstones. It stays hidden like every internal file.
+const legacyCacheFile = "__cache__"
+
+// internalFile reports whether a logical file name is the store's own
+// (metadata, result cache) rather than a dataset's.
+func internalFile(name string) bool {
+	return name == MetaFile || name == CacheFile || name == legacyCacheFile
+}
 
 // Config parameterizes a store.
 type Config struct {
@@ -134,6 +149,14 @@ func (f *storeFile) insert(bm *blockMeta) {
 	f.blocks[i] = bm
 }
 
+func (f *storeFile) remove(bm *blockMeta) {
+	delete(f.byKey, string(bm.key))
+	i := sort.Search(len(f.blocks), func(i int) bool {
+		return bytes.Compare(f.blocks[i].key, bm.key) >= 0
+	})
+	f.blocks = slices.Delete(f.blocks, i, i+1)
+}
+
 // writeHandle is one node segment's append state. Appends go through a
 // bufio.Writer, so a crash mid-ingest leaves a torn tail for recovery
 // to truncate; reads through the store flush first.
@@ -192,7 +215,8 @@ func (s *Store) Dir() string { return s.cfg.Dir }
 
 // recover scans every node segment, registering entries and truncating
 // torn tails. Within a segment, later entries win for a repeated key
-// (meta and cache entries are last-writer-wins); across nodes, entries
+// (meta and cache entries are last-writer-wins) and a tombstone drops the
+// node's replica of the key written before it; across nodes, entries
 // with equal key and checksum merge as replicas.
 func (s *Store) recover() error {
 	for node := 0; node < s.cfg.NumNodes; node++ {
@@ -255,6 +279,10 @@ func (s *Store) scanSegment(node int, file, path string) error {
 func handleKey(node int, file string) string { return strconv.Itoa(node) + "|" + file }
 
 func (s *Store) register(node int, file string, e entry, off, n int64) {
+	if e.flags&flagTombstone != 0 {
+		s.dropReplica(node, file, e.key)
+		return
+	}
 	f := s.files[file]
 	if f == nil {
 		f = &storeFile{byKey: make(map[string]*blockMeta)}
@@ -300,6 +328,27 @@ func (s *Store) register(node int, file string, e entry, off, n int64) {
 	s.stats.Blocks++
 	s.stats.RawBytes += int64(bm.rawLen)
 	s.stats.StoredBytes += int64(bm.payloadLen)
+}
+
+// dropReplica removes node's replica of key from the index, and the key
+// itself once no replica is left. Caller holds s.mu (or is recovering).
+func (s *Store) dropReplica(node int, file string, key []byte) {
+	f := s.files[file]
+	if f == nil {
+		return
+	}
+	bm := f.byKey[string(key)]
+	if bm == nil {
+		return
+	}
+	bm.replicas = slices.DeleteFunc(bm.replicas, func(r replicaLoc) bool { return r.node == node })
+	if len(bm.replicas) > 0 {
+		return
+	}
+	f.remove(bm)
+	s.stats.Blocks--
+	s.stats.RawBytes -= int64(bm.rawLen)
+	s.stats.StoredBytes -= int64(bm.payloadLen)
 }
 
 func (s *Store) handle(node int, file string, create bool) *writeHandle {
@@ -355,23 +404,68 @@ func (s *Store) putEntry(file string, key []byte, flags uint64, arity, recCount,
 		return fmt.Errorf("blockstore: store closed")
 	}
 	enc := appendEntry(nil, key, flags, arity, recCount, rawLen, payload)
-	replicas := s.placeReplicas()
-	for _, node := range replicas {
-		h, err := s.openHandle(node, file)
-		if err != nil {
+	e := entry{key: key, flags: flags, arity: arity, recCount: recCount,
+		rawLen: rawLen, payload: payload, crc: crcOf(enc)}
+	for _, node := range s.placeReplicas() {
+		if err := s.appendLocked(node, file, e, enc); err != nil {
 			return err
 		}
-		off := h.off
-		if _, err := h.bw.Write(enc); err != nil {
-			return err
-		}
-		h.off += int64(len(enc))
-		h.dirty = true
-		e := entry{key: key, flags: flags, arity: arity, recCount: recCount,
-			rawLen: rawLen, payload: payload, crc: crcOf(enc)}
-		s.register(node, file, e, off, int64(len(enc)))
 	}
 	return nil
+}
+
+// appendLocked appends one encoded entry to a node's segment and
+// registers it in the index. Caller holds s.mu.
+func (s *Store) appendLocked(node int, file string, e entry, enc []byte) error {
+	h, err := s.openHandle(node, file)
+	if err != nil {
+		return err
+	}
+	off := h.off
+	if _, err := h.bw.Write(enc); err != nil {
+		return err
+	}
+	h.off += int64(len(enc))
+	h.dirty = true
+	s.register(node, file, e, off, int64(len(enc)))
+	return nil
+}
+
+// deleteRaw removes (file, key) from the index: it appends a tombstone to
+// the segment of every node holding one of the key's replicas, so that
+// recovery drops each replica as well. A key the index does not hold is
+// left alone. The disk space stays used until compaction.
+func (s *Store) deleteRaw(file string, key []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("blockstore: store closed")
+	}
+	f := s.files[file]
+	if f == nil {
+		return nil
+	}
+	bm := f.byKey[string(key)]
+	if bm == nil {
+		return nil
+	}
+	nodes := make([]int, len(bm.replicas))
+	for i, r := range bm.replicas {
+		nodes[i] = r.node
+	}
+	for _, node := range nodes {
+		if err := s.tombstoneLocked(node, file, key); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tombstoneLocked appends a tombstone for key to one node's segment and
+// drops that node's replica from the index. Caller holds s.mu.
+func (s *Store) tombstoneLocked(node int, file string, key []byte) error {
+	enc := appendEntry(nil, key, flagTombstone, 0, 0, 0, nil)
+	return s.appendLocked(node, file, entry{key: key, flags: flagTombstone, crc: crcOf(enc)}, enc)
 }
 
 func crcOf(enc []byte) uint32 {
@@ -638,10 +732,9 @@ func (s *Store) List() []string {
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.files))
 	for n := range s.files {
-		if n == MetaFile || n == CacheFile {
-			continue
+		if !internalFile(n) {
+			out = append(out, n)
 		}
-		out = append(out, n)
 	}
 	sort.Strings(out)
 	return out
@@ -721,6 +814,18 @@ func (s *Store) DatasetTag(file string) string {
 	return "store:" + file
 }
 
+// dropLegacyCache removes legacyCacheFile's segments, if the store holds
+// any entry of it.
+func (s *Store) dropLegacyCache() error {
+	s.mu.RLock()
+	_, ok := s.files[legacyCacheFile]
+	s.mu.RUnlock()
+	if !ok {
+		return nil
+	}
+	return s.deleteLocked(legacyCacheFile)
+}
+
 func (s *Store) deleteLocked(file string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -787,7 +892,7 @@ func (s *Store) Stats() Stats {
 	st := s.stats
 	st.Files = 0
 	for n := range s.files {
-		if n != MetaFile && n != CacheFile {
+		if !internalFile(n) {
 			st.Files++
 		}
 	}
@@ -856,7 +961,7 @@ type Writer struct {
 // new ones continue after them (same arity required). schemaDigest, if
 // non-empty, is recorded in store metadata on Close.
 func (s *Store) NewWriter(file string, arity int, schemaDigest string) (*Writer, error) {
-	if file == "" || file == MetaFile || file == CacheFile {
+	if file == "" || internalFile(file) {
 		return nil, fmt.Errorf("blockstore: invalid data file name %q", file)
 	}
 	if arity <= 0 {

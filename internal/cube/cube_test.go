@@ -149,6 +149,30 @@ func TestMakeGrainAndFormat(t *testing.T) {
 	}
 }
 
+// TestFormatRegion pins the rendering of a region — ALL attributes
+// omitted, an all-ALL grain as [ALL] — and AppendRegion to append exactly
+// FormatRegion's string after whatever dst already holds.
+func TestFormatRegion(t *testing.T) {
+	s := testSchema(t)
+	g, err := s.MakeGrain(GrainSpec{"a1", "low"}, GrainSpec{"t1", "hour"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Region{Grain: g, Coord: []int64{17, 0, 0, 0, 301, 0}}
+	if got, want := s.FormatRegion(r), "[a1=17@low, t1=301@hour]"; got != want {
+		t.Errorf("FormatRegion = %q, want %q", got, want)
+	}
+	all := Region{Grain: s.GrainAll(), Coord: make([]int64, s.NumAttrs())}
+	if got := s.FormatRegion(all); got != "[ALL]" {
+		t.Errorf("ALL region = %q", got)
+	}
+	for _, reg := range []Region{r, all} {
+		if got := string(s.AppendRegion([]byte("x:"), reg)); got != "x:"+s.FormatRegion(reg) {
+			t.Errorf("AppendRegion = %q", got)
+		}
+	}
+}
+
 func TestGeneralizationAndLCA(t *testing.T) {
 	s := testSchema(t)
 	fineG := s.MustGrain(GrainSpec{"a1", "value"}, GrainSpec{"t1", "minute"})

@@ -3,7 +3,7 @@ package cube
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Region is a hyper-rectangle of cube space: a grain plus one coordinate
@@ -122,16 +122,30 @@ func (r Region) Key() string { return EncodeCoords(r.Coord) }
 
 // FormatRegion renders a region in a readable [attr=coord@level, ...]
 // form, omitting ALL attributes.
-func (s *Schema) FormatRegion(r Region) string {
-	var parts []string
+func (s *Schema) FormatRegion(r Region) string { return string(s.AppendRegion(nil, r)) }
+
+// AppendRegion appends FormatRegion's rendering of r to dst and returns
+// the extended slice: the allocation-free form for per-row printing.
+func (s *Schema) AppendRegion(dst []byte, r Region) []byte {
+	dst = append(dst, '[')
+	first := true
 	for i, li := range r.Grain {
-		if li == s.attrs[i].AllIndex() {
+		a := s.attrs[i]
+		if li == a.AllIndex() {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s=%d@%s", s.attrs[i].Name(), r.Coord[i], s.attrs[i].Level(li).Name))
+		if !first {
+			dst = append(dst, ", "...)
+		}
+		first = false
+		dst = append(dst, a.Name()...)
+		dst = append(dst, '=')
+		dst = strconv.AppendInt(dst, r.Coord[i], 10)
+		dst = append(dst, '@')
+		dst = append(dst, a.Level(li).Name...)
 	}
-	if len(parts) == 0 {
-		return "[ALL]"
+	if first {
+		dst = append(dst, "ALL"...)
 	}
-	return "[" + strings.Join(parts, ", ") + "]"
+	return append(dst, ']')
 }

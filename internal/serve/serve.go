@@ -14,6 +14,16 @@
 //
 // The tenant is taken from the X-Casm-Tenant header (or ?tenant=), with
 // unidentified requests pooled under "default".
+//
+// A result row is the object
+//
+//	{"measure":"m","region":"[a1=3@low, t1=7@hour]","coords":[3,0,0,0,7,0],"value":1.5}
+//
+// ("type":"row" first on a stream line). Values are JSON numbers in
+// encoding/json's float format, except that a non-finite value — +Inf or
+// -Inf, which SCALE by a literal beyond float64's range produces — is the
+// JSON string "+Inf" or "-Inf" (and NaN, which no measure produces, would
+// be "NaN"), so neither response kind ever drops a row it counts.
 package serve
 
 import (
@@ -23,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -169,26 +180,23 @@ func planInfoOf(ds *core.Dataset, h core.ResultHeader) planInfo {
 	}
 }
 
-// rowOut is one wire result row.
-type rowOut struct {
-	Measure string  `json:"measure"`
-	Region  string  `json:"region"`
-	Coords  []int64 `json:"coords"`
-	Value   float64 `json:"value"`
+// queryResponse is the unary /query result up to its rows: the body is
+// this object with two more members, "measures" — each measure's name
+// mapped to its rows, in name order — and "truncated":true when a row
+// list was cut at ?limit=.
+type queryResponse struct {
+	Dataset string   `json:"dataset"`
+	Tenant  string   `json:"tenant"`
+	Plan    planInfo `json:"plan"`
+	QueueMS float64  `json:"queue_ms"`
+	WallMS  float64  `json:"wall_ms"`
+	Rows    int64    `json:"rows"`
 }
 
-// queryResponse is the unary /query result.
-type queryResponse struct {
-	Dataset  string              `json:"dataset"`
-	Tenant   string              `json:"tenant"`
-	Plan     planInfo            `json:"plan"`
-	QueueMS  float64             `json:"queue_ms"`
-	WallMS   float64             `json:"wall_ms"`
-	Rows     int64               `json:"rows"`
-	Measures map[string][]rowOut `json:"measures"`
-	// Truncated reports measures whose row lists were cut at ?limit=.
-	Truncated bool `json:"truncated,omitempty"`
-}
+// writeChunk is how many response bytes accumulate before a unary
+// response is handed to the connection, so a large result is written in
+// pieces instead of being held whole.
+const writeChunk = 32 << 10
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	dataset, err := s.datasetOf(r)
@@ -230,40 +238,74 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp := queryResponse{
-		Dataset:  dataset,
-		Tenant:   tenant,
-		Plan:     planInfoOf(ds, res.ResultHeader),
-		QueueMS:  float64(tm.Queue.Microseconds()) / 1e3,
-		WallMS:   float64(tm.Wall.Microseconds()) / 1e3,
-		Rows:     res.TotalRecords(),
-		Measures: make(map[string][]rowOut, len(res.Measures)),
+	names := make([]string, 0, len(res.Measures))
+	for name := range res.Measures {
+		names = append(names, name)
 	}
-	for name, ms := range res.Measures {
-		n := len(ms)
-		if limit >= 0 && n > limit {
-			n = limit
-			resp.Truncated = true
+	sort.Strings(names)
+	buf := appendLine(make([]byte, 0, writeChunk+4<<10), queryResponse{
+		Dataset: dataset,
+		Tenant:  tenant,
+		Plan:    planInfoOf(ds, res.ResultHeader),
+		QueueMS: float64(tm.Queue.Microseconds()) / 1e3,
+		WallMS:  float64(tm.Wall.Microseconds()) / 1e3,
+		Rows:    res.TotalRecords(),
+	})
+	// Reopen the object: drop its closing brace and newline.
+	buf = append(buf[:len(buf)-2], `,"measures":{`...)
+	enc := newRowEncoder(ds.Schema, false)
+	truncated := false
+	w.Header().Set("Content-Type", "application/json")
+	for i, name := range names {
+		if i > 0 {
+			buf = append(buf, ',')
 		}
-		rows := make([]rowOut, n)
-		for i := 0; i < n; i++ {
-			rows[i] = rowOut{
-				Measure: name,
-				Region:  ds.Schema.FormatRegion(ms[i].Region),
-				Coords:  ms[i].Region.Coord,
-				Value:   ms[i].Value,
+		buf = append(buf, '"')
+		buf = appendEscaped(buf, name)
+		buf = append(buf, `":[`...)
+		ms := res.Measures[name]
+		if limit >= 0 && len(ms) > limit {
+			ms = ms[:limit]
+			truncated = true
+		}
+		for j := range ms {
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = enc.appendRow(buf, name, ms[j].Region, ms[j].Value)
+			if len(buf) >= writeChunk {
+				if _, err := w.Write(buf); err != nil {
+					return // the client is gone
+				}
+				buf = buf[:0]
 			}
 		}
-		resp.Measures[name] = rows
+		buf = append(buf, ']')
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	buf = append(buf, '}')
+	if truncated {
+		buf = append(buf, `,"truncated":true`...)
+	}
+	w.Write(append(buf, "}\n"...))
+}
+
+// appendLine appends v's JSON encoding and a newline, as json.Encoder
+// writes it.
+func appendLine(dst []byte, v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		// Only a non-finite timing could fail, and none is.
+		panic(fmt.Sprintf("serve: encoding %T: %v", v, err))
+	}
+	dst = append(dst, b...)
+	return append(dst, '\n')
 }
 
 // streamQuery is the NDJSON mode: a plan header line, one line per result
 // row as the reducers emit it, and a terminal end (or error) line. Rows
-// flow while the job still runs; an early client disconnect cancels it
-// through the request context.
+// flow while the job still runs, written and flushed every
+// streamFlushRows rows; an early client disconnect cancels the job
+// through the request context, or on the first failed write.
 func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, tenant, dataset string, q *workflow.Workflow, limit int) {
 	ds, err := s.svc.Dataset(dataset)
 	if err != nil {
@@ -279,25 +321,33 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, tenant, dat
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	enc.Encode(struct {
+	var buf []byte
+	// send writes and flushes what buf holds; false means the client is
+	// gone.
+	send := func() bool {
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		if err == nil && flusher != nil {
+			flusher.Flush()
+		}
+		return err == nil
+	}
+	buf = appendLine(buf, struct {
 		Type string   `json:"type"`
 		Plan planInfo `json:"plan"`
 	}{"plan", planInfoOf(ds, st.ResultHeader)})
-	if flusher != nil {
-		flusher.Flush()
+	if !send() {
+		return
 	}
 
-	type streamRow struct {
-		Type string `json:"type"`
-		rowOut
-	}
+	enc := newRowEncoder(ds.Schema, true)
 	var rows int64
 	for limit < 0 || rows < int64(limit) {
 		row, ok, err := st.Next()
 		if err != nil {
-			enc.Encode(map[string]string{"type": "error", "error": err.Error()})
+			buf = appendLine(buf, map[string]string{"type": "error", "error": err.Error()})
+			send()
 			return
 		}
 		if !ok {
@@ -306,30 +356,24 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, tenant, dat
 		rows++
 		// Coords alias the stream's reused decode buffer; encoding here,
 		// before the next Next call, is what makes that safe.
-		enc.Encode(streamRow{"row", rowOut{
-			Measure: row.Measure,
-			Region:  ds.Schema.FormatRegion(row.Region),
-			Coords:  row.Region.Coord,
-			Value:   row.Value,
-		}})
-		if rows%streamFlushRows == 0 && flusher != nil {
-			flusher.Flush()
+		buf = enc.appendRow(buf, row.Measure, row.Region, row.Value)
+		if rows%streamFlushRows == 0 && !send() {
+			return
 		}
 	}
 	if err := st.Close(); err != nil {
-		enc.Encode(map[string]string{"type": "error", "error": err.Error()})
+		buf = appendLine(buf, map[string]string{"type": "error", "error": err.Error()})
+		send()
 		return
 	}
 	tm := st.Timing()
-	enc.Encode(struct {
+	buf = appendLine(buf, struct {
 		Type    string  `json:"type"`
 		Rows    int64   `json:"rows"`
 		QueueMS float64 `json:"queue_ms"`
 		WallMS  float64 `json:"wall_ms"`
 	}{"end", rows, float64(tm.Queue.Microseconds()) / 1e3, float64(tm.Wall.Microseconds()) / 1e3})
-	if flusher != nil {
-		flusher.Flush()
-	}
+	send()
 }
 
 // batchRequest is the /batch body: CQL texts evaluated as one
