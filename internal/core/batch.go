@@ -94,7 +94,7 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, ws []*workflow.Workfl
 			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
 		switch {
-		case e.cfg.Stage != StageFull || e.earlyFor(queries[i].ev):
+		case e.cfg.Stage != StageFull || e.earlyFor(queries[i]) != nil:
 			parts = append(parts, []int{i})
 		case shared < 0:
 			shared = len(parts)

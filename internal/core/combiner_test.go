@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"testing"
 
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/workflow"
@@ -42,6 +42,27 @@ func mergeableBasicsWorkflow(t *testing.T, su *workload.Suite) *workflow.Workflo
 	return w
 }
 
+// testBlocks is the block space a combiner test folds its ordinals in:
+// the regions of the first basic's grain.
+func testBlocks(tb testing.TB, s *cube.Schema, basics []*workflow.Measure) *distkey.BlockMapper {
+	tb.Helper()
+	bm, err := distkey.NewBlockMapper(s, distkey.FromGrain(basics[0].Grain), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bm
+}
+
+// newEarlyAggCombiner is a one-task plan's combiner over testBlocks.
+func newEarlyAggCombiner(tb testing.TB, s *cube.Schema, basics []*workflow.Measure, st *mr.MapTaskStats) *earlyAggCombiner {
+	tb.Helper()
+	plan := newEarlyAggPlan(s, basics)
+	if plan == nil {
+		tb.Fatal("the basics' regions do not fit in 64 bits")
+	}
+	return plan.newCombiner(testBlocks(tb, s, basics), st)
+}
+
 // TestStreamingCombinerMatchesBufferedMerge is the early-aggregation
 // equivalence property: for every distributive and algebraic measure,
 // folding records one at a time into the streaming combiner — including
@@ -58,7 +79,7 @@ func TestStreamingCombinerMatchesBufferedMerge(t *testing.T) {
 	// Streaming path: combiner Add per record, flush every 251 records so
 	// groups ship as multiple partials, then reduce-side MergeState.
 	var st mr.MapTaskStats
-	comb := newEarlyAggCombiner(su.Schema, basics, &st)
+	comb := newEarlyAggCombiner(t, su.Schema, basics, &st)
 	type merged struct {
 		coords []int64
 		agg    measure.Aggregator
@@ -81,7 +102,7 @@ func TestStreamingCombinerMatchesBufferedMerge(t *testing.T) {
 		return g.agg.MergeState(state)
 	}
 	for i, rec := range records {
-		if err := comb.Add([]byte("block"), rec); err != nil {
+		if err := comb.Add(0, rec); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%251 == 0 {
@@ -149,7 +170,9 @@ func TestStreamingCombinerMatchesBufferedMerge(t *testing.T) {
 // TestCombinerFlushDeterministic checks that two combiners fed the same
 // stream flush byte-identical sequences: blocks in ascending key order,
 // partials in (basic, region) order — the shuffle byte stream must not
-// depend on map iteration order.
+// depend on map iteration order. The block ordinals are chosen so that
+// ascending ordinals are not ascending key bytes (varints of 200 and 400
+// in the hour coordinate sort the other way round).
 func TestCombinerFlushDeterministic(t *testing.T) {
 	su := workload.NewSuite()
 	w := mergeableBasicsWorkflow(t, su)
@@ -158,9 +181,9 @@ func TestCombinerFlushDeterministic(t *testing.T) {
 
 	flushed := func() ([]string, [][]byte) {
 		var st mr.MapTaskStats
-		comb := newEarlyAggCombiner(su.Schema, basics, &st)
+		comb := newEarlyAggCombiner(t, su.Schema, basics, &st)
 		for i, rec := range records {
-			if err := comb.Add([]byte(fmt.Sprintf("block-%d", i%5)), rec); err != nil {
+			if err := comb.Add(uint64(i%5)*200, rec); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,11 +5,12 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"hash/maphash"
+	"math/rand/v2"
 	"slices"
 	"sync"
 
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
@@ -22,9 +23,10 @@ import (
 // partial states and ship those instead of the records. The states live in
 // one flat table per task — after Leis et al.'s thread-local
 // pre-aggregation: an open-addressing index over fixed-width states in a
-// slab, keys in one byte arena, a switch on the aggregate kind instead of
-// an interface call — and a record is probed once per distinct basic
-// grain, not once per basic measure.
+// slab, integer keys, a switch on the aggregate kind instead of an
+// interface call — and a record is probed once per distinct basic grain,
+// not once per basic measure. Blocks and regions stay ordinals of their
+// mixed-radix spaces (distkey.BlockMapper) until the flush ships them.
 
 // partialTag prefixes early-aggregation payloads.
 const partialTag = 1
@@ -62,7 +64,6 @@ func splitPartial(b []byte) (int, []byte, []byte, error) {
 // earlyAggPlan is what the combiners of one job share: the basic measures
 // grouped by grain, and the tables its finished flushes left behind.
 type earlyAggPlan struct {
-	s      *cube.Schema
 	arity  int
 	grains []aggGrain
 	// byBasic locates basic measure i — its grain and its state's position
@@ -74,10 +75,19 @@ type earlyAggPlan struct {
 }
 
 // aggGrain is one distinct grain among the basics. Basics at one grain see
-// the same region for every record, so they share one table entry.
+// the same region for every record, so they share one table entry. Its
+// regions are the blocks of the grain's unannotated key: space numbers
+// them, and live weighs the attributes the grain does not roll up to ALL.
 type aggGrain struct {
-	grain  cube.Grain
+	space  *distkey.BlockMapper
+	live   []aggAttr
 	basics []aggBasic
+}
+
+type aggAttr struct {
+	attr     *cube.Attribute
+	a, level int
+	stride   uint64
 }
 
 type aggBasicAt struct{ grain, pos int }
@@ -88,18 +98,34 @@ type aggBasic struct {
 	input int // schema attribute aggregated, -1 for COUNT over records
 }
 
+// newEarlyAggPlan groups the basics by grain. It returns nil when some
+// grain has more regions than 64 bits number: a job with such a basic
+// ships its records.
 func newEarlyAggPlan(s *cube.Schema, basics []*workflow.Measure) *earlyAggPlan {
-	p := &earlyAggPlan{s: s, arity: s.NumAttrs(), byBasic: make([]aggBasicAt, len(basics))}
+	p := &earlyAggPlan{arity: s.NumAttrs(), byBasic: make([]aggBasicAt, len(basics))}
 	for i, b := range basics {
 		kind, ok := b.Agg.FlatKind()
 		if !ok {
 			// earlyFor admits a workflow only when every basic is mergeable.
 			panic(fmt.Sprintf("core: holistic measure %q reached the combiner", b.Name))
 		}
-		gi := slices.IndexFunc(p.grains, func(g aggGrain) bool { return g.grain.Equal(b.Grain) })
+		gi := slices.IndexFunc(p.grains, func(g aggGrain) bool { return g.space.Key().Grain.Equal(b.Grain) })
 		if gi < 0 {
+			space, err := distkey.NewBlockMapper(s, distkey.FromGrain(b.Grain), 1)
+			if err != nil {
+				return nil
+			}
+			if _, fits := space.NumBlocks(); !fits {
+				return nil
+			}
+			g := aggGrain{space: space}
+			for a, level := range b.Grain {
+				if level != s.Attr(a).AllIndex() {
+					g.live = append(g.live, aggAttr{attr: s.Attr(a), a: a, level: level, stride: space.Stride(a)})
+				}
+			}
 			gi = len(p.grains)
-			p.grains = append(p.grains, aggGrain{grain: b.Grain})
+			p.grains = append(p.grains, g)
 		}
 		g := &p.grains[gi]
 		p.byBasic[i] = aggBasicAt{grain: gi, pos: len(g.basics)}
@@ -108,14 +134,9 @@ func newEarlyAggPlan(s *cube.Schema, basics []*workflow.Measure) *earlyAggPlan {
 	return p
 }
 
-// newCombiner returns the combiner of one map task.
-func (p *earlyAggPlan) newCombiner(st *mr.MapTaskStats) *earlyAggCombiner {
-	return &earlyAggCombiner{plan: p, st: st}
-}
-
-// newEarlyAggCombiner is a one-task plan's combiner.
-func newEarlyAggCombiner(s *cube.Schema, basics []*workflow.Measure, st *mr.MapTaskStats) *earlyAggCombiner {
-	return newEarlyAggPlan(s, basics).newCombiner(st)
+// newCombiner returns the combiner of one map task; bm numbers its blocks.
+func (p *earlyAggPlan) newCombiner(bm *distkey.BlockMapper, st *mr.MapTaskStats) *earlyAggCombiner {
+	return &earlyAggCombiner{plan: p, blocks: bm, st: st}
 }
 
 func (p *earlyAggPlan) getTable() *aggTable {
@@ -126,11 +147,7 @@ func (p *earlyAggPlan) getTable() *aggTable {
 		p.free = p.free[:n-1]
 		return t
 	}
-	return &aggTable{
-		index:  make([]uint32, aggMinIndex),
-		bindex: make([]uint32, aggMinIndex),
-		coord:  make([]int64, p.arity),
-	}
+	return &aggTable{index: make([]uint32, aggMinIndex), bindex: make([]uint32, aggMinIndex)}
 }
 
 func (p *earlyAggPlan) putTable(t *aggTable) {
@@ -140,24 +157,25 @@ func (p *earlyAggPlan) putTable(t *aggTable) {
 }
 
 // earlyAggCombiner is one map task's streaming early-aggregation combiner
-// (mr.Combiner). It holds a table only between its first fold and the
-// flush that follows: a flush hands the emptied table, buffers and all,
-// back to the plan, where the job's next map task — or this one, after a
-// LocalAggBudget spill — picks it up.
+// (mr.Combiner), keyed by block ordinal. It holds a table only between its
+// first fold and the flush that follows: a flush hands the emptied table,
+// buffers and all, back to the plan, where the job's next map task — or
+// this one, after a LocalAggBudget spill — picks it up.
 type earlyAggCombiner struct {
-	plan *earlyAggPlan
-	st   *mr.MapTaskStats
-	t    *aggTable
+	plan   *earlyAggPlan
+	blocks *distkey.BlockMapper
+	st     *mr.MapTaskStats
+	t      *aggTable
 }
 
 // aggTable is the flat table: two open-addressed indexes (linear probing,
 // load ≤ ½, ordinal + 1 per cell) over two arrays. A block is a distinct
-// block key, interned on the first entry that needs it, so an entry names
-// its block by ordinal and the flush ranks blocks once instead of comparing
-// their bytes in every sort step. An entry is a (block, grain, region): its
-// key bytes in keys are the region in AppendCoords form — what the flush
-// sorts by and ships — and its states, one per basic of its grain, are
-// slab[slot:slot+len(grain.basics)].
+// block ordinal, so an entry names its block by position and the flush
+// ranks blocks once instead of comparing their bytes in every sort step.
+// An entry is a (block, grain, region ordinal); its states, one per basic
+// of its grain, are slab[slot:slot+len(grain.basics)]. The flush decodes
+// each block's key and each entry's region, in AppendCoords form, into
+// keys: what it sorts by and ships.
 type aggTable struct {
 	index   []uint32
 	entries []aggEntry
@@ -166,25 +184,20 @@ type aggTable struct {
 	keys    []byte
 	slab    []measure.FlatState
 
-	// Per-fold scratch and the flush's orderings, recycled with the rest.
-	coord  []int64
-	key    []byte
+	// The flush's orderings, recycled with the rest.
 	border []uint32
 	order  []aggSortKey
 }
 
 type aggEntry struct {
-	hash   uint64
-	off, n uint32 // region bytes in keys
-	blk    uint32
-	grain  uint32
-	slot   uint32
+	region           uint64
+	blk, grain, slot uint32
+	off, n           uint32 // region bytes in keys; set by the flush
 }
 
 type aggBlock struct {
-	hash   uint64
-	off, n uint32 // block key bytes in keys
-	rank   uint32 // position among the table's blocks in key order; set by the flush
+	ord          uint64
+	off, n, rank uint32 // key bytes in keys, position among the table's blocks in key order; set by the flush
 }
 
 // aggSortKey orders one entry in the flush without touching the table:
@@ -200,7 +213,19 @@ const aggMinIndex = 1 << 10
 
 // aggSeed keys the table's hashes. Probe order depends on it; nothing
 // observable does — the flush sorts.
-var aggSeed = maphash.MakeSeed()
+var aggSeed = rand.Uint64()
+
+// aggHash mixes a seeded integer key (murmur3's 64-bit finalizer).
+func aggHash(x uint64) uint64 {
+	x ^= aggSeed
+	x = (x ^ x>>33) * 0xff51afd7ed558ccd
+	x = (x ^ x>>33) * 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+func entryHash(blk, grain uint32, region uint64) uint64 {
+	return aggHash(region ^ uint64(blk)<<40 ^ uint64(grain)<<32)
+}
 
 func (t *aggTable) region(e *aggEntry) []byte { return t.keys[e.off : e.off+e.n] }
 func (t *aggTable) block(blk uint32) []byte {
@@ -208,55 +233,46 @@ func (t *aggTable) block(blk uint32) []byte {
 	return t.keys[b.off : b.off+b.n]
 }
 
-// slotFor returns the first state of the entry for key — the block key
-// (blen bytes) followed by the encoded region — at the grain, creating
-// the entry, with that many zeroed states, if the table has none.
-func (t *aggTable) slotFor(key []byte, blen, grain, states int) (slot uint32, found bool) {
-	h := maphash.Bytes(aggSeed, key) ^ uint64(grain)*0x9E3779B97F4A7C15
+// slotFor returns the first state of the entry (blk, grain, region),
+// creating it, with that many zeroed states, if the table has none.
+func (t *aggTable) slotFor(blk, grain uint32, region uint64, states int) (slot uint32, found bool) {
 	mask := uint64(len(t.index) - 1)
-	i := h & mask
+	i := entryHash(blk, grain, region) & mask
 	for ; t.index[i] != 0; i = (i + 1) & mask {
-		e := &t.entries[t.index[i]-1]
-		if e.hash == h && e.grain == uint32(grain) &&
-			bytes.Equal(t.region(e), key[blen:]) && bytes.Equal(t.block(e.blk), key[:blen]) {
+		if e := &t.entries[t.index[i]-1]; e.region == region && e.blk == blk && e.grain == grain {
 			return e.slot, true
 		}
 	}
-	blk := t.blockFor(key[:blen]) // may append to keys: before the region's offset is taken
 	slot = uint32(len(t.slab))
-	t.entries = append(t.entries, aggEntry{hash: h, off: uint32(len(t.keys)), n: uint32(len(key) - blen),
-		blk: blk, grain: uint32(grain), slot: slot})
-	t.keys = append(t.keys, key[blen:]...)
+	t.entries = append(t.entries, aggEntry{region: region, blk: blk, grain: grain, slot: slot})
 	for k := 0; k < states; k++ {
 		t.slab = append(t.slab, measure.FlatState{})
 	}
 	t.index[i] = uint32(len(t.entries))
 	if 2*len(t.entries) > len(t.index) {
 		t.index = make([]uint32, 2*len(t.index))
-		for n := range t.entries {
-			seat(t.index, t.entries[n].hash, n)
+		for n, e := range t.entries {
+			seat(t.index, entryHash(e.blk, e.grain, e.region), n)
 		}
 	}
 	return slot, false
 }
 
-// blockFor interns a block key.
-func (t *aggTable) blockFor(key []byte) uint32 {
-	h := maphash.Bytes(aggSeed, key)
+// blockFor returns the position of block ordinal ord, adding it if new.
+func (t *aggTable) blockFor(ord uint64) uint32 {
 	mask := uint64(len(t.bindex) - 1)
-	i := h & mask
+	i := aggHash(ord) & mask
 	for ; t.bindex[i] != 0; i = (i + 1) & mask {
-		if blk := t.bindex[i] - 1; t.blocks[blk].hash == h && bytes.Equal(t.block(blk), key) {
+		if blk := t.bindex[i] - 1; t.blocks[blk].ord == ord {
 			return blk
 		}
 	}
-	t.blocks = append(t.blocks, aggBlock{hash: h, off: uint32(len(t.keys)), n: uint32(len(key))})
-	t.keys = append(t.keys, key...)
+	t.blocks = append(t.blocks, aggBlock{ord: ord})
 	t.bindex[i] = uint32(len(t.blocks))
 	if 2*len(t.blocks) > len(t.bindex) {
 		t.bindex = make([]uint32, 2*len(t.bindex))
 		for n := range t.blocks {
-			seat(t.bindex, t.blocks[n].hash, n)
+			seat(t.bindex, aggHash(t.blocks[n].ord), n)
 		}
 	}
 	return uint32(len(t.blocks) - 1)
@@ -285,18 +301,22 @@ func (c *earlyAggCombiner) table() *aggTable {
 	return c.t
 }
 
-// Add folds one record into the block's partial states: one probe per
-// distinct basic grain, one switch per basic measure.
-func (c *earlyAggCombiner) Add(blockKey []byte, rec []int64) error {
+// Add folds one record into the partial states of the block with ordinal
+// block: one probe per distinct basic grain, at the region ordinal summed
+// straight from the record, and one switch per basic measure.
+func (c *earlyAggCombiner) Add(block uint64, rec []int64) error {
 	p, t := c.plan, c.table()
 	if len(rec) != p.arity {
 		return fmt.Errorf("core: record of arity %d, schema has %d attributes", len(rec), p.arity)
 	}
+	blk := t.blockFor(block)
 	for gi := range p.grains {
 		g := &p.grains[gi]
-		p.s.CoordOf(rec, g.grain, t.coord)
-		t.key = cube.AppendCoords(append(t.key[:0], blockKey...), t.coord)
-		slot, found := t.slotFor(t.key, len(blockKey), gi, len(g.basics))
+		var region uint64
+		for _, x := range g.live {
+			region += uint64(x.attr.Roll(rec[x.a], x.level)) * x.stride
+		}
+		slot, found := t.slotFor(blk, uint32(gi), region, len(g.basics))
 		if found {
 			c.st.CombineMerges += int64(len(g.basics))
 		}
@@ -339,9 +359,14 @@ func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
 	}()
 	p := c.plan
 
-	// Rank the blocks by key bytes, then sort the entries on integers.
+	// Decode each block's key once, rank the blocks by it, then decode
+	// each entry's region and sort the entries on integers.
 	t.border = t.border[:0]
 	for blk := range t.blocks {
+		b := &t.blocks[blk]
+		b.off = uint32(len(t.keys))
+		t.keys = c.blocks.AppendBlockKey(t.keys, b.ord)
+		b.n = uint32(len(t.keys)) - b.off
 		t.border = append(t.border, uint32(blk))
 	}
 	slices.SortFunc(t.border, func(a, b uint32) int { return bytes.Compare(t.block(a), t.block(b)) })
@@ -352,6 +377,9 @@ func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
 	size := 0
 	for n := range t.entries {
 		e := &t.entries[n]
+		e.off = uint32(len(t.keys))
+		t.keys = p.grains[e.grain].space.AppendBlockKey(t.keys, e.region)
+		e.n = uint32(len(t.keys)) - e.off
 		region := t.region(e)
 		var prefix [8]byte
 		copy(prefix[:], region)

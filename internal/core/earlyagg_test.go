@@ -12,6 +12,7 @@ import (
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/workflow"
@@ -297,7 +298,7 @@ func TestFlatStateWireBytes(t *testing.T) {
 	for name, inputs := range cases {
 		t.Run(name, func(t *testing.T) {
 			var st mr.MapTaskStats
-			comb := newEarlyAggCombiner(su.Schema, basics, &st)
+			comb := newEarlyAggCombiner(t, su.Schema, basics, &st)
 			rec := make(cube.Record, su.Schema.NumAttrs())
 			aggs := make([]measure.Aggregator, len(basics))
 			for i, b := range basics {
@@ -312,7 +313,7 @@ func TestFlatStateWireBytes(t *testing.T) {
 						aggs[i].Add(0)
 					}
 				}
-				if err := comb.Add([]byte("b"), rec); err != nil {
+				if err := comb.Add(0, rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -359,8 +360,7 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 			return nil
 		}
 		for i, rec := range records[task*perTask : (task+1)*perTask] {
-			block := []byte{byte('a' + rec[0]%3)}
-			if err := comb.Add(block, rec); err != nil {
+			if err := comb.Add(uint64(rec[0]%3)*300, rec); err != nil {
 				return nil, err
 			}
 			if (i+1)%97 == 0 {
@@ -376,12 +376,12 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 	for task := range want {
 		var st mr.MapTaskStats
 		var err error
-		if want[task], err = runTask(newEarlyAggCombiner(su.Schema, basics, &st), task); err != nil {
+		if want[task], err = runTask(newEarlyAggCombiner(t, su.Schema, basics, &st), task); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	plan := newEarlyAggPlan(su.Schema, basics)
+	plan, bm := newEarlyAggPlan(su.Schema, basics), testBlocks(t, su.Schema, basics)
 	got := make([][]byte, tasks)
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -391,7 +391,7 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for task := range next {
 				var st mr.MapTaskStats
-				out, err := runTask(plan.newCombiner(&st), task)
+				out, err := runTask(plan.newCombiner(bm, &st), task)
 				if err != nil {
 					t.Error(err)
 				}
@@ -461,8 +461,8 @@ func oneBlockDS1(tb testing.TB, n int) (run func()) {
 // pipeline, measured the way mr's TestEmitShuffleGroupAllocs measures the
 // shuffle: whole-job allocations over one block at two sizes, the
 // difference divided by the extra records. What a job and a task cost
-// once cancels out (plan, pipe, executor groups, the task's block-key
-// intern cache: logged); what is left is what a record costs, and that is
+// once cancels out (plan, pipe, executor groups, the task's key-gen
+// session: logged); what is left is what a record costs, and that is
 // zero — four times the records may only add the few doublings of a
 // fresh table's arrays.
 func TestEarlyAggMapBlockAllocs(t *testing.T) {
@@ -480,6 +480,52 @@ func TestEarlyAggMapBlockAllocs(t *testing.T) {
 	}
 	if extra := allocsBig - allocsSmall; extra > 64 {
 		t.Errorf("%d more records cost %.0f more allocations, want a constant handful", big-small, extra)
+	}
+}
+
+// TestEarlyAggFoldAllocatesNothing is the fold's own ceiling, without a
+// job around it: a table recycled by a flush folds a block's rows again
+// — key-gen to block ordinals, region ordinals summed from the row, the
+// probes and the states — with no allocation at all, for DS0's and DS1's
+// keys (overlapping or not) and one basic of every mergeable kind.
+func TestEarlyAggFoldAllocatesNothing(t *testing.T) {
+	su := workload.NewSuite()
+	records := su.Generate(4096, workload.Uniform, 9)
+	for name, w := range earlyAggWorkflows(t, su) {
+		t.Run(name, func(t *testing.T) {
+			key, _, err := distkey.Derive(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bm, err := distkey.NewBlockMapper(su.Schema, key, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st mr.MapTaskStats
+			plan := newEarlyAggPlan(su.Schema, w.Basics())
+			comb, ss := plan.newCombiner(bm, &st), bm.NewSession()
+			fold := func() {
+				for _, rec := range records {
+					for _, block := range ss.BlockOrdinals(rec) {
+						if err := comb.Add(block, rec); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			fold()
+			if err := comb.Flush(func(k, v []byte) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			// Each run folds into the recycled table, then empties it as a
+			// flush does, without the flush's output buffer.
+			if n := testing.AllocsPerRun(5, func() { fold(); comb.t.reset() }); n != 0 {
+				t.Errorf("folding %d rows allocated %.0f times, want 0", len(records), n)
+			}
+			if st.CombineMerges == 0 {
+				t.Error("no fold merged into an entry")
+			}
+		})
 	}
 }
 

@@ -222,7 +222,26 @@ func TestEngineMatchesNaiveOracle(t *testing.T) {
 	for seed := 0; seed < seeds; seed++ {
 		workflows[fmt.Sprintf("random%d", seed)] = randomWorkflow(t, su.Schema, rand.New(rand.NewSource(int64(500+seed))))
 	}
-	matchNaiveOracle(t, su.Schema, su.Generate(1200, workload.SkewedTime, 17), workflows)
+	// A basic at the finest grain of all six attributes has ≈ 1.28·10²²
+	// regions, past what 64 bits number: the job must ship its records
+	// instead of combining, and still answer right.
+	wide := workflow.New(su.Schema)
+	a1High := su.Schema.MustGrain(cube.GrainSpec{Attr: "a1", Level: "high"})
+	for _, err := range []error{
+		wide.AddBasic("n", su.Schema.GrainFinest(), measure.Spec{Func: measure.Count}, ""),
+		wide.AddBasic("s", a1High, measure.Spec{Func: measure.Sum}, "a2"),
+		wide.AddRollup("byA1", a1High, measure.Spec{Func: measure.Sum}, "n"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	workflows["wide"] = wide
+	records := su.Generate(1200, workload.SkewedTime, 17)
+	if res := runEngine(t, Config{NumReducers: 3, EarlyAggregation: EarlyAggAuto}, wide, MemoryDataset(su.Schema, records, 5)); res.EarlyAggregated {
+		t.Error("a basic with regions past 64 bits combined")
+	}
+	matchNaiveOracle(t, su.Schema, records, workflows)
 
 	mapped, records, ws := mappedOracleCase(t, seeds/2)
 	matchNaiveOracle(t, mapped, records, ws)

@@ -112,9 +112,9 @@ func wellFormed(w *workflow.Workflow, b []byte) (int, string, measure.Aggregator
 func FuzzCollectPartials(f *testing.F) {
 	w := partialsWorkflow(f)
 	s, basics := w.Schema(), w.Basics()
-	comb := newEarlyAggCombiner(s, basics, &mr.MapTaskStats{})
+	comb := newEarlyAggCombiner(f, s, basics, &mr.MapTaskStats{})
 	for i := int64(0); i < 40; i++ {
-		if err := comb.Add([]byte{7}, []int64{i % 8, i * 5 % 64}); err != nil {
+		if err := comb.Add(7, []int64{i % 8, i * 5 % 64}); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -195,11 +195,15 @@ func (o PlanOutcome) header(early bool) ResultHeader {
 	}
 }
 
-// earlyFor decides map-side early aggregation for a workflow: on iff the
-// engine asks for it and every measure can be derived from mergeable
-// partial states.
-func (e *Engine) earlyFor(ev *localeval.Evaluator) bool {
-	return e.cfg.EarlyAggregation == EarlyAggAuto && ev.SupportsEarlyAggregation() == nil
+// earlyFor returns a query's combining plan — the engine asks for one, every
+// measure derives from mergeable partial states, and every basic grain's
+// regions fit in 64 bits (so do the blocks of a key generalizing them) —
+// or nil: the job ships records.
+func (e *Engine) earlyFor(q *jobQuery) *earlyAggPlan {
+	if e.cfg.EarlyAggregation != EarlyAggAuto || q.ev.SupportsEarlyAggregation() != nil {
+		return nil
+	}
+	return newEarlyAggPlan(q.w.Schema(), q.w.Basics())
 }
 
 // jobQuery is one query of an evaluation job.
@@ -294,12 +298,12 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	}
 	groups := js.groups
 
-	var basics []*workflow.Measure
+	var plan *earlyAggPlan
 	if !tagged {
 		q := queries[0]
-		js.early = e.earlyFor(q.ev)
+		plan = e.earlyFor(q)
+		js.early = plan != nil
 		js.reuse = e.newResultReuse(q.w, ds, q.outcome.Plan)
-		basics = q.w.Basics()
 	}
 	early, ru := js.early, js.reuse
 	combined := e.cfg.SortMode == CombinedKeySort && !early
@@ -358,17 +362,16 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	}
 
 	if early {
-		plan := newEarlyAggPlan(s, basics)
-		job.Config.NewCombiner = func(st *mr.MapTaskStats) mr.Combiner { return plan.newCombiner(st) }
+		job.Config.NewCombiner = func(st *mr.MapTaskStats) mr.Combiner { return plan.newCombiner(groups[0].bm, st) }
 	}
 
 	// The map function: block keys for the record under every geometry
 	// group, then one pair per group and block — this loop is the shared
-	// scan and the shared shuffle. A combining job (one query, one group,
-	// bare block keys) folds the record straight into the combiner table
-	// and ships partial states, never the record; every other job encodes
-	// the read columns once into the task arena and ships that value under
-	// every key, so fan-out costs keys, not copies.
+	// scan and the shared shuffle. A combining job (one query, one group)
+	// folds the record straight into the combiner table under each block's
+	// ordinal and ships partial states, never the record; every other job
+	// encodes the read columns once into the task arena and ships that
+	// value under every key, so fan-out costs keys, not copies.
 	job.Map = func(ctx *mr.MapCtx, rec []int64) error {
 		// A value outside its attribute's domain would index past a mapped
 		// hierarchy's tables, or evaluate regions no schema level has.
@@ -376,18 +379,17 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			return err
 		}
 		ml := ctx.Local.(*mapLocal)
-		var value []byte
-		if !early {
-			value = ml.arena.record(rec, cols)
+		if early {
+			for _, block := range ml.dks[0].BlockOrdinals(rec) {
+				if err := ctx.EmitRow(block, rec); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
+		value := ml.arena.record(rec, cols)
 		for gi, g := range groups {
 			for _, block := range ml.dks[gi].Blocks(rec) {
-				if early {
-					if err := ctx.EmitRow(block, rec); err != nil {
-						return err
-					}
-					continue
-				}
 				key := block // interned: allocated once per distinct block per task
 				switch {
 				case combined:

@@ -82,9 +82,9 @@ func BenchmarkBlocksFor(b *testing.B) {
 	}
 }
 
-// BenchmarkBlocksForPerCall measures the allocating convenience form (a
-// fresh Session per record), the shape this package's session refactor
-// replaced — kept as the comparison baseline.
+// BenchmarkBlocksForPerCall measures a fresh Session per record, the
+// shape this package's session refactor replaced — kept as the
+// comparison baseline.
 func BenchmarkBlocksForPerCall(b *testing.B) {
 	s := blockSchema(b)
 	for _, c := range blocksForCases {
@@ -96,7 +96,7 @@ func BenchmarkBlocksForPerCall(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, rec := range records {
-					bm.BlocksFor(rec, func(string) { emitted++ })
+					emitted += len(bm.NewSession().Blocks(rec))
 				}
 			}
 			b.ReportMetric(float64(emitted)/float64(b.N*len(records)), "pairs/record")

@@ -2,7 +2,10 @@ package distkey
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/casm-project/casm/internal/cube"
 )
@@ -11,9 +14,10 @@ import (
 // clustering factor — into the mapper- and reducer-side key logic of
 // Sections III-B.2 and III-C:
 //
-//   - BlocksFor enumerates the distribution blocks a raw record must be
-//     dispatched to (one block normally; several when overlapping
-//     distribution duplicates the record into neighbouring blocks);
+//   - Session.Blocks enumerates the distribution blocks a raw record must
+//     be dispatched to (one block normally; several when overlapping
+//     distribution duplicates the record into neighbouring blocks), and
+//     Session.BlockOrdinals the same blocks as integers;
 //   - Owner identifies the unique block allowed to output a given result
 //     region, implementing the reducer-side filter that removes duplicated
 //     and incorrect results ("we only output a measure record in the
@@ -25,18 +29,21 @@ import (
 // to block coordinate t div cf, so "regions with neighboring time values
 // will be assigned with the same key value".
 //
-// The paper's implementation (and its optimizer) restricts execution to a
-// single annotated attribute; this mapper generalizes to several, taking
-// the cross product of per-attribute block ranges, with the same
-// clustering factor applied to every annotated attribute. The optimizer
-// still emits single-annotated plans, but forced multi-annotated keys
-// execute correctly.
+// The paper restricts execution to a single annotated attribute; this
+// mapper takes the cross product of per-attribute block ranges, with one
+// clustering factor for every annotated attribute, so forced
+// multi-annotated keys execute correctly too.
 type BlockMapper struct {
 	schema   *cube.Schema
 	key      Key
 	cf       int64
 	annAttrs []int   // annotated attribute indices (possibly empty)
 	annCards []int64 // key-level cardinality per annotated attribute
+	// A block's ordinal weighs each block coordinate by its attribute's
+	// stride (mixed radix, last attribute fastest); strides is nil when
+	// the blocks, numBlocks of them, do not fit in 64 bits.
+	strides   []uint64
+	numBlocks uint64
 }
 
 // NewBlockMapper validates the plan and returns a mapper. cf must be ≥ 1
@@ -59,6 +66,18 @@ func NewBlockMapper(s *cube.Schema, key Key, cf int64) (*BlockMapper, error) {
 	if len(bm.annAttrs) == 0 && cf != 1 {
 		return nil, fmt.Errorf("distkey: clustering factor %d needs an annotated attribute", cf)
 	}
+	bm.strides, bm.numBlocks = make([]uint64, len(key.Grain)), 1
+	for i := len(key.Grain) - 1; i >= 0 && bm.strides != nil; i-- {
+		radix := uint64(s.Attr(i).CardAt(key.Grain[i]))
+		if slices.Contains(bm.annAttrs, i) {
+			radix = (radix + uint64(cf) - 1) / uint64(cf)
+		}
+		var carry uint64
+		bm.strides[i] = bm.numBlocks
+		if carry, bm.numBlocks = bits.Mul64(bm.numBlocks, radix); carry != 0 {
+			bm.strides = nil
+		}
+	}
 	return bm, nil
 }
 
@@ -68,20 +87,23 @@ func (bm *BlockMapper) Key() Key { return bm.key }
 // ClusteringFactor returns the plan's clustering factor.
 func (bm *BlockMapper) ClusteringFactor() int64 { return bm.cf }
 
-// NumBlocks returns the total number of distribution blocks the plan
-// produces (the paper's n_G/cf for single-annotated overlapping keys).
-func (bm *BlockMapper) NumBlocks() int64 {
-	n := int64(1)
-	ann := 0
-	for i, li := range bm.key.Grain {
-		card := bm.schema.Attr(i).CardAt(li)
-		if ann < len(bm.annAttrs) && bm.annAttrs[ann] == i {
-			card = (card + bm.cf - 1) / bm.cf
-			ann++
-		}
-		n *= card
+// NumBlocks returns the number of distribution blocks the plan produces
+// (the paper's n_G/cf for single-annotated overlapping keys), and false
+// when it does not fit in 64 bits: such a plan's blocks have no ordinals.
+func (bm *BlockMapper) NumBlocks() (uint64, bool) { return bm.numBlocks, bm.strides != nil }
+
+// Stride is attribute x's weight in a block ordinal: the ordinal is the
+// sum of each block coordinate times its attribute's stride.
+func (bm *BlockMapper) Stride(x int) uint64 { return bm.strides[x] }
+
+// AppendBlockKey appends to dst the key Session.Blocks returns for the
+// block Session.BlockOrdinals numbers ord.
+func (bm *BlockMapper) AppendBlockKey(dst []byte, ord uint64) []byte {
+	for _, w := range bm.strides {
+		dst = binary.AppendUvarint(dst, ord/w)
+		ord %= w
 	}
-	return n
+	return dst
 }
 
 // ReplicationFactor estimates how many blocks an average record is copied
@@ -105,21 +127,6 @@ func (bm *BlockMapper) blockCoord(src, dst []int64) {
 	}
 }
 
-// BlocksFor calls emit with the block key of every distribution block
-// record rec must be dispatched to. The first emitted block is always the
-// record's home block (the one whose key is "generated without being
-// adjusted with a delta value"); overlapping plans may emit further
-// neighbouring blocks.
-//
-// This convenience form allocates scratch per call; hot loops should hold
-// a Session and use Session.Blocks instead.
-func (bm *BlockMapper) BlocksFor(rec cube.Record, emit func(blockKey string)) {
-	ss := bm.NewSession()
-	for _, k := range ss.Blocks(rec) {
-		emit(string(k))
-	}
-}
-
 // Owner returns the block key of the unique block allowed to output a
 // measure record whose region is r. The region's grain must be at least
 // as fine as the key's grain on every attribute (guaranteed for feasible
@@ -129,42 +136,31 @@ func (bm *BlockMapper) Owner(r cube.Region) string {
 	return string(bm.NewSession().owner(r))
 }
 
-// HomeBlock returns the block key of rec's home block (no delta
-// adjustment), used by the non-overlapping fast path and by tests.
-// Allocating form of Session.HomeBlock.
-func (bm *BlockMapper) HomeBlock(rec cube.Record) string {
-	return string(bm.NewSession().HomeBlock(rec))
-}
-
-// maxInterned bounds a session's intern cache. A mapper task normally
-// touches far fewer distinct blocks than this; the bound only guards
-// pathological plans (huge block counts with adversarial record order)
-// from growing the cache without limit. On overflow the cache is reset
-// wholesale — correctness is unaffected, later keys just re-allocate.
+// maxInterned bounds a session's intern cache against pathological plans
+// (huge block counts in adversarial record order). On overflow the cache
+// is reset wholesale: later keys just re-allocate.
 const maxInterned = 1 << 17
 
 // Session is the per-task scratch state for one BlockMapper user: the
-// coordinate/block buffers that BlocksFor, Owner and HomeBlock would
-// otherwise allocate per call, plus an intern cache of arena-backed
-// block-key byte slices. Records arrive clustered in practice, so a
-// last-block fast path and a small map keyed by the encoded block
-// coordinates turn the per-record key encoding into a cache hit; a miss
-// copies the key into the session's arena exactly once.
+// coordinate and block buffers, plus an intern cache of arena-backed
+// block keys. Records arrive clustered in practice, so a last-block fast
+// path and a map keyed by the encoded block coordinates make the
+// per-record key encoding a cache hit; a miss copies the key into the
+// arena exactly once.
 //
-// Interning contract: the returned key slices are SHARED across calls
-// (and with every other consumer of the same session) — callers must
-// treat them as immutable and must never assume a fresh allocation. The
-// arena is chunked and chunks are never reallocated or reused, so every
-// key the session has ever returned stays valid (and byte-stable) for
-// the session's lifetime — shuffle batches may retain them for the whole
-// job. A Session is single-goroutine; the BlockMapper itself stays
-// read-only and may be shared by any number of sessions.
+// Interning contract: returned key slices are SHARED across calls and
+// must be treated as immutable. Arena chunks are never reallocated or
+// reused, so every key the session returned stays valid and byte-stable
+// for its lifetime: shuffle batches may retain them for the whole job. A
+// Session is single-goroutine; the BlockMapper is read-only and may be
+// shared by any number of sessions.
 type Session struct {
 	bm *BlockMapper
 
 	coord, block []int64
 	los, his     []int64
 	keys         [][]byte // reused Blocks output slice
+	ords         []uint64 // reused BlockOrdinals output slice
 	enc          []byte   // reused block-coord encode buffer
 	lastKey      []byte   // intern fast path: key of the last encoded block
 	interned     map[string][]byte
@@ -190,35 +186,23 @@ func (bm *BlockMapper) NewSession() *Session {
 	}
 }
 
-// Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax:
-// a session interning a handful of keys (short-lived per-task sessions
-// dominate numerically) costs hundreds of bytes instead of a fixed
-// 64KiB, while a key-dense session still converges to one make per 64KiB
-// of distinct key bytes.
+// Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax: a
+// session interning a handful of keys costs hundreds of bytes, a
+// key-dense one converges to one make per 64KiB of distinct key bytes.
 const (
 	arenaChunkMin = 256
 	arenaChunkMax = 1 << 16
 )
 
 // arenaCopy copies b into the session arena and returns the stable copy.
-// A full chunk is abandoned (kept alive by the keys pointing into it)
-// and a fresh one started — chunks never grow in place, so handed-out
-// key slices can never be moved or logically extended.
+// A full chunk is abandoned, kept alive by the keys into it: chunks never
+// grow in place, so handed-out keys never move.
 func (ss *Session) arenaCopy(b []byte) []byte {
 	if cap(ss.arena)-len(ss.arena) < len(b) {
 		size := ss.arenaNext
-		if size < arenaChunkMin {
-			size = arenaChunkMin
-		}
-		if next := size * 2; next <= arenaChunkMax {
-			ss.arenaNext = next
-		} else {
-			ss.arenaNext = arenaChunkMax
-		}
-		if len(b) > size {
-			size = len(b)
-		}
-		ss.arena = make([]byte, 0, size)
+		size = max(size, arenaChunkMin)
+		ss.arenaNext = min(size*2, arenaChunkMax)
+		ss.arena = make([]byte, 0, max(size, len(b)))
 	}
 	start := len(ss.arena)
 	ss.arena = append(ss.arena, b...)
@@ -251,25 +235,37 @@ func (ss *Session) intern() []byte {
 }
 
 // Blocks returns the block keys record rec must be dispatched to, home
-// block first (the semantics of BlockMapper.BlocksFor). The returned
-// outer slice is reused by the next Blocks call; the key byte slices are
-// interned in the session arena and stay valid for the session's
-// lifetime.
+// block first: the one whose key is "generated without being adjusted
+// with a delta value"; overlapping plans add neighbouring blocks. The
+// returned outer slice is reused by the next Blocks call; the key byte
+// slices are interned in the session arena and stay valid for the
+// session's lifetime.
 func (ss *Session) Blocks(rec cube.Record) [][]byte {
+	ss.walk(rec, false)
+	return ss.keys
+}
+
+// BlockOrdinals returns the ordinals of Blocks(rec), in its order; the
+// slice is reused by the next call. It panics when NumBlocks does not fit.
+func (ss *Session) BlockOrdinals(rec cube.Record) []uint64 {
+	ss.walk(rec, true)
+	return ss.ords
+}
+
+// walk fills ss.keys, or with ords ss.ords, with rec's blocks.
+func (ss *Session) walk(rec cube.Record, ords bool) {
 	bm := ss.bm
 	bm.schema.CoordOf(rec, bm.key.Grain, ss.coord)
 	bm.blockCoord(ss.coord, ss.block)
-	home := ss.intern()
-	ss.keys = append(ss.keys[:0], home)
+	ss.keys, ss.ords = ss.keys[:0], ss.ords[:0]
+	ss.add(ords)
 	if len(bm.annAttrs) == 0 {
-		return ss.keys
+		return
 	}
 	// Per annotated attribute X with annotation (Low, High): the record
 	// at key coordinate t is input to output regions at key coordinates
-	// c with t ∈ [c+Low, c+High], i.e. c ∈ [t−High, t−Low]; the blocks
-	// covering those outputs form the per-attribute range below. The
-	// record goes to the cross product of the ranges, skipping the home
-	// block (already emitted).
+	// c ∈ [t−High, t−Low], and goes to the cross product of the blocks
+	// covering those ranges.
 	for i, x := range bm.annAttrs {
 		ann := bm.key.Anns[x]
 		t := ss.coord[x]
@@ -283,22 +279,17 @@ func (ss *Session) Blocks(rec cube.Record) [][]byte {
 		if lo > hi {
 			// No valid output coordinate along this attribute: the record
 			// contributes to nothing beyond its home block.
-			return ss.keys
+			return
 		}
 		ss.los[i], ss.his[i] = floorDiv(lo, bm.cf), floorDiv(hi, bm.cf)
 	}
-	// Odometer walk over the cross product of the per-attribute ranges
-	// (last annotated attribute varies fastest, matching the recursive
-	// enumeration this replaces), skipping the home block.
+	// Odometer walk over the cross product of the per-attribute ranges,
+	// last annotated attribute fastest.
 	for i, x := range bm.annAttrs {
 		ss.block[x] = ss.los[i]
 	}
 	for {
-		// Interned keys are canonical, so pointer identity (&k[0] ==
-		// &home[0]) would suffice; bytes.Equal is as cheap and clearer.
-		if k := ss.intern(); !bytes.Equal(k, home) {
-			ss.keys = append(ss.keys, k)
-		}
+		ss.add(ords)
 		i := len(bm.annAttrs) - 1
 		for ; i >= 0; i-- {
 			x := bm.annAttrs[i]
@@ -309,8 +300,24 @@ func (ss *Session) Blocks(rec cube.Record) [][]byte {
 			ss.block[x] = ss.los[i]
 		}
 		if i < 0 {
-			return ss.keys
+			return
 		}
+	}
+}
+
+// add appends the block in ss.block to the walk's output unless it is
+// the home block, which the walk adds first.
+func (ss *Session) add(ords bool) {
+	if ords {
+		var o uint64
+		for i, w := range ss.bm.strides[:len(ss.block)] {
+			o += uint64(ss.block[i]) * w
+		}
+		if len(ss.ords) == 0 || o != ss.ords[0] {
+			ss.ords = append(ss.ords, o)
+		}
+	} else if k := ss.intern(); len(ss.keys) == 0 || !bytes.Equal(k, ss.keys[0]) {
+		ss.keys = append(ss.keys, k)
 	}
 }
 
@@ -331,12 +338,4 @@ func (ss *Session) owner(r cube.Region) []byte {
 	bm.blockCoord(ss.coord, ss.block)
 	ss.enc = cube.AppendCoords(ss.enc[:0], ss.block)
 	return ss.enc
-}
-
-// HomeBlock is the allocation-free form of BlockMapper.HomeBlock.
-func (ss *Session) HomeBlock(rec cube.Record) []byte {
-	bm := ss.bm
-	bm.schema.CoordOf(rec, bm.key.Grain, ss.coord)
-	bm.blockCoord(ss.coord, ss.block)
-	return ss.intern()
 }

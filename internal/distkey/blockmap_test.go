@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/workload"
 )
 
 func blockSchema(t testing.TB) *cube.Schema {
@@ -60,27 +61,24 @@ func TestNonOverlappingSingleBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
+	ss := bm.NewSession()
 	for i := 0; i < 200; i++ {
 		rec := cube.Record{rng.Int63n(100), rng.Int63n(4 * 86400)}
-		var blocks []string
-		bm.BlocksFor(rec, func(b string) { blocks = append(blocks, b) })
+		blocks := ss.Blocks(rec)
 		if len(blocks) != 1 {
 			t.Fatalf("non-overlapping emitted %d blocks", len(blocks))
 		}
-		if blocks[0] != bm.HomeBlock(rec) {
-			t.Fatal("first block is not home block")
-		}
 		// Ownership of the record's own fine region must be the home block.
 		r := s.RegionOf(rec, s.GrainFinest())
-		if bm.Owner(r) != blocks[0] {
+		if bm.Owner(r) != string(blocks[0]) {
 			t.Fatal("owner of record's region differs from home block")
 		}
 	}
 	if bm.ReplicationFactor() != 1 {
 		t.Errorf("replication = %v", bm.ReplicationFactor())
 	}
-	if got := bm.NumBlocks(); got != 10*4 {
-		t.Errorf("NumBlocks = %d, want 40", got)
+	if got, ok := bm.NumBlocks(); !ok || got != 10*4 {
+		t.Errorf("NumBlocks = %d, %v, want 40", got, ok)
 	}
 }
 
@@ -116,19 +114,14 @@ func TestOverlapCoverageProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		card := at.CardAt(hour)
+		ss := bm.NewSession()
 		for trial := 0; trial < 30; trial++ {
 			rec := cube.Record{rng.Int63n(100), rng.Int63n(at.Card())}
-			emitted := map[string]bool{}
-			bm.BlocksFor(rec, func(b string) {
-				if emitted[b] {
-					t.Fatalf("duplicate block emitted")
-				}
-				emitted[b] = true
-			})
+			emitted := emittedBlocks(t, ss, s, rec, key)
 			tc := at.Roll(rec[ti], hour)
 			want := map[string]bool{}
 			// Home block always wanted.
-			want[bm.HomeBlock(rec)] = true
+			want[bm.Owner(s.RegionOf(rec, key.Grain))] = true
 			for c := tc - high; c <= tc-low; c++ {
 				if c < 0 || c >= card {
 					continue
@@ -163,10 +156,11 @@ func TestClusteringReducesDuplication(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(3))
+		ss := bm.NewSession()
 		total := 0
 		for i := 0; i < 2000; i++ {
 			rec := cube.Record{0, rng.Int63n(s.Attr(ti).Card())}
-			bm.BlocksFor(rec, func(string) { total++ })
+			total += len(ss.Blocks(rec))
 		}
 		return total
 	}
@@ -197,8 +191,8 @@ func TestNumBlocksWithClustering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 keyword groups x ceil(4 days / 3) = 10 x 2 = 20.
-	if got := bm.NumBlocks(); got != 20 {
-		t.Errorf("NumBlocks = %d, want 20", got)
+	if got, ok := bm.NumBlocks(); !ok || got != 20 {
+		t.Errorf("NumBlocks = %d, %v, want 20", got, ok)
 	}
 }
 
@@ -261,18 +255,13 @@ func TestMultiAnnotationCoverageProperty(t *testing.T) {
 		}
 		vCard := s.Attr(vi).CardAt(key.Grain[vi])
 		tCard := s.Attr(ti).CardAt(hour)
+		ss := bm.NewSession()
 		for trial := 0; trial < 80; trial++ {
 			rec := cube.Record{rng.Int63n(60), rng.Int63n(86400)}
-			emitted := map[string]bool{}
-			bm.BlocksFor(rec, func(b string) {
-				if emitted[b] {
-					t.Fatalf("duplicate block emitted")
-				}
-				emitted[b] = true
-			})
+			emitted := emittedBlocks(t, ss, s, rec, key)
 			vc := s.Attr(vi).Roll(rec[vi], key.Grain[vi])
 			tc := s.Attr(ti).Roll(rec[ti], hour)
-			want := map[string]bool{bm.HomeBlock(rec): true}
+			want := map[string]bool{bm.Owner(s.RegionOf(rec, key.Grain)): true}
 			for cv := vc - 1; cv <= vc+1; cv++ {
 				if cv < 0 || cv >= vCard {
 					continue
@@ -298,14 +287,33 @@ func TestMultiAnnotationCoverageProperty(t *testing.T) {
 	}
 	// NumBlocks: ceil(10/cf) bands x ceil(24/cf) hours.
 	bm, _ := NewBlockMapper(s, key, 4)
-	if got := bm.NumBlocks(); got != 3*6 {
-		t.Errorf("NumBlocks = %d, want 18", got)
+	if got, ok := bm.NumBlocks(); !ok || got != 3*6 {
+		t.Errorf("NumBlocks = %d, %v, want 18", got, ok)
 	}
+}
+
+// emittedBlocks is the set of ss.Blocks(rec), which must hold no block
+// twice and start with the home block: the one owning rec's region at the
+// key's grain.
+func emittedBlocks(t *testing.T, ss *Session, s *cube.Schema, rec cube.Record, key Key) map[string]bool {
+	t.Helper()
+	emitted := map[string]bool{}
+	blocks := ss.Blocks(rec)
+	for _, b := range blocks {
+		if emitted[string(b)] {
+			t.Fatalf("duplicate block emitted")
+		}
+		emitted[string(b)] = true
+	}
+	if home := ss.bm.Owner(s.RegionOf(rec, key.Grain)); string(blocks[0]) != home {
+		t.Fatalf("first block %q is not the home block %q", blocks[0], home)
+	}
+	return emitted
 }
 
 // TestSessionMatchesPerCall pins the session refactor: a single Session
 // reused across a whole record stream must produce exactly the key
-// sequences of the allocating per-call forms, for plain, single- and
+// sequences of a fresh session per record, for plain, single- and
 // multi-annotated keys, clustered or not — the intern cache and scratch
 // reuse must never leak state between calls.
 func TestSessionMatchesPerCall(t *testing.T) {
@@ -334,23 +342,18 @@ func TestSessionMatchesPerCall(t *testing.T) {
 			var interns int64
 			for i := 0; i < 500; i++ {
 				rec := cube.Record{rng.Int63n(100), rng.Int63n(4 * 86400)}
-				var want []string
-				bm.BlocksFor(rec, func(b string) { want = append(want, b) })
+				want := bm.NewSession().Blocks(rec)
 				got := ss.Blocks(rec)
 				if len(got) != len(want) {
 					t.Fatalf("record %d: session emitted %d blocks, per-call %d", i, len(got), len(want))
 				}
 				for j := range got {
-					if string(got[j]) != want[j] {
+					if string(got[j]) != string(want[j]) {
 						t.Fatalf("record %d block %d: session %q, per-call %q", i, j, got[j], want[j])
 					}
 					distinct[string(got[j])] = true
 				}
 				interns += int64(len(got))
-				if h, w := string(ss.HomeBlock(rec)), bm.HomeBlock(rec); h != w {
-					t.Fatalf("record %d: session home %q, per-call %q", i, h, w)
-				}
-				interns++
 				r := s.RegionOf(rec, key.Grain)
 				if owner := []byte(bm.Owner(r)); !ss.Owns(r, owner) || ss.Owns(r, append(owner, 0)) {
 					t.Fatalf("record %d: the session disowns owner %q or owns a longer key", i, owner)
@@ -395,12 +398,120 @@ func TestSessionKeysStayValid(t *testing.T) {
 		saved[i] = append([][]byte(nil), ss.Blocks(recs[i])...)
 	}
 	for i, rec := range recs {
-		var want []string
-		bm.BlocksFor(rec, func(b string) { want = append(want, b) })
+		want := bm.NewSession().Blocks(rec)
 		for j := range want {
-			if string(saved[i][j]) != want[j] {
+			if string(saved[i][j]) != string(want[j]) {
 				t.Fatalf("record %d block %d changed after later session use", i, j)
 			}
 		}
 	}
+}
+
+// TestBlockOrdinalsMatchBlocks: BlockOrdinals numbers the blocks Blocks
+// returns, in its order, and AppendBlockKey turns each ordinal back into
+// exactly Blocks' key, over plain and overlapping keys, a clustering
+// factor that does not divide the level's cardinality, and a forced key
+// annotated on two attributes. Ordinals stay below NumBlocks and name one
+// block each.
+func TestBlockOrdinalsMatchBlocks(t *testing.T) {
+	s := blockSchema(t)
+	multi := cube.MustSchema(
+		cube.MustAttribute("v", cube.Numeric, 60, cube.Level{Name: "value", Span: 1}, cube.Level{Name: "band", Span: 6}),
+		cube.TimeAttribute("t", 1),
+	)
+	keyOf := func(s *cube.Schema, specs []cube.GrainSpec, anns ...Ann) Key {
+		k := FromGrain(s.MustGrain(specs...))
+		copy(k.Anns, anns)
+		return k
+	}
+	groupHour := []cube.GrainSpec{{Attr: "k", Level: "group"}, {Attr: "t", Level: "hour"}}
+	cases := []struct {
+		name string
+		s    *cube.Schema
+		key  Key
+		cf   int64
+	}{
+		{"plain", s, keyOf(s, groupHour), 1},
+		{"plain_finest", s, FromGrain(s.GrainFinest()), 1},
+		{"overlap", s, keyOf(s, groupHour, Ann{}, Ann{Low: -5, High: 1}), 1},
+		{"overlap_cf7_of_96_hours", s, keyOf(s, groupHour, Ann{}, Ann{Low: -9, High: 0}), 7},
+		{"multi_annotated", multi, keyOf(multi, []cube.GrainSpec{{Attr: "v", Level: "band"}, {Attr: "t", Level: "hour"}},
+			Ann{Low: -1, High: 1}, Ann{Low: -3, High: 0}), 4},
+	}
+	rng := rand.New(rand.NewSource(8))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bm, err := NewBlockMapper(c.s, c.key, c.cf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, ok := bm.NumBlocks()
+			if !ok {
+				t.Fatal("block space does not fit")
+			}
+			byKey, byOrd := bm.NewSession(), bm.NewSession()
+			names := map[uint64]string{}
+			for i := 0; i < 2000; i++ {
+				rec := make(cube.Record, c.s.NumAttrs())
+				for a := range rec {
+					rec[a] = rng.Int63n(c.s.Attr(a).Card())
+				}
+				keys, ords := byKey.Blocks(rec), byOrd.BlockOrdinals(rec)
+				if len(keys) != len(ords) {
+					t.Fatalf("record %v: %d blocks, %d ordinals", rec, len(keys), len(ords))
+				}
+				for j, o := range ords {
+					if got := bm.AppendBlockKey(nil, o); string(got) != string(keys[j]) {
+						t.Fatalf("record %v block %d: ordinal %d decodes to %x, Blocks has %x", rec, j, o, got, keys[j])
+					}
+					if o >= n {
+						t.Fatalf("ordinal %d of %d blocks", o, n)
+					}
+					if prev, seen := names[o]; seen && prev != string(keys[j]) {
+						t.Fatalf("ordinal %d names %x and %x", o, prev, keys[j])
+					}
+					names[o] = string(keys[j])
+				}
+				if home := bm.Owner(c.s.RegionOf(rec, c.key.Grain)); string(keys[0]) != home {
+					t.Fatalf("record %v: first block %x, home %x", rec, keys[0], home)
+				}
+			}
+			if c.key.IsOverlapping() && len(names) < 2 {
+				t.Fatalf("only %d distinct blocks", len(names))
+			}
+		})
+	}
+}
+
+// TestNumBlocksOverflow pins the 64-bit fit: the finest key over the
+// benchmark suite's six attributes has 256⁴ · (20·86 400)² ≈ 1.28·10²²
+// blocks, which NumBlocks reports as not fitting (an unchecked product
+// wraps to 4 216 495 151 125 626 880), and BlockOrdinals refuses such a
+// plan; dropping one time attribute leaves 256⁴ · 1 728 000 blocks, which
+// fit exactly.
+func TestNumBlocksOverflow(t *testing.T) {
+	s := workload.NewSuite().Schema
+	wide, err := NewBlockMapper(s, FromGrain(s.GrainFinest()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := wide.NumBlocks(); ok {
+		t.Fatalf("NumBlocks = %d, fits; want an overflow", n)
+	}
+	t2, _ := s.AttrIndex("t2")
+	narrow := FromGrain(s.GrainFinest())
+	narrow.Grain[t2] = s.Attr(t2).AllIndex()
+	bm, err := NewBlockMapper(s, narrow, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := bm.NumBlocks(); !ok || n != 1<<32*1_728_000 {
+		t.Errorf("NumBlocks = %d, %v, want %d", n, ok, uint64(1<<32*1_728_000))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("BlockOrdinals over an overflowing block space did not panic")
+		}
+	}()
+	wide.NewSession().BlockOrdinals(make(cube.Record, s.NumAttrs()))
 }

@@ -2,8 +2,9 @@ package mr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -11,35 +12,35 @@ import (
 )
 
 // countCombiner is the tests' Combiner: the rows folded under each key
-// counted, flushed as decimal counts in ascending key order as the
-// interface requires.
+// counted, flushed as decimal counts under the key's eight big-endian
+// bytes, so ascending keys are ascending bytes as the interface requires.
 type countCombiner struct {
 	st   *MapTaskStats
-	sums map[string]int
+	sums map[uint64]int
 }
 
 func newCountCombiner(st *MapTaskStats) Combiner {
-	return &countCombiner{st: st, sums: make(map[string]int)}
+	return &countCombiner{st: st, sums: make(map[uint64]int)}
 }
 
-func (c *countCombiner) Add(key []byte, row []int64) error {
-	if _, ok := c.sums[string(key)]; ok {
+func (c *countCombiner) Add(key uint64, row []int64) error {
+	if _, ok := c.sums[key]; ok {
 		c.st.CombineMerges++
 	}
-	c.sums[string(key)]++
+	c.sums[key]++
 	return nil
 }
 
 func (c *countCombiner) Len() int { return len(c.sums) }
 
 func (c *countCombiner) Flush(emit func(key, value []byte) error) error {
-	keys := make([]string, 0, len(c.sums))
+	keys := make([]uint64, 0, len(c.sums))
 	for k := range c.sums {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		if err := emit([]byte(k), []byte(strconv.Itoa(c.sums[k]))); err != nil {
+		if err := emit(binary.BigEndian.AppendUint64(nil, k), []byte(strconv.Itoa(c.sums[k]))); err != nil {
 			return err
 		}
 	}
@@ -159,7 +160,7 @@ func indexInput(n, splits int) Input {
 func TestEmitRowNeedsCombiner(t *testing.T) {
 	_, err := Run(Job{
 		Input:  NewMemoryInput([]int64{7}, 1, 1),
-		Map:    func(ctx *MapCtx, row []int64) error { return ctx.EmitRow(one, row) },
+		Map:    func(ctx *MapCtx, row []int64) error { return ctx.EmitRow(1, row) },
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error { return values.Drain() },
 		Config: Config{NumReducers: 1},
 	})

@@ -375,7 +375,7 @@ func TestStoreAndMemoryInputsMapAlike(t *testing.T) {
 		res, err := Run(Job{
 			Input: in,
 			Map: func(ctx *MapCtx, row []int64) error {
-				return ctx.EmitRow(strconv.AppendInt([]byte("k"), row[0], 10), row)
+				return ctx.EmitRow(uint64(row[0]), row)
 			},
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 				sum := 0

@@ -232,10 +232,10 @@ type MapCtx struct {
 }
 
 // EmitRow folds one record into the job's combiner (Config.NewCombiner)
-// under key. key and row only need to stay valid for the call: the
-// combiner copies the key on first sight and folds the row into its
-// partial state immediately.
-func (c *MapCtx) EmitRow(key []byte, row []int64) error { return c.p.combine(key, row) }
+// under key, an integer the combiner turns into bytes only when it
+// flushes. row only needs to stay valid for the call: the combiner folds
+// it into its partial state immediately.
+func (c *MapCtx) EmitRow(key uint64, row []int64) error { return c.p.combine(key, row) }
 
 // Emit sends one key/value pair into the shuffle, past any combiner.
 //
@@ -255,12 +255,12 @@ type MapFunc func(ctx *MapCtx, row []int64) error
 // partial states and emitting them on flush. Implementations are
 // single-goroutine.
 type Combiner interface {
-	// Add folds one record into the key's partial state. key and row are
-	// only valid during the call; the combiner must copy (or intern)
-	// whatever it retains.
-	Add(key []byte, row []int64) error
-	// Flush emits every buffered partial state in ascending key order
-	// (keeping shuffle send order deterministic) and resets the combiner.
+	// Add folds one record into the key's partial state. row is only
+	// valid during the call.
+	Add(key uint64, row []int64) error
+	// Flush emits every buffered partial state, each under its key's
+	// bytes, in ascending byte order of those keys (keeping shuffle send
+	// order deterministic), and resets the combiner.
 	// Emitted keys and values are handed off to the framework (see
 	// MapCtx.Emit's ownership rule: they must stay valid for the job's
 	// duration).

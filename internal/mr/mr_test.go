@@ -2,6 +2,7 @@ package mr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -20,7 +21,8 @@ var one = []byte("1")
 // is a row of word ids, one per word and 0 past its last, as wide as the
 // longest line; the map function emits each word's bytes from the job's
 // vocabulary, which outlives the job as Emit requires, or — with a
-// combiner — folds the row under the word. The input has four splits.
+// combiner — folds the row under the word's id, which the reducer turns
+// back into the word. The input has four splits.
 func wordCountJob(lines []string, cfg Config) Job { return wordCountSplits(lines, 4, cfg) }
 
 // wordCountSplits is wordCountJob over the given number of splits.
@@ -58,7 +60,7 @@ func wordCountSplits(lines []string, splits int, cfg Config) Job {
 				w := vocab[id-1]
 				var err error
 				if combine {
-					err = ctx.EmitRow(w, row)
+					err = ctx.EmitRow(uint64(id), row)
 				} else {
 					err = ctx.Emit(w, one)
 				}
@@ -83,6 +85,9 @@ func wordCountSplits(lines []string, splits int, cfg Config) Job {
 					return err
 				}
 				total += n
+			}
+			if combine {
+				key = vocab[binary.BigEndian.Uint64(key)-1]
 			}
 			ctx.Emit(key, []byte(strconv.Itoa(total)))
 			return nil

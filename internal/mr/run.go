@@ -573,7 +573,7 @@ func (p *mapPipeline) send(key, value []byte) error {
 // two-phase aggregation) and, once the table holds LocalAggBudget distinct
 // states, spills it — in Flush's sorted-key order — into the shuffle toward
 // the reducers' global grouping collectors (phase 2).
-func (p *mapPipeline) combine(key []byte, row []int64) error {
+func (p *mapPipeline) combine(key uint64, row []int64) error {
 	if p.comb == nil {
 		return fmt.Errorf("mr: EmitRow needs a combiner")
 	}
