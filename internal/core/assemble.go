@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/casm-project/casm/internal/cube"
@@ -18,36 +19,41 @@ import (
 // assembler builds Result.Measures from packed <coordinates, value> rows
 // (appendMeasureRecord) for every producer of a Result: the single-query
 // and shared-job drains, the manifest replay, the baseline, LoadResults.
-// Rows stay encoded while they arrive; finish sorts each measure by its
-// encoded coordinate bytes — the canonical order — and only then decodes,
-// in sorted order, into exact-size storage. The sort never re-encodes,
-// and nothing is allocated per record that the result does not keep.
+// add decodes each row as it arrives, into chunks that become the
+// result's coordinate storage; finish only orders the rows — the
+// canonical order is bytes.Compare of their encoded coordinates — and
+// fills each measure's records in that order.
 type assembler struct {
 	arity int
 	slots []*asmSlot
 }
 
-// asmSlot is one measure's rows on their way into one Result.
-type asmSlot struct {
-	dst map[string][]MeasureRecord
-	m   *workflow.Measure
-	// keys is the slot's arena of encoded coordinate keys, copied out of
-	// the payloads (whose buffers die with their batch); rows index it.
-	keys []byte
-	rows []asmRow
-	recs []MeasureRecord
-}
+// asmChunkRows is the rows per chunk of a slot's storage: 256 rows of up
+// to 8 coordinates fill a size class exactly, and a chunk is never regrown
+// once full-size.
+const asmChunkRows = 256
 
-// asmRow is one undecoded row: 16 bytes, against a 56-byte MeasureRecord.
-type asmRow struct {
-	off, n uint32 // the key's place in asmSlot.keys
-	v      float64
+// asmSlot is one measure's rows on their way into one Result. Row i's
+// coordinates are coords[i/asmChunkRows] at stride arity, its value
+// vals[i/asmChunkRows][i%asmChunkRows].
+type asmSlot struct {
+	dst    map[string][]MeasureRecord
+	m      *workflow.Measure
+	arity  int
+	n      int
+	coords [][]int64
+	vals   [][]float64
+	// Per attribute: the OR of its coordinates (whose uvarint length is the
+	// longest seen) and the OR of their XOR with row 0's (zero while the
+	// attribute has not varied).
+	or, diff []uint64
+	recs     []MeasureRecord
 }
 
 // slot registers a measure whose records finish stores in dst[m.Name]
 // (an empty slice when no row is added).
 func (a *assembler) slot(dst map[string][]MeasureRecord, m *workflow.Measure) *asmSlot {
-	s := &asmSlot{dst: dst, m: m}
+	s := &asmSlot{dst: dst, m: m, arity: a.arity, or: make([]uint64, a.arity), diff: make([]uint64, a.arity)}
 	a.slots = append(a.slots, s)
 	return s
 }
@@ -81,31 +87,69 @@ func (a *assembler) drain(pipe *mr.Pipe, resolve func(key []byte) (*asmSlot, err
 	}
 }
 
-// add appends one packed row without retaining it. Its key is validated
-// when finish decodes it.
+// add decodes one packed row into the slot without retaining payload.
 func (s *asmSlot) add(payload []byte) error {
 	key, v, err := splitMeasureRecord(payload)
 	if err != nil {
 		return err
 	}
-	if len(s.keys)+len(key) > math.MaxUint32 {
-		return fmt.Errorf("core: measure %q: more than 4 GiB of region keys", s.m.Name)
+	if s.n == math.MaxUint32 {
+		return fmt.Errorf("core: measure %q: more than %d rows", s.m.Name, uint32(math.MaxUint32))
 	}
-	s.rows = append(s.rows, asmRow{off: uint32(len(s.keys)), n: uint32(len(key)), v: v})
-	s.keys = append(s.keys, key...)
+	k, off := s.n/asmChunkRows, s.n%asmChunkRows
+	if k == len(s.vals) || off == len(s.vals[k]) {
+		s.grow(k)
+	}
+	a := s.arity
+	row := s.coords[k][off*a : off*a+a : off*a+a]
+	if err := cube.DecodeCoordsInto(key, row); err != nil {
+		return err
+	}
+	first, or, diff := s.coords[0][:a], s.or[:a], s.diff[:a]
+	for j, c := range row {
+		or[j] |= uint64(c)
+		diff[j] |= uint64(c ^ first[j])
+	}
+	s.vals[k][off] = v
+	s.n++
 	return nil
 }
 
-// finish sorts and decodes every slot and stores the records. Slots are
-// independent, so each is one pooled task of ex (the default executor
-// when nil): concurrent, and inside a shared executor's worker bound.
+// grow makes room in chunk k for the next row. Every chunk but the first
+// is allocated full-size and never regrown; the first grows from small,
+// so a slot of a few rows allocates little.
+func (s *asmSlot) grow(k int) {
+	rows := asmChunkRows
+	if k == 0 && len(s.vals) == 0 {
+		rows = 8
+	} else if k == 0 {
+		rows = min(2*len(s.vals[0]), asmChunkRows)
+	}
+	c, v := make([]int64, rows*s.arity), make([]float64, rows)
+	if k < len(s.vals) {
+		copy(c, s.coords[k])
+		copy(v, s.vals[k])
+		s.coords[k], s.vals[k] = c, v
+		return
+	}
+	s.coords, s.vals = append(s.coords, c), append(s.vals, v)
+}
+
+func (s *asmSlot) coord(i uint32) []int64 {
+	off := int(i%asmChunkRows) * s.arity
+	return s.coords[i/asmChunkRows][off : off+s.arity : off+s.arity]
+}
+
+// finish orders every slot and stores its records. Slots are independent,
+// so each is one pooled task of ex (the default executor when nil):
+// concurrent, and inside a shared executor's worker bound.
 func (a *assembler) finish(ctx context.Context, ex *exec.Executor) error {
 	if ex == nil {
 		ex = exec.Default()
 	}
 	g := ex.NewGroup(ctx, exec.Options{})
 	for _, s := range a.slots {
-		g.Go("", nil, func(context.Context) error { return s.build(a.arity) })
+		g.Go("", nil, func(context.Context) error { s.build(); return nil })
 	}
 	if err := g.Wait(); err != nil {
 		return err
@@ -116,25 +160,147 @@ func (a *assembler) finish(ctx context.Context, ex *exec.Executor) error {
 	return nil
 }
 
-// build sorts the slot's rows into canonical order and decodes them. A
-// measure holds each region once, so the order is total and independent
-// of the order rows arrived in.
-func (s *asmSlot) build(arity int) error {
-	keys := s.keys
-	slices.SortFunc(s.rows, func(a, b asmRow) int {
-		return bytes.Compare(keys[a.off:a.off+a.n], keys[b.off:b.off+b.n])
-	})
-	s.recs = make([]MeasureRecord, len(s.rows))
-	coords := make([]int64, len(s.rows)*arity)
-	for i, r := range s.rows {
-		c := coords[i*arity : (i+1)*arity : (i+1)*arity]
-		if err := cube.DecodeCoordsInto(keys[r.off:r.off+r.n], c); err != nil {
-			return err
-		}
-		s.recs[i] = MeasureRecord{Region: cube.Region{Grain: s.m.Grain, Coord: c}, Value: r.v}
+// build fills the slot's records in canonical order. A measure holds each
+// region once, so the order is total and independent of arrival order.
+//
+// Uvarints are prefix-free, so bytes.Compare of two encoded keys is decided
+// by the first attribute whose uvarints differ, and by the first byte in
+// which they differ; an attribute that never varies decides nothing. Each
+// row's varying attributes' uvarints, each left-aligned and zero-padded to
+// the attribute's longest, therefore concatenate into a key whose integer
+// order is the canonical one. The rows are radix-sorted by as much of that
+// key as fits one word beside the row's index — all of it at every suite
+// query's grain — and rows tied on it are then sorted comparing the rest
+// of their coordinates.
+func (s *asmSlot) build() {
+	fields, rowBits, keyBits, rest := s.layout()
+	words := s.sortPacked(fields, rowBits, keyBits)
+	if len(rest) > 0 {
+		s.sortTies(words, rowBits, rest)
 	}
-	s.keys, s.rows = nil, nil
-	return nil
+	s.recs = make([]MeasureRecord, s.n)
+	for i, w := range words {
+		r := uint32(w & (1<<rowBits - 1))
+		s.recs[i] = MeasureRecord{
+			Region: cube.Region{Grain: s.m.Grain, Coord: s.coord(r)},
+			Value:  s.vals[r/asmChunkRows][r%asmChunkRows],
+		}
+	}
+	s.vals = nil
+}
+
+// layout lays the slot's packed keys out: the fields of the varying
+// attributes a key holds whole, keyBits bits in all beside rowBits of row
+// index, and rest, the attributes from the first it does not hold.
+func (s *asmSlot) layout() (fields []asmField, rowBits, keyBits int, rest []int) {
+	rowBits = bits.Len(uint(s.n))
+	for j, d := range s.diff {
+		if d == 0 {
+			continue
+		}
+		w := max(1, (bits.Len64(s.or[j])+6)/7)
+		f := asmField{attr: j, w: w, last: bits.Len64(s.or[j] >> (7 * (w - 1)))}
+		if n := 8*(w-1) + f.last; rest == nil && rowBits+keyBits+n <= 64 {
+			fields, keyBits = append(fields, f), keyBits+n
+		} else {
+			rest = append(rest, j)
+		}
+	}
+	return fields, rowBits, keyBits, rest
+}
+
+// asmField is one varying attribute's part of a packed key: its uvarint's
+// w bytes, zero-padded, the last of which — never a continuation byte —
+// takes only the last bits the slot's largest coordinate needs there.
+type asmField struct{ attr, w, last int }
+
+// asmRadixBits is the digit width of the packed keys' LSD passes, as in
+// the reducer's in-block sort: 2¹¹ counters fit L1.
+const asmRadixBits = 11
+
+// sortPacked returns one word per row, key<<rowBits | row, ordered by the
+// keyBits-bit key the fields pack: LSD radix passes skipping digits
+// constant over the slot, or a comparison sort on a small slot.
+func (s *asmSlot) sortPacked(fields []asmField, rowBits, keyBits int) []uint64 {
+	words := make([]uint64, s.n)
+	for i := range words {
+		c, k := s.coord(uint32(i)), uint64(0)
+		for _, f := range fields {
+			v := uint64(c[f.attr])
+			for range f.w - 1 {
+				b := v & 0x7f
+				if v >>= 7; v != 0 {
+					b |= 0x80
+				}
+				k = k<<8 | b
+			}
+			k = k<<f.last | v
+		}
+		words[i] = k<<rowBits | uint64(i)
+	}
+	if len(words) < 1<<asmRadixBits/8 {
+		slices.Sort(words)
+		return words
+	}
+	tmp := make([]uint64, len(words))
+	for shift := rowBits; shift < rowBits+keyBits; shift += asmRadixBits {
+		var count [1 << asmRadixBits]int
+		for _, w := range words {
+			count[w>>shift&(1<<asmRadixBits-1)]++
+		}
+		if count[words[0]>>shift&(1<<asmRadixBits-1)] == len(words) {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for _, w := range words {
+			d := w >> shift & (1<<asmRadixBits - 1)
+			tmp[count[d]] = w
+			count[d]++
+		}
+		words, tmp = tmp, words
+	}
+	return words
+}
+
+// sortTies sorts each run of words tied on their keys by the attributes
+// rest, comparing coordinates by their uvarint bytes without encoding them.
+func (s *asmSlot) sortTies(words []uint64, rowBits int, rest []int) {
+	mask := uint64(1)<<rowBits - 1
+	for i := 0; i < len(words); {
+		j := i + 1
+		for j < len(words) && words[j]>>rowBits == words[i]>>rowBits {
+			j++
+		}
+		slices.SortFunc(words[i:j], func(x, y uint64) int {
+			cx, cy := s.coord(uint32(x&mask)), s.coord(uint32(y&mask))
+			for _, a := range rest {
+				if cx[a] != cy[a] {
+					return uvarintCompare(uint64(cx[a]), uint64(cy[a]))
+				}
+			}
+			return 0
+		})
+		i = j
+	}
+}
+
+// uvarintCompare orders x and y as bytes.Compare orders their uvarints.
+func uvarintCompare(x, y uint64) int {
+	for {
+		bx, by := x&0x7f, y&0x7f
+		if x >>= 7; x != 0 {
+			bx |= 0x80
+		}
+		if y >>= 7; y != 0 {
+			by |= 0x80
+		}
+		if bx != by || x == 0 {
+			return cmp.Compare(bx, by)
+		}
+	}
 }
 
 // --- payload codec ---

@@ -3,12 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
@@ -126,6 +130,140 @@ func TestAssemblerOrderIsByteOrder(t *testing.T) {
 	}
 	if recs, ok := got["empty"]; !ok || recs == nil || len(recs) != 0 {
 		t.Fatalf("empty slot stored %v (present=%v), want an empty non-nil slice", recs, ok)
+	}
+}
+
+// TestAssemblerPackedOrder: slots shaped like real grains — attributes at
+// ALL constant, varying attributes across the 127/128 and 16383/16384
+// uvarint boundaries — come out in the legacy order, whether the packed
+// key holds every varying attribute or rows tied on it are sorted by the
+// rest: at 8 bytes of uvarint that fit a word beside the row index, at
+// 8 bytes that do not, at 9, and in slots of 0, 1 and 2 rows.
+func TestAssemblerPackedOrder(t *testing.T) {
+	const arity = 6
+	edges := []int64{0, 1, 126, 127, 128, 129, 255, 256, 16382, 16383, 16384, 16385, 1<<21 - 1, 1 << 21, 1<<28 - 1}
+	// pool draws a coordinate below limit, one time in four an edge.
+	pool := func(rng *rand.Rand, limit int64) int64 {
+		if e := edges[rng.Intn(len(edges))]; e < limit && rng.Intn(4) == 0 {
+			return e
+		}
+		return rng.Int63n(limit)
+	}
+	cases := []struct {
+		name   string
+		n      int
+		limits [arity]int64 // per attribute, 0 = at ALL
+		width  int          // the varying attributes' longest uvarints, summed
+		packed bool         // the packed key holds every varying attribute
+		fixed  [][arity]int64
+	}{
+		{"Q1 grain", 3000, [arity]int64{256, 0, 0, 0, 28800, 0}, 5, true, nil},
+		{"DS2 grain", 3000, [arity]int64{256, 256, 0, 0, 28800, 0}, 7, true, nil},
+		{"8 bytes, packed", 1000, [arity]int64{0, 1<<21 + 3, 0, 1<<21 + 3, 0, 0}, 8, true, nil},
+		{"8 bytes, ties", 1000, [arity]int64{0, 1 << 28, 0, 1 << 28, 0, 0}, 8, false, nil},
+		{"9 bytes, ties", 1000, [arity]int64{1 << 21, 0, 0, 1 << 21, 0, 1 << 21}, 9, false, nil},
+		{"2 rows", 2, [arity]int64{}, 5, true, [][arity]int64{{16383, 0, 0, 0, 128, 0}, {16384, 0, 0, 0, 127, 0}}},
+		{"1 row", 1, [arity]int64{}, 0, true, [][arity]int64{{16384, 0, 0, 0, 128, 0}}},
+		{"0 rows", 0, [arity]int64{}, 0, true, nil},
+	}
+	for seed, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		grain := make(cube.Grain, arity)
+		m := &workflow.Measure{Name: "m", Grain: grain}
+		var want []MeasureRecord
+		var rows [][]byte
+		seen := make(map[[arity]int64]bool)
+		for len(rows) < tc.n {
+			var c [arity]int64
+			if tc.fixed != nil {
+				c = tc.fixed[len(rows)]
+			}
+			for j, limit := range tc.limits {
+				if limit > 0 {
+					c[j] = pool(rng, limit)
+				}
+			}
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+			rows = append(rows, appendMeasureRecord(nil, c[:], float64(len(rows))))
+			want = append(want, MeasureRecord{Region: cube.Region{Grain: grain, Coord: slices.Clone(c[:])}, Value: float64(len(want))})
+		}
+		if w := varyingWidth(want); w != tc.width {
+			t.Fatalf("%s: varying attributes' uvarints are %d bytes, want %d", tc.name, w, tc.width)
+		}
+		legacySort(want)
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		got := make(map[string][]MeasureRecord)
+		asm := assembler{arity: arity}
+		slot := asm.slot(got, m)
+		for _, row := range rows {
+			if err := slot.add(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, _, rest := slot.layout(); (len(rest) == 0) != tc.packed {
+			t.Fatalf("%s: ties broken by attributes %v, want packed=%v", tc.name, rest, tc.packed)
+		}
+		if err := asm.finish(context.Background(), nil); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = []MeasureRecord{}
+		}
+		a, b := resultBytes(t, &Result{Measures: map[string][]MeasureRecord{"m": want}}), resultBytes(t, &Result{Measures: got})
+		if !bytes.Equal(a, b) || got["m"] == nil {
+			t.Errorf("%s: assembler order differs from the legacy comparator's", tc.name)
+		}
+	}
+}
+
+// varyingWidth sums, over the attributes that vary among rs, their longest
+// uvarint.
+func varyingWidth(rs []MeasureRecord) int {
+	if len(rs) == 0 {
+		return 0
+	}
+	width := 0
+	for j := range rs[0].Region.Coord {
+		longest, varies := 0, false
+		for _, r := range rs {
+			longest = max(longest, len(binary.AppendUvarint(nil, uint64(r.Region.Coord[j]))))
+			varies = varies || r.Region.Coord[j] != rs[0].Region.Coord[j]
+		}
+		if varies {
+			width += longest
+		}
+	}
+	return width
+}
+
+// TestAssemblyAllocatesWhatItKeeps is the assembler's allocation ceiling:
+// at Q1's grain an assembled row allocates its own bytes — a 56-byte
+// MeasureRecord and 8 bytes per coordinate — plus at most 48: its value
+// and sort words on the way, and chunk rounding.
+func TestAssemblyAllocatesWhatItKeeps(t *testing.T) {
+	arity := workload.NewSuite().Schema.NumAttrs()
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][][]byte, 3)
+	for i := range rows {
+		rows[i] = grainRows(rng, arity, 12_000)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out := assemble(t, arity, rows)
+	runtime.ReadMemStats(&after)
+	n := 3 * 12_000
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	kept := float64(unsafe.Sizeof(MeasureRecord{}) + 8*uintptr(arity))
+	t.Logf("%.1f bytes allocated per assembled row; the row keeps %.0f", perRow, kept)
+	if perRow > kept+48 {
+		t.Errorf("assembling %d rows allocated %.1f bytes per row, want ≤ %.0f", n, perRow, kept+48)
+	}
+	if len(out["m0"]) != 12_000 {
+		t.Fatalf("assembled %d rows of m0, want 12000", len(out["m0"]))
 	}
 }
 
@@ -285,39 +423,70 @@ func TestAssemblyRejectsMalformedRows(t *testing.T) {
 
 var benchAssembled map[string][]MeasureRecord
 
-// BenchmarkAssemble isolates output assembly at reduce_fineout's shape:
+// grainRows draws n distinct rows at Q1's grain, a1:value × t1:minute with
+// every other attribute at ALL (coordinate 0), packed as the shuffle
+// carries them.
+func grainRows(rng *rand.Rand, arity, n int) [][]byte {
+	const a1, t1 = 0, 4
+	seen := make(map[[2]int64]bool, n)
+	rows := make([][]byte, 0, n)
+	coords := make([]int64, arity)
+	for len(rows) < n {
+		coords[a1], coords[t1] = rng.Int63n(256), rng.Int63n(workload.Days*1440)
+		if k := [2]int64{coords[a1], coords[t1]}; !seen[k] {
+			seen[k] = true
+			rows = append(rows, appendMeasureRecord(nil, coords, float64(len(rows))))
+		}
+	}
+	return rows
+}
+
+// BenchmarkAssemble isolates output assembly at reduce_fineout's size:
 // 3 measures × 12k rows at the suite's arity, rows arriving interleaved
-// and unsorted, then one finish on the default executor.
+// and unsorted, then one finish on the default executor. grain is the
+// shape every suite query's measure has (Q1's, two varying attributes);
+// wide varies every attribute, a shape no suite query produces.
 func BenchmarkAssemble(b *testing.B) {
 	su := workload.NewSuite()
 	arity := su.Schema.NumAttrs()
-	rng := rand.New(rand.NewSource(1))
-	grain := make(cube.Grain, arity)
-	measures := []*workflow.Measure{{Name: "m0", Grain: grain}, {Name: "m1", Grain: grain}, {Name: "m2", Grain: grain}}
-	const perMeasure = 12_000
-	rows := make([][][]byte, len(measures))
-	for i := range rows {
-		rows[i] = randomRows(rng, arity, perMeasure)
+	for _, shape := range []struct {
+		name string
+		rows func(*rand.Rand, int, int) [][]byte
+	}{{"grain", grainRows}, {"wide", randomRows}} {
+		b.Run(shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			rows := make([][][]byte, 3)
+			for i := range rows {
+				rows[i] = shape.rows(rng, arity, 12_000)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchAssembled = assemble(b, arity, rows)
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := make(map[string][]MeasureRecord, len(measures))
-		asm := assembler{arity: arity}
-		slots := make([]*asmSlot, len(measures))
-		for j, m := range measures {
-			slots[j] = asm.slot(out, m)
-		}
-		for r := 0; r < perMeasure; r++ {
-			for j := range slots {
-				if err := slots[j].add(rows[j][r]); err != nil {
-					b.Fatal(err)
-				}
+}
+
+// assemble feeds rows[j] to measure j's slot, interleaved across measures,
+// and finishes on the default executor.
+func assemble(tb testing.TB, arity int, rows [][][]byte) map[string][]MeasureRecord {
+	grain := make(cube.Grain, arity)
+	out := make(map[string][]MeasureRecord, len(rows))
+	asm := assembler{arity: arity}
+	slots := make([]*asmSlot, len(rows))
+	for j := range slots {
+		slots[j] = asm.slot(out, &workflow.Measure{Name: fmt.Sprintf("m%d", j), Grain: grain})
+	}
+	for r := range rows[0] {
+		for j, s := range slots {
+			if err := s.add(rows[j][r]); err != nil {
+				tb.Fatal(err)
 			}
 		}
-		if err := asm.finish(context.Background(), nil); err != nil {
-			b.Fatal(err)
-		}
-		benchAssembled = out
 	}
+	if err := asm.finish(context.Background(), nil); err != nil {
+		tb.Fatal(err)
+	}
+	return out
 }

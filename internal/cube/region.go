@@ -104,6 +104,10 @@ func DecodeCoords(key string, arity int) ([]int64, error) {
 // destination.
 func DecodeCoordsInto(b []byte, coord []int64) error {
 	for i := range coord {
+		if len(b) > 0 && b[0] < 0x80 {
+			coord[i], b = int64(b[0]), b[1:]
+			continue
+		}
 		v, n := binary.Uvarint(b)
 		if n <= 0 {
 			return fmt.Errorf("cube: truncated coordinate key at position %d", i)
