@@ -12,6 +12,7 @@ import (
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/mr"
+	"github.com/casm-project/casm/internal/sortx"
 	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
@@ -20,22 +21,20 @@ import (
 // (appendMeasureRecord) for every producer of a Result: the single-query
 // and shared-job drains, the manifest replay, the baseline, LoadResults.
 // add decodes each row as it arrives, into chunks that become the
-// result's coordinate storage; finish only orders the rows — the
-// canonical order is bytes.Compare of their encoded coordinates — and
-// fills each measure's records in that order.
+// result's coordinate storage; finish only orders each measure's rows —
+// canonically, by bytes.Compare of their encoded coordinates — and fills
+// its records in that order.
 type assembler struct {
 	arity int
 	slots []*asmSlot
 }
 
-// asmChunkRows is the rows per chunk of a slot's storage: 256 rows of up
-// to 8 coordinates fill a size class exactly, and a chunk is never regrown
-// once full-size.
+// asmChunkRows is the rows per storage chunk: 256 rows of up to 8
+// coordinates fill a size class exactly. Only the first chunk grows.
 const asmChunkRows = 256
 
-// asmSlot is one measure's rows on their way into one Result. Row i's
-// coordinates are coords[i/asmChunkRows] at stride arity, its value
-// vals[i/asmChunkRows][i%asmChunkRows].
+// asmSlot is one measure's rows on their way into one Result: row i's
+// coordinates and value are in chunk i/asmChunkRows of coords and vals.
 type asmSlot struct {
 	dst    map[string][]MeasureRecord
 	m      *workflow.Measure
@@ -43,9 +42,9 @@ type asmSlot struct {
 	n      int
 	coords [][]int64
 	vals   [][]float64
-	// Per attribute: the OR of its coordinates (whose uvarint length is the
-	// longest seen) and the OR of their XOR with row 0's (zero while the
-	// attribute has not varied).
+	// Per attribute: the OR of its coordinates, whose uvarint is the
+	// longest seen, and the OR of their XOR with row 0's, zero while the
+	// attribute has not varied.
 	or, diff []uint64
 	recs     []MeasureRecord
 }
@@ -96,43 +95,24 @@ func (s *asmSlot) add(payload []byte) error {
 	if s.n == math.MaxUint32 {
 		return fmt.Errorf("core: measure %q: more than %d rows", s.m.Name, uint32(math.MaxUint32))
 	}
-	k, off := s.n/asmChunkRows, s.n%asmChunkRows
-	if k == len(s.vals) || off == len(s.vals[k]) {
-		s.grow(k)
+	k, a := s.n/asmChunkRows, s.arity
+	if k == len(s.vals) {
+		size := min(k, 1) * asmChunkRows // a later chunk is allocated whole, never regrown
+		s.coords, s.vals = append(s.coords, make([]int64, 0, size*a)), append(s.vals, make([]float64, 0, size))
 	}
-	a := s.arity
-	row := s.coords[k][off*a : off*a+a : off*a+a]
+	c := slices.Grow(s.coords[k], a)
+	row := c[len(c) : len(c)+a]
 	if err := cube.DecodeCoordsInto(key, row); err != nil {
 		return err
 	}
+	s.coords[k], s.vals[k] = c[:len(c)+a], append(s.vals[k], v)
 	first, or, diff := s.coords[0][:a], s.or[:a], s.diff[:a]
 	for j, c := range row {
 		or[j] |= uint64(c)
 		diff[j] |= uint64(c ^ first[j])
 	}
-	s.vals[k][off] = v
 	s.n++
 	return nil
-}
-
-// grow makes room in chunk k for the next row. Every chunk but the first
-// is allocated full-size and never regrown; the first grows from small,
-// so a slot of a few rows allocates little.
-func (s *asmSlot) grow(k int) {
-	rows := asmChunkRows
-	if k == 0 && len(s.vals) == 0 {
-		rows = 8
-	} else if k == 0 {
-		rows = min(2*len(s.vals[0]), asmChunkRows)
-	}
-	c, v := make([]int64, rows*s.arity), make([]float64, rows)
-	if k < len(s.vals) {
-		copy(c, s.coords[k])
-		copy(v, s.vals[k])
-		s.coords[k], s.vals[k] = c, v
-		return
-	}
-	s.coords, s.vals = append(s.coords, c), append(s.vals, v)
 }
 
 func (s *asmSlot) coord(i uint32) []int64 {
@@ -164,34 +144,55 @@ func (a *assembler) finish(ctx context.Context, ex *exec.Executor) error {
 // region once, so the order is total and independent of arrival order.
 //
 // Uvarints are prefix-free, so bytes.Compare of two encoded keys is decided
-// by the first attribute whose uvarints differ, and by the first byte in
-// which they differ; an attribute that never varies decides nothing. Each
-// row's varying attributes' uvarints, each left-aligned and zero-padded to
-// the attribute's longest, therefore concatenate into a key whose integer
-// order is the canonical one. The rows are radix-sorted by as much of that
-// key as fits one word beside the row's index — all of it at every suite
-// query's grain — and rows tied on it are then sorted comparing the rest
-// of their coordinates.
+// by the first attribute whose uvarints differ, at the first byte in which
+// they differ; an attribute that never varies decides nothing. The varying
+// attributes' uvarints, each left-aligned and zero-padded to the
+// attribute's longest, thus concatenate into a key whose integer order is
+// the canonical one. Each row's key is packed into one word above its row
+// index — the last byte of each uvarint, never a continuation byte, in
+// only the bits the slot's largest coordinate needs — and the words are
+// radix-sorted on the key bits. Attributes the word cannot hold (none at any suite
+// query's grain) break its ties by a comparator on the coordinates.
 func (s *asmSlot) build() {
 	fields, rowBits, keyBits, rest := s.layout()
-	words := s.sortPacked(fields, rowBits, keyBits)
+	words := make([]uint64, s.n)
+	for i := range words {
+		c, k := s.coord(uint32(i)), uint64(0)
+		for _, f := range fields {
+			v := uint64(c[f.attr])
+			for range f.w - 1 {
+				b := v & 0x7f
+				if v >>= 7; v != 0 {
+					b |= 0x80
+				}
+				k = k<<8 | b
+			}
+			k = k<<f.last | v
+		}
+		words[i] = k<<rowBits | uint64(i)
+	}
+	if len(words) < asmChunkRows { // too few to repay the radix passes' counters
+		slices.Sort(words)
+	} else {
+		words = sortx.Radix(words, make([]uint64, len(words)), rowBits, rowBits+keyBits)
+	}
 	if len(rest) > 0 {
 		s.sortTies(words, rowBits, rest)
 	}
 	s.recs = make([]MeasureRecord, s.n)
 	for i, w := range words {
 		r := uint32(w & (1<<rowBits - 1))
-		s.recs[i] = MeasureRecord{
-			Region: cube.Region{Grain: s.m.Grain, Coord: s.coord(r)},
-			Value:  s.vals[r/asmChunkRows][r%asmChunkRows],
-		}
+		s.recs[i] = MeasureRecord{Region: cube.Region{Grain: s.m.Grain, Coord: s.coord(r)}, Value: s.vals[r/asmChunkRows][r%asmChunkRows]}
 	}
 	s.vals = nil
 }
 
-// layout lays the slot's packed keys out: the fields of the varying
-// attributes a key holds whole, keyBits bits in all beside rowBits of row
-// index, and rest, the attributes from the first it does not hold.
+// asmField is one varying attribute's place in a packed key: w uvarint
+// bytes, the last of them in last bits.
+type asmField struct{ attr, w, last int }
+
+// layout returns the fields a packed key holds, rowBits of row index below
+// keyBits of key, and rest: the attributes from the first it cannot hold.
 func (s *asmSlot) layout() (fields []asmField, rowBits, keyBits int, rest []int) {
 	rowBits = bits.Len(uint(s.n))
 	for j, d := range s.diff {
@@ -209,97 +210,26 @@ func (s *asmSlot) layout() (fields []asmField, rowBits, keyBits int, rest []int)
 	return fields, rowBits, keyBits, rest
 }
 
-// asmField is one varying attribute's part of a packed key: its uvarint's
-// w bytes, zero-padded, the last of which — never a continuation byte —
-// takes only the last bits the slot's largest coordinate needs there.
-type asmField struct{ attr, w, last int }
-
-// asmRadixBits is the digit width of the packed keys' LSD passes, as in
-// the reducer's in-block sort: 2¹¹ counters fit L1.
-const asmRadixBits = 11
-
-// sortPacked returns one word per row, key<<rowBits | row, ordered by the
-// keyBits-bit key the fields pack: LSD radix passes skipping digits
-// constant over the slot, or a comparison sort on a small slot.
-func (s *asmSlot) sortPacked(fields []asmField, rowBits, keyBits int) []uint64 {
-	words := make([]uint64, s.n)
-	for i := range words {
-		c, k := s.coord(uint32(i)), uint64(0)
-		for _, f := range fields {
-			v := uint64(c[f.attr])
-			for range f.w - 1 {
-				b := v & 0x7f
-				if v >>= 7; v != 0 {
-					b |= 0x80
-				}
-				k = k<<8 | b
-			}
-			k = k<<f.last | v
-		}
-		words[i] = k<<rowBits | uint64(i)
-	}
-	if len(words) < 1<<asmRadixBits/8 {
-		slices.Sort(words)
-		return words
-	}
-	tmp := make([]uint64, len(words))
-	for shift := rowBits; shift < rowBits+keyBits; shift += asmRadixBits {
-		var count [1 << asmRadixBits]int
-		for _, w := range words {
-			count[w>>shift&(1<<asmRadixBits-1)]++
-		}
-		if count[words[0]>>shift&(1<<asmRadixBits-1)] == len(words) {
-			continue
-		}
-		sum := 0
-		for d, c := range count {
-			count[d], sum = sum, sum+c
-		}
-		for _, w := range words {
-			d := w >> shift & (1<<asmRadixBits - 1)
-			tmp[count[d]] = w
-			count[d]++
-		}
-		words, tmp = tmp, words
-	}
-	return words
-}
-
-// sortTies sorts each run of words tied on their keys by the attributes
-// rest, comparing coordinates by their uvarint bytes without encoding them.
+// sortTies sorts each run of words with equal keys by the attributes rest,
+// comparing coordinates as bytes.Compare orders their uvarints.
 func (s *asmSlot) sortTies(words []uint64, rowBits int, rest []int) {
-	mask := uint64(1)<<rowBits - 1
-	for i := 0; i < len(words); {
-		j := i + 1
+	for i, j := 0, 1; i < len(words); i, j = j, j+1 {
 		for j < len(words) && words[j]>>rowBits == words[i]>>rowBits {
 			j++
 		}
-		slices.SortFunc(words[i:j], func(x, y uint64) int {
-			cx, cy := s.coord(uint32(x&mask)), s.coord(uint32(y&mask))
+		slices.SortFunc(words[i:j], func(p, q uint64) int {
+			cp, cq := s.coord(uint32(p&(1<<rowBits-1))), s.coord(uint32(q&(1<<rowBits-1)))
 			for _, a := range rest {
-				if cx[a] != cy[a] {
-					return uvarintCompare(uint64(cx[a]), uint64(cy[a]))
+				// Byte by byte: equal low bits and both continued, or
+				// the first byte that differs decides.
+				for x, y := uint64(cp[a]), uint64(cq[a]); x != y; x, y = x>>7, y>>7 {
+					if x&0x7f != y&0x7f || x < 0x80 || y < 0x80 {
+						return cmp.Compare(x&0x7f|min(x>>7, 1)<<7, y&0x7f|min(y>>7, 1)<<7)
+					}
 				}
 			}
 			return 0
 		})
-		i = j
-	}
-}
-
-// uvarintCompare orders x and y as bytes.Compare orders their uvarints.
-func uvarintCompare(x, y uint64) int {
-	for {
-		bx, by := x&0x7f, y&0x7f
-		if x >>= 7; x != 0 {
-			bx |= 0x80
-		}
-		if y >>= 7; y != 0 {
-			by |= 0x80
-		}
-		if bx != by || x == 0 {
-			return cmp.Compare(bx, by)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package cql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/casm-project/casm/internal/cube"
@@ -19,7 +20,7 @@ func Format(w *workflow.Workflow) string {
 		switch m.Kind {
 		case workflow.Basic:
 			if m.Agg.Func == measure.Quantile {
-				fmt.Fprintf(&b, "QUANTILE(%g, %s)", m.Agg.Arg, s.Attr(m.InputAttr).Name())
+				fmt.Fprintf(&b, "QUANTILE(%s, %s)", formatNumber(m.Agg.Arg), s.Attr(m.InputAttr).Name())
 			} else if m.InputAttr < 0 {
 				fmt.Fprintf(&b, "%s(*)", strings.ToUpper(string(m.Agg.Func)))
 			} else {
@@ -28,6 +29,9 @@ func Format(w *workflow.Workflow) string {
 		case workflow.Self:
 			if es := m.Expr.String(); strings.HasPrefix(es, "scale(") && len(m.Sources) == 1 {
 				k := strings.TrimSuffix(strings.TrimPrefix(es, "scale("), ")")
+				if v, err := strconv.ParseFloat(k, 64); err == nil {
+					k = formatNumber(v)
+				}
 				fmt.Fprintf(&b, "SCALE(%s, %s)", k, m.Sources[0])
 			} else {
 				fmt.Fprintf(&b, "%s(%s)", strings.ToUpper(es), strings.Join(m.Sources, ", "))
@@ -51,6 +55,11 @@ func Format(w *workflow.Workflow) string {
 	}
 	return b.String()
 }
+
+// formatNumber renders v as the lexer reads numbers back: plain decimal
+// digits, never an exponent (%g would print 1e+06), in the fewest digits
+// that parse to v exactly.
+func formatNumber(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
 func formatGrain(s *cube.Schema, g cube.Grain) string {
 	var parts []string

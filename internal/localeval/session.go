@@ -11,6 +11,7 @@ import (
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/measure"
+	"github.com/casm-project/casm/internal/sortx"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -147,10 +148,9 @@ func (ss *Session) SortLoaded() int {
 	return n
 }
 
-const (
-	packMinRows = 96 // the smallest block sortRows sorts as packed integers: on smaller ones the comparison sort is faster
-	radixBits   = 11 // the digit width of their LSD passes: 2¹¹ counters fit L1
-)
+// packMinRows is the smallest block sortRows sorts as packed integers: on
+// smaller ones the comparison sort is faster.
+const packMinRows = 96
 
 // sortRows orders the block's rows lexicographically in column order.
 // Ties agree on everything evaluation reads, so an unstable sort is fine.
@@ -209,27 +209,7 @@ func (ss *Session) sortPacked(stride int) bool {
 		}
 		data[r] = int64(k)
 	}
-	keys, tmp := data[:n], data[n:2*n]
-	for shift := uint64(0); shift < total; shift += radixBits {
-		var count [1 << radixBits]int32
-		for _, k := range keys {
-			count[uint64(k)>>shift&(1<<radixBits-1)]++
-		}
-		if count[uint64(keys[0])>>shift&(1<<radixBits-1)] == int32(n) {
-			continue
-		}
-		sum := int32(0)
-		for d, c := range count {
-			count[d], sum = sum, sum+c
-		}
-		for _, k := range keys {
-			d := uint64(k) >> shift & (1<<radixBits - 1)
-			tmp[count[d]] = k
-			count[d]++
-		}
-		keys, tmp = tmp, keys
-	}
-	if &keys[0] != &data[0] {
+	if keys := sortx.Radix(data[:n], data[n:2*n], 0, int(total)); &keys[0] != &data[0] {
 		copy(data, keys)
 	}
 	for r := n - 1; r >= 0; r-- {
