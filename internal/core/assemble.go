@@ -151,8 +151,8 @@ func (a *assembler) finish(ctx context.Context, ex *exec.Executor) error {
 // the canonical one. Each row's key is packed into one word above its row
 // index — the last byte of each uvarint, never a continuation byte, in
 // only the bits the slot's largest coordinate needs — and the words are
-// radix-sorted on the key bits. Attributes the word cannot hold (none at any suite
-// query's grain) break its ties by a comparator on the coordinates.
+// radix-sorted on the key bits. Attributes the word cannot hold (none at
+// any suite query's grain) break its ties by a comparator.
 func (s *asmSlot) build() {
 	fields, rowBits, keyBits, rest := s.layout()
 	words := make([]uint64, s.n)
@@ -171,7 +171,7 @@ func (s *asmSlot) build() {
 		}
 		words[i] = k<<rowBits | uint64(i)
 	}
-	if len(words) < asmChunkRows { // too few to repay the radix passes' counters
+	if len(words) < 256 { // too few to repay the radix passes' 2¹¹ counters
 		slices.Sort(words)
 	} else {
 		words = sortx.Radix(words, make([]uint64, len(words)), rowBits, rowBits+keyBits)

@@ -148,9 +148,7 @@ func (ss *Session) SortLoaded() int {
 	return n
 }
 
-// packMinRows is the smallest block sortRows sorts as packed integers: on
-// smaller ones the comparison sort is faster.
-const packMinRows = 96
+const packMinRows = 96 // the smallest block sortRows sorts as packed integers: on smaller ones the comparison sort is faster
 
 // sortRows orders the block's rows lexicographically in column order.
 // Ties agree on everything evaluation reads, so an unstable sort is fine.
