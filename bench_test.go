@@ -12,12 +12,14 @@ package casm_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	casm "github.com/casm-project/casm"
 	"github.com/casm-project/casm/internal/core"
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/figures"
+	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workload"
 )
 
@@ -263,19 +265,21 @@ func BenchmarkAblation_OverlapVsRolledUp(b *testing.B) {
 	}
 	var overlapSec, rolledSec float64
 	for i := 0; i < b.N; i++ {
-		run := func(key *distkey.Key) *core.Result {
-			eng, err := core.NewEngine(core.Config{NumReducers: 16, ForceKey: key, TempDir: b.TempDir()})
-			if err != nil {
+		run := func(key distkey.Key) *core.Result { // pinned at the cf the cost model scores for it
+			cand, err := optimizer.ScoreKey(su.Schema, key, optimizer.Config{NumReducers: 16, TotalRecords: ds.NumRecords})
+			eng, err2 := core.NewEngine(core.Config{NumReducers: 16, TempDir: b.TempDir()})
+			if err = errors.Join(err, err2); err != nil {
 				b.Fatal(err)
 			}
-			res, err := eng.Run(w, ds)
+			res, err := eng.RunWithPlanContext(context.Background(), w, ds, core.PlanOutcome{Plan: optimizer.Plan{
+				Key: key, ClusteringFactor: cand.ClusteringFactor, Blocks: cand.Blocks}})
 			if err != nil {
 				b.Fatal(err)
 			}
 			return res
 		}
-		over := run(&minimal)
-		flat := run(&rolled)
+		over := run(minimal)
+		flat := run(rolled)
 		if over.TotalRecords() != flat.TotalRecords() {
 			b.Fatalf("answers differ: %d vs %d records", over.TotalRecords(), flat.TotalRecords())
 		}

@@ -37,7 +37,6 @@ import (
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/core"
-	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cql"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/distkey"
@@ -305,13 +304,6 @@ var (
 	// ErrStreamClosed: reading a result stream after an early Close.
 	ErrStreamClosed = mr.ErrClosed
 )
-
-// Cluster describes the simulated cluster used for response-time
-// estimates.
-type Cluster = costmodel.Cluster
-
-// DefaultCluster is the paper's 100-machine cluster.
-func DefaultCluster() Cluster { return costmodel.DefaultCluster() }
 
 // NewEngine validates the configuration and returns an engine.
 func NewEngine(cfg Config) (*Engine, error) { return core.NewEngine(cfg) }

@@ -265,17 +265,16 @@ func TestBuilderRollupInheritAndCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := casm.DefaultCluster()
-	if cl.Slots() != 200 {
-		t.Errorf("cluster slots = %d", cl.Slots())
-	}
-	eng, err := casm.NewEngine(casm.Config{NumReducers: 2, Cluster: cl, TempDir: t.TempDir()})
+	eng, err := casm.NewEngine(casm.Config{NumReducers: 2, TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Run(q, casm.MemoryDataset(s, genRecords(800), 2))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Estimate.Total() <= 0 { // priced on the paper's cluster
+		t.Errorf("estimate = %+v", res.Estimate)
 	}
 	if len(res.Measures["norm"]) == 0 {
 		t.Error("no norm results")

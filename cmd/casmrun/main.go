@@ -84,8 +84,7 @@ func run(args []string, stdout io.Writer) error {
 		savePath = fs.String("save", "", "write result records to a single-node block store at this directory")
 		tmpDir   = fs.String("tmp", "", "directory for reducer spill files (default OS temp)")
 		sortMem  = fs.Int("sortmem", 0, "reducer in-memory grouping budget in items, 0 = default (set small to force spills)")
-		morsel   = fs.Bool("morsel", false, "morsel-driven map execution (work-stealing workers over carved splits)")
-		morselB  = fs.Int("morselbytes", 0, "morsel size in bytes (implies -morsel; 0 with -morsel = default size)")
+		morselB  = fs.Int("morselbytes", 0, fmt.Sprintf("morsel-driven map execution: work-stealing workers over ~N-byte runs of the splits (0 = one task per split; %d is a good size)", mr.DefaultMorselBytes))
 		localAgg = fs.Int("localagg", 0, "each map task's early-aggregation table budget in distinct states (0 = default)")
 		stream   = fs.Bool("stream", false, "stream result rows to the sink while the job runs, never materializing the result")
 		storeDir = fs.String("store", "", "directory of the persistent block store holding -data (required)")
@@ -156,12 +155,8 @@ func run(args []string, stdout io.Writer) error {
 		TempDir:             *tmpDir,
 		SortMemoryItems:     *sortMem,
 		LocalAggBudget:      *localAgg,
+		MorselBytes:         *morselB,
 		DecisionCache:       dcache,
-	}
-	if *morselB > 0 {
-		cfg.MorselBytes = *morselB
-	} else if *morsel {
-		cfg.MorselBytes = mr.DefaultMorselBytes
 	}
 	switch *sortMode {
 	case "twopass":

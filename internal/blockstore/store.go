@@ -585,7 +585,7 @@ func (s *Store) ReadBlockRows(file string, index int) (*RowReader, error) {
 // framed bytes each — the measure BlockInfo.Size counts the block in —
 // except the last, which may be smaller. It returns each run's framed size
 // and an opener of a RowReader that resumes at the run's first row; a run
-// may be opened again (a retried map task reads it twice). All runs share
+// may be opened again (each open reads the run from its start). All runs share
 // the block's verified payload, which beside one cursor per run is all
 // they keep, and a block that does not decode fails here, not at an open.
 func (s *Store) ReadBlockRuns(file string, index, targetBytes int) ([]int, []func() *RowReader, error) {

@@ -38,7 +38,7 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 		out.Stats.ReduceTasks = append(out.Stats.ReduceTasks, js.ReduceTasks...)
 		out.Stats.Shuffled += js.Shuffled
 		out.Stats.Wall += js.Wall
-		est := EstimateFromStats(e.cfg.Cluster, js)
+		est := e.estimate(js, 0)
 		out.Estimate.MapSeconds += est.MapSeconds
 		out.Estimate.ReduceSeconds += est.ReduceSeconds
 	}
@@ -98,7 +98,7 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 		}
 	}
 	// The engine's assembler, so both plans share one canonical order.
-	if err := asm.finish(ctx, e.cfg.Executor); err != nil {
+	if err := asm.finish(ctx, e.cfg.executor); err != nil {
 		return nil, err
 	}
 	return out, nil

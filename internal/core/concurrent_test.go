@@ -26,7 +26,7 @@ func TestConcurrentEvaluateSharedExecutor(t *testing.T) {
 
 	ex := exec.New(4)
 	defer ex.Close()
-	eng, err := NewEngine(Config{NumReducers: 4, Executor: ex, TempDir: t.TempDir()})
+	eng, err := NewEngine(Config{NumReducers: 4, executor: ex, TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

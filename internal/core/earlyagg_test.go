@@ -13,6 +13,7 @@ import (
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/distkey"
+	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/workflow"
@@ -76,7 +77,7 @@ func TestStoreRowsMatchMemory(t *testing.T) {
 			for _, morselBytes := range []int{0, 512} {
 				t.Run(fmt.Sprintf("%s/budget=%d/morsel=%d", name, budget, morselBytes), func(t *testing.T) {
 					cfg := Config{NumReducers: 3, EarlyAggregation: EarlyAggAuto,
-						LocalAggBudget: budget, MorselBytes: morselBytes, MapParallelism: 4}
+						LocalAggBudget: budget, MorselBytes: morselBytes}
 					store, mem := runEngine(t, cfg, w, storeDS), runEngine(t, cfg, w, memDS)
 					if !store.EarlyAggregated || !mem.EarlyAggregated {
 						t.Fatal("a run did not combine")
@@ -108,6 +109,8 @@ func TestStoreRowsMatchMemory(t *testing.T) {
 // sort them as packed integers, so the identity covers that sort too.
 func shippedRecordsMatchMemory(t *testing.T, su *workload.Suite) {
 	s := su.Schema
+	serial := exec.New(1)
+	defer serial.Close()
 	records := su.Generate(3000, workload.SkewedTime, 29)
 	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 4096, Replication: 1, NumNodes: 1})
 	if err != nil {
@@ -185,7 +188,7 @@ func shippedRecordsMatchMemory(t *testing.T, su *workload.Suite) {
 						// One map task at a time: arrival order at each
 						// reducer, and so which pairs spill, repeats.
 						cfg := Config{NumReducers: 3, SortMode: sortMode, SortMemoryItems: sortMem,
-							MorselBytes: morselBytes, MapParallelism: 1}
+							MorselBytes: morselBytes, executor: serial}
 						store, mem := run(t, cfg, tc.ws, storeDS), run(t, cfg, tc.ws, memDS)
 						for i := range tc.ws {
 							if !bytes.Equal(store.answers[i], mem.answers[i]) {

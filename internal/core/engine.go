@@ -15,7 +15,6 @@ import (
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
-	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
@@ -79,15 +78,6 @@ const (
 type Config struct {
 	// NumReducers is the number of reduce tasks (the paper's m). Required.
 	NumReducers int
-	// MapParallelism bounds the job's concurrent map tasks (default
-	// GOMAXPROCS, which is also the fixed bound on its reduce tasks).
-	MapParallelism int
-	// Executor is the shared task-scheduler pool the engine's jobs run on
-	// (default: the process-wide exec.Default()). Give several engines the
-	// same executor and their concurrent EvaluateContext calls multiplex
-	// over one bounded worker pool with FIFO-fair admission, instead of
-	// oversubscribing the machine with per-call goroutine floods.
-	Executor *exec.Executor
 	// EarlyAggregation turns the map-side combiner off (default) or on for
 	// every workflow that supports it.
 	EarlyAggregation EarlyAggMode
@@ -106,11 +96,9 @@ type Config struct {
 	// MinBlocksPerReducer is the paper's "2Blocks"/"4Blocks" heuristic
 	// (0 = off).
 	MinBlocksPerReducer int64
-	// ForceKey/ForceCF override the optimizer (benchmarks sweeping the
-	// clustering factor use these). ForceCF without ForceKey applies to
-	// the optimizer's chosen key.
-	ForceKey *distkey.Key
-	ForceCF  int64
+	// ForceCF overrides the optimizer's clustering factor for its chosen
+	// key (the Figure 4(c) sweep and casmrun -cf use it).
+	ForceCF int64
 	// SortMemoryItems bounds the reducer's in-memory sort (default 1<<20).
 	SortMemoryItems int
 	// MorselBytes, when > 0, switches the map phase to morsel-driven
@@ -125,14 +113,11 @@ type Config struct {
 	LocalAggBudget int
 	// TempDir hosts spill files.
 	TempDir string
-	// Cluster parameterizes the simulated-time estimate (zero value =
-	// the paper's 100-machine cluster).
-	Cluster costmodel.Cluster
 	// DecisionCache, when non-nil, memoizes complete optimizer decisions
 	// under the canonical workflow fingerprint + dataset identity +
 	// planning knobs, so a repeated (or structurally identical) query
 	// skips candidate enumeration, scoring, and skew sampling entirely.
-	// Forced overrides (ForceKey/ForceCF) bypass it.
+	// A non-zero ForceCF bypasses it.
 	DecisionCache *optimizer.DecisionCache
 	// ResultCache, when non-nil, materializes each block's reducer
 	// output under (dataset identity × measure fingerprint × block key)
@@ -148,10 +133,12 @@ type Config struct {
 	ResultCache *blockstore.ResultCache
 	// Seed drives sampling.
 	Seed int64
-	// FailureInjector, when non-nil, is invoked at each map-task start
-	// (task label, attempt); returning an error crashes that attempt and
-	// exercises the substrate's bounded retry. Tests only.
-	FailureInjector func(task string, attempt int) error
+
+	// executor is the shared task-scheduler pool the engine's jobs run on
+	// (nil: the process-wide exec.Default()). A Service sets its own, so
+	// its concurrent calls multiplex over one bounded worker pool with
+	// FIFO-fair admission.
+	executor *exec.Executor
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -160,9 +147,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SampleSize < 1 {
 		c.SampleSize = 2000
-	}
-	if c.Cluster.Machines == 0 {
-		c.Cluster = costmodel.DefaultCluster()
 	}
 	return c, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/measure"
+	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -88,12 +91,29 @@ func compare(t *testing.T, label string, want, got map[string]map[string]float64
 
 func runEngine(t *testing.T, cfg Config, w *workflow.Workflow, ds *Dataset) *Result {
 	t.Helper()
-	cfg.TempDir = t.TempDir()
+	cfg.TempDir = cmp.Or(cfg.TempDir, t.TempDir())
 	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Run(w, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// runPinned is runEngine under a pinned plan, the optimizer bypassed: key
+// at cf, or at the cf optimizer.ScoreKey scores for it when cf is 0.
+func runPinned(t *testing.T, reducers int, w *workflow.Workflow, ds *Dataset, key distkey.Key, cf int64) *Result {
+	t.Helper()
+	cand, err := optimizer.ScoreKey(ds.Schema, key, optimizer.Config{NumReducers: reducers, TotalRecords: ds.NumRecords})
+	eng, err2 := NewEngine(Config{NumReducers: reducers, TempDir: t.TempDir()})
+	if err = errors.Join(err, err2); err != nil {
+		t.Fatal(err)
+	}
+	plan := optimizer.Plan{Key: key, ClusteringFactor: cmp.Or(cf, cand.ClusteringFactor), Blocks: cand.Blocks}
+	res, err := eng.RunWithPlanContext(context.Background(), w, ds, PlanOutcome{Plan: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +329,8 @@ func TestEngineMinBlocksHeuristic(t *testing.T) {
 	}
 }
 
-func TestEngineForceKey(t *testing.T) {
-	// Forcing the non-overlapping fallback key (annotated attr at ALL)
+func TestEnginePinnedRolledUpKey(t *testing.T) {
+	// Pinning the non-overlapping fallback key (annotated attr at ALL)
 	// must still yield the exact answer — overlap is an optimization, not
 	// a correctness requirement.
 	su := workload.NewSuite()
@@ -323,8 +343,8 @@ func TestEngineForceKey(t *testing.T) {
 	}
 	t1, _ := su.Schema.AttrIndex("t1")
 	rolled := distkey.RollUpAttr(su.Schema, minimal, t1)
-	res := runEngine(t, Config{NumReducers: 3, ForceKey: &rolled}, w, ds)
-	compare(t, "forced key", oracle(t, w, records), flatten(res))
+	res := runPinned(t, 3, w, ds, rolled, 0)
+	compare(t, "pinned key", oracle(t, w, records), flatten(res))
 	if res.Plan.Key.IsOverlapping() {
 		t.Error("rolled-up key is overlapping")
 	}
@@ -402,7 +422,7 @@ func TestBaselineMatchesEngine(t *testing.T) {
 // TestEngineMultiAnnotatedKey executes a key with two annotated
 // attributes (beyond the paper's single-annotation implementation): two
 // sliding measures over different ordered attributes make the minimal key
-// doubly annotated; forcing it must still produce the oracle answer.
+// doubly annotated; pinning it must still produce the oracle answer.
 func TestEngineMultiAnnotatedKey(t *testing.T) {
 	su := workload.NewSuite()
 	s := su.Schema
@@ -431,7 +451,7 @@ func TestEngineMultiAnnotatedKey(t *testing.T) {
 	ds := MemoryDataset(s, records, 4)
 	want := oracle(t, w, records)
 	for _, cf := range []int64{1, 3} {
-		res := runEngine(t, Config{NumReducers: 4, ForceKey: &minimal, ForceCF: cf}, w, ds)
+		res := runPinned(t, 4, w, ds, minimal, cf)
 		compare(t, "multi-annotated", want, flatten(res))
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"github.com/casm-project/casm/internal/blockstore"
@@ -11,68 +10,47 @@ import (
 	"github.com/casm-project/casm/internal/workload"
 )
 
-// TestEngineSurvivesMapTaskCrashes: transient task-start failures retry
-// and the answer stays exact.
-func TestEngineSurvivesMapTaskCrashes(t *testing.T) {
-	su := workload.NewSuite()
-	records := su.Generate(1500, workload.Uniform, 51)
-	ds := MemoryDataset(su.Schema, records, 6)
-	w := su.Q5()
-	want := oracle(t, w, records)
-
-	var crashes atomic.Int32
-	cfg := Config{
-		NumReducers: 3,
-		TempDir:     t.TempDir(),
-		FailureInjector: func(task string, attempt int) error {
-			// Every task fails its first attempt.
-			if attempt == 1 {
-				crashes.Add(1)
-				return fmt.Errorf("injected crash of %s", task)
-			}
-			return nil
-		},
-	}
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run(w, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if crashes.Load() == 0 {
-		t.Fatal("injector never fired")
-	}
-	compare(t, "after crashes", want, flatten(res))
-	for _, m := range res.Stats.MapTasks {
-		if m.Attempts != 2 {
-			t.Errorf("task %s took %d attempts, want 2", m.Task, m.Attempts)
-		}
-	}
+// openHook wraps an input, and each split it hands out, so that a split's
+// Open first calls hook with the split's label; an error fails the Open.
+type openHook struct {
+	mr.Input
+	mr.Split
+	hook func(label string) error
 }
 
-// TestEnginePermanentFailureSurfaces: a task failing every attempt aborts
-// the job with a useful error instead of silently dropping data.
+func (h openHook) Splits() ([]mr.Split, error) {
+	splits, err := h.Input.Splits()
+	for i, sp := range splits {
+		splits[i] = openHook{Split: sp, hook: h.hook}
+	}
+	return splits, err
+}
+
+func (h openHook) Open() (mr.RowIter, error) {
+	if err := h.hook(h.Label()); err != nil {
+		return nil, err
+	}
+	return h.Split.Open()
+}
+
+// TestEnginePermanentFailureSurfaces: a split that cannot be opened aborts
+// the job with its error, labelled by task, instead of silently dropping
+// data.
 func TestEnginePermanentFailureSurfaces(t *testing.T) {
 	su := workload.NewSuite()
 	ds := MemoryDataset(su.Schema, su.Generate(500, workload.Uniform, 1), 4)
-	cfg := Config{
-		NumReducers: 2,
-		TempDir:     t.TempDir(),
-		FailureInjector: func(task string, attempt int) error {
-			if task == "mem-2" {
-				return fmt.Errorf("disk on fire")
-			}
-			return nil
-		},
-	}
-	eng, err := NewEngine(cfg)
+	ds.Input = openHook{Input: ds.Input, hook: func(label string) error {
+		if label == "mem-2" {
+			return fmt.Errorf("disk on fire")
+		}
+		return nil
+	}}
+	eng, err := NewEngine(Config{NumReducers: 2, TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = eng.Run(su.Q1(), ds)
-	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
+	if err == nil || !strings.Contains(err.Error(), "disk on fire") || !strings.Contains(err.Error(), "mem-2") {
 		t.Fatalf("err = %v", err)
 	}
 }

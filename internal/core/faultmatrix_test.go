@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -127,30 +126,25 @@ func TestFaultMatrix(t *testing.T) {
 		dir := t.TempDir()
 		st := openFaultStore(t, dir, records, su)
 		defer st.Close()
-		// The first map attempt takes a node down and dies with it; the
-		// re-executed attempt must read every block from the survivors.
-		var once sync.Once
-		fired := false
-		cfg := Config{
-			NumReducers: 3,
-			TempDir:     t.TempDir(),
-			FailureInjector: func(task string, attempt int) error {
-				var err error
-				once.Do(func() {
-					st.FailNode(2)
-					fired = true
-					err = fmt.Errorf("injected: node 2 lost during %s", task)
-				})
-				return err
-			},
-		}
-		spill := cfg.TempDir
-		res := runEngine(t, cfg, w, faultDataset(st, su))
-		if !fired {
-			t.Fatal("injector never fired")
-		}
+		// The first split to open takes node 2 down before it reads; every
+		// block, that one included, is read from the survivors by the
+		// store's per-read failover, and no task runs twice.
+		var down sync.Once
+		ds := faultDataset(st, su)
+		ds.Input = openHook{Input: ds.Input, hook: func(string) error {
+			down.Do(func() { st.FailNode(2) })
+			return nil
+		}}
+		spill := t.TempDir()
+		res := runEngine(t, Config{NumReducers: 3, TempDir: spill}, w, ds)
+		down.Do(func() { t.Fatal("no split was opened") })
 		if !bytes.Equal(baseline, resultBytes(t, res)) {
 			t.Fatal("answer after replica loss mid-scan not byte-identical to baseline")
+		}
+		for _, m := range res.Stats.MapTasks {
+			if m.Attempts != 1 {
+				t.Errorf("task %s took %d attempts, want 1", m.Task, m.Attempts)
+			}
 		}
 		assertEmptyDir(t, "replica-loss", spill)
 	})

@@ -179,7 +179,7 @@ func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *
 	}
 	// Same assembler, hence the same canonical order, as the job path: the
 	// reused result is byte-identical to the one it replays.
-	if asm.finish(ctx, e.cfg.Executor) != nil {
+	if asm.finish(ctx, e.cfg.executor) != nil {
 		return nil, false
 	}
 	// The run's stats are one synthetic reduce task whose only non-zero

@@ -28,10 +28,11 @@ type PlanOutcome struct {
 }
 
 // PlanContext chooses the execution plan for the workflow over the
-// dataset, applying the decision cache, the cost-model optimizer, forced
-// overrides, and (optionally) sampling-based skew handling, in that
-// order. Planning runs inline on the caller's goroutine; ctx bounds the
-// dataset scans (cardinality counting, skew sampling) it may perform.
+// dataset, applying the decision cache, the cost-model optimizer, a
+// forced clustering factor, and (optionally) sampling-based skew
+// handling, in that order. Planning runs inline on the caller's
+// goroutine; ctx bounds the dataset scans (cardinality counting, skew
+// sampling) it may perform.
 func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Dataset) (PlanOutcome, error) {
 	if err := ctx.Err(); err != nil {
 		return PlanOutcome{}, err
@@ -49,10 +50,10 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 	// The decision cache short-circuits everything below it: a hit hands
 	// back the complete prior decision (including a sampling-based one)
 	// keyed by the canonical workflow fingerprint, the dataset identity,
-	// and every knob that can change the outcome. Forced overrides bypass
-	// it — they are the caller insisting the optimizer's decision not be
-	// used, cached or otherwise.
-	decide := e.cfg.DecisionCache != nil && e.cfg.ForceKey == nil && e.cfg.ForceCF == 0
+	// and every knob that can change the outcome. A forced cf bypasses
+	// it — the caller insisting the optimizer's decision not be used,
+	// cached or otherwise.
+	decide := e.cfg.DecisionCache != nil && e.cfg.ForceCF == 0
 	var decisionKey string
 	if decide {
 		fp, err := workflow.Fingerprint(w)
@@ -71,17 +72,6 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 		return PlanOutcome{}, err
 	}
 
-	if e.cfg.ForceKey != nil {
-		cand, err := optimizer.ScoreKey(ds.Schema, *e.cfg.ForceKey, optCfg)
-		if err != nil {
-			return PlanOutcome{}, err
-		}
-		plan = optimizer.Plan{
-			Key: *e.cfg.ForceKey, ClusteringFactor: cand.ClusteringFactor,
-			PredictedWorkload: cand.Workload, Blocks: cand.Blocks,
-			Candidates: []optimizer.Candidate{cand},
-		}
-	}
 	if e.cfg.ForceCF > 0 {
 		if !plan.Key.IsOverlapping() && e.cfg.ForceCF != 1 {
 			return PlanOutcome{}, fmt.Errorf("core: ForceCF %d needs an overlapping key", e.cfg.ForceCF)
@@ -91,7 +81,7 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 	}
 
 	out := PlanOutcome{Plan: plan}
-	if e.cfg.SkewMode == SkewSampling && e.cfg.ForceKey == nil && e.cfg.ForceCF == 0 {
+	if e.cfg.SkewMode == SkewSampling && e.cfg.ForceCF == 0 {
 		if err := ctx.Err(); err != nil {
 			return PlanOutcome{}, err
 		}
@@ -105,7 +95,7 @@ func (e *Engine) PlanContext(ctx context.Context, w *workflow.Workflow, ds *Data
 		}
 		out.Plan = choice.Plan
 		out.Sampled = true
-		m := e.cfg.Cluster.Machine
+		m := costmodel.DefaultCluster().Machine
 		out.SampleSeconds = float64(bytesRead)/(m.DiskMBps*(1<<20)) +
 			float64(len(plan.Candidates)*len(sample))*m.MapSecPerRecord + 2*m.TaskOverheadSec
 	}
@@ -154,9 +144,9 @@ func (e *Engine) Run(w *workflow.Workflow, ds *Dataset) (*Result, error) {
 }
 
 // EvaluateContext plans and executes the workflow over the dataset. The
-// job's map/reduce tasks run on Config.Executor's shared pool, so any
-// number of concurrent EvaluateContext calls (on one engine or many
-// sharing an executor) multiplex over one bounded set of workers.
+// job's map/reduce tasks run on the engine's shared executor pool, so any
+// number of concurrent EvaluateContext calls (on one engine or a
+// Service's) multiplex over one bounded set of workers.
 // Cancelling ctx tears the in-flight job down — shuffle senders unblock,
 // spill and merge loops abort, temporary state is released — and the
 // call returns an error satisfying errors.Is(err, context.Canceled).
@@ -606,7 +596,7 @@ func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (
 	}
 	// Batches arrive in reduce-completion order; the assembler's sort makes
 	// the canonical result bytes independent of that interleaving.
-	if err := asm.finish(ctx, e.cfg.Executor); err != nil {
+	if err := asm.finish(ctx, e.cfg.executor); err != nil {
 		return nil, nil, err
 	}
 	st, est := js.stats()
@@ -644,20 +634,18 @@ func (js *jobStart) resolve(key []byte) (int, *workflow.Measure, error) {
 func (e *Engine) mrConfig() mr.Config {
 	return mr.Config{
 		NumReducers:     e.cfg.NumReducers,
-		Executor:        e.cfg.Executor,
-		MapParallelism:  e.cfg.MapParallelism,
+		Executor:        e.cfg.executor,
 		MorselBytes:     e.cfg.MorselBytes,
 		LocalAggBudget:  e.cfg.LocalAggBudget,
 		SortMemoryItems: e.cfg.SortMemoryItems,
 		TempDir:         e.cfg.TempDir,
-		FailureInjector: e.cfg.FailureInjector,
 	}
 }
 
 // estimate is the simulated response time of a run with the given
-// counters on the engine's cluster, plus its sampling passes.
+// counters on the paper's cluster, plus its sampling passes.
 func (e *Engine) estimate(st mr.JobStats, sampleSeconds float64) costmodel.Estimate {
-	est := EstimateFromStats(e.cfg.Cluster, st)
+	est := EstimateFromStats(costmodel.DefaultCluster(), st)
 	est.ReduceSeconds += sampleSeconds
 	return est
 }

@@ -23,12 +23,12 @@ var ErrUnknownDataset = errors.New("core: unknown dataset")
 // ServiceConfig parameterizes a resident service.
 type ServiceConfig struct {
 	// Engine is the per-evaluation configuration every session call runs
-	// under (NumReducers is required, as for NewEngine). Engine.Executor
-	// and Engine.DecisionCache are the resident state's seeds: leave them
-	// nil and the service builds (and owns) its own.
+	// under (NumReducers is required, as for NewEngine).
+	// Engine.DecisionCache is a seed of the resident state: leave it nil
+	// and the service builds (and owns) its own.
 	Engine Config
-	// Workers sizes the owned executor pool when Engine.Executor is nil
-	// (<= 0 = the exec package's default sizing).
+	// Workers sizes the service's executor pool (<= 0 = the exec
+	// package's default sizing).
 	Workers int
 	// DecisionCacheSize bounds the owned decision cache when
 	// Engine.DecisionCache is nil (<= 0 = the optimizer's default).
@@ -62,9 +62,8 @@ type Service struct {
 	eng *Engine
 	adm *exec.Admission
 
-	execu   *exec.Executor
-	ownExec bool
-	dcache  *optimizer.DecisionCache
+	execu  *exec.Executor
+	dcache *optimizer.DecisionCache
 
 	store    *blockstore.Store
 	rcache   *blockstore.ResultCache
@@ -81,17 +80,8 @@ type Service struct {
 func NewService(cfg ServiceConfig) (*Service, error) {
 	s := &Service{datasets: make(map[string]*Dataset)}
 	ecfg := cfg.Engine
-	if ecfg.Executor == nil {
-		workers := cfg.Workers
-		if workers < 0 {
-			workers = 0
-		}
-		s.execu = exec.New(workers)
-		s.ownExec = true
-		ecfg.Executor = s.execu
-	} else {
-		s.execu = ecfg.Executor
-	}
+	s.execu = exec.New(cfg.Workers)
+	ecfg.executor = s.execu
 	if ecfg.DecisionCache == nil {
 		ecfg.DecisionCache = optimizer.NewDecisionCache(cfg.DecisionCacheSize)
 	}
@@ -100,9 +90,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if ecfg.ResultCache == nil && (cfg.Store != nil || cfg.ResultCacheBytes > 0) {
 		rc, err := blockstore.NewResultCache(cfg.Store, cfg.ResultCacheBytes)
 		if err != nil {
-			if s.ownExec {
-				s.execu.Close()
-			}
+			s.execu.Close()
 			return nil, fmt.Errorf("core: opening result cache: %w", err)
 		}
 		ecfg.ResultCache = rc
@@ -111,9 +99,7 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	s.rcache = ecfg.ResultCache
 	eng, err := NewEngine(ecfg)
 	if err != nil {
-		if s.ownExec {
-			s.execu.Close()
-		}
+		s.execu.Close()
 		if s.ownCache {
 			s.rcache.Close()
 		}
@@ -332,9 +318,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	if err := s.adm.Drain(ctx); err != nil {
 		return err
 	}
-	if s.ownExec {
-		s.drain.Do(s.execu.Close)
-	}
+	s.drain.Do(s.execu.Close)
 	// Materialized results and their manifests reach the store before the
 	// process exits; a restart then serves warm queries from disk. An
 	// owned cache is closed outright, a caller-provided one only flushed.

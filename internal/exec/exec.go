@@ -8,8 +8,8 @@
 //
 //   - admission is FIFO within a group and round-robin across groups, so
 //     a long job cannot starve a short one (FIFO-fair);
-//   - each group bounds its own in-flight tasks (the per-job
-//     MapParallelism knob keeps its meaning on a shared pool);
+//   - each group bounds its own in-flight tasks (a job's map tasks
+//     take at most GOMAXPROCS workers of a shared pool);
 //   - every task receives the group's context and must return promptly
 //     once it is cancelled; task errors are aggregated with errors.Join
 //     and prefixed with the task's label, while pure cancellation is

@@ -25,14 +25,6 @@ type Config struct {
 	// Scale multiplies every dataset size (1.0 ≈ a few hundred thousand
 	// records per run; raise it on bigger machines).
 	Scale float64
-	// Represent is the number of paper-records each real record stands
-	// for when converting measured counters into simulated seconds: real
-	// runs stay laptop-sized while the reported times correspond to the
-	// paper's hundreds of millions to billions of records. Default 2500
-	// (so the default 400k-record run represents 1B records). The curve
-	// shapes come entirely from the real counters; Represent only sets
-	// the magnitude.
-	Represent int64
 	// Reducers is the default reducer count (panels with their own sweep
 	// ignore it). Default 16.
 	Reducers int
@@ -42,12 +34,17 @@ type Config struct {
 	Seed int64
 }
 
+// represent is the number of paper-records each real record stands for
+// when converting measured counters into simulated seconds: real runs
+// stay laptop-sized while the reported times correspond to the paper's
+// hundreds of millions to billions of records (the scale-1 400k-record
+// run represents 1B records). The curve shapes come entirely from the
+// real counters; represent only sets the magnitude.
+const represent = 2500
+
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1
-	}
-	if c.Represent <= 0 {
-		c.Represent = 2500
 	}
 	if c.Reducers < 1 {
 		c.Reducers = 16
@@ -123,7 +120,7 @@ func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // runQuery executes one engine run and returns the simulated seconds at
-// paper magnitude (see Config.Represent).
+// paper magnitude (see represent).
 func runQuery(ctx context.Context, su *workload.Suite, records []cube.Record, cfg core.Config, q int, fc Config) (float64, *core.Result, error) {
 	w, err := su.Query(q)
 	if err != nil {
@@ -139,7 +136,7 @@ func runQuery(ctx context.Context, su *workload.Suite, records []cube.Record, cf
 	if err != nil {
 		return 0, nil, err
 	}
-	return SimSeconds(res, fc.Represent), res, nil
+	return SimSeconds(res, represent), res, nil
 }
 
 // PanelA is Figure 4(a): scale-up — response time vs. data size for
@@ -221,8 +218,8 @@ func Fig4b(ctx context.Context, cfg Config) (*PanelB, error) {
 				return nil, fmt.Errorf("figures: 4b Q%d m=%d: %w", q, m, err)
 			}
 			// Rate at paper magnitude: each real record represents
-			// cfg.Represent paper records.
-			row[j] = float64(p.Records) * float64(cfg.Represent) / sec / 1e6
+			// represent paper records.
+			row[j] = float64(p.Records) * represent / sec / 1e6
 		}
 		p.Rate = append(p.Rate, row)
 	}

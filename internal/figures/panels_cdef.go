@@ -151,9 +151,9 @@ func Fig4e(ctx context.Context, cfg Config) (*PanelE, error) {
 				return nil, fmt.Errorf("figures: 4e DS%d: %w", i, err)
 			}
 			if early == core.EarlyAggAuto {
-				p.With = append(p.With, SimSeconds(res, cfg.Represent))
+				p.With = append(p.With, SimSeconds(res, represent))
 			} else {
-				p.Without = append(p.Without, SimSeconds(res, cfg.Represent))
+				p.Without = append(p.Without, SimSeconds(res, represent))
 			}
 		}
 	}

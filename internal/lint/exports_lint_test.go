@@ -37,6 +37,7 @@ var testOnlyAllowed = map[string]string{
 	// Test conveniences over a production entry point.
 	"internal/mr.Run":                         "RunContext without a context, the entry point of the mr tests",
 	"internal/mr.JobStats.TotalOutputRecords": "sum the streaming tests check output accounting with",
+	"internal/optimizer.ScoreKey":             "scores the key a test pins, in place of the optimizer's (engine tests, bench_test.go's overlap ablation)",
 }
 
 // modFile is one parsed non-test file of the module.
@@ -76,6 +77,9 @@ func parseModule(t *testing.T, fset *token.FileSet) []modFile {
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			dir, ok := strings.CutPrefix(p, modulePath+"/")
+			if p == modulePath {
+				dir, ok = ".", true
+			}
 			if !ok {
 				continue
 			}
@@ -219,6 +223,126 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if !seenAllowed[key] {
 			t.Errorf("allowlist entry %s names nothing declared under internal/", key)
 		}
+	}
+}
+
+// testOnlySettings lists the exported fields of settings structs under
+// internal/ that no program sets and that stay anyway, keyed
+// "<package dir>.<Type>.<Field>". Every entry says why it stays.
+var testOnlySettings = map[string]string{
+	"internal/figures.Config.Reducers": "the unit tests run the panels at 4 reducers",
+}
+
+// TestNoTestOnlySettings fails when an exported field of a settings struct
+// under internal/ (one named Options or *Config) is set by no program, no
+// non-test file outside its package and examples/: a knob only tests
+// turn. A field is set when it keys a literal of its struct (or of an
+// alias), or when such a file keys an element literal elided in a slice
+// or map literal, or assigns a selector, of the field's name and its own
+// package has no settings field of that name. The name-based rules, like
+// TestNoTestOnlyExports, under-report.
+func TestNoTestOnlySettings(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseModule(t, fset)
+	typeKey := func(mf modFile, e ast.Expr) string { // "<dir>.<Type>" that e names
+		switch e := e.(type) {
+		case *ast.Ident:
+			return mf.dir + "." + e.Name
+		case *ast.SelectorExpr:
+			if x, ok := e.X.(*ast.Ident); ok && mf.imports[x.Name] != "" {
+				return mf.imports[x.Name] + "." + e.Sel.Name
+			}
+		}
+		return ""
+	}
+	dirOf := func(key string) string { return key[:strings.LastIndexByte(key, '.')] }
+
+	fields := map[string]token.Pos{} // "<dir>.<Type>.<Field>" -> its declaration
+	own := map[string]bool{}         // "<dir>.<Field>" of the same fields
+	alias := map[string]string{}     // "<dir>.<Name>" -> the type it aliases
+	for _, mf := range files {
+		ast.Inspect(mf.ast, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			key, name := mf.dir+"."+ts.Name.Name, ts.Name.Name
+			if ts.Assign.IsValid() {
+				alias[key] = typeKey(mf, ts.Type)
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok && strings.HasPrefix(mf.dir, "internal/") &&
+				ts.Name.IsExported() && (name == "Options" || strings.HasSuffix(name, "Config")) {
+				for _, f := range st.Fields.List {
+					for _, n := range f.Names {
+						if n.IsExported() {
+							fields[key+"."+n.Name], own[mf.dir+"."+n.Name] = n.Pos(), true
+						}
+					}
+				}
+			}
+			return false
+		})
+	}
+
+	set := map[string]bool{}          // fields keyed in a literal outside their package
+	assigned := map[string][]string{} // field name -> dirs setting it by name only
+	for _, mf := range files {
+		if strings.HasPrefix(mf.dir+"/", "examples/") {
+			continue
+		}
+		ast.Inspect(mf.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				key := typeKey(mf, n.Type)
+				for alias[key] != "" {
+					key = alias[key]
+				}
+				for _, el := range n.Elts {
+					kv, ok := el.(*ast.KeyValueExpr)
+					if !ok {
+						continue
+					}
+					k, ok := kv.Key.(*ast.Ident)
+					switch {
+					case !ok:
+					case n.Type == nil && !own[mf.dir+"."+k.Name]: // elided in a slice or map literal
+						assigned[k.Name] = append(assigned[k.Name], mf.dir)
+					case key != "" && dirOf(key) != mf.dir:
+						set[key+"."+k.Name] = true
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && !own[mf.dir+"."+sel.Sel.Name] {
+						assigned[sel.Sel.Name] = append(assigned[sel.Sel.Name], mf.dir)
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	var bad []string
+	for key, pos := range fields {
+		ok := set[key]
+		for _, dir := range assigned[key[strings.LastIndexByte(key, '.')+1:]] {
+			ok = ok || dir != dirOf(dirOf(key))
+		}
+		switch _, allowed := testOnlySettings[key]; {
+		case allowed && ok:
+			bad = append(bad, key+" is allowlisted as test-only but a program sets it — drop the entry")
+		case !allowed && !ok:
+			bad = append(bad, fset.Position(pos).String()+": "+key+" is a setting no program sets — delete it, make it an unexported test seam, or allowlist it with a reason")
+		}
+	}
+	for key := range testOnlySettings {
+		if _, ok := fields[key]; !ok {
+			bad = append(bad, "allowlist entry "+key+" names no settings field under internal/")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
 

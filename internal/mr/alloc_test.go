@@ -110,7 +110,7 @@ func propJob(records [][]byte, stringKeyed bool, groupBy func([]byte) []byte) Jo
 			NumReducers: 3,
 			// Serialize map tasks so hash-path arrival order is
 			// deterministic across the byte/string runs.
-			MapParallelism:  1,
+			mapParallelism:  1,
 			GroupBy:         groupBy, // nil = hash grouping, else sorted
 			SortMemoryItems: 2,       // force spill runs on both grouping paths
 		},

@@ -133,7 +133,7 @@ func TestCancelAtRandomPoints(t *testing.T) {
 
 				job := sumJob(6000, Config{
 					NumReducers:     3,
-					Transport:       transport.ChannelFactory(4), // small buffer: senders sit on backpressure
+					newTransport:    func(n int) (transport.Transport, error) { return transport.NewChannel(n, 4) }, // senders sit on backpressure
 					SortMemoryItems: 2,
 					GroupBy:         fullKey,
 					TempDir:         dir,
@@ -208,7 +208,7 @@ func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 	cfgFor := func(dir string) Config {
 		return Config{
 			NumReducers:     2,
-			Transport:       transport.ChannelFactory(4), // small buffer: senders sit on backpressure
+			newTransport:    func(n int) (transport.Transport, error) { return transport.NewChannel(n, 4) }, // senders sit on backpressure
 			SortMemoryItems: 2,
 			GroupBy:         fullKey,
 			TempDir:         dir,
@@ -317,7 +317,6 @@ func TestMultiTaskFailuresAllReported(t *testing.T) {
 	job := sumJob(100, Config{
 		NumReducers: 2,
 		TempDir:     t.TempDir(),
-		MaxAttempts: 1,
 		// Fail two specific reduce tasks: reduce tasks of one group all
 		// start together, so both record their error before cancellation
 		// propagates from the other.

@@ -118,7 +118,7 @@ func TestWordCountAcrossBatchSizes(t *testing.T) {
 		t.Run(fmt.Sprintf("channel/batch=%d", size), func(t *testing.T) {
 			res, err := Run(wordCountJob(wcLines, Config{
 				NumReducers:       3,
-				ShuffleBatchPairs: size,
+				shuffleBatchPairs: size,
 				TempDir:           t.TempDir(),
 			}))
 			if err != nil {

@@ -123,9 +123,9 @@ type storeSplit struct {
 // NewStoreInput reads a logical file from the block store, one split
 // per block (records never straddle blocks by construction). Each split
 // open is a checksum-verified read whose columns decode straight into
-// rows; replica failover happens inside the store, and a map task whose
-// replicas are all gone fails and is re-executed by the mr retry
-// machinery once a replica recovers.
+// rows; replica failover happens inside the store. A split whose
+// replicas are all gone fails to open, and the job fails with the store's
+// error, labelled by task.
 func NewStoreInput(st *blockstore.Store, file string) Input {
 	return &storeInput{st: st, file: file}
 }

@@ -29,8 +29,8 @@ import (
 // byte-identical to fixed-split output; the engine property tests pin
 // that equivalence.
 
-// DefaultMorselBytes is the morsel size the engine uses when morsel mode
-// is enabled without an explicit size: 32KiB of records is a few
+// DefaultMorselBytes is the recommended morsel size (casmrun's help
+// names it): 32KiB of records is a few
 // thousand records — small enough that a straggling split is carved into
 // hundreds of stealable pieces, large enough that deque traffic is
 // amortized over ~10^3 records of map work.

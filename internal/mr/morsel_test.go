@@ -268,7 +268,7 @@ func morselWCConfig(tmp string) Config {
 // the exact same output as fixed-split mode, plus the morsel counters.
 func TestMorselWordCount(t *testing.T) {
 	cfg := morselWCConfig(t.TempDir())
-	cfg.MapParallelism = 4
+	cfg.mapParallelism = 4
 	res, err := Run(wordCountJob(wcLines, cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestMorselMatchesFixed(t *testing.T) {
 			if morsel {
 				cfg.MorselBytes = 64
 				cfg.LocalAggBudget = 2
-				cfg.MapParallelism = 4
+				cfg.mapParallelism = 4
 			}
 			res, err := Run(wordCountJob(lines, cfg))
 			if err != nil {
@@ -396,7 +396,7 @@ func TestStoreAndMemoryInputsMapAlike(t *testing.T) {
 				}
 			},
 			Config: Config{
-				NumReducers: 3, MapParallelism: 1, MorselBytes: morselBytes, LocalAggBudget: 5,
+				NumReducers: 3, mapParallelism: 1, MorselBytes: morselBytes, LocalAggBudget: 5,
 				NewCombiner: newCountCombiner, TempDir: t.TempDir(),
 			},
 		})
@@ -461,7 +461,7 @@ func TestMorselStealsOnSkew(t *testing.T) {
 	job := wordCountSplits(lines, 1, Config{ // one giant split: worker 1 starts empty
 		NumReducers:    2,
 		Executor:       ex,
-		MapParallelism: 2,
+		mapParallelism: 2,
 		MorselBytes:    256,
 		NewCombiner:    newCountCombiner,
 		TempDir:        t.TempDir(),
@@ -511,7 +511,7 @@ func TestMorselStealsOnSkew(t *testing.T) {
 // many distinct keys must spill mid-stream, and output stays correct.
 func TestMorselLocalAggSpills(t *testing.T) {
 	cfg := morselWCConfig(t.TempDir())
-	cfg.MapParallelism = 2
+	cfg.mapParallelism = 2
 	cfg.NewCombiner = newCountCombiner
 	res, err := Run(wordCountJob(wcLines, cfg))
 	if err != nil {
@@ -524,39 +524,6 @@ func TestMorselLocalAggSpills(t *testing.T) {
 	}
 	if spills == 0 {
 		t.Error("LocalAggSpills = 0 with LocalAggBudget=2 over 11 distinct words")
-	}
-}
-
-// TestMorselFailureInjection checks the per-worker retry contract: the
-// injector fires at worker start (before any morsel) and a crashed
-// attempt is retried without duplicating output.
-func TestMorselFailureInjection(t *testing.T) {
-	var fails atomic.Int32
-	cfg := morselWCConfig(t.TempDir())
-	cfg.MapParallelism = 2
-	cfg.FailureInjector = func(task string, attempt int) error {
-		if task == "map-worker-0" && attempt == 1 {
-			fails.Add(1)
-			return fmt.Errorf("injected crash")
-		}
-		return nil
-	}
-	res, err := Run(wordCountJob(wcLines, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWordCount(t, res)
-	if fails.Load() != 1 {
-		t.Errorf("injector fired %d times", fails.Load())
-	}
-	retried := false
-	for _, m := range res.Stats.MapTasks {
-		if m.Task == "map-worker-0" && m.Attempts == 2 {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Error("map-worker-0 was not retried")
 	}
 }
 
@@ -573,7 +540,7 @@ func TestMorselCancellation(t *testing.T) {
 	var seen atomic.Int64
 	job := wordCountJob(lines, Config{
 		NumReducers:    2,
-		MapParallelism: 4,
+		mapParallelism: 4,
 		MorselBytes:    64,
 		TempDir:        t.TempDir(),
 	})

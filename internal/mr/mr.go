@@ -12,8 +12,10 @@
 //     sorter when a configured group identity (Config.GroupBy) lets a
 //     composite sort key carry a secondary order (the Section III-D
 //     combined-key optimization);
-//   - per-task counters that feed the cost model, and fault injection
-//     with bounded task retry.
+//   - per-task counters that feed the cost model.
+//
+// A task's error fails the job, labelled with the task; no task is
+// re-executed.
 //
 // The record data plane is byte-keyed end to end: keys travel as []byte
 // from MapCtx.Emit through the shuffle, the reducer's grouping collector,
@@ -53,7 +55,8 @@ import (
 // job's records are kept with its JobStats for as long as any caller holds
 // them, so every field here is paid once per task of every retained job.
 type MapTaskStats struct {
-	Task     string
+	Task string
+	// Attempts is 1: a failed task fails its job, never re-runs.
 	Attempts int
 
 	// Timing is the scheduler-stamped task lifecycle: Start is when the
@@ -324,20 +327,6 @@ type Config struct {
 	// its bounded workers with FIFO-fair admission instead of each
 	// spawning their own goroutines.
 	Executor *exec.Executor
-	// MapParallelism bounds this job's concurrent map tasks (default
-	// GOMAXPROCS); on a shared executor it is the job's admission limit,
-	// so one job cannot monopolize the pool. Reduce tasks are bounded by
-	// GOMAXPROCS, always.
-	MapParallelism int
-	// Transport produces the shuffle transport. Production jobs leave it
-	// nil (the in-memory channel transport, the only implementation); it
-	// is a field so pipe_test.go can substitute a fake whose per-reducer
-	// streams end early, proving the collect→reduce barrier is gone.
-	Transport transport.Factory
-	// ShuffleBatchPairs sets how many pairs each map task buffers per
-	// reducer before shipping them as one framed batch (default 256; 1
-	// disables batching and sends pair-at-a-time).
-	ShuffleBatchPairs int
 	// NewCombiner enables map-side early aggregation with a streaming
 	// combiner when non-nil.
 	NewCombiner CombinerFactory
@@ -345,14 +334,12 @@ type Config struct {
 	// split to morsel-driven execution: every split that supports it (see
 	// MorselSplit) is carved into contiguous ~MorselBytes runs of records,
 	// dealt round-robin onto per-worker deques, and processed by
-	// MapParallelism workers that steal from each other's deques once
-	// their own drain — so a hot split is finished by many workers instead
-	// of riding out one straggler. Each worker owns one map pipeline
-	// (combiner table, Local state, batch writer) for its whole tour, and
-	// map-task counters are per worker rather than per split. FailureInjector fires
-	// once per worker before it pulls any morsel (retried up to
-	// MaxAttempts, like a fixed-split task start); mid-stream errors are
-	// never retried in either mode. 0 keeps the fixed-split map phase.
+	// min(GOMAXPROCS, Executor.Workers()) workers that steal from each
+	// other's deques once their own drain — so a hot split is finished by
+	// many workers instead of riding out one straggler. Each worker owns
+	// one map pipeline (combiner table, Local state, batch writer) for its
+	// whole tour, and map-task counters are per worker rather than per
+	// split. 0 keeps the fixed-split map phase.
 	MorselBytes int
 	// LocalAggBudget caps the distinct partial states a map task's
 	// combiner table holds before it is spilled — flushed, in
@@ -386,17 +373,23 @@ type Config struct {
 	// carries a secondary order: the shuffle drains through the external
 	// sorter and pairs within a group arrive in full-key order.
 	GroupBy func(key []byte) []byte
-	// NewMapLocal, when non-nil, is called once per map task (attempt)
-	// and its result exposed as MapCtx.Local.
+	// NewMapLocal, when non-nil, is called once per map task and its
+	// result exposed as MapCtx.Local.
 	NewMapLocal func(st *MapTaskStats) any
 	// NewReduceLocal, when non-nil, is called once per reduce task and
 	// its result exposed as ReduceCtx.Local.
 	NewReduceLocal func(st *ReduceTaskStats) any
-	// FailureInjector, when non-nil, is called at each task start; a
-	// non-nil error fails that attempt (used by fault-tolerance tests).
-	FailureInjector func(task string, attempt int) error
-	// MaxAttempts bounds task retries (default 3).
-	MaxAttempts int
+
+	// Test seams, left zero by the engine. mapParallelism bounds the
+	// job's concurrent map tasks, and so its morsel workers (default
+	// GOMAXPROCS, or the executor's workers if fewer). newTransport builds
+	// the shuffle (default the channel transport); pipe_test.go fakes one
+	// whose per-reducer streams end early. shuffleBatchPairs is how many
+	// pairs a map task buffers per reducer before shipping them as one
+	// batch (default DefaultShuffleBatchPairs).
+	mapParallelism    int
+	newTransport      func(numReducers int) (transport.Transport, error)
+	shuffleBatchPairs int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -406,14 +399,15 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Executor == nil {
 		c.Executor = exec.Default()
 	}
-	if c.MapParallelism < 1 {
-		c.MapParallelism = runtime.GOMAXPROCS(0)
+	if c.mapParallelism < 1 {
+		// Map tasks beyond the pool's workers could only queue.
+		c.mapParallelism = min(runtime.GOMAXPROCS(0), c.Executor.Workers())
 	}
-	if c.Transport == nil {
-		c.Transport = transport.ChannelFactory(0)
+	if c.newTransport == nil {
+		c.newTransport = func(n int) (transport.Transport, error) { return transport.NewChannel(n, 0) }
 	}
-	if c.ShuffleBatchPairs < 1 {
-		c.ShuffleBatchPairs = DefaultShuffleBatchPairs
+	if c.shuffleBatchPairs < 1 {
+		c.shuffleBatchPairs = DefaultShuffleBatchPairs
 	}
 	if c.LocalAggBudget < 1 {
 		c.LocalAggBudget = 1 << 16
@@ -423,9 +417,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.GroupBy == nil {
 		c.GroupBy = func(k []byte) []byte { return k }
-	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 3
 	}
 	return c, nil
 }

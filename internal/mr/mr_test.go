@@ -303,50 +303,104 @@ func TestShuffleDisabled(t *testing.T) {
 	}
 }
 
-func TestFailureInjectionRetries(t *testing.T) {
-	var fails atomic.Int32
-	cfg := Config{
-		NumReducers: 2,
-		TempDir:     t.TempDir(),
-		FailureInjector: func(task string, attempt int) error {
-			if task == "mem-1" && attempt == 1 {
-				fails.Add(1)
-				return fmt.Errorf("injected crash")
-			}
-			return nil
-		},
-	}
-	res, err := Run(wordCountJob(wcLines, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkWordCount(t, res)
-	if fails.Load() != 1 {
-		t.Errorf("injector fired %d times", fails.Load())
-	}
-	retried := false
-	for _, m := range res.Stats.MapTasks {
-		if m.Task == "mem-1" && m.Attempts == 2 {
-			retried = true
-		}
-	}
-	if !retried {
-		t.Error("task mem-1 was not retried")
-	}
+// failingOpen wraps a split so that its Open fails, counted, when fail
+// names its label; carvedFailingOpen also carves it, wrapping each morsel.
+type failingOpen struct {
+	Split
+	fail  string
+	fails *atomic.Int32
 }
 
-func TestFailureInjectionGivesUp(t *testing.T) {
-	cfg := Config{
-		NumReducers: 1,
-		MaxAttempts: 2,
-		TempDir:     t.TempDir(),
-		FailureInjector: func(task string, attempt int) error {
-			return fmt.Errorf("always down")
-		},
+type carvedFailingOpen struct{ failingOpen }
+
+type splitList []Split
+
+func (l splitList) Splits() ([]Split, error) { return l, nil }
+
+func (f failingOpen) Open() (RowIter, error) {
+	if f.Label() == f.fail {
+		f.fails.Add(1)
+		return nil, fmt.Errorf("%s: disk on fire", f.fail)
 	}
-	if _, err := Run(wordCountJob(wcLines, cfg)); err == nil {
-		t.Fatal("permanently failing job succeeded")
+	return f.Split.Open()
+}
+
+func (c carvedFailingOpen) Morsels(targetBytes int) ([]Split, error) {
+	subs, err := c.Split.(MorselSplit).Morsels(targetBytes)
+	for i, sub := range subs {
+		subs[i] = failingOpen{Split: sub, fail: c.fail, fails: c.fails}
 	}
+	return subs, err
+}
+
+// TestSplitOpenFailureFailsJob: a split or morsel that cannot be opened
+// fails the job with its error, labelled by the task that opened it, and
+// is opened once — nothing is retried. The store case is the real fault:
+// every replica of a block is down.
+func TestSplitOpenFailureFailsJob(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		morselBytes int
+		carve       bool
+		fail, task  string // the label whose Open fails; the task the error names
+	}{
+		{"fixed", 0, false, "mem-1", "mr: map task mem-1: "},
+		{"morsel-whole-split", 8, false, "mem-1", "mr: map worker "},
+		{"morsel-carved", 8, true, "mem-1/m0", "mr: map worker "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var fails atomic.Int32
+			job := wordCountJob(wcLines, Config{NumReducers: 2, MorselBytes: tc.morselBytes, mapParallelism: 2, TempDir: t.TempDir()})
+			splits, _ := job.Input.Splits()
+			var wrapped splitList
+			for _, sp := range splits {
+				f := failingOpen{Split: sp, fail: tc.fail, fails: &fails}
+				if tc.carve {
+					wrapped = append(wrapped, carvedFailingOpen{f})
+				} else {
+					wrapped = append(wrapped, f)
+				}
+			}
+			job.Input = wrapped
+			_, err := Run(job)
+			if err == nil || !strings.Contains(err.Error(), tc.task) || !strings.Contains(err.Error(), tc.fail+": disk on fire") {
+				t.Fatalf("err = %v, want %q's Open error labelled %q", err, tc.fail, tc.task)
+			}
+			if n := fails.Load(); n != 1 {
+				t.Fatalf("%s opened %d times, want 1", tc.fail, n)
+			}
+		})
+	}
+
+	t.Run("store-replicas-gone", func(t *testing.T) {
+		st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 256, Replication: 2, NumNodes: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		var recs []cube.Record
+		for i := int64(0); i < 1000; i++ {
+			recs = append(recs, cube.Record{i % 7, i})
+		}
+		if err := st.WriteRecords("data", 2, "", recs); err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := st.Blocks("data")
+		if err != nil || len(blocks) < 2 {
+			t.Fatalf("blocks = %d, err = %v; want a multi-block file", len(blocks), err)
+		}
+		for _, n := range blocks[1].Replicas {
+			st.FailNode(n)
+		}
+		_, err = Run(Job{
+			Input:  NewStoreInput(st, "data"),
+			Map:    func(*MapCtx, []int64) error { return nil },
+			Config: Config{NumReducers: 1, ShuffleDisabled: true, TempDir: t.TempDir()},
+		})
+		if err == nil || !strings.Contains(err.Error(), "mr: map task data[") {
+			t.Fatalf("err = %v, want a store read error labelled by its map task", err)
+		}
+	})
 }
 
 func TestMapErrorPropagates(t *testing.T) {

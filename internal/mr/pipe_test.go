@@ -92,8 +92,8 @@ func TestPipeCloseMidStreamReleasesSpillState(t *testing.T) {
 			dir := t.TempDir()
 			pipe, err := RunPipe(context.Background(), sumJob(6000, Config{
 				NumReducers:     3,
-				Transport:       transport.ChannelFactory(4), // small buffer: senders sit on backpressure
-				SortMemoryItems: 2,                           // spill every third pair
+				newTransport:    func(n int) (transport.Transport, error) { return transport.NewChannel(n, 4) }, // senders sit on backpressure
+				SortMemoryItems: 2,                                                                              // spill every third pair
 				GroupBy:         fullKey,
 				TempDir:         dir,
 			}))
@@ -145,10 +145,6 @@ func newEarlyCloseTransport(numReducers int) (transport.Transport, error) {
 		return nil, fmt.Errorf("earlyCloseTransport: single reducer only, got %d", numReducers)
 	}
 	return &earlyCloseTransport{ch: make(chan []transport.Pair, 1)}, nil
-}
-
-func (e *earlyCloseTransport) Send(ctx context.Context, r int, p transport.Pair) error {
-	return e.SendBatch(ctx, r, []transport.Pair{p})
 }
 
 func (e *earlyCloseTransport) SendBatch(ctx context.Context, r int, ps []transport.Pair) error {
@@ -237,9 +233,9 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 		Config: Config{
 			NumReducers:       1,
 			Executor:          ex,
-			MapParallelism:    1, // one map task at a time: the gate parks exactly one worker
-			ShuffleBatchPairs: 1, // the very first emit flushes a batch to the reducer
-			Transport:         newEarlyCloseTransport,
+			mapParallelism:    1, // one map task at a time: the gate parks exactly one worker
+			shuffleBatchPairs: 1, // the very first emit flushes a batch to the reducer
+			newTransport:      newEarlyCloseTransport,
 			TempDir:           t.TempDir(),
 		},
 	}

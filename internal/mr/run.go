@@ -251,7 +251,7 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 	}
 	var tr transport.Transport
 	if !cfg.ShuffleDisabled {
-		tr, err = cfg.Transport(cfg.NumReducers)
+		tr, err = cfg.newTransport(cfg.NumReducers)
 		if err != nil {
 			return nil, fmt.Errorf("mr: transport: %w", err)
 		}
@@ -344,16 +344,16 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 		}
 	}
 
-	// Map phase: pooled tasks, bounded per job by MapParallelism. In
+	// Map phase: pooled tasks, bounded per job by mapParallelism. In
 	// fixed-split mode each split is one task; in morsel mode the tasks
 	// are long-lived workers self-scheduling over the carved morsels via
 	// work-stealing deques (see morsel.go), so a map "task" in the stats
 	// is then one worker's whole tour of the input. Either way a task is
 	// one mapPipeline fed by a different scan.
 	var mapStats []MapTaskStats
-	mapGroup := ex.NewGroup(jobCtx, exec.Options{Limit: cfg.MapParallelism, OnError: cancelJob})
+	mapGroup := ex.NewGroup(jobCtx, exec.Options{Limit: cfg.mapParallelism, OnError: cancelJob})
 	if cfg.MorselBytes > 0 {
-		workers := cfg.MapParallelism
+		workers := cfg.mapParallelism
 		if workers > len(morselItems) {
 			workers = len(morselItems)
 		}
@@ -496,33 +496,19 @@ func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll group
 }
 
 // runMapTask executes one map task — one split in fixed-split mode, one
-// morsel worker's whole tour in morsel mode (scan says which) — with
-// retry. The failure injector only fires at task start, before any pair
-// is emitted, so retries are safe (re-emission after partial sends would
-// duplicate data; real systems solve this with attempt-tagged output
-// files, which our in-process shuffle does not need). Mid-task errors are
-// therefore not retried, and neither is cancellation: a cancelled attempt
-// is the job being torn down, not the task failing.
+// morsel worker's whole tour in morsel mode (scan says which). Its error,
+// from the split's Open, a record's decode, the map function or the
+// shuffle, fails the job; nothing is retried.
 func runMapTask(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
-	var lastErr error
-	for attempt := 1; attempt <= cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st.Attempts = attempt
-		if cfg.FailureInjector != nil {
-			if err := cfg.FailureInjector(st.Task, attempt); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		p := newMapPipeline(ctx, job, st, cfg, tr)
-		if err := scan(p); err != nil {
-			return err
-		}
-		return p.flush()
+	if err := ctx.Err(); err != nil { // dispatched after the job died: open nothing
+		return err
 	}
-	return fmt.Errorf("giving up after %d attempts: %w", cfg.MaxAttempts, lastErr)
+	st.Attempts = 1
+	p := newMapPipeline(ctx, job, st, cfg, tr)
+	if err := scan(p); err != nil {
+		return err
+	}
+	return p.flush()
 }
 
 // mapPipeline is one map task's data path, built once per task and
@@ -545,7 +531,7 @@ type mapPipeline struct {
 func newMapPipeline(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport) *mapPipeline {
 	p := &mapPipeline{mapFn: job.Map, st: st, cfg: cfg}
 	if !cfg.ShuffleDisabled {
-		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.ShuffleBatchPairs)
+		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.shuffleBatchPairs)
 	}
 	p.mctx = MapCtx{Stats: st, p: p}
 	if cfg.NewCombiner != nil {

@@ -58,9 +58,9 @@ func NewDecisionCache(capacity int) *DecisionCache {
 // that only affect execution (transport, sort mode, morsels) are deliberately
 // absent: they do not alter the chosen plan.
 func DecisionKey(workflowFP, datasetTag string, numRecords int64, cfg Config, skewMode, sampleSize int, seed int64) string {
-	return fmt.Sprintf("wf=%s|ds=%s|n=%d|m=%d|minb=%d|maxcf=%d|skew=%d|samp=%d|seed=%d",
+	return fmt.Sprintf("wf=%s|ds=%s|n=%d|m=%d|minb=%d|skew=%d|samp=%d|seed=%d",
 		workflowFP, datasetTag, numRecords,
-		cfg.NumReducers, cfg.MinBlocksPerReducer, cfg.MaxCF, skewMode, sampleSize, seed)
+		cfg.NumReducers, cfg.MinBlocksPerReducer, skewMode, sampleSize, seed)
 }
 
 // Get returns the cached decision for key, cloning the plan so the caller

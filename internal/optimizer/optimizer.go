@@ -53,9 +53,6 @@ type Config struct {
 	// leave fewer than this many blocks per reducer — the paper's
 	// "2Blocks"/"4Blocks" skew heuristic.
 	MinBlocksPerReducer int64
-	// MaxCF caps the clustering-factor search (0 = the annotated
-	// attribute's cardinality at the key level).
-	MaxCF int64
 }
 
 func (c Config) validate() error {
@@ -172,7 +169,8 @@ func CandidateKeys(s *cube.Schema, minimal distkey.Key) []distkey.Key {
 }
 
 // ScoreKey scores one explicit candidate key, choosing its optimal
-// clustering factor; the engine uses it when a key is forced externally.
+// clustering factor; tests use it to pin a plan the optimizer did not
+// choose.
 func ScoreKey(s *cube.Schema, k distkey.Key, cfg Config) (Candidate, error) {
 	if err := cfg.validate(); err != nil {
 		return Candidate{}, err
@@ -195,11 +193,9 @@ func scoreKey(s *cube.Schema, k distkey.Key, cfg Config) Candidate {
 	}
 	x := ann[0]
 	d := k.Anns[x].Width()
-	annCard := s.Attr(x).CardAt(k.Grain[x])
-	maxCF := cfg.MaxCF
-	if maxCF <= 0 || maxCF > annCard {
-		maxCF = annCard
-	}
+	// The cf search stops at the annotated attribute's cardinality at the
+	// key's level.
+	maxCF := s.Attr(x).CardAt(k.Grain[x])
 	if cfg.MinBlocksPerReducer > 0 {
 		// Keep at least MinBlocksPerReducer · m blocks: cf ≤ nG / (that).
 		cap := nG / (cfg.MinBlocksPerReducer * int64(cfg.NumReducers))

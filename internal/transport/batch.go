@@ -25,7 +25,7 @@ type BatchWriter struct {
 // blocked on backpressure unblocks when ctx is cancelled. The writer is
 // owned by one sending task, whose lifetime the context spans — storing
 // it here keeps the per-pair Send signature alloc-free. A batchSize < 2
-// degenerates to one SendBatch per pair (batching disabled).
+// ships every pair as a one-pair batch.
 func NewBatchWriter(ctx context.Context, tr Transport, numReducers, batchSize int) *BatchWriter {
 	if batchSize < 1 {
 		batchSize = 1
@@ -39,10 +39,6 @@ func NewBatchWriter(ctx context.Context, tr Transport, numReducers, batchSize in
 // Send buffers one pair for reducer r, flushing that reducer's batch if it
 // is full.
 func (w *BatchWriter) Send(r int, p Pair) error {
-	if w.size <= 1 {
-		w.batches++
-		return w.tr.Send(w.ctx, r, p)
-	}
 	if w.bufs[r] == nil {
 		w.bufs[r] = GetBatch(w.size)
 	}

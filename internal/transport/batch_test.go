@@ -91,7 +91,7 @@ func TestBatchedEqualsPerPair(t *testing.T) {
 
 	// The "channel" name level is kept only so test IDs stay stable.
 	t.Run("channel", func(t *testing.T) {
-		baseline := run(t, 1) // per-pair: BatchWriter passthrough
+		baseline := run(t, 1) // one-pair batches
 		for _, size := range []int{2, 3, 16, 256, 1024} {
 			got := run(t, size)
 			for r := 0; r < reducers; r++ {

@@ -18,11 +18,11 @@ func TestChannelSendUnblocksOnCancel(t *testing.T) {
 	defer tr.Close()
 	cctx, cancel := context.WithCancel(context.Background())
 	// Fill the single-batch buffer; nobody is receiving.
-	if err := tr.Send(cctx, 0, pairS("a", nil)); err != nil {
+	if err := tr.SendBatch(cctx, 0, []Pair{pairS("a", nil)}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- tr.Send(cctx, 0, pairS("b", nil)) }()
+	go func() { done <- tr.SendBatch(cctx, 0, []Pair{pairS("b", nil)}) }()
 	select {
 	case err := <-done:
 		t.Fatalf("send returned %v before cancel on a full buffer", err)
@@ -50,7 +50,7 @@ func TestSendOnCancelledContextFails(t *testing.T) {
 		defer tr.Close()
 		cctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := tr.Send(cctx, 0, pairS("a", nil)); !errors.Is(err, context.Canceled) {
+		if err := tr.SendBatch(cctx, 0, []Pair{pairS("a", nil)}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
 		if got := tr.BytesSent(); got != 0 {

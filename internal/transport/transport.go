@@ -2,10 +2,10 @@
 // reducers ("the result pairs are shuffled and dispatched to reducers")
 // over in-memory channels, the engine's one shuffle transport. Transport
 // stays an interface so the substrate's tests can substitute a fake with a
-// different stream lifecycle (see mr.Config.Transport).
+// different stream lifecycle.
 //
-// A Transport instance serves one job execution: mappers call Send or
-// SendBatch concurrently, then the driver calls CloseSend exactly once;
+// A Transport instance serves one job execution: mappers call SendBatch
+// concurrently, then the driver calls CloseSend exactly once;
 // each reducer drains its Receive channel until it is closed.
 //
 // Sends are context-aware: a sender blocked on reducer backpressure
@@ -49,11 +49,6 @@ func (p Pair) Size() int64 { return int64(len(p.Key) + len(p.Value)) }
 
 // Transport delivers pairs to numbered reducers.
 type Transport interface {
-	// Send delivers a single pair to reducer r; equivalent to a one-pair
-	// SendBatch. Safe for concurrent use by many mapper goroutines. It
-	// fails after CloseSend, and returns ctx.Err() (without delivering)
-	// once ctx is cancelled.
-	Send(ctx context.Context, r int, p Pair) error
 	// SendBatch delivers a batch of pairs to reducer r in one framed
 	// operation. The transport takes ownership of ps (see the package
 	// comment). Empty batches are a no-op. Safe for concurrent use; it
@@ -70,15 +65,11 @@ type Transport interface {
 	Receive(r int) <-chan []Pair
 	// BytesSent reports the total payload bytes sent so far.
 	BytesSent() int64
-	// BatchesSent reports the number of framed batch deliveries so far
-	// (single-pair Sends count as one batch each).
+	// BatchesSent reports the number of framed batch deliveries so far.
 	BatchesSent() int64
 	// Close releases resources. Call after all receivers are drained.
 	Close() error
 }
-
-// Factory creates a transport for a job with the given reducer count.
-type Factory func(numReducers int) (Transport, error)
 
 // channelTransport is the in-memory implementation.
 type channelTransport struct {
@@ -102,15 +93,6 @@ func NewChannel(numReducers, buffer int) (Transport, error) {
 		t.chans[i] = make(chan []Pair, buffer)
 	}
 	return t, nil
-}
-
-// ChannelFactory returns a Factory producing in-memory transports.
-func ChannelFactory(buffer int) Factory {
-	return func(n int) (Transport, error) { return NewChannel(n, buffer) }
-}
-
-func (t *channelTransport) Send(ctx context.Context, r int, p Pair) error {
-	return t.SendBatch(ctx, r, []Pair{p})
 }
 
 func (t *channelTransport) SendBatch(ctx context.Context, r int, ps []Pair) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -21,55 +22,31 @@ func pairS(key string, value []byte) Pair {
 
 // exercise sends pairs from several concurrent "mappers" and verifies each
 // reducer receives exactly the pairs addressed to it.
-func exercise(t *testing.T, factory Factory, reducers, mappers, pairsPerMapper int) {
+func exercise(t *testing.T, reducers, mappers, pairsPerMapper int) {
 	t.Helper()
-	tr, err := factory(reducers)
+	tr, err := NewChannel(reducers, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-
-	type addressed struct {
-		r int
-		p Pair
-	}
-	var mu sync.Mutex
-	sent := make(map[int][]string) // reducer -> sorted payload strings
-
-	var recvWG sync.WaitGroup
-	received := make([][]string, reducers)
-	for r := 0; r < reducers; r++ {
-		r := r
-		recvWG.Add(1)
-		go func() {
-			defer recvWG.Done()
-			for ps := range tr.Receive(r) {
-				for _, p := range ps {
-					received[r] = append(received[r], string(p.Key)+"="+string(p.Value))
-				}
-			}
-		}()
-	}
-
+	var received [][]string
+	collected := make(chan struct{})
+	go func() { received = collectAll(tr, reducers); close(collected) }()
 	var sendWG sync.WaitGroup
-	for m := 0; m < mappers; m++ {
-		m := m
+	sent := make([][][]string, mappers) // mapper -> reducer -> payload strings
+	for m := range sent {
+		sent[m] = make([][]string, reducers)
 		sendWG.Add(1)
 		go func() {
 			defer sendWG.Done()
 			rng := rand.New(rand.NewSource(int64(m)))
 			for i := 0; i < pairsPerMapper; i++ {
-				a := addressed{
-					r: rng.Intn(reducers),
-					p: pairS(fmt.Sprintf("k%d", rng.Intn(10)), []byte(fmt.Sprintf("m%d-i%d", m, i))),
-				}
-				if err := tr.Send(ctx, a.r, a.p); err != nil {
+				r, p := rng.Intn(reducers), pairS(fmt.Sprintf("k%d", rng.Intn(10)), []byte(fmt.Sprintf("m%d-i%d", m, i)))
+				if err := tr.SendBatch(ctx, r, []Pair{p}); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}
-				mu.Lock()
-				sent[a.r] = append(sent[a.r], string(a.p.Key)+"="+string(a.p.Value))
-				mu.Unlock()
+				sent[m][r] = append(sent[m][r], string(p.Key)+"="+string(p.Value))
 			}
 		}()
 	}
@@ -77,25 +54,21 @@ func exercise(t *testing.T, factory Factory, reducers, mappers, pairsPerMapper i
 	if err := tr.CloseSend(ctx); err != nil {
 		t.Fatal(err)
 	}
-	recvWG.Wait()
+	<-collected
 
-	total := int64(0)
-	for r := 0; r < reducers; r++ {
-		got := append([]string(nil), received[r]...)
-		want := append([]string(nil), sent[r]...)
-		sort.Strings(got)
+	total := 0
+	for r, got := range received {
+		var want []string
+		for m := range sent {
+			want = append(want, sent[m][r]...)
+		}
 		sort.Strings(want)
-		if len(got) != len(want) {
-			t.Fatalf("reducer %d: got %d pairs, want %d", r, len(got), len(want))
+		if !slices.Equal(got, want) {
+			t.Fatalf("reducer %d: got %d pairs, want %d, or their payloads differ", r, len(got), len(want))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("reducer %d: pair %d = %q, want %q", r, i, got[i], want[i])
-			}
-		}
-		total += int64(len(got))
+		total += len(got)
 	}
-	if total != int64(mappers*pairsPerMapper) {
+	if total != mappers*pairsPerMapper {
 		t.Fatalf("total pairs %d, want %d", total, mappers*pairsPerMapper)
 	}
 	if tr.BytesSent() <= 0 {
@@ -104,7 +77,7 @@ func exercise(t *testing.T, factory Factory, reducers, mappers, pairsPerMapper i
 }
 
 func TestChannelTransport(t *testing.T) {
-	exercise(t, ChannelFactory(16), 4, 8, 500)
+	exercise(t, 4, 8, 500)
 }
 
 func TestSendAfterCloseFails(t *testing.T) {
@@ -115,21 +88,14 @@ func TestSendAfterCloseFails(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tr.Close()
-		go func() {
-			for range tr.Receive(0) {
-			}
-		}()
-		go func() {
-			for range tr.Receive(1) {
-			}
-		}()
-		if err := tr.Send(ctx, 0, pairS("a", []byte("b"))); err != nil {
+		go collectAll(tr, 2)
+		if err := tr.SendBatch(ctx, 0, []Pair{pairS("a", []byte("b"))}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.CloseSend(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Send(ctx, 0, pairS("a", nil)); err == nil {
+		if err := tr.SendBatch(ctx, 0, []Pair{pairS("a", nil)}); err == nil {
 			t.Error("send after CloseSend succeeded")
 		}
 		if err := tr.CloseSend(ctx); err == nil {
@@ -143,10 +109,10 @@ func TestSendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Send(ctx, -1, Pair{}); err == nil {
+	if err := tr.SendBatch(ctx, -1, []Pair{{}}); err == nil {
 		t.Error("negative reducer accepted")
 	}
-	if err := tr.Send(ctx, 2, Pair{}); err == nil {
+	if err := tr.SendBatch(ctx, 2, []Pair{{}}); err == nil {
 		t.Error("out-of-range reducer accepted")
 	}
 	if _, err := NewChannel(0, 4); err == nil {
@@ -163,12 +129,9 @@ func TestPairSize(t *testing.T) {
 
 func TestChannelBytesSentExact(t *testing.T) {
 	tr, _ := NewChannel(1, 8)
-	go func() {
-		for range tr.Receive(0) {
-		}
-	}()
-	tr.Send(ctx, 0, pairS("ab", []byte("cd")))
-	tr.Send(ctx, 0, pairS("x", nil))
+	go collectAll(tr, 1)
+	tr.SendBatch(ctx, 0, []Pair{pairS("ab", []byte("cd"))})
+	tr.SendBatch(ctx, 0, []Pair{pairS("x", nil)})
 	if got := tr.BytesSent(); got != 5 {
 		t.Errorf("BytesSent = %d, want 5", got)
 	}
