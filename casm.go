@@ -250,11 +250,6 @@ const (
 	TwoPassSort     = core.TwoPassSort
 	CombinedKeySort = core.CombinedKeySort
 
-	StageFull    = core.StageFull
-	StageMapOnly = core.StageMapOnly
-	StageShuffle = core.StageShuffle
-	StageSort    = core.StageSort
-
 	EarlyAggOff  = core.EarlyAggOff
 	EarlyAggAuto = core.EarlyAggAuto
 

@@ -39,6 +39,7 @@ import (
 
 	casm "github.com/casm-project/casm"
 	"github.com/casm-project/casm/internal/core"
+	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
@@ -79,7 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		early    = fs.String("early", "off", "early aggregation: off | auto (combine whenever the query supports it)")
 		skew     = fs.String("skew", "none", "skew handling: none | sampling")
 		minBlk   = fs.Int64("minblocks", 0, "minimum blocks per reducer heuristic (0 = off)")
-		stage    = fs.String("stage", "full", "pipeline stage: full | maponly | shuffle | sort")
 		values   = fs.Int("show", 0, "print the first N result rows per measure")
 		savePath = fs.String("save", "", "write result records to a single-node block store at this directory")
 		tmpDir   = fs.String("tmp", "", "directory for reducer spill files (default OS temp)")
@@ -179,17 +179,6 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown skew mode %q", *skew)
 	}
-	switch *stage {
-	case "full":
-	case "maponly":
-		cfg.Stage = casm.StageMapOnly
-	case "shuffle":
-		cfg.Stage = casm.StageShuffle
-	case "sort":
-		cfg.Stage = casm.StageSort
-	default:
-		return fmt.Errorf("unknown stage %q", *stage)
-	}
 
 	// The dataset's cardinality and schema digest come from block footers
 	// (no counting scan), and -resultcache materializes results back into
@@ -258,9 +247,7 @@ func run(args []string, stdout io.Writer) error {
 		float64(res.Stats.Shuffled)/(1<<20), len(res.Stats.MapTasks), len(res.Stats.ReduceTasks),
 		res.Stats.Wall.Seconds())
 	fmt.Fprintf(stdout, "simulated response time on the paper's cluster: %s\n", res.Estimate)
-	if res.SampleSeconds > 0 {
-		fmt.Fprintf(stdout, "  (includes %.1fs simulated sampling overhead)\n", res.SampleSeconds)
-	}
+	printStages(stdout, res.Stats, res.SampleSeconds)
 	if res.ResultReused {
 		fmt.Fprintln(stdout, "result assembled from the materialized cache (no input scanned)")
 	}
@@ -378,6 +365,19 @@ func printPlan(stdout io.Writer, su *workload.Suite, h core.ResultHeader) {
 		h.SampledPlan, h.PlanCached, h.EarlyAggregated)
 }
 
+// printStages prints the run's Figure 4(d) bars as the panel prices them,
+// then the sampling pass the simulated time includes.
+func printStages(stdout io.Writer, js mr.JobStats, sampleSeconds float64) {
+	fmt.Fprint(stdout, "  Figure 4(d) stages:")
+	for s, est := range core.EstimateStages(costmodel.DefaultCluster(), js) {
+		fmt.Fprintf(stdout, " %s=%.1fs", costmodel.Stage(s), est.Total()+sampleSeconds)
+	}
+	fmt.Fprintln(stdout)
+	if sampleSeconds > 0 {
+		fmt.Fprintf(stdout, "  (includes %.1fs simulated sampling overhead)\n", sampleSeconds)
+	}
+}
+
 func jobBytesRead(js mr.JobStats) int64 {
 	var n int64
 	for _, t := range js.MapTasks {
@@ -434,9 +434,7 @@ func runStream(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *work
 		float64(st.Shuffled)/(1<<20), len(st.MapTasks), len(st.ReduceTasks), st.Wall.Seconds())
 	fmt.Fprintf(stdout, "streamed %d rows; simulated response time on the paper's cluster: %s\n",
 		rs.Rows(), rs.Estimate())
-	if rs.SampleSeconds > 0 {
-		fmt.Fprintf(stdout, "  (includes %.1fs simulated sampling overhead)\n", rs.SampleSeconds)
-	}
+	printStages(stdout, st, rs.SampleSeconds)
 	return nil
 }
 

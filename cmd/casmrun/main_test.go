@@ -209,9 +209,32 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-data", "data", "-query", "q1"},
 		{"-store", dir, "-data", "data", "-block", "4096"},
+		{"-store", dir, "-data", "data", "-stage", "sort"},
 	} {
 		if err := run(args, io.Discard); !errors.Is(err, errUsage) {
 			t.Errorf("run %v: %v, want a usage error", args, err)
+		}
+	}
+}
+
+var (
+	totalLine = regexp.MustCompile(`simulated response time on the paper's cluster: map \S+ \+ reduce \S+ = (\S+)\n`)
+	stageLine = regexp.MustCompile(`\n  Figure 4\(d\) stages: Map-Only=\S+ MR=\S+ Sort=\S+ Sort\+Eval=(\S+)\n`)
+)
+
+// TestStageBarsEndAtTotal: the unary and the streamed run print the
+// Figure 4(d) bars priced from the run, and the last, Sort+Eval, is the
+// simulated response time printed above it.
+func TestStageBarsEndAtTotal(t *testing.T) {
+	dir, _ := testStore(t)
+	for _, mode := range [][]string{{"-query", "q6"}, {"-query", "q5", "-stream", "-skew", "sampling"}} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-store", dir, "-data", "data", "-tmp", t.TempDir()}, mode...), &out); err != nil {
+			t.Fatalf("run %v: %v", mode, err)
+		}
+		total, bars := totalLine.FindStringSubmatch(out.String()), stageLine.FindStringSubmatch(out.String())
+		if total == nil || bars == nil || bars[1] != total[1] {
+			t.Errorf("%v: total %q, stage bars %q; want the Sort+Eval bar to print the total:\n%s", mode, total, bars, out.String())
 		}
 	}
 }

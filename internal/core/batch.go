@@ -80,8 +80,8 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, ws []*workflow.Workfl
 		return nil, err
 	}
 
-	// Partition: stage-stopped and early-aggregated queries cannot share a
-	// job (see startJob); jobs are ordered by their first query.
+	// Partition: early-aggregated queries cannot share a job (see
+	// startJob); jobs are ordered by their first query.
 	queries := make([]*jobQuery, len(ws))
 	var parts [][]int
 	shared := -1
@@ -94,7 +94,7 @@ func (e *Engine) EvaluateBatchContext(ctx context.Context, ws []*workflow.Workfl
 			return nil, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
 		switch {
-		case e.cfg.Stage != StageFull || e.earlyFor(queries[i]) != nil:
+		case e.earlyFor(queries[i]) != nil:
 			parts = append(parts, []int{i})
 		case shared < 0:
 			shared = len(parts)

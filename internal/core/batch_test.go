@@ -267,16 +267,17 @@ func TestEvaluateBatchSharedScanCounters(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchUnshareableFallsBack pins the fallback: stage-stopped
-// engines cannot share a scan, so every query runs alone and no job is
-// marked shared.
+// TestEvaluateBatchUnshareableFallsBack pins the fallback: queries the
+// map side combines cannot share a scan, so every query runs alone and no
+// job is marked shared.
 func TestEvaluateBatchUnshareableFallsBack(t *testing.T) {
 	su := workload.NewSuite()
-	ws := []*workflow.Workflow{mustQ(t, su, 1), mustQ(t, su, 2)}
+	ea := earlyAggWorkflows(t, su)
+	ws := []*workflow.Workflow{ea["ds0"], ea["ds1"]}
 	records := su.Generate(800, workload.Uniform, 1)
 	ds := MemoryDataset(su.Schema, records, 3)
 
-	eng, err := NewEngine(Config{NumReducers: 2, Stage: StageSort, TempDir: t.TempDir()})
+	eng, err := NewEngine(Config{NumReducers: 2, EarlyAggregation: EarlyAggAuto, TempDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,9 +288,9 @@ func TestEvaluateBatchUnshareableFallsBack(t *testing.T) {
 	if len(batch.Jobs) != 2 {
 		t.Fatalf("want 2 sequential jobs, got %d", len(batch.Jobs))
 	}
-	for _, j := range batch.Jobs {
-		if j.Shared {
-			t.Errorf("stage-stopped job %v marked shared", j.Queries)
+	for i, j := range batch.Jobs {
+		if j.Shared || !batch.Results[i].EarlyAggregated {
+			t.Errorf("job %v: shared %v, early-aggregated %v; want alone and combined", j.Queries, j.Shared, batch.Results[i].EarlyAggregated)
 		}
 	}
 	if got := batch.SharedScanQueries(); got != 0 {

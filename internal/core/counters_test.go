@@ -65,3 +65,35 @@ func TestObservationsNeverPriced(t *testing.T) {
 		t.Error("control: a priced counter changed and the estimate did not")
 	}
 }
+
+// TestSimulatedSecondsRepeatWithoutSpills is the condition under which
+// simulated seconds repeat: a run whose reducers never spill — every
+// Figure 4 run — prices bit-identically twice. A spilling reducer's
+// SpillBytes depends on the order its pairs arrive in, so under a forced
+// spill SpillBytes may move between runs, and every other priced counter
+// must not.
+func TestSimulatedSecondsRepeatWithoutSpills(t *testing.T) {
+	su := workload.NewSuite()
+	ds := MemoryDataset(su.Schema, su.Generate(6000, workload.SkewedTime, 6), 6)
+	for _, budget := range []int{0, 64} {
+		cfg := Config{NumReducers: 3, SortMemoryItems: budget}
+		a, b := runEngine(t, cfg, su.Q6(), ds), runEngine(t, cfg, su.Q6(), ds)
+		var spilled int64
+		for r, ta := range a.Stats.ReduceTasks {
+			wa, wb := ta.ReduceWork, b.Stats.ReduceTasks[r].ReduceWork
+			spilled += wa.SpillBytes + wb.SpillBytes
+			wa.SpillBytes, wb.SpillBytes = 0, 0
+			if wa != wb {
+				t.Errorf("budget %d: reducer %d priced %+v, then %+v", budget, r, wa, wb)
+			}
+		}
+		for m, ta := range a.Stats.MapTasks {
+			if ta.MapWork != b.Stats.MapTasks[m].MapWork {
+				t.Errorf("budget %d: map task %d priced %+v, then %+v", budget, m, ta.MapWork, b.Stats.MapTasks[m].MapWork)
+			}
+		}
+		if (spilled == 0) != (budget == 0) || budget == 0 && a.Estimate != b.Estimate {
+			t.Errorf("budget %d: spilled %d bytes; priced %+v, then %+v", budget, spilled, a.Estimate, b.Estimate)
+		}
+	}
+}

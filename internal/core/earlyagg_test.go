@@ -417,13 +417,17 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 	}
 }
 
-// oneBlockDS1 is one store block of n records, its plan for DS1, and an
-// engine that runs the map side only: scan → row map → combiner → flush,
-// with the pairs counted instead of shuffled.
+// oneBlockDS1 is one store block of n records — the same 4096 records
+// repeated, so every n flushes the same partial states — its plan for DS1,
+// and an engine that runs the whole job: scan → row map → combiner →
+// flush → shuffle → merge → assembly.
 func oneBlockDS1(tb testing.TB, n int) (run func()) {
 	tb.Helper()
 	su := workload.NewSuite()
-	records := su.Generate(n, workload.Uniform, 9)
+	records := su.Generate(4096, workload.Uniform, 9)
+	for len(records) < n {
+		records = append(records, records[:4096]...)
+	}
 	st, err := blockstore.Open(blockstore.Config{Dir: tb.TempDir(), BlockSize: 64 << 20, Replication: 1, NumNodes: 1})
 	if err != nil {
 		tb.Fatal(err)
@@ -440,7 +444,7 @@ func oneBlockDS1(tb testing.TB, n int) (run func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng, err := NewEngine(Config{NumReducers: 8, EarlyAggregation: EarlyAggAuto, Stage: StageMapOnly, TempDir: tb.TempDir()})
+	eng, err := NewEngine(Config{NumReducers: 8, EarlyAggregation: EarlyAggAuto, TempDir: tb.TempDir()})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -465,9 +469,10 @@ func oneBlockDS1(tb testing.TB, n int) (run func()) {
 // shuffle: whole-job allocations over one block at two sizes, the
 // difference divided by the extra records. What a job and a task cost
 // once cancels out (plan, pipe, executor groups, the task's key-gen
-// session: logged); what is left is what a record costs, and that is
-// zero — four times the records may only add the few doublings of a
-// fresh table's arrays.
+// session, and — the big block repeating the small one's records — the
+// flushed partial states' shuffle, merge and assembly: logged); what is
+// left is what a record costs, and that is zero — four times the records
+// may only add the few doublings of a fresh table's arrays.
 func TestEarlyAggMapBlockAllocs(t *testing.T) {
 	const small, big = 4096, 16384
 	runSmall, runBig := oneBlockDS1(t, small), oneBlockDS1(t, big)
@@ -532,9 +537,10 @@ func TestEarlyAggFoldAllocatesNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkEarlyAggMapBlock is the map side of scan_earlyagg's DS1 on one
+// BenchmarkEarlyAggMapBlock is scan_earlyagg's DS1 as one job over one
 // 16k-record store block: block read, row decode, key-gen, combiner and
-// flush, in ns and bytes per record.
+// flush, then the partial states' shuffle, merge and assembly, in ns and
+// bytes per record.
 func BenchmarkEarlyAggMapBlock(b *testing.B) {
 	const n = 16384
 	run := oneBlockDS1(b, n)

@@ -35,23 +35,6 @@ const (
 	CombinedKeySort
 )
 
-// Stage stops the pipeline early, reproducing the Figure 4(d) cost
-// breakdown.
-type Stage int
-
-const (
-	// StageFull runs everything.
-	StageFull Stage = iota
-	// StageMapOnly only fetches and maps ("Map-Only").
-	StageMapOnly
-	// StageShuffle shuffles and groups by the distribution key but skips
-	// the in-group sort and evaluation ("MR").
-	StageShuffle
-	// StageSort additionally sorts within each group but skips the
-	// evaluation scan ("Sort").
-	StageSort
-)
-
 // EarlyAggMode controls map-side early aggregation (Section III-D).
 type EarlyAggMode int
 
@@ -87,8 +70,6 @@ type Config struct {
 	// pairs grouped by block, so they take the substrate's hash collector;
 	// the combined key's secondary order needs its sorted path.
 	SortMode SortMode
-	// Stage optionally stops the pipeline early (default full).
-	Stage Stage
 	// SkewMode selects run-time skew handling (default none).
 	SkewMode SkewMode
 	// SampleSize bounds the skew-detection sample (default 2000 records).
@@ -125,9 +106,9 @@ type Config struct {
 	// identical workflows skip recomputing blocks they have already
 	// answered. A full-query manifest additionally lets an identical
 	// repeated query skip the job (and its input scan) entirely.
-	// Reuse needs a settled dataset identity: only StageFull runs over
-	// datasets with a non-empty Tag and known NumRecords participate
-	// (a multi-query job always recomputes). Correctness leans on the
+	// Reuse needs a settled dataset identity: only runs over datasets
+	// with a non-empty Tag and known NumRecords participate (a
+	// multi-query job always recomputes). Correctness leans on the
 	// pinned determinism of per-block results: byte-identical answers
 	// across cache states are property-tested.
 	ResultCache *blockstore.ResultCache

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/casm-project/casm/internal/blockstore"
+	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/localeval"
@@ -276,27 +277,27 @@ func TestEarlyAggregationAutoFallsBackOnHolistic(t *testing.T) {
 	compare(t, "auto-fallback", oracle(t, w, records), flatten(res))
 }
 
-func TestEngineStages(t *testing.T) {
+// TestEstimateStagesOnQueries prices Q1–Q6's full runs as Figure 4(d)'s
+// bars: each bar costs more than the last (two-pass runs sort inside
+// groups), the Map-Only bar is the run's map wave alone, and the Sort+Eval
+// bar is the run's own estimate.
+func TestEstimateStagesOnQueries(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(1000, workload.Uniform, 13)
 	ds := MemoryDataset(su.Schema, records, 2)
-	w := su.Q5()
-
-	mapOnly := runEngine(t, Config{NumReducers: 2, Stage: StageMapOnly}, w, ds)
-	shuffle := runEngine(t, Config{NumReducers: 2, Stage: StageShuffle}, w, ds)
-	sorted := runEngine(t, Config{NumReducers: 2, Stage: StageSort}, w, ds)
-	full := runEngine(t, Config{NumReducers: 2, Stage: StageFull}, w, ds)
-
-	if mapOnly.TotalRecords() != 0 || shuffle.TotalRecords() != 0 || sorted.TotalRecords() != 0 {
-		t.Error("stage-stopped runs produced output")
-	}
-	if full.TotalRecords() == 0 {
-		t.Error("full run produced no output")
-	}
-	// Simulated cost must be monotone across stages (Figure 4(d) shape).
-	tm, ts, tso, tf := mapOnly.Estimate.Total(), shuffle.Estimate.Total(), sorted.Estimate.Total(), full.Estimate.Total()
-	if !(tm < ts && ts < tso && tso <= tf) {
-		t.Errorf("stage costs not monotone: map=%.2f mr=%.2f sort=%.2f full=%.2f", tm, ts, tso, tf)
+	for q := 1; q <= 6; q++ {
+		res := runEngine(t, Config{NumReducers: 2}, mustQ(t, su, q), ds)
+		bars := EstimateStages(costmodel.DefaultCluster(), res.Stats)
+		tm, ts, tso, tf := bars[0].Total(), bars[1].Total(), bars[2].Total(), bars[3].Total()
+		if !(tm < ts && ts < tso && tso <= tf) {
+			t.Errorf("q%d: stage costs not monotone: map=%v mr=%v sort=%v full=%v", q, tm, ts, tso, tf)
+		}
+		if want := (costmodel.Estimate{MapSeconds: res.Estimate.MapSeconds}); bars[costmodel.StageMapOnly] != want {
+			t.Errorf("q%d: Map-Only bar %+v, want the map wave %+v", q, bars[costmodel.StageMapOnly], want)
+		}
+		if bars[costmodel.StageSortEval] != res.Estimate {
+			t.Errorf("q%d: Sort+Eval bar %+v, want the run's estimate %+v", q, bars[costmodel.StageSortEval], res.Estimate)
+		}
 	}
 }
 

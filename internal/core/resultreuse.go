@@ -52,12 +52,12 @@ type resultReuse struct {
 }
 
 // newResultReuse returns the run's reuse session, or nil when reuse does
-// not apply (no cache, early-stopped pipeline, anonymous dataset,
-// unknown cardinality, or a workflow the canonicalizer rejects — the
-// evaluator would reject it too, so failing open is safe).
+// not apply (no cache, anonymous dataset, unknown cardinality, or a
+// workflow the canonicalizer rejects — the evaluator would reject it too,
+// so failing open is safe).
 func (e *Engine) newResultReuse(w *workflow.Workflow, ds *Dataset, plan optimizer.Plan) *resultReuse {
 	rc := e.cfg.ResultCache
-	if rc == nil || e.cfg.Stage != StageFull || ds.Tag == "" || ds.NumRecords <= 0 {
+	if rc == nil || ds.Tag == "" || ds.NumRecords <= 0 {
 		return nil
 	}
 	fp, err := workflow.Fingerprint(w)

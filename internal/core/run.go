@@ -254,8 +254,8 @@ type jobStart struct {
 // empty tag, so shuffle keys, output keys and the combined-key prefix are
 // the bare single-query bytes and the priced counters are those of a
 // hand-written single-query job. Only a job of one may combine on the map
-// side (the combiner's payloads are per-workflow), stop at a Stage, or use
-// the result cache; EvaluateBatchContext partitions accordingly.
+// side (the combiner's payloads are per-workflow) or use the result
+// cache; EvaluateBatchContext partitions accordingly.
 func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (*jobStart, error) {
 	s := ds.Schema
 	arity := s.NumAttrs()
@@ -410,18 +410,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			gi, blockKey = int(g), groupKey[n:]
 		}
 		dk, members := rl.dks[gi], groups[gi].members
-		switch e.cfg.Stage {
-		case StageShuffle:
-			return values.Drain()
-		case StageSort:
-			es := rl.evs[members[0]]
-			if err := loadGroup(ctx, values, rl.evs, lays, members[:1]); err != nil {
-				return err
-			}
-			ctx.Stats.GroupSortItems += int64(es.SortLoaded())
-			ctx.Stats.EvalArenaBytes = es.ArenaBytes
-			return nil
-		}
 		// Result-cache probe: a hit serves the block's owned rows straight
 		// from the cache (the shuffled records are drained unread, their
 		// evaluation skipped); a miss evaluates normally and captures the
@@ -510,10 +498,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			}
 			return key[:n+blockPrefixLen(key[n:], arity)]
 		}
-	}
-	if e.cfg.Stage == StageMapOnly {
-		job.Config.ShuffleDisabled = true
-		job.Reduce = nil
 	}
 	pipe, err := mr.RunPipe(ctx, job)
 	if err != nil {
@@ -663,6 +647,21 @@ func EstimateFromStats(c costmodel.Cluster, js mr.JobStats) costmodel.Estimate {
 		rw[i] = js.ReduceTasks[i].ReduceWork
 	}
 	return costmodel.EstimateJob(c, mw, rw)
+}
+
+// EstimateStages prices the run's counters cut after each stage as Figure
+// 4(d)'s bars: Map-Only has no reduce wave, Sort+Eval is EstimateFromStats.
+func EstimateStages(c costmodel.Cluster, js mr.JobStats) (bars [costmodel.NumStages]costmodel.Estimate) {
+	cut := mr.JobStats{MapTasks: js.MapTasks}
+	bars[costmodel.StageMapOnly] = EstimateFromStats(c, cut)
+	cut.ReduceTasks = slices.Clone(js.ReduceTasks)
+	for s := costmodel.StageMR; s < costmodel.NumStages; s++ {
+		for i, t := range js.ReduceTasks {
+			cut.ReduceTasks[i].ReduceWork = t.Cut(s)
+		}
+		bars[s] = EstimateFromStats(c, cut)
+	}
+	return bars
 }
 
 // blockPrefixLen returns the length of the block-key prefix (arity

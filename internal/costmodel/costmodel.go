@@ -105,7 +105,7 @@ func (w MapWork) Scaled(rep int64) MapWork {
 }
 
 // ReduceWork counts what one reduce task did. Zero-valued stages are
-// free, which is how the Figure 4(d) stage stops are modeled.
+// free, which is how the Figure 4(d) stage bars are priced (Cut).
 type ReduceWork struct {
 	BytesIn         int64 // shuffled bytes received
 	PairsIn         int64 // pairs received
@@ -130,6 +130,37 @@ func (w ReduceWork) Scaled(rep int64) ReduceWork {
 		EvalRecords:     w.EvalRecords * rep,
 		OutputRecords:   w.OutputRecords * rep,
 	}
+}
+
+// Stage is one bar of Figure 4(d)'s cost breakdown: no job stops, a bar
+// prices the full run's counters cut after its stage (ReduceWork.Cut).
+type Stage int
+
+const (
+	StageMapOnly  Stage = iota // the map wave alone: no reduce wave
+	StageMR                    // + the shuffle and the framework's grouping
+	StageSort                  // + the in-group sort of the local algorithm
+	StageSortEval              // + the evaluation scan: the whole job
+	NumStages
+)
+
+// String returns the bar's label in the paper.
+func (s Stage) String() string { return [...]string{"Map-Only", "MR", "Sort", "Sort+Eval"}[s] }
+
+// Cut returns what of w a reduce task stopped after stage s would have
+// priced: every counter belongs to the first stage that pays it.
+func (w ReduceWork) Cut(s Stage) ReduceWork {
+	var c ReduceWork
+	if s >= StageMR {
+		c.BytesIn, c.PairsIn, c.SortItems, c.SpillBytes = w.BytesIn, w.PairsIn, w.SortItems, w.SpillBytes
+	}
+	if s >= StageSort {
+		c.GroupSortItems, c.GroupSpillBytes = w.GroupSortItems, w.GroupSpillBytes
+	}
+	if s >= StageSortEval {
+		c.EvalRecords, c.OutputRecords = w.EvalRecords, w.OutputRecords
+	}
+	return c
 }
 
 func nLogN(n int64) float64 {

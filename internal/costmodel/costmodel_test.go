@@ -169,3 +169,28 @@ func TestScaledCoversEveryField(t *testing.T) {
 	fill(reflect.ValueOf(&rw).Elem())
 	check("ReduceWork", reflect.ValueOf(rw), reflect.ValueOf(rw.Scaled(3)))
 }
+
+// TestCutAssignsEveryCounterOneStage: Cut drops every priced reduce
+// counter before one stage past Map-Only and keeps it whole from there
+// on, so a counter added to ReduceWork but not placed in Cut fails here
+// instead of silently dropping out of the bars.
+func TestCutAssignsEveryCounterOneStage(t *testing.T) {
+	typ := reflect.TypeOf(ReduceWork{})
+	for i := 0; i < typ.NumField(); i++ {
+		var w ReduceWork
+		reflect.ValueOf(&w).Elem().Field(i).SetInt(7)
+		first := NumStages
+		for s := StageMapOnly; s < NumStages; s++ {
+			switch c := w.Cut(s); {
+			case c == w && first == NumStages:
+				first = s
+			case c == w:
+			case c != ReduceWork{} || first != NumStages:
+				t.Errorf("%s cut at %v to %+v: a counter is kept whole from its stage on and dropped before it", typ.Field(i).Name, s, c)
+			}
+		}
+		if first == StageMapOnly || first == NumStages {
+			t.Errorf("%s enters the bars at stage %d, want MR, Sort or Sort+Eval", typ.Field(i).Name, first)
+		}
+	}
+}

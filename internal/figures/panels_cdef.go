@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/casm-project/casm/internal/core"
+	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/optimizer"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -80,21 +81,20 @@ type PanelD struct {
 	Combined float64 // Sort+Eval with the combined-key optimization
 }
 
-// Fig4d runs the stage-stop breakdown on Q6.
+// Fig4d prices the breakdown on Q6 from one full run (core.EstimateStages)
+// and the combined key's Sort+Eval from a second.
 func Fig4d(ctx context.Context, cfg Config) (*PanelD, error) {
 	cfg = cfg.withDefaults()
 	su := workload.NewSuite()
-	p := &PanelD{
-		Records: cfg.n(200_000),
-		Stages:  []string{"Map-Only", "MR", "Sort", "Sort+Eval"},
-	}
+	p := &PanelD{Records: cfg.n(200_000)}
 	records := su.Generate(p.Records, workload.Uniform, cfg.Seed)
-	for _, st := range []core.Stage{core.StageMapOnly, core.StageShuffle, core.StageSort, core.StageFull} {
-		sec, _, err := runQuery(ctx, su, records, core.Config{NumReducers: cfg.Reducers, Stage: st}, 6, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("figures: 4d stage %d: %w", st, err)
-		}
-		p.Seconds = append(p.Seconds, sec)
+	_, res, err := runQuery(ctx, su, records, core.Config{NumReducers: cfg.Reducers}, 6, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for s, est := range core.EstimateStages(costmodel.DefaultCluster(), mrStatsScaled(res.Stats, represent)) {
+		p.Stages = append(p.Stages, costmodel.Stage(s).String())
+		p.Seconds = append(p.Seconds, est.Total()+res.SampleSeconds)
 	}
 	sec, _, err := runQuery(ctx, su, records,
 		core.Config{NumReducers: cfg.Reducers, SortMode: core.CombinedKeySort}, 6, cfg)

@@ -231,10 +231,8 @@ func (e *Evaluator) SupportsEarlyAggregation() error {
 // SortRecords orders records lexicographically by their finest-level
 // values; any total order works for the hash-based group construction,
 // and a deterministic one makes runs reproducible (this is the in-group
-// sort whose cost Figure 4(d) isolates). Session.SortLoaded is the
-// arena-backed equivalent used by reduce tasks: it sorts the flat block
-// arena's rows as packed integers, or permutes their row index, instead
-// of swapping record headers.
+// sort whose cost Figure 4(d) isolates). Reduce tasks sort a session's
+// flat block arena instead: its rows as packed integers, or its row index.
 func SortRecords(records []cube.Record) {
 	sort.Slice(records, func(i, j int) bool {
 		a, b := records[i], records[j]

@@ -137,17 +137,6 @@ func (ss *Session) Reserve(records int) {
 	ss.rows = slices.Grow(ss.rows, max(records-len(ss.rows), 0))
 }
 
-// SortLoaded sorts the loaded rows lexicographically (the isolated
-// in-group sort of the paper's StageSort runs), then discards the block.
-// It returns the number of rows sorted.
-func (ss *Session) SortLoaded() int {
-	n := len(ss.rows)
-	ss.sortRows()
-	ss.data, ss.rows = ss.data[:0], ss.rows[:0]
-	ss.noteArena()
-	return n
-}
-
 const packMinRows = 96 // the smallest block sortRows sorts as packed integers: on smaller ones the comparison sort is faster
 
 // sortRows orders the block's rows lexicographically in column order.

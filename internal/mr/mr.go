@@ -347,9 +347,6 @@ type Config struct {
 	// grouping collectors (the Leis et al. two-phase shape: local hash
 	// table, overflow to global partitions). Default 65536.
 	LocalAggBudget int
-	// ShuffleDisabled runs the map phase only (the Figure 4(d) "Map-Only"
-	// stage): pairs are counted but not sent, and no reduce phase runs.
-	ShuffleDisabled bool
 	// SortMemoryItems bounds the reducer's in-memory grouping buffer in
 	// items before spilling — the sort buffer on the sorted path, the
 	// buffered-pair count of the hash collector on the hash path (default

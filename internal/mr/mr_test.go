@@ -278,31 +278,6 @@ func TestGroupByCompositeKey(t *testing.T) {
 	}
 }
 
-func TestShuffleDisabled(t *testing.T) {
-	job := wordCountJob(wcLines, Config{NumReducers: 2, ShuffleDisabled: true})
-	job.Reduce = nil
-	res, err := Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) != 0 {
-		t.Errorf("map-only produced output")
-	}
-	if len(res.Stats.ReduceTasks) != 0 {
-		t.Errorf("map-only has reduce tasks")
-	}
-	var pairs int64
-	for _, m := range res.Stats.MapTasks {
-		pairs += m.PairsOut
-	}
-	if pairs == 0 {
-		t.Error("map-only did not count pairs")
-	}
-	if res.Stats.Shuffled != 0 {
-		t.Error("map-only shuffled bytes")
-	}
-}
-
 // failingOpen wraps a split so that its Open fails, counted, when fail
 // names its label; carvedFailingOpen also carves it, wrapping each morsel.
 type failingOpen struct {
@@ -395,7 +370,8 @@ func TestSplitOpenFailureFailsJob(t *testing.T) {
 		_, err = Run(Job{
 			Input:  NewStoreInput(st, "data"),
 			Map:    func(*MapCtx, []int64) error { return nil },
-			Config: Config{NumReducers: 1, ShuffleDisabled: true, TempDir: t.TempDir()},
+			Reduce: func(*ReduceCtx, []byte, *GroupIter) error { return nil },
+			Config: Config{NumReducers: 1, TempDir: t.TempDir()},
 		})
 		if err == nil || !strings.Contains(err.Error(), "mr: map task data[") {
 			t.Fatalf("err = %v, want a store read error labelled by its map task", err)
@@ -431,7 +407,7 @@ func TestConfigValidation(t *testing.T) {
 	job := wordCountJob(wcLines, Config{NumReducers: 1})
 	job.Reduce = nil
 	if _, err := Run(job); err == nil {
-		t.Error("nil reduce without ShuffleDisabled accepted")
+		t.Error("nil reduce accepted")
 	}
 }
 

@@ -228,11 +228,8 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	if job.Input == nil || job.Map == nil {
-		return nil, fmt.Errorf("mr: job needs Input and Map")
-	}
-	if job.Reduce == nil && !cfg.ShuffleDisabled {
-		return nil, fmt.Errorf("mr: job needs Reduce unless ShuffleDisabled")
+	if job.Input == nil || job.Map == nil || job.Reduce == nil {
+		return nil, fmt.Errorf("mr: job needs Input, Map and Reduce")
 	}
 	splits, err := job.Input.Splits()
 	if err != nil {
@@ -249,12 +246,9 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 			return nil, err
 		}
 	}
-	var tr transport.Transport
-	if !cfg.ShuffleDisabled {
-		tr, err = cfg.newTransport(cfg.NumReducers)
-		if err != nil {
-			return nil, fmt.Errorf("mr: transport: %w", err)
-		}
+	tr, err := cfg.newTransport(cfg.NumReducers)
+	if err != nil {
+		return nil, fmt.Errorf("mr: transport: %w", err)
 	}
 
 	// jobCtx governs every task of this job; cancelJob is the teardown
@@ -287,9 +281,7 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselItems []Split, morselOwners []int, tr transport.Transport, cancelJob context.CancelFunc, p *Pipe) (JobStats, error) {
 	start := time.Now()
 	ex := cfg.Executor
-	if tr != nil {
-		defer tr.Close()
-	}
+	defer tr.Close()
 
 	// Reducer collectors: drain the shuffle into per-reducer grouping
 	// collectors (hash table or external sorter, see Config.GroupBy)
@@ -306,9 +298,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 		// disk space). Close is idempotent, so the success path, where the
 		// reduce tasks already drained the collectors, is a no-op.
 		for _, c := range collectors {
-			if c != nil {
-				c.Close()
-			}
+			c.Close()
 		}
 	}()
 	// reduceGroup exists before the collectors because they schedule onto
@@ -318,30 +308,28 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	// streams.
 	reduceGroup := ex.NewGroup(jobCtx, exec.Options{Limit: runtime.GOMAXPROCS(0), OnError: cancelJob})
 	collectGroup := ex.NewGroup(jobCtx, exec.Options{OnError: cancelJob})
-	if !cfg.ShuffleDisabled {
-		for r := 0; r < cfg.NumReducers; r++ {
-			r := r
-			reduceStats[r].Task = fmt.Sprintf("reduce-%d", r)
-			// job.Config, not cfg: withDefaults fills in the identity GroupBy.
-			if job.Config.GroupBy == nil {
-				collectors[r] = groupx.NewHashContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
-			} else {
-				collectors[r] = groupx.NewSortContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
-			}
-			collectGroup.GoService(fmt.Sprintf("mr: collect reduce-%d", r), func(tctx context.Context) error {
-				if err := drainShuffle(tctx, tr, r, collectors[r], &reduceStats[r], cancelJob); err != nil {
-					return err
-				}
-				reduceStats[r].CollectDone = time.Since(start)
-				// This reducer's stream is complete: hand its collector to a
-				// reduce task now, without waiting for sibling drains.
-				reduceGroup.Go(fmt.Sprintf("mr: reduce task %d", r), &reduceStats[r].Timing, func(tctx context.Context) error {
-					w := &outputWriter{ctx: tctx, ch: p.out, r: r, start: start, first: &p.firstOut}
-					return runReduceTask(tctx, job, collectors[r], &reduceStats[r], cfg, w)
-				})
-				return nil
-			})
+	for r := 0; r < cfg.NumReducers; r++ {
+		r := r
+		reduceStats[r].Task = fmt.Sprintf("reduce-%d", r)
+		// job.Config, not cfg: withDefaults fills in the identity GroupBy.
+		if job.Config.GroupBy == nil {
+			collectors[r] = groupx.NewHashContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
+		} else {
+			collectors[r] = groupx.NewSortContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
 		}
+		collectGroup.GoService(fmt.Sprintf("mr: collect reduce-%d", r), func(tctx context.Context) error {
+			if err := drainShuffle(tctx, tr, r, collectors[r], &reduceStats[r], cancelJob); err != nil {
+				return err
+			}
+			reduceStats[r].CollectDone = time.Since(start)
+			// This reducer's stream is complete: hand its collector to a
+			// reduce task now, without waiting for sibling drains.
+			reduceGroup.Go(fmt.Sprintf("mr: reduce task %d", r), &reduceStats[r].Timing, func(tctx context.Context) error {
+				w := &outputWriter{ctx: tctx, ch: p.out, r: r, start: start, first: &p.firstOut}
+				return runReduceTask(tctx, job, collectors[r], &reduceStats[r], cfg, w)
+			})
+			return nil
+		})
 	}
 
 	// Map phase: pooled tasks, bounded per job by mapParallelism. In
@@ -386,27 +374,18 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 
 	var jobErrs exec.ErrorCollector
 	jobErrs.Add("", mapGroup.Wait())
-	stats := JobStats{MapDone: time.Since(start)}
-	if tr != nil {
-		// CloseSend must run even when the job is cancelled or the map
-		// phase failed: it closes the receive side, which is what lets the
-		// collectors' drain loops terminate.
-		jobErrs.Add("mr: close shuffle", tr.CloseSend(jobCtx))
-		jobErrs.Add("", collectGroup.Wait())
-		// Reduce tasks were scheduled per reducer as drains completed;
-		// wait for them unconditionally (on failure they abort against the
-		// cancelled context) so no task outlives the job.
-		jobErrs.Add("", reduceGroup.Wait())
-	}
+	mapDone := time.Since(start)
+	// CloseSend must run even when the job is cancelled or the map phase
+	// failed: it closes the receive side, which is what lets the
+	// collectors' drain loops terminate.
+	jobErrs.Add("mr: close shuffle", tr.CloseSend(jobCtx))
+	jobErrs.Add("", collectGroup.Wait())
+	// Reduce tasks were scheduled per reducer as drains completed; wait for
+	// them unconditionally (on failure they abort against the cancelled
+	// context) so no task outlives the job.
+	jobErrs.Add("", reduceGroup.Wait())
 
-	stats.MapTasks = mapStats
-	stats.ReduceTasks = reduceStats
-	if tr != nil {
-		stats.Shuffled = tr.BytesSent()
-	}
-	if cfg.ShuffleDisabled {
-		stats.ReduceTasks = nil
-	}
+	stats := JobStats{MapDone: mapDone, MapTasks: mapStats, ReduceTasks: reduceStats, Shuffled: tr.BytesSent()}
 	if ns := p.firstOut.Load(); ns > 0 {
 		stats.FirstOutput = time.Duration(ns - 1)
 	}
@@ -522,17 +501,14 @@ type mapPipeline struct {
 	cfg   Config
 	// bw accumulates pairs per reducer and ships them as framed batches,
 	// so channel operations and frame round-trips drop by the batch
-	// factor; nil under ShuffleDisabled (pairs are counted, not sent).
+	// factor.
 	bw   *transport.BatchWriter
 	comb Combiner
 	mctx MapCtx
 }
 
 func newMapPipeline(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport) *mapPipeline {
-	p := &mapPipeline{mapFn: job.Map, st: st, cfg: cfg}
-	if !cfg.ShuffleDisabled {
-		p.bw = transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.shuffleBatchPairs)
-	}
+	p := &mapPipeline{mapFn: job.Map, st: st, cfg: cfg, bw: transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.shuffleBatchPairs)}
 	p.mctx = MapCtx{Stats: st, p: p}
 	if cfg.NewCombiner != nil {
 		p.comb = cfg.NewCombiner(st)
@@ -547,9 +523,6 @@ func newMapPipeline(ctx context.Context, job Job, st *MapTaskStats, cfg Config, 
 func (p *mapPipeline) send(key, value []byte) error {
 	p.st.PairsOut++
 	p.st.BytesOut += int64(len(key) + len(value))
-	if p.bw == nil {
-		return nil
-	}
 	// Partition by the group identity, not the full key, so that a
 	// composite sort key never scatters one group across reducers.
 	return p.bw.Send(HashPartition(p.cfg.GroupBy(key), p.cfg.NumReducers), transport.Pair{Key: key, Value: value})
@@ -621,12 +594,10 @@ func (p *mapPipeline) flush() error {
 			return err
 		}
 	}
-	if p.bw != nil {
-		if err := p.bw.Flush(); err != nil {
-			return err
-		}
-		p.st.BatchesSent += p.bw.Batches()
+	if err := p.bw.Flush(); err != nil {
+		return err
 	}
+	p.st.BatchesSent += p.bw.Batches()
 	return nil
 }
 
@@ -748,7 +719,7 @@ func (g *GroupIter) Next() (transport.Pair, bool, error) {
 }
 
 // Drain consumes any unread remainder of the group; reduce functions that
-// only need the group key (e.g. stage-stopped pipelines) call it
+// only need the group key (e.g. a result-cache hit) call it
 // explicitly, and the framework calls it after every reduce invocation.
 func (g *GroupIter) Drain() error {
 	for {
