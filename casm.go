@@ -270,8 +270,8 @@ type MeasureRecord = core.MeasureRecord
 // Engine.EvaluateBatchContext.
 type BatchResult = core.BatchResult
 
-// BatchJobInfo describes one job a batch ran and which queries shared
-// it.
+// BatchJobInfo describes one job of a batch, run or planned, and which
+// queries shared it.
 type BatchJobInfo = core.BatchJobInfo
 
 // Service is the resident, multi-tenant form of the engine: a long-lived
@@ -386,14 +386,22 @@ func StoreDataset(schema *Schema, st *Store, file string) (*Dataset, error) {
 // feasible distribution keys, and the optimizer's plan for the given
 // dataset size and reducer count.
 func Explain(q *Query, totalRecords int64, numReducers int) (string, error) {
-	key, perMeasure, err := distkey.Derive(q)
-	if err != nil {
-		return "", err
-	}
 	plan, err := optimizer.Optimize(q, optimizer.Config{
 		NumReducers:  numReducers,
 		TotalRecords: totalRecords,
 	})
+	if err != nil {
+		return "", err
+	}
+	return ExplainPlan(q, plan)
+}
+
+// ExplainPlan is Explain for a plan already chosen, such as the one an
+// engine reports for a query it ran or planned: the query, its minimal
+// feasible keys, and the plan with the optimizer's candidates and their
+// modelled heaviest-reducer loads.
+func ExplainPlan(q *Query, plan Plan) (string, error) {
+	key, perMeasure, err := distkey.Derive(q)
 	if err != nil {
 		return "", err
 	}

@@ -1,27 +1,31 @@
-// Command casmrun evaluates one of the paper's queries over a dataset
-// that casmgen ingested into a block store, printing the chosen plan,
-// per-measure result counts, substrate counters, and the simulated
-// response time on the paper's 100-machine cluster:
+// Command casmrun evaluates the paper's queries over a dataset that
+// casmgen ingested into a block store, printing per job which queries
+// shared it, each query's plan and per-measure result counts, substrate
+// counters, and the simulated response time on the paper's 100-machine
+// cluster:
 //
 //	casmrun -store DIR -data data.casm -query q6 -reducers 50
 //	casmrun -store DIR -data data.casm -query q5 -cf 10 -sort combined
 //	casmrun -store DIR -data data.casm -query ds0 -early auto
 //	casmrun -store DIR -data data.casm -query q5 -skew sampling
-//	casmrun -store DIR -data data.casm -batch q1,q2,q6
+//	casmrun -store DIR -data data.casm -query q1,q2,q6
+//	casmrun -store DIR -data data.casm -query q1,q2,q6 -explain
 //	casmrun -store DIR -data data.casm -query q2 -resultcache
 //
 // Queries: q1..q6 (Section VI), ds0..ds2 (early-aggregation study).
 // -data names a file inside the store at -store; evaluation streams off
 // the store's replicated blocks, one block resident per open split, and
-// the dataset's cardinality comes from block footers. Adding -resultcache
-// materializes per-(block, fingerprint) results into the store, so
-// re-running the same query in a later invocation assembles the answer
-// without scanning any input. With -stream, result rows flow to the sink
-// while the job runs instead of being assembled first.
-// With -batch, the named queries are evaluated in one EvaluateBatchContext call:
-// compatible queries share a single input scan (and, when their plans
-// agree on block geometry, the shuffle too), with per-query answers
-// identical to running them one at a time.
+// the dataset's cardinality comes from block footers. The -query list is
+// evaluated in one EvaluateBatchContext call — a single query is a batch
+// of one: compatible queries share a single input scan (and, when their
+// plans agree on block geometry, the shuffle too), with per-query answers
+// identical to running them one at a time. -explain plans the list as the
+// run would and prints the plans and the jobs without running any. Adding
+// -resultcache materializes per-(block, fingerprint) results into the
+// store, so re-running the same query in a later invocation assembles the
+// answer without scanning any input. With -stream, result rows of one
+// query flow to the sink while the job runs instead of being assembled
+// first.
 package main
 
 import (
@@ -72,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 	fs.SetOutput(io.Discard)
 	var (
 		dataPath = fs.String("data", "data.casm", "dataset file inside the store (casmgen -o)")
-		queryStr = fs.String("query", "q1", "query: q1..q6 | ds0..ds2")
+		queryStr = fs.String("query", "q1", "comma-separated queries, evaluated as one batch: q1..q6 | ds0..ds2")
 		cqlPath  = fs.String("cql", "", "CQL file defining the query over the paper schema (overrides -query)")
 		reducers = fs.Int("reducers", 8, "number of reducers (m)")
 		cf       = fs.Int64("cf", 0, "force clustering factor (0 = optimizer)")
@@ -89,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 		stream   = fs.Bool("stream", false, "stream result rows to the sink while the job runs, never materializing the result")
 		storeDir = fs.String("store", "", "directory of the persistent block store holding -data (required)")
 		resCache = fs.Bool("resultcache", false, "enable the materialized result cache, persisted in the store")
-		batchStr = fs.String("batch", "", "comma-separated queries (e.g. q1,q2,q6) evaluated as one shared-scan batch (overrides -query)")
+		explain  = fs.Bool("explain", false, "print each query's plan, keys and candidates and how the queries share jobs, then stop without running")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -109,39 +113,34 @@ func run(args []string, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	su := workload.NewSuite()
-	var q *casm.Query
-	var batchQs []*casm.Query
-	var batchNames []string
-	var err error
+	names := strings.Split(*queryStr, ",")
 	switch {
-	case *batchStr != "":
-		if *stream {
-			return fmt.Errorf("-batch runs materialized jobs; drop -stream")
-		}
-		if *savePath != "" {
-			return fmt.Errorf("-save works on a single query; drop -batch")
-		}
-		for _, n := range strings.Split(*batchStr, ",") {
-			n = strings.TrimSpace(n)
-			bq, berr := pickQuery(su, n)
-			if berr != nil {
-				return berr
-			}
-			batchQs = append(batchQs, bq)
-			batchNames = append(batchNames, strings.ToLower(n))
-		}
-	case *cqlPath != "":
-		src, rerr := os.ReadFile(*cqlPath)
-		if rerr != nil {
-			return rerr
-		}
-		q, err = casm.ParseQuery(su.Schema, string(src))
-	default:
-		q, err = pickQuery(su, *queryStr)
+	case len(names) > 1 && (*stream || *savePath != "" || *cqlPath != ""):
+		return fmt.Errorf("%w: -stream, -save and -cql take one query, not -query %s", errUsage, *queryStr)
+	case *explain && (*stream || *savePath != ""):
+		return fmt.Errorf("%w: -explain runs nothing; drop -stream and -save", errUsage)
+	case *stream && *savePath != "":
+		return fmt.Errorf("-save needs the materialized result; drop -stream")
 	}
-	if err != nil {
-		return err
+	su := workload.NewSuite()
+	qs := make([]*casm.Query, len(names))
+	if *cqlPath != "" {
+		src, err := os.ReadFile(*cqlPath)
+		if err != nil {
+			return err
+		}
+		if qs[0], err = casm.ParseQuery(su.Schema, string(src)); err != nil {
+			return err
+		}
+		names[0] = *cqlPath
+	} else {
+		for i, n := range names {
+			names[i] = strings.ToLower(strings.TrimSpace(n))
+			var err error
+			if qs[i], err = pickQuery(su, names[i]); err != nil {
+				return err
+			}
+		}
 	}
 
 	// One decision cache per invocation, as in casmserve's resident state:
@@ -208,55 +207,43 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "dataset: %d records from store %s (file %s)\n", ds.NumRecords, *storeDir, *dataPath)
 
-	if *stream {
-		if *savePath != "" {
-			return fmt.Errorf("-save needs the materialized result; drop -stream")
-		}
-		return runStream(ctx, stdout, eng, su, q, ds, *values)
+	switch {
+	case *stream:
+		return runStream(ctx, stdout, eng, su, qs[0], ds, *values)
+	case *explain:
+		return explainBatch(ctx, stdout, eng, su, qs, names, ds)
 	}
-	if len(batchQs) > 0 {
-		if err := runBatch(ctx, stdout, eng, su, batchQs, batchNames, ds, *values); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "plan cache: %d hits, %d misses\n", dcache.Hits(), dcache.Misses())
-		return nil
-	}
-	res, err := eng.EvaluateContext(ctx, q, ds)
+	batch, err := eng.EvaluateBatchContext(ctx, qs, ds)
 	if err != nil {
 		return err
 	}
-
-	fmt.Fprintln(stdout, q.Explain())
-	printPlan(stdout, su, res.ResultHeader)
-
-	names := make([]string, 0, len(res.Measures))
-	for n := range res.Measures {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var line []byte
-	for _, n := range names {
-		ms := res.Measures[n]
-		fmt.Fprintf(stdout, "measure %-10s %8d records\n", n, len(ms))
-		for i := 0; i < *values && i < len(ms); i++ {
-			line = appendShownRow(line[:0], su.Schema, "", ms[i].Region, ms[i].Value)
-			stdout.Write(line)
+	for ji, job := range batch.Jobs {
+		printJob(stdout, su, ji, job, names, batch.Results, *values)
+		if job.Shared {
+			var read, saved int64
+			for _, t := range job.Stats.MapTasks {
+				read += t.BytesRead
+				saved += t.SharedScanBytesSaved
+			}
+			fmt.Fprintf(stdout, "shared scan: %.1f MB input scanned once, %.1f MB of re-reads avoided\n",
+				float64(read)/(1<<20), float64(saved)/(1<<20))
 		}
+		printShuffled(stdout, job.Stats)
+		fmt.Fprintf(stdout, "simulated response time on the paper's cluster: %s\n", job.Estimate)
+		var sampleSeconds float64 // the job's Estimate includes every member's sampling pass
+		for _, qi := range job.Queries {
+			sampleSeconds += batch.Results[qi].SampleSeconds
+		}
+		printStages(stdout, job.Stats, sampleSeconds)
 	}
-	fmt.Fprintf(stdout, "shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
-		float64(res.Stats.Shuffled)/(1<<20), len(res.Stats.MapTasks), len(res.Stats.ReduceTasks),
-		res.Stats.Wall.Seconds())
-	fmt.Fprintf(stdout, "simulated response time on the paper's cluster: %s\n", res.Estimate)
-	printStages(stdout, res.Stats, res.SampleSeconds)
-	if res.ResultReused {
-		fmt.Fprintln(stdout, "result assembled from the materialized cache (no input scanned)")
-	}
+	fmt.Fprintf(stdout, "plan cache: %d hits, %d misses\n", dcache.Hits(), dcache.Misses())
 	if rc != nil {
 		cs := rc.Stats()
 		fmt.Fprintf(stdout, "result cache: %d hits, %d misses, %d bytes materialized, %d evictions\n",
 			cs.Hits, cs.Misses, cs.BytesMaterialized, cs.Evictions)
 	}
 	if *savePath != "" {
+		res := batch.Results[0]
 		outStore, err := casm.OpenStore(casm.StoreConfig{Dir: *savePath, Replication: 1, NumNodes: 1, Seed: 1})
 		if err != nil {
 			return err
@@ -277,26 +264,42 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runBatch evaluates the named queries as one EvaluateBatchContext call and
-// prints, per job, which queries shared its scan and shuffle, then the
-// usual per-query result summary.
-func runBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workload.Suite, qs []*casm.Query, names []string, ds *casm.Dataset, show int) error {
-	batch, err := eng.EvaluateBatchContext(ctx, qs, ds)
+// explainBatch plans the queries exactly as the run would and prints, per
+// query, its fingerprint, workflow, keys and the chosen plan with the
+// optimizer's candidates, then the jobs the run would start. No job runs.
+func explainBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workload.Suite, qs []*casm.Query, names []string, ds *casm.Dataset) error {
+	headers, jobs, err := eng.PlanBatchContext(ctx, qs, ds)
 	if err != nil {
 		return err
 	}
+	planned := make([]*casm.Result, len(qs))
+	for qi, q := range qs {
+		fp, err := casm.Fingerprint(q)
+		if err != nil {
+			return err
+		}
+		text, err := casm.ExplainPlan(q, headers[qi].Plan)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "explain %s:\nfingerprint: %s\n%s", names[qi], fp, text)
+		planned[qi] = &casm.Result{ResultHeader: headers[qi]}
+	}
+	for ji, job := range jobs {
+		printJob(stdout, su, ji, job, names, planned, 0)
+	}
+	return nil
+}
 
-	fmt.Fprintf(stdout, "batch: %d queries, %d job(s), %d served from shared scans\n",
-		len(qs), len(batch.Jobs), batch.SharedScanQueries())
-	for ji, job := range batch.Jobs {
-		members := make([]string, len(job.Queries))
-		for i, qi := range job.Queries {
-			members[i] = names[qi]
-		}
-		if !job.Shared {
-			fmt.Fprintf(stdout, "job %d: %s (unshared)\n", ji, strings.Join(members, ","))
-			continue
-		}
+// printJob prints job ji as the run and -explain share it: which queries
+// shared its scan and which of those its shuffle, then each member's plan
+// line and measure counts (none for a job that did not run).
+func printJob(stdout io.Writer, su *workload.Suite, ji int, job casm.BatchJobInfo, names []string, results []*casm.Result, show int) {
+	members := make([]string, len(job.Queries))
+	for i, qi := range job.Queries {
+		members[i] = names[qi]
+	}
+	if job.Shared {
 		groups := make([]string, len(job.Groups))
 		for gi, g := range job.Groups {
 			gnames := make([]string, len(g))
@@ -307,17 +310,13 @@ func runBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workl
 		}
 		fmt.Fprintf(stdout, "job %d: %s shared one scan; geometry groups (shared shuffle): %s\n",
 			ji, strings.Join(members, ","), strings.Join(groups, " "))
-		var saved int64
-		for _, t := range job.Stats.MapTasks {
-			saved += t.SharedScanBytesSaved
-		}
-		fmt.Fprintf(stdout, "job %d: %.1f MB input scanned once, %.1f MB of re-reads avoided\n",
-			ji, float64(jobBytesRead(job.Stats))/(1<<20), float64(saved)/(1<<20))
+	} else {
+		fmt.Fprintf(stdout, "job %d: %s (unshared)\n", ji, strings.Join(members, ","))
 	}
-
 	var line []byte
-	for qi, res := range batch.Results {
-		fmt.Fprintf(stdout, "\nquery %s:\n", names[qi])
+	for _, qi := range job.Queries {
+		res := results[qi]
+		fmt.Fprintf(stdout, "query %s:\n", names[qi])
 		printPlan(stdout, su, res.ResultHeader)
 		mnames := make([]string, 0, len(res.Measures))
 		for n := range res.Measures {
@@ -332,14 +331,10 @@ func runBatch(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *workl
 				stdout.Write(line)
 			}
 		}
+		if res.ResultReused {
+			fmt.Fprintln(stdout, "result assembled from the materialized cache (no input scanned)")
+		}
 	}
-	var sim float64
-	for _, job := range batch.Jobs {
-		sim += job.Estimate.Total()
-	}
-	fmt.Fprintf(stdout, "\nsimulated response time on the paper's cluster (all %d job(s)): %.2fs\n",
-		len(batch.Jobs), sim)
-	return nil
 }
 
 // appendShownRow appends one printed result row, "  <region> = <value>"
@@ -357,8 +352,8 @@ func appendShownRow(dst []byte, schema *cube.Schema, measure string, r cube.Regi
 	return append(dst, '\n')
 }
 
-// printPlan prints an evaluation's header line — the same for a
-// materialized result, a batch member and a stream.
+// printPlan prints an evaluation's header line — the same for a run, a
+// stream and -explain.
 func printPlan(stdout io.Writer, su *workload.Suite, h core.ResultHeader) {
 	fmt.Fprintf(stdout, "plan: key=%s cf=%d blocks=%d (sampled=%v cached=%v early-agg=%v)\n",
 		h.Plan.Key.Format(su.Schema), h.Plan.ClusteringFactor, h.Plan.Blocks,
@@ -378,12 +373,10 @@ func printStages(stdout io.Writer, js mr.JobStats, sampleSeconds float64) {
 	}
 }
 
-func jobBytesRead(js mr.JobStats) int64 {
-	var n int64
-	for _, t := range js.MapTasks {
-		n += t.BytesRead
-	}
-	return n
+// printShuffled prints a job's shuffle and task counts and its real wall.
+func printShuffled(stdout io.Writer, js mr.JobStats) {
+	fmt.Fprintf(stdout, "shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
+		float64(js.Shuffled)/(1<<20), len(js.MapTasks), len(js.ReduceTasks), js.Wall.Seconds())
 }
 
 // runStream is the bounded-memory sink: rows flow from the reducers to
@@ -396,7 +389,6 @@ func runStream(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *work
 	}
 	defer rs.Close()
 
-	fmt.Fprintln(stdout, q.Explain())
 	printPlan(stdout, su, rs.ResultHeader)
 
 	counts := map[string]int64{}
@@ -430,8 +422,7 @@ func runStream(ctx context.Context, stdout io.Writer, eng *casm.Engine, su *work
 		fmt.Fprintf(stdout, "measure %-10s %8d records\n", n, counts[n])
 	}
 	st := rs.Stats()
-	fmt.Fprintf(stdout, "shuffled: %.1f MB in %d map tasks / %d reduce tasks (wall %.2fs real)\n",
-		float64(st.Shuffled)/(1<<20), len(st.MapTasks), len(st.ReduceTasks), st.Wall.Seconds())
+	printShuffled(stdout, st)
 	fmt.Fprintf(stdout, "streamed %d rows; simulated response time on the paper's cluster: %s\n",
 		rs.Rows(), rs.Estimate())
 	printStages(stdout, st, rs.SampleSeconds)

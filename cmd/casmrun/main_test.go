@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -100,7 +101,7 @@ func TestRunMatchesEngine(t *testing.T) {
 	}{
 		{"query", []string{"-query", "q1"}, want, "early-agg=false"},
 		{"stream", []string{"-query", "q1", "-stream"}, want, "streamed "},
-		{"batch", []string{"-batch", "q1,q6"}, batchWant, "q1,q6 shared one scan"},
+		{"batch", []string{"-query", "q1,q6"}, batchWant, "q1,q6 shared one scan"},
 		{"early", []string{"-query", "q1", "-early", "auto"}, want, "early-agg=true"},
 		{"morsel", []string{"-query", "q1", "-morselbytes", "4096"}, want, "early-agg=false"},
 	} {
@@ -202,14 +203,21 @@ func TestSaveIsByteIdenticalAcrossMapModes(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a command line without a store, or with a flag this
-// program does not have, is refused — never silently accepted.
+// TestUsageErrors: a command line without a store, with a flag this
+// program does not have, with a query list where one query is needed, or
+// asking -explain for output only a run makes, is refused — never
+// silently accepted.
 func TestUsageErrors(t *testing.T) {
 	dir, _ := testStore(t)
+	save := filepath.Join(t.TempDir(), "out")
 	for _, args := range [][]string{
 		{"-data", "data", "-query", "q1"},
 		{"-store", dir, "-data", "data", "-block", "4096"},
 		{"-store", dir, "-data", "data", "-stage", "sort"},
+		{"-store", dir, "-data", "data", "-batch", "q1"},
+		{"-store", dir, "-data", "data", "-query", "q1,q6", "-stream"},
+		{"-store", dir, "-data", "data", "-query", "q1,q6", "-save", save},
+		{"-store", dir, "-data", "data", "-explain", "-save", save},
 	} {
 		if err := run(args, io.Discard); !errors.Is(err, errUsage) {
 			t.Errorf("run %v: %v, want a usage error", args, err)
@@ -222,12 +230,17 @@ var (
 	stageLine = regexp.MustCompile(`\n  Figure 4\(d\) stages: Map-Only=\S+ MR=\S+ Sort=\S+ Sort\+Eval=(\S+)\n`)
 )
 
-// TestStageBarsEndAtTotal: the unary and the streamed run print the
-// Figure 4(d) bars priced from the run, and the last, Sort+Eval, is the
-// simulated response time printed above it.
+// TestStageBarsEndAtTotal: the unary, the streamed and a shared job's
+// run print the Figure 4(d) bars priced from the run, and the last,
+// Sort+Eval, is the simulated response time printed above it — sampling
+// passes included, every member's in a shared job.
 func TestStageBarsEndAtTotal(t *testing.T) {
 	dir, _ := testStore(t)
-	for _, mode := range [][]string{{"-query", "q6"}, {"-query", "q5", "-stream", "-skew", "sampling"}} {
+	for _, mode := range [][]string{
+		{"-query", "q6"},
+		{"-query", "q5", "-stream", "-skew", "sampling"},
+		{"-query", "q5,q6", "-skew", "sampling"},
+	} {
 		var out bytes.Buffer
 		if err := run(append([]string{"-store", dir, "-data", "data", "-tmp", t.TempDir()}, mode...), &out); err != nil {
 			t.Fatalf("run %v: %v", mode, err)
@@ -236,5 +249,74 @@ func TestStageBarsEndAtTotal(t *testing.T) {
 		if total == nil || bars == nil || bars[1] != total[1] {
 			t.Errorf("%v: total %q, stage bars %q; want the Sort+Eval bar to print the total:\n%s", mode, total, bars, out.String())
 		}
+	}
+}
+
+var (
+	jobLine  = regexp.MustCompile(`(?m)^job \d+: .*$`)
+	planLine = regexp.MustCompile(`(?m)^plan: .*\(sampled=.*$`)
+)
+
+// runOut runs casmrun over the test store with a fresh spill directory and
+// returns what it printed.
+func runOut(t *testing.T, dir string, args ...string) string {
+	t.Helper()
+	var out bytes.Buffer
+	args = append([]string{"-store", dir, "-data", "data", "-tmp", t.TempDir()}, args...)
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	return out.String()
+}
+
+// TestExplainPrintsTheRunsJobs: -explain plans through the engine's own
+// planner, so the job lines it prints for a mixed list — combining queries
+// alone, the rest sharing one scan — are the ones the run prints.
+func TestExplainPrintsTheRunsJobs(t *testing.T) {
+	dir, _ := testStore(t)
+	list := []string{"-early", "auto", "-query", "q1,q5,ds0,q6,q6"}
+	explained := jobLine.FindAllString(runOut(t, dir, append(list, "-explain")...), -1)
+	ran := jobLine.FindAllString(runOut(t, dir, list...), -1)
+	if len(ran) != 4 || !slices.Equal(explained, ran) {
+		t.Errorf("-explain prints jobs %q, the run %q (want 4)", explained, ran)
+	}
+}
+
+// TestExplainPlanIsTheRunsPlan: under each setting that moves the planner
+// off its default — a forced clustering factor, a minimum number of blocks
+// per reducer, a plan chosen from a sample — -explain prints the plan line
+// the run prints.
+func TestExplainPlanIsTheRunsPlan(t *testing.T) {
+	dir, _ := testStore(t)
+	for _, setting := range [][]string{{"-cf", "10"}, {"-minblocks", "4"}, {"-skew", "sampling"}} {
+		args := append([]string{"-query", "q5"}, setting...)
+		explained := planLine.FindAllString(runOut(t, dir, append(args, "-explain")...), -1)
+		ran := planLine.FindAllString(runOut(t, dir, args...), -1)
+		if len(ran) != 1 || !slices.Equal(explained, ran) {
+			t.Errorf("%v: -explain prints %q, the run %q", setting, explained, ran)
+		}
+	}
+}
+
+// TestExplainRunsNothing: -explain prints the plan and its candidates but
+// no measure counts, no shuffle and no spill: its -tmp stays empty.
+func TestExplainRunsNothing(t *testing.T) {
+	dir, _ := testStore(t)
+	tmp := t.TempDir()
+	var out bytes.Buffer
+	args := []string{"-store", dir, "-data", "data", "-tmp", tmp, "-sortmem", "2", "-query", "q1,q6", "-explain"}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run %v: %v", args, err)
+	}
+	for _, want := range []string{"fingerprint: ", "minimal feasible key: ", "cand[0]: ", "job 0: q1,q6 shared one scan"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-explain lacks %q:\n%s", want, out.String())
+		}
+	}
+	if measureLine.MatchString(out.String()) || strings.Contains(out.String(), "shuffled:") {
+		t.Errorf("-explain printed a run's lines:\n%s", out.String())
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Errorf("-explain left %d entries in -tmp (%v)", len(entries), err)
 	}
 }

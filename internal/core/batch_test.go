@@ -219,8 +219,8 @@ func TestEvaluateBatchSharedScanCounters(t *testing.T) {
 				t.Fatalf("want one shared job for %d shareable queries, got %d jobs (shared=%v)",
 					n, len(batch.Jobs), len(batch.Jobs) > 0 && batch.Jobs[0].Shared)
 			}
-			if got := batch.SharedScanQueries(); got != n {
-				t.Errorf("SharedScanQueries() = %d, want %d", got, n)
+			if got := len(batch.Jobs[0].Queries); got != n {
+				t.Errorf("shared job has %d queries, want %d", got, n)
 			}
 			if got := len(batch.Jobs[0].Groups); tc.oneGeometry && got != 1 {
 				t.Errorf("geometry groups = %d, want 1", got)
@@ -292,9 +292,6 @@ func TestEvaluateBatchUnshareableFallsBack(t *testing.T) {
 		if j.Shared || !batch.Results[i].EarlyAggregated {
 			t.Errorf("job %v: shared %v, early-aggregated %v; want alone and combined", j.Queries, j.Shared, batch.Results[i].EarlyAggregated)
 		}
-	}
-	if got := batch.SharedScanQueries(); got != 0 {
-		t.Errorf("SharedScanQueries() = %d, want 0", got)
 	}
 }
 
@@ -463,4 +460,64 @@ func renameMeasures(t *testing.T, w *workflow.Workflow) *workflow.Workflow {
 		}
 	}
 	return out
+}
+
+// TestPlanBatchIsTheRunsPlan: PlanBatchContext reports, without running a
+// job, the headers EvaluateBatchContext's results then carry and the jobs
+// it runs — partition and geometry groups — for a mixed batch where the
+// combining queries go alone and the rest share a job, and for a batch
+// planned from a sample.
+func TestPlanBatchIsTheRunsPlan(t *testing.T) {
+	su := workload.NewSuite()
+	ds0, err := su.DS(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := []*workflow.Workflow{su.Q1(), su.Q5(), ds0, su.Q6(), su.Q6()}
+	ds := MemoryDataset(su.Schema, su.Generate(2000, workload.Uniform, 3), 4)
+	for _, cfg := range []Config{
+		{NumReducers: 4, EarlyAggregation: EarlyAggAuto},
+		{NumReducers: 4, SkewMode: SkewSampling, MinBlocksPerReducer: 2},
+	} {
+		// One engine plans, another runs: each starts with an empty
+		// decision cache, so the run plans exactly what the plan did.
+		engine := func() *Engine {
+			cfg := cfg
+			cfg.TempDir, cfg.DecisionCache = t.TempDir(), optimizer.NewDecisionCache(0)
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+		headers, jobs, err := engine().PlanBatchContext(context.Background(), ws, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := engine().EvaluateBatchContext(context.Background(), ws, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range batch.Results {
+			if !reflect.DeepEqual(headers[i], res.ResultHeader) {
+				t.Errorf("%+v: query %d planned %+v, ran %+v", cfg, i, headers[i], res.ResultHeader)
+			}
+		}
+		if len(jobs) != len(batch.Jobs) {
+			t.Fatalf("%+v: planned %d jobs, ran %d", cfg, len(jobs), len(batch.Jobs))
+		}
+		for j, job := range jobs {
+			ran := batch.Jobs[j]
+			if !reflect.DeepEqual([]any{job.Queries, job.Shared, job.Groups}, []any{ran.Queries, ran.Shared, ran.Groups}) {
+				t.Errorf("%+v: job %d planned %v/%v/%v, ran %v/%v/%v", cfg, j,
+					job.Queries, job.Shared, job.Groups, ran.Queries, ran.Shared, ran.Groups)
+			}
+			if len(job.Stats.MapTasks) != 0 || job.Estimate.Total() != 0 {
+				t.Errorf("%+v: planned job %d carries run stats", cfg, j)
+			}
+		}
+		if cfg.EarlyAggregation == EarlyAggAuto && len(jobs) != 4 {
+			t.Errorf("early auto: %d jobs, want q1, q5 and ds0 alone and q6,q6 shared", len(jobs))
+		}
+	}
 }

@@ -146,6 +146,11 @@ func TestFaultMatrix(t *testing.T) {
 				t.Errorf("task %s took %d attempts, want 1", m.Task, m.Attempts)
 			}
 		}
+		for _, r := range res.Stats.ReduceTasks {
+			if r.Attempts != 1 {
+				t.Errorf("task %s took %d attempts, want 1", r.Task, r.Attempts)
+			}
+		}
 		assertEmptyDir(t, "replica-loss", spill)
 	})
 

@@ -166,7 +166,7 @@ func (e *Engine) RunWithPlanContext(ctx context.Context, w *workflow.Workflow, d
 	if err != nil {
 		return nil, err
 	}
-	results, _, err := e.runJob(ctx, ds, []*jobQuery{q})
+	results, err := e.runJob(ctx, ds, []*jobQuery{q})
 	if err != nil {
 		return nil, err
 	}
@@ -214,10 +214,32 @@ func newJobQuery(w *workflow.Workflow, outcome PlanOutcome) (*jobQuery, error) {
 	return &jobQuery{w: w, outcome: outcome, ev: ev}, nil
 }
 
-// jobGroup is a set of a job's queries whose plans agree on block geometry
-// (equal distribution key and clustering factor): they redistribute
-// records identically, so one emitted pair per (record, block) serves
-// every member and the reducer builds the record group once.
+// geometryGroups partitions a job's queries by block geometry — equal
+// distribution key and clustering factor — in order of first appearance,
+// each group listing indices into queries. Queries of one group
+// redistribute records identically, so one emitted pair per (record,
+// block) serves every member and the reducer builds the record group once:
+// the pair fan-out (and the reducers' group builds) scale with distinct
+// geometries, not with queries.
+func geometryGroups(queries []*jobQuery) [][]int {
+	var groups [][]int
+	for qi, q := range queries {
+		p := q.outcome.Plan
+		gi := slices.IndexFunc(groups, func(g []int) bool {
+			first := queries[g[0]].outcome.Plan
+			return first.ClusteringFactor == p.ClusteringFactor && first.Key.Equal(p.Key)
+		})
+		if gi < 0 {
+			gi = len(groups)
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], qi)
+	}
+	return groups
+}
+
+// jobGroup is a geometry group of a job's queries (see geometryGroups)
+// with its block mapper.
 type jobGroup struct {
 	// tag prefixes the group's shuffle keys: its uvarint ordinal in a
 	// multi-query job, empty in a job of one.
@@ -255,7 +277,7 @@ type jobStart struct {
 // the bare single-query bytes and the priced counters are those of a
 // hand-written single-query job. Only a job of one may combine on the map
 // side (the combiner's payloads are per-workflow) or use the result
-// cache; EvaluateBatchContext partitions accordingly.
+// cache; planBatch partitions accordingly.
 func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (*jobStart, error) {
 	s := ds.Schema
 	arity := s.NumAttrs()
@@ -268,22 +290,15 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	}
 	js := &jobStart{eng: e, queries: queries, arity: arity}
 
-	// Geometry grouping: the pair fan-out (and the reducers' group builds)
-	// scale with distinct geometries, not with queries.
-	for qi, q := range queries {
-		plan := q.outcome.Plan
-		gi := slices.IndexFunc(js.groups, func(g *jobGroup) bool {
-			return g.bm.ClusteringFactor() == plan.ClusteringFactor && g.bm.Key().Equal(plan.Key)
-		})
-		if gi < 0 {
-			bm, err := distkey.NewBlockMapper(s, plan.Key, plan.ClusteringFactor)
-			if err != nil {
-				return nil, fmt.Errorf("core: plan not executable: %w", err)
-			}
-			gi = len(js.groups)
-			js.groups = append(js.groups, &jobGroup{tag: tag(gi), bm: bm})
+	for _, members := range geometryGroups(queries) {
+		plan := queries[members[0]].outcome.Plan
+		bm, err := distkey.NewBlockMapper(s, plan.Key, plan.ClusteringFactor)
+		if err != nil {
+			return nil, fmt.Errorf("core: plan not executable: %w", err)
 		}
-		js.groups[gi].members = append(js.groups[gi].members, qi)
+		js.groups = append(js.groups, &jobGroup{tag: tag(len(js.groups)), bm: bm, members: members})
+	}
+	for qi, q := range queries {
 		q.tag = tag(qi)
 	}
 	groups := js.groups
@@ -535,9 +550,8 @@ func (js *jobStart) stats() (mr.JobStats, costmodel.Estimate) {
 
 // runJob answers the queries with one job: start it, drain its output into
 // one Result per query (in query order), and sort each measure into
-// canonical order. It also returns the job's geometry groups. A job of one
-// first tries the committed manifest of a previous identical run — no job,
-// no input bytes scanned.
+// canonical order. A job of one first tries the committed manifest of a
+// previous identical run — no job, no input bytes scanned.
 //
 // The job's output is streamed: batches of measure records are decoded
 // into the results as reduce tasks emit them, concurrently with the rest
@@ -545,18 +559,18 @@ func (js *jobStart) stats() (mr.JobStats, costmodel.Estimate) {
 // first. The emitted Value buffers become garbage batch by batch and the
 // batch slices recycle through the transport pool, so peak memory holds
 // the decoded result, not the decoded result plus its full wire form.
-func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) ([]*Result, []*jobGroup, error) {
+func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) ([]*Result, error) {
 	if len(queries) == 1 {
 		q := queries[0]
 		if ru := e.newResultReuse(q.w, ds, q.outcome.Plan); ru != nil {
 			if out, ok := e.resultFromCache(ctx, q.w, ds, ru, q.outcome); ok {
-				return []*Result{out}, nil, nil
+				return []*Result{out}, nil
 			}
 		}
 	}
 	js, err := e.startJob(ctx, ds, queries)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer js.pipe.Close() // tears the job down on assembly-error paths
 
@@ -576,12 +590,12 @@ func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (
 		return asm.slot(results[qi].Measures, m), nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Batches arrive in reduce-completion order; the assembler's sort makes
 	// the canonical result bytes independent of that interleaving.
 	if err := asm.finish(ctx, e.cfg.executor); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st, est := js.stats()
 	for _, res := range results {
@@ -593,7 +607,7 @@ func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (
 	if js.reuse != nil {
 		js.reuse.commit()
 	}
-	return results, js.groups, nil
+	return results, nil
 }
 
 // resolve demultiplexes one output key into its query and measure.

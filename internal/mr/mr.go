@@ -72,7 +72,8 @@ type MapTaskStats struct {
 // ReduceTaskStats is one reduce task's record: MapTaskStats' shape over
 // costmodel.ReduceWork, plus when the task became runnable.
 type ReduceTaskStats struct {
-	Task     string
+	Task string
+	// Attempts is 1: a failed task fails its job, never re-runs.
 	Attempts int
 	exec.Timing
 

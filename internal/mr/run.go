@@ -293,9 +293,9 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	collectors := make([]groupx.Collector, cfg.NumReducers)
 	defer func() {
 		// Teardown runs on every exit path: release collector resources
-		// (buffered pairs and spill-run descriptors — the files themselves
-		// are unlinked at creation, so closing the descriptors reclaims the
-		// disk space). Close is idempotent, so the success path, where the
+		// (buffered pairs and the spill-run descriptor — the file is
+		// unlinked at creation, so closing the descriptor reclaims the disk
+		// space). Close is idempotent, so the success path, where the
 		// reduce tasks already drained the collectors, is a no-op.
 		for _, c := range collectors {
 			c.Close()
@@ -605,6 +605,7 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Redu
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	st.Attempts = 1
 	it, err := coll.Iterate()
 	if err != nil {
 		return err

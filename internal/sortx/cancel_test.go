@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"syscall"
 	"testing"
 )
 
@@ -89,5 +90,57 @@ func TestCloseWithoutIterate(t *testing.T) {
 	s.Close() // idempotent
 	if _, err := s.Iterate(); err == nil {
 		t.Fatal("Iterate after Close succeeded")
+	}
+}
+
+// TestSpillHoldsOneDescriptor: however many runs a sorter spills, they
+// share one open file, so a reducer spilling ten thousand runs works
+// under a descriptor limit of 256 and merges them back in order.
+func TestSpillHoldsOneDescriptor(t *testing.T) {
+	var lim syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
+		t.Fatal(err)
+	}
+	low := lim
+	low.Cur = min(lim.Cur, 256)
+	if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &low); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
+			t.Error(err)
+		}
+	})
+
+	const runs, budget = 10000, 4
+	s := New(intCmp, intCodec{}, t.TempDir(), budget)
+	defer s.Close()
+	for i := runs*budget - 1; i >= 0; i-- {
+		if err := s.Add(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().Runs; got != runs {
+		t.Fatalf("%d runs, want %d", got, runs)
+	}
+	it, err := s.Iterate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for want := 0; ; want++ {
+		got, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if want != runs*budget {
+				t.Fatalf("merged %d items, want %d", want, runs*budget)
+			}
+			return
+		}
+		if got != want {
+			t.Fatalf("item %d is %d", want, got)
+		}
 	}
 }

@@ -9,15 +9,12 @@ import (
 	"testing"
 )
 
-// runBytes reads back every run file the sorter holds, in order.
+// runBytes reads back every run the sorter holds, in order.
 func runBytes(t *testing.T, s *Sorter[pair]) [][]byte {
 	t.Helper()
 	var out [][]byte
-	for _, f := range s.runs {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			t.Fatal(err)
-		}
-		data, err := io.ReadAll(f)
+	for _, r := range s.runs {
+		data, err := io.ReadAll(io.NewSectionReader(s.file, r.offset, r.length))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +27,7 @@ func runBytes(t *testing.T, s *Sorter[pair]) [][]byte {
 // already holds its items in order — batches of exactly the budget, then a
 // shorter residue — and gives them to SpillSorted and IterateSorted leaves
 // the sorter where Add-ing the same items one by one would have: the same
-// run files byte for byte, the same Items, Runs, SpilledItems and
+// runs byte for byte, the same Items, Runs, SpilledItems and
 // SpilledBytes (they are priced), the residue merged from memory rather
 // than spilled as one more run, and the same merged stream.
 func TestSortedHandOffMatchesAdd(t *testing.T) {
@@ -63,7 +60,7 @@ func TestSortedHandOffMatchesAdd(t *testing.T) {
 			t.Fatalf("n=%d budget=%d: %d runs handed off, want %d", tc.n, tc.budget, len(gotRuns), tc.n/tc.budget)
 		}
 		if !slices.EqualFunc(gotRuns, wantRuns, slices.Equal[[]byte]) {
-			t.Errorf("n=%d budget=%d: handed-off run files differ from added ones", tc.n, tc.budget)
+			t.Errorf("n=%d budget=%d: handed-off runs differ from added ones", tc.n, tc.budget)
 		}
 		wantIt, err := added.Iterate()
 		if err != nil {
@@ -98,8 +95,8 @@ func TestSortedHandOffMatchesAdd(t *testing.T) {
 }
 
 // TestSpillReusesRunWriter: the 64 KiB run writer belongs to the sorter,
-// not to the run — forty more runs cost a few hundred bytes each (the temp
-// file's name and descriptor), nowhere near a buffer apiece.
+// not to the run — forty more runs cost a span each in the sorter's one
+// run file, nowhere near a buffer apiece.
 func TestSpillReusesRunWriter(t *testing.T) {
 	spillRuns := func(runs int) uint64 {
 		s := New(cmpInt64, int64Codec{}, t.TempDir(), 4)

@@ -1,9 +1,9 @@
 // Package sortx provides an external merge sort: items are buffered in
-// memory up to a budget, spilled to sorted run files, and merged with a
-// k-way heap. The MapReduce reducers use it to group shuffled key/value
-// pairs ("reducers collect pairs and use external sorting to group pairs
-// with the same key value"), and its spill counters feed the cost model's
-// out-of-core sorting term.
+// memory up to a budget, spilled as sorted runs appended to one file per
+// sorter, and merged with a k-way heap. The MapReduce reducers use it to
+// group shuffled key/value pairs ("reducers collect pairs and use external
+// sorting to group pairs with the same key value"), and its spill counters
+// feed the cost model's out-of-core sorting term.
 //
 // The spill and merge paths are allocation-lean: run generation encodes
 // every item into one reused scratch buffer (the append-style EncodeTo),
@@ -38,7 +38,7 @@ type Codec[T any] interface {
 // Stats reports what the sorter did, for cost accounting.
 type Stats struct {
 	Items        int64 // total items added
-	Runs         int   // spilled run files (0 when fully in-memory)
+	Runs         int   // spilled runs (0 when fully in-memory)
 	SpilledItems int64 // items written to disk
 	SpilledBytes int64 // bytes written to disk (read back once more on merge)
 }
@@ -60,14 +60,18 @@ type Sorter[T any] struct {
 
 	buf     []T
 	scratch []byte        // reused per-item encode buffer for spills
-	w       *bufio.Writer // reused run writer, Reset onto each new run file
-	runs    []*os.File
+	file    *os.File      // the sorter's one unlinked run file, made on the first spill
+	w       *bufio.Writer // appends runs to file
+	runs    []span        // each run's place in file, in spill order
 	stats   Stats
 	done    bool
 }
 
+// span is one run: length bytes of the run file from offset on.
+type span struct{ offset, length int64 }
+
 // New returns a sorter ordering items by cmp (negative when a < b, as in
-// slices.SortStableFunc), spilling to temp files in dir (or the OS default
+// slices.SortStableFunc), spilling to a temp file in dir (or the OS default
 // when dir is empty) whenever more than memBudget items are buffered. A
 // memBudget < 1 keeps everything in memory.
 func New[T any](cmp func(a, b T) int, codec Codec[T], dir string, memBudget int) *Sorter[T] {
@@ -107,7 +111,7 @@ func (s *Sorter[T]) canceled() error {
 // Stats returns the sorter's counters.
 func (s *Sorter[T]) Stats() Stats { return s.stats }
 
-// Add offers one item. It may spill the in-memory buffer to a run file.
+// Add offers one item. It may spill the in-memory buffer as a run.
 func (s *Sorter[T]) Add(item T) error {
 	if s.done {
 		return fmt.Errorf("sortx: Add after Iterate")
@@ -164,61 +168,62 @@ func (s *Sorter[T]) SpillSorted(next func() (T, bool)) error {
 	return err
 }
 
-// writeRun spills the sorted items next yields to a new run file and
-// returns how many there were (0 with an error: the run does not count).
+// writeRun appends the sorted items next yields to the run file as one
+// run and returns how many there were (0 with an error: the run does not
+// count).
 func (s *Sorter[T]) writeRun(next func() (T, bool)) (int64, error) {
-	f, err := os.CreateTemp(s.dir, "sortx-run-*.bin")
+	if s.file == nil {
+		f, err := os.CreateTemp(s.dir, "sortx-run-*.bin")
+		if err != nil {
+			return 0, fmt.Errorf("sortx: create run file: %w", err)
+		}
+		// The file is unlinked immediately so runs never outlive the
+		// process even on a crash; its disk space is reclaimed when the
+		// descriptor closes (happy path: the iterator's Close; teardown:
+		// Sorter.Close).
+		os.Remove(f.Name())
+		s.file, s.w = f, bufio.NewWriterSize(f, 1<<16)
+	}
+	// The writer is empty between runs, so the file offset is where this
+	// run starts, past whatever bytes a failed run left behind.
+	offset, err := s.file.Seek(0, io.SeekCurrent)
 	if err != nil {
-		return 0, fmt.Errorf("sortx: create run: %w", err)
+		return 0, fmt.Errorf("sortx: write run: %w", err)
 	}
-	// The file is unlinked immediately so runs never outlive the process
-	// even on a crash; its disk space is reclaimed when the descriptor
-	// closes (happy path: the iterator's Close; teardown: Sorter.Close).
-	os.Remove(f.Name())
-	if s.w == nil {
-		s.w = bufio.NewWriterSize(f, 1<<16)
-	} else {
-		s.w.Reset(f)
+	fail := func(err error) (int64, error) {
+		s.w.Reset(s.file)
+		return 0, err
 	}
-	w := s.w
 	var lenBuf [binary.MaxVarintLen64]byte
-	var items int64
+	var items, length int64
 	for it, ok := next(); ok; it, ok = next() {
 		if items%cancelCheckInterval == 0 && items > 0 {
 			if err := s.canceled(); err != nil {
-				f.Close()
-				return 0, err
+				return fail(err)
 			}
 		}
 		items++
 		data, err := s.codec.EncodeTo(s.scratch[:0], it)
 		if err != nil {
-			f.Close()
-			return 0, fmt.Errorf("sortx: encode: %w", err)
+			return fail(fmt.Errorf("sortx: encode: %w", err))
 		}
 		s.scratch = data
 		n := binary.PutUvarint(lenBuf[:], uint64(len(data)))
-		if _, err := w.Write(lenBuf[:n]); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("sortx: write run: %w", err)
-		}
-		if _, err := w.Write(data); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("sortx: write run: %w", err)
-		}
-		s.stats.SpilledBytes += int64(n + len(data))
+		s.w.Write(lenBuf[:n])
+		s.w.Write(data) // a write error sticks: Flush reports it
+		length += int64(n + len(data))
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("sortx: flush run: %w", err)
+	if err := s.w.Flush(); err != nil {
+		return fail(fmt.Errorf("sortx: write run: %w", err))
 	}
 	s.stats.Runs++
 	s.stats.SpilledItems += items
-	s.runs = append(s.runs, f)
+	s.stats.SpilledBytes += length
+	s.runs = append(s.runs, span{offset, length})
 	return items, nil
 }
 
-// Iterator yields sorted items. Close releases spill files; it is safe to
+// Iterator yields sorted items. Close releases the run file; it is safe to
 // call multiple times.
 type Iterator[T any] struct {
 	next  func() (T, bool, error)
@@ -284,12 +289,9 @@ func (s *Sorter[T]) merge(mem func() (T, bool)) (*Iterator[T], error) {
 	}
 	// Merge the spilled runs plus the in-memory source, last.
 	var sources []*runReader[T]
-	for _, f := range s.runs {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			s.closeRuns()
-			return nil, fmt.Errorf("sortx: rewind run: %w", err)
-		}
-		sources = append(sources, &runReader[T]{r: bufio.NewReaderSize(f, 1<<16), codec: s.codec})
+	for _, r := range s.runs {
+		sr := io.NewSectionReader(s.file, r.offset, r.length)
+		sources = append(sources, &runReader[T]{r: bufio.NewReaderSize(sr, int(min(r.length, 1<<16))), codec: s.codec})
 	}
 	sources = append(sources, &runReader[T]{mem: mem})
 	h := &mergeHeap[T]{cmp: s.cmp}
@@ -346,18 +348,19 @@ func (s *Sorter[T]) merge(mem func() (T, bool)) (*Iterator[T], error) {
 }
 
 func (s *Sorter[T]) closeRuns() {
-	for _, f := range s.runs {
-		f.Close()
+	if s.file != nil {
+		s.file.Close()
+		s.file = nil
 	}
 	s.runs = nil
 }
 
 // Close releases the sorter's resources without iterating: buffered
-// items are dropped and spill-run descriptors closed, reclaiming their
+// items are dropped and the run file's descriptor closed, reclaiming its
 // (already unlinked) disk space. It is the error/cancel teardown hook —
 // on the happy path the Iterator's Close releases the runs instead.
-// Idempotent, and safe after Iterate (the runs slice is then owned by
-// the iterator's close, which this call re-runs harmlessly).
+// Idempotent, and safe after Iterate (the run file is then owned by the
+// iterator's close, which this call re-runs harmlessly).
 func (s *Sorter[T]) Close() {
 	s.closeRuns()
 	s.buf = nil
