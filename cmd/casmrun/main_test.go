@@ -298,6 +298,27 @@ func TestExplainPlanIsTheRunsPlan(t *testing.T) {
 	}
 }
 
+// TestExplainPlanIsTheCachedRunsPlan: a combining query answered whole
+// from the materialized cache ran no job, and still prints the plan line
+// -explain prints — early aggregation included — beside the line saying
+// the answer came from the cache.
+func TestExplainPlanIsTheCachedRunsPlan(t *testing.T) {
+	dir, _ := testStore(t)
+	args := []string{"-query", "q1", "-early", "auto", "-resultcache"}
+	cold := runOut(t, dir, args...)
+	warm := runOut(t, dir, args...)
+	if strings.Contains(cold, "materialized cache") || !strings.Contains(warm, "result assembled from the materialized cache") {
+		t.Fatalf("the second run was not served from the cache:\n%s", warm)
+	}
+	explained := planLine.FindAllString(runOut(t, dir, append(args, "-explain")...), -1)
+	for _, out := range []string{cold, warm} {
+		if ran := planLine.FindAllString(out, -1); len(ran) != 1 || !slices.Equal(explained, ran) ||
+			!strings.Contains(ran[0], "early-agg=true") {
+			t.Errorf("-explain prints %q, the run %q (want early-agg=true)", explained, ran)
+		}
+	}
+}
+
 // TestExplainRunsNothing: -explain prints the plan and its candidates but
 // no measure counts, no shuffle and no spill: its -tmp stays empty.
 func TestExplainRunsNothing(t *testing.T) {

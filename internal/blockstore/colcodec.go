@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/casm-project/casm/internal/recio"
 )
@@ -15,13 +17,14 @@ import (
 // with heavy run structure per attribute — so delta+varint routinely
 // shrinks a block several-fold relative to the row-major recio framing.
 //
-// RowReader is the decoder: it hands a block's records out as decoded
-// []int64 rows, a batch at a time, after checking the entry shape before
-// any allocation, then column truncation, trailing bytes and the footer's
-// raw-length invariant — each failing with ErrCorruptBlock. carveRows cuts
-// a block into runs of rows by one decode of it, recording where each run
-// starts, so that a run's reader resumes there. frameColumnar frames the
-// rows back into the recio frame stream the writer measured, byte for
+// RowReader is the decoder: it hands a block's records out a batch at a
+// time, one decoded []int64 per column, after checking the entry shape
+// before any allocation, then column truncation, trailing bytes and the
+// footer's raw-length invariant — each failing with ErrCorruptBlock.
+// carveRows cuts a block into runs of rows by one decode of it, recording
+// where each run starts, so that a run's reader resumes there, mid-batch
+// or not. frameColumnar frames the
+// records back into the recio frame stream the writer measured, byte for
 // byte, for ReadBlock.
 
 // ErrCorruptBlock marks a columnar entry whose checksum verified but
@@ -78,25 +81,24 @@ func appendColumnar(dst []byte, rows []int64, arity, n int) []byte {
 // frameColumnar decodes a columnar payload into the exact recio frame
 // stream the writer measured: rawLen bytes of uvarint-framed,
 // uvarint-attribute records, built batch by batch from a RowReader into
-// the one buffer it returns (each frame in place: recio.AppendFrame would
-// want the record encoded somewhere else first).
+// the one buffer it returns (each frame in place, a row's values read
+// across the batch's columns).
 func frameColumnar(payload []byte, arity, n, rawLen int) ([]byte, error) {
 	r, err := newRowReader(payload, arity, n, rawLen)
 	if err != nil {
 		return nil, err
 	}
+	defer r.Close()
 	out := make([]byte, 0, rawLen)
 	for r.decoded < r.n {
 		if err := r.fill(rowBatch); err != nil {
 			return nil, err
 		}
-		for row := r.rows; len(row) > 0; row = row[arity:] {
-			recLen := 0
-			for _, v := range row[:arity] {
-				recLen += recio.UvarintLen(uint64(v))
+		for i := range r.cols[0] {
+			out = binary.AppendUvarint(out, uint64(recordLen(r.cols, i)))
+			for _, col := range r.cols {
+				out = binary.AppendUvarint(out, uint64(col[i]))
 			}
-			out = binary.AppendUvarint(out, uint64(recLen))
-			out = recio.AppendRecord(out, row[:arity])
 		}
 	}
 	if len(out) != rawLen {
@@ -105,18 +107,35 @@ func frameColumnar(payload []byte, arity, n, rawLen int) ([]byte, error) {
 	return out, nil
 }
 
+// recordLen is the size of row i of cols as a recio record: one uvarint
+// per attribute.
+func recordLen(cols [][]int64, i int) int {
+	n := 0
+	for _, col := range cols {
+		n += recio.UvarintLen(uint64(col[i]))
+	}
+	return n
+}
+
 // rowBatch is how many rows a RowReader decodes per refill: large enough
 // to amortize the per-column cursor switch over a long run of one
 // column's bytes, small enough that the batch (rowBatch*arity int64s)
 // stays cache-resident while the consumer walks it.
 const rowBatch = 1024
 
-// RowReader decodes one columnar block into rows, a batch at a time. It
-// keeps one cursor per column (found by a single skip pass over the
-// payload at open) and decodes the next rowBatch values of every column
-// into a row-major batch, so no n×arity matrix exists at any point. Next
-// yields one row per call; the row aliases the batch and is valid until
-// the following Next. A RowReader is single-goroutine and single-use.
+// Batch is a run of decoded records, column-major: Cols[c][i] is record
+// i's value of attribute c, and every column holds N values.
+type Batch struct {
+	N    int
+	Cols [][]int64
+}
+
+// RowReader decodes one columnar block a batch at a time. It keeps one
+// cursor per column (found by a single skip pass over the payload at open)
+// and decodes the next rowBatch values of every column into that column's
+// buffer, so no n×arity matrix exists at any point. Next yields one batch
+// per call; its columns alias the reader's buffers and are valid until the
+// following Next. A RowReader is single-goroutine and single-use.
 type RowReader struct {
 	payload []byte
 	arity   int
@@ -127,8 +146,9 @@ type RowReader struct {
 	cur     []int   // per column: offset of its next undecoded value
 	prev    []int64 // per column: the last decoded value (deltas add to it)
 
-	batch []int64
-	rows  []int64 // undelivered remainder of the current batch
+	cols  [][]int64 // per column: the current batch's values, in buf
+	buf   *Columns
+	entry []byte // the entry buffer payload lies in, when the reader owns it
 	err   error
 }
 
@@ -145,7 +165,13 @@ func newRowReader(payload []byte, arity, n, rawLen int) (*RowReader, error) {
 	off := 0
 	for c := 0; c < arity; c++ {
 		r.cur[c] = off
-		for left := n; left > 0; off++ {
+		left := n
+		// Eight bytes at a time while more terminators are left than a word
+		// holds, so no word reaches past the column's last one.
+		for ; left > 8 && off+8 <= len(payload); off += 8 {
+			left -= bits.OnesCount64(^binary.LittleEndian.Uint64(payload[off:]) & 0x8080808080808080)
+		}
+		for ; left > 0; off++ {
 			if off == len(payload) {
 				return nil, corruptf("truncated column %d at record %d", c, n-left)
 			}
@@ -157,78 +183,124 @@ func newRowReader(payload []byte, arity, n, rawLen int) (*RowReader, error) {
 	if off != len(payload) {
 		return nil, corruptf("%d trailing bytes in columnar payload", len(payload)-off)
 	}
-	r.batch = make([]int64, min(n, rowBatch)*arity)
+	r.buf = NewColumns(arity, min(n, rowBatch))
+	r.cols = r.buf.Cols
 	return r, nil
 }
 
-// Next returns the block's next record; ok=false after the last one. An
-// error is terminal.
-func (r *RowReader) Next() ([]int64, bool, error) {
-	if len(r.rows) == 0 {
-		if r.err != nil || r.decoded == r.n {
-			return nil, false, r.err
-		}
-		if r.err = r.fill(rowBatch); r.err != nil {
-			return nil, false, r.err
-		}
-	}
-	row := r.rows[:r.arity:r.arity]
-	r.rows = r.rows[r.arity:]
-	return row, true, nil
+// Columns is a batch's storage: Cols holds arity empty column buffers of
+// capacity rows each, carved from one array. NewColumns takes them from a
+// process-wide pool and Release gives them back, so a warm scan decodes
+// (or transposes) every batch into buffers an earlier reader left behind.
+// Nothing may use the buffers after Release.
+type Columns struct {
+	Cols [][]int64
+	vals []int64
 }
 
-// Close drops the reader's buffers. Idempotent.
+var columns = sync.Pool{New: func() any { return new(Columns) }}
+
+// NewColumns returns pooled storage for batches of up to rows records of
+// arity values.
+func NewColumns(arity, rows int) *Columns {
+	b := columns.Get().(*Columns)
+	if cap(b.vals) < arity*rows {
+		b.vals = make([]int64, arity*rows)
+	}
+	if cap(b.Cols) < arity {
+		b.Cols = make([][]int64, arity)
+	}
+	b.Cols = b.Cols[:arity]
+	for c := range b.Cols {
+		b.Cols[c] = b.vals[c*rows : c*rows : (c+1)*rows]
+	}
+	return b
+}
+
+// Release returns the storage to the pool.
+func (b *Columns) Release() { columns.Put(b) }
+
+// Next returns the block's next batch of at most rowBatch records;
+// ok=false after the last one. An error is terminal.
+func (r *RowReader) Next() (Batch, bool, error) {
+	if r.err != nil || r.decoded == r.n {
+		return Batch{}, false, r.err
+	}
+	if r.err = r.fill(rowBatch); r.err != nil {
+		return Batch{}, false, r.err
+	}
+	return Batch{N: len(r.cols[0]), Cols: r.cols}, true, nil
+}
+
+// Close recycles the reader's buffers — its columns, and the entry it
+// read when it owns it — and ends the stream. Idempotent.
 func (r *RowReader) Close() error {
-	r.payload, r.batch, r.rows = nil, nil, nil
+	if r.buf != nil {
+		r.buf.Release()
+	}
+	if r.entry != nil {
+		recycleEntry(r.entry)
+	}
+	r.payload, r.cols, r.buf, r.entry = nil, nil, nil, nil
 	r.decoded = r.n
 	return nil
 }
 
-// fill decodes the next batch of at most limit rows, column by column, and
-// accounts the bytes its rows occupy in recio framing — arithmetically, so
-// the footer's raw-length invariant is still checked without a frame
-// being built.
+// fill decodes the next batch of at most limit rows into the column
+// buffers, one column at a time, and accounts the bytes its rows occupy
+// in recio framing — arithmetically, so the footer's raw-length invariant
+// is still checked without a frame being built: each value's uvarint
+// length as it is decoded, then each record's frame prefix, one byte
+// unless arity values could reach 128 bytes.
 func (r *RowReader) fill(limit int) error {
-	arity := r.arity
 	b := min(r.n-r.decoded, limit)
-	batch := r.batch[:b*arity]
 	p := r.payload
-	for c := 0; c < arity; c++ {
-		off, prev := r.cur[c], r.prev[c]
-		for i := c; i < len(batch); i += arity {
-			// One- and two-byte deltas are nearly all of them. The skip pass
-			// found this value's terminator inside the column, so p[off+1]
-			// exists here and Uvarint below cannot run into the next column.
+	for c, col := range r.cols {
+		col = col[:b]
+		off, prev, size := r.cur[c], r.prev[c], 0
+		for i := range col {
+			// Deltas of up to four bytes are nearly all of them. The skip
+			// pass found this value's terminator inside the column, so each
+			// byte read past a continuation byte exists, and Uvarint below
+			// cannot run into the next column.
 			u := uint64(p[off])
 			if u < 0x80 {
 				off++
 			} else if b1 := uint64(p[off+1]); b1 < 0x80 {
 				u = u&0x7f | b1<<7
 				off += 2
+			} else if b2 := uint64(p[off+2]); b2 < 0x80 {
+				u = u&0x7f | (b1&0x7f)<<7 | b2<<14
+				off += 3
+			} else if b3 := uint64(p[off+3]); b3 < 0x80 {
+				u = u&0x7f | (b1&0x7f)<<7 | (b2&0x7f)<<14 | b3<<21
+				off += 4
 			} else {
 				var k int
 				if u, k = binary.Uvarint(p[off:]); k <= 0 {
-					return corruptf("truncated column %d at record %d", c, r.decoded+i/arity)
+					return corruptf("truncated column %d at record %d", c, r.decoded+i)
 				}
 				off += k
 			}
 			prev += unzigzag(u)
-			batch[i] = prev
+			col[i] = prev
+			size += recio.UvarintLen(uint64(prev))
 		}
+		r.cols[c] = col
 		r.cur[c], r.prev[c] = off, prev
+		r.raw += size
 	}
-	for row := 0; row < len(batch); row += arity {
-		recLen := 0
-		for _, v := range batch[row : row+arity] {
-			recLen += recio.UvarintLen(uint64(v))
+	if len(r.cols)*binary.MaxVarintLen64 < 0x80 {
+		r.raw += b
+	} else {
+		for i := 0; i < b; i++ {
+			r.raw += recio.UvarintLen(uint64(recordLen(r.cols, i)))
 		}
-		r.raw += recio.UvarintLen(uint64(recLen)) + recLen
 	}
 	r.decoded += b
 	if r.decoded == r.n && r.raw != r.rawLen {
 		return corruptf("decoded %d bytes, footer says %d", r.raw, r.rawLen)
 	}
-	r.rows = batch
 	return nil
 }
 
@@ -257,6 +329,7 @@ func carveRows(payload []byte, arity, n, rawLen, targetBytes int) ([]int, []func
 	if err != nil {
 		return nil, nil, err
 	}
+	defer r.Close()
 	var sizes []int
 	var opens []func() *RowReader
 	start := r.cursor()
@@ -270,9 +343,11 @@ func carveRows(payload []byte, arity, n, rawLen, targetBytes int) ([]int, []func
 			opens = append(opens, func() *RowReader {
 				// The run ends where its rows do, and so does its framed
 				// size: the reader checks the run like a block.
-				return &RowReader{payload: payload, arity: arity, n: end, rawLen: endRaw,
-					decoded: from.row, raw: from.raw, cur: slices.Clone(from.cur), prev: slices.Clone(from.prev),
-					batch: make([]int64, min(end-from.row, rowBatch)*arity)}
+				r := &RowReader{payload: payload, arity: arity, n: end, rawLen: endRaw,
+					decoded: from.row, raw: from.raw, cur: slices.Clone(from.cur), prev: slices.Clone(from.prev)}
+				r.buf = NewColumns(arity, min(end-from.row, rowBatch))
+				r.cols = r.buf.Cols
+				return r
 			})
 			start = r.cursor()
 		}

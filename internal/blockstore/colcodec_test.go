@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -62,11 +63,32 @@ func referenceDecode(payload []byte, arity, n, rawLen int) (rows []int64, frames
 	return rows, frames, nil
 }
 
-// decodeChecked runs one entry through RowReader — row by row, and framed
-// the way ReadBlock frames it — and through the reference, and demands
-// that all three agree: the same records and the same frame bytes, or an
-// ErrCorruptBlock from each. It returns the rows and whether the entry
-// was accepted. The fuzz target and the parity table share it.
+// appendBatch appends b's records to dst row-major, after checking its
+// shape: arity columns of b.N values each, b.N in [1, rowBatch].
+func appendBatch(t testing.TB, dst []int64, b Batch, arity int) []int64 {
+	t.Helper()
+	if len(b.Cols) != arity || b.N < 1 || b.N > rowBatch {
+		t.Fatalf("batch of %d records in %d columns, arity %d", b.N, len(b.Cols), arity)
+	}
+	for _, col := range b.Cols {
+		if len(col) != b.N {
+			t.Fatalf("column of %d values in a batch of %d", len(col), b.N)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		for _, col := range b.Cols {
+			dst = append(dst, col[i])
+		}
+	}
+	return dst
+}
+
+// decodeChecked runs one entry through RowReader — batch by batch, and
+// framed the way ReadBlock frames it — and through the reference, and
+// demands that all three agree: the same records, every batch's columns
+// equal to the reference's values at its rows, and the same frame bytes,
+// or an ErrCorruptBlock from each. It returns the rows and whether the
+// entry was accepted. The fuzz target and the parity table share it.
 func decodeChecked(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64, bool) {
 	t.Helper()
 	wantRows, wantFrames, referr := referenceDecode(payload, arity, n, rawLen)
@@ -74,7 +96,7 @@ func decodeChecked(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64,
 	var rows []int64
 	rr, rerr := newRowReader(payload, arity, n, rawLen)
 	for rerr == nil {
-		row, ok, err := rr.Next()
+		b, ok, err := rr.Next()
 		if err != nil {
 			rows, rerr = nil, err
 			break
@@ -82,10 +104,15 @@ func decodeChecked(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64,
 		if !ok {
 			break
 		}
-		if len(row) != arity {
-			t.Fatalf("row of %d values, arity %d", len(row), arity)
+		first := len(rows) / arity
+		rows = appendBatch(t, rows, b, arity)
+		for c, col := range b.Cols {
+			for i, v := range col {
+				if referr == nil && v != wantRows[(first+i)*arity+c] {
+					t.Fatalf("record %d attribute %d: batch holds %d, reference %d", first+i, c, v, wantRows[(first+i)*arity+c])
+				}
+			}
 		}
-		rows = append(rows, row...)
 	}
 	if (referr == nil) != (rerr == nil) || (referr == nil) != (ferr == nil) {
 		t.Fatalf("decoders disagree: reference err=%v, rows err=%v, frames err=%v", referr, rerr, ferr)
@@ -138,14 +165,14 @@ func carveChecked(t testing.TB, payload []byte, arity, n, rawLen, target int, ro
 			var again []int64
 			r := open()
 			for {
-				row, ok, err := r.Next()
+				b, ok, err := r.Next()
 				if err != nil {
 					t.Fatalf("run %d: %v", i, err)
 				}
 				if !ok {
 					break
 				}
-				again = append(again, row...)
+				again = appendBatch(t, again, b, arity)
 			}
 			if pass == 1 && !slices.Equal(again, run) {
 				t.Fatalf("run %d read twice: %v, then %v", i, run, again)
@@ -375,7 +402,7 @@ func TestMalformedEntriesCorruptThroughFailover(t *testing.T) {
 }
 
 // TestReadBlockAllocatesOneFrameBuffer: framing a block costs the entry
-// read, the rawLen buffer it returns and one row batch — never a decoded
+// read, the rawLen buffer it returns and one batch of columns — never a decoded
 // copy of the whole block (8·records·arity bytes) beside them.
 func TestReadBlockAllocatesOneFrameBuffer(t *testing.T) {
 	const records, arity = 16 << 10, 6
@@ -430,14 +457,14 @@ func readAllRows(t *testing.T, s *Store, file string) []int64 {
 			t.Fatalf("ReadBlockRows %d: %v", b.Index, err)
 		}
 		for {
-			row, ok, err := rr.Next()
+			batch, ok, err := rr.Next()
 			if err != nil {
 				t.Fatalf("block %d: %v", b.Index, err)
 			}
 			if !ok {
 				break
 			}
-			out = append(out, row...)
+			out = appendBatch(t, out, batch, len(batch.Cols))
 		}
 		if err := rr.Close(); err != nil {
 			t.Fatal(err)
@@ -538,6 +565,168 @@ func TestReadEntryCopiesOnce(t *testing.T) {
 	t.Logf("%.2fx the entry allocated per read", perRead/size)
 	if perRead > 1.5*size {
 		t.Fatalf("a read allocates %.0f bytes for a %d-byte entry: copied more than once", perRead, size)
+	}
+}
+
+// batchEdgeSizes are block sizes around the decoder's batch of rowBatch
+// records: one record, one short of a batch, a batch, one past it, and
+// three batches and one record.
+var batchEdgeSizes = []int{1, rowBatch - 1, rowBatch, rowBatch + 1, 3*rowBatch + 1}
+
+// edgeRows is n records of arity 3 with small signed values.
+func edgeRows(n int) []int64 {
+	rng := rand.New(rand.NewSource(int64(n)))
+	rows := make([]int64, n*3)
+	for i := range rows {
+		rows[i] = rng.Int63n(300) - 20
+	}
+	return rows
+}
+
+// TestBatchEdgesDecode: a block of every batchEdgeSizes size decodes, batch
+// by batch and framed, to what referenceDecode decodes; and a carve whose
+// runs start and end inside batches, at every target from one record to
+// past the block, resumes each run mid-batch to the block's records.
+func TestBatchEdgesDecode(t *testing.T) {
+	for _, n := range batchEdgeSizes {
+		rows := edgeRows(n)
+		payload, _, rawLen := columnarBlock(rows, 3)
+		got, ok := decodeChecked(t, payload, 3, n, rawLen)
+		if !ok || !slices.Equal(got, rows) {
+			t.Fatalf("%d records: accepted=%v, equal=%v", n, ok, slices.Equal(got, rows))
+		}
+		midBatch := false
+		for _, target := range []int{1, 7, 1000, 4099, rawLen - 1, rawLen + 1} {
+			carveChecked(t, payload, 3, n, rawLen, target, rows, true)
+			_, opens, _ := carveRows(payload, 3, n, rawLen, target)
+			start := 0
+			for _, open := range opens {
+				end := open().n
+				// A run that starts inside a batch and ends past its end.
+				midBatch = midBatch || (start%rowBatch != 0 && end/rowBatch > start/rowBatch)
+				start = end
+			}
+			if start != n {
+				t.Fatalf("%d records at target %d: the runs end at record %d", n, target, start)
+			}
+		}
+		if n > rowBatch && !midBatch {
+			t.Errorf("%d records: no run started inside a batch and crossed its end", n)
+		}
+	}
+}
+
+// TestBatchEdgesCorrupt pins, for blocks of every batchEdgeSizes size, the
+// ErrCorruptBlock text of a truncated column, a trailing byte, a footer
+// one byte long, and an eleven-byte varint (which the skip pass accepts
+// and the batch decode rejects) at records around the batch edges, in the
+// first and the last column: RowReader, frameColumnar and carveRows fail
+// alike, naming the record the row-at-a-time decoder named.
+func TestBatchEdgesCorrupt(t *testing.T) {
+	overlongAt := func(rows []int64, n, c, r int) []byte {
+		var dst []byte
+		for cc := 0; cc < 3; cc++ {
+			prev := int64(0)
+			for rr := 0; rr < n; rr++ {
+				v := rows[rr*3+cc]
+				if cc == c && rr == r {
+					dst = append(dst, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02)
+				} else {
+					dst = binary.AppendUvarint(dst, zigzag(v-prev))
+				}
+				prev = v
+			}
+		}
+		return dst
+	}
+	for _, tc := range []struct {
+		n          int
+		name, want string
+	}{
+		{1, "truncated", "truncated column 2 at record 0"},
+		{1, "trailing", "1 trailing bytes in columnar payload"},
+		{1, "footer+1", "decoded 5 bytes, footer says 6"},
+		{1, "overlong c0 r0", "truncated column 0 at record 0"},
+		{1, "overlong c2 r0", "truncated column 2 at record 0"},
+		{1023, "truncated", "truncated column 2 at record 1022"},
+		{1023, "trailing", "1 trailing bytes in columnar payload"},
+		{1023, "footer+1", "decoded 7211 bytes, footer says 7212"},
+		{1023, "overlong c0 r0", "truncated column 0 at record 0"},
+		{1023, "overlong c0 r1022", "truncated column 0 at record 1022"},
+		{1023, "overlong c2 r0", "truncated column 2 at record 0"},
+		{1023, "overlong c2 r1022", "truncated column 2 at record 1022"},
+		{1024, "truncated", "truncated column 2 at record 1023"},
+		{1024, "trailing", "1 trailing bytes in columnar payload"},
+		{1024, "footer+1", "decoded 7482 bytes, footer says 7483"},
+		{1024, "overlong c0 r0", "truncated column 0 at record 0"},
+		{1024, "overlong c0 r1022", "truncated column 0 at record 1022"},
+		{1024, "overlong c0 r1023", "truncated column 0 at record 1023"},
+		{1024, "overlong c2 r0", "truncated column 2 at record 0"},
+		{1024, "overlong c2 r1022", "truncated column 2 at record 1022"},
+		{1024, "overlong c2 r1023", "truncated column 2 at record 1023"},
+		{1025, "truncated", "truncated column 2 at record 1024"},
+		{1025, "trailing", "1 trailing bytes in columnar payload"},
+		{1025, "footer+1", "decoded 7406 bytes, footer says 7407"},
+		{1025, "overlong c0 r0", "truncated column 0 at record 0"},
+		{1025, "overlong c0 r1022", "truncated column 0 at record 1022"},
+		{1025, "overlong c0 r1023", "truncated column 0 at record 1023"},
+		{1025, "overlong c0 r1024", "truncated column 0 at record 1024"},
+		{1025, "overlong c2 r0", "truncated column 2 at record 0"},
+		{1025, "overlong c2 r1022", "truncated column 2 at record 1022"},
+		{1025, "overlong c2 r1023", "truncated column 2 at record 1023"},
+		{1025, "overlong c2 r1024", "truncated column 2 at record 1024"},
+		{3073, "truncated", "truncated column 2 at record 3072"},
+		{3073, "trailing", "1 trailing bytes in columnar payload"},
+		{3073, "footer+1", "decoded 22410 bytes, footer says 22411"},
+		{3073, "overlong c0 r0", "truncated column 0 at record 0"},
+		{3073, "overlong c0 r1022", "truncated column 0 at record 1022"},
+		{3073, "overlong c0 r1023", "truncated column 0 at record 1023"},
+		{3073, "overlong c0 r1024", "truncated column 0 at record 1024"},
+		{3073, "overlong c0 r1025", "truncated column 0 at record 1025"},
+		{3073, "overlong c0 r2047", "truncated column 0 at record 2047"},
+		{3073, "overlong c0 r2048", "truncated column 0 at record 2048"},
+		{3073, "overlong c0 r3072", "truncated column 0 at record 3072"},
+		{3073, "overlong c2 r0", "truncated column 2 at record 0"},
+		{3073, "overlong c2 r1022", "truncated column 2 at record 1022"},
+		{3073, "overlong c2 r1023", "truncated column 2 at record 1023"},
+		{3073, "overlong c2 r1024", "truncated column 2 at record 1024"},
+		{3073, "overlong c2 r1025", "truncated column 2 at record 1025"},
+		{3073, "overlong c2 r2047", "truncated column 2 at record 2047"},
+		{3073, "overlong c2 r2048", "truncated column 2 at record 2048"},
+		{3073, "overlong c2 r3072", "truncated column 2 at record 3072"},
+	} {
+		rows := edgeRows(tc.n)
+		payload, _, rawLen := columnarBlock(rows, 3)
+		var c, r int
+		switch tc.name {
+		case "truncated":
+			payload = payload[:len(payload)-1]
+		case "trailing":
+			payload = append(payload, 0)
+		case "footer+1":
+			rawLen++
+		default:
+			if _, err := fmt.Sscanf(tc.name, "overlong c%d r%d", &c, &r); err != nil {
+				t.Fatal(err)
+			}
+			payload = overlongAt(rows, tc.n, c, r)
+		}
+		want := ErrCorruptBlock.Error() + ": " + tc.want
+		var rerr error
+		rr, err := newRowReader(payload, 3, tc.n, rawLen)
+		for rerr = err; rerr == nil; {
+			var ok bool
+			if _, ok, rerr = rr.Next(); !ok {
+				break
+			}
+		}
+		_, ferr := frameColumnar(payload, 3, tc.n, rawLen)
+		_, _, cerr := carveRows(payload, 3, tc.n, rawLen, 64)
+		for _, got := range []error{rerr, ferr, cerr} {
+			if !errors.Is(got, ErrCorruptBlock) || got.Error() != want {
+				t.Errorf("%d records, %s: %v, want %q", tc.n, tc.name, got, want)
+			}
+		}
 	}
 }
 

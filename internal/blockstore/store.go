@@ -159,7 +159,10 @@ func (f *storeFile) remove(bm *blockMeta) {
 
 // writeHandle is one node segment's append state. Appends go through a
 // bufio.Writer, so a crash mid-ingest leaves a torn tail for recovery
-// to truncate; reads through the store flush first.
+// to truncate; reads through the store flush first. A handle holds its
+// writer only while it has unflushed bytes (dirty): a flush hands it back
+// to segWriters, so a store that is read, not written, keeps no write
+// buffers.
 type writeHandle struct {
 	f     *os.File
 	bw    *bufio.Writer
@@ -384,9 +387,8 @@ func (s *Store) openHandle(node int, file string) (*writeHandle, error) {
 		return nil, err
 	}
 	h.f = f
-	h.bw = bufio.NewWriterSize(f, 256<<10)
 	if st.Size() == 0 {
-		if _, err := h.bw.WriteString(segMagic); err != nil {
+		if _, err := h.writer().WriteString(segMagic); err != nil {
 			return nil, err
 		}
 		h.off = int64(len(segMagic))
@@ -422,7 +424,7 @@ func (s *Store) appendLocked(node int, file string, e entry, enc []byte) error {
 		return err
 	}
 	off := h.off
-	if _, err := h.bw.Write(enc); err != nil {
+	if _, err := h.writer().Write(enc); err != nil {
 		return err
 	}
 	h.off += int64(len(enc))
@@ -504,14 +506,39 @@ func (s *Store) placeReplicas() []int {
 func (s *Store) flushFileLocked(file string) error {
 	for node := 0; node < s.cfg.NumNodes; node++ {
 		h := s.handles[handleKey(node, file)]
-		if h == nil || !h.dirty || h.bw == nil {
+		if h == nil || !h.dirty {
 			continue
 		}
-		if err := h.bw.Flush(); err != nil {
+		if err := h.flush(); err != nil {
 			return err
 		}
-		h.dirty = false
 	}
+	return nil
+}
+
+// segWriters holds the write buffers of flushed handles.
+var segWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256<<10) }}
+
+// writer returns the handle's write buffer, taking one when it has none.
+func (h *writeHandle) writer() *bufio.Writer {
+	if h.bw == nil {
+		h.bw = segWriters.Get().(*bufio.Writer)
+		h.bw.Reset(h.f)
+	}
+	return h.bw
+}
+
+// flush writes out the handle's buffered bytes and gives its buffer back.
+func (h *writeHandle) flush() error {
+	if h.bw == nil {
+		return nil
+	}
+	if err := h.bw.Flush(); err != nil {
+		return err
+	}
+	h.bw.Reset(nil)
+	segWriters.Put(h.bw)
+	h.bw, h.dirty = nil, false
 	return nil
 }
 
@@ -565,10 +592,11 @@ func (s *Store) ReadBlock(file string, index int) ([]byte, error) {
 	return payload, nil
 }
 
-// ReadBlockRows opens one data block for decoded-row reading: the same
+// ReadBlockRows opens one data block for decoded reading: the same
 // verified, failing-over entry read as ReadBlock (and the same BlockReads
-// and BytesRead accounting), with the columns decoded straight into rows
-// instead of back into frames. The reader owns the entry bytes.
+// and BytesRead accounting), with the columns decoded a batch at a time
+// into column buffers instead of back into frames. The reader owns the
+// entry bytes.
 func (s *Store) ReadBlockRows(file string, index int) (*RowReader, error) {
 	bm, payload, err := s.readIndexed(file, index)
 	if err != nil {
@@ -577,7 +605,11 @@ func (s *Store) ReadBlockRows(file string, index int) (*RowReader, error) {
 	if bm.flags&flagColumnar == 0 {
 		return nil, fmt.Errorf("blockstore: block %d of %q holds no columnar records", index, file)
 	}
-	return newRowReader(payload, bm.arity, bm.recCount, bm.rawLen)
+	r, err := newRowReader(payload, bm.arity, bm.recCount, bm.rawLen)
+	if err == nil {
+		r.entry = payload[:cap(payload)] // nothing else holds the entry: Close recycles it
+	}
+	return r, err
 }
 
 // ReadBlockRuns reads and verifies one data block once, as ReadBlockRows
@@ -651,7 +683,7 @@ func (s *Store) readReplica(file string, bm *blockMeta, r replicaLoc) ([]byte, e
 		return nil, err
 	}
 	defer fh.Close()
-	buf := make([]byte, r.n)
+	buf := entryBuffer(int(r.n))
 	if _, err := fh.ReadAt(buf, r.off); err != nil {
 		return nil, err
 	}
@@ -672,6 +704,25 @@ func (s *Store) readReplica(file string, bm *blockMeta, r replicaLoc) ([]byte, e
 	// The payload aliases buf, which nothing else holds: no second copy.
 	return e.payload, nil
 }
+
+// entryBufs holds entry buffers a closed ReadBlockRows reader gave back:
+// a scan reads each block into the one an earlier block was read into.
+// Reads whose payload outlives a reader (ReadBlock, ReadBlockRuns, the
+// result cache) take buffers from it and never return them.
+var entryBufs sync.Pool
+
+// entryBuffer returns n bytes to read an entry into, recycled when one
+// large enough is at hand. A fresh buffer gets up to 16 KiB of slack, so
+// that recycled it still fits the next block of a file, a little larger
+// or not.
+func entryBuffer(n int) []byte {
+	if b, ok := entryBufs.Get().(*[]byte); ok && cap(*b) >= n {
+		return (*b)[:n]
+	}
+	return make([]byte, n, n+min(n/8, 16<<10))
+}
+
+func recycleEntry(b []byte) { entryBufs.Put(&b) }
 
 // ScanRaw calls fn for every entry of a file in key order, with decoded
 // payloads. Used to reload the result cache on open.
@@ -843,7 +894,7 @@ func (s *Store) deleteLocked(file string) error {
 		k := handleKey(node, file)
 		if h := s.handles[k]; h != nil {
 			if h.f != nil {
-				h.bw.Flush()
+				h.flush()
 				h.f.Close()
 			}
 			delete(s.handles, k)
@@ -904,11 +955,10 @@ func (s *Store) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, h := range s.handles {
-		if h.dirty && h.bw != nil {
-			if err := h.bw.Flush(); err != nil {
+		if h.dirty {
+			if err := h.flush(); err != nil {
 				return err
 			}
-			h.dirty = false
 		}
 	}
 	return nil
@@ -921,10 +971,8 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	var firstErr error
 	for _, h := range s.handles {
-		if h.bw != nil {
-			if err := h.bw.Flush(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+		if err := h.flush(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		if h.f != nil {
 			if err := h.f.Close(); err != nil && firstErr == nil {

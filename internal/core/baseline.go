@@ -119,8 +119,22 @@ func grainKeyOf(g cube.Grain) string {
 	return string(b)
 }
 
-// runRowsJob executes one MapReduce job and decodes its output rows.
-func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapFn mr.MapFunc, reduceFn mr.ReduceFunc, arity int) ([]baselineRow, mr.JobStats, error) {
+// runRowsJob executes one MapReduce job and decodes its output rows. The
+// baseline's map bodies take one record at a time: each batch's records
+// are gathered, in order, into a row valid for the call.
+func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapRow func(*mr.MapCtx, []int64) error, reduceFn mr.ReduceFunc, arity int) ([]baselineRow, mr.JobStats, error) {
+	mapFn := func(ctx *mr.MapCtx, b mr.Batch) error {
+		row := make([]int64, len(b.Cols))
+		for i := 0; i < b.N; i++ {
+			for c, col := range b.Cols {
+				row[c] = col[i]
+			}
+			if err := mapRow(ctx, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	res, err := mr.RunContext(ctx, mr.Job{
 		Input:  input,
 		Map:    mapFn,

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/casm-project/casm/internal/cube"
@@ -63,6 +66,35 @@ func newEarlyAggCombiner(tb testing.TB, s *cube.Schema, basics []*workflow.Measu
 	return plan.newCombiner(testBlocks(tb, s, basics), st)
 }
 
+// columnBatches transposes records into batches of at most 1 024, the
+// size a store block's decoder hands out.
+func columnBatches(records []cube.Record) []mr.Batch {
+	var out []mr.Batch
+	for lo := 0; lo < len(records); lo += 1024 {
+		recs := records[lo:min(lo+1024, len(records))]
+		b := mr.Batch{N: len(recs), Cols: make([][]int64, len(recs[0]))}
+		for a := range b.Cols {
+			b.Cols[a] = make([]int64, len(recs))
+			for i, rec := range recs {
+				b.Cols[a][i] = rec[a]
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// foldRow folds one record into the combiner under block, as a batch of one
+// with no budget: the tests' record-at-a-time way into Fold.
+func foldRow(c *earlyAggCombiner, block uint64, rec []int64) error {
+	cols := make([][]int64, len(rec))
+	for a, v := range rec {
+		cols[a] = []int64{v}
+	}
+	_, _, err := c.Fold(mr.Batch{N: 1, Cols: cols}, []uint64{block}, []int32{0}, math.MaxInt)
+	return err
+}
+
 // TestStreamingCombinerMatchesBufferedMerge is the early-aggregation
 // equivalence property: for every distributive and algebraic measure,
 // folding records one at a time into the streaming combiner — including
@@ -102,7 +134,7 @@ func TestStreamingCombinerMatchesBufferedMerge(t *testing.T) {
 		return g.agg.MergeState(state)
 	}
 	for i, rec := range records {
-		if err := comb.Add(0, rec); err != nil {
+		if err := foldRow(comb, 0, rec); err != nil {
 			t.Fatal(err)
 		}
 		if (i+1)%251 == 0 {
@@ -183,7 +215,7 @@ func TestCombinerFlushDeterministic(t *testing.T) {
 		var st mr.MapTaskStats
 		comb := newEarlyAggCombiner(t, su.Schema, basics, &st)
 		for i, rec := range records {
-			if err := comb.Add(uint64(i%5)*200, rec); err != nil {
+			if err := foldRow(comb, uint64(i%5)*200, rec); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -225,4 +257,38 @@ func decodePartial(b []byte, arity int) (int, []int64, []byte, error) {
 		return 0, nil, nil, err
 	}
 	return idx, coords, state, nil
+}
+
+// TestFlushRadixSortIsTheComparisonOrder: the flush's LSD radix sort puts
+// distinct (hi, prefix) keys in the order the comparison sort it replaced
+// does, for keys that vary in few bytes (block ranks and grains, short
+// regions: most digits skipped) and in all sixteen.
+func TestFlushRadixSortIsTheComparisonOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, n := range []int{0, 1, 2, 255, 1000, 5000} {
+		for _, mask := range []uint64{0xff, 0xffff00, ^uint64(0)} {
+			seen := map[[2]uint64]bool{}
+			var keys []aggSortKey
+			for len(keys) < n {
+				k := aggSortKey{hi: uint64(rng.Intn(40))<<32 | uint64(rng.Intn(3)), prefix: rng.Uint64() & mask, entry: uint32(len(keys))}
+				if mask == ^uint64(0) {
+					k.hi = rng.Uint64()
+				}
+				if !seen[[2]uint64{k.hi, k.prefix}] {
+					seen[[2]uint64{k.hi, k.prefix}] = true
+					keys = append(keys, k)
+				}
+			}
+			want := slices.Clone(keys)
+			slices.SortFunc(want, func(a, b aggSortKey) int {
+				if a.hi != b.hi {
+					return cmp.Compare(a.hi, b.hi)
+				}
+				return cmp.Compare(a.prefix, b.prefix)
+			})
+			if got := radixSort(keys, make([]aggSortKey, len(keys))); !slices.Equal(got, want) {
+				t.Fatalf("%d keys under mask %x: radix order differs from comparison order", n, mask)
+			}
+		}
+	}
 }

@@ -25,8 +25,10 @@ import (
 // pre-aggregation: an open-addressing index over fixed-width states in a
 // slab, integer keys, a switch on the aggregate kind instead of an
 // interface call — and a record is probed once per distinct basic grain,
-// not once per basic measure. Blocks and regions stay ordinals of their
-// mixed-radix spaces (distkey.BlockMapper) until the flush ships them.
+// not once per basic measure. Records arrive a batch of columns at a time,
+// and each grain's region ordinals are summed column by column before the
+// probes. Blocks and regions stay ordinals of their mixed-radix spaces
+// (distkey.BlockMapper) until the flush ships them, sorted on integers.
 
 // partialTag prefixes early-aggregation payloads.
 const partialTag = 1
@@ -62,16 +64,13 @@ func splitPartial(b []byte) (int, []byte, []byte, error) {
 }
 
 // earlyAggPlan is what the combiners of one job share: the basic measures
-// grouped by grain, and the tables its finished flushes left behind.
+// grouped by grain.
 type earlyAggPlan struct {
 	arity  int
 	grains []aggGrain
 	// byBasic locates basic measure i — its grain and its state's position
 	// among that grain's states — for the flush, which emits in basic order.
 	byBasic []aggBasicAt
-
-	mu   sync.Mutex
-	free []*aggTable
 }
 
 // aggGrain is one distinct grain among the basics. Basics at one grain see
@@ -139,27 +138,16 @@ func (p *earlyAggPlan) newCombiner(bm *distkey.BlockMapper, st *mr.MapTaskStats)
 	return &earlyAggCombiner{plan: p, blocks: bm, st: st}
 }
 
-func (p *earlyAggPlan) getTable() *aggTable {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		t := p.free[n-1]
-		p.free = p.free[:n-1]
-		return t
-	}
+// aggTables recycles emptied tables, buffers and all, across the map tasks
+// of every combining job: nothing a table holds belongs to one plan.
+var aggTables = sync.Pool{New: func() any {
 	return &aggTable{index: make([]uint32, aggMinIndex), bindex: make([]uint32, aggMinIndex)}
-}
-
-func (p *earlyAggPlan) putTable(t *aggTable) {
-	p.mu.Lock()
-	p.free = append(p.free, t)
-	p.mu.Unlock()
-}
+}}
 
 // earlyAggCombiner is one map task's streaming early-aggregation combiner
 // (mr.Combiner), keyed by block ordinal. It holds a table only between its
-// first fold and the flush that follows: a flush hands the emptied table,
-// buffers and all, back to the plan, where the job's next map task — or
+// first fold and the flush that follows: a flush hands the emptied table
+// back to aggTables, where the next map task of this job or another — or
 // this one, after a LocalAggBudget spill — picks it up.
 type earlyAggCombiner struct {
 	plan   *earlyAggPlan
@@ -184,9 +172,17 @@ type aggTable struct {
 	keys    []byte
 	slab    []measure.FlatState
 
-	// The flush's orderings, recycled with the rest.
-	border []uint32
-	order  []aggSortKey
+	// Fold's region ordinals, one run per grain, and the flush's
+	// orderings (spare is the radix sort's second buffer): scratch,
+	// recycled with the rest.
+	regions []uint64
+	border  []uint32
+	order   []aggSortKey
+	spare   []aggSortKey
+	// last is the position + 1 of the block the last fold probed, 0 when
+	// none: a run of pairs of one block skips blockFor.
+	last    uint32
+	lastOrd uint64
 }
 
 type aggEntry struct {
@@ -292,44 +288,69 @@ func (t *aggTable) reset() {
 	clear(t.index)
 	clear(t.bindex)
 	t.entries, t.blocks, t.keys, t.slab = t.entries[:0], t.blocks[:0], t.keys[:0], t.slab[:0]
+	t.last = 0
 }
 
 func (c *earlyAggCombiner) table() *aggTable {
 	if c.t == nil {
-		c.t = c.plan.getTable()
+		c.t = aggTables.Get().(*aggTable)
 	}
 	return c.t
 }
 
-// Add folds one record into the partial states of the block with ordinal
-// block: one probe per distinct basic grain, at the region ordinal summed
-// straight from the record, and one switch per basic measure.
-func (c *earlyAggCombiner) Add(block uint64, rec []int64) error {
+// Fold folds the pairs (blocks[k], record rows[k] of b) into their blocks'
+// partial states: one probe per distinct basic grain, at the region
+// ordinal its rolled columns sum to, and one switch per basic measure. It
+// stops right after the pair that brings Len to budget.
+func (c *earlyAggCombiner) Fold(b mr.Batch, blocks []uint64, rows []int32, budget int) (int, int, error) {
 	p, t := c.plan, c.table()
-	if len(rec) != p.arity {
-		return fmt.Errorf("core: record of arity %d, schema has %d attributes", len(rec), p.arity)
+	if len(b.Cols) != p.arity {
+		return 0, 0, fmt.Errorf("core: record of arity %d, schema has %d attributes", len(b.Cols), p.arity)
 	}
-	blk := t.blockFor(block)
+	// Region ordinals for the records the pairs span, one run per grain.
+	lo := int(rows[0])
+	span := int(rows[len(rows)-1]) + 1 - lo
+	t.regions = slices.Grow(t.regions[:0], len(p.grains)*span)[:len(p.grains)*span]
+	clear(t.regions)
 	for gi := range p.grains {
-		g := &p.grains[gi]
-		var region uint64
-		for _, x := range g.live {
-			region += uint64(x.attr.Roll(rec[x.a], x.level)) * x.stride
-		}
-		slot, found := t.slotFor(blk, uint32(gi), region, len(g.basics))
-		if found {
-			c.st.CombineMerges += int64(len(g.basics))
-		}
-		states := t.slab[slot : int(slot)+len(g.basics)]
-		for j, b := range g.basics {
-			v := 0.0
-			if b.input >= 0 {
-				v = float64(rec[b.input])
+		regions := t.regions[gi*span : (gi+1)*span]
+		for _, x := range p.grains[gi].live {
+			for i, v := range b.Cols[x.a][lo : lo+span] {
+				regions[i] += uint64(x.attr.Roll(v, x.level)) * x.stride
 			}
-			states[j].Add(b.kind, v)
 		}
 	}
-	return nil
+	hits := 0
+	for k, ord := range blocks {
+		if t.last == 0 || ord != t.lastOrd {
+			t.last, t.lastOrd = t.blockFor(ord)+1, ord
+		}
+		row := int(rows[k])
+		grew := false
+		for gi := range p.grains {
+			g := &p.grains[gi]
+			slot, found := t.slotFor(t.last-1, uint32(gi), t.regions[gi*span+row-lo], len(g.basics))
+			if found {
+				c.st.CombineMerges += int64(len(g.basics))
+			}
+			grew = grew || !found
+			states := t.slab[slot : int(slot)+len(g.basics)]
+			for j, bs := range g.basics {
+				v := 0.0
+				if bs.input >= 0 {
+					v = float64(b.Cols[bs.input][row])
+				}
+				states[j].Add(bs.kind, v)
+			}
+		}
+		if !grew {
+			hits++
+		}
+		if len(t.slab) >= budget {
+			return k + 1, hits, nil
+		}
+	}
+	return len(blocks), hits, nil
 }
 
 // Len is the number of buffered partial states: one per (block, basic
@@ -344,9 +365,11 @@ func (c *earlyAggCombiner) Len() int {
 // Flush emits every partial state — blocks in ascending key order, and
 // within a block in (basic index, encoded region) byte order, so the
 // shuffle byte stream never depends on probe order — then recycles the
-// table. The shuffle retains what it is handed until the job ends, so all
-// of a flush's keys and payloads are carved from one exact-size
-// allocation; the table's own arenas never leave it.
+// table. The entries are ordered by an LSD radix sort over the integers
+// that decide that order (radixSort), or by comparison when some region
+// is too long for them to. The shuffle retains what it is handed until the
+// job ends, so all of a flush's keys and payloads are carved from one
+// exact-size allocation; the table's own arenas never leave it.
 func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
 	t := c.t
 	if t == nil {
@@ -355,7 +378,7 @@ func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
 	c.t = nil
 	defer func() {
 		t.reset()
-		c.plan.putTable(t)
+		aggTables.Put(t)
 	}()
 	p := c.plan
 
@@ -374,13 +397,14 @@ func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
 		t.blocks[blk].rank = uint32(rank)
 	}
 	t.order = t.order[:0]
-	size := 0
+	size, long := 0, false
 	for n := range t.entries {
 		e := &t.entries[n]
 		e.off = uint32(len(t.keys))
 		t.keys = p.grains[e.grain].space.AppendBlockKey(t.keys, e.region)
 		e.n = uint32(len(t.keys)) - e.off
 		region := t.region(e)
+		long = long || len(region) > 8
 		var prefix [8]byte
 		copy(prefix[:], region)
 		t.order = append(t.order, aggSortKey{
@@ -396,25 +420,31 @@ func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
 	for blk := range t.blocks {
 		size += int(t.blocks[blk].n)
 	}
-	slices.SortFunc(t.order, func(a, b aggSortKey) int {
-		if a.hi != b.hi {
-			return cmp.Compare(a.hi, b.hi)
-		}
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
-		}
-		return bytes.Compare(t.region(&t.entries[a.entry]), t.region(&t.entries[b.entry]))
-	})
+	order := t.order
+	if long {
+		slices.SortFunc(order, func(a, b aggSortKey) int {
+			if a.hi != b.hi {
+				return cmp.Compare(a.hi, b.hi)
+			}
+			if a.prefix != b.prefix {
+				return cmp.Compare(a.prefix, b.prefix)
+			}
+			return bytes.Compare(t.region(&t.entries[a.entry]), t.region(&t.entries[b.entry]))
+		})
+	} else {
+		t.spare = slices.Grow(t.spare[:0], len(order))[:len(order)]
+		order = radixSort(order, t.spare)
+	}
 
 	out := make([]byte, 0, size)
-	for lo := 0; lo < len(t.order); {
+	for lo := 0; lo < len(order); {
 		// One block's run, and one key slice for all of its pairs.
-		rank := t.order[lo].hi >> 32
+		rank := order[lo].hi >> 32
 		hi := lo
-		for hi < len(t.order) && t.order[hi].hi>>32 == rank {
+		for hi < len(order) && order[hi].hi>>32 == rank {
 			hi++
 		}
-		run := t.order[lo:hi]
+		run := order[lo:hi]
 		lo = hi
 		out = append(out, t.block(t.border[rank])...)
 		blockKey := out[len(out)-int(t.blocks[t.border[rank]].n) : len(out) : len(out)]
@@ -440,4 +470,48 @@ func (c *earlyAggCombiner) Flush(emit func(key, value []byte) error) error {
 		}
 	}
 	return nil
+}
+
+// radixSort sorts keys by (hi, prefix) with a stable LSD radix sort over
+// their sixteen bytes, prefix's lowest byte first, skipping every byte all
+// keys share — most of them: hi is a block rank and a grain, prefix a
+// region's first bytes. tmp is a second buffer of len(keys); the result is
+// in one of the two. While every region fits in its eight-byte prefix,
+// distinct entries have distinct keys (a grain's regions are the same
+// number of varints, which no zero padding can make collide), so this is
+// the comparison order.
+func radixSort(keys, tmp []aggSortKey) []aggSortKey {
+	var or, and [2]uint64
+	and[0], and[1] = ^uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or[0], and[0] = or[0]|k.prefix, and[0]&k.prefix
+		or[1], and[1] = or[1]|k.hi, and[1]&k.hi
+	}
+	for d := 0; d < 16; d++ {
+		w, shift := d/8, uint(d%8)*8
+		if (or[w]^and[w])>>shift&0xff == 0 {
+			continue
+		}
+		digit := func(k *aggSortKey) uint64 {
+			if w == 0 {
+				return k.prefix >> shift & 0xff
+			}
+			return k.hi >> shift & 0xff
+		}
+		var pos [256]int
+		for i := range keys {
+			pos[digit(&keys[i])]++
+		}
+		sum := 0
+		for v, n := range pos {
+			pos[v], sum = sum, sum+n
+		}
+		for i := range keys {
+			v := digit(&keys[i])
+			tmp[pos[v]] = keys[i]
+			pos[v]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -316,7 +317,7 @@ func TestFlatStateWireBytes(t *testing.T) {
 						aggs[i].Add(0)
 					}
 				}
-				if err := comb.Add(0, rec); err != nil {
+				if err := foldRow(comb, 0, rec); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -344,9 +345,9 @@ func TestFlatStateWireBytes(t *testing.T) {
 
 // TestEarlyAggTablesRecycleUnderConcurrency runs many map tasks' worth of
 // combiners from one plan on four goroutines — every Flush returns its
-// table to the plan, every next fold takes one back, mid-task spills
-// included — and demands each task flush exactly the bytes a combiner with
-// buffers of its own flushes. Run with -race -count=10.
+// table to aggTables, every next fold takes one back, mid-task spills
+// included — and demands each task flush exactly the bytes the same task
+// flushes when it runs alone. Run with -race -count=10.
 func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 	su := workload.NewSuite()
 	w := mergeableBasicsWorkflow(t, su)
@@ -363,7 +364,7 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 			return nil
 		}
 		for i, rec := range records[task*perTask : (task+1)*perTask] {
-			if err := comb.Add(uint64(rec[0]%3)*300, rec); err != nil {
+			if err := foldRow(comb, uint64(rec[0]%3)*300, rec); err != nil {
 				return nil, err
 			}
 			if (i+1)%97 == 0 {
@@ -411,9 +412,6 @@ func TestEarlyAggTablesRecycleUnderConcurrency(t *testing.T) {
 		if !bytes.Equal(got[task], want[task]) {
 			t.Errorf("task %d: recycled tables flushed different bytes than fresh ones", task)
 		}
-	}
-	if n := len(plan.free); n == 0 || n > workers {
-		t.Errorf("%d tables on the free list after %d tasks on %d workers", n, tasks, workers)
 	}
 }
 
@@ -492,10 +490,10 @@ func TestEarlyAggMapBlockAllocs(t *testing.T) {
 }
 
 // TestEarlyAggFoldAllocatesNothing is the fold's own ceiling, without a
-// job around it: a table recycled by a flush folds a block's rows again
-// — key-gen to block ordinals, region ordinals summed from the row, the
-// probes and the states — with no allocation at all, for DS0's and DS1's
-// keys (overlapping or not) and one basic of every mergeable kind.
+// job around it: a table recycled by a flush folds a block's batches again
+// — key-gen to block ordinals, region ordinals summed column by column,
+// the probes and the states — with no allocation at all, for DS0's and
+// DS1's keys (overlapping or not) and one basic of every mergeable kind.
 func TestEarlyAggFoldAllocatesNothing(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(4096, workload.Uniform, 9)
@@ -512,12 +510,12 @@ func TestEarlyAggFoldAllocatesNothing(t *testing.T) {
 			var st mr.MapTaskStats
 			plan := newEarlyAggPlan(su.Schema, w.Basics())
 			comb, ss := plan.newCombiner(bm, &st), bm.NewSession()
+			batches := columnBatches(records)
 			fold := func() {
-				for _, rec := range records {
-					for _, block := range ss.BlockOrdinals(rec) {
-						if err := comb.Add(block, rec); err != nil {
-							t.Fatal(err)
-						}
+				for _, b := range batches {
+					ords, rows := ss.Walk(b.Cols)
+					if n, _, err := comb.Fold(b, ords, rows, math.MaxInt); err != nil || n != len(ords) {
+						t.Fatalf("folded %d of %d pairs: %v", n, len(ords), err)
 					}
 				}
 			}
@@ -528,10 +526,86 @@ func TestEarlyAggFoldAllocatesNothing(t *testing.T) {
 			// Each run folds into the recycled table, then empties it as a
 			// flush does, without the flush's output buffer.
 			if n := testing.AllocsPerRun(5, func() { fold(); comb.t.reset() }); n != 0 {
-				t.Errorf("folding %d rows allocated %.0f times, want 0", len(records), n)
+				t.Errorf("folding %d records allocated %.0f times, want 0", len(records), n)
 			}
 			if st.CombineMerges == 0 {
 				t.Error("no fold merged into an entry")
+			}
+		})
+	}
+}
+
+// TestMapBatchesAllocateNothing is the per-batch ceiling of a warmed
+// combining map task: once a store block of four batches is read and its
+// reader open, decoding each batch, validating its columns, walking its
+// blocks and folding the pairs into the task's table allocates nothing,
+// for DS0's and DS1's keys and one basic of every mergeable kind. (The
+// block read and the reader's buffers are once per block, and pooled.)
+func TestMapBatchesAllocateNothing(t *testing.T) {
+	su := workload.NewSuite()
+	st, err := blockstore.Open(blockstore.Config{Dir: t.TempDir(), BlockSize: 64 << 20, Replication: 1, NumNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := workload.WriteStore(st, "data", su.Schema, su.Generate(4*1024, workload.Uniform, 9)); err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range earlyAggWorkflows(t, su) {
+		t.Run(name, func(t *testing.T) {
+			key, _, err := distkey.Derive(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bm, err := distkey.NewBlockMapper(su.Schema, key, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mst mr.MapTaskStats
+			comb, ss := newEarlyAggPlan(su.Schema, w.Basics()).newCombiner(bm, &mst), bm.NewSession()
+			// scan reads the block and returns the allocations its batches
+			// cost, from the first Next to the last.
+			scan := func() (mallocs uint64) {
+				rr, err := st.ReadBlockRows("data", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rr.Close()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				for batches := 0; ; batches++ {
+					b, ok, err := rr.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						if batches != 4 {
+							t.Fatalf("%d batches, want 4", batches)
+						}
+						break
+					}
+					if err := su.Schema.ValidateColumns(b.Cols); err != nil {
+						t.Fatal(err)
+					}
+					ords, rows := ss.Walk(b.Cols)
+					if _, _, err := comb.Fold(b, ords, rows, math.MaxInt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&m1)
+				comb.t.reset() // as a flush empties it, keeping the table
+				return m1.Mallocs - m0.Mallocs
+			}
+			// After a warming scan, in which the session's and the table's
+			// buffers grow once, the fewest of five scans: a per-batch
+			// allocation shows in every scan, a runtime one in some.
+			scan()
+			fewest := scan()
+			for i := 0; i < 4; i++ {
+				fewest = min(fewest, scan())
+			}
+			if fewest != 0 {
+				t.Errorf("four batches allocated %d times, want 0", fewest)
 			}
 		})
 	}

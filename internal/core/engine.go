@@ -42,7 +42,7 @@ const (
 	// EarlyAggOff ships each record's read columns.
 	EarlyAggOff EarlyAggMode = iota
 	// EarlyAggAuto combines on the map side whenever the workflow supports
-	// it; Result.EarlyAggregated reports what happened.
+	// it; Result.EarlyAggregated reports the plan's decision.
 	EarlyAggAuto
 )
 
@@ -176,7 +176,10 @@ type ResultHeader struct {
 	Plan optimizer.Plan
 	// SampledPlan indicates the plan came from simulated dispatch.
 	SampledPlan bool
-	// EarlyAggregated indicates the combiner ran.
+	// EarlyAggregated reports the plan's decision: the query's job combines
+	// on the map side (Section III-D). A result served whole from the
+	// materialized cache ran no job and reports the decision all the same
+	// (Result.ResultReused says the job was skipped).
 	EarlyAggregated bool
 	// SampleSeconds is the simulated cost of the sampling pass (0 when
 	// sampling is off); the paper reports ~10 s per dataset.
@@ -215,17 +218,12 @@ func (r *Result) TotalRecords() int64 {
 	return n
 }
 
-// cancelCheckStride is how many records a dataset scan processes between
-// cancellation polls (a non-blocking read of ctx.Done(), the mr hot-loop
-// idiom).
-const cancelCheckStride = 1024
-
-// scanDataset hands every row of the splits, in order, to visit (the row
-// is only valid for the call), closing each iterator on every path and
-// polling ctx every cancelCheckStride records.
-func scanDataset(ctx context.Context, splits []mr.Split, visit func(row []int64) error) error {
+// scanDataset hands every batch of the splits, in order, to visit (the
+// batch is only valid for the call), closing each iterator on every path
+// and polling ctx once per batch (a non-blocking read of ctx.Done(), the
+// mr hot-loop idiom).
+func scanDataset(ctx context.Context, splits []mr.Split, visit func(b mr.Batch) error) error {
 	done := ctx.Done()
-	var n int64
 	scan := func(sp mr.Split) error {
 		it, err := sp.Open()
 		if err != nil {
@@ -233,21 +231,19 @@ func scanDataset(ctx context.Context, splits []mr.Split, visit func(row []int64)
 		}
 		defer it.Close()
 		for {
-			row, ok, err := it.Next()
+			b, ok, err := it.Next()
 			if err != nil {
 				return err
 			}
 			if !ok {
 				return it.Close()
 			}
-			if n++; n&(cancelCheckStride-1) == 0 {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
 			}
-			if err := visit(row); err != nil {
+			if err := visit(b); err != nil {
 				return err
 			}
 		}
@@ -268,7 +264,7 @@ func CountRecords(ctx context.Context, ds *Dataset) (int64, error) {
 		return 0, err
 	}
 	var n int64
-	err = scanDataset(ctx, splits, func([]int64) error { n++; return nil })
+	err = scanDataset(ctx, splits, func(b mr.Batch) error { n += int64(b.N); return nil })
 	return n, err
 }
 

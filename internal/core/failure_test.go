@@ -26,7 +26,7 @@ func (h openHook) Splits() ([]mr.Split, error) {
 	return splits, err
 }
 
-func (h openHook) Open() (mr.RowIter, error) {
+func (h openHook) Open() (mr.Iter[mr.Batch], error) {
 	if err := h.hook(h.Label()); err != nil {
 		return nil, err
 	}

@@ -114,7 +114,7 @@ func FuzzCollectPartials(f *testing.F) {
 	s, basics := w.Schema(), w.Basics()
 	comb := newEarlyAggCombiner(f, s, basics, &mr.MapTaskStats{})
 	for i := int64(0); i < 40; i++ {
-		if err := comb.Add(7, []int64{i % 8, i * 5 % 64}); err != nil {
+		if err := foldRow(comb, 7, []int64{i % 8, i * 5 % 64}); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -12,31 +12,34 @@ import (
 )
 
 // endlessInput is one split that never runs out of records: a scan over
-// it only ends by cancellation. It cancels the context itself once
-// cancelAt records have been read, so the tests below are deterministic.
+// it only ends by cancellation. It hands out batches of endlessBatch
+// copies of one record and cancels the context itself in the batch that
+// reads record cancelAt, so the tests below are deterministic.
 type endlessInput struct {
-	row      []int64
+	batch    mr.Batch
 	cancelAt int64
 	cancel   context.CancelFunc
 	read     atomic.Int64
 }
 
-func (in *endlessInput) Splits() ([]mr.Split, error) { return []mr.Split{in}, nil }
-func (in *endlessInput) Label() string               { return "endless" }
-func (in *endlessInput) SizeBytes() int64            { return 1 << 40 }
-func (in *endlessInput) Open() (mr.RowIter, error)   { return in, nil }
-func (in *endlessInput) Close() error                { return nil }
-func (in *endlessInput) Next() ([]int64, bool, error) {
-	if in.read.Add(1) == in.cancelAt {
+const endlessBatch = 1024
+
+func (in *endlessInput) Splits() ([]mr.Split, error)      { return []mr.Split{in}, nil }
+func (in *endlessInput) Label() string                    { return "endless" }
+func (in *endlessInput) SizeBytes() int64                 { return 1 << 40 }
+func (in *endlessInput) Open() (mr.Iter[mr.Batch], error) { return in, nil }
+func (in *endlessInput) Close() error                     { return nil }
+func (in *endlessInput) Next() (mr.Batch, bool, error) {
+	if n := in.read.Add(endlessBatch); n >= in.cancelAt && n-endlessBatch < in.cancelAt {
 		in.cancel()
 	}
-	return in.row, true, nil
+	return in.batch, true, nil
 }
 
 // TestPlanningScansHonourCancellation pins PlanContext's documented
 // contract — ctx bounds the dataset scans planning may perform — for the
 // cardinality count (single-query and batch entry points) and the skew
-// sample: each must stop within one poll stride of the cancellation.
+// sample: each must stop within one batch of the cancellation.
 func TestPlanningScansHonourCancellation(t *testing.T) {
 	su := workload.NewSuite()
 	row := su.Generate(1, workload.Uniform, 1)[0]
@@ -64,7 +67,13 @@ func TestPlanningScansHonourCancellation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			in := &endlessInput{row: row, cancelAt: cancelAt, cancel: cancel}
+			in := &endlessInput{batch: mr.Batch{N: endlessBatch, Cols: make([][]int64, len(row))}, cancelAt: cancelAt, cancel: cancel}
+			for a, v := range row {
+				in.batch.Cols[a] = make([]int64, endlessBatch)
+				for i := range in.batch.Cols[a] {
+					in.batch.Cols[a][i] = v
+				}
+			}
 			eng, err := NewEngine(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -73,8 +82,8 @@ func TestPlanningScansHonourCancellation(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if over := in.read.Load() - cancelAt; over > cancelCheckStride {
-				t.Errorf("scan read %d records past the cancellation, want <= %d", over, cancelCheckStride)
+			if over := in.read.Load() - cancelAt; over > endlessBatch {
+				t.Errorf("scan read %d records past the cancellation, want <= %d", over, endlessBatch)
 			}
 		})
 	}

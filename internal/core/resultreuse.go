@@ -139,18 +139,20 @@ func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, out *ownedOutput, rows []by
 	return nil
 }
 
-// resultFromCache assembles the whole answer from a committed manifest,
-// bypassing the job entirely. Any gap — manifest missing, an entry
-// evicted since commit, a row that fails to decode — falls back to
-// running the job; reuse can be slow-pathed, never wrong.
-func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *Dataset, ru *resultReuse, outcome PlanOutcome) (*Result, bool) {
+// resultFromCache assembles the whole answer to q from a committed
+// manifest, bypassing the job entirely. Its header is the plan's, early
+// aggregation included, as PlanBatchContext reports it: ResultReused says
+// no job ran. Any gap — manifest missing, an entry evicted since commit, a
+// row that fails to decode — falls back to running the job; reuse can be
+// slow-pathed, never wrong.
+func (e *Engine) resultFromCache(ctx context.Context, q *jobQuery, ds *Dataset, ru *resultReuse) (*Result, bool) {
 	keys, ok := ru.rc.Manifest(ru.queryKey)
 	if !ok {
 		return nil, false
 	}
 	out := &Result{
-		ResultHeader: outcome.header(false),
-		Measures:     make(map[string][]MeasureRecord, len(w.Measures())),
+		ResultHeader: q.outcome.header(e.earlyFor(q) != nil),
+		Measures:     make(map[string][]MeasureRecord, len(q.w.Measures())),
 		ResultReused: true,
 	}
 	asm := assembler{arity: ds.Schema.NumAttrs()}
@@ -189,7 +191,7 @@ func (e *Engine) resultFromCache(ctx context.Context, w *workflow.Workflow, ds *
 		Task:           "reduce-cache",
 		ReduceObserved: mr.ReduceObserved{ResultCacheHits: hits, ResultCacheBytes: served},
 	}}}
-	out.Estimate = e.estimate(out.Stats, outcome.SampleSeconds)
+	out.Estimate = e.estimate(out.Stats, q.outcome.SampleSeconds)
 	return out, true
 }
 

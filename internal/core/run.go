@@ -121,12 +121,17 @@ func sampleDataset(ctx context.Context, ds *Dataset, n int, seed int64) ([]cube.
 		bytesRead += splits[i].SizeBytes()
 	}
 	res := stats.NewReservoir[cube.Record](n, seed)
-	err = scanDataset(ctx, picked, func(row []int64) error {
-		if err := ds.Schema.Validate(row); err != nil {
+	err = scanDataset(ctx, picked, func(b mr.Batch) error {
+		if err := ds.Schema.ValidateColumns(b.Cols); err != nil {
 			return err
 		}
-		if slot := res.Slot(); slot != nil {
-			*slot = slices.Clone(row)
+		for i := 0; i < b.N; i++ {
+			if slot := res.Slot(); slot != nil {
+				*slot = make(cube.Record, len(b.Cols))
+				for c, col := range b.Cols {
+					(*slot)[c] = col[i]
+				}
+			}
 		}
 		return nil
 	})
@@ -338,7 +343,7 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	// gets a localeval.Session per query — the arena-backed evaluator state
 	// reused across all of the task's groups.
 	job.Config.NewMapLocal = func(*mr.MapTaskStats) any {
-		ml := &mapLocal{dks: make([]*distkey.Session, len(groups))}
+		ml := &mapLocal{dks: make([]*distkey.Session, len(groups)), walks: make([]blockWalk, len(groups))}
 		if tagged {
 			ml.keys = make([]map[string][]byte, len(groups))
 		}
@@ -370,44 +375,50 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		job.Config.NewCombiner = func(st *mr.MapTaskStats) mr.Combiner { return plan.newCombiner(groups[0].bm, st) }
 	}
 
-	// The map function: block keys for the record under every geometry
-	// group, then one pair per group and block — this loop is the shared
-	// scan and the shared shuffle. A combining job (one query, one group)
-	// folds the record straight into the combiner table under each block's
-	// ordinal and ships partial states, never the record; every other job
-	// encodes the read columns once into the task arena and ships that
-	// value under every key, so fan-out costs keys, not copies.
-	job.Map = func(ctx *mr.MapCtx, rec []int64) error {
+	// The map function: a batch's block ordinals under every geometry
+	// group, then one pair per record, group and block — this loop is the
+	// shared scan and the shared shuffle. A combining job (one query, one
+	// group) folds the batch straight into the combiner table under each
+	// block's ordinal and ships partial states, never the record; every
+	// other job encodes a record's read columns once into the task arena
+	// and ships that value under every key, so fan-out costs keys, not
+	// copies.
+	job.Map = func(ctx *mr.MapCtx, b mr.Batch) error {
 		// A value outside its attribute's domain would index past a mapped
 		// hierarchy's tables, or evaluate regions no schema level has.
-		if err := s.Validate(rec); err != nil {
+		if err := s.ValidateColumns(b.Cols); err != nil {
 			return err
 		}
 		ml := ctx.Local.(*mapLocal)
 		if early {
-			for _, block := range ml.dks[0].BlockOrdinals(rec) {
-				if err := ctx.EmitRow(block, rec); err != nil {
-					return err
-				}
-			}
-			return nil
+			blocks, rows := ml.dks[0].Walk(b.Cols)
+			return ctx.Fold(b, blocks, rows)
 		}
-		value := ml.arena.record(rec, cols)
-		for gi, g := range groups {
-			for _, block := range ml.dks[gi].Blocks(rec) {
-				key := block // interned: allocated once per distinct block per task
-				switch {
-				case combined:
-					// Emit retains the key, so the composite block+record
-					// bytes must be owned by the pair; the task arena gives
-					// them a stable home at one allocation per 64KiB of keys
-					// instead of one per pair.
-					key = ml.arena.concat(g.tag, block, value)
-				case tagged:
-					key = ml.taggedBlock(gi, g.tag, block)
-				}
-				if err := ctx.Emit(key, value); err != nil {
-					return err
+		for gi, dk := range ml.dks {
+			w := &ml.walks[gi]
+			w.ords, w.rows = dk.Walk(b.Cols)
+			w.next = 0
+		}
+		for row := int32(0); row < int32(b.N); row++ {
+			value := ml.arena.record(b.Cols, int(row), cols)
+			for gi, g := range groups {
+				w := &ml.walks[gi]
+				for ; w.next < len(w.rows) && w.rows[w.next] == row; w.next++ {
+					block := ml.dks[gi].Key(w.ords[w.next])
+					key := block // interned: encoded once per distinct block per task
+					switch {
+					case combined:
+						// Emit retains the key, so the composite block+record
+						// bytes must be owned by the pair; the task arena gives
+						// them a stable home at one allocation per 64KiB of keys
+						// instead of one per pair.
+						key = ml.arena.concat(g.tag, block, value)
+					case tagged:
+						key = ml.taggedBlock(gi, g.tag, block)
+					}
+					if err := ctx.Emit(key, value); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -563,7 +574,7 @@ func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (
 	if len(queries) == 1 {
 		q := queries[0]
 		if ru := e.newResultReuse(q.w, ds, q.outcome.Plan); ru != nil {
-			if out, ok := e.resultFromCache(ctx, q.w, ds, ru, q.outcome); ok {
+			if out, ok := e.resultFromCache(ctx, q, ds, ru); ok {
 				return []*Result{out}, nil
 			}
 		}
@@ -697,11 +708,20 @@ func blockPrefixLen(key []byte, arity int) int {
 // mapLocal is one map task's reusable state (mr.Config.NewMapLocal): a
 // distkey session per geometry group and the arena of the bytes it emits.
 type mapLocal struct {
-	dks []*distkey.Session
+	dks   []*distkey.Session
+	walks []blockWalk // per group: the current batch's blocks
 	// keys interns, per group of a multi-query job, bare block key bytes →
 	// stable tagged key; nil in a job of one, whose keys carry no tag.
 	keys  []map[string][]byte
 	arena keyArena
+}
+
+// blockWalk is a geometry group's distkey.Session.Walk of the current
+// batch, and the first of its pairs not yet emitted.
+type blockWalk struct {
+	ords []uint64
+	rows []int32
+	next int
 }
 
 // taggedBlock interns tag+block once per distinct block per task; the
@@ -765,13 +785,14 @@ func (a *keyArena) measureRecord(coords []int64, v float64) []byte {
 	return a.chunk[start:len(a.chunk):len(a.chunk)]
 }
 
-// record appends the uvarints of rec's attributes cols — a record value
-// projected to those columns — and returns the stable bytes.
-func (a *keyArena) record(rec []int64, cols []int) []byte {
+// record appends the uvarints of record row's attributes cols, read from
+// a batch's columns — a record value projected to those columns — and
+// returns the stable bytes.
+func (a *keyArena) record(batch [][]int64, row int, cols []int) []byte {
 	a.reserve(len(cols) * binary.MaxVarintLen64)
 	start := len(a.chunk)
 	for _, c := range cols {
-		a.chunk = binary.AppendUvarint(a.chunk, uint64(rec[c]))
+		a.chunk = binary.AppendUvarint(a.chunk, uint64(batch[c][row]))
 	}
 	return a.chunk[start:len(a.chunk):len(a.chunk)]
 }

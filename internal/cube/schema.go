@@ -81,6 +81,37 @@ func (s *Schema) Validate(rec Record) error {
 	return nil
 }
 
+// ValidateColumns is Validate over a batch of records held column-major
+// (cols[c][i] is record i's value of attribute c): one pass per column, and
+// on failure Validate's error for the first offending record in record
+// order, so it names the attribute and value a row-at-a-time check would.
+func (s *Schema) ValidateColumns(cols [][]int64) error {
+	if len(cols) != len(s.attrs) {
+		return fmt.Errorf("cube: record arity %d, schema has %d attributes", len(cols), len(s.attrs))
+	}
+	first := -1
+	for c, col := range cols {
+		card := uint64(s.attrs[c].Card())
+		if first >= 0 {
+			col = col[:first] // only an earlier record can come first
+		}
+		for i, v := range col {
+			if uint64(v) >= card {
+				first = i
+				break
+			}
+		}
+	}
+	if first < 0 {
+		return nil
+	}
+	rec := make(Record, len(cols))
+	for c, col := range cols {
+		rec[c] = col[first]
+	}
+	return s.Validate(rec)
+}
+
 // GrainSpec names one attribute's level; a slice of them concisely
 // specifies a Grain (attributes not mentioned default to ALL).
 type GrainSpec struct {

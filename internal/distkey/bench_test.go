@@ -76,7 +76,6 @@ func BenchmarkBlocksFor(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(emitted)/float64(b.N*len(records)), "pairs/record")
-				b.ReportMetric(float64(ss.Hits)/float64(ss.Hits+ss.Misses), "cache-hit-rate")
 			})
 		}
 	}

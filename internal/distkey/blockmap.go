@@ -14,10 +14,10 @@ import (
 // clustering factor — into the mapper- and reducer-side key logic of
 // Sections III-B.2 and III-C:
 //
-//   - Session.Blocks enumerates the distribution blocks a raw record must
-//     be dispatched to (one block normally; several when overlapping
-//     distribution duplicates the record into neighbouring blocks), and
-//     Session.BlockOrdinals the same blocks as integers;
+//   - Session.Walk enumerates, for a batch of raw records, the
+//     distribution blocks each must be dispatched to (one block normally;
+//     several when overlapping distribution duplicates the record into
+//     neighbouring blocks) as integers, and Session.Key their keys;
 //   - Owner identifies the unique block allowed to output a given result
 //     region, implementing the reducer-side filter that removes duplicated
 //     and incorrect results ("we only output a measure record in the
@@ -96,8 +96,8 @@ func (bm *BlockMapper) NumBlocks() (uint64, bool) { return bm.numBlocks, bm.stri
 // sum of each block coordinate times its attribute's stride.
 func (bm *BlockMapper) Stride(x int) uint64 { return bm.strides[x] }
 
-// AppendBlockKey appends to dst the key Session.Blocks returns for the
-// block Session.BlockOrdinals numbers ord.
+// AppendBlockKey appends to dst the key of the block with mixed-radix
+// ordinal ord (Session.Walk's ordinal when NumBlocks fits).
 func (bm *BlockMapper) AppendBlockKey(dst []byte, ord uint64) []byte {
 	for _, w := range bm.strides {
 		dst = binary.AppendUvarint(dst, ord/w)
@@ -111,8 +111,7 @@ func (bm *BlockMapper) AppendBlockKey(dst []byte, ord uint64) []byte {
 func (bm *BlockMapper) ReplicationFactor() float64 {
 	r := 1.0
 	for _, x := range bm.annAttrs {
-		d := bm.key.Anns[x].Width()
-		r *= float64(d+bm.cf) / float64(bm.cf)
+		r *= float64(bm.key.Anns[x].Width()+bm.cf) / float64(bm.cf)
 	}
 	return r
 }
@@ -127,26 +126,23 @@ func (bm *BlockMapper) blockCoord(src, dst []int64) {
 	}
 }
 
-// Owner returns the block key of the unique block allowed to output a
-// measure record whose region is r. The region's grain must be at least
-// as fine as the key's grain on every attribute (guaranteed for feasible
-// keys, which generalize every measure grain). Session.Owns is the
-// allocation-free test against a given block.
+// Owner returns the key of the unique block allowed to output a measure
+// record whose region is r, whose grain must be at least as fine as the
+// key's (feasible keys generalize every measure grain); Session.Owns is
+// the allocation-free test against a given block.
 func (bm *BlockMapper) Owner(r cube.Region) string {
 	return string(bm.NewSession().owner(r))
 }
 
-// maxInterned bounds a session's intern cache against pathological plans
-// (huge block counts in adversarial record order). On overflow the cache
-// is reset wholesale: later keys just re-allocate.
+// maxInterned bounds a session's intern tables; past it the next Walk
+// resets them wholesale (later keys just re-allocate).
 const maxInterned = 1 << 17
 
 // Session is the per-task scratch state for one BlockMapper user: the
-// coordinate and block buffers, plus an intern cache of arena-backed
-// block keys. Records arrive clustered in practice, so a last-block fast
-// path and a map keyed by the encoded block coordinates make the
-// per-record key encoding a cache hit; a miss copies the key into the
-// arena exactly once.
+// coordinate and block buffers, Walk's reused output, and an intern table
+// of arena-backed block keys by block ordinal, behind a last-block fast
+// path (records arrive clustered in practice), so a block's key is encoded
+// once per session.
 //
 // Interning contract: returned key slices are SHARED across calls and
 // must be treated as immutable. Arena chunks are never reallocated or
@@ -155,35 +151,31 @@ const maxInterned = 1 << 17
 // Session is single-goroutine; the BlockMapper is read-only and may be
 // shared by any number of sessions.
 type Session struct {
-	bm *BlockMapper
-
-	coord, block []int64
-	los, his     []int64
-	keys         [][]byte // reused Blocks output slice
-	ords         []uint64 // reused BlockOrdinals output slice
-	enc          []byte   // reused block-coord encode buffer
-	lastKey      []byte   // intern fast path: key of the last encoded block
-	interned     map[string][]byte
-	arena        []byte // current arena chunk; old chunks stay live via interned keys
-	arenaNext    int    // next chunk's capacity (geometric growth, capped)
-
-	// Hits counts intern-cache hits (last-block fast path included);
-	// Misses counts keys that had to be allocated.
-	Hits, Misses int64
+	bm                     *BlockMapper
+	coord, block, los, his []int64
+	ords                   []uint64  // reused Walk output: block ordinals
+	rows                   []int32   // reused Walk output: their records
+	one                    [][]int64 // Blocks' batch of one record
+	keys                   [][]byte  // reused Blocks output slice
+	enc                    []byte    // reused block-coord encode buffer
+	lastOrd                uint64    // the last ordinal Key served, and its key
+	lastKey, arena         []byte    // arena: current chunk; old chunks stay live via interned keys
+	arenaNext              int       // next chunk's capacity (geometric growth, capped)
+	byOrd                  map[uint64][]byte
+	byKey                  map[string]uint64 // blocks without mixed-radix ordinals: key → session ordinal
 }
 
 // NewSession returns fresh per-task scratch state for bm.
 func (bm *BlockMapper) NewSession() *Session {
 	n := bm.schema.NumAttrs()
-	return &Session{
-		bm:       bm,
-		coord:    make([]int64, n),
-		block:    make([]int64, n),
-		los:      make([]int64, len(bm.annAttrs)),
-		his:      make([]int64, len(bm.annAttrs)),
-		enc:      make([]byte, 0, n*3),
-		interned: make(map[string][]byte),
+	ss := &Session{bm: bm, coord: make([]int64, n), block: make([]int64, n),
+		los: make([]int64, len(bm.annAttrs)), his: make([]int64, len(bm.annAttrs)),
+		one: make([][]int64, n), enc: make([]byte, 0, n*3),
+		byOrd: make(map[uint64][]byte), byKey: make(map[string]uint64)}
+	for a := range ss.one {
+		ss.one[a] = make([]int64, 1)
 	}
+	return ss
 }
 
 // Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax: a
@@ -199,8 +191,7 @@ const (
 // grow in place, so handed-out keys never move.
 func (ss *Session) arenaCopy(b []byte) []byte {
 	if cap(ss.arena)-len(ss.arena) < len(b) {
-		size := ss.arenaNext
-		size = max(size, arenaChunkMin)
+		size := max(ss.arenaNext, arenaChunkMin)
 		ss.arenaNext = min(size*2, arenaChunkMax)
 		ss.arena = make([]byte, 0, max(size, len(b)))
 	}
@@ -209,59 +200,55 @@ func (ss *Session) arenaCopy(b []byte) []byte {
 	return ss.arena[start:len(ss.arena):len(ss.arena)]
 }
 
-// intern returns the canonical key bytes for the block coordinates in
-// ss.block, copying into the arena only on first sight.
-func (ss *Session) intern() []byte {
-	ss.enc = cube.AppendCoords(ss.enc[:0], ss.block)
-	// Last-block fast path: consecutive records overwhelmingly map to the
-	// same block when the data is clustered along the annotated attribute.
-	if len(ss.lastKey) > 0 && bytes.Equal(ss.enc, ss.lastKey) {
-		ss.Hits++
-		return ss.lastKey
-	}
-	if k, ok := ss.interned[string(ss.enc)]; ok {
-		ss.Hits++
-		ss.lastKey = k
-		return k
-	}
-	if len(ss.interned) >= maxInterned {
-		clear(ss.interned)
-	}
-	k := ss.arenaCopy(ss.enc)
-	ss.interned[string(k)] = k
-	ss.Misses++
-	ss.lastKey = k
-	return k
-}
-
-// Blocks returns the block keys record rec must be dispatched to, home
-// block first: the one whose key is "generated without being adjusted
-// with a delta value"; overlapping plans add neighbouring blocks. The
-// returned outer slice is reused by the next Blocks call; the key byte
-// slices are interned in the session arena and stay valid for the
-// session's lifetime.
-func (ss *Session) Blocks(rec cube.Record) [][]byte {
-	ss.walk(rec, false)
-	return ss.keys
-}
-
-// BlockOrdinals returns the ordinals of Blocks(rec), in its order; the
-// slice is reused by the next call. It panics when NumBlocks does not fit.
-func (ss *Session) BlockOrdinals(rec cube.Record) []uint64 {
-	ss.walk(rec, true)
-	return ss.ords
-}
-
-// walk fills ss.keys, or with ords ss.ords, with rec's blocks.
-func (ss *Session) walk(rec cube.Record, ords bool) {
+// Walk computes the distribution blocks of a batch of records held
+// column-major (cols[c][i] is record i's value of attribute c): pairs
+// (ords[k], rows[k]), block ords[k] for record rows[k], in record order,
+// each record's home block — the one whose key is "generated without
+// being adjusted with a delta value" — before the neighbouring blocks
+// overlapping plans add. Both slices are reused by the next Walk. An
+// ordinal is the block's mixed-radix number (AppendBlockKey) when
+// NumBlocks fits in 64 bits, else a number the session gives the block on
+// first sight; Key returns its key either way.
+func (ss *Session) Walk(cols [][]int64) (ords []uint64, rows []int32) {
 	bm := ss.bm
-	bm.schema.CoordOf(rec, bm.key.Grain, ss.coord)
-	bm.blockCoord(ss.coord, ss.block)
-	ss.keys, ss.ords = ss.keys[:0], ss.ords[:0]
-	ss.add(ords)
-	if len(bm.annAttrs) == 0 {
-		return
+	if len(ss.byOrd) >= maxInterned {
+		clear(ss.byOrd)
+		clear(ss.byKey)
+		ss.lastKey = nil
 	}
+	ss.ords, ss.rows = ss.ords[:0], ss.rows[:0]
+	if bm.strides == nil || len(bm.annAttrs) > 0 {
+		for i := range cols[0] {
+			for a, level := range bm.key.Grain {
+				ss.coord[a] = bm.schema.Attr(a).Roll(cols[a][i], level)
+			}
+			ss.walk(int32(i))
+		}
+		return ss.ords, ss.rows
+	}
+	// Home blocks only: each key attribute's rolled column, weighed by its
+	// stride, is summed into the ordinals column by column.
+	ss.ords = slices.Grow(ss.ords, len(cols[0]))[:len(cols[0])]
+	clear(ss.ords)
+	for a, level := range bm.key.Grain {
+		if attr := bm.schema.Attr(a); level != attr.AllIndex() {
+			for i, v := range cols[a] {
+				ss.ords[i] += uint64(attr.Roll(v, level)) * bm.strides[a]
+			}
+		}
+	}
+	for i := range ss.ords {
+		ss.rows = append(ss.rows, int32(i))
+	}
+	return ss.ords, ss.rows
+}
+
+// walk appends record row's blocks, from its key coordinates in ss.coord.
+func (ss *Session) walk(row int32) {
+	bm := ss.bm
+	bm.blockCoord(ss.coord, ss.block)
+	home := len(ss.ords)
+	ss.add(row, home)
 	// Per annotated attribute X with annotation (Low, High): the record
 	// at key coordinate t is input to output regions at key coordinates
 	// c ∈ [t−High, t−Low], and goes to the cross product of the blocks
@@ -269,16 +256,8 @@ func (ss *Session) walk(rec cube.Record, ords bool) {
 	for i, x := range bm.annAttrs {
 		ann := bm.key.Anns[x]
 		t := ss.coord[x]
-		lo, hi := t-ann.High, t-ann.Low
-		if lo < 0 {
-			lo = 0
-		}
-		if max := bm.annCards[i] - 1; hi > max {
-			hi = max
-		}
-		if lo > hi {
-			// No valid output coordinate along this attribute: the record
-			// contributes to nothing beyond its home block.
+		lo, hi := max(t-ann.High, 0), min(t-ann.Low, bm.annCards[i]-1)
+		if lo > hi { // no output coordinate along x: nothing beyond the home block
 			return
 		}
 		ss.los[i], ss.his[i] = floorDiv(lo, bm.cf), floorDiv(hi, bm.cf)
@@ -289,7 +268,7 @@ func (ss *Session) walk(rec cube.Record, ords bool) {
 		ss.block[x] = ss.los[i]
 	}
 	for {
-		ss.add(ords)
+		ss.add(row, home)
 		i := len(bm.annAttrs) - 1
 		for ; i >= 0; i-- {
 			x := bm.annAttrs[i]
@@ -305,20 +284,55 @@ func (ss *Session) walk(rec cube.Record, ords bool) {
 	}
 }
 
-// add appends the block in ss.block to the walk's output unless it is
-// the home block, which the walk adds first.
-func (ss *Session) add(ords bool) {
-	if ords {
-		var o uint64
-		for i, w := range ss.bm.strides[:len(ss.block)] {
+// add appends the block in ss.block for row unless it is the row's home
+// block, ss.ords[home], which the walk adds first. A block without a
+// mixed-radix ordinal is interned here, under the next session ordinal.
+func (ss *Session) add(row int32, home int) {
+	var o uint64
+	if ss.bm.strides != nil {
+		for i, w := range ss.bm.strides {
 			o += uint64(ss.block[i]) * w
 		}
-		if len(ss.ords) == 0 || o != ss.ords[0] {
-			ss.ords = append(ss.ords, o)
+	} else {
+		ss.enc = cube.AppendCoords(ss.enc[:0], ss.block)
+		var ok bool
+		if o, ok = ss.byKey[string(ss.enc)]; !ok {
+			o = uint64(len(ss.byKey))
+			k := ss.arenaCopy(ss.enc)
+			ss.byKey[string(k)], ss.byOrd[o] = o, k
 		}
-	} else if k := ss.intern(); len(ss.keys) == 0 || !bytes.Equal(k, ss.keys[0]) {
-		ss.keys = append(ss.keys, k)
 	}
+	if len(ss.ords) == home || o != ss.ords[home] {
+		ss.ords, ss.rows = append(ss.ords, o), append(ss.rows, row)
+	}
+}
+
+// Key returns the interned key of the block Walk numbered ord.
+func (ss *Session) Key(ord uint64) []byte {
+	if ss.lastKey == nil || ord != ss.lastOrd {
+		k, ok := ss.byOrd[ord]
+		if !ok {
+			ss.enc = ss.bm.AppendBlockKey(ss.enc[:0], ord)
+			k = ss.arenaCopy(ss.enc)
+			ss.byOrd[ord] = k
+		}
+		ss.lastOrd, ss.lastKey = ord, k
+	}
+	return ss.lastKey
+}
+
+// Blocks returns the keys of rec's blocks, Walk over a batch of one; the
+// outer slice is reused by the next call, the keys are Key's.
+func (ss *Session) Blocks(rec cube.Record) [][]byte {
+	for a, col := range ss.one {
+		col[0] = rec[a]
+	}
+	ords, _ := ss.Walk(ss.one)
+	ss.keys = ss.keys[:0]
+	for _, o := range ords {
+		ss.keys = append(ss.keys, ss.Key(o))
+	}
+	return ss.keys
 }
 
 // Owns reports whether blockKey is BlockMapper.Owner's block for region

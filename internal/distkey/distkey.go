@@ -12,6 +12,7 @@ package distkey
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/casm-project/casm/internal/cube"
@@ -51,15 +52,7 @@ func (k Key) Clone() Key {
 
 // Equal reports whether the keys are identical.
 func (k Key) Equal(o Key) bool {
-	if !k.Grain.Equal(o.Grain) || len(k.Anns) != len(o.Anns) {
-		return false
-	}
-	for i := range k.Anns {
-		if k.Anns[i] != o.Anns[i] {
-			return false
-		}
-	}
-	return true
+	return k.Grain.Equal(o.Grain) && slices.Equal(k.Anns, o.Anns)
 }
 
 // AnnotatedAttrs returns the indices of attributes carrying a non-zero
@@ -82,9 +75,7 @@ func (k Key) IsOverlapping() bool { return len(k.AnnotatedAttrs()) > 0 }
 func (k Key) Width() int64 {
 	var d int64
 	for _, a := range k.Anns {
-		if w := a.Width(); w > d {
-			d = w
-		}
+		d = max(d, a.Width())
 	}
 	return d
 }
@@ -208,12 +199,7 @@ func OpCombine(s *cube.Schema, keys ...Key) Key {
 		var low, high int64
 		for _, k := range keys {
 			a := ConvertAnn(s, x, k.Anns[x], k.Grain[x], out.Grain[x])
-			if a.Low < low {
-				low = a.Low
-			}
-			if a.High > high {
-				high = a.High
-			}
+			low, high = min(low, a.Low), max(high, a.High)
 		}
 		out.Anns[x] = Ann{Low: low, High: high}
 	}

@@ -32,7 +32,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 	run := func(records [][]byte) {
 		res, err := Run(Job{
 			Input: indexInput(len(records), 4),
-			Map: func(ctx *MapCtx, row []int64) error {
+			Map: perRow(func(ctx *MapCtx, row []int64) error {
 				rec := records[row[0]]
 				for j := 0; j < len(rec); j++ {
 					if rec[j] == ' ' {
@@ -42,7 +42,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 					}
 				}
 				return nil
-			},
+			}),
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 				return values.Drain()
 			},
@@ -75,7 +75,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 func propJob(records [][]byte, stringKeyed bool, groupBy func([]byte) []byte) Job {
 	return Job{
 		Input: indexInput(len(records), 3),
-		Map: func(ctx *MapCtx, row []int64) error {
+		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			rec := records[row[0]]
 			j := 0
 			for j < len(rec) && rec[j] != ' ' {
@@ -87,7 +87,7 @@ func propJob(records [][]byte, stringKeyed bool, groupBy func([]byte) []byte) Jo
 				return ctx.Emit([]byte(string(rec[:j])), append([]byte(nil), rec[j+1:]...))
 			}
 			return ctx.Emit(rec[:j], rec[j+1:]) // zero-copy: input records are job-stable
-		},
+		}),
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			var sb strings.Builder
 			for {
@@ -220,10 +220,10 @@ func TestReduceAllocsPerGroup(t *testing.T) {
 	run := func(records [][]byte) {
 		_, err := Run(Job{
 			Input: indexInput(len(records), 4),
-			Map: func(ctx *MapCtx, row []int64) error {
+			Map: perRow(func(ctx *MapCtx, row []int64) error {
 				rec := records[row[0]]
 				return ctx.Emit(rec[:6], rec[7:])
-			},
+			}),
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 				return values.Drain()
 			},
@@ -271,10 +271,10 @@ func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 			told := map[string]int{}
 			res, err := Run(Job{
 				Input: indexInput(len(records), 3),
-				Map: func(ctx *MapCtx, row []int64) error {
+				Map: perRow(func(ctx *MapCtx, row []int64) error {
 					rec := records[row[0]]
 					return ctx.Emit(rec[:3], rec[4:])
-				},
+				}),
 				Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 					n := 0
 					for {

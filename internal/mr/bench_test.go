@@ -16,7 +16,7 @@ func BenchmarkShuffleJob(b *testing.B) {
 	job := func(dir string) Job {
 		return Job{
 			Input: indexInput(len(records), 8),
-			Map: func(ctx *MapCtx, row []int64) error {
+			Map: perRow(func(ctx *MapCtx, row []int64) error {
 				rec := records[row[0]]
 				for j := 0; j < len(rec); j++ {
 					if rec[j] == ' ' {
@@ -26,7 +26,7 @@ func BenchmarkShuffleJob(b *testing.B) {
 					}
 				}
 				return nil
-			},
+			}),
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 				n := 0
 				for {

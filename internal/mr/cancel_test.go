@@ -25,9 +25,9 @@ func sumJob(n int, cfg Config) Job {
 	return Job{
 		Name:  "sum",
 		Input: indexInput(n, 8),
-		Map: func(ctx *MapCtx, row []int64) error {
+		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			return ctx.Emit([]byte(strconv.Itoa(int(row[0])%199)), one)
-		},
+		}),
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			total := 0
 			for {
@@ -143,11 +143,11 @@ func TestCancelAtRandomPoints(t *testing.T) {
 				case "map":
 					threshold := int64(1 + rng.Intn(6000))
 					inner := job.Map
-					job.Map = func(ctx *MapCtx, row []int64) error {
-						if mapped.Add(1) == threshold {
+					job.Map = func(ctx *MapCtx, b Batch) error {
+						if crossed(&mapped, b.N, threshold) {
 							doCancel()
 						}
-						return inner(ctx, row)
+						return inner(ctx, b)
 					}
 				case "timer":
 					// Lands anywhere in the pipeline, including the
@@ -229,11 +229,11 @@ func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 		job := sumJob(2000, cfgFor(dir))
 		var n atomic.Int64
 		inner := job.Map
-		job.Map = func(ctx *MapCtx, row []int64) error {
-			if n.Add(1) == 1500 {
+		job.Map = func(ctx *MapCtx, b Batch) error {
+			if crossed(&n, b.N, 1500) {
 				return fmt.Errorf("injected map failure")
 			}
-			return inner(ctx, row)
+			return inner(ctx, b)
 		}
 		_, err := Run(job)
 		if err == nil || !strings.Contains(err.Error(), "injected map failure") {
@@ -256,11 +256,11 @@ func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 		job := sumJob(4000, cfgFor(dir))
 		var n atomic.Int64
 		inner := job.Map
-		job.Map = func(mctx *MapCtx, row []int64) error {
-			if n.Add(1) == 1000 {
+		job.Map = func(mctx *MapCtx, b Batch) error {
+			if crossed(&n, b.N, 1000) {
 				cancel()
 			}
-			return inner(mctx, row)
+			return inner(mctx, b)
 		}
 		if _, err := RunContext(ctx, job); !errors.Is(err, context.Canceled) {
 			t.Fatalf("want context.Canceled, got %v", err)

@@ -23,12 +23,19 @@ func newCountCombiner(st *MapTaskStats) Combiner {
 	return &countCombiner{st: st, sums: make(map[uint64]int)}
 }
 
-func (c *countCombiner) Add(key uint64, row []int64) error {
-	if _, ok := c.sums[key]; ok {
-		c.st.CombineMerges++
+func (c *countCombiner) Fold(_ Batch, keys []uint64, _ []int32, budget int) (int, int, error) {
+	hits := 0
+	for k, key := range keys {
+		if _, ok := c.sums[key]; ok {
+			c.st.CombineMerges++
+			hits++
+		}
+		c.sums[key]++
+		if len(c.sums) >= budget {
+			return k + 1, hits, nil
+		}
 	}
-	c.sums[key]++
-	return nil
+	return len(keys), hits, nil
 }
 
 func (c *countCombiner) Len() int { return len(c.sums) }
@@ -65,9 +72,9 @@ func TestGroupingDerivedFromGroupBy(t *testing.T) {
 	run := func(groupBy func([]byte) []byte, reduce ReduceFunc) JobStats {
 		res, err := Run(Job{
 			Input: indexInput(len(records), 4),
-			Map: func(ctx *MapCtx, row []int64) error {
+			Map: perRow(func(ctx *MapCtx, row []int64) error {
 				return ctx.Emit(records[row[0]], nil)
-			},
+			}),
 			Reduce: reduce,
 			Config: Config{NumReducers: 2, GroupBy: groupBy, TempDir: t.TempDir()},
 		})
@@ -155,16 +162,16 @@ func indexInput(n, splits int) Input {
 	return NewMemoryInput(rows, 1, splits)
 }
 
-// TestEmitRowNeedsCombiner: EmitRow is the way into a combiner, and a job
-// without one fails with an error rather than dropping the row.
-func TestEmitRowNeedsCombiner(t *testing.T) {
+// TestFoldNeedsCombiner: Fold is the way into a combiner, and a job
+// without one fails with an error rather than dropping the records.
+func TestFoldNeedsCombiner(t *testing.T) {
 	_, err := Run(Job{
 		Input:  NewMemoryInput([]int64{7}, 1, 1),
-		Map:    func(ctx *MapCtx, row []int64) error { return ctx.EmitRow(1, row) },
+		Map:    func(ctx *MapCtx, b Batch) error { return ctx.Fold(b, []uint64{1}, []int32{0}) },
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error { return values.Drain() },
 		Config: Config{NumReducers: 1},
 	})
-	if err == nil || !strings.Contains(err.Error(), "EmitRow needs a combiner") {
+	if err == nil || !strings.Contains(err.Error(), "Fold needs a combiner") {
 		t.Fatalf("err = %v, want the missing combiner named", err)
 	}
 }

@@ -21,10 +21,18 @@ type memorySplit struct {
 	bytes int64
 }
 
+// memoryIter transposes its rows, up to memoryBatch at a time, into
+// pooled column buffers.
 type memoryIter struct {
 	rows  []int64
 	arity int
+	b     *blockstore.Columns
 }
+
+// memoryBatch is how many rows a memory split transposes per Next: a store
+// block's decoder batch, so both inputs hand the map function batches of
+// one size.
+const memoryBatch = 1024
 
 // NewMemoryInput splits the records of rows — one flat slab, arity values
 // per record, row-major — into numSplits in-memory splits. The splits
@@ -67,22 +75,37 @@ func (in *memoryInput) Splits() ([]Split, error) { return in.splits, nil }
 
 func (sp *memorySplit) Label() string    { return sp.label }
 func (sp *memorySplit) SizeBytes() int64 { return sp.bytes }
-func (sp *memorySplit) Open() (RowIter, error) {
-	return &memoryIter{rows: sp.rows, arity: sp.arity}, nil
+func (sp *memorySplit) Open() (Iter[Batch], error) {
+	b := blockstore.NewColumns(sp.arity, min(len(sp.rows)/sp.arity, memoryBatch))
+	return &memoryIter{rows: sp.rows, arity: sp.arity, b: b}, nil
 }
 
-func (it *memoryIter) Next() ([]int64, bool, error) {
-	if len(it.rows) == 0 {
-		return nil, false, nil
+func (it *memoryIter) Next() (Batch, bool, error) {
+	n := min(len(it.rows)/it.arity, memoryBatch)
+	if n == 0 {
+		return Batch{}, false, nil
 	}
-	row := it.rows[:it.arity:it.arity]
-	it.rows = it.rows[it.arity:]
-	return row, true, nil
+	cols := it.b.Cols
+	for c := range cols {
+		col := cols[c][:n]
+		for i, v := 0, c; i < n; i, v = i+1, v+it.arity {
+			col[i] = it.rows[v]
+		}
+		cols[c] = col
+	}
+	it.rows = it.rows[n*it.arity:]
+	return Batch{N: n, Cols: cols}, true, nil
 }
 
-// Close ends the stream; the slab belongs to the caller of
-// NewMemoryInput, so there is nothing to release.
-func (it *memoryIter) Close() error { it.rows = nil; return nil }
+// Close ends the stream and recycles its batch buffer; the slab belongs to
+// the caller of NewMemoryInput.
+func (it *memoryIter) Close() error {
+	if it.b != nil {
+		it.b.Release()
+		it.rows, it.b = nil, nil
+	}
+	return nil
+}
 
 // Morsels carves the split into contiguous runs of whole rows, each
 // closed once its records reach targetBytes (the tail may be smaller).
@@ -122,8 +145,8 @@ type storeSplit struct {
 
 // NewStoreInput reads a logical file from the block store, one split
 // per block (records never straddle blocks by construction). Each split
-// open is a checksum-verified read whose columns decode straight into
-// rows; replica failover happens inside the store. A split whose
+// open is a checksum-verified read whose columns decode a batch at a time;
+// replica failover happens inside the store. A split whose
 // replicas are all gone fails to open, and the job fails with the store's
 // error, labelled by task.
 func NewStoreInput(st *blockstore.Store, file string) Input {
@@ -146,7 +169,7 @@ func (sp *storeSplit) Label() string {
 	return fmt.Sprintf("%s[%d]", sp.info.File, sp.info.Index)
 }
 func (sp *storeSplit) SizeBytes() int64 { return int64(sp.info.Size) }
-func (sp *storeSplit) Open() (RowIter, error) {
+func (sp *storeSplit) Open() (Iter[Batch], error) {
 	r, err := sp.st.ReadBlockRows(sp.info.File, sp.info.Index)
 	if err != nil {
 		return nil, err
@@ -180,6 +203,6 @@ type runSplit struct {
 	open  func() *blockstore.RowReader
 }
 
-func (sp *runSplit) Label() string          { return sp.label }
-func (sp *runSplit) SizeBytes() int64       { return sp.size }
-func (sp *runSplit) Open() (RowIter, error) { return sp.open(), nil }
+func (sp *runSplit) Label() string              { return sp.label }
+func (sp *runSplit) SizeBytes() int64           { return sp.size }
+func (sp *runSplit) Open() (Iter[Batch], error) { return sp.open(), nil }

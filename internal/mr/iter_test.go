@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"github.com/casm-project/casm/internal/blockstore"
@@ -39,7 +40,7 @@ func drainsThenLatches[T any](t *testing.T, name string, it Iter[T], want int) {
 	}
 }
 
-// TestSplitIteratorsLatch: every row iterator a split hands out — memory
+// TestSplitIteratorsLatch: every batch iterator a split hands out — memory
 // chunks, store blocks, their morsels — keeps the single-use contract, and
 // one closed before exhaustion is dead too.
 func TestSplitIteratorsLatch(t *testing.T) {
@@ -75,19 +76,53 @@ func TestSplitIteratorsLatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainsThenLatches(t, name+" rows", it, records)
+		drainsThenLatches(t, name+" batches", it, 1) // 300 records: one batch
 		early, err := sp.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, ok, err := early.Next(); !ok || err != nil {
-			t.Fatalf("%s: first record: ok=%v err=%v", name, ok, err)
+			t.Fatalf("%s: first batch: ok=%v err=%v", name, ok, err)
 		}
 		if err := early.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok, _ := early.Next(); ok {
-			t.Fatalf("%s: Next after an early Close yielded a record", name)
+			t.Fatalf("%s: Next after an early Close yielded a batch", name)
 		}
 	}
+}
+
+// perRow adapts a record-at-a-time map body to MapFunc, the tests' way of
+// writing one: fn sees each record of a batch, in order, gathered into a
+// row that is valid for the call.
+func perRow(fn func(ctx *MapCtx, row []int64) error) MapFunc {
+	return func(ctx *MapCtx, b Batch) error {
+		row := make([]int64, len(b.Cols))
+		for i := 0; i < b.N; i++ {
+			for c, col := range b.Cols {
+				row[c] = col[i]
+			}
+			if err := fn(ctx, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// crossed adds a batch of n records to ctr and reports whether record
+// number at was among them: a per-record trigger for a per-batch map.
+func crossed(ctr *atomic.Int64, n int, at int64) bool {
+	c := ctr.Add(int64(n))
+	return c >= at && c-int64(n) < at
+}
+
+// iota is the row indices 0…n-1, one pair per record of a batch.
+func iota(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
 }

@@ -25,7 +25,7 @@ import (
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// readRows drains one split's rows into one slab.
+// readRows drains one split's batches into one row-major slab.
 func readRows(t *testing.T, sp Split) []int64 {
 	t.Helper()
 	it, err := sp.Open()
@@ -35,14 +35,21 @@ func readRows(t *testing.T, sp Split) []int64 {
 	defer it.Close()
 	var rows []int64
 	for {
-		row, ok, err := it.Next()
+		b, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			return rows
 		}
-		rows = append(rows, row...)
+		if b.N < 1 || b.N > memoryBatch {
+			t.Fatalf("a batch of %d records", b.N)
+		}
+		for i := 0; i < b.N; i++ {
+			for _, col := range b.Cols {
+				rows = append(rows, col[i])
+			}
+		}
 	}
 }
 
@@ -374,8 +381,12 @@ func TestStoreAndMemoryInputsMapAlike(t *testing.T) {
 	run := func(t *testing.T, in Input, morselBytes int) (string, counters) {
 		res, err := Run(Job{
 			Input: in,
-			Map: func(ctx *MapCtx, row []int64) error {
-				return ctx.EmitRow(uint64(row[0]), row)
+			Map: func(ctx *MapCtx, b Batch) error {
+				blocks := make([]uint64, b.N)
+				for i, v := range b.Cols[0] {
+					blocks[i] = uint64(v)
+				}
+				return ctx.Fold(b, blocks, iota(b.N))
 			},
 			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 				sum := 0
@@ -467,24 +478,24 @@ func TestMorselStealsOnSkew(t *testing.T) {
 		TempDir:        t.TempDir(),
 	})
 	// Left alone, worker 0 can drain every morsel before worker 1's
-	// goroutine is first scheduled. Hold the first record mapped until a
+	// goroutine is first scheduled. Hold the first batch mapped until a
 	// second is mapped concurrently: that one is the other worker's, so
 	// both workers take morsels from the one deque before it runs dry.
 	var mapped atomic.Int32
 	release := make(chan struct{})
 	inner := job.Map
-	job.Map = func(mctx *MapCtx, row []int64) error {
+	job.Map = func(mctx *MapCtx, b Batch) error {
 		switch mapped.Add(1) {
 		case 1:
 			select {
 			case <-release:
 			case <-time.After(10 * time.Second):
-				return errors.New("no second worker mapped a record within 10s")
+				return errors.New("no second worker mapped a batch within 10s")
 			}
 		case 2:
 			close(release)
 		}
-		return inner(mctx, row)
+		return inner(mctx, b)
 	}
 	res, err := Run(job)
 	if err != nil {
@@ -545,11 +556,11 @@ func TestMorselCancellation(t *testing.T) {
 		TempDir:        t.TempDir(),
 	})
 	inner := job.Map
-	job.Map = func(mctx *MapCtx, row []int64) error {
-		if seen.Add(1) == 500 {
+	job.Map = func(mctx *MapCtx, b Batch) error {
+		if crossed(&seen, b.N, 500) {
 			cancel()
 		}
-		return inner(mctx, row)
+		return inner(mctx, b)
 	}
 	_, err := RunContext(ctx, job)
 	if !errors.Is(err, context.Canceled) {

@@ -4,8 +4,8 @@
 // evaluation paradigm"). It provides:
 //
 //   - input splits (block-store blocks or in-memory row slabs), each
-//     handing its records out as decoded rows, fanned out to a pool of
-//     concurrent map tasks;
+//     handing its records out as batches of decoded columns, fanned out
+//     to a pool of concurrent map tasks;
 //   - optional map-side combining (the paper's early aggregation);
 //   - a hash-partitioned, batch-framed shuffle over in-memory channels;
 //   - reducer-side grouping — a hash table for plain keys, the external
@@ -42,6 +42,7 @@ import (
 	"runtime"
 	"time"
 
+	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/transport"
@@ -182,21 +183,25 @@ type Iter[T any] interface {
 	Close() error
 }
 
-// RowIter yields one split's records, one fixed-arity decoded row per
-// Next; a row is only valid until the following Next (or Close), and the
-// map function must not modify it. The framework closes every iterator it
-// opens, including on error paths, so sources may tie resources (block
-// buffers) to the iterator's lifetime.
-type RowIter = Iter[[]int64]
+// Batch is a run of a split's records, column-major: Cols[c][i] is
+// record i's value of attribute c, and every column holds N values. A
+// split hands out at most a block decoder's batch (1 024 records) at a
+// time.
+type Batch = blockstore.Batch
 
 // Split is one independently processable chunk of input. SizeBytes is
 // what the split's records occupy as recio records (a uvarint per
 // attribute), plus each record's uvarint frame length for a store block:
-// the bytes a map task is charged for reading.
+// the bytes a map task is charged for reading. Open yields the split's
+// records in order, a Batch per Next; a batch's columns are only valid
+// until the following Next (or Close), and the map function must not
+// modify them. The framework closes every iterator it opens, including on
+// error paths, so sources may tie resources (block buffers) to the
+// iterator's lifetime.
 type Split interface {
 	Label() string
 	SizeBytes() int64
-	Open() (RowIter, error)
+	Open() (Iter[Batch], error)
 }
 
 // Input enumerates a job's splits.
@@ -235,11 +240,15 @@ type MapCtx struct {
 	p     *mapPipeline
 }
 
-// EmitRow folds one record into the job's combiner (Config.NewCombiner)
-// under key, an integer the combiner turns into bytes only when it
-// flushes. row only needs to stay valid for the call: the combiner folds
-// it into its partial state immediately.
-func (c *MapCtx) EmitRow(key uint64, row []int64) error { return c.p.combine(key, row) }
+// Fold folds records of b into the job's combiner (Config.NewCombiner):
+// record rows[k] under key blocks[k], an integer the combiner turns into
+// bytes only when it flushes, pair by pair in slice order (a record
+// appears once per key it goes to). The slices and b only need to stay
+// valid for the call: the combiner folds each pair into its partial state
+// immediately.
+func (c *MapCtx) Fold(b Batch, blocks []uint64, rows []int32) error {
+	return c.p.fold(b, blocks, rows)
+}
 
 // Emit sends one key/value pair into the shuffle, past any combiner.
 //
@@ -250,18 +259,21 @@ func (c *MapCtx) EmitRow(key uint64, row []int64) error { return c.p.combine(key
 // scratch buffer the mapper rewrites does not).
 func (c *MapCtx) Emit(key, value []byte) error { return c.p.send(key, value) }
 
-// MapFunc processes one input record.
-type MapFunc func(ctx *MapCtx, row []int64) error
+// MapFunc processes one batch of input records.
+type MapFunc func(ctx *MapCtx, b Batch) error
 
 // Combiner is the streaming form of map-side early aggregation
 // (morsel-style thread-local pre-aggregation): one instance serves one
-// map task, absorbing the records MapCtx.EmitRow hands it into per-key
-// partial states and emitting them on flush. Implementations are
+// map task, absorbing the (key, record) pairs MapCtx.Fold hands it into
+// per-key partial states and emitting them on flush. Implementations are
 // single-goroutine.
 type Combiner interface {
-	// Add folds one record into the key's partial state. row is only
-	// valid during the call.
-	Add(key uint64, row []int64) error
+	// Fold folds the pairs (blocks[k], record rows[k] of b) into their
+	// keys' partial states, in order, and stops right after the pair that
+	// brings Len to budget. It returns how many pairs it folded and how
+	// many of those added no partial state. Its arguments are only valid
+	// during the call.
+	Fold(b Batch, blocks []uint64, rows []int32, budget int) (folded, hits int, err error)
 	// Flush emits every buffered partial state, each under its key's
 	// bytes, in ascending byte order of those keys (keeping shuffle send
 	// order deterministic), and resets the combiner.

@@ -52,21 +52,24 @@ func wordCountSplits(lines []string, splits int, cfg Config) Job {
 	return Job{
 		Name:  "wordcount",
 		Input: NewMemoryInput(rows, arity, splits),
-		Map: func(ctx *MapCtx, row []int64) error {
-			for _, id := range row {
-				if id == 0 {
-					break
+		Map: func(ctx *MapCtx, b Batch) error {
+			var ids []uint64
+			var rows []int32
+			for i := 0; i < b.N; i++ {
+				for _, col := range b.Cols {
+					id := col[i]
+					if id == 0 {
+						break
+					}
+					if combine {
+						ids, rows = append(ids, uint64(id)), append(rows, int32(i))
+					} else if err := ctx.Emit(vocab[id-1], one); err != nil {
+						return err
+					}
 				}
-				w := vocab[id-1]
-				var err error
-				if combine {
-					err = ctx.EmitRow(uint64(id), row)
-				} else {
-					err = ctx.Emit(w, one)
-				}
-				if err != nil {
-					return err
-				}
+			}
+			if combine {
+				return ctx.Fold(b, ids, rows)
 			}
 			return nil
 		},
@@ -234,14 +237,14 @@ func TestGroupByCompositeKey(t *testing.T) {
 	var orders [][]string
 	job := Job{
 		Input: NewMemoryInput([]int64{0}, 1, 1),
-		Map: func(ctx *MapCtx, row []int64) error {
+		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			for _, k := range []string{"b|3", "a|2", "b|1", "a|1", "b|2"} {
 				if err := ctx.Emit([]byte(k), []byte(k)); err != nil {
 					return err
 				}
 			}
 			return nil
-		},
+		}),
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			groups = append(groups, string(key))
 			var order []string
@@ -292,7 +295,7 @@ type splitList []Split
 
 func (l splitList) Splits() ([]Split, error) { return l, nil }
 
-func (f failingOpen) Open() (RowIter, error) {
+func (f failingOpen) Open() (Iter[Batch], error) {
 	if f.Label() == f.fail {
 		f.fails.Add(1)
 		return nil, fmt.Errorf("%s: disk on fire", f.fail)
@@ -369,7 +372,7 @@ func TestSplitOpenFailureFailsJob(t *testing.T) {
 		}
 		_, err = Run(Job{
 			Input:  NewStoreInput(st, "data"),
-			Map:    func(*MapCtx, []int64) error { return nil },
+			Map:    func(*MapCtx, Batch) error { return nil },
 			Reduce: func(*ReduceCtx, []byte, *GroupIter) error { return nil },
 			Config: Config{NumReducers: 1, TempDir: t.TempDir()},
 		})
@@ -381,7 +384,7 @@ func TestSplitOpenFailureFailsJob(t *testing.T) {
 
 func TestMapErrorPropagates(t *testing.T) {
 	job := wordCountJob(wcLines, Config{NumReducers: 1, TempDir: t.TempDir()})
-	job.Map = func(ctx *MapCtx, row []int64) error { return fmt.Errorf("map boom") }
+	job.Map = func(ctx *MapCtx, b Batch) error { return fmt.Errorf("map boom") }
 	if _, err := Run(job); err == nil || !strings.Contains(err.Error(), "map boom") {
 		t.Fatalf("err = %v", err)
 	}
@@ -426,9 +429,9 @@ func TestStoreInputEndToEnd(t *testing.T) {
 	}
 	job := Job{
 		Input: NewStoreInput(st, "data"),
-		Map: func(ctx *MapCtx, row []int64) error {
+		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			return ctx.Emit(fmt.Appendf(nil, "g%d", row[0]), one)
-		},
+		}),
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			n := 0
 			for {

@@ -205,7 +205,7 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 	job := Job{
 		Name:  "pipelined",
 		Input: indexInput(n, 16),
-		Map: func(ctx *MapCtx, row []int64) error {
+		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			if mapped.Add(1) == n/2 {
 				select {
 				case <-outputSeen:
@@ -214,7 +214,7 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 				}
 			}
 			return ctx.Emit(key, one)
-		},
+		}),
 		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
 			total := 0
 			for {

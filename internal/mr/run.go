@@ -15,12 +15,12 @@ import (
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// cancelCheckStride is how many records/pairs a hot loop processes
-// between cancellation polls. The poll is a non-blocking read of the
-// cached Done channel — ctx.Err() would take the context mutex, which is
-// contended when every task of a job shares one context — but even that
-// is kept off the per-record path; a stride of 1024 bounds post-cancel
-// latency to microseconds of extra work.
+// cancelCheckStride is how many pairs the shuffle drain processes between
+// cancellation polls (a map task polls once per batch). The poll is a
+// non-blocking read of the cached Done channel — ctx.Err() would take the
+// context mutex, which is contended when every task of a job shares one
+// context — but even that is kept off the per-pair path; a stride of 1024
+// bounds post-cancel latency to microseconds of extra work.
 const cancelCheckStride = 1024
 
 // outputBatchPairs is how many output pairs a reduce task buffers before
@@ -528,33 +528,37 @@ func (p *mapPipeline) send(key, value []byte) error {
 	return p.bw.Send(HashPartition(p.cfg.GroupBy(key), p.cfg.NumReducers), transport.Pair{Key: key, Value: value})
 }
 
-// combine folds one record into the task's combiner table (phase 1 of the
-// two-phase aggregation) and, once the table holds LocalAggBudget distinct
-// states, spills it — in Flush's sorted-key order — into the shuffle toward
-// the reducers' global grouping collectors (phase 2).
-func (p *mapPipeline) combine(key uint64, row []int64) error {
+// fold folds (key, record) pairs into the task's combiner table (phase 1
+// of the two-phase aggregation) and, whenever a pair brings the table to
+// LocalAggBudget distinct states, spills it — in Flush's sorted-key order
+// — into the shuffle toward the reducers' global grouping collectors
+// (phase 2), then goes on with the next pair.
+func (p *mapPipeline) fold(b Batch, blocks []uint64, rows []int32) error {
 	if p.comb == nil {
-		return fmt.Errorf("mr: EmitRow needs a combiner")
+		return fmt.Errorf("mr: Fold needs a combiner")
 	}
-	before := p.comb.Len()
-	p.st.CombineInputs++
-	if err := p.comb.Add(key, row); err != nil {
-		return err
-	}
-	n := p.comb.Len()
-	if n == before {
-		p.st.LocalAggHits++
-	}
-	if n >= p.cfg.LocalAggBudget {
-		p.st.LocalAggSpills++
-		return p.comb.Flush(p.send)
+	for len(blocks) > 0 {
+		n, hits, err := p.comb.Fold(b, blocks, rows, p.cfg.LocalAggBudget)
+		p.st.CombineInputs += int64(n)
+		p.st.LocalAggHits += int64(hits)
+		if err != nil {
+			return err
+		}
+		blocks, rows = blocks[n:], rows[n:]
+		if p.comb.Len() >= p.cfg.LocalAggBudget {
+			p.st.LocalAggSpills++
+			if err := p.comb.Flush(p.send); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-// scan pulls one split's rows through the map function, closing the
+// scan pulls one split's batches through the map function, closing the
 // iterator on every path (record iterators are single-use and may hold
-// resources — a store split's block buffers, for instance).
+// resources — a store split's block buffers, for instance). Cancellation
+// is polled once per batch.
 func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
 	it, err := sp.Open()
 	if err != nil {
@@ -565,22 +569,20 @@ func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
 	st.BytesRead += sp.SizeBytes()
 	done := ctx.Done()
 	for {
-		rec, ok, err := it.Next()
+		b, ok, err := it.Next()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		st.Records++
-		if st.Records&(cancelCheckStride-1) == 0 {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
-		if err := p.mapFn(&p.mctx, rec); err != nil {
+		st.Records += int64(b.N)
+		if err := p.mapFn(&p.mctx, b); err != nil {
 			return err
 		}
 	}
