@@ -247,9 +247,6 @@ type Config = core.Config
 
 // Execution knobs re-exported from the engine.
 const (
-	TwoPassSort     = core.TwoPassSort
-	CombinedKeySort = core.CombinedKeySort
-
 	EarlyAggOff  = core.EarlyAggOff
 	EarlyAggAuto = core.EarlyAggAuto
 

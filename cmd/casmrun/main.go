@@ -5,7 +5,7 @@
 // cluster:
 //
 //	casmrun -store DIR -data data.casm -query q6 -reducers 50
-//	casmrun -store DIR -data data.casm -query q5 -cf 10 -sort combined
+//	casmrun -store DIR -data data.casm -query q5 -cf 10
 //	casmrun -store DIR -data data.casm -query ds0 -early auto
 //	casmrun -store DIR -data data.casm -query q5 -skew sampling
 //	casmrun -store DIR -data data.casm -query q1,q2,q6
@@ -80,7 +80,6 @@ func run(args []string, stdout io.Writer) error {
 		cqlPath  = fs.String("cql", "", "CQL file defining the query over the paper schema (overrides -query)")
 		reducers = fs.Int("reducers", 8, "number of reducers (m)")
 		cf       = fs.Int64("cf", 0, "force clustering factor (0 = optimizer)")
-		sortMode = fs.String("sort", "twopass", "in-group sort: twopass | combined")
 		early    = fs.String("early", "off", "early aggregation: off | auto (combine whenever the query supports it)")
 		skew     = fs.String("skew", "none", "skew handling: none | sampling")
 		minBlk   = fs.Int64("minblocks", 0, "minimum blocks per reducer heuristic (0 = off)")
@@ -157,13 +156,6 @@ func run(args []string, stdout io.Writer) error {
 		MorselBytes:         *morselB,
 		DecisionCache:       dcache,
 	}
-	switch *sortMode {
-	case "twopass":
-	case "combined":
-		cfg.SortMode = casm.CombinedKeySort
-	default:
-		return fmt.Errorf("unknown sort mode %q", *sortMode)
-	}
 	switch *early {
 	case "off":
 	case "auto":
@@ -223,7 +215,7 @@ func run(args []string, stdout io.Writer) error {
 			var read, saved int64
 			for _, t := range job.Stats.MapTasks {
 				read += t.BytesRead
-				saved += t.SharedScanBytesSaved
+				saved += t.SharedScanBytesSaved()
 			}
 			fmt.Fprintf(stdout, "shared scan: %.1f MB input scanned once, %.1f MB of re-reads avoided\n",
 				float64(read)/(1<<20), float64(saved)/(1<<20))
@@ -360,12 +352,16 @@ func printPlan(stdout io.Writer, su *workload.Suite, h core.ResultHeader) {
 		h.SampledPlan, h.PlanCached, h.EarlyAggregated)
 }
 
-// printStages prints the run's Figure 4(d) bars as the panel prices them,
+// printStages prints the run's Figure 4(d) bars as the panel prices them
+// (the combined key's when the run shipped records and did not spill),
 // then the sampling pass the simulated time includes.
 func printStages(stdout io.Writer, js mr.JobStats, sampleSeconds float64) {
 	fmt.Fprint(stdout, "  Figure 4(d) stages:")
 	for s, est := range core.EstimateStages(costmodel.DefaultCluster(), js) {
 		fmt.Fprintf(stdout, " %s=%.1fs", costmodel.Stage(s), est.Total()+sampleSeconds)
+	}
+	if cf, ok := core.CombinedKey(js); ok {
+		fmt.Fprintf(stdout, " combined-key=%.1fs", core.EstimateFromStats(costmodel.DefaultCluster(), cf).Total()+sampleSeconds)
 	}
 	fmt.Fprintln(stdout)
 	if sampleSeconds > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"os"
@@ -15,6 +16,8 @@ import (
 	"testing"
 
 	casm "github.com/casm-project/casm"
+	"github.com/casm-project/casm/internal/core"
+	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/workload"
 )
 
@@ -36,9 +39,9 @@ func testStore(t *testing.T) (dir string, su *workload.Suite) {
 	return dir, su
 }
 
-// engineCounts evaluates the named query with the engine called directly
-// and returns its per-measure record counts.
-func engineCounts(t *testing.T, dir string, su *workload.Suite, query string) map[string]int {
+// engineRun evaluates the named query with the engine called directly, as
+// casmrun configures it by default.
+func engineRun(t *testing.T, dir string, su *workload.Suite, query string) *casm.Result {
 	t.Helper()
 	st, err := casm.OpenStore(casm.StoreConfig{Dir: dir, Replication: 3, NumNodes: 10, Seed: 1})
 	if err != nil {
@@ -61,8 +64,14 @@ func engineCounts(t *testing.T, dir string, su *workload.Suite, query string) ma
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// engineCounts is engineRun's per-measure record counts.
+func engineCounts(t *testing.T, dir string, su *workload.Suite, query string) map[string]int {
+	t.Helper()
 	counts := map[string]int{}
-	for name, recs := range res.Measures {
+	for name, recs := range engineRun(t, dir, su, query).Measures {
 		counts[name] = len(recs)
 	}
 	return counts
@@ -214,6 +223,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-data", "data", "-query", "q1"},
 		{"-store", dir, "-data", "data", "-block", "4096"},
 		{"-store", dir, "-data", "data", "-stage", "sort"},
+		{"-store", dir, "-data", "data", "-sort", "combined"},
 		{"-store", dir, "-data", "data", "-batch", "q1"},
 		{"-store", dir, "-data", "data", "-query", "q1,q6", "-stream"},
 		{"-store", dir, "-data", "data", "-query", "q1,q6", "-save", save},
@@ -227,15 +237,18 @@ func TestUsageErrors(t *testing.T) {
 
 var (
 	totalLine = regexp.MustCompile(`simulated response time on the paper's cluster: map \S+ \+ reduce \S+ = (\S+)\n`)
-	stageLine = regexp.MustCompile(`\n  Figure 4\(d\) stages: Map-Only=\S+ MR=\S+ Sort=\S+ Sort\+Eval=(\S+)\n`)
+	stageLine = regexp.MustCompile(`\n  Figure 4\(d\) stages: Map-Only=\S+ MR=\S+ Sort=\S+ Sort\+Eval=(\S+)s( combined-key=(\S+)s)?\n`)
 )
 
 // TestStageBarsEndAtTotal: the unary, the streamed and a shared job's
-// run print the Figure 4(d) bars priced from the run, and the last,
-// Sort+Eval, is the simulated response time printed above it — sampling
-// passes included, every member's in a shared job.
+// run print the Figure 4(d) bars priced from the run, and Sort+Eval is
+// the simulated response time printed above it — sampling passes
+// included, every member's in a shared job. Each of these runs ships
+// records and does not spill, so each also prints the combined key's
+// price; q6's is the one Figure 4(d) computes from the same counters, and
+// below Sort+Eval.
 func TestStageBarsEndAtTotal(t *testing.T) {
-	dir, _ := testStore(t)
+	dir, su := testStore(t)
 	for _, mode := range [][]string{
 		{"-query", "q6"},
 		{"-query", "q5", "-stream", "-skew", "sampling"},
@@ -246,8 +259,24 @@ func TestStageBarsEndAtTotal(t *testing.T) {
 			t.Fatalf("run %v: %v", mode, err)
 		}
 		total, bars := totalLine.FindStringSubmatch(out.String()), stageLine.FindStringSubmatch(out.String())
-		if total == nil || bars == nil || bars[1] != total[1] {
-			t.Errorf("%v: total %q, stage bars %q; want the Sort+Eval bar to print the total:\n%s", mode, total, bars, out.String())
+		if total == nil || bars == nil || bars[1]+"s" != total[1] || bars[2] == "" {
+			t.Errorf("%v: total %q, stage bars %q; want the Sort+Eval bar to print the total, then a combined-key bar:\n%s", mode, total, bars, out.String())
+			continue
+		}
+		if mode[1] != "q6" {
+			continue
+		}
+		res := engineRun(t, dir, su, "q6")
+		cf, ok := core.CombinedKey(res.Stats)
+		if !ok {
+			t.Fatal("the engine's q6 run prices no combined key")
+		}
+		want := core.EstimateFromStats(costmodel.DefaultCluster(), cf).Total() + res.SampleSeconds
+		if got := fmt.Sprintf("%.1f", want); bars[3] != got {
+			t.Errorf("q6 prints combined-key=%ss, the panel's price is %ss", bars[3], got)
+		}
+		if sortEval := res.Estimate.Total(); want >= sortEval {
+			t.Errorf("q6: combined key %vs not below Sort+Eval %vs", want, sortEval)
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 
 // TestEvaluateBatchMatchesSequentialByteIdentical is the one-job property
 // test: for random workflow sets, a batched evaluation must be
-// byte-identical, per query, to running each query alone — across both
-// sort modes, forced reduce-side spills, and morsel mode on/off.
+// byte-identical, per query, to running each query alone — across forced
+// reduce-side spills and morsel mode on/off.
 // stableBits workflows keep rollup folds order-independent, so "identical"
 // really is canonical-bytes equality, not float tolerance. Three inputs
 // per seed: the random set; a batch of ONE query, whose job must also
@@ -92,43 +92,40 @@ func TestEvaluateBatchMatchesSequentialByteIdentical(t *testing.T) {
 				return batch, seqs
 			}
 
-			for _, sortMode := range []SortMode{TwoPassSort, CombinedKeySort} {
-				for _, morselBytes := range []int{0, 512} {
-					label := fmt.Sprintf("sort=%d morsel=%d", sortMode, morselBytes)
-					cfg := Config{
-						NumReducers:     reducers,
-						SortMode:        sortMode,
-						SortMemoryItems: 2, // force reduce-side spills
-						MorselBytes:     morselBytes,
-						TempDir:         t.TempDir(),
-					}
-					check(label, cfg, ws)
+			for _, morselBytes := range []int{0, 512} {
+				label := fmt.Sprintf("morsel=%d", morselBytes)
+				cfg := Config{
+					NumReducers:     reducers,
+					SortMemoryItems: 2, // force reduce-side spills
+					MorselBytes:     morselBytes,
+					TempDir:         t.TempDir(),
+				}
+				check(label, cfg, ws)
 
-					one, seqs := check(label+" batch-of-one", cfg, ws[:1])
-					if len(one.Jobs) != 1 || one.Jobs[0].Shared {
-						t.Errorf("%s: batch of one ran as %+v", label, one.Jobs)
-					}
-					if got, want := pricedSums(one.Results[0].Stats, false), pricedSums(seqs[0].Stats, false); got != want {
-						t.Errorf("%s: batch of one priced %+v, unary run %+v", label, got, want)
-					}
+				one, seqs := check(label+" batch-of-one", cfg, ws[:1])
+				if len(one.Jobs) != 1 || one.Jobs[0].Shared {
+					t.Errorf("%s: batch of one ran as %+v", label, one.Jobs)
+				}
+				if got, want := pricedSums(one.Results[0].Stats, false), pricedSums(seqs[0].Stats, false); got != want {
+					t.Errorf("%s: batch of one priced %+v, unary run %+v", label, got, want)
+				}
 
-					cfg.EarlyAggregation = EarlyAggAuto
-					mix, _ := check(label+" mixed", cfg, mixed)
-					sharedJobs := 0
-					for _, j := range mix.Jobs {
-						if j.Shared {
-							sharedJobs++
-						}
-						for _, i := range j.Queries {
-							if combines[i] == j.Shared || mix.Results[i].EarlyAggregated != combines[i] {
-								t.Errorf("%s mixed: query %d (combinable=%v) in job %+v, EarlyAggregated=%v",
-									label, i, combines[i], j.Queries, mix.Results[i].EarlyAggregated)
-							}
+				cfg.EarlyAggregation = EarlyAggAuto
+				mix, _ := check(label+" mixed", cfg, mixed)
+				sharedJobs := 0
+				for _, j := range mix.Jobs {
+					if j.Shared {
+						sharedJobs++
+					}
+					for _, i := range j.Queries {
+						if combines[i] == j.Shared || mix.Results[i].EarlyAggregated != combines[i] {
+							t.Errorf("%s mixed: query %d (combinable=%v) in job %+v, EarlyAggregated=%v",
+								label, i, combines[i], j.Queries, mix.Results[i].EarlyAggregated)
 						}
 					}
-					if sharedJobs != 1 {
-						t.Errorf("%s mixed: %d shared jobs, want 1", label, sharedJobs)
-					}
+				}
+				if sharedJobs != 1 {
+					t.Errorf("%s mixed: %d shared jobs, want 1", label, sharedJobs)
 				}
 			}
 
@@ -234,9 +231,9 @@ func TestEvaluateBatchSharedScanCounters(t *testing.T) {
 				if mt.SharedScanQueries != int64(n) {
 					t.Errorf("map task %s: SharedScanQueries = %d, want %d", mt.Task, mt.SharedScanQueries, n)
 				}
-				if want := int64(n-1) * mt.BytesRead; mt.SharedScanBytesSaved != want {
+				if want := int64(n-1) * mt.BytesRead; mt.SharedScanBytesSaved() != want {
 					t.Errorf("map task %s: SharedScanBytesSaved = %d, want %d (%dx BytesRead)",
-						mt.Task, mt.SharedScanBytesSaved, want, n-1)
+						mt.Task, mt.SharedScanBytesSaved(), want, n-1)
 				}
 				batchBytes += mt.BytesRead
 			}

@@ -21,12 +21,16 @@ import (
 
 // mapTaskDump renders a job's map tasks for a pin: the counter sums, and an
 // FNV-64a digest of every task's every counter (priced and observed,
-// timings aside), tasks in label order.
+// timings aside), tasks in label order. Observations print as the pins
+// were taken: the counters of that time, in that order.
 func mapTaskDump(js mr.JobStats) (sums, digest string) {
 	var lines []string
 	var tot mr.MapTaskStats
 	for _, t := range js.MapTasks {
-		lines = append(lines, fmt.Sprintf("%s %+v %+v", t.Task, t.MapWork, t.MapObserved))
+		o := t.MapObserved
+		lines = append(lines, fmt.Sprintf("%s %+v {BatchesSent:%d CombineMerges:%d LocalAggHits:%d LocalAggSpills:%d MorselsDispatched:%d MorselSteals:%d PlanCacheHits:%d SharedScanQueries:%d SharedScanBytesSaved:%d}",
+			t.Task, t.MapWork, o.BatchesSent, o.CombineMerges, o.LocalAggHits, o.LocalAggSpills, o.MorselsDispatched, o.MorselSteals,
+			o.PlanCacheHits, o.SharedScanQueries, t.SharedScanBytesSaved()))
 		tot.Records += t.Records
 		tot.CombineInputs += t.CombineInputs
 		tot.PairsOut += t.PairsOut

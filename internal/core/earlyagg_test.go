@@ -99,9 +99,8 @@ func TestStoreRowsMatchMemory(t *testing.T) {
 // shippedRecordsMatchMemory is TestStoreRowsMatchMemory for jobs that
 // shuffle the record itself: the suite's non-combining shapes, a workflow
 // that reads all six attributes and one that reads none, and a batch whose
-// two geometries share one scan — with two-pass and combined-key sorting,
-// a grouping budget that spills often, rarely or never, fixed splits and
-// morsels. Store and memory answer the same bytes, and since both ship
+// two geometries share one scan — with a grouping budget that spills
+// often, rarely or never, fixed splits and morsels. Store and memory answer the same bytes, and since both ship
 // each record's read columns and, one map task at a time, deliver each
 // reducer its pairs in record order, every priced counter sum and every
 // spill and group observation is equal too — except BytesRead, which
@@ -182,57 +181,54 @@ func shippedRecordsMatchMemory(t *testing.T, su *workload.Suite) {
 		return out
 	}
 	for _, tc := range cases {
-		for _, sortMode := range []SortMode{TwoPassSort, CombinedKeySort} {
-			for _, sortMem := range []int{64, 4096, 0} {
-				for _, morselBytes := range []int{0, 512} {
-					t.Run(fmt.Sprintf("%s/sort=%d/mem=%d/morsel=%d", tc.name, sortMode, sortMem, morselBytes), func(t *testing.T) {
-						// One map task at a time: arrival order at each
-						// reducer, and so which pairs spill, repeats.
-						cfg := Config{NumReducers: 3, SortMode: sortMode, SortMemoryItems: sortMem,
-							MorselBytes: morselBytes, executor: serial}
-						store, mem := run(t, cfg, tc.ws, storeDS), run(t, cfg, tc.ws, memDS)
-						for i := range tc.ws {
-							if !bytes.Equal(store.answers[i], mem.answers[i]) {
-								t.Errorf("query %d: store and memory answer differently", i)
-							}
+		for _, sortMem := range []int{64, 4096, 0} {
+			for _, morselBytes := range []int{0, 512} {
+				t.Run(fmt.Sprintf("%s/mem=%d/morsel=%d", tc.name, sortMem, morselBytes), func(t *testing.T) {
+					// One map task at a time: arrival order at each
+					// reducer, and so which pairs spill, repeats.
+					cfg := Config{NumReducers: 3, SortMemoryItems: sortMem,
+						MorselBytes: morselBytes, executor: serial}
+					store, mem := run(t, cfg, tc.ws, storeDS), run(t, cfg, tc.ws, memDS)
+					for i := range tc.ws {
+						if !bytes.Equal(store.answers[i], mem.answers[i]) {
+							t.Errorf("query %d: store and memory answer differently", i)
 						}
-						if tc.bigBlocks && sortMode == TwoPassSort && sortMem != 64 { // no spill splits a group
-							var items, groups int64
-							for _, rt := range store.stats.ReduceTasks {
-								items, groups = items+rt.GroupSortItems, groups+rt.HashGroups
-							}
-							if items < 96*groups {
-								t.Errorf("%d records sorted in %d blocks: too few for a packed in-block sort", items, groups)
-							}
-						}
-						got, want := pricedSums(store.stats, true), pricedSums(mem.stats, true)
-						var spilled int64
+					}
+					if tc.bigBlocks && sortMem != 64 { // no spill splits a group
+						var items, groups int64
 						for _, rt := range store.stats.ReduceTasks {
-							spilled += rt.SpillRuns
+							items, groups = items+rt.GroupSortItems, groups+rt.HashGroups
 						}
-						if sortMem == 64 && spilled == 0 {
-							t.Error("a 64-pair budget never spilled")
+						if items < 96*groups {
+							t.Errorf("%d records sorted in %d blocks: too few for a packed in-block sort", items, groups)
 						}
-						got.Map.BytesRead, want.Map.BytesRead = 0, 0
-						if got != want || store.stats.Shuffled != mem.stats.Shuffled {
-							t.Errorf("priced counters differ beyond BytesRead:\nstore  %+v, shuffled %d\nmemory %+v, shuffled %d",
-								got, store.stats.Shuffled, want, mem.stats.Shuffled)
+					}
+					got, want := pricedSums(store.stats, true), pricedSums(mem.stats, true)
+					var spilled int64
+					for _, rt := range store.stats.ReduceTasks {
+						spilled += rt.SpillRuns
+					}
+					if sortMem == 64 && spilled == 0 {
+						t.Error("a 64-pair budget never spilled")
+					}
+					got.Map.BytesRead, want.Map.BytesRead = 0, 0
+					if got != want || store.stats.Shuffled != mem.stats.Shuffled {
+						t.Errorf("priced counters differ beyond BytesRead:\nstore  %+v, shuffled %d\nmemory %+v, shuffled %d",
+							got, store.stats.Shuffled, want, mem.stats.Shuffled)
+					}
+					observed := func(js mr.JobStats) (o struct{ runs, groups, arena, lookups int64 }) {
+						for _, rt := range js.ReduceTasks {
+							o.runs += rt.SpillRuns
+							o.groups += rt.HashGroups
+							o.arena += rt.EvalArenaBytes
+							o.lookups += rt.WindowLookups
 						}
-						observed := func(js mr.JobStats) (o struct{ runs, groups, spills, arena, lookups int64 }) {
-							for _, rt := range js.ReduceTasks {
-								o.runs += rt.SpillRuns
-								o.groups += rt.HashGroups
-								o.spills += rt.GroupSpills
-								o.arena += rt.EvalArenaBytes
-								o.lookups += rt.WindowLookups
-							}
-							return o
-						}
-						if got, want := observed(store.stats), observed(mem.stats); got != want {
-							t.Errorf("observations differ: store %+v, memory %+v", got, want)
-						}
-					})
-				}
+						return o
+					}
+					if got, want := observed(store.stats), observed(mem.stats); got != want {
+						t.Errorf("observations differ: store %+v, memory %+v", got, want)
+					}
+				})
 			}
 		}
 	}

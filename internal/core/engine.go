@@ -20,21 +20,6 @@ import (
 	"github.com/casm-project/casm/internal/optimizer"
 )
 
-// SortMode selects how the in-group sort of the local algorithm is paid
-// for (Section III-D / Figure 4(d)).
-type SortMode int
-
-const (
-	// TwoPassSort ships plain block keys; the reducer re-sorts each
-	// group's records before local evaluation (the paper's unmodified-
-	// Hadoop default).
-	TwoPassSort SortMode = iota
-	// CombinedKeySort appends the record's own encoding to the shuffle
-	// key so the framework's sort already orders records within blocks,
-	// eliminating the second sort.
-	CombinedKeySort
-)
-
 // EarlyAggMode controls map-side early aggregation (Section III-D).
 type EarlyAggMode int
 
@@ -64,12 +49,6 @@ type Config struct {
 	// EarlyAggregation turns the map-side combiner off (default) or on for
 	// every workflow that supports it.
 	EarlyAggregation EarlyAggMode
-	// SortMode selects two-pass vs combined-key sorting (default two-pass,
-	// matching the paper's unmodified MapReduce). It also decides how
-	// reducers group: two-pass sorting and early aggregation only need
-	// pairs grouped by block, so they take the substrate's hash collector;
-	// the combined key's secondary order needs its sorted path.
-	SortMode SortMode
 	// SkewMode selects run-time skew handling (default none).
 	SkewMode SkewMode
 	// SampleSize bounds the skew-detection sample (default 2000 records).

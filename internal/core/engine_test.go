@@ -173,33 +173,6 @@ func TestEngineClusteringFactorSweep(t *testing.T) {
 	}
 }
 
-func TestEngineSortModes(t *testing.T) {
-	su := workload.NewSuite()
-	records := su.Generate(2000, workload.Uniform, 9)
-	ds := MemoryDataset(su.Schema, records, 4)
-	w := su.Q6()
-	want := oracle(t, w, records)
-
-	two := runEngine(t, Config{NumReducers: 4, SortMode: TwoPassSort}, w, ds)
-	comb := runEngine(t, Config{NumReducers: 4, SortMode: CombinedKeySort}, w, ds)
-	compare(t, "two-pass", want, flatten(two))
-	compare(t, "combined-key", want, flatten(comb))
-
-	var twoSort, combSort int64
-	for _, r := range two.Stats.ReduceTasks {
-		twoSort += r.GroupSortItems
-	}
-	for _, r := range comb.Stats.ReduceTasks {
-		combSort += r.GroupSortItems
-	}
-	if twoSort == 0 {
-		t.Error("two-pass mode did not count in-group sorting")
-	}
-	if combSort != 0 {
-		t.Errorf("combined-key mode still sorted %d items in groups", combSort)
-	}
-}
-
 // TestMemoryDatasetRejectsWrongArity: a memory record of the wrong arity
 // would shift every record after it in the dataset's slab — here into
 // values that are all still in their domains — so the dataset fails its
@@ -376,18 +349,6 @@ func TestCountRecords(t *testing.T) {
 	res := runEngine(t, Config{NumReducers: 2}, su.Q1(), ds)
 	if res.TotalRecords() == 0 {
 		t.Error("no results with counted cardinality")
-	}
-}
-
-func TestBlockPrefix(t *testing.T) {
-	coords := []int64{5, 1234567, 0, 88}
-	block := cube.EncodeCoords(coords)
-	key := []byte(block + "suffix-bytes")
-	if got := string(key[:blockPrefixLen(key, 4)]); got != block {
-		t.Errorf("blockPrefixLen = %q, want %q", got, block)
-	}
-	if got := string(block[:blockPrefixLen([]byte(block), 4)]); got != block {
-		t.Errorf("exact-length prefix = %q", got)
 	}
 }
 

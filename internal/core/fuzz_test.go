@@ -180,9 +180,6 @@ func TestEngineMatchesOracleRandomWorkflows(t *testing.T) {
 				NumReducers:      1 + rng.Intn(8),
 				EarlyAggregation: EarlyAggAuto,
 			}
-			if rng.Intn(2) == 0 {
-				cfg.SortMode = CombinedKeySort
-			}
 			if rng.Intn(3) == 0 {
 				cfg.SkewMode = SkewSampling
 				cfg.SampleSize = 300

@@ -33,8 +33,7 @@ func canonicalOutput(res *Result) string {
 }
 
 // TestEngineKnobSweepByteIdentical sweeps every evaluator-relevant engine
-// knob — combined-key sort, early aggregation, and a forced-spill memory
-// budget — over random bit-stable workflows and demands byte-identical
+// knob — early aggregation and a forced-spill memory budget — over random bit-stable workflows and demands byte-identical
 // measure output from every combination (and agreement with the
 // single-block oracle). This is the engine-level leg of the arena-session
 // equivalence property: whatever path feeds the reduce-side evaluator
@@ -55,24 +54,21 @@ func TestEngineKnobSweepByteIdentical(t *testing.T) {
 			want := oracle(t, w, records)
 
 			var baseOut, baseLabel string
-			for _, sortMode := range []SortMode{TwoPassSort, CombinedKeySort} {
-				for _, early := range []EarlyAggMode{EarlyAggOff, EarlyAggAuto} {
-					for _, memItems := range []int{0, 2} { // 0 = default budget; 2 forces spills
-						label := fmt.Sprintf("sort=%v early=%v mem=%d", sortMode, early, memItems)
-						cfg := Config{
-							NumReducers:      1 + rng.Intn(6),
-							SortMode:         sortMode,
-							EarlyAggregation: early,
-							SortMemoryItems:  memItems,
-						}
-						res := runEngine(t, cfg, w, ds)
-						compare(t, label, want, flatten(res))
-						out := canonicalOutput(res)
-						if baseOut == "" {
-							baseOut, baseLabel = out, label
-						} else if out != baseOut {
-							t.Errorf("output of %q differs byte-wise from %q", label, baseLabel)
-						}
+			for _, early := range []EarlyAggMode{EarlyAggOff, EarlyAggAuto} {
+				for _, memItems := range []int{0, 2} { // 0 = default budget; 2 forces spills
+					label := fmt.Sprintf("early=%v mem=%d", early, memItems)
+					cfg := Config{
+						NumReducers:      1 + rng.Intn(6),
+						EarlyAggregation: early,
+						SortMemoryItems:  memItems,
+					}
+					res := runEngine(t, cfg, w, ds)
+					compare(t, label, want, flatten(res))
+					out := canonicalOutput(res)
+					if baseOut == "" {
+						baseOut, baseLabel = out, label
+					} else if out != baseOut {
+						t.Errorf("output of %q differs byte-wise from %q", label, baseLabel)
 					}
 				}
 			}
@@ -80,14 +76,14 @@ func TestEngineKnobSweepByteIdentical(t *testing.T) {
 	}
 }
 
-// TestHashGroupingMatchesSortedByteIdentical is the grouping property
-// test. How reducers group is derived, not configured: TwoPassSort ships
-// plain block keys and hash-groups, CombinedKeySort ships composite keys
-// and sort-groups. For random bit-stable workflows and datasets, the two
-// must produce byte-identical measure output — with a roomy in-memory
-// budget and with a tiny one that forces the hash table through its
-// spill fallback — and each must really have taken its path.
-func TestHashGroupingMatchesSortedByteIdentical(t *testing.T) {
+// TestHashGroupingMatchesOracle is the grouping property test: every
+// reducer hash-groups its pairs by block. For random bit-stable workflows
+// and datasets, the job must match the single-block oracle and produce
+// byte-identical measure output with a roomy in-memory budget and with a
+// tiny one that forces the hash table through its spill fallback — and
+// must really have taken that fallback. (That the hash collector's stream
+// equals the external sorter's is groupx's TestHashMatchesSort.)
+func TestHashGroupingMatchesOracle(t *testing.T) {
 	su := workload.NewSuite()
 	seeds := 10
 	if testing.Short() {
@@ -106,37 +102,32 @@ func TestHashGroupingMatchesSortedByteIdentical(t *testing.T) {
 			ds := MemoryDataset(su.Schema, records, 1+rng.Intn(6))
 			reducers := 1 + rng.Intn(6)
 			want := oracle(t, w, records)
+			var roomy string
 			for _, memItems := range []int{0, 2} { // 0 = default budget; 2 forces spills
-				resHash := runEngine(t, Config{NumReducers: reducers, SortMemoryItems: memItems}, w, ds)
-				resSort := runEngine(t, Config{NumReducers: reducers, SortMemoryItems: memItems, SortMode: CombinedKeySort}, w, ds)
+				res := runEngine(t, Config{NumReducers: reducers, SortMemoryItems: memItems}, w, ds)
 
 				label := fmt.Sprintf("seed %d mem %d", seed, memItems)
-				if got, wantOut := canonicalOutput(resHash), canonicalOutput(resSort); got != wantOut {
-					t.Errorf("%s: hash output differs from sorted output\nhash:\n%s\nsorted:\n%s", label, got, wantOut)
+				compare(t, label, want, flatten(res))
+				if out := canonicalOutput(res); memItems == 0 {
+					roomy = out
+				} else if out != roomy {
+					t.Errorf("%s: spilled output differs from the in-memory output\nspilled:\n%s\nin memory:\n%s", label, out, roomy)
 				}
-				// Both paths must also still match the single-block oracle.
-				compare(t, label+" sorted", want, flatten(resSort))
-				compare(t, label+" hash", want, flatten(resHash))
 
-				// The paths must really have been exercised.
+				// The spill fallback must really have been exercised.
 				var hashGroups, spills, bigReducers int64
-				for _, rt := range resHash.Stats.ReduceTasks {
+				for _, rt := range res.Stats.ReduceTasks {
 					hashGroups += rt.HashGroups
-					spills += rt.GroupSpills
+					spills += rt.SpillRuns
 					if rt.PairsIn > 2 {
 						bigReducers++
 					}
 				}
 				if hashGroups == 0 {
-					t.Errorf("%s: two-pass run reported no HashGroups", label)
+					t.Errorf("%s: run reported no HashGroups", label)
 				}
 				if memItems == 2 && bigReducers > 0 && spills == 0 {
-					t.Errorf("%s: forced-spill two-pass run reported no GroupSpills", label)
-				}
-				for _, rt := range resSort.Stats.ReduceTasks {
-					if rt.HashGroups != 0 {
-						t.Errorf("%s: combined-key run reported HashGroups=%d", label, rt.HashGroups)
-					}
+					t.Errorf("%s: forced-spill run reported no SpillRuns", label)
 				}
 			}
 		})

@@ -278,11 +278,11 @@ type jobStart struct {
 // pair per (geometry group, block); every reduce group evaluates each
 // member query exactly as that query's own job would. A job of one query
 // is the degenerate case, not a separate path: its only group carries an
-// empty tag, so shuffle keys, output keys and the combined-key prefix are
-// the bare single-query bytes and the priced counters are those of a
-// hand-written single-query job. Only a job of one may combine on the map
-// side (the combiner's payloads are per-workflow) or use the result
-// cache; planBatch partitions accordingly.
+// empty tag, so shuffle keys and output keys are the bare single-query
+// bytes and the priced counters are those of a hand-written single-query
+// job. Only a job of one may combine on the map side (the combiner's
+// payloads are per-workflow) or use the result cache; planBatch
+// partitions accordingly.
 func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (*jobStart, error) {
 	s := ds.Schema
 	arity := s.NumAttrs()
@@ -316,7 +316,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		js.reuse = e.newResultReuse(q.w, ds, q.outcome.Plan)
 	}
 	early, ru := js.early, js.reuse
-	combined := e.cfg.SortMode == CombinedKeySort && !early
 
 	job := mr.Job{Name: "casm", Input: ds.Input, Config: e.mrConfig()}
 
@@ -404,17 +403,9 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			for gi, g := range groups {
 				w := &ml.walks[gi]
 				for ; w.next < len(w.rows) && w.rows[w.next] == row; w.next++ {
-					block := ml.dks[gi].Key(w.ords[w.next])
-					key := block // interned: encoded once per distinct block per task
-					switch {
-					case combined:
-						// Emit retains the key, so the composite block+record
-						// bytes must be owned by the pair; the task arena gives
-						// them a stable home at one allocation per 64KiB of keys
-						// instead of one per pair.
-						key = ml.arena.concat(g.tag, block, value)
-					case tagged:
-						key = ml.taggedBlock(gi, g.tag, block)
+					key := ml.dks[gi].Key(w.ords[w.next]) // interned: encoded once per distinct block per task
+					if tagged {
+						key = ml.taggedBlock(gi, g.tag, key)
 					}
 					if err := ctx.Emit(key, value); err != nil {
 						return err
@@ -481,7 +472,7 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 				// model prices it like the in-group sort it replaces.
 				ctx.Stats.GroupSortItems += pairs
 			} else {
-				results, est, err = es.EvaluateBlock(localeval.Options{SkipSort: combined})
+				results, est, err = es.EvaluateBlock(localeval.Options{})
 				ctx.Stats.EvalRecords += est.ScannedRecords
 			}
 			if err != nil {
@@ -510,21 +501,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		return nil
 	}
 
-	if combined {
-		// Zero-alloc group identity: the tag + block key is a prefix
-		// sub-slice of the combined shuffle key. Setting GroupBy is also
-		// what puts the reducers on the sorted path the combined key needs;
-		// plain block keys and early aggregation hash-group.
-		job.Config.GroupBy = func(key []byte) []byte {
-			n := 0
-			if tagged {
-				if _, n = binary.Uvarint(key); n <= 0 {
-					return key
-				}
-			}
-			return key[:n+blockPrefixLen(key[n:], arity)]
-		}
-	}
 	pipe, err := mr.RunPipe(ctx, job)
 	if err != nil {
 		return nil, err
@@ -551,7 +527,6 @@ func (js *jobStart) stats() (mr.JobStats, costmodel.Estimate) {
 	n := int64(len(js.queries))
 	for t := range st.MapTasks {
 		st.MapTasks[t].SharedScanQueries = n
-		st.MapTasks[t].SharedScanBytesSaved = (n - 1) * st.MapTasks[t].BytesRead
 	}
 	if len(st.MapTasks) > 0 {
 		st.MapTasks[0].PlanCacheHits = planHits
@@ -639,7 +614,7 @@ func (js *jobStart) resolve(key []byte) (int, *workflow.Measure, error) {
 }
 
 // mrConfig is the substrate configuration every job of this engine
-// shares; each job adds its own hooks (combiner, task locals, GroupBy).
+// shares; each job adds its own hooks (combiner, task locals).
 func (e *Engine) mrConfig() mr.Config {
 	return mr.Config{
 		NumReducers:     e.cfg.NumReducers,
@@ -689,20 +664,31 @@ func EstimateStages(c costmodel.Cluster, js mr.JobStats) (bars [costmodel.NumSta
 	return bars
 }
 
-// blockPrefixLen returns the length of the block-key prefix (arity
-// uvarints) of a combined shuffle key.
-func blockPrefixLen(key []byte, arity int) int {
-	off := 0
-	for i := 0; i < arity; i++ {
-		for off < len(key) && key[off] >= 0x80 {
-			off++
-		}
-		off++ // terminating byte
+// CombinedKey rewrites a record-shipping run's counters as the paper's
+// combined-key sort (Section III-D, Figure 4(d)'s last bar) would have
+// priced them: the shuffle key also carries the record, so every pair's
+// value bytes are shipped twice (Shuffled too), and the framework's sort
+// already ordered each group, so no group re-sorts. Every other priced
+// counter is equal. ok is false for a run that spilled (the combined
+// key's sort would have spilled longer keys) or combined on the map side
+// (the combined key never applied there).
+func CombinedKey(js mr.JobStats) (cf mr.JobStats, ok bool) {
+	if slices.ContainsFunc(js.MapTasks, func(t mr.MapTaskStats) bool { return t.CombineInputs > 0 }) ||
+		slices.ContainsFunc(js.ReduceTasks, func(t mr.ReduceTaskStats) bool { return t.SpillRuns > 0 }) {
+		return mr.JobStats{}, false
 	}
-	if off > len(key) {
-		off = len(key)
+	cf = js
+	cf.MapTasks, cf.ReduceTasks = slices.Clone(js.MapTasks), slices.Clone(js.ReduceTasks)
+	for i := range cf.MapTasks {
+		cf.MapTasks[i].BytesOut += cf.MapTasks[i].ValueBytesOut
+		cf.Shuffled += cf.MapTasks[i].ValueBytesOut
 	}
-	return off
+	for i := range cf.ReduceTasks {
+		t := &cf.ReduceTasks[i]
+		t.BytesIn += t.ValueBytesIn
+		t.GroupSortItems = 0
+	}
+	return cf, true
 }
 
 // mapLocal is one map task's reusable state (mr.Config.NewMapLocal): a
@@ -736,11 +722,11 @@ func (ml *mapLocal) taggedBlock(gi int, tag, block []byte) []byte {
 	return k
 }
 
-// keyArena gives the bytes a map task builds and emits a stable home:
-// combined shuffle keys, which are unique per pair (block prefix + record
-// value) and so cannot be interned, and projected record values. Emit
-// retains both, so they cannot live in scratch; the arena amortizes their
-// storage to one allocation per chunk instead of one per pair.
+// keyArena gives the bytes a task builds and emits a stable home:
+// projected record values on the map side, packed measure records on the
+// reduce side. Emit retains them, so they cannot live in scratch; the
+// arena amortizes their storage to one allocation per chunk instead of
+// one per pair.
 type keyArena struct {
 	chunk []byte
 	// next is the next chunk's capacity: chunks grow geometrically from
@@ -765,15 +751,6 @@ func (a *keyArena) reserve(need int) {
 		a.next = min(size*2, keyChunkMax)
 		a.chunk = make([]byte, 0, max(size, need))
 	}
-}
-
-// concat appends tag+block+value (tag is a multi-query job's group
-// ordinal, empty otherwise) and returns the stable composite key.
-func (a *keyArena) concat(tag, block, value []byte) []byte {
-	a.reserve(len(tag) + len(block) + len(value))
-	start := len(a.chunk)
-	a.chunk = append(append(append(a.chunk, tag...), block...), value...)
-	return a.chunk[start:len(a.chunk):len(a.chunk)]
 }
 
 // measureRecord appends one output row's packed measure record and

@@ -82,7 +82,8 @@ type PanelD struct {
 }
 
 // Fig4d prices the breakdown on Q6 from one full run (core.EstimateStages)
-// and the combined key's Sort+Eval from a second.
+// and the combined key's Sort+Eval from the same run's counters
+// (core.CombinedKey).
 func Fig4d(ctx context.Context, cfg Config) (*PanelD, error) {
 	cfg = cfg.withDefaults()
 	su := workload.NewSuite()
@@ -96,12 +97,11 @@ func Fig4d(ctx context.Context, cfg Config) (*PanelD, error) {
 		p.Stages = append(p.Stages, costmodel.Stage(s).String())
 		p.Seconds = append(p.Seconds, est.Total()+res.SampleSeconds)
 	}
-	sec, _, err := runQuery(ctx, su, records,
-		core.Config{NumReducers: cfg.Reducers, SortMode: core.CombinedKeySort}, 6, cfg)
-	if err != nil {
-		return nil, err
+	cf, ok := core.CombinedKey(res.Stats)
+	if !ok {
+		return nil, fmt.Errorf("figures: Q6 run spilled or combined, so it prices no combined key")
 	}
-	p.Combined = sec
+	p.Combined = core.EstimateFromStats(costmodel.DefaultCluster(), mrStatsScaled(cf, represent)).Total() + res.SampleSeconds
 	return p, nil
 }
 

@@ -1,21 +1,20 @@
 // Package groupx collects a reducer's shuffled pairs and hands them back
 // grouped. Two collectors implement the same Collector interface:
 //
+//   - the hash collector, every reducer's (Leis et al.'s morsel
+//     partitioned grouping, the Hespe et al. in-memory OLAP shape): reduce
+//     only needs pairs *grouped*, so pairs go straight into one flat
+//     buffer, chained per group by a key → group table, and no per-item
+//     comparison sort runs. When the buffered-pair budget is exceeded the
+//     buffer is written out as a sorted run and the collector degrades to
+//     the external-sort path, so memory stays bounded and the output
+//     stream (groups ascending by key) is identical either way;
 //   - the sort collector drains everything through a sortx external sort
 //     (the classic Hadoop shape the paper assumes: "reducers collect
 //     pairs and use external sorting to group pairs with the same key
-//     value"), which a composite shuffle key needs because its suffix
-//     carries a secondary order;
-//   - the hash collector groups by hash instead (Leis et al.'s morsel
-//     partitioned grouping, the Hespe et al. in-memory OLAP shape): when
-//     reduce only needs pairs *grouped* — block grouping, early
-//     aggregation — no total order is required, so pairs go straight
-//     into one flat buffer, chained per group by a key → group table, and
-//     the per-item comparison sort disappears. When the buffered-pair
-//     budget is exceeded the buffer is written out as a sorted run and
-//     the collector degrades to exactly the external-sort path, so memory
-//     stays bounded and the output stream (groups ascending by key) is
-//     identical either way.
+//     value"). No job runs it; it stays as the reference the hash
+//     collector is tested against and the baseline the wall-clock
+//     benchmark's grouping kernel times.
 //
 // Both collectors are single-goroutine: Add all pairs, then Iterate once.
 package groupx
@@ -75,16 +74,9 @@ type sortCollector struct {
 }
 
 // NewSort returns the external-sort collector: pairs come back in full
-// shuffle-key order, which both groups them and realizes a composite
-// key's secondary sort.
+// shuffle-key order.
 func NewSort(codec sortx.Codec[transport.Pair], dir string, memItems int) Collector {
-	return NewSortContext(context.Background(), codec, dir, memItems)
-}
-
-// NewSortContext is NewSort with a cancellation context threaded into
-// the underlying sorter's spill and merge loops.
-func NewSortContext(ctx context.Context, codec sortx.Codec[transport.Pair], dir string, memItems int) Collector {
-	return &sortCollector{s: sortx.NewContext(ctx, PairKeyCompare, codec, dir, memItems)}
+	return &sortCollector{s: sortx.New(PairKeyCompare, codec, dir, memItems)}
 }
 
 func (c *sortCollector) Add(p transport.Pair) error { return c.s.Add(p) }

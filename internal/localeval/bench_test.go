@@ -43,8 +43,8 @@ func benchEvaluator(tb testing.TB, withWindow bool) *Evaluator {
 }
 
 // benchBlock generates one block of n records over 10 keys and 4 hours.
-// Clustered blocks arrive pre-sorted (the combined-key delivery order);
-// shuffled blocks arrive in random order and pay the in-block sort.
+// Clustered blocks arrive already in sort order, shuffled blocks in
+// random order; both pay the in-block sort.
 func benchBlock(n int, clustered bool) []cube.Record {
 	rng := rand.New(rand.NewSource(42))
 	records := make([]cube.Record, n)
@@ -77,7 +77,7 @@ func BenchmarkEvaluate(b *testing.B) {
 					for _, r := range records {
 						ss.AppendRecord(r)
 					}
-					if _, _, err := ss.EvaluateBlock(Options{SkipSort: layout.clustered}); err != nil {
+					if _, _, err := ss.EvaluateBlock(Options{}); err != nil {
 						b.Fatal(err)
 					}
 				}

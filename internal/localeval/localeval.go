@@ -5,8 +5,7 @@
 // aggregation workflow's topological order.
 //
 // Concretely the evaluator sorts the block (the reducer-side "second
-// sort" quantified in Figure 4(d); it can be skipped when the framework
-// delivered the records pre-sorted under a combined key), then performs
+// sort" quantified in Figure 4(d)), then performs
 // one scan that simultaneously builds every basic measure's groups and
 // the per-grain occupancy index, and finally derives composite measures
 // grain by grain: self measures join on the same (or parent) region,
@@ -42,18 +41,15 @@ type Result struct {
 
 // Stats counts the evaluator's work for cost accounting.
 type Stats struct {
-	SortedItems    int64 // records sorted by the in-block sort (0 if skipped)
+	SortedItems    int64 // records sorted by the in-block sort
 	ScannedRecords int64 // records scanned
 	WindowLookups  int64 // sibling-window probes
 	Results        int64 // measure records produced
 }
 
-// Options tune one evaluation.
-type Options struct {
-	// SkipSort indicates the records already arrive in a total order
-	// (the combined-key optimization of Section III-D).
-	SkipSort bool
-}
+// Options tune one evaluation. It has no fields: every block is sorted
+// before its scan.
+type Options struct{}
 
 // Evaluator holds the workflow-derived read-only plan for evaluating
 // blocks: the topological measure order, the distinct grains, source and

@@ -288,39 +288,6 @@ func TestSlidingWindowAverageWeblogStyle(t *testing.T) {
 	}
 }
 
-func TestSkipSortOption(t *testing.T) {
-	s := testSchema(t)
-	w := workflow.New(s)
-	g := s.MustGrain(cube.GrainSpec{Attr: "k", Level: "word"})
-	if err := w.AddBasic("c", g, measure.Spec{Func: measure.Count}, ""); err != nil {
-		t.Fatal(err)
-	}
-	e, err := New(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := []cube.Record{rec(2, 0, 5), rec(1, 0, 3), rec(2, 0, 1)}
-	out1, st1, err := e.Evaluate(append([]cube.Record(nil), records...), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2, st2, err := e.Evaluate(append([]cube.Record(nil), records...), Options{SkipSort: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.SortedItems != 3 || st2.SortedItems != 0 {
-		t.Errorf("sort stats: %d, %d", st1.SortedItems, st2.SortedItems)
-	}
-	if len(out1) != len(out2) {
-		t.Fatalf("result counts differ: %d vs %d", len(out1), len(out2))
-	}
-	for i := range out1 {
-		if out1[i].Value != out2[i].Value || out1[i].Region.Key() != out2[i].Region.Key() {
-			t.Fatalf("result %d differs between sorted and unsorted evaluation", i)
-		}
-	}
-}
-
 func TestEmptyBlock(t *testing.T) {
 	s := testSchema(t)
 	w := workflow.New(s)

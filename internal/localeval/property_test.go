@@ -201,13 +201,13 @@ func TestSessionMatchesReferenceByteIdentical(t *testing.T) {
 			sizes := []int{50 + rng.Intn(250), packMinRows - 1 + rng.Intn(3), 500 + rng.Intn(1500)}
 			for blk, n := range sizes {
 				records := randomRecords(rng, n)
-				for i, opt := range []Options{{}, {SkipSort: true}, {}, {SkipSort: true}, {}, {SkipSort: true}} {
-					label := fmt.Sprintf("block %d skip=%v loader %d", blk, opt.SkipSort, i%3)
-					want, refStats := refEvaluate(t, e, cloneRecords(records), opt)
+				for i, load := range loaders {
+					label := fmt.Sprintf("block %d loader %d", blk, i)
+					want, refStats := refEvaluate(t, e, cloneRecords(records))
 					for _, r := range records {
-						loaders[i%3](ss, r)
+						load(ss, r)
 					}
-					got, stats, err := ss.EvaluateBlock(opt)
+					got, stats, err := ss.EvaluateBlock(Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -336,7 +336,7 @@ func TestWindowScanDomainBound(t *testing.T) {
 	if stats.WindowLookups != 5 {
 		t.Errorf("WindowLookups = %d, want 5 (domain-bounded)", stats.WindowLookups)
 	}
-	want, refStats := refEvaluate(t, e, cloneRecords(records), Options{})
+	want, refStats := refEvaluate(t, e, cloneRecords(records))
 	if refStats.WindowLookups != 7 {
 		t.Errorf("reference WindowLookups = %d, want 7 (probes past the edge)", refStats.WindowLookups)
 	}

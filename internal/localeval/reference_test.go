@@ -25,7 +25,7 @@ type refMeasureState struct {
 	values map[string]float64
 }
 
-func refEvaluate(t *testing.T, e *Evaluator, records []cube.Record, opt Options) ([]Result, Stats) {
+func refEvaluate(t *testing.T, e *Evaluator, records []cube.Record) ([]Result, Stats) {
 	t.Helper()
 	var stats Stats
 	occupancy := make([]refRegionIndex, len(e.grains))
@@ -33,7 +33,7 @@ func refEvaluate(t *testing.T, e *Evaluator, records []cube.Record, opt Options)
 		occupancy[i] = refRegionIndex{coords: make(map[string][]int64)}
 	}
 	basicAggs := make(map[string]map[string]measure.Aggregator)
-	refScanHash(e, records, opt, occupancy, basicAggs, &stats)
+	refScanHash(e, records, occupancy, basicAggs, &stats)
 	out, err := refFinish(e, occupancy, basicAggs, &stats)
 	if err != nil {
 		t.Fatal(err)
@@ -41,12 +41,10 @@ func refEvaluate(t *testing.T, e *Evaluator, records []cube.Record, opt Options)
 	return out, stats
 }
 
-func refScanHash(e *Evaluator, records []cube.Record, opt Options, occupancy []refRegionIndex, basicAggs map[string]map[string]measure.Aggregator, stats *Stats) {
+func refScanHash(e *Evaluator, records []cube.Record, occupancy []refRegionIndex, basicAggs map[string]map[string]measure.Aggregator, stats *Stats) {
 	s := e.schema
-	if !opt.SkipSort {
-		SortRecords(records)
-		stats.SortedItems = int64(len(records))
-	}
+	SortRecords(records)
+	stats.SortedItems = int64(len(records))
 	type basicAgg struct {
 		m    *workflow.Measure
 		aggs map[string]measure.Aggregator

@@ -383,10 +383,10 @@ func (ss *Session) noteArena() {
 // EvaluateBlock computes all measures over the loaded rows and resets the
 // arena for the next group. The returned results alias session storage
 // (see the ownership note on Session).
-func (ss *Session) EvaluateBlock(opt Options) ([]Result, Stats, error) {
+func (ss *Session) EvaluateBlock(Options) ([]Result, Stats, error) {
 	var stats Stats
 	ss.begin()
-	ss.scan(opt, &stats)
+	ss.scan(&stats)
 	out, err := ss.finish(&stats)
 	ss.data, ss.rows = ss.data[:0], ss.rows[:0]
 	ss.noteArena()
@@ -396,12 +396,10 @@ func (ss *Session) EvaluateBlock(opt Options) ([]Result, Stats, error) {
 // scan numbers the rows' regions one grain at a time — a row in the last
 // row's region skips the probe — folding each row into the states of the
 // basic measures at the grain as its ordinal is known.
-func (ss *Session) scan(opt Options, stats *Stats) {
+func (ss *Session) scan(stats *Stats) {
 	e, s := ss.e, ss.e.schema
-	if !opt.SkipSort {
-		ss.sortRows()
-		stats.SortedItems = int64(len(ss.rows))
-	}
+	ss.sortRows()
+	stats.SortedItems = int64(len(ss.rows))
 	stride := len(e.cols)
 	stats.ScannedRecords = int64(len(ss.rows))
 	for gi, g := range e.grains {

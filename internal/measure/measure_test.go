@@ -3,6 +3,7 @@ package measure
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"slices"
@@ -593,6 +594,84 @@ func TestFlatStateMatchesAggregator(t *testing.T) {
 	for _, spec := range []Spec{{Func: Median}, {Func: Quantile, Arg: 0.9}, {Func: CountDistinct}} {
 		if _, ok := spec.FlatKind(); ok {
 			t.Errorf("holistic %s claims a flat kind", spec)
+		}
+	}
+}
+
+// TestFlatStateGolden pins the flat partial state's wire format and its
+// finalization by themselves, not against the Aggregators: for every
+// function of every FlatKind and five inputs — the empty state, ties
+// between signed zeros and between repeated values, negatives, and 2⁵³,
+// past which adding 1 is lost — the bytes AppendState writes (the count's
+// uvarint, then little-endian float64s: A, and B for the moments) and the
+// bits of Result (NaN for an empty non-additive state). The pinned bytes,
+// merged into an empty state, must finalize to the same bits.
+func TestFlatStateGolden(t *testing.T) {
+	inputs := []struct {
+		name string
+		vals []float64
+	}{
+		{"empty", nil},
+		{"signed zeros", []float64{math.Copysign(0, -1), 0}},
+		{"negatives", []float64{-3.5, -1.25, -7}},
+		{"ties", []float64{2.5, -1, 2.5, -1}},
+		{"2^53", []float64{1 << 53, 1, 1}},
+	}
+	// state[kind][input] is the hex of the state bytes.
+	state := map[FlatKind][5]string{
+		FlatCount:   {"00", "02", "03", "04", "03"},
+		FlatSum:     {"000000000000000000", "020000000000000000", "0300000000008027c0", "040000000000000840", "030000000000004043"},
+		FlatMin:     {"000000000000000000", "020000000000000080", "030000000000001cc0", "04000000000000f0bf", "03000000000000f03f"},
+		FlatMax:     {"000000000000000000", "020000000000000080", "03000000000000f4bf", "040000000000000440", "030000000000004043"},
+		FlatMoments: {"0000000000000000000000000000000000", "0200000000000000000000000000000000", "0300000000008027c00000000000684f40", "0400000000000008400000000000002d40", "0300000000000040430000000000009046"},
+	}
+	const nan = 0x7ff8000000000000 // any NaN: an empty state has no value
+	result := map[Func][5]uint64{
+		Count:  {0x0, 0x4000000000000000, 0x4008000000000000, 0x4010000000000000, 0x4008000000000000},
+		Sum:    {0x0, 0x0, 0xc027800000000000, 0x4008000000000000, 0x4340000000000000},
+		Min:    {nan, 0x8000000000000000, 0xc01c000000000000, 0xbff0000000000000, 0x3ff0000000000000},
+		Max:    {nan, 0x8000000000000000, 0xbff4000000000000, 0x4004000000000000, 0x4340000000000000},
+		Avg:    {nan, 0x0, 0xc00f555555555555, 0x3fe8000000000000, 0x4325555555555555},
+		Var:    {nan, 0x0, 0x4016638e38e38e3a, 0x4008800000000000, 0x466c71c71c71c71c},
+		StdDev: {nan, 0x0, 0x4002ed401b0132e3, 0x3ffc000000000000, 0x432e2b7dddfefa66},
+	}
+	for _, fn := range []Func{Count, Sum, Min, Max, Avg, Var, StdDev} {
+		kind, ok := Spec{Func: fn}.FlatKind()
+		if !ok {
+			t.Fatalf("%s has no flat kind", fn)
+		}
+		for i, in := range inputs {
+			t.Run(string(fn)+"/"+in.name, func(t *testing.T) {
+				wantBytes, wantBits := state[kind][i], result[fn][i]
+				check := func(how string, s *FlatState) {
+					t.Helper()
+					if got := hex.EncodeToString(s.AppendState(nil, kind)); got != wantBytes {
+						t.Errorf("%s: state %s, want %s", how, got, wantBytes)
+					}
+					got := s.Result(fn)
+					if wantBits == nan {
+						if !math.IsNaN(got) {
+							t.Errorf("%s: result %v, want NaN", how, got)
+						}
+					} else if math.Float64bits(got) != wantBits {
+						t.Errorf("%s: result %v (%#x), want %v (%#x)", how, got, math.Float64bits(got), math.Float64frombits(wantBits), wantBits)
+					}
+				}
+				var added FlatState
+				for _, v := range in.vals {
+					added.Add(kind, v)
+				}
+				check("added", &added)
+				raw, err := hex.DecodeString(wantBytes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var merged FlatState
+				if err := merged.MergeState(kind, raw); err != nil {
+					t.Fatal(err)
+				}
+				check("merged", &merged)
+			})
 		}
 	}
 }

@@ -72,7 +72,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 // reference: the same logical job, but every key round-trips through a Go
 // string into a fresh copy (the allocation pattern of the retired
 // EmitString shims). The byte-keyed plane must be byte-identical to it.
-func propJob(records [][]byte, stringKeyed bool, groupBy func([]byte) []byte) Job {
+func propJob(records [][]byte, stringKeyed bool) Job {
 	return Job{
 		Input: indexInput(len(records), 3),
 		Map: perRow(func(ctx *MapCtx, row []int64) error {
@@ -111,8 +111,7 @@ func propJob(records [][]byte, stringKeyed bool, groupBy func([]byte) []byte) Jo
 			// Serialize map tasks so hash-path arrival order is
 			// deterministic across the byte/string runs.
 			mapParallelism:  1,
-			GroupBy:         groupBy, // nil = hash grouping, else sorted
-			SortMemoryItems: 2,       // force spill runs on both grouping paths
+			SortMemoryItems: 2, // force spill runs
 		},
 	}
 }
@@ -132,11 +131,10 @@ func sortedOutput(t *testing.T, job Job) []string {
 }
 
 // TestBytePathMatchesStringReference is the zero-copy refactor's
-// equivalence property: across fuzz seeds, with spills forced on every
-// path (SortMemoryItems=2), the byte-keyed data plane must produce output
-// byte-identical to the string-keyed reference shim — under both sorted
-// grouping with a composite key and hash grouping — and, for the sorted
-// mode, to a plain in-memory reference computed with string maps.
+// equivalence property: across fuzz seeds, with spills forced
+// (SortMemoryItems=2), the byte-keyed data plane must produce output
+// byte-identical to the string-keyed reference shim, and the same groups
+// as a plain in-memory reference computed with string maps.
 func TestBytePathMatchesStringReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -145,59 +143,38 @@ func TestBytePathMatchesStringReference(t *testing.T) {
 			n := 200 + rng.Intn(400)
 			records := make([][]byte, n)
 			for i := range records {
-				// Composite key "g<k>|<i>": unique per pair, so the sorted
-				// path's within-group order is fully determined.
-				records[i] = []byte(fmt.Sprintf("g%02d|%04d v%d", rng.Intn(17), i, rng.Intn(100)))
-			}
-			prefix := func(k []byte) []byte {
-				for i, c := range k {
-					if c == '|' {
-						return k[:i] // aliasing prefix: the zero-alloc idiom
-					}
-				}
-				return k
-			}
-			prefixCopy := func(k []byte) []byte {
-				// Reference shim's GroupBy: string round-trip, fresh bytes.
-				return []byte(strings.SplitN(string(k), "|", 2)[0])
+				records[i] = []byte(fmt.Sprintf("g%02d %04d:v%d", rng.Intn(17), i, rng.Intn(100)))
 			}
 
-			// Sorted grouping with a composite key.
-			gotSort := sortedOutput(t, propJob(records, false, prefix))
-			refSort := sortedOutput(t, propJob(records, true, prefixCopy))
-			if fmt.Sprint(gotSort) != fmt.Sprint(refSort) {
-				t.Errorf("sorted grouping: byte-keyed output diverges from string reference\n got %q\nwant %q", gotSort, refSort)
+			got := sortedOutput(t, propJob(records, false))
+			if ref := sortedOutput(t, propJob(records, true)); fmt.Sprint(got) != fmt.Sprint(ref) {
+				t.Errorf("byte-keyed output diverges from string reference\n got %q\nwant %q", got, ref)
 			}
 
-			// Plain in-memory reference for the sorted mode: sort emitted
-			// pairs by full string key, group by prefix, concatenate.
-			type kv struct{ k, v string }
-			var pairs []kv
+			// Plain in-memory reference: group pairs by key. Pairs of a
+			// group arrive in an order the reference does not model, so
+			// each group's pieces are compared sorted.
+			groups := map[string][]string{}
 			for _, rec := range records {
-				s := string(rec)
-				j := strings.IndexByte(s, ' ')
-				pairs = append(pairs, kv{s[:j], s[j+1:]})
+				k, v, _ := strings.Cut(string(rec), " ")
+				groups[k] = append(groups[k], k+"="+v)
 			}
-			sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
 			var want []string
-			for i := 0; i < len(pairs); {
-				g := strings.SplitN(pairs[i].k, "|", 2)[0]
-				var sb strings.Builder
-				for ; i < len(pairs) && strings.HasPrefix(pairs[i].k, g+"|"); i++ {
-					fmt.Fprintf(&sb, "%s=%s;", pairs[i].k, pairs[i].v)
-				}
-				want = append(want, g+"\x00"+sb.String())
+			for k, pieces := range groups {
+				sort.Strings(pieces)
+				want = append(want, k+"\x00"+strings.Join(pieces, ";")+";")
 			}
 			sort.Strings(want)
-			if fmt.Sprint(gotSort) != fmt.Sprint(want) {
-				t.Errorf("sorted grouping: byte-keyed output diverges from in-memory reference\n got %q\nwant %q", gotSort, want)
+			canon := make([]string, len(got))
+			for i, g := range got {
+				k, body, _ := strings.Cut(g, "\x00")
+				pieces := strings.Split(strings.TrimSuffix(body, ";"), ";")
+				sort.Strings(pieces)
+				canon[i] = k + "\x00" + strings.Join(pieces, ";") + ";"
 			}
-
-			// Hash grouping (identity group, arrival order within groups).
-			gotHash := sortedOutput(t, propJob(records, false, nil))
-			refHash := sortedOutput(t, propJob(records, true, nil))
-			if fmt.Sprint(gotHash) != fmt.Sprint(refHash) {
-				t.Errorf("hash grouping: byte-keyed output diverges from string reference\n got %q\nwant %q", gotHash, refHash)
+			sort.Strings(canon)
+			if fmt.Sprint(canon) != fmt.Sprint(want) {
+				t.Errorf("byte-keyed output diverges from in-memory reference\n got %q\nwant %q", canon, want)
 			}
 		})
 	}
@@ -244,9 +221,8 @@ func TestReduceAllocsPerGroup(t *testing.T) {
 	}
 }
 
-// TestReduceCtxKnowsLargestGroup: a reduce task on the hash path is told
-// the pair count of its largest group before its first group arrives —
-// resident or spilled — and on the sorted path, which cannot know, 0.
+// TestReduceCtxKnowsLargestGroup: a reduce task is told the pair count of
+// its largest group before its first group arrives — resident or spilled.
 func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 	var records [][]byte
 	want := map[string]int{}
@@ -258,12 +234,9 @@ func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		sortMem int
-		groupBy func([]byte) []byte
-		known   bool
 	}{
-		{"hash", 0, nil, true},
-		{"hash spilled", 64, nil, true},
-		{"sorted", 0, func(k []byte) []byte { return k }, false},
+		{"hash", 0},
+		{"hash spilled", 64},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var mu sync.Mutex
@@ -296,7 +269,7 @@ func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 					told[ctx.Stats.Task] = ctx.MaxGroupPairs
 					return nil
 				},
-				Config: Config{NumReducers: 3, SortMemoryItems: tc.sortMem, GroupBy: tc.groupBy, TempDir: t.TempDir()},
+				Config: Config{NumReducers: 3, SortMemoryItems: tc.sortMem, TempDir: t.TempDir()},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -311,9 +284,6 @@ func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 				}
 			}
 			for task, n := range largest {
-				if !tc.known {
-					n = 0
-				}
 				if told[task] != n {
 					t.Errorf("%s was told its largest group has %d pairs, it has %d", task, told[task], n)
 				}

@@ -47,6 +47,19 @@ func sumJob(n int, cfg Config) Job {
 	}
 }
 
+// assertSpilled fails the test unless some reducer of the job spilled a
+// sorted run: the tests that force spills with a tiny grouping budget
+// exist to exercise the spill and merge path.
+func assertSpilled(t *testing.T, js JobStats) {
+	t.Helper()
+	for _, rt := range js.ReduceTasks {
+		if rt.SpillRuns > 0 {
+			return
+		}
+	}
+	t.Fatal("no reducer spilled")
+}
+
 // settleGoroutines waits for the goroutine count to stop changing and
 // returns it — the baseline for leak assertions. Called after a warm-up
 // job so the shared executor's workers and any lazy runtime state are
@@ -111,9 +124,12 @@ func openFDsInDir(t *testing.T, dir string) []string {
 // within 2 seconds of the cancel, leave no spill state behind, and leak
 // no goroutines. Spills are forced on every third pair.
 func TestCancelAtRandomPoints(t *testing.T) {
-	if _, err := Run(sumJob(500, Config{NumReducers: 2, TempDir: t.TempDir()})); err != nil {
-		t.Fatal(err) // warm the shared executor before baselining
+	// Uncancelled, the job below spills: its teardown has runs to reclaim.
+	res, err := Run(sumJob(6000, Config{NumReducers: 3, SortMemoryItems: 2, TempDir: t.TempDir()}))
+	if err != nil {
+		t.Fatal(err) // also warms the shared executor before baselining
 	}
+	assertSpilled(t, res.Stats)
 	baseline := settleGoroutines(t)
 
 	rng := rand.New(rand.NewSource(7))
@@ -135,7 +151,6 @@ func TestCancelAtRandomPoints(t *testing.T) {
 					NumReducers:     3,
 					newTransport:    func(n int) (transport.Transport, error) { return transport.NewChannel(n, 4) }, // senders sit on backpressure
 					SortMemoryItems: 2,
-					GroupBy:         fullKey,
 					TempDir:         dir,
 				})
 				var mapped, reduced atomic.Int64
@@ -210,16 +225,17 @@ func TestNoGoroutineLeakAcrossOutcomes(t *testing.T) {
 			NumReducers:     2,
 			newTransport:    func(n int) (transport.Transport, error) { return transport.NewChannel(n, 4) }, // senders sit on backpressure
 			SortMemoryItems: 2,
-			GroupBy:         fullKey,
 			TempDir:         dir,
 		}
 	}
 	// The "channel" name level is kept only so test IDs stay stable.
 	t.Run("channel/success", func(t *testing.T) {
 		dir := t.TempDir()
-		if _, err := Run(sumJob(2000, cfgFor(dir))); err != nil {
+		res, err := Run(sumJob(2000, cfgFor(dir)))
+		if err != nil {
 			t.Fatal(err)
 		}
+		assertSpilled(t, res.Stats)
 		if fds := openFDsInDir(t, dir); len(fds) != 0 {
 			t.Fatalf("spill descriptors leaked: %v", fds)
 		}
@@ -282,7 +298,6 @@ func TestSpillStateReclaimedOnReduceFailure(t *testing.T) {
 	job := sumJob(3000, Config{
 		NumReducers:     2,
 		SortMemoryItems: 2,
-		GroupBy:         fullKey,
 		TempDir:         dir,
 	})
 	job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {

@@ -1,13 +1,11 @@
 package mr
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -53,67 +51,6 @@ func (c *countCombiner) Flush(emit func(key, value []byte) error) error {
 	}
 	clear(c.sums)
 	return nil
-}
-
-// fullKey is an identity Config.GroupBy: same groups as the default, but
-// a non-nil GroupBy selects the sorted collector.
-func fullKey(k []byte) []byte { return k }
-
-// TestGroupingDerivedFromGroupBy pins the rule that replaced the grouping
-// option: no GroupBy means hash grouping (pairs of a group in arrival
-// order), any GroupBy — even the identity — means the external sorter
-// (pairs in full-key order, which a composite key relies on).
-func TestGroupingDerivedFromGroupBy(t *testing.T) {
-	records := make([][]byte, 400)
-	for i := range records {
-		records[i] = []byte(fmt.Sprintf("g%d|%03d", i%7, (i*37)%400))
-	}
-	prefix := func(k []byte) []byte { return k[:bytes.IndexByte(k, '|')] }
-	run := func(groupBy func([]byte) []byte, reduce ReduceFunc) JobStats {
-		res, err := Run(Job{
-			Input: indexInput(len(records), 4),
-			Map: perRow(func(ctx *MapCtx, row []int64) error {
-				return ctx.Emit(records[row[0]], nil)
-			}),
-			Reduce: reduce,
-			Config: Config{NumReducers: 2, GroupBy: groupBy, TempDir: t.TempDir()},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Stats
-	}
-	hashGroups := func(js JobStats) (n int64) {
-		for _, rt := range js.ReduceTasks {
-			n += rt.HashGroups
-		}
-		return n
-	}
-	drain := func(ctx *ReduceCtx, key []byte, values *GroupIter) error { return values.Drain() }
-	if n := hashGroups(run(nil, drain)); n != int64(len(records)) {
-		t.Errorf("nil GroupBy: HashGroups = %d, want %d (one per distinct key)", n, len(records))
-	}
-	if n := hashGroups(run(fullKey, drain)); n != 0 {
-		t.Errorf("identity GroupBy: HashGroups = %d, want 0 (sorted path)", n)
-	}
-	var groups atomic.Int64 // reduce tasks run concurrently
-	js := run(prefix, func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
-		groups.Add(1)
-		var prev []byte
-		for {
-			p, ok, err := values.Next()
-			if err != nil || !ok {
-				return err
-			}
-			if bytes.Compare(prev, p.Key) >= 0 {
-				t.Errorf("group %q: key %q after %q, want ascending full-key order", key, p.Key, prev)
-			}
-			prev = append(prev[:0], p.Key...)
-		}
-	})
-	if groups.Load() != 7 || hashGroups(js) != 0 {
-		t.Errorf("prefix GroupBy: %d groups (want 7), HashGroups = %d (want 0)", groups.Load(), hashGroups(js))
-	}
 }
 
 // TestWordCountAcrossBatchSizes runs the same job with batching disabled

@@ -8,10 +8,8 @@
 //     to a pool of concurrent map tasks;
 //   - optional map-side combining (the paper's early aggregation);
 //   - a hash-partitioned, batch-framed shuffle over in-memory channels;
-//   - reducer-side grouping — a hash table for plain keys, the external
-//     sorter when a configured group identity (Config.GroupBy) lets a
-//     composite sort key carry a secondary order (the Section III-D
-//     combined-key optimization);
+//   - reducer-side grouping by the full shuffle key in a hash table that
+//     spills to sorted runs past its budget;
 //   - per-task counters that feed the cost model.
 //
 // A task's error fails the job, labelled with the task; no task is
@@ -93,6 +91,7 @@ type ReduceTaskStats struct {
 // else.
 type MapObserved struct {
 	BatchesSent   int64 // shuffle batches shipped (≤ PairsOut; = PairsOut unbatched)
+	ValueBytesOut int64 // of BytesOut, the pairs' values
 	CombineMerges int64 // pairs merged in place into an existing partial state
 	LocalAggHits  int64 // emitted pairs fully absorbed by an existing partial state of the task's combiner table
 	// LocalAggSpills counts combiner-table overflows flushed into the
@@ -105,16 +104,21 @@ type MapObserved struct {
 	MorselSteals      int64 // of those, morsels stolen from another worker's deque
 
 	// Cross-query sharing counters (zero outside batched/cached runs).
-	PlanCacheHits        int64 // plans this job reused from the keyed decision cache instead of re-planning
-	SharedScanQueries    int64 // queries served by this task's single input scan (1 for an unshared job)
-	SharedScanBytesSaved int64 // input bytes NOT re-read thanks to sharing: (SharedScanQueries-1) * BytesRead
+	PlanCacheHits     int64 // plans this job reused from the keyed decision cache instead of re-planning
+	SharedScanQueries int64 // queries served by this task's single input scan (1 for an unshared job)
+}
+
+// SharedScanBytesSaved is the input bytes the task did NOT re-read thanks
+// to sharing its scan: (SharedScanQueries-1) * BytesRead.
+func (t *MapTaskStats) SharedScanBytesSaved() int64 {
+	return max(t.SharedScanQueries-1, 0) * t.BytesRead
 }
 
 // ReduceObserved is MapObserved for a reduce task.
 type ReduceObserved struct {
-	SpillRuns      int64 // sorted runs the grouping collector spilled
-	HashGroups     int64 // distinct groups resident in the hash collector (0 on the sorted path)
-	GroupSpills    int64 // hash-table flushes into the sorted-run fallback
+	SpillRuns      int64 // sorted runs the grouping collector spilled, one per hash-table flush
+	ValueBytesIn   int64 // of BytesIn, the pairs' values
+	HashGroups     int64 // distinct groups resident in the hash collector
 	EvalArenaBytes int64 // high-water footprint of the evaluator session's arenas
 	WindowLookups  int64 // sibling-window probes during sliding-measure evaluation
 
@@ -298,8 +302,7 @@ type ReduceCtx struct {
 	// otherwise); see MapCtx.Local.
 	Local any
 	// MaxGroupPairs is the pair count of the largest group this task will
-	// reduce, 0 when the grouping collector cannot know it (the sorted
-	// path): what a reducer that buffers a group sizes its buffer by.
+	// reduce: what a reducer that buffers a group sizes its buffer by.
 	MaxGroupPairs int
 	emit          func(key, value []byte)
 }
@@ -324,10 +327,9 @@ func (c *ReduceCtx) EmitStable(key, value []byte) {
 	c.emit(key, value)
 }
 
-// ReduceFunc processes one group. Values arrive ordered by the full
-// shuffle key (useful with a composite key); the group boundary is
-// defined by Config.GroupBy. groupKey is only valid for the duration of
-// the call — retain a copy if needed.
+// ReduceFunc processes one group: the pairs of one shuffle key, groups in
+// ascending key order and values in arrival order. groupKey is only valid
+// for the duration of the call — retain a copy if needed.
 type ReduceFunc func(ctx *ReduceCtx, groupKey []byte, values *GroupIter) error
 
 // Config tunes a job run.
@@ -360,29 +362,12 @@ type Config struct {
 	// grouping collectors (the Leis et al. two-phase shape: local hash
 	// table, overflow to global partitions). Default 65536.
 	LocalAggBudget int
-	// SortMemoryItems bounds the reducer's in-memory grouping buffer in
-	// items before spilling — the sort buffer on the sorted path, the
-	// buffered-pair count of the hash collector on the hash path (default
-	// 1<<20; set small to force spills).
+	// SortMemoryItems bounds the pairs the reducer's hash collector
+	// buffers before spilling them as a sorted run (default 1<<20; set
+	// small to force spills).
 	SortMemoryItems int
 	// TempDir hosts spill files (default OS temp).
 	TempDir string
-	// GroupBy extracts the group identity from a shuffle key (default
-	// identity). With a composite key "block|sortsuffix" the engine sets
-	// this to strip the suffix, realizing the combined-key sort. The
-	// returned slice may alias the input key (a prefix sub-slice is the
-	// zero-alloc idiom) and must not be retained by the framework beyond
-	// the comparison it serves; implementations must not mutate key.
-	//
-	// GroupBy also decides how reducers group, because it says what the
-	// reduce function may rely on. Nil means the group identity IS the
-	// full key, so a total order adds nothing: pairs are collected into a
-	// per-reducer hash table (spilling to sorted runs past
-	// SortMemoryItems), groups arrive in ascending key order and pairs
-	// within a group in arrival order. Non-nil means the key's remainder
-	// carries a secondary order: the shuffle drains through the external
-	// sorter and pairs within a group arrive in full-key order.
-	GroupBy func(key []byte) []byte
 	// NewMapLocal, when non-nil, is called once per map task and its
 	// result exposed as MapCtx.Local.
 	NewMapLocal func(st *MapTaskStats) any
@@ -424,9 +409,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SortMemoryItems < 1 {
 		c.SortMemoryItems = 1 << 20
-	}
-	if c.GroupBy == nil {
-		c.GroupBy = func(k []byte) []byte { return k }
 	}
 	return c, nil
 }

@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -227,57 +226,6 @@ func TestCombinerReducesTraffic(t *testing.T) {
 	}
 	if combinedPairs >= plainPairs/2 {
 		t.Errorf("combiner shipped %d pairs vs %d plain; expected large reduction", combinedPairs, plainPairs)
-	}
-}
-
-func TestGroupByCompositeKey(t *testing.T) {
-	// Composite keys "block|suffix": grouping by the block prefix, values
-	// arrive ordered by the full key — the combined-key sort optimization.
-	var groups []string
-	var orders [][]string
-	job := Job{
-		Input: NewMemoryInput([]int64{0}, 1, 1),
-		Map: perRow(func(ctx *MapCtx, row []int64) error {
-			for _, k := range []string{"b|3", "a|2", "b|1", "a|1", "b|2"} {
-				if err := ctx.Emit([]byte(k), []byte(k)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}),
-		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
-			groups = append(groups, string(key))
-			var order []string
-			for {
-				p, ok, err := values.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					break
-				}
-				order = append(order, string(p.Key))
-			}
-			orders = append(orders, order)
-			return nil
-		},
-		Config: Config{
-			NumReducers: 1,
-			GroupBy:     func(k []byte) []byte { return k[:bytes.IndexByte(k, '|')] },
-			TempDir:     t.TempDir(),
-		},
-	}
-	if _, err := Run(job); err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 2 || groups[0] != "a" || groups[1] != "b" {
-		t.Fatalf("groups = %v", groups)
-	}
-	if strings.Join(orders[0], ",") != "a|1,a|2" {
-		t.Errorf("group a order = %v", orders[0])
-	}
-	if strings.Join(orders[1], ",") != "b|1,b|2,b|3" {
-		t.Errorf("group b order = %v", orders[1])
 	}
 }
 

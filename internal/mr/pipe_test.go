@@ -21,11 +21,12 @@ import (
 // Next latches ok=false after exhaustion, Close after exhaustion is a
 // no-op, and double Close is idempotent.
 func TestPipeStreamsMatchRun(t *testing.T) {
-	cfg := Config{NumReducers: 3, SortMemoryItems: 2, GroupBy: fullKey, TempDir: t.TempDir()}
+	cfg := Config{NumReducers: 3, SortMemoryItems: 2, TempDir: t.TempDir()}
 	res, err := Run(sumJob(3000, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSpilled(t, res.Stats)
 	want := make([]string, len(res.Output))
 	for i, p := range res.Output {
 		want[i] = string(p.Key) + "=" + string(p.Value)
@@ -94,7 +95,6 @@ func TestPipeCloseMidStreamReleasesSpillState(t *testing.T) {
 				NumReducers:     3,
 				newTransport:    func(n int) (transport.Transport, error) { return transport.NewChannel(n, 4) }, // senders sit on backpressure
 				SortMemoryItems: 2,                                                                              // spill every third pair
-				GroupBy:         fullKey,
 				TempDir:         dir,
 			}))
 			if err != nil {

@@ -283,11 +283,10 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	ex := cfg.Executor
 	defer tr.Close()
 
-	// Reducer collectors: drain the shuffle into per-reducer grouping
-	// collectors (hash table or external sorter, see Config.GroupBy)
-	// concurrently with the map phase. They are service tasks — dedicated
-	// goroutines outside the executor's worker budget — because a
-	// collector parked in the queue behind map tasks would deadlock the
+	// Reducer collectors: drain the shuffle into per-reducer hash
+	// collectors concurrently with the map phase. They are service tasks —
+	// dedicated goroutines outside the executor's worker budget — because
+	// a collector parked in the queue behind map tasks would deadlock the
 	// pool on transport backpressure.
 	reduceStats := make([]ReduceTaskStats, cfg.NumReducers)
 	collectors := make([]groupx.Collector, cfg.NumReducers)
@@ -311,12 +310,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	for r := 0; r < cfg.NumReducers; r++ {
 		r := r
 		reduceStats[r].Task = fmt.Sprintf("reduce-%d", r)
-		// job.Config, not cfg: withDefaults fills in the identity GroupBy.
-		if job.Config.GroupBy == nil {
-			collectors[r] = groupx.NewHashContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
-		} else {
-			collectors[r] = groupx.NewSortContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
-		}
+		collectors[r] = groupx.NewHashContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
 		collectGroup.GoService(fmt.Sprintf("mr: collect reduce-%d", r), func(tctx context.Context) error {
 			if err := drainShuffle(tctx, tr, r, collectors[r], &reduceStats[r], cancelJob); err != nil {
 				return err
@@ -453,6 +447,7 @@ func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll group
 		for _, p := range batch {
 			st.PairsIn++
 			st.BytesIn += p.Size()
+			st.ValueBytesIn += int64(len(p.Value))
 			if addErr != nil {
 				continue
 			}
@@ -523,9 +518,8 @@ func newMapPipeline(ctx context.Context, job Job, st *MapTaskStats, cfg Config, 
 func (p *mapPipeline) send(key, value []byte) error {
 	p.st.PairsOut++
 	p.st.BytesOut += int64(len(key) + len(value))
-	// Partition by the group identity, not the full key, so that a
-	// composite sort key never scatters one group across reducers.
-	return p.bw.Send(HashPartition(p.cfg.GroupBy(key), p.cfg.NumReducers), transport.Pair{Key: key, Value: value})
+	p.st.ValueBytesOut += int64(len(value))
+	return p.bw.Send(HashPartition(key, p.cfg.NumReducers), transport.Pair{Key: key, Value: value})
 }
 
 // fold folds (key, record) pairs into the task's combiner table (phase 1
@@ -649,8 +643,8 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Redu
 			return ctx.Err()
 		default:
 		}
-		groupBuf = append(groupBuf[:0], cfg.GroupBy(cur.Key)...)
-		*gi = GroupIter{it: it, groupBy: cfg.GroupBy, group: groupBuf, cur: cur, curValid: true}
+		groupBuf = append(groupBuf[:0], cur.Key...)
+		*gi = GroupIter{it: it, group: groupBuf, cur: cur, curValid: true}
 		if err := job.Reduce(rctx, groupBuf, gi); err != nil {
 			return err
 		}
@@ -667,24 +661,19 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Redu
 }
 
 // fillGroupStats maps a collector's counters onto the task's. Grouped
-// items land in SortItems on both paths — the cost model prices reducer
-// grouping uniformly (the paper's Hadoop always sorts), which keeps
-// simulated seconds comparable across modes; HashGroups/GroupSpills
-// record what the hash path actually did.
+// items land in SortItems — the cost model prices reducer grouping as
+// the sort the paper's Hadoop always does; HashGroups and SpillRuns
+// record what the hash collector actually did.
 func fillGroupStats(st *ReduceTaskStats, gs groupx.Stats) {
 	st.SortItems = gs.Items
 	st.SpillBytes = gs.SpilledBytes
 	st.SpillRuns = int64(gs.Runs)
 	st.HashGroups = gs.Groups
-	st.GroupSpills = gs.Spills
 }
 
-// GroupIter yields the pairs of one group. On the sorted path pairs
-// arrive in full-shuffle-key order; on the hash path in arrival order
-// (grouping only — see Config.GroupBy).
+// GroupIter yields the pairs of one group in arrival order.
 type GroupIter struct {
 	it       groupx.Iterator
-	groupBy  func([]byte) []byte
 	group    []byte
 	cur      transport.Pair
 	curValid bool
@@ -712,7 +701,7 @@ func (g *GroupIter) Next() (transport.Pair, bool, error) {
 		}
 		g.cur, g.curValid = p, true
 	}
-	if !bytes.Equal(g.groupBy(g.cur.Key), g.group) {
+	if !bytes.Equal(g.cur.Key, g.group) {
 		g.done = true // cur is the first pair of the next group; keep it
 		return transport.Pair{}, false, nil
 	}

@@ -46,7 +46,9 @@ import (
 )
 
 // maxCQLBytes bounds a request body — CQL queries are small; anything
-// larger is a client error, not a query.
+// larger is a client error, not a query. Such a body is refused whole
+// (http.MaxBytesReader, 413), never cut short: a query cut at the limit
+// may still parse, as a different query.
 const maxCQLBytes = 1 << 20
 
 // streamFlushRows is how many NDJSON rows accumulate between explicit
@@ -127,9 +129,16 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// failParse answers a request the server cannot read: 413 for a body past
+// maxCQLBytes, 400 for anything else.
 func (s *Server) failParse(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusBadRequest)
+	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
@@ -209,7 +218,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	src, err := io.ReadAll(io.LimitReader(r.Body, maxCQLBytes))
+	src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCQLBytes))
 	if err != nil {
 		s.failParse(w, fmt.Errorf("serve: reading body: %w", err))
 		return
@@ -413,8 +422,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCQLBytes))
+	if err != nil {
+		s.failParse(w, fmt.Errorf("serve: reading body: %w", err))
+		return
+	}
 	var req batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxCQLBytes)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		s.failParse(w, fmt.Errorf("serve: bad batch body: %w", err))
 		return
 	}

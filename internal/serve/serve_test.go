@@ -365,3 +365,53 @@ func TestStalledClientIsDisconnected(t *testing.T) {
 		t.Fatalf("disconnected after %v: before the header timeout could have fired", held)
 	}
 }
+
+// TestOversizedBodyRefused: a body past maxCQLBytes is answered 413 with
+// the error JSON on every route that reads one — never cut at the limit
+// and answered as the shorter query it then reads as. A body of exactly
+// maxCQLBytes is still a query.
+func TestOversizedBodyRefused(t *testing.T) {
+	ts, _ := newTestServer(t, core.ServiceConfig{})
+	const more = "MEASURE more = COUNT(*) AT (a1:value, t1:day);"
+	padTo := func(n int, head, tail string) string {
+		return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+	}
+	batchOf := func(n int) string {
+		head, tail := `{"queries":["`+q1CQL, `"]}`
+		return padTo(n, head, tail)
+	}
+	for _, tc := range []struct {
+		name, route, body string
+		status            int
+	}{
+		{"query", "/query?dataset=events", padTo(maxCQLBytes+1, q1CQL, ""), http.StatusRequestEntityTooLarge},
+		{"query dropping a measure", "/query?dataset=events", q1CQL + strings.Repeat(" ", maxCQLBytes) + more, http.StatusRequestEntityTooLarge},
+		{"stream", "/query?dataset=events&stream=1", padTo(maxCQLBytes+1, q1CQL, ""), http.StatusRequestEntityTooLarge},
+		{"batch", "/batch?dataset=events", batchOf(maxCQLBytes + 1), http.StatusRequestEntityTooLarge},
+		{"query at the limit", "/query?dataset=events&limit=1", padTo(maxCQLBytes, q1CQL, more), http.StatusOK},
+		{"batch at the limit", "/batch?dataset=events", batchOf(maxCQLBytes), http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.status == http.StatusOK && len(tc.body) != maxCQLBytes {
+				t.Fatalf("body of %d bytes", len(tc.body))
+			}
+			resp, body := postCQL(t, ts.URL+tc.route, tc.body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d: %.200s", resp.StatusCode, tc.status, body)
+			}
+			var out struct {
+				Error    string                     `json:"error"`
+				Measures map[string]json.RawMessage `json:"measures"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil {
+				t.Fatalf("%v: %.200s", err, body)
+			}
+			switch {
+			case tc.status != http.StatusOK && out.Error == "":
+				t.Errorf("no error in %.200s", body)
+			case tc.name == "query at the limit" && (out.Measures["hits"] == nil || out.Measures["more"] == nil):
+				t.Errorf("want measures hits and more: %.200s", body)
+			}
+		})
+	}
+}
