@@ -10,8 +10,8 @@ import (
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// testCodec serializes pairs for the spill fallback (the same framing the
-// mr substrate uses).
+// testCodec serializes pairs for the sort collector's runs: uvarint key
+// length, key, value. NewHash takes one and ignores it.
 type testCodec struct{}
 
 func (testCodec) EncodeTo(dst []byte, p transport.Pair) ([]byte, error) {
@@ -143,14 +143,14 @@ func TestHashGroupsContiguousArrivalOrder(t *testing.T) {
 	if st.Groups != int64(len(seen)) {
 		t.Errorf("Stats.Groups = %d, want %d", st.Groups, len(seen))
 	}
-	if st.Spills != 0 || st.Runs != 0 {
+	if st.Runs != 0 || st.SpilledBytes != 0 {
 		t.Errorf("unbounded collector spilled: %+v", st)
 	}
 }
 
-// TestHashSpillAccounting pins the stats of the degraded mode: overflow
-// flushes count as Spills, the final residue flush does not, and run/byte
-// counters surface from the fallback sorter.
+// TestHashSpillAccounting pins the stats of the degraded mode: each
+// overflow flush is one run, the residue stays in memory and is not one,
+// and SpilledBytes is the two runs' frames — a key once per group.
 func TestHashSpillAccounting(t *testing.T) {
 	c := NewHash(testCodec{}, t.TempDir(), 4)
 	for i := 0; i < 10; i++ { // 10 pairs, budget 4: two overflow flushes + residue
@@ -167,10 +167,57 @@ func TestHashSpillAccounting(t *testing.T) {
 	if st.Items != 10 {
 		t.Errorf("Items = %d, want 10", st.Items)
 	}
-	if st.Spills != 2 {
-		t.Errorf("Spills = %d, want 2 (residue flush must not count)", st.Spills)
+	if st.Runs != 2 {
+		t.Errorf("Runs = %d, want 2 (the residue must not be a run)", st.Runs)
 	}
-	if st.Runs == 0 || st.SpilledBytes == 0 {
-		t.Errorf("spill run accounting missing: %+v", st)
+	// Run 1 holds k0 {0,3} k1 {1} k2 {2}, run 2 k0 {6} k1 {4,7} k2 {5}:
+	// six frames of 1+2+1 header bytes, eight values of 1+1.
+	if want := int64(6*4 + 8*2); st.SpilledBytes != want {
+		t.Errorf("SpilledBytes = %d, want %d", st.SpilledBytes, want)
+	}
+}
+
+// TestSpilledStreamMatchesUnbounded: a spilling collector yields exactly
+// what an unbounded one does — groups ascending, each group's pairs in
+// arrival order — byte for byte, for both collectors, whether a run holds
+// one pair or a thousand and whether the groups are one, few or many.
+func TestSpilledStreamMatchesUnbounded(t *testing.T) {
+	collectors := map[string]func(dir string, mem int) Collector{
+		"hash": func(dir string, mem int) Collector { return NewHash(testCodec{}, dir, mem) },
+		"sort": func(dir string, mem int) Collector { return NewSort(testCodec{}, dir, mem) },
+	}
+	for name, newColl := range collectors {
+		for _, nKeys := range []int{1, 13, 400} {
+			pairs := randomPairs(rand.New(rand.NewSource(int64(nKeys))), 5000, nKeys)
+			unbounded := newColl(t.TempDir(), 0)
+			for _, p := range pairs {
+				if err := unbounded.Add(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := drain(t, unbounded)
+			for _, mem := range []int{1, 2, 291, 1000} {
+				c := newColl(t.TempDir(), mem)
+				for _, p := range pairs {
+					if err := c.Add(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := drain(t, c)
+				if c.Stats().Runs == 0 {
+					t.Fatalf("%s keys=%d mem=%d: never spilled", name, nKeys, mem)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s keys=%d mem=%d: %d pairs, unbounded %d", name, nKeys, mem, len(got), len(want))
+				}
+				for i := range got {
+					if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
+						t.Errorf("%s keys=%d mem=%d: pair %d is (%q,%x), unbounded (%q,%x)",
+							name, nKeys, mem, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
+						break
+					}
+				}
+			}
+		}
 	}
 }

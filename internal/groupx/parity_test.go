@@ -2,8 +2,9 @@ package groupx
 
 import (
 	"bytes"
-	"context"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -11,23 +12,22 @@ import (
 	"testing"
 	"unsafe"
 
-	"github.com/casm-project/casm/internal/sortx"
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// refHashCollector is the hash collector as it was before it kept one flat
-// pair buffer: a group → []Pair table rebuilt after every flush, flushed
-// through Sorter.Add. It is the reference the collector is held to — same
-// stream, same counters, same spilled bytes.
+// refHashCollector is a model of the hash collector: a group → []Pair
+// table, flushed past the budget into runs held as frames (refRun), and
+// the whole stream kept unbounded beside them. It is the reference the
+// collector is held to — the unbounded stream, the same Stats, and the
+// same bytes in the same runs, the fan-in passes' counted in SpilledBytes.
 type refHashCollector struct {
-	codec    sortx.Codec[transport.Pair]
-	dir      string
 	memItems int
 
 	groups   map[string]*refHashGroup
+	all      map[string]*refHashGroup // every pair, never flushed
 	buffered int
+	runs     []refRun
 	stats    Stats
-	sorter   *sortx.Sorter[transport.Pair]
 }
 
 type refHashGroup struct {
@@ -35,79 +35,67 @@ type refHashGroup struct {
 	pairs []transport.Pair
 }
 
+func newRefHash(memItems int) *refHashCollector {
+	return &refHashCollector{memItems: memItems, groups: map[string]*refHashGroup{}, all: map[string]*refHashGroup{}}
+}
+
 func (c *refHashCollector) Add(p transport.Pair) error {
-	g, ok := c.groups[string(p.Key)]
-	if !ok {
-		g = &refHashGroup{key: p.Key}
-		c.groups[string(p.Key)] = g
+	for _, groups := range []map[string]*refHashGroup{c.groups, c.all} {
+		g, ok := groups[string(p.Key)]
+		if !ok {
+			g = &refHashGroup{key: p.Key}
+			groups[string(p.Key)] = g
+		}
+		g.pairs = append(g.pairs, p)
+	}
+	if len(c.groups[string(p.Key)].pairs) == 1 {
 		c.stats.Groups++
 	}
-	g.pairs = append(g.pairs, p)
 	c.buffered++
 	c.stats.Items++
 	if c.memItems > 0 && c.buffered >= c.memItems {
-		return c.flush()
+		c.flush()
 	}
 	return nil
 }
 
-func (c *refHashCollector) sortedGroups() []*refHashGroup {
-	gs := make([]*refHashGroup, 0, len(c.groups))
-	for _, g := range c.groups {
+func sortedGroups(groups map[string]*refHashGroup) []*refHashGroup {
+	gs := make([]*refHashGroup, 0, len(groups))
+	for _, g := range groups {
 		gs = append(gs, g)
 	}
 	slices.SortFunc(gs, func(a, b *refHashGroup) int { return bytes.Compare(a.key, b.key) })
 	return gs
 }
 
-func (c *refHashCollector) flush() error {
-	if c.sorter == nil {
-		c.sorter = sortx.NewContext(context.Background(), PairKeyCompare, c.codec, c.dir, c.memItems)
-	}
-	for _, g := range c.sortedGroups() {
+func (c *refHashCollector) flush() {
+	var run refRun
+	for _, g := range sortedGroups(c.groups) {
+		f := refFrame{key: g.key}
 		for _, p := range g.pairs {
-			if err := c.sorter.Add(p); err != nil {
-				return err
-			}
+			f.values = append(f.values, p.Value)
 		}
+		run = append(run, f)
 	}
-	c.stats.Spills++
-	c.groups = make(map[string]*refHashGroup, len(c.groups))
+	c.runs = append(c.runs, run)
+	c.stats.Runs++
+	c.stats.SpilledBytes += int64(len(run.bytes()))
+	c.groups = map[string]*refHashGroup{}
 	c.buffered = 0
-	return nil
 }
 
 func (c *refHashCollector) Iterate() (Iterator, error) {
-	if c.sorter != nil {
-		if c.buffered > 0 {
-			if err := c.flush(); err != nil {
-				return nil, err
-			}
-			c.stats.Spills--
-		}
-		return c.sorter.Iterate()
-	}
+	c.stats.SpilledBytes += refFanInBytes(c.runs)
 	var out []transport.Pair
-	for _, g := range c.sortedGroups() {
+	for _, g := range sortedGroups(c.all) {
 		out = append(out, g.pairs...)
 	}
 	return &refIterator{out}, nil
 }
 
-func (c *refHashCollector) Close() {
-	if c.sorter != nil {
-		c.sorter.Close()
-	}
-}
+func (c *refHashCollector) Close() {}
 
-func (c *refHashCollector) Stats() Stats {
-	st := c.stats
-	if c.sorter != nil {
-		ss := c.sorter.Stats()
-		st.Runs, st.SpilledBytes = ss.Runs, ss.SpilledBytes
-	}
-	return st
-}
+func (c *refHashCollector) Stats() Stats { return c.stats }
 
 type refIterator struct{ pairs []transport.Pair }
 
@@ -120,36 +108,104 @@ func (it *refIterator) Next() (p transport.Pair, ok bool, err error) {
 }
 func (it *refIterator) Close() {}
 
-// spillLog is a codec that also records every byte it is asked to spill,
-// in order: two collectors whose logs, run counts and spilled-byte counts
-// agree wrote the same run files.
-type spillLog struct {
-	testCodec
-	log *[]byte
+// refRun is a group-framed run as the model holds it: frames by ascending
+// key, each with its values in order.
+type refRun []refFrame
+
+type refFrame struct {
+	key    []byte
+	values [][]byte
 }
 
-func (c spillLog) EncodeTo(dst []byte, p transport.Pair) ([]byte, error) {
-	dst, err := c.testCodec.EncodeTo(dst, p)
-	*c.log = append(*c.log, dst...)
-	return dst, err
+// bytes encodes the run: uvarint(len key) key uvarint(n), then n ×
+// (uvarint(len v) v), per frame.
+func (r refRun) bytes() []byte {
+	var b []byte
+	for _, f := range r {
+		b = binary.AppendUvarint(b, uint64(len(f.key)))
+		b = append(b, f.key...)
+		b = binary.AppendUvarint(b, uint64(len(f.values)))
+		for _, v := range f.values {
+			b = binary.AppendUvarint(b, uint64(len(v)))
+			b = append(b, v...)
+		}
+	}
+	return b
 }
 
-// TestHashCollectorMatchesReference holds the collector to the
-// implementation it replaced on random arrival sequences — few keys and
-// many, budgets from "flush every other pair" to "never": the same pairs
-// in the same order, the same Stats, the same bytes spilled in the same
-// order into the same number of runs; and MaxGroup, which the reference
-// never knew, is the largest group's size. Collectors run side by side on
-// four goroutines (run with -race -count=10): they share nothing.
+// refMerge merges runs, oldest first, into one: a frame per key holding
+// its values from every run in run order.
+func refMerge(runs []refRun) refRun {
+	byKey := map[string]int{}
+	var out refRun
+	for _, r := range runs {
+		for _, f := range r {
+			i, ok := byKey[string(f.key)]
+			if !ok {
+				i = len(out)
+				out = append(out, refFrame{key: f.key})
+				byKey[string(f.key)] = i
+			}
+			out[i].values = append(out[i].values, f.values...)
+		}
+	}
+	slices.SortFunc(out, func(a, b refFrame) int { return bytes.Compare(a.key, b.key) })
+	return out
+}
+
+// refFanInBytes applies the fan-in bound to runs — while more than fanIn
+// remain, merge the oldest fanIn at a time into one in their place, until
+// the count fits — and returns the bytes the merged runs take.
+func refFanInBytes(runs []refRun) int64 {
+	var written int64
+	for len(runs) > fanIn {
+		var next []refRun
+		for i := 0; i < len(runs); {
+			if len(next)+len(runs)-i <= fanIn {
+				next = append(next, runs[i:]...)
+				break
+			}
+			end := min(i+fanIn, len(runs))
+			merged := refMerge(runs[i:end])
+			written += int64(len(merged.bytes()))
+			next = append(next, merged)
+			i = end
+		}
+		runs = next
+	}
+	return written
+}
+
+// runFileBytes reads back every run a hash collector has spilled, in order.
+func runFileBytes(t testing.TB, coll Collector) [][]byte {
+	t.Helper()
+	c := coll.(*hashCollector)
+	var out [][]byte
+	for _, r := range c.runs {
+		data, err := io.ReadAll(io.NewSectionReader(c.file, r.offset, r.length))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+// TestHashCollectorMatchesReference holds the collector to its model on
+// random arrival sequences — few keys and many, budgets from "flush every
+// other pair" (past the fan-in, so merge passes run) to "never": the
+// unbounded stream, pair for pair; the same Stats, SpilledBytes counting
+// every run and merge pass the frame format implies; the same bytes in
+// the same runs; and MaxGroup, which the model does not track, is the
+// largest group's size. Collectors run side by side on four goroutines
+// (run with -race -count=10): they share nothing.
 func TestHashCollectorMatchesReference(t *testing.T) {
 	type tc struct{ n, nKeys, mem int }
 	var cases []tc
 	for _, n := range []int{0, 1, 70, 600, 5000} {
 		for _, nKeys := range []int{1, 13, 400} {
 			for _, mem := range []int{0, 2, 7, 291, 292, 293, 1000} {
-				if mem == 0 || n/mem <= 300 { // a run is a temp file
-					cases = append(cases, tc{n, nKeys, mem})
-				}
+				cases = append(cases, tc{n, nKeys, mem})
 			}
 		}
 	}
@@ -161,9 +217,8 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 			for i := w; i < len(cases); i += 4 {
 				c := cases[i]
 				pairs := randomPairs(rand.New(rand.NewSource(int64(i))), c.n, c.nKeys)
-				var gotLog, wantLog []byte
-				got := NewHash(spillLog{log: &gotLog}, t.TempDir(), c.mem)
-				want := &refHashCollector{codec: spillLog{log: &wantLog}, dir: t.TempDir(), memItems: c.mem, groups: map[string]*refHashGroup{}}
+				got := NewHash(testCodec{}, t.TempDir(), c.mem)
+				want := newRefHash(c.mem)
 				sizes := map[string]int64{}
 				for _, p := range pairs {
 					if err := got.Add(p); err != nil {
@@ -177,6 +232,17 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 					sizes[string(p.Key)]++
 				}
 				label := fmt.Sprintf("n=%d keys=%d mem=%d", c.n, c.nKeys, c.mem)
+				gotRuns := runFileBytes(t, got)
+				if len(gotRuns) != len(want.runs) {
+					t.Errorf("%s: %d runs, the model %d", label, len(gotRuns), len(want.runs))
+				} else {
+					for r := range gotRuns {
+						if !bytes.Equal(gotRuns[r], want.runs[r].bytes()) {
+							t.Errorf("%s: run %d differs from the model's frames", label, r)
+							break
+						}
+					}
+				}
 				gotPairs, err := drainErr(got)
 				if err != nil {
 					t.Error(err)
@@ -190,7 +256,7 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 				if !slices.EqualFunc(gotPairs, wantPairs, func(a, b transport.Pair) bool {
 					return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value)
 				}) {
-					t.Errorf("%s: iteration order differs from the reference", label)
+					t.Errorf("%s: iteration differs from the unbounded stream", label)
 				}
 				gs, ws := got.Stats(), want.Stats()
 				var maxGroup int64
@@ -202,16 +268,12 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 				}
 				gs.MaxGroup = 0
 				if gs != ws {
-					t.Errorf("%s: stats %+v, reference %+v", label, gs, ws)
-				}
-				if !bytes.Equal(gotLog, wantLog) {
-					t.Errorf("%s: spilled bytes differ from the reference (%d vs %d)", label, len(gotLog), len(wantLog))
+					t.Errorf("%s: stats %+v, model %+v", label, gs, ws)
 				}
 				if c.mem > 0 && c.n >= c.mem && gs.Runs == 0 {
 					t.Errorf("%s: never spilled", label)
 				}
 				got.Close()
-				want.Close()
 			}
 		}(w)
 	}
@@ -221,7 +283,7 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 // TestHashCollectorAllocatesWhatItHolds is the collector's allocation
 // ceiling: a buffered pair costs its own bytes plus its four-byte link,
 // once — at most 1.25× that, counting the group table, chunk rounding and
-// the spill fallback — whether the collector holds everything or flushes
+// the run writer — whether the collector holds everything or flushes
 // every 4096 pairs, and iterating what it holds allocates next to nothing:
 // the pairs are walked where they lie, never copied into an ordered slice.
 func TestHashCollectorAllocatesWhatItHolds(t *testing.T) {
@@ -251,8 +313,8 @@ func TestHashCollectorAllocatesWhatItHolds(t *testing.T) {
 		}
 		t.Logf("mem=%d: adding %d pairs allocated %.0f bytes, %.1f per held pair", mem, n, add, add/float64(held))
 		if ceiling := 1.25*perPair*float64(held) + 256<<10; add > ceiling {
-			// 256 KiB: the spill fallback's run writer, encode scratch and
-			// descriptors, and the group table of 500 keys.
+			// 256 KiB: the run writer and descriptor, and the group table
+			// of 500 keys.
 			t.Errorf("mem=%d: adding %d pairs allocated %.0f bytes, ceiling %.0f (%.1f per held pair, want ≤ %.1f)",
 				mem, n, add, ceiling, add/float64(held), 1.25*perPair)
 		}

@@ -3,7 +3,6 @@ package mr
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -310,7 +309,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	for r := 0; r < cfg.NumReducers; r++ {
 		r := r
 		reduceStats[r].Task = fmt.Sprintf("reduce-%d", r)
-		collectors[r] = groupx.NewHashContext(jobCtx, pairCodec{}, cfg.TempDir, cfg.SortMemoryItems)
+		collectors[r] = groupx.NewHashContext(jobCtx, cfg.TempDir, cfg.SortMemoryItems)
 		collectGroup.GoService(fmt.Sprintf("mr: collect reduce-%d", r), func(tctx context.Context) error {
 			if err := drainShuffle(tctx, tr, r, collectors[r], &reduceStats[r], cancelJob); err != nil {
 				return err
@@ -623,13 +622,14 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Redu
 	}
 	// groupBuf holds the current group's identity, copied out of the
 	// first pair's key. The copy is mandatory: a spilled pair's key
-	// aliases the sorter's reused run-read buffer, which advancing the
-	// iterator within the group overwrites — an aliasing group slice
-	// would corrupt the boundary comparison mid-group.
+	// aliases its run cursor's key buffer, which the iterator overwrites
+	// with the next frame's key as it moves past the group's last pair —
+	// an aliasing group slice would hold the next group's key when the
+	// boundary comparison reads it.
 	//
-	// Per-pair cancellation rides on it.Next (the collector's sorter
-	// polls the same context in its merge loop); the per-group poll here
-	// covers the hash path's in-memory drain, which bypasses the sorter.
+	// Per-pair cancellation rides on it.Next (the collector polls the
+	// same context in its merge loop); the per-group poll here covers the
+	// in-memory iteration, which does not poll.
 	done := ctx.Done()
 	var groupBuf []byte
 	cur, ok, err := it.Next()
@@ -673,8 +673,12 @@ func fillGroupStats(st *ReduceTaskStats, gs groupx.Stats) {
 
 // GroupIter yields the pairs of one group in arrival order.
 type GroupIter struct {
-	it       groupx.Iterator
-	group    []byte
+	it    groupx.Iterator
+	group []byte
+	// cur, while curValid, is the group's first pair before the group is
+	// read, and the next group's first after it ends. Only those two are
+	// stored: the pairs between pass straight through Next, which keeps
+	// pointer writes (and GC write barriers) off the per-pair path.
 	cur      transport.Pair
 	curValid bool
 	done     bool
@@ -683,30 +687,29 @@ type GroupIter struct {
 // Next returns the next pair of the group; ok=false at the group's end.
 //
 // Ownership: the pair's Key and Value are only guaranteed valid until
-// the following Next call (spilled pairs alias the sorter's reused read
+// the following Next call (spilled pairs alias the collector's reused read
 // buffers). Reduce functions that retain either across Next must copy
 // it.
 func (g *GroupIter) Next() (transport.Pair, bool, error) {
 	if g.done {
 		return transport.Pair{}, false, nil
 	}
-	if !g.curValid {
-		p, ok, err := g.it.Next()
-		if err != nil {
-			return transport.Pair{}, false, err
-		}
-		if !ok {
-			g.done = true
-			return transport.Pair{}, false, nil
-		}
-		g.cur, g.curValid = p, true
+	if g.curValid {
+		g.curValid = false
+		return g.cur, true, nil
 	}
-	if !bytes.Equal(g.cur.Key, g.group) {
-		g.done = true // cur is the first pair of the next group; keep it
+	p, ok, err := g.it.Next()
+	if err != nil {
+		return transport.Pair{}, false, err
+	}
+	if !ok {
+		g.done = true
 		return transport.Pair{}, false, nil
 	}
-	p := g.cur
-	g.curValid = false
+	if !bytes.Equal(p.Key, g.group) {
+		g.cur, g.curValid, g.done = p, true, true // the next group's first pair; keep it
+		return transport.Pair{}, false, nil
+	}
 	return p, true, nil
 }
 
@@ -723,28 +726,4 @@ func (g *GroupIter) Drain() error {
 			return nil
 		}
 	}
-}
-
-// pairCodec serializes shuffle pairs for the reducer's external sort.
-type pairCodec struct{}
-
-func (pairCodec) EncodeTo(dst []byte, p transport.Pair) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(p.Key)))
-	dst = append(dst, p.Key...)
-	return append(dst, p.Value...), nil
-}
-
-// Decode parses a spilled pair. Key and Value both alias b, per the
-// sortx.Codec contract: they are valid until the next item is read from
-// the same run, which GroupIter.Next surfaces to reduce functions. No
-// string materializes anywhere on the spill path.
-func (pairCodec) Decode(b []byte) (transport.Pair, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || uint64(len(b)-k) < n {
-		return transport.Pair{}, fmt.Errorf("mr: corrupt spilled pair")
-	}
-	return transport.Pair{
-		Key:   b[k : k+int(n) : k+int(n)],
-		Value: b[k+int(n):],
-	}, nil
 }

@@ -1,9 +1,8 @@
 package sortx
 
 import (
-	"context"
-	"errors"
 	"fmt"
+	"runtime"
 	"syscall"
 	"testing"
 )
@@ -19,60 +18,6 @@ func (intCodec) Decode(b []byte) (int, error) {
 	var v int
 	_, err := fmt.Sscanf(string(b), "%d", &v)
 	return v, err
-}
-
-// TestSpillAbortsOnCancel cancels before a spill and verifies Add
-// surfaces ctx.Err() instead of writing the run.
-func TestSpillAbortsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := NewContext(ctx, intCmp, intCodec{}, t.TempDir(), 4)
-	for i := 0; i < 3; i++ {
-		if err := s.Add(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cancel()
-	// The 4th Add triggers the spill, which must abort.
-	err := s.Add(3)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled from the spill path, got %v", err)
-	}
-	if s.Stats().Runs != 0 {
-		t.Fatalf("cancelled spill still wrote %d runs", s.Stats().Runs)
-	}
-	s.Close()
-}
-
-// TestMergeAbortsOnCancel cancels mid-merge and verifies the iterator
-// surfaces ctx.Err() within one check interval.
-func TestMergeAbortsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	s := NewContext(ctx, intCmp, intCodec{}, t.TempDir(), 8)
-	const n = 10 * cancelCheckInterval
-	for i := 0; i < n; i++ {
-		if err := s.Add(i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, err := s.Iterate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	cancel()
-	sawCancel := false
-	for i := 0; i < 2*cancelCheckInterval; i++ {
-		if _, _, err := it.Next(); err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("want context.Canceled, got %v", err)
-			}
-			sawCancel = true
-			break
-		}
-	}
-	if !sawCancel {
-		t.Fatal("merge kept going past a full check interval after cancel")
-	}
 }
 
 // TestCloseWithoutIterate releases spill runs on the teardown path.
@@ -142,5 +87,33 @@ func TestSpillHoldsOneDescriptor(t *testing.T) {
 		if got != want {
 			t.Fatalf("item %d is %d", want, got)
 		}
+	}
+}
+
+// TestSpillReusesRunWriter: the 64 KiB run writer belongs to the sorter,
+// not to the run — forty more runs cost a span each in the sorter's one
+// run file, nowhere near a buffer apiece.
+func TestSpillReusesRunWriter(t *testing.T) {
+	spillRuns := func(runs int) uint64 {
+		s := New(cmpInt64, int64Codec{}, t.TempDir(), 4)
+		defer s.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 4*runs; i++ {
+			if err := s.Add(int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if s.Stats().Runs != runs {
+			t.Fatalf("%d runs, want %d", s.Stats().Runs, runs)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	spillRuns(1) // warm up
+	perRun := float64(spillRuns(50)-spillRuns(10)) / 40
+	t.Logf("%.0f bytes allocated per additional run", perRun)
+	if perRun > 4096 {
+		t.Errorf("each additional run allocated %.0f bytes, want well under a 64 KiB writer", perRun)
 	}
 }

@@ -1,9 +1,11 @@
-// Package sortx provides an external merge sort: items are buffered in
-// memory up to a budget, spilled as sorted runs appended to one file per
-// sorter, and merged with a k-way heap. The MapReduce reducers use it to
-// group shuffled key/value pairs ("reducers collect pairs and use external
-// sorting to group pairs with the same key value"), and its spill counters
-// feed the cost model's out-of-core sorting term.
+// Package sortx provides a stable external merge sort: items are buffered
+// in memory up to a budget, spilled as sorted runs appended to one file
+// per sorter, and merged with a k-way heap that breaks ties by run, oldest
+// first, the in-memory remainder last — so items that compare equal come
+// back in the order they were added. groupx's sort collector, the
+// reference its hash collector is held to, groups shuffled pairs with it
+// ("reducers collect pairs and use external sorting to group pairs with
+// the same key value"). Radix sorts integer keys in memory.
 //
 // The spill and merge paths are allocation-lean: run generation encodes
 // every item into one reused scratch buffer (the append-style EncodeTo),
@@ -15,7 +17,6 @@ package sortx
 import (
 	"bufio"
 	"container/heap"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -51,13 +52,6 @@ type Sorter[T any] struct {
 	dir       string
 	memBudget int
 
-	// Cancellation state (NewContext): cancel is the cached Done channel
-	// — polling a cached closed-channel select is lock-free, unlike
-	// ctx.Err(), which takes the context's mutex and would contend when
-	// many reduce tasks share one job context.
-	ctx    context.Context
-	cancel <-chan struct{}
-
 	buf     []T
 	scratch []byte        // reused per-item encode buffer for spills
 	file    *os.File      // the sorter's one unlinked run file, made on the first spill
@@ -76,36 +70,6 @@ type span struct{ offset, length int64 }
 // memBudget < 1 keeps everything in memory.
 func New[T any](cmp func(a, b T) int, codec Codec[T], dir string, memBudget int) *Sorter[T] {
 	return &Sorter[T]{cmp: cmp, codec: codec, dir: dir, memBudget: memBudget}
-}
-
-// NewContext is New with a cancellation context: the spill and merge
-// loops poll ctx and abort with ctx.Err() once it is cancelled, so a
-// cancelled job never finishes writing or merging multi-megabyte runs it
-// is about to throw away.
-func NewContext[T any](ctx context.Context, cmp func(a, b T) int, codec Codec[T], dir string, memBudget int) *Sorter[T] {
-	s := New(cmp, codec, dir, memBudget)
-	if ctx != nil {
-		s.ctx = ctx
-		s.cancel = ctx.Done()
-	}
-	return s
-}
-
-// canceled reports the context's error once it is cancelled (nil for
-// sorters built without a context). The poll interval below bounds how
-// much spill/merge work happens between checks.
-const cancelCheckInterval = 1024
-
-func (s *Sorter[T]) canceled() error {
-	if s.cancel == nil {
-		return nil
-	}
-	select {
-	case <-s.cancel:
-		return s.ctx.Err()
-	default:
-		return nil
-	}
 }
 
 // Stats returns the sorter's counters.
@@ -128,54 +92,21 @@ func (s *Sorter[T]) spill() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	if err := s.canceled(); err != nil {
-		return err
-	}
 	slices.SortStableFunc(s.buf, s.cmp)
-	if _, err := s.writeRun(sliceSource(s.buf)); err != nil {
+	if err := s.writeRun(s.buf); err != nil {
 		return err
 	}
 	s.buf = s.buf[:0]
 	return nil
 }
 
-// sliceSource yields items in order: the pull form SpillSorted and
-// IterateSorted take.
-func sliceSource[T any](items []T) func() (T, bool) {
-	i := 0
-	return func() (item T, ok bool) {
-		if i >= len(items) {
-			return item, false
-		}
-		i++
-		return items[i-1], true
-	}
-}
-
-// SpillSorted writes the items next yields as one run. They must already
-// be in cmp order: the run, and every counter, is what Add-ing them to an
-// empty buffer and spilling it would have produced, without the buffer and
-// without the sort.
-func (s *Sorter[T]) SpillSorted(next func() (T, bool)) error {
-	if s.done {
-		return fmt.Errorf("sortx: SpillSorted after Iterate")
-	}
-	if err := s.canceled(); err != nil {
-		return err
-	}
-	n, err := s.writeRun(next)
-	s.stats.Items += n
-	return err
-}
-
-// writeRun appends the sorted items next yields to the run file as one
-// run and returns how many there were (0 with an error: the run does not
-// count).
-func (s *Sorter[T]) writeRun(next func() (T, bool)) (int64, error) {
+// writeRun appends the sorted items to the run file as one run (with an
+// error the run does not count).
+func (s *Sorter[T]) writeRun(items []T) error {
 	if s.file == nil {
 		f, err := os.CreateTemp(s.dir, "sortx-run-*.bin")
 		if err != nil {
-			return 0, fmt.Errorf("sortx: create run file: %w", err)
+			return fmt.Errorf("sortx: create run file: %w", err)
 		}
 		// The file is unlinked immediately so runs never outlive the
 		// process even on a crash; its disk space is reclaimed when the
@@ -188,21 +119,15 @@ func (s *Sorter[T]) writeRun(next func() (T, bool)) (int64, error) {
 	// run starts, past whatever bytes a failed run left behind.
 	offset, err := s.file.Seek(0, io.SeekCurrent)
 	if err != nil {
-		return 0, fmt.Errorf("sortx: write run: %w", err)
+		return fmt.Errorf("sortx: write run: %w", err)
 	}
-	fail := func(err error) (int64, error) {
+	fail := func(err error) error {
 		s.w.Reset(s.file)
-		return 0, err
+		return err
 	}
 	var lenBuf [binary.MaxVarintLen64]byte
-	var items, length int64
-	for it, ok := next(); ok; it, ok = next() {
-		if items%cancelCheckInterval == 0 && items > 0 {
-			if err := s.canceled(); err != nil {
-				return fail(err)
-			}
-		}
-		items++
+	var length int64
+	for _, it := range items {
 		data, err := s.codec.EncodeTo(s.scratch[:0], it)
 		if err != nil {
 			return fail(fmt.Errorf("sortx: encode: %w", err))
@@ -217,10 +142,10 @@ func (s *Sorter[T]) writeRun(next func() (T, bool)) (int64, error) {
 		return fail(fmt.Errorf("sortx: write run: %w", err))
 	}
 	s.stats.Runs++
-	s.stats.SpilledItems += items
+	s.stats.SpilledItems += int64(len(items))
 	s.stats.SpilledBytes += length
 	s.runs = append(s.runs, span{offset, length})
-	return items, nil
+	return nil
 }
 
 // Iterator yields sorted items. Close releases the run file; it is safe to
@@ -249,51 +174,39 @@ func (it *Iterator[T]) Close() {
 // Iterate finalizes the sorter and returns an iterator over all items in
 // sorted order. The sorter cannot be reused afterwards.
 func (s *Sorter[T]) Iterate() (*Iterator[T], error) {
-	if !s.done && s.canceled() == nil { // merge refuses the others
-		slices.SortStableFunc(s.buf, s.cmp)
-	}
-	return s.merge(sliceSource(s.buf))
-}
-
-// IterateSorted is Iterate for a sorter fed through SpillSorted: the n
-// items residue yields — already in cmp order — are the in-memory
-// remainder Iterate would have found in the buffer, merged with the runs
-// from where they are rather than spilled as one more.
-func (s *Sorter[T]) IterateSorted(n int, residue func() (T, bool)) (*Iterator[T], error) {
-	it, err := s.merge(residue)
-	if err == nil {
-		s.stats.Items += int64(n)
-	}
-	return it, err
-}
-
-// merge finalizes the sorter over its runs plus one sorted in-memory
-// source.
-func (s *Sorter[T]) merge(mem func() (T, bool)) (*Iterator[T], error) {
 	if s.done {
 		return nil, fmt.Errorf("sortx: Iterate called twice")
 	}
 	s.done = true
-	if err := s.canceled(); err != nil {
-		s.closeRuns()
-		return nil, err
-	}
+	slices.SortStableFunc(s.buf, s.cmp)
+	return s.merge()
+}
+
+// merge returns the iteration over the spilled runs and the sorted
+// in-memory remainder, that last.
+func (s *Sorter[T]) merge() (*Iterator[T], error) {
 	if len(s.runs) == 0 {
+		mem := s.buf
 		return &Iterator[T]{
-			next: func() (T, bool, error) {
-				item, ok := mem()
-				return item, ok, nil
+			next: func() (item T, ok bool, err error) {
+				if len(mem) == 0 {
+					return item, false, nil
+				}
+				item, mem = mem[0], mem[1:]
+				return item, true, nil
 			},
 			close: func() {},
 		}, nil
 	}
-	// Merge the spilled runs plus the in-memory source, last.
+	// Merge the spilled runs, in spill order, plus the in-memory source,
+	// last: the heap breaks ties by source index, which keeps the sort
+	// stable.
 	var sources []*runReader[T]
 	for _, r := range s.runs {
 		sr := io.NewSectionReader(s.file, r.offset, r.length)
 		sources = append(sources, &runReader[T]{r: bufio.NewReaderSize(sr, int(min(r.length, 1<<16))), codec: s.codec})
 	}
-	sources = append(sources, &runReader[T]{mem: mem})
+	sources = append(sources, &runReader[T]{mem: s.buf})
 	h := &mergeHeap[T]{cmp: s.cmp}
 	for i, src := range sources {
 		item, ok, err := src.next()
@@ -311,18 +224,9 @@ func (s *Sorter[T]) merge(mem func() (T, bool)) (*Iterator[T], error) {
 	// run buffer, which would corrupt an aliasing item that the caller is
 	// still looking at.
 	pending := -1
-	sinceCheck := 0
 	return &Iterator[T]{
 		next: func() (T, bool, error) {
 			var zero T
-			// Merge-loop cancellation check, counter-strided so the per-
-			// item cost stays one increment on the uncancelled path.
-			if sinceCheck++; sinceCheck >= cancelCheckInterval {
-				sinceCheck = 0
-				if err := s.canceled(); err != nil {
-					return zero, false, err
-				}
-			}
 			if pending >= 0 {
 				item, ok, err := sources[pending].next()
 				if err != nil {
@@ -369,7 +273,7 @@ func (s *Sorter[T]) Close() {
 
 type runReader[T any] struct {
 	r     *bufio.Reader
-	mem   func() (T, bool) // the in-memory source, when r is nil
+	mem   []T // the in-memory source's unread items, when r is nil
 	codec Codec[T]
 	buf   []byte
 }
@@ -377,8 +281,12 @@ type runReader[T any] struct {
 func (rr *runReader[T]) next() (T, bool, error) {
 	var zero T
 	if rr.r == nil {
-		item, ok := rr.mem()
-		return item, ok, nil
+		if len(rr.mem) == 0 {
+			return zero, false, nil
+		}
+		item := rr.mem[0]
+		rr.mem = rr.mem[1:]
+		return item, true, nil
 	}
 	n, err := binary.ReadUvarint(rr.r)
 	if err == io.EOF {
@@ -413,7 +321,10 @@ type mergeHeap[T any] struct {
 
 func (h *mergeHeap[T]) Len() int { return len(h.entries) }
 func (h *mergeHeap[T]) Less(i, j int) bool {
-	return h.cmp(h.entries[i].item, h.entries[j].item) < 0
+	if c := h.cmp(h.entries[i].item, h.entries[j].item); c != 0 {
+		return c < 0
+	}
+	return h.entries[i].src < h.entries[j].src
 }
 func (h *mergeHeap[T]) Swap(i, j int) { h.entries[i], h.entries[j] = h.entries[j], h.entries[i] }
 func (h *mergeHeap[T]) Push(x any)    { h.entries = append(h.entries, x.(mergeEntry[T])) }

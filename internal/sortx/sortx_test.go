@@ -229,35 +229,41 @@ func TestSortPropertyRandomBudgets(t *testing.T) {
 	}
 }
 
+// TestStability: equal keys come back in insertion order, from memory
+// and across spilled runs alike — the merge breaks ties by run, oldest
+// first, the in-memory remainder last.
 func TestStability(t *testing.T) {
-	// Equal keys must preserve insertion order (the reducer relies on
-	// grouping, not ordering within groups, but stability makes runs
-	// deterministic).
-	codec := pairCodec{}
-	s := New(func(a, b pair) int { return cmp.Compare(a.k, b.k) }, codec, t.TempDir(), 3)
-	for i := int64(0); i < 20; i++ {
-		s.Add(pair{k: i % 2, seq: i})
-	}
-	it, err := s.Iterate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	// Within the spilled-run merge, order of equal keys across runs is not
-	// globally stable, but each key's items must all be present.
-	seen := map[int64]int{}
-	for {
-		p, ok, err := it.Next()
+	for _, budget := range []int{0, 1, 3, 7} {
+		s := New(func(a, b pair) int { return cmp.Compare(a.k, b.k) }, pairCodec{}, t.TempDir(), budget)
+		for i := int64(0); i < 20; i++ {
+			if err := s.Add(pair{k: i % 2, seq: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		it, err := s.Iterate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		last := map[int64]int64{0: -1, 1: -1}
+		seen := map[int64]int{}
+		for {
+			p, ok, err := it.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if p.seq <= last[p.k] {
+				t.Errorf("budget %d: key %d: item %d after %d", budget, p.k, p.seq, last[p.k])
+			}
+			last[p.k] = p.seq
+			seen[p.k]++
 		}
-		seen[p.k]++
-	}
-	if seen[0] != 10 || seen[1] != 10 {
-		t.Errorf("group sizes: %v", seen)
+		it.Close()
+		if seen[0] != 10 || seen[1] != 10 {
+			t.Errorf("budget %d: group sizes: %v", budget, seen)
+		}
 	}
 }
 
