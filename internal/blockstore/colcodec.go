@@ -317,40 +317,50 @@ func (r *RowReader) cursor() rowCursor {
 	return rowCursor{row: r.decoded, raw: r.raw, cur: slices.Clone(r.cur), prev: slices.Clone(r.prev)}
 }
 
+// RowRun is one run of a block's rows, as ReadBlockRuns cuts them: the
+// block's verified payload, which every run of the block shares, and the
+// cursor the run starts at. It holds nothing else.
+type RowRun struct {
+	payload     []byte
+	arity       int
+	end, endRaw int // the rows and the framed bytes up to the run's end
+	from        rowCursor
+}
+
+// Size returns the framed bytes the run's rows occupy.
+func (r RowRun) Size() int { return r.endRaw - r.from.raw }
+
+// Open returns a RowReader over the run, resumed from its cursor; a run
+// may be opened any number of times. The run ends where its rows do, and
+// so does its framed size: the reader checks the run like a block.
+func (r RowRun) Open() *RowReader {
+	rr := &RowReader{payload: r.payload, arity: r.arity, n: r.end, rawLen: r.endRaw,
+		decoded: r.from.row, raw: r.from.raw, cur: slices.Clone(r.from.cur), prev: slices.Clone(r.from.prev)}
+	rr.buf = NewColumns(r.arity, min(r.end-r.from.row, rowBatch))
+	rr.cols = rr.buf.Cols
+	return rr
+}
+
 // carveRows cuts a columnar block into runs of whole rows, each closed as
 // soon as its framed size reaches targetBytes (the last may be smaller),
 // in one row-at-a-time decode that checks the block as RowReader does and
-// records the cursor each run starts at. It returns each run's framed
-// size and an opener of a RowReader over the run, resumed from its
-// cursor; an opener may be called any number of times. The runs retain
-// payload and their cursors, nothing else.
-func carveRows(payload []byte, arity, n, rawLen, targetBytes int) ([]int, []func() *RowReader, error) {
+// records the cursor each run starts at.
+func carveRows(payload []byte, arity, n, rawLen, targetBytes int) ([]RowRun, error) {
 	r, err := newRowReader(payload, arity, n, rawLen)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer r.Close()
-	var sizes []int
-	var opens []func() *RowReader
+	var runs []RowRun
 	start := r.cursor()
 	for r.decoded < r.n {
 		if err := r.fill(1); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if r.raw-start.raw >= targetBytes || r.decoded == r.n {
-			from, end, endRaw := start, r.decoded, r.raw
-			sizes = append(sizes, endRaw-from.raw)
-			opens = append(opens, func() *RowReader {
-				// The run ends where its rows do, and so does its framed
-				// size: the reader checks the run like a block.
-				r := &RowReader{payload: payload, arity: arity, n: end, rawLen: endRaw,
-					decoded: from.row, raw: from.raw, cur: slices.Clone(from.cur), prev: slices.Clone(from.prev)}
-				r.buf = NewColumns(arity, min(end-from.row, rowBatch))
-				r.cols = r.buf.Cols
-				return r
-			})
+			runs = append(runs, RowRun{payload: payload, arity: arity, end: r.decoded, endRaw: r.raw, from: start})
 			start = r.cursor()
 		}
 	}
-	return sizes, opens, nil
+	return runs, nil
 }

@@ -148,22 +148,22 @@ func decodeChecked(t testing.TB, payload []byte, arity, n, rawLen int) ([]int64,
 // framed.
 func carveChecked(t testing.TB, payload []byte, arity, n, rawLen, target int, rows []int64, accepted bool) {
 	t.Helper()
-	sizes, opens, err := carveRows(payload, arity, n, rawLen, target)
+	runs, err := carveRows(payload, arity, n, rawLen, target)
 	if !accepted {
 		if !errors.Is(err, ErrCorruptBlock) {
 			t.Fatalf("carve of a rejected entry: %v, want ErrCorruptBlock", err)
 		}
 		return
 	}
-	if err != nil || len(sizes) != len(opens) {
-		t.Fatalf("carve of an accepted entry: %d sizes, %d runs, %v", len(sizes), len(opens), err)
+	if err != nil {
+		t.Fatalf("carve of an accepted entry: %v", err)
 	}
 	var got []int64
-	for i, open := range opens {
+	for i, rr := range runs {
 		var run []int64
 		for pass := 0; pass < 2; pass++ {
 			var again []int64
-			r := open()
+			r := rr.Open()
 			for {
 				b, ok, err := r.Next()
 				if err != nil {
@@ -185,10 +185,10 @@ func carveChecked(t testing.TB, payload []byte, arity, n, rawLen, target int, ro
 			last = recio.UvarintLen(uint64(len(rec))) + len(rec)
 			framed += last
 		}
-		if len(run) == 0 || framed != sizes[i] {
-			t.Fatalf("run %d: %d values framed in %d bytes, size says %d", i, len(run), framed, sizes[i])
+		if len(run) == 0 || framed != rr.Size() {
+			t.Fatalf("run %d: %d values framed in %d bytes, size says %d", i, len(run), framed, rr.Size())
 		}
-		if cut := max(target, 1); i < len(opens)-1 && (framed < cut || framed-last >= cut) {
+		if cut := max(target, 1); i < len(runs)-1 && (framed < cut || framed-last >= cut) {
 			t.Fatalf("run %d of %d bytes, %d without its last row, at target %d", i, framed, framed-last, target)
 		}
 		got = append(got, run...)
@@ -385,7 +385,7 @@ func TestMalformedEntriesCorruptThroughFailover(t *testing.T) {
 			if !errors.Is(err, ErrCorruptBlock) {
 				t.Fatalf("ReadBlockRows: %v, want ErrCorruptBlock", err)
 			}
-			if _, _, err := s.ReadBlockRuns("data", 0, 64); !errors.Is(err, ErrCorruptBlock) {
+			if _, err := s.ReadBlockRuns("data", 0, 64); !errors.Is(err, ErrCorruptBlock) {
 				t.Fatalf("ReadBlockRuns: %v, want ErrCorruptBlock", err)
 			}
 			// Each read fails over off the rotted replica; a shape the payload
@@ -598,10 +598,10 @@ func TestBatchEdgesDecode(t *testing.T) {
 		midBatch := false
 		for _, target := range []int{1, 7, 1000, 4099, rawLen - 1, rawLen + 1} {
 			carveChecked(t, payload, 3, n, rawLen, target, rows, true)
-			_, opens, _ := carveRows(payload, 3, n, rawLen, target)
+			runs, _ := carveRows(payload, 3, n, rawLen, target)
 			start := 0
-			for _, open := range opens {
-				end := open().n
+			for _, rr := range runs {
+				end := rr.Open().n
 				// A run that starts inside a batch and ends past its end.
 				midBatch = midBatch || (start%rowBatch != 0 && end/rowBatch > start/rowBatch)
 				start = end
@@ -721,7 +721,7 @@ func TestBatchEdgesCorrupt(t *testing.T) {
 			}
 		}
 		_, ferr := frameColumnar(payload, 3, tc.n, rawLen)
-		_, _, cerr := carveRows(payload, 3, tc.n, rawLen, 64)
+		_, cerr := carveRows(payload, 3, tc.n, rawLen, 64)
 		for _, got := range []error{rerr, ferr, cerr} {
 			if !errors.Is(got, ErrCorruptBlock) || got.Error() != want {
 				t.Errorf("%d records, %s: %v, want %q", tc.n, tc.name, got, want)

@@ -336,10 +336,20 @@ func (ss *Session) Blocks(rec cube.Record) [][]byte {
 }
 
 // Owns reports whether blockKey is BlockMapper.Owner's block for region
-// r: the reduce-side ownership filter. The owner's key is encoded into
-// session scratch and compared, never interned, so a reducer that sees
-// thousands of blocks allocates and retains nothing for them.
+// r, a region computed from the records shuffled to blockKey: the
+// reduce-side ownership filter. The owner's key is encoded into session
+// scratch and compared, never interned, so a reducer that sees thousands
+// of blocks allocates and retains nothing for them.
+//
+// Ownership is a property of the key. A key with no annotated attribute
+// ships every record to its home block alone, so nothing is duplicated
+// and every region a block's records yield, at any grain the key
+// generalizes, rolls up to that block: the block owns all it computes,
+// and Owns answers without encoding an owner.
 func (ss *Session) Owns(r cube.Region, blockKey []byte) bool {
+	if len(ss.bm.annAttrs) == 0 {
+		return true
+	}
 	return bytes.Equal(ss.owner(r), blockKey)
 }
 

@@ -358,9 +358,18 @@ func TestSessionMatchesPerCall(t *testing.T) {
 					}
 					interned[string(got[j])] = &got[j][0]
 				}
+				// The owner owns the record's region. Under an overlapping
+				// key no other block the record went to does, nor a longer
+				// key; under a plain key the record went to its owner alone.
 				r := s.RegionOf(rec, key.Grain)
-				if owner := []byte(bm.Owner(r)); !ss.Owns(r, owner) || ss.Owns(r, append(owner, 0)) {
+				owner := []byte(bm.Owner(r))
+				if !ss.Owns(r, owner) || key.IsOverlapping() && ss.Owns(r, append(owner, 0)) {
 					t.Fatalf("record %d: the session disowns owner %q or owns a longer key", i, owner)
+				}
+				for _, b := range got {
+					if ss.Owns(r, b) != (string(b) == string(owner)) {
+						t.Fatalf("record %d: block %q owns the region: %v, owner %q", i, b, ss.Owns(r, b), owner)
+					}
 				}
 				if n := testing.AllocsPerRun(5, func() { ss.Owns(r, got[0]) }); n != 0 {
 					t.Fatalf("record %d: Owns allocated %.0f times", i, n)

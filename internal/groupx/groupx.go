@@ -4,10 +4,13 @@
 //   - the hash collector, every reducer's (Leis et al.'s morsel
 //     partitioned grouping, the Hespe et al. in-memory OLAP shape): reduce
 //     only needs pairs *grouped*, so pairs go straight into one flat
-//     buffer, chained per group by a key → group table, and no per-item
-//     comparison sort runs. When the buffered-pair budget is exceeded the
-//     table is written out as a group-framed run (runs.go: each group's
-//     key once, then its values) and the iteration becomes a merge of the
+//     buffer, chained per group, and no per-item comparison sort runs.
+//     Groups are found by an open-addressing table of 64-bit words, a
+//     hash tag and a group id each, and are ordered, once per flush or
+//     iteration, by a radix sort on their keys' first eight bytes
+//     (table.go). When the buffered-pair budget is exceeded the groups
+//     are written out as a group-framed run (runs.go: each group's key
+//     once, then its values) and the iteration becomes a merge of the
 //     runs with what the table still holds, a group at a time. Memory
 //     stays bounded, and the output stream — groups ascending by key,
 //     each group's pairs in arrival order — is identical either way;
@@ -31,7 +34,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 
 	"github.com/casm-project/casm/internal/sortx"
 	"github.com/casm-project/casm/internal/transport"
@@ -134,12 +136,16 @@ type hashCollector struct {
 	memItems int
 
 	// The group table outlives flushes: a group seen again after a flush
-	// is found, not rebuilt. resident lists the groups holding pairs now,
-	// sorted by key when a flush or the iteration walks them, so neither
-	// walks the groups an earlier flush emptied.
-	ids      map[string]int32
+	// is found, not rebuilt. slots is the table (table.go), shift places a
+	// hash in it, and groups are the groups by id. resident lists the
+	// groups holding pairs now, sorted by key, through scratch, when a
+	// flush or the iteration walks them, so neither walks the groups an
+	// earlier flush emptied.
+	slots    []uint64
+	shift    uint8
 	groups   []hashGroup
 	resident []int32
+	scratch  []int32
 
 	// chunks holds the n buffered pairs; pair i is chunks[i/pairChunk][i%pairChunk].
 	chunks [][]hashPair
@@ -180,21 +186,11 @@ func NewHashContext(ctx context.Context, dir string, memItems int) Collector {
 		done:     ctx.Done(),
 		dir:      dir,
 		memItems: memItems,
-		ids:      make(map[string]int32),
 	}
 }
 
 func (c *hashCollector) Add(p transport.Pair) error {
-	// map[string(bytes)] probes without allocating; the map-key string
-	// only materializes on first sight of a distinct group. p.Key doubles
-	// as the group key — transport bytes stay valid for the job, so this
-	// retains a borrowed slice, not a copy.
-	id, ok := c.ids[string(p.Key)]
-	if !ok {
-		id = int32(len(c.groups))
-		c.ids[string(p.Key)] = id
-		c.groups = append(c.groups, hashGroup{key: p.Key, head: -1})
-	}
+	id := c.group(p.Key)
 	g := &c.groups[id]
 	i := int32(c.n)
 	k, off := c.n/pairChunk, c.n%pairChunk
@@ -238,11 +234,6 @@ func (c *hashCollector) canceled() error {
 	default:
 		return nil
 	}
-}
-
-// sortResident orders the resident groups by ascending key.
-func (c *hashCollector) sortResident() {
-	slices.SortFunc(c.resident, func(a, b int32) int { return bytes.Compare(c.groups[a].key, c.groups[b].key) })
 }
 
 // take empties group g's chain and returns its first pair's index.
@@ -518,7 +509,7 @@ func (c *hashCollector) Close() {
 		c.file.Close()
 		c.file = nil
 	}
-	c.ids, c.groups, c.resident, c.chunks = nil, nil, nil, nil
+	c.slots, c.groups, c.resident, c.scratch, c.chunks = nil, nil, nil, nil, nil
 	c.w, c.runs, c.cursors = nil, nil, nil
 }
 

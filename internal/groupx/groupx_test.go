@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/casm-project/casm/internal/transport"
@@ -61,13 +62,71 @@ func drainErr(c Collector) ([]transport.Pair, error) {
 // randomPairs builds a shuffled stream over nKeys distinct keys; each
 // value records its global arrival index.
 func randomPairs(rng *rand.Rand, n, nKeys int) []transport.Pair {
+	keys := make([][]byte, nKeys)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "k%03d", i)
+	}
+	return pairsOver(rng, n, keys)
+}
+
+// pairsOver builds a shuffled stream of n pairs over keys; each value
+// records its global arrival index.
+func pairsOver(rng *rand.Rand, n int, keys [][]byte) []transport.Pair {
 	pairs := make([]transport.Pair, n)
 	for i := range pairs {
 		v := make([]byte, 8)
 		binary.LittleEndian.PutUint64(v, uint64(i))
-		pairs[i] = transport.Pair{Key: fmt.Appendf(nil, "k%03d", rng.Intn(nKeys)), Value: v}
+		pairs[i] = transport.Pair{Key: keys[rng.Intn(len(keys))], Value: v}
 	}
 	return pairs
+}
+
+// wordKeys returns up to nKeys distinct keys adversarial to the hash
+// collector's word, its keys' first eight bytes zero-padded: the empty
+// key; keys that differ only by trailing zero bytes ("ab", "ab\x00"),
+// whose words are equal; keys shorter than eight bytes and longer than
+// sixteen; and keys sharing an eight-byte prefix — the all-zero one among
+// them — that differ only in their tails. Bytes are drawn from values
+// around the digits' edges (0, 1, 0x7f, 0x80, 0xff), so every digit of
+// the word varies.
+func wordKeys(rng *rand.Rand, nKeys int) [][]byte {
+	alphabet := []byte{0, 1, 0x7f, 0x80, 0xff}
+	prefixes := [][]byte{make([]byte, 8), []byte("abcdefgh"), {0xff, 0, 0xff, 0, 0xff, 0, 0xff, 0}}
+	seen := map[string]bool{}
+	var keys [][]byte
+	add := func(k []byte) {
+		if len(keys) < nKeys && !seen[string(k)] {
+			seen[string(k)] = true
+			keys = append(keys, k)
+		}
+	}
+	add(nil)
+	add([]byte("ab"))
+	add([]byte("ab\x00"))
+	add([]byte("ab\x00\x00"))
+	for tries := 0; len(keys) < nKeys && tries < 100*nKeys; tries++ {
+		var k []byte
+		switch rng.Intn(3) {
+		case 0: // shorter than a word
+			k = make([]byte, rng.Intn(8))
+		case 1: // a shared prefix and a tail, often past sixteen bytes
+			k = append(slices.Clone(prefixes[rng.Intn(len(prefixes))]), make([]byte, rng.Intn(12))...)
+			for i := 8; i < len(k); i++ {
+				k[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+			add(k)
+			k = append(slices.Clone(k), make([]byte, 1+rng.Intn(2))...) // the same with trailing zeros
+			add(k)
+			continue
+		default: // longer than two words
+			k = make([]byte, 17+rng.Intn(6))
+		}
+		for i := range k {
+			k[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		add(k)
+	}
+	return keys
 }
 
 // TestHashMatchesSort is the collector-level equivalence property: for a
@@ -101,6 +160,35 @@ func TestHashMatchesSort(t *testing.T) {
 			}
 			if hs, ss := hash.Stats(), sorted.Stats(); hs.Items != ss.Items {
 				t.Errorf("n=%d mem=%d: hash Items %d, sort Items %d", n, mem, hs.Items, ss.Items)
+			}
+		}
+	}
+}
+
+// TestHashOrderMatchesBytesCompare holds the collector's order — the radix
+// sort on the keys' first eight bytes, bytes.Compare inside runs of equal
+// words — to a stable bytes.Compare sort of the pairs, over keys chosen
+// to break a word order that is not exactly the keys' (wordKeys), few
+// keys and many, unbounded and through flushes of 1, 2 and 291 pairs.
+func TestHashOrderMatchesBytesCompare(t *testing.T) {
+	for _, nKeys := range []int{5, 60, 300, 3000} {
+		rng := rand.New(rand.NewSource(int64(nKeys)))
+		keys := wordKeys(rng, nKeys)
+		pairs := pairsOver(rng, 4*nKeys, keys)
+		want := slices.Clone(pairs)
+		slices.SortStableFunc(want, PairKeyCompare)
+		for _, mem := range []int{0, 1, 2, 291} {
+			c := NewHash(testCodec{}, t.TempDir(), mem)
+			for _, p := range pairs {
+				if err := c.Add(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := drain(t, c)
+			if !slices.EqualFunc(got, want, func(a, b transport.Pair) bool {
+				return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value)
+			}) {
+				t.Fatalf("keys=%d (%d distinct) mem=%d: the stream is not the pairs sorted stably by key", nKeys, len(keys), mem)
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -200,12 +201,17 @@ func runFileBytes(t testing.TB, coll Collector) [][]byte {
 // largest group's size. Collectors run side by side on four goroutines
 // (run with -race -count=10): they share nothing.
 func TestHashCollectorMatchesReference(t *testing.T) {
-	type tc struct{ n, nKeys, mem int }
+	type tc struct {
+		n, nKeys, mem int
+		word          bool // wordKeys, not k%03d
+	}
 	var cases []tc
 	for _, n := range []int{0, 1, 70, 600, 5000} {
 		for _, nKeys := range []int{1, 13, 400} {
 			for _, mem := range []int{0, 2, 7, 291, 292, 293, 1000} {
-				cases = append(cases, tc{n, nKeys, mem})
+				for _, word := range []bool{false, true} {
+					cases = append(cases, tc{n, nKeys, mem, word})
+				}
 			}
 		}
 	}
@@ -216,7 +222,13 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(cases); i += 4 {
 				c := cases[i]
-				pairs := randomPairs(rand.New(rand.NewSource(int64(i))), c.n, c.nKeys)
+				rng := rand.New(rand.NewSource(int64(i)))
+				var pairs []transport.Pair
+				if c.word {
+					pairs = pairsOver(rng, c.n, wordKeys(rng, c.nKeys))
+				} else {
+					pairs = randomPairs(rng, c.n, c.nKeys)
+				}
 				got := NewHash(testCodec{}, t.TempDir(), c.mem)
 				want := newRefHash(c.mem)
 				sizes := map[string]int64{}
@@ -231,7 +243,7 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 					}
 					sizes[string(p.Key)]++
 				}
-				label := fmt.Sprintf("n=%d keys=%d mem=%d", c.n, c.nKeys, c.mem)
+				label := fmt.Sprintf("n=%d keys=%d mem=%d word=%v", c.n, c.nKeys, c.mem, c.word)
 				gotRuns := runFileBytes(t, got)
 				if len(gotRuns) != len(want.runs) {
 					t.Errorf("%s: %d runs, the model %d", label, len(gotRuns), len(want.runs))
@@ -337,5 +349,73 @@ func TestHashCollectorAllocatesWhatItHolds(t *testing.T) {
 			t.Errorf("iterating %d held pairs allocated %.0f bytes: a second copy of them would be %.0f", n, iterate, perPair*n)
 		}
 		it.Close()
+	}
+}
+
+// TestHashTableAllocsOnlyGrowth is the group table's allocation ceiling.
+// Once every key has a group, Add allocates nothing but the growth of the
+// collector's arrays — a new pair chunk, or a regrowth of the chunk list,
+// the table's slots, the groups or the resident list — and finding a
+// group, new or old, allocates nothing of its own. Ordering the resident
+// groups allocates at most one int32 per group, the radix sort's scratch,
+// and nothing once the scratch is there.
+func TestHashTableAllocsOnlyGrowth(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const nKeys = 5000
+	rng := rand.New(rand.NewSource(13))
+	keys := make([][]byte, nKeys)
+	for i := range keys {
+		keys[i] = binary.AppendUvarint(fmt.Appendf(nil, "k%d/", rng.Intn(100)), uint64(i))
+	}
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	c := NewHash(testCodec{}, "", 0).(*hashCollector)
+	// A new chunk shows as the list's length, a regrowth as a capacity.
+	caps := func() [6]int {
+		return [6]int{len(c.chunks), cap(c.chunks), cap(c.chunks[len(c.chunks)-1]), cap(c.slots), cap(c.groups), cap(c.resident)}
+	}
+	// The first half of the keys arrive first, then pairs over all of
+	// them: half the groups are found, half made.
+	for _, phase := range [][]transport.Pair{pairsOver(rng, 3*nKeys, keys[:nKeys/2]), pairsOver(rng, 3*nKeys, keys)} {
+		var growths uint64
+		allocs := mallocs(func() {
+			for _, p := range phase {
+				was := [6]int{}
+				if len(c.chunks) > 0 {
+					was = caps()
+				}
+				if err := c.Add(p); err != nil {
+					t.Fatal(err)
+				}
+				for i, n := range caps() {
+					if n != was[i] {
+						growths++
+					}
+				}
+			}
+		})
+		t.Logf("%d pairs, %d groups: %d allocations, %d array growths", len(phase), len(c.groups), allocs, growths)
+		if allocs > growths {
+			t.Errorf("adding %d pairs allocated %d times; the collector's arrays grew %d times", len(phase), allocs, growths)
+		}
+	}
+	n := len(c.resident)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if b := allocated(c.sortResident); b > uint64(4*n)*9/8 {
+		t.Errorf("ordering %d groups allocated %d bytes, want at most %d int32s", n, b, n)
+	}
+	if b := allocated(c.sortResident); b != 0 {
+		t.Errorf("ordering %d groups again allocated %d bytes, want none", n, b)
 	}
 }

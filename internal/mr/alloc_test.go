@@ -3,6 +3,7 @@ package mr
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -58,6 +59,9 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 
 	small, big := mkRecords(16384), mkRecords(65536)
 	run(small) // warm up: lazily initialized runtime state shouldn't bill the measurement
+	// A collection between the two measurements empties the runtime's
+	// pools and caches, and refilling them bills the second; none runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocsSmall := testing.AllocsPerRun(3, func() { run(small) })
 	allocsBig := testing.AllocsPerRun(3, func() { run(big) })
 	perPair := (allocsBig - allocsSmall) / float64(len(big)-len(small))

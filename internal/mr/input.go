@@ -184,13 +184,13 @@ func (sp *storeSplit) Open() (Iter[Batch], error) {
 // opens a morsel: a job in morsel mode fails at planning if the block is
 // unreadable, instead of in a map task.
 func (sp *storeSplit) Morsels(targetBytes int) ([]Split, error) {
-	sizes, opens, err := sp.st.ReadBlockRuns(sp.info.File, sp.info.Index, targetBytes)
+	runs, err := sp.st.ReadBlockRuns(sp.info.File, sp.info.Index, targetBytes)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Split, len(opens))
-	for i, open := range opens {
-		out[i] = &runSplit{label: fmt.Sprintf("%s/m%d", sp.Label(), i), size: int64(sizes[i]), open: open}
+	out := make([]Split, len(runs))
+	for i, run := range runs {
+		out[i] = &runSplit{label: fmt.Sprintf("%s/m%d", sp.Label(), i), run: run}
 	}
 	return out, nil
 }
@@ -199,10 +199,9 @@ func (sp *storeSplit) Morsels(targetBytes int) ([]Split, error) {
 // resuming a RowReader from the cursor the carve recorded.
 type runSplit struct {
 	label string
-	size  int64
-	open  func() *blockstore.RowReader
+	run   blockstore.RowRun
 }
 
 func (sp *runSplit) Label() string              { return sp.label }
-func (sp *runSplit) SizeBytes() int64           { return sp.size }
-func (sp *runSplit) Open() (Iter[Batch], error) { return sp.open(), nil }
+func (sp *runSplit) SizeBytes() int64           { return int64(sp.run.Size()) }
+func (sp *runSplit) Open() (Iter[Batch], error) { return sp.run.Open(), nil }

@@ -9,7 +9,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
-	"runtime"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
@@ -24,6 +24,58 @@ import (
 	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/transport"
 )
+
+// keptBytes sums what store morsels hold: each morsel's own struct, the
+// strings and the buffers reachable from it by value, a buffer several
+// morsels share — the block's payload — once. A field it cannot size (a
+// pointer, a function, a map, an interface) fails the test, so a morsel
+// that came to hold more than its payload and cursor, a reader with its
+// decode buffers say, fails here rather than slipping past a bound. Unlike
+// a heap delta, the sum does not move with what the runtime or another
+// goroutine allocates meanwhile.
+func keptBytes(t *testing.T, morsels []Split) int64 {
+	t.Helper()
+	buffers := map[uintptr]int64{}
+	var kept int64
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		switch v.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+		case reflect.String:
+			kept += int64(v.Len())
+		case reflect.Slice:
+			if v.Cap() > 0 {
+				buffers[v.Pointer()] = max(buffers[v.Pointer()], int64(v.Cap())*int64(v.Type().Elem().Size()))
+			}
+			if k := v.Type().Elem().Kind(); k == reflect.Struct || k == reflect.Slice || k == reflect.String {
+				for i := 0; i < v.Len(); i++ {
+					walk(v.Index(i), fmt.Sprintf("%s[%d]", path, i))
+				}
+			} else if k > reflect.Float64 {
+				t.Fatalf("morsel field %s holds %ss, which the test cannot size", path, k)
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i), path+"."+v.Type().Field(i).Name)
+			}
+		default:
+			t.Fatalf("morsel field %s is a %s, which the test cannot size", path, v.Kind())
+		}
+	}
+	for _, m := range morsels {
+		v := reflect.ValueOf(m)
+		if v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+			t.Fatalf("morsel %s is a %T", m.Label(), m)
+		}
+		kept += int64(v.Elem().Type().Size())
+		walk(v.Elem(), v.Elem().Type().Name())
+	}
+	for _, n := range buffers {
+		kept += n
+	}
+	return kept
+}
 
 // readRows drains one split's batches into one row-major slab.
 func readRows(t *testing.T, sp Split) []int64 {
@@ -194,17 +246,12 @@ func TestStoreSplitMorsels(t *testing.T) {
 			t.Fatalf("splits %v %v", splits, err)
 		}
 		read := bs.Stats().BytesRead
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
 		morsels, err := splits[0].(MorselSplit).Morsels(4096)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.GC()
-		runtime.ReadMemStats(&after)
 		payload := bs.Stats().BytesRead - read
-		kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		kept := keptBytes(t, morsels)
 		limit := payload + int64(len(morsels))*(256+16*arity) + 8<<10
 		t.Logf("%d morsels keep %d bytes: a %d-byte payload of a %d-byte block", len(morsels), kept, payload, splits[0].SizeBytes())
 		if kept > limit {
@@ -213,7 +260,6 @@ func TestStoreSplitMorsels(t *testing.T) {
 		if limit >= splits[0].SizeBytes() {
 			t.Fatalf("the bound %d does not separate the payload from the %d framed bytes", limit, splits[0].SizeBytes())
 		}
-		runtime.KeepAlive(morsels)
 	})
 
 	t.Run("corrupt block fails the carve", func(t *testing.T) {
