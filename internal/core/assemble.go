@@ -11,8 +11,8 @@ import (
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/exec"
+	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/sortx"
 	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
@@ -174,7 +174,7 @@ func (s *asmSlot) build() {
 	if len(words) < 256 { // too few to repay the radix passes' 2¹¹ counters
 		slices.Sort(words)
 	} else {
-		words = sortx.Radix(words, make([]uint64, len(words)), rowBits, rowBits+keyBits)
+		words = localeval.Radix(words, make([]uint64, len(words)), rowBits, rowBits+keyBits)
 	}
 	if len(rest) > 0 {
 		s.sortTies(words, rowBits, rest)

@@ -82,7 +82,7 @@ func TestEngineKnobSweepByteIdentical(t *testing.T) {
 // byte-identical measure output with a roomy in-memory budget and with a
 // tiny one that forces the hash table through its spill fallback — and
 // must really have taken that fallback. (That the hash collector's stream
-// equals the external sorter's is groupx's TestHashMatchesSort.)
+// is a stable sort's of the pairs is groupx's TestHashMatchesSort.)
 func TestHashGroupingMatchesOracle(t *testing.T) {
 	su := workload.NewSuite()
 	seeds := 10

@@ -10,7 +10,7 @@ import (
 
 // TestMorselEquivalenceByteIdentical is the engine-level morsel ≡
 // fixed-split property: over random bit-stable workflows, a forced-spill
-// sorter budget (SortMemoryItems=2), and a forced-overflow local table
+// collector budget (SortMemoryItems=2), and a forced-overflow local table
 // (LocalAggBudget=2), morsel-driven map execution must produce
 // byte-identical measure output to the fixed-split path (and agree with
 // the single-block oracle). This is what licenses flipping MorselBytes on

@@ -60,7 +60,7 @@ func streamToResult(t *testing.T, cfg Config, w *workflow.Workflow, ds *Dataset)
 }
 
 // TestStreamEquivalenceByteIdentical is the streaming plane's equivalence
-// property: over random bit-stable workflows, a forced-spill sorter
+// property: over random bit-stable workflows, a forced-spill collector
 // budget (SortMemoryItems=2), and morsel-driven map execution on and off,
 // consuming the evaluation through EvaluateStream must yield
 // byte-identical canonical output to the materialized EvaluateContext

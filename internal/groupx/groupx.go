@@ -1,28 +1,21 @@
 // Package groupx collects a reducer's shuffled pairs and hands them back
-// grouped. Two collectors implement the same Collector interface:
+// grouped, through one collector (Leis et al.'s morsel partitioned
+// grouping, the Hespe et al. in-memory OLAP shape). The paper's reducers
+// "collect pairs and use external sorting to group pairs with the same key
+// value"; reduce only needs pairs *grouped*, so here pairs go straight into
+// one flat buffer, chained per group, and no per-item comparison sort runs.
+// Groups are found by an open-addressing table of 64-bit words, a hash tag
+// and a group id each, and are ordered, once per flush or iteration, by a
+// radix sort on their keys' first eight bytes (table.go). When the
+// buffered-pair budget is exceeded the groups are written out as a
+// group-framed run (runs.go: each group's key once, then its values) and
+// the iteration becomes a merge of the runs with what the table still
+// holds, a group at a time. Memory stays bounded, and the output stream is
+// a stable key-order sort's either way: groups ascending by key, each
+// group's pairs in arrival order.
 //
-//   - the hash collector, every reducer's (Leis et al.'s morsel
-//     partitioned grouping, the Hespe et al. in-memory OLAP shape): reduce
-//     only needs pairs *grouped*, so pairs go straight into one flat
-//     buffer, chained per group, and no per-item comparison sort runs.
-//     Groups are found by an open-addressing table of 64-bit words, a
-//     hash tag and a group id each, and are ordered, once per flush or
-//     iteration, by a radix sort on their keys' first eight bytes
-//     (table.go). When the buffered-pair budget is exceeded the groups
-//     are written out as a group-framed run (runs.go: each group's key
-//     once, then its values) and the iteration becomes a merge of the
-//     runs with what the table still holds, a group at a time. Memory
-//     stays bounded, and the output stream — groups ascending by key,
-//     each group's pairs in arrival order — is identical either way;
-//   - the sort collector drains everything through a sortx external sort
-//     (the classic Hadoop shape the paper assumes: "reducers collect
-//     pairs and use external sorting to group pairs with the same key
-//     value"). The sort is stable, so it yields the same stream. No job
-//     runs it; it stays as the reference the hash collector is tested
-//     against and the baseline the wall-clock benchmark's grouping kernel
-//     times.
-//
-// Both collectors are single-goroutine: Add all pairs, then Iterate once.
+// A collector is single-goroutine and single-use: Add all pairs, then
+// Iterate once.
 package groupx
 
 import (
@@ -30,21 +23,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
-	"github.com/casm-project/casm/internal/sortx"
 	"github.com/casm-project/casm/internal/transport"
 )
 
 // Stats reports a collector's work, feeding ReduceTaskStats and the cost model.
 type Stats struct {
 	Items        int64 // pairs added
-	Groups       int64 // distinct resident groups (hash collector; 0 sorted)
-	MaxGroup     int64 // pairs in the largest group, known once Iterate has run (hash collector; 0 sorted)
-	Runs         int   // runs spilled by the table (hash) or the sorter; merge passes' runs are not counted
+	Groups       int64 // distinct resident groups; a group counts again each time it turns resident after a flush
+	MaxGroup     int64 // pairs in the largest group, known once Iterate has run
+	Runs         int   // runs spilled by the table; merge passes' runs are not counted
 	SpilledBytes int64 // bytes written to spill runs, merge passes' runs included
 }
 
@@ -59,7 +52,8 @@ type Iterator interface {
 // Collector accumulates shuffled pairs and yields them grouped.
 type Collector interface {
 	Add(p transport.Pair) error
-	// Iterate finalizes the collector; it cannot be reused afterwards.
+	// Iterate finalizes the collector: afterwards, as after Close, Add and
+	// Iterate return an error.
 	Iterate() (Iterator, error)
 	Stats() Stats
 	// Close releases the collector's resources (spill-run descriptors,
@@ -68,41 +62,6 @@ type Collector interface {
 	// released the runs and this is a no-op.
 	Close()
 }
-
-// PairKeyCompare orders pairs by their full shuffle key, the comparison
-// the sort collector spills and merges under. bytes.Compare orders byte
-// keys exactly as strings.Compare ordered their string forms, so the
-// output stream is bit-identical to the string-keyed implementation.
-func PairKeyCompare(a, b transport.Pair) int { return bytes.Compare(a.Key, b.Key) }
-
-// --- sorted path ---
-
-type sortCollector struct {
-	s *sortx.Sorter[transport.Pair]
-}
-
-// NewSort returns the external-sort collector: pairs come back in full
-// shuffle-key order, pairs of one key in arrival order.
-func NewSort(codec sortx.Codec[transport.Pair], dir string, memItems int) Collector {
-	return &sortCollector{s: sortx.New(PairKeyCompare, codec, dir, memItems)}
-}
-
-func (c *sortCollector) Add(p transport.Pair) error { return c.s.Add(p) }
-
-func (c *sortCollector) Iterate() (Iterator, error) { return c.s.Iterate() }
-
-func (c *sortCollector) Close() { c.s.Close() }
-
-func (c *sortCollector) Stats() Stats {
-	ss := c.s.Stats()
-	return Stats{
-		Items:        ss.Items,
-		Runs:         ss.Runs,
-		SpilledBytes: ss.SpilledBytes,
-	}
-}
-
-// --- hash path ---
 
 // hashGroup is one distinct group key: the chain of its buffered pairs
 // (indices into the pair buffer, -1 when none) and how many pairs it has
@@ -163,16 +122,31 @@ type hashCollector struct {
 	runs    []span
 	cursors []*cursor
 
-	mem func() (transport.Pair, bool) // the iteration, when nothing spilled
+	mem  func() (transport.Pair, bool) // the iteration, when nothing spilled
+	used bool                          // Iterate or Close has run: Add and Iterate are errors
 }
 
-// NewHash returns the hash-grouped collector. memItems bounds the pairs
-// buffered in the table before a flush to a spill run (< 1 = unbounded,
-// matching the sortx convention), written to a file in dir (the OS
-// default when empty). codec is unused — the hash collector writes its
-// own run format — and stays only for the callers that pass one.
-func NewHash(codec sortx.Codec[transport.Pair], dir string, memItems int) Collector {
+// errUsed is Add or Iterate on a collector already iterated or closed.
+var errUsed = errors.New("groupx: collector used after Iterate or Close")
+
+// NewHash returns the collector. memItems bounds the pairs buffered in the
+// table before a flush to a spill run (< 1 = unbounded), written to a file
+// in dir (the OS default when empty). codec is unused — the collector
+// writes its own run format. It stays, typed any, because the wall-clock
+// benchmark's kernels (benchmark/kernels.go) pass their own pair codec,
+// and that directory changes only with the benchmark itself (ROADMAP
+// item 3).
+func NewHash(codec any, dir string, memItems int) Collector {
 	return NewHashContext(context.Background(), dir, memItems)
+}
+
+// NewSort returns the same collector as NewHash, under the name of the
+// stream it yields: a stable sort's — pairs in full shuffle-key order,
+// pairs of one key in arrival order, at every budget. The name and the
+// unused codec stay for the benchmark's kernels, which time grouping
+// through it.
+func NewSort(codec any, dir string, memItems int) Collector {
+	return NewHash(codec, dir, memItems)
 }
 
 // NewHashContext is NewHash with a cancellation context: the spill and
@@ -190,6 +164,9 @@ func NewHashContext(ctx context.Context, dir string, memItems int) Collector {
 }
 
 func (c *hashCollector) Add(p transport.Pair) error {
+	if c.used {
+		return errUsed
+	}
 	id := c.group(p.Key)
 	g := &c.groups[id]
 	i := int32(c.n)
@@ -478,6 +455,10 @@ func (c *hashCollector) boundFanIn() error {
 // merges the runs with the table's residue. Closing the iterator releases
 // both.
 func (c *hashCollector) Iterate() (Iterator, error) {
+	if c.used {
+		return nil, errUsed
+	}
+	c.used = true
 	for i := range c.groups {
 		c.stats.MaxGroup = max(c.stats.MaxGroup, c.groups[i].total)
 	}
@@ -505,6 +486,7 @@ func (c *hashCollector) Next() (transport.Pair, bool, error) {
 }
 
 func (c *hashCollector) Close() {
+	c.used = true
 	if c.file != nil {
 		c.file.Close()
 		c.file = nil

@@ -11,22 +11,20 @@ import (
 	"github.com/casm-project/casm/internal/transport"
 )
 
-// testCodec serializes pairs for the sort collector's runs: uvarint key
-// length, key, value. NewHash takes one and ignores it.
-type testCodec struct{}
-
-func (testCodec) EncodeTo(dst []byte, p transport.Pair) ([]byte, error) {
-	dst = binary.AppendUvarint(dst, uint64(len(p.Key)))
-	dst = append(dst, p.Key...)
-	return append(dst, p.Value...), nil
+// stableSorted is the reference stream for any pairs: a copy sorted stably
+// by key, so pairs of one key keep their arrival order — what an external
+// sort of the pairs would yield.
+func stableSorted(pairs []transport.Pair) []transport.Pair {
+	want := slices.Clone(pairs)
+	slices.SortStableFunc(want, func(a, b transport.Pair) int { return bytes.Compare(a.Key, b.Key) })
+	return want
 }
 
-func (testCodec) Decode(b []byte) (transport.Pair, error) {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || uint64(len(b)-k) < n {
-		return transport.Pair{}, fmt.Errorf("corrupt pair")
-	}
-	return transport.Pair{Key: b[k : k+int(n) : k+int(n)], Value: b[k+int(n):]}, nil
+// samePairs reports whether two streams hold the same pairs in the same order.
+func samePairs(a, b []transport.Pair) bool {
+	return slices.EqualFunc(a, b, func(x, y transport.Pair) bool {
+		return bytes.Equal(x.Key, y.Key) && bytes.Equal(x.Value, y.Value)
+	})
 }
 
 // drain materializes a collector's output (copying keys and values,
@@ -130,25 +128,21 @@ func wordKeys(rng *rand.Rand, nKeys int) [][]byte {
 }
 
 // TestHashMatchesSort is the collector-level equivalence property: for a
-// random pair stream, the hash collector's output must be byte-identical
-// to the sort collector's, across memory budgets from "everything fits"
-// down to "spill every other pair".
+// random pair stream, the collector's output must be byte-identical to a
+// stable sort of the pairs by key, across memory budgets from "everything
+// fits" down to "spill every other pair".
 func TestHashMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 50, 500} {
 		for _, mem := range []int{0, 2, 7, 1000} {
 			pairs := randomPairs(rng, n, 1+n/10)
-			hash := NewHash(testCodec{}, t.TempDir(), mem)
-			sorted := NewSort(testCodec{}, t.TempDir(), mem)
+			hash := NewHash(nil, t.TempDir(), mem)
 			for _, p := range pairs {
 				if err := hash.Add(p); err != nil {
 					t.Fatal(err)
 				}
-				if err := sorted.Add(p); err != nil {
-					t.Fatal(err)
-				}
 			}
-			got, want := drain(t, hash), drain(t, sorted)
+			got, want := drain(t, hash), stableSorted(pairs)
 			if len(got) != len(want) {
 				t.Fatalf("n=%d mem=%d: hash yielded %d pairs, sort %d", n, mem, len(got), len(want))
 			}
@@ -158,8 +152,8 @@ func TestHashMatchesSort(t *testing.T) {
 						n, mem, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 				}
 			}
-			if hs, ss := hash.Stats(), sorted.Stats(); hs.Items != ss.Items {
-				t.Errorf("n=%d mem=%d: hash Items %d, sort Items %d", n, mem, hs.Items, ss.Items)
+			if hs := hash.Stats(); hs.Items != int64(n) {
+				t.Errorf("n=%d mem=%d: hash Items %d", n, mem, hs.Items)
 			}
 		}
 	}
@@ -175,19 +169,15 @@ func TestHashOrderMatchesBytesCompare(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(nKeys)))
 		keys := wordKeys(rng, nKeys)
 		pairs := pairsOver(rng, 4*nKeys, keys)
-		want := slices.Clone(pairs)
-		slices.SortStableFunc(want, PairKeyCompare)
+		want := stableSorted(pairs)
 		for _, mem := range []int{0, 1, 2, 291} {
-			c := NewHash(testCodec{}, t.TempDir(), mem)
+			c := NewHash(nil, t.TempDir(), mem)
 			for _, p := range pairs {
 				if err := c.Add(p); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got := drain(t, c)
-			if !slices.EqualFunc(got, want, func(a, b transport.Pair) bool {
-				return bytes.Equal(a.Key, b.Key) && bytes.Equal(a.Value, b.Value)
-			}) {
+			if got := drain(t, c); !samePairs(got, want) {
 				t.Fatalf("keys=%d (%d distinct) mem=%d: the stream is not the pairs sorted stably by key", nKeys, len(keys), mem)
 			}
 		}
@@ -199,7 +189,7 @@ func TestHashOrderMatchesBytesCompare(t *testing.T) {
 // arrival order.
 func TestHashGroupsContiguousArrivalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	c := NewHash(testCodec{}, t.TempDir(), 0)
+	c := NewHash(nil, t.TempDir(), 0)
 	pairs := randomPairs(rng, 300, 17)
 	for _, p := range pairs {
 		if err := c.Add(p); err != nil {
@@ -240,7 +230,7 @@ func TestHashGroupsContiguousArrivalOrder(t *testing.T) {
 // overflow flush is one run, the residue stays in memory and is not one,
 // and SpilledBytes is the two runs' frames — a key once per group.
 func TestHashSpillAccounting(t *testing.T) {
-	c := NewHash(testCodec{}, t.TempDir(), 4)
+	c := NewHash(nil, t.TempDir(), 4)
 	for i := 0; i < 10; i++ { // 10 pairs, budget 4: two overflow flushes + residue
 		v := []byte{byte(i)}
 		if err := c.Add(transport.Pair{Key: fmt.Appendf(nil, "k%d", i%3), Value: v}); err != nil {
@@ -267,24 +257,19 @@ func TestHashSpillAccounting(t *testing.T) {
 
 // TestSpilledStreamMatchesUnbounded: a spilling collector yields exactly
 // what an unbounded one does — groups ascending, each group's pairs in
-// arrival order — byte for byte, for both collectors, whether a run holds
-// one pair or a thousand and whether the groups are one, few or many.
+// arrival order, a stable sort of the pairs by key — byte for byte,
+// through NewHash and NewSort alike, whether a run holds one pair or a
+// thousand and whether the groups are one, few or many.
 func TestSpilledStreamMatchesUnbounded(t *testing.T) {
 	collectors := map[string]func(dir string, mem int) Collector{
-		"hash": func(dir string, mem int) Collector { return NewHash(testCodec{}, dir, mem) },
-		"sort": func(dir string, mem int) Collector { return NewSort(testCodec{}, dir, mem) },
+		"hash": func(dir string, mem int) Collector { return NewHash(nil, dir, mem) },
+		"sort": func(dir string, mem int) Collector { return NewSort(nil, dir, mem) },
 	}
 	for name, newColl := range collectors {
 		for _, nKeys := range []int{1, 13, 400} {
 			pairs := randomPairs(rand.New(rand.NewSource(int64(nKeys))), 5000, nKeys)
-			unbounded := newColl(t.TempDir(), 0)
-			for _, p := range pairs {
-				if err := unbounded.Add(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := drain(t, unbounded)
-			for _, mem := range []int{1, 2, 291, 1000} {
+			want := stableSorted(pairs)
+			for _, mem := range []int{0, 1, 2, 291, 1000} {
 				c := newColl(t.TempDir(), mem)
 				for _, p := range pairs {
 					if err := c.Add(p); err != nil {
@@ -292,15 +277,15 @@ func TestSpilledStreamMatchesUnbounded(t *testing.T) {
 					}
 				}
 				got := drain(t, c)
-				if c.Stats().Runs == 0 {
-					t.Fatalf("%s keys=%d mem=%d: never spilled", name, nKeys, mem)
+				if spilled := c.Stats().Runs > 0; spilled != (mem > 0) {
+					t.Fatalf("%s keys=%d mem=%d: spilled %v", name, nKeys, mem, spilled)
 				}
 				if len(got) != len(want) {
-					t.Fatalf("%s keys=%d mem=%d: %d pairs, unbounded %d", name, nKeys, mem, len(got), len(want))
+					t.Fatalf("%s keys=%d mem=%d: %d pairs, reference %d", name, nKeys, mem, len(got), len(want))
 				}
 				for i := range got {
 					if !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Value, want[i].Value) {
-						t.Errorf("%s keys=%d mem=%d: pair %d is (%q,%x), unbounded (%q,%x)",
+						t.Errorf("%s keys=%d mem=%d: pair %d is (%q,%x), reference (%q,%x)",
 							name, nKeys, mem, i, got[i].Key, got[i].Value, want[i].Key, want[i].Value)
 						break
 					}

@@ -229,7 +229,7 @@ func TestHashCollectorMatchesReference(t *testing.T) {
 				} else {
 					pairs = randomPairs(rng, c.n, c.nKeys)
 				}
-				got := NewHash(testCodec{}, t.TempDir(), c.mem)
+				got := NewHash(nil, t.TempDir(), c.mem)
 				want := newRefHash(c.mem)
 				sizes := map[string]int64{}
 				for _, p := range pairs {
@@ -311,7 +311,7 @@ func TestHashCollectorAllocatesWhatItHolds(t *testing.T) {
 		return float64(after.TotalAlloc - before.TotalAlloc)
 	}
 	for _, mem := range []int{0, 4096} {
-		c := NewHash(testCodec{}, t.TempDir(), mem)
+		c := NewHash(nil, t.TempDir(), mem)
 		add := allocated(func() {
 			for _, p := range pairs {
 				if err := c.Add(p); err != nil {
@@ -374,7 +374,7 @@ func TestHashTableAllocsOnlyGrowth(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.Mallocs - before.Mallocs
 	}
-	c := NewHash(testCodec{}, "", 0).(*hashCollector)
+	c := NewHash(nil, "", 0).(*hashCollector)
 	// A new chunk shows as the list's length, a regrowth as a capacity.
 	caps := func() [6]int {
 		return [6]int{len(c.chunks), cap(c.chunks), cap(c.chunks[len(c.chunks)-1]), cap(c.slots), cap(c.groups), cap(c.resident)}

@@ -25,7 +25,7 @@ func TestHashRunsAreFramedBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, tc := range []struct{ n, budget int }{{0, 5}, {3, 5}, {5, 5}, {23, 5}, {1000, 64}, {1024, 64}} {
 		pairs := randomPairs(rng, tc.n, 40)
-		c := NewHash(testCodec{}, t.TempDir(), tc.budget)
+		c := NewHash(nil, t.TempDir(), tc.budget)
 		model := newRefHash(tc.budget)
 		for _, p := range pairs {
 			if err := c.Add(p); err != nil {
@@ -64,7 +64,7 @@ func TestHashRunsAreFramedBatches(t *testing.T) {
 func TestHashFanInBoundsReaders(t *testing.T) {
 	const n = 10_500 // a budget of one pair: one run per pair
 	pairs := randomPairs(rand.New(rand.NewSource(11)), n, 400)
-	coll := NewHash(testCodec{}, t.TempDir(), 1)
+	coll := NewHash(nil, t.TempDir(), 1)
 	defer coll.Close()
 	model := newRefHash(1)
 	for _, p := range pairs {
@@ -132,7 +132,7 @@ func TestHashSpillHoldsOneDescriptor(t *testing.T) {
 	})
 
 	const runs, budget = 10000, 4
-	c := NewHash(testCodec{}, t.TempDir(), budget)
+	c := NewHash(nil, t.TempDir(), budget)
 	defer c.Close()
 	for i := runs*budget - 1; i >= 0; i-- {
 		if err := c.Add(transport.Pair{Key: fmt.Appendf(nil, "%08d", i), Value: []byte{byte(i)}}); err != nil {
@@ -242,7 +242,7 @@ func TestHashSpillReusesRunWriter(t *testing.T) {
 		for i := range pairs {
 			pairs[i] = transport.Pair{Key: []byte{byte(i % 3)}, Value: []byte{byte(i)}}
 		}
-		c := NewHash(testCodec{}, t.TempDir(), 4)
+		c := NewHash(nil, t.TempDir(), 4)
 		defer c.Close()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -113,7 +113,7 @@ func (c *hashCollector) compareGroups(a, b int32) int {
 // sort of their ids on the keys' words, a pass per byte digit that is not
 // the same for all of them, each pass from the resident list into the
 // collector's one scratch slice or back (the two swap roles), then
-// bytes.Compare inside each run of equal words. (sortx.Radix sorts
+// bytes.Compare inside each run of equal words. (localeval.Radix sorts
 // integers that carry their own digits; here a digit is read through the
 // id, from the group's key, so no (word, id) buffer is built.)
 func (c *hashCollector) sortResident() {

@@ -18,10 +18,7 @@ import (
 func iterFiles(t *testing.T) []string {
 	t.Helper()
 	var files []string
-	for _, pat := range []string{
-		"../mr/*.go", "../groupx/*.go",
-		"../sortx/*.go", "../core/*.go",
-	} {
+	for _, pat := range []string{"../mr/*.go", "../groupx/*.go", "../core/*.go"} {
 		m, err := filepath.Glob(pat)
 		if err != nil {
 			t.Fatal(err)

@@ -1,4 +1,4 @@
-package sortx
+package localeval
 
 // radixBits is Radix's digit width: 2¹¹ counters fit L1.
 const radixBits = 11

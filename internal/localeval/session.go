@@ -11,7 +11,6 @@ import (
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/measure"
-	"github.com/casm-project/casm/internal/sortx"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -196,7 +195,7 @@ func (ss *Session) sortPacked(stride int) bool {
 		}
 		data[r] = int64(k)
 	}
-	if keys := sortx.Radix(data[:n], data[n:2*n], 0, int(total)); &keys[0] != &data[0] {
+	if keys := Radix(data[:n], data[n:2*n], 0, int(total)); &keys[0] != &data[0] {
 		copy(data, keys)
 	}
 	for r := n - 1; r >= 0; r-- {

@@ -345,7 +345,7 @@ func TestMorselWordCount(t *testing.T) {
 
 // TestMorselMatchesFixed pins byte-level equivalence of the two map modes
 // on the mr layer: same sorted output pairs, with a combiner forced to
-// spill (LocalAggBudget=2) and the reducer's sorter forced to spill
+// spill (LocalAggBudget=2) and the reducer's collector forced to spill
 // (SortMemoryItems=2).
 func TestMorselMatchesFixed(t *testing.T) {
 	var lines []string

@@ -160,7 +160,7 @@ func TestWordCountChannel(t *testing.T) {
 }
 
 func TestWordCountWithSpill(t *testing.T) {
-	// Force the external sort path with a tiny memory budget.
+	// Force the collector to spill with a tiny memory budget.
 	res, err := Run(wordCountJob(wcLines, Config{
 		NumReducers:     2,
 		SortMemoryItems: 2,
