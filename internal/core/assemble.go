@@ -8,82 +8,150 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/transport"
+	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
-// assembler builds Result.Measures from packed <coordinates, value> rows
-// (appendMeasureRecord) for every producer of a Result: the single-query
-// and shared-job drains, the manifest replay, the baseline, LoadResults.
-// add decodes each row as it arrives, into chunks that become the
-// result's coordinate storage; finish only orders each measure's rows —
-// canonically, by bytes.Compare of their encoded coordinates — and fills
-// its records in that order.
+// assembler builds Result.Measures for every producer of a Result. The
+// job's drain adopts the chunks its reduce tasks filled (rowChunk); the
+// manifest replay and the baseline push rows one at a time, LoadResults
+// adds packed <coordinates, value> rows (appendMeasureRecord). finish
+// only orders each measure's rows — canonically, by bytes.Compare of
+// their encoded coordinates — and fills its records in that order.
 type assembler struct {
 	arity int
 	slots []*asmSlot
 }
 
-// asmChunkRows is the rows per storage chunk: 256 rows of up to 8
-// coordinates fill a size class exactly. Only the first chunk grows.
+// asmChunkRows is the rows per chunk: 256 rows of up to 8 coordinates
+// fill a size class exactly.
 const asmChunkRows = 256
 
-// asmSlot is one measure's rows on their way into one Result: row i's
-// coordinates and value are in chunk i/asmChunkRows of coords and vals.
+// rowChunk is up to asmChunkRows rows of one measure: row i's coordinates
+// are coords[i*arity:(i+1)*arity] and its value vals[i]. Per attribute, or
+// is the OR of the rows' coordinates, whose uvarint is the longest seen,
+// and diff the OR of their XOR with row 0's, zero while the attribute has
+// not varied: what asmSlot.layout needs, kept as rows are added. A reduce
+// task fills one per measure of each query of its job and hands it to the
+// job's output; q and m say whose rows it holds — the query's ordinal in
+// the job and the measure's index in its workflow's Measures.
+type rowChunk struct {
+	q, m     int
+	coords   []int64
+	vals     []float64
+	or, diff []uint64
+}
+
+// newRowChunk returns an empty chunk with room for rows rows; with 0 it
+// starts at 16 rows and grows fourfold up to asmChunkRows as rows are
+// added, so a chunk that fills has copied 80 rows on the way, and one left
+// partly filled holds at most four times its rows.
+func newRowChunk(q, m, arity, rows int) *rowChunk {
+	return &rowChunk{q: q, m: m, coords: make([]int64, 0, rows*arity), vals: make([]float64, 0, rows), or: make([]uint64, arity), diff: make([]uint64, arity)}
+}
+
+// spareChunks recycles the chunks no Result keeps — those a stream has
+// read to the end and the partly filled ones the assembler copied — into
+// the chunks reduce tasks fill next.
+var spareChunks sync.Pool
+
+// reuseRowChunk is newRowChunk, served from spareChunks when the chunk
+// there has the arity and room for rows rows.
+func reuseRowChunk(q, m, arity, rows int) *rowChunk {
+	c, _ := spareChunks.Get().(*rowChunk)
+	if c == nil || len(c.or) != arity || cap(c.vals) < rows {
+		return newRowChunk(q, m, arity, rows)
+	}
+	clear(c.or)
+	clear(c.diff)
+	*c = rowChunk{q: q, m: m, coords: c.coords[:0], vals: c.vals[:0], or: c.or, diff: c.diff}
+	return c
+}
+
+// add appends a row; the chunk must not be full.
+func (c *rowChunk) add(coord []int64, v float64) {
+	n, a := len(c.vals), len(coord)
+	if n == cap(c.vals) {
+		size := min(max(4*n, 16), asmChunkRows)
+		c.coords = append(make([]int64, 0, size*a), c.coords...)
+		c.vals = append(make([]float64, 0, size), c.vals...)
+	}
+	c.coords, c.vals = c.coords[:(n+1)*a], append(c.vals, v)
+	copy(c.coords[n*a:], coord)
+	first, or, diff := c.coords[:a], c.or[:a], c.diff[:a]
+	for j, x := range coord {
+		or[j] |= uint64(x)
+		diff[j] |= uint64(x ^ first[j])
+	}
+}
+
+func (c *rowChunk) full() bool { return len(c.vals) == asmChunkRows }
+
+func (c *rowChunk) row(i, arity int) []int64 {
+	off := i * arity
+	return c.coords[off : off+arity : off+arity]
+}
+
+// asmSlot is one measure's rows on their way into one Result: row i is row
+// i%asmChunkRows of chunks[i/asmChunkRows], and every chunk but the last
+// is full.
 type asmSlot struct {
 	dst    map[string][]MeasureRecord
 	m      *workflow.Measure
 	arity  int
 	n      int
-	coords [][]int64
-	vals   [][]float64
-	// Per attribute: the OR of its coordinates, whose uvarint is the
-	// longest seen, and the OR of their XOR with row 0's, zero while the
-	// attribute has not varied.
-	or, diff []uint64
-	recs     []MeasureRecord
+	chunks []*rowChunk
+	row    []int64 // add's decoding scratch
+	recs   []MeasureRecord
 }
 
 // slot registers a measure whose records finish stores in dst[m.Name]
 // (an empty slice when no row is added).
 func (a *assembler) slot(dst map[string][]MeasureRecord, m *workflow.Measure) *asmSlot {
-	s := &asmSlot{dst: dst, m: m, arity: a.arity, or: make([]uint64, a.arity), diff: make([]uint64, a.arity)}
+	s := &asmSlot{dst: dst, m: m, arity: a.arity, row: make([]int64, a.arity)}
 	a.slots = append(a.slots, s)
 	return s
 }
 
-// drain consumes the job's output to its end and closes the pipe. Each
-// distinct output key is resolved to its slot once and then probed by
-// its raw bytes.
-func (a *assembler) drain(pipe *mr.Pipe, resolve func(key []byte) (*asmSlot, error)) error {
-	byKey := make(map[string]*asmSlot)
+// drain adopts the job's output chunks into the results of its queries
+// until the pipe ends, then closes it. A chunk says whose rows it holds.
+func (a *assembler) drain(pipe *mr.Pipe[*rowChunk], queries []*jobQuery, results []*Result) error {
+	slots := make([][]*asmSlot, len(queries))
 	for {
-		_, pairs, ok, err := pipe.NextBatch()
-		if err != nil {
-			return err
+		c, ok, err := pipe.Next()
+		if err != nil || !ok {
+			return cmp.Or(err, pipe.Close())
 		}
-		if !ok {
-			return pipe.Close()
+		if slots[c.q] == nil {
+			slots[c.q] = make([]*asmSlot, len(queries[c.q].w.Measures()))
 		}
-		for _, p := range pairs {
-			s, ok := byKey[string(p.Key)]
-			if !ok {
-				if s, err = resolve(p.Key); err != nil {
-					return err
-				}
-				byKey[string(p.Key)] = s
-			}
-			if err := s.add(p.Value); err != nil {
-				return err
-			}
+		s := &slots[c.q][c.m]
+		if *s == nil {
+			*s = a.slot(results[c.q].Measures, queries[c.q].w.Measures()[c.m])
 		}
-		transport.RecycleBatch(pairs)
+		(*s).adopt(c)
 	}
+}
+
+// adopt takes a chunk of the measure's rows: a full one becomes the slot's
+// storage as it is, ahead of the chunk being filled; a partly filled one,
+// a reduce task's last, has its rows copied.
+func (s *asmSlot) adopt(c *rowChunk) {
+	if !c.full() {
+		for i, v := range c.vals {
+			s.push(c.row(i, s.arity), v)
+		}
+		spareChunks.Put(c)
+		return
+	}
+	s.n += asmChunkRows
+	s.chunks = slices.Insert(s.chunks, max(len(s.chunks)-1, 0), c)
 }
 
 // add decodes one packed row into the slot without retaining payload.
@@ -92,32 +160,25 @@ func (s *asmSlot) add(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if s.n == math.MaxUint32 {
-		return fmt.Errorf("core: measure %q: more than %d rows", s.m.Name, uint32(math.MaxUint32))
-	}
-	k, a := s.n/asmChunkRows, s.arity
-	if k == len(s.vals) {
-		size := min(k, 1) * asmChunkRows // a later chunk is allocated whole, never regrown
-		s.coords, s.vals = append(s.coords, make([]int64, 0, size*a)), append(s.vals, make([]float64, 0, size))
-	}
-	c := slices.Grow(s.coords[k], a)
-	row := c[len(c) : len(c)+a]
-	if err := cube.DecodeCoordsInto(key, row); err != nil {
+	if err := cube.DecodeCoordsInto(key, s.row); err != nil {
 		return err
 	}
-	s.coords[k], s.vals[k] = c[:len(c)+a], append(s.vals[k], v)
-	first, or, diff := s.coords[0][:a], s.or[:a], s.diff[:a]
-	for j, c := range row {
-		or[j] |= uint64(c)
-		diff[j] |= uint64(c ^ first[j])
-	}
-	s.n++
+	s.push(s.row, v)
 	return nil
 }
 
+// push copies one row into the slot's last chunk. The first chunk grows; a
+// later one is allocated whole, never regrown.
+func (s *asmSlot) push(coord []int64, v float64) {
+	if k := len(s.chunks); k == 0 || s.chunks[k-1].full() {
+		s.chunks = append(s.chunks, newRowChunk(0, 0, s.arity, min(k, 1)*asmChunkRows))
+	}
+	s.chunks[len(s.chunks)-1].add(coord, v)
+	s.n++
+}
+
 func (s *asmSlot) coord(i uint32) []int64 {
-	off := int(i%asmChunkRows) * s.arity
-	return s.coords[i/asmChunkRows][off : off+s.arity : off+s.arity]
+	return s.chunks[i/asmChunkRows].row(int(i%asmChunkRows), s.arity)
 }
 
 // finish orders every slot and stores its records. Slots are independent,
@@ -126,6 +187,11 @@ func (s *asmSlot) coord(i uint32) []int64 {
 func (a *assembler) finish(ctx context.Context, ex *exec.Executor) error {
 	if ex == nil {
 		ex = exec.Default()
+	}
+	for _, s := range a.slots {
+		if s.n > math.MaxUint32 { // build's row indices are uint32
+			return fmt.Errorf("core: measure %q: more than %d rows", s.m.Name, uint32(math.MaxUint32))
+		}
 	}
 	g := ex.NewGroup(ctx, exec.Options{})
 	for _, s := range a.slots {
@@ -182,9 +248,9 @@ func (s *asmSlot) build() {
 	s.recs = make([]MeasureRecord, s.n)
 	for i, w := range words {
 		r := uint32(w & (1<<rowBits - 1))
-		s.recs[i] = MeasureRecord{Region: cube.Region{Grain: s.m.Grain, Coord: s.coord(r)}, Value: s.vals[r/asmChunkRows][r%asmChunkRows]}
+		s.recs[i] = MeasureRecord{Region: cube.Region{Grain: s.m.Grain, Coord: s.coord(r)}, Value: s.chunks[r/asmChunkRows].vals[r%asmChunkRows]}
 	}
-	s.vals = nil
+	s.chunks = nil // the records keep the coordinates; the values go
 }
 
 // asmField is one varying attribute's place in a packed key: w uvarint
@@ -193,14 +259,25 @@ type asmField struct{ attr, w, last int }
 
 // layout returns the fields a packed key holds, rowBits of row index below
 // keyBits of key, and rest: the attributes from the first it cannot hold.
+//
+// The chunks' or and diff words merge into the slot's: an attribute varies
+// across the slot when it varies inside a chunk or between the chunks'
+// first rows.
 func (s *asmSlot) layout() (fields []asmField, rowBits, keyBits int, rest []int) {
 	rowBits = bits.Len(uint(s.n))
-	for j, d := range s.diff {
+	or, diff := make([]uint64, s.arity), make([]uint64, s.arity)
+	for _, c := range s.chunks {
+		for j := range or {
+			or[j] |= c.or[j]
+			diff[j] |= c.diff[j] | uint64(c.coords[j]^s.chunks[0].coords[j])
+		}
+	}
+	for j, d := range diff {
 		if d == 0 {
 			continue
 		}
-		w := max(1, (bits.Len64(s.or[j])+6)/7)
-		f := asmField{attr: j, w: w, last: bits.Len64(s.or[j] >> (7 * (w - 1)))}
+		w := max(1, (bits.Len64(or[j])+6)/7)
+		f := asmField{attr: j, w: w, last: bits.Len64(or[j] >> (7 * (w - 1)))}
 		if n := 8*(w-1) + f.last; rest == nil && rowBits+keyBits+n <= 64 {
 			fields, keyBits = append(fields, f), keyBits+n
 		} else {
@@ -240,6 +317,15 @@ func (s *asmSlot) sortTies(words []uint64, rowBits int, rest []int) {
 func appendMeasureRecord(dst []byte, coords []int64, v float64) []byte {
 	dst = cube.AppendCoords(dst, coords)
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+// measureRecordLen is the length of appendMeasureRecord's record.
+func measureRecordLen(coords []int64) int {
+	n := 8
+	for _, c := range coords {
+		n += recio.UvarintLen(uint64(c))
+	}
+	return n
 }
 
 // splitMeasureRecord slices a packed record into its encoded coordinate

@@ -7,16 +7,18 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/exec"
+	"github.com/casm-project/casm/internal/localeval"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
@@ -267,10 +269,98 @@ func TestAssemblyAllocatesWhatItKeeps(t *testing.T) {
 	}
 }
 
+// TestOutputTailAllocs is the allocation ceiling of the whole output tail:
+// from a reduce group's surviving localeval.Results — the ownership filter,
+// the chunks a reduce task fills, mr's output pipe and the assembler — to
+// the finished Result. A row at Q1's grain allocates what the Result keeps
+// (its MeasureRecord and 8 bytes per coordinate) plus at most 48, the
+// budget TestAssemblyAllocatesWhatItKeeps sets the assembler alone. The
+// collector is held off, so the count is exact; the one-record job around
+// the tail costs a few KiB, which the 36 000 rows amortize.
+func TestOutputTailAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	su := workload.NewSuite()
+	w, arity := su.Q1(), su.Schema.NumAttrs()
+	ctx := context.Background()
+	ds := MemoryDataset(su.Schema, su.Generate(1, workload.Uniform, 3), 1)
+	eng, err := NewEngine(Config{NumReducers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome, err := eng.PlanContext(ctx, w, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := newJobQuery(w, outcome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := distkey.NewBlockMapper(su.Schema, outcome.Plan.Key, outcome.Plan.ClusteringFactor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12_000
+	rng := rand.New(rand.NewSource(5))
+	var results []localeval.Result
+	for _, m := range w.Measures() {
+		for _, row := range grainRows(rng, arity, n) {
+			key, v, _ := splitMeasureRecord(row)
+			coord := make([]int64, arity)
+			if err := cube.DecodeCoordsInto(key, coord); err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, localeval.Result{Measure: m.Name, Region: cube.Region{Grain: m.Grain, Coord: coord}, Value: v})
+		}
+	}
+	var before, after runtime.MemStats
+	job := mr.Job[*rowChunk]{
+		Input:  ds.Input,
+		Config: mr.Config{NumReducers: 1, NewReduceLocal: func(*mr.ReduceTaskStats) any { return &reduceLocal{outs: []*ownedOutput{newOwnedOutput(0, w)}} }},
+		Map:    func(ctx *mr.MapCtx, _ mr.Batch) error { return ctx.Emit([]byte{0}, nil) },
+		Reduce: func(ctx *mr.ReduceCtx[*rowChunk], key []byte, values *mr.GroupIter) error {
+			runtime.ReadMemStats(&before)
+			dk, out := bm.NewSession(), ctx.Local.(*reduceLocal).outs[0]
+			for i := 0; i < len(results); i += 64 { // a block's results at a time
+				out.emit(ctx, dk, key, results[i:min(i+64, len(results))], nil, nil)
+			}
+			return nil
+		},
+		Finish: finishOutputs,
+	}
+	pipe, err := mr.RunPipe(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := []*Result{{Measures: map[string][]MeasureRecord{}}}
+	asm := assembler{arity: arity}
+	if err := asm.drain(pipe, []*jobQuery{q}, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := asm.finish(ctx, nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perRow := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(results))
+	kept := float64(unsafe.Sizeof(MeasureRecord{}) + 8*uintptr(arity))
+	t.Logf("%.1f bytes allocated per row from result to Result; the row keeps %.0f", perRow, kept)
+	if perRow > kept+48 {
+		t.Errorf("the output tail allocated %.1f bytes per row, want ≤ %.0f", perRow, kept+48)
+	}
+	for _, m := range w.Measures() {
+		if got := len(res[0].Measures[m.Name]); got != n {
+			t.Fatalf("%s: %d rows in the Result, want %d", m.Name, got, n)
+		}
+	}
+}
+
 // TestAssemblyPathsByteIdentical: every path that produces a Result for
 // the same query — single-query job, shared-job batch member, per-block
 // cache replay through the job, whole-query manifest replay, and a
-// SaveResults→LoadResults round trip — yields the same bytes.
+// SaveResults→LoadResults round trip — yields the same bytes. So do a job
+// whose reducers spill every second pair (SortMemoryItems: 2) and the
+// stream's rows, sorted. Each of several reduce tasks fills more than one
+// chunk of a measure, so full chunks (adopted) and partly filled tails
+// (copied) both reach the assembler (checkChunkBoundaries).
 func TestAssemblyPathsByteIdentical(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(4000, workload.Uniform, 61)
@@ -302,6 +392,13 @@ func TestAssemblyPathsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spilling, err := NewEngine(Config{NumReducers: 3, SortMemoryItems: 2, TempDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []*Engine{plain, spilling} {
+		checkChunkBoundaries(t, eng, su.Q1(), ds)
+	}
 	for i, w := range ws {
 		single, err := plain.EvaluateContext(ctx, w, ds)
 		if err != nil {
@@ -318,6 +415,12 @@ func TestAssemblyPathsByteIdentical(t *testing.T) {
 			}
 		}
 		check("batch member", batch.Results[i])
+		spilled, err := spilling.EvaluateContext(ctx, w, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("spilling job", spilled)
+		check("stream, sorted", streamResult(t, plain, w, ds))
 
 		cold, err := cached.EvaluateContext(ctx, w, ds)
 		if err != nil {
@@ -345,6 +448,86 @@ func TestAssemblyPathsByteIdentical(t *testing.T) {
 	}
 }
 
+// streamResult collects w's streamed rows into a Result, each measure
+// sorted by its rows' encoded coordinates: the Result's canonical order.
+func streamResult(t *testing.T, eng *Engine, w *workflow.Workflow, ds *Dataset) *Result {
+	t.Helper()
+	st, err := eng.EvaluateStream(context.Background(), w, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	res := &Result{Measures: map[string][]MeasureRecord{}}
+	for {
+		row, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		row.Region.Coord = slices.Clone(row.Region.Coord) // valid until the next Next only
+		res.Measures[row.Measure] = append(res.Measures[row.Measure], MeasureRecord{row.Region, row.Value})
+	}
+	for _, recs := range res.Measures {
+		slices.SortFunc(recs, func(a, b MeasureRecord) int {
+			return bytes.Compare(cube.AppendCoords(nil, a.Region.Coord), cube.AppendCoords(nil, b.Region.Coord))
+		})
+	}
+	return res
+}
+
+// checkChunkBoundaries runs w's job and checks the shape of its output: at
+// least two reduce tasks each emit a full chunk and a partly filled one of
+// the same measure, and every chunk but a task's last of a measure is full.
+func checkChunkBoundaries(t *testing.T, eng *Engine, w *workflow.Workflow, ds *Dataset) {
+	t.Helper()
+	outcome, err := eng.PlanContext(context.Background(), w, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := newJobQuery(w, outcome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := eng.startJob(context.Background(), ds, []*jobQuery{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer js.pipe.Close()
+	type source struct{ r, m int }
+	full, partial := map[source]int{}, map[source]int{}
+	for {
+		r, chunks, ok, err := js.pipe.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		for _, c := range chunks {
+			src := source{r, c.m}
+			if partial[src] > 0 {
+				t.Fatalf("reduce task %d emitted a chunk of measure %d after its partly filled one", r, c.m)
+			}
+			if c.full() {
+				full[src]++
+			} else {
+				partial[src]++
+			}
+		}
+	}
+	tasks := map[int]bool{}
+	for src, n := range full {
+		if partial[src] == 1 && n > 0 {
+			tasks[src.r] = true
+		}
+	}
+	if len(tasks) < 2 {
+		t.Fatalf("%d reduce tasks emitted full and partly filled chunks of one measure, want ≥ 2 (full %v, partial %v)", len(tasks), full, partial)
+	}
+}
+
 // countingInput counts Splits calls: one per job started over it.
 type countingInput struct {
 	mr.Input
@@ -356,11 +539,14 @@ func (c countingInput) Splits() ([]mr.Split, error) {
 	return c.Input.Splits()
 }
 
-// TestAssemblyRejectsMalformedRows: a row with a 7-byte payload, a
-// truncated coordinate key, or trailing key bytes reaches the assembler
-// through a corrupted cache entry. The manifest replay must not answer
-// from it but fall back to the job; the job (which replays the same
-// entry) must fail with the codec's error, torn down, spill dir empty.
+// TestAssemblyRejectsMalformedRows: a malformed row reaches the cached-row
+// decoder through a corrupted cache entry — a 7-byte payload, a truncated
+// coordinate key, trailing key bytes, a coordinate whose uvarint is not
+// minimal, or a measure index ≥ 2⁶³, which turned negative and panicked
+// both reuse paths. Neither may answer from the entry or fail the query:
+// the manifest replay falls back to the job, and the job (with or without
+// a manifest) treats the entry as a miss and evaluates the block afresh,
+// so the answer is the cold run's bytes, torn down, spill dir empty.
 func TestAssemblyRejectsMalformedRows(t *testing.T) {
 	su := workload.NewSuite()
 	records := su.Generate(2000, workload.Uniform, 67)
@@ -368,56 +554,98 @@ func TestAssemblyRejectsMalformedRows(t *testing.T) {
 	w := su.Q1()
 	arity := su.Schema.NumAttrs()
 	good := appendMeasureRecord(nil, make([]int64, arity), 1)
+	row := func(idx uint64, payload []byte) []byte {
+		b := binary.AppendUvarint(nil, idx)
+		return append(binary.AppendUvarint(b, uint64(len(payload))), payload...)
+	}
 	cases := []struct {
-		label, wantErr string
-		payload        []byte
+		label string
+		entry []byte
 	}{
-		{"7-byte value", "core: truncated measure record", good[len(good)-7:]},
-		{"truncated key", "cube: truncated coordinate key", good[1:]},
-		{"trailing key bytes", "trailing bytes in coordinate key", append([]byte{0}, good...)},
+		{"7-byte value", row(0, good[len(good)-7:])},
+		{"truncated key", row(0, good[1:])},
+		{"trailing key bytes", row(0, append([]byte{0}, good...))},
+		{"non-minimal coordinate", row(0, append([]byte{0x80}, good...))},
+		{"measure index 2^63", row(1<<63, good)},
 	}
 	for _, tc := range cases {
-		rc, err := blockstore.NewResultCache(nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmp := t.TempDir()
-		eng, err := NewEngine(Config{NumReducers: 3, ResultCache: rc, TempDir: tmp, SortMemoryItems: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var jobs atomic.Int32
-		ds := *base
-		ds.Input = countingInput{base.Input, &jobs}
-		outcome, err := eng.PlanContext(context.Background(), w, &ds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.RunWithPlanContext(context.Background(), w, &ds, outcome); err != nil {
-			t.Fatal(err)
-		}
-		ru := eng.newResultReuse(w, &ds, outcome.Plan)
-		keys, ok := rc.Manifest(ru.queryKey)
-		if !ok || len(keys) == 0 {
-			t.Fatal("cold run committed no manifest")
-		}
-		rc.Put([]byte(keys[0]), appendCachedRow(nil, 0, tc.payload))
+		for _, manifest := range []bool{true, false} {
+			label := fmt.Sprintf("%s, manifest %v", tc.label, manifest)
+			rc, err := blockstore.NewResultCache(nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmp := t.TempDir()
+			eng, err := NewEngine(Config{NumReducers: 3, ResultCache: rc, TempDir: tmp, SortMemoryItems: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jobs atomic.Int32
+			ds := *base
+			ds.Input = countingInput{base.Input, &jobs}
+			outcome, err := eng.PlanContext(context.Background(), w, &ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := eng.RunWithPlanContext(context.Background(), w, &ds, outcome)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ru := eng.newResultReuse(w, &ds, outcome.Plan)
+			keys, ok := rc.Manifest(ru.queryKey)
+			if !ok || len(keys) == 0 {
+				t.Fatal("cold run committed no manifest")
+			}
+			if !manifest { // a fresh cache whose entries a stream filled: per-block hits only
+				rc.Close()
+				if rc, err = blockstore.NewResultCache(nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				eng.cfg.ResultCache = rc
+				drainStream(t, eng, w, &ds)
+			}
+			rc.Put([]byte(keys[0]), tc.entry)
 
-		baseline := settleGoroutines(t)
-		jobs.Store(0)
-		res, err := eng.RunWithPlanContext(context.Background(), w, &ds, outcome)
-		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-			t.Fatalf("%s: err = %v, want %q", tc.label, err, tc.wantErr)
+			baseline := settleGoroutines(t)
+			jobs.Store(0)
+			res, err := eng.RunWithPlanContext(context.Background(), w, &ds, outcome)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if jobs.Load() == 0 || res.ResultReused {
+				t.Fatalf("%s: answered without the job", label)
+			}
+			hits, misses, _ := sumReduce(res)
+			if misses != 1 || hits != int64(len(keys)-1) {
+				t.Errorf("%s: %d hits and %d misses, want %d and 1", label, hits, misses, len(keys)-1)
+			}
+			if !bytes.Equal(resultBytes(t, cold), resultBytes(t, res)) {
+				t.Errorf("%s: result not byte-identical to the cold run's", label)
+			}
+			waitForGoroutines(t, baseline)
+			assertEmptyDir(t, label, tmp)
+			rc.Close()
 		}
-		if res != nil {
-			t.Fatalf("%s: a result came back with the error", tc.label)
+	}
+}
+
+// drainStream runs w as a stream to its end: the run fills the result
+// cache's block entries but commits no manifest.
+func drainStream(t *testing.T, eng *Engine, w *workflow.Workflow, ds *Dataset) {
+	t.Helper()
+	st, err := eng.EvaluateStream(context.Background(), w, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for {
+		_, ok, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if jobs.Load() == 0 {
-			t.Fatalf("%s: the manifest replay did not fall back to the job", tc.label)
+		if !ok {
+			return
 		}
-		waitForGoroutines(t, baseline)
-		assertEmptyDir(t, tc.label, tmp)
-		rc.Close()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
+	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -63,7 +64,6 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 	}
 
 	values := map[string][]baselineRow{}
-	var enc []byte
 
 	for _, m := range order {
 		var rows []baselineRow
@@ -91,10 +91,7 @@ func (e *Engine) RunComponentAtATimeContext(ctx context.Context, w *workflow.Wor
 		values[m.Name] = rows
 		slot := asm.slot(out.Measures, m)
 		for _, r := range rows {
-			enc = appendMeasureRecord(enc[:0], r.coords, r.value)
-			if err := slot.add(enc); err != nil {
-				return nil, err
-			}
+			slot.push(r.coords, r.value)
 		}
 	}
 	// The engine's assembler, so both plans share one canonical order.
@@ -122,7 +119,7 @@ func grainKeyOf(g cube.Grain) string {
 // runRowsJob executes one MapReduce job and decodes its output rows. The
 // baseline's map bodies take one record at a time: each batch's records
 // are gathered, in order, into a row valid for the call.
-func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapRow func(*mr.MapCtx, []int64) error, reduceFn mr.ReduceFunc, arity int) ([]baselineRow, mr.JobStats, error) {
+func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapRow func(*mr.MapCtx, []int64) error, reduceFn mr.ReduceFunc[transport.Pair], arity int) ([]baselineRow, mr.JobStats, error) {
 	mapFn := func(ctx *mr.MapCtx, b mr.Batch) error {
 		row := make([]int64, len(b.Cols))
 		for i := 0; i < b.N; i++ {
@@ -135,7 +132,7 @@ func (e *Engine) runRowsJob(ctx context.Context, input mr.Input, mapRow func(*mr
 		}
 		return nil
 	}
-	res, err := mr.RunContext(ctx, mr.Job{
+	res, err := mr.RunContext(ctx, mr.Job[transport.Pair]{
 		Input:  input,
 		Map:    mapFn,
 		Reduce: reduceFn,
@@ -168,7 +165,7 @@ func (e *Engine) occupancyJob(ctx context.Context, ds *Dataset, g cube.Grain) ([
 		s.CoordOf(rec, g, coord)
 		return ctx.Emit(cube.AppendCoords(nil, coord), nil)
 	}
-	reduceFn := func(ctx *mr.ReduceCtx, key []byte, values *mr.GroupIter) error {
+	reduceFn := func(ctx *mr.ReduceCtx[transport.Pair], key []byte, values *mr.GroupIter) error {
 		if err := values.Drain(); err != nil {
 			return err
 		}
@@ -176,7 +173,7 @@ func (e *Engine) occupancyJob(ctx context.Context, ds *Dataset, g cube.Grain) ([
 		if err != nil {
 			return err
 		}
-		ctx.EmitStable(occKey, appendMeasureRecord(nil, coords, 0))
+		ctx.Emit(transport.Pair{Key: occKey, Value: appendMeasureRecord(nil, coords, 0)}, 1)
 		return nil
 	}
 	rows, js, err := e.runRowsJob(ctx, ds.Input, mapFn, reduceFn, arity)
@@ -208,7 +205,7 @@ func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure)
 		}
 		return ctx.Emit(cube.AppendCoords(nil, coord), encodeFloat(v))
 	}
-	reduceFn := func(ctx *mr.ReduceCtx, key []byte, values *mr.GroupIter) error {
+	reduceFn := func(ctx *mr.ReduceCtx[transport.Pair], key []byte, values *mr.GroupIter) error {
 		agg := m.Agg.New()
 		for {
 			p, ok, err := values.Next()
@@ -229,7 +226,7 @@ func (e *Engine) basicJob(ctx context.Context, ds *Dataset, m *workflow.Measure)
 		if err != nil {
 			return err
 		}
-		ctx.EmitStable(nameKey, appendMeasureRecord(nil, coords, v))
+		ctx.Emit(transport.Pair{Key: nameKey, Value: appendMeasureRecord(nil, coords, v)}, 1)
 		return nil
 	}
 	return e.runRowsJob(ctx, ds.Input, mapFn, reduceFn, arity)
@@ -268,8 +265,8 @@ func (e *Engine) taggedInput(rows []int64, arity int) mr.Input {
 
 const occTag = 0xFF
 
-// occKey is the job-stable output key of occupancy jobs (EmitStable needs
-// key bytes that outlive the job; a package-level slice trivially does).
+// occKey is the job-stable output key of occupancy jobs (an emitted pair's
+// key must outlive the job; a package-level slice trivially does).
 var occKey = []byte("occ")
 
 // joinJob evaluates a self or inherit measure: source results and the
@@ -308,7 +305,7 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 		}
 		return ctx.Emit(cube.AppendCoords(nil, jc), append([]byte{byte(tag)}, appendMeasureRecord(nil, coords, v)...))
 	}
-	reduceFn := func(ctx *mr.ReduceCtx, key []byte, values *mr.GroupIter) error {
+	reduceFn := func(ctx *mr.ReduceCtx[transport.Pair], key []byte, values *mr.GroupIter) error {
 		perSrc := make([]map[string]float64, len(srcs))
 		for i := range perSrc {
 			perSrc[i] = map[string]float64{}
@@ -348,7 +345,7 @@ func (e *Engine) joinJob(ctx context.Context, w *workflow.Workflow, m *workflow.
 				args[i] = v
 			}
 			if v := m.Expr.Eval(args); !math.IsNaN(v) {
-				ctx.EmitStable(nameKey, appendMeasureRecord(nil, c, v))
+				ctx.Emit(transport.Pair{Key: nameKey, Value: appendMeasureRecord(nil, c, v)}, 1)
 			}
 		}
 		return nil
@@ -373,7 +370,7 @@ func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflo
 		}
 		return ctx.Emit(cube.AppendCoords(nil, parent), encodeFloat(v))
 	}
-	reduceFn := func(ctx *mr.ReduceCtx, key []byte, values *mr.GroupIter) error {
+	reduceFn := func(ctx *mr.ReduceCtx[transport.Pair], key []byte, values *mr.GroupIter) error {
 		agg := m.Agg.New()
 		for {
 			p, ok, err := values.Next()
@@ -391,7 +388,7 @@ func (e *Engine) rollupJob(ctx context.Context, w *workflow.Workflow, m *workflo
 			if err != nil {
 				return err
 			}
-			ctx.EmitStable(nameKey, appendMeasureRecord(nil, coords, v))
+			ctx.Emit(transport.Pair{Key: nameKey, Value: appendMeasureRecord(nil, coords, v)}, 1)
 		}
 		return nil
 	}
@@ -440,7 +437,7 @@ func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Mea
 		walk(0)
 		return emitErr
 	}
-	reduceFn := func(ctx *mr.ReduceCtx, key []byte, values *mr.GroupIter) error {
+	reduceFn := func(ctx *mr.ReduceCtx[transport.Pair], key []byte, values *mr.GroupIter) error {
 		agg := m.Agg.New()
 		occupied := false
 		for {
@@ -466,7 +463,7 @@ func (e *Engine) slidingJob(ctx context.Context, s *cube.Schema, m *workflow.Mea
 			if err != nil {
 				return err
 			}
-			ctx.EmitStable(nameKey, appendMeasureRecord(nil, coords, v))
+			ctx.Emit(transport.Pair{Key: nameKey, Value: appendMeasureRecord(nil, coords, v)}, 1)
 		}
 		return nil
 	}

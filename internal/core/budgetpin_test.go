@@ -15,6 +15,7 @@ import (
 	"github.com/casm-project/casm/internal/distkey"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/mr"
+	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 	"github.com/casm-project/casm/internal/workload"
 )
@@ -133,7 +134,7 @@ func TestEarlyAggBudgetPinned(t *testing.T) {
 		plan := newEarlyAggPlan(s, w.Basics())
 		var mu sync.Mutex
 		var sum, n, size uint64
-		job := mr.Job{Input: ds.Input, Config: mr.Config{
+		job := mr.Job[transport.Pair]{Input: ds.Input, Config: mr.Config{
 			NumReducers: 3, LocalAggBudget: pin.budget,
 			NewCombiner: func(st *mr.MapTaskStats) mr.Combiner { return plan.newCombiner(bm, st) },
 			NewMapLocal: func(*mr.MapTaskStats) any { return bm.NewSession() },
@@ -145,7 +146,7 @@ func TestEarlyAggBudgetPinned(t *testing.T) {
 			blocks, rows := ctx.Local.(*distkey.Session).Walk(b.Cols)
 			return ctx.Fold(b, blocks, rows)
 		}
-		job.Reduce = func(ctx *mr.ReduceCtx, _ []byte, values *mr.GroupIter) error {
+		job.Reduce = func(ctx *mr.ReduceCtx[transport.Pair], _ []byte, values *mr.GroupIter) error {
 			for {
 				p, ok, err := values.Next()
 				if err != nil || !ok {

@@ -3,13 +3,17 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"github.com/casm-project/casm/internal/blockstore"
+	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
 	"github.com/casm-project/casm/internal/optimizer"
+	"github.com/casm-project/casm/internal/recio"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -43,12 +47,12 @@ type resultReuse struct {
 	rc       *blockstore.ResultCache
 	prefix   []byte // entry-key prefix: dataset tag × fingerprint × cardinality
 	queryKey string // manifest key: prefix facts × plan key
-	canon    []*workflow.Measure
-	canonIdx map[string]int // measure name → canonical index
+	// canonOf is the canonical index of each of the workflow's measures (in
+	// Measures order), and measureOf its inverse.
+	canonOf, measureOf []int
 
-	mu         sync.Mutex
-	entries    map[string]struct{} // entry keys touched (hit or filled)
-	incomplete bool                // a group neither hit nor filled; never commit
+	mu      sync.Mutex
+	entries map[string]struct{} // entry keys touched (hit or filled)
 }
 
 // newResultReuse returns the run's reuse session, or nil when reuse does
@@ -68,9 +72,10 @@ func (e *Engine) newResultReuse(w *workflow.Workflow, ds *Dataset, plan optimize
 	if err != nil {
 		return nil
 	}
-	idx := make(map[string]int, len(canon))
+	canonOf, measureOf := make([]int, len(canon)), make([]int, len(canon))
 	for i, m := range canon {
-		idx[m.Name] = i
+		measureOf[i] = slices.Index(w.Measures(), m)
+		canonOf[measureOf[i]] = i
 	}
 	// The plan participates in the manifest key (different plans cut
 	// different blocks, so their entry sets differ) but not in the entry
@@ -78,12 +83,12 @@ func (e *Engine) newResultReuse(w *workflow.Workflow, ds *Dataset, plan optimize
 	// geometry, so entries are shared wherever plans happen to agree.
 	planKey := fmt.Sprintf("%s|cf=%d", plan.Key.Format(ds.Schema), plan.ClusteringFactor)
 	return &resultReuse{
-		rc:       rc,
-		prefix:   blockstore.AppendEntryKeyPrefix(nil, ds.Tag, fp, ds.NumRecords),
-		queryKey: blockstore.QueryKey(ds.Tag, fp, ds.NumRecords, planKey),
-		canon:    canon,
-		canonIdx: idx,
-		entries:  make(map[string]struct{}),
+		rc:        rc,
+		prefix:    blockstore.AppendEntryKeyPrefix(nil, ds.Tag, fp, ds.NumRecords),
+		queryKey:  blockstore.QueryKey(ds.Tag, fp, ds.NumRecords, planKey),
+		canonOf:   canonOf,
+		measureOf: measureOf,
+		entries:   make(map[string]struct{}),
 	}
 }
 
@@ -95,15 +100,6 @@ func (ru *resultReuse) note(key []byte) {
 	ru.mu.Unlock()
 }
 
-// markIncomplete poisons the manifest: some group's rows are neither
-// cached nor freshly captured, so committing would record a partial
-// answer as complete.
-func (ru *resultReuse) markIncomplete() {
-	ru.mu.Lock()
-	ru.incomplete = true
-	ru.mu.Unlock()
-}
-
 // commit publishes the manifest after a fully drained, successful run.
 func (ru *resultReuse) commit() {
 	ru.mu.Lock()
@@ -111,32 +107,29 @@ func (ru *resultReuse) commit() {
 	for k := range ru.entries {
 		keys = append(keys, k)
 	}
-	bad := ru.incomplete
 	ru.mu.Unlock()
-	if bad || len(keys) == 0 {
+	if len(keys) == 0 {
 		return
 	}
 	sort.Strings(keys)
 	ru.rc.Commit(ru.queryKey, keys)
 }
 
-// emitCached replays a block's cached rows through the reducer's output
-// path, mapping canonical measure indices back to this workflow's
-// interned names. The emitted rows are byte-identical to what a fresh
-// evaluation of the block would have produced.
-func (ru *resultReuse) emitCached(ctx *mr.ReduceCtx, out *ownedOutput, rows []byte) error {
-	for off := 0; off < len(rows); {
-		idx, payload, next, err := readCachedRow(rows, off)
-		if err != nil {
-			return err
-		}
-		if idx >= len(ru.canon) {
-			return fmt.Errorf("core: cached row references measure %d of %d", idx, len(ru.canon))
-		}
-		ctx.EmitStable(out.key(ru.canon[idx].Name), append([]byte(nil), payload...))
-		off = next
+// replay adds a block's cached rows to the reduce task's output chunks,
+// mapping canonical measure indices back to this workflow's measures: the
+// rows added are the ones a fresh evaluation of the block would emit. The
+// entry is decoded whole before any row is added, so one that does not
+// decode adds nothing and replay reports false: the block is a miss.
+func (ru *resultReuse) replay(ctx *mr.ReduceCtx[*rowChunk], out *ownedOutput, rows []byte) bool {
+	coord := make([]int64, len(out.ms[0].Grain)) // a grain has an entry per attribute
+	if eachCachedRow(rows, len(ru.measureOf), coord, func(int, []int64, float64) {}) != nil {
+		return false
 	}
-	return nil
+	// The entry decoded above, so this pass cannot fail.
+	_ = eachCachedRow(rows, len(ru.measureOf), coord, func(idx int, coord []int64, v float64) {
+		out.add(ctx, ru.measureOf[idx], coord, v)
+	})
+	return true
 }
 
 // resultFromCache assembles the whole answer to q from a committed
@@ -156,7 +149,8 @@ func (e *Engine) resultFromCache(ctx context.Context, q *jobQuery, ds *Dataset, 
 		ResultReused: true,
 	}
 	asm := assembler{arity: ds.Schema.NumAttrs()}
-	slots := make([]*asmSlot, len(ru.canon))
+	slots := make([]*asmSlot, len(ru.measureOf))
+	coord := make([]int64, asm.arity)
 	var hits, served int64
 	for _, k := range keys {
 		rows, ok := ru.rc.Get([]byte(k))
@@ -165,18 +159,14 @@ func (e *Engine) resultFromCache(ctx context.Context, q *jobQuery, ds *Dataset, 
 		}
 		hits++
 		served += int64(len(rows))
-		for off := 0; off < len(rows); {
-			idx, payload, next, err := readCachedRow(rows, off)
-			if err != nil || idx >= len(ru.canon) {
-				return nil, false
-			}
+		err := eachCachedRow(rows, len(slots), coord, func(idx int, coord []int64, v float64) {
 			if slots[idx] == nil {
-				slots[idx] = asm.slot(out.Measures, ru.canon[idx])
+				slots[idx] = asm.slot(out.Measures, q.w.Measures()[ru.measureOf[idx]])
 			}
-			if slots[idx].add(payload) != nil {
-				return nil, false
-			}
-			off = next
+			slots[idx].push(coord, v)
+		})
+		if err != nil {
+			return nil, false
 		}
 	}
 	// Same assembler, hence the same canonical order, as the job path: the
@@ -201,25 +191,48 @@ func (e *Engine) resultFromCache(ctx context.Context, q *jobQuery, ds *Dataset, 
 //
 //	uvarint canonical measure index | uvarint payload length | payload
 //
-// where the payload is the same packed <region coordinates, value>
-// encoding the shuffle carries (appendMeasureRecord).
+// where the payload is the packed <region coordinates, value> record
+// appendMeasureRecord writes.
 
-func appendCachedRow(dst []byte, canonIdx int, payload []byte) []byte {
+func appendCachedRow(dst []byte, canonIdx int, coord []int64, v float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(canonIdx))
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, payload...)
+	dst = binary.AppendUvarint(dst, uint64(measureRecordLen(coord)))
+	return appendMeasureRecord(dst, coord, v)
 }
 
-func readCachedRow(rows []byte, off int) (idx int, payload []byte, next int, err error) {
-	u, n := binary.Uvarint(rows[off:])
-	if n <= 0 {
-		return 0, nil, 0, fmt.Errorf("core: corrupt cached row index")
+var errCachedRow = errors.New("core: corrupt cached row")
+
+// eachCachedRow decodes a cached block entry row by row, calling fn with
+// each row's canonical measure index, coordinates and value;
+// coord is the caller's scratch, as long as the arity, and holds a row's
+// coordinates during its call only. It stops at the first row that is
+// truncated, names a measure index ≥ measures, or is not in the exact form
+// appendCachedRow writes (every uvarint minimal). It is
+// the one decoder of both reuse paths, and it allocates nothing: no length
+// read from the entry sizes an allocation.
+func eachCachedRow(entry []byte, measures int, coord []int64, fn func(idx int, coord []int64, v float64)) error {
+	for len(entry) > 0 {
+		idx, n := binary.Uvarint(entry)
+		if n <= 0 || n != recio.UvarintLen(idx) || idx >= uint64(measures) {
+			return errCachedRow
+		}
+		entry = entry[n:]
+		l, n := binary.Uvarint(entry)
+		if n <= 0 || n != recio.UvarintLen(l) || uint64(len(entry)-n) < l {
+			return errCachedRow
+		}
+		key, v, err := splitMeasureRecord(entry[n : n+int(l)])
+		if err == nil {
+			err = cube.DecodeCoordsInto(key, coord)
+		}
+		if err == nil && measureRecordLen(coord) != int(l) { // a coordinate's uvarint is not minimal
+			err = errCachedRow
+		}
+		if err != nil {
+			return err
+		}
+		fn(int(idx), coord, v)
+		entry = entry[n+int(l):]
 	}
-	off += n
-	l, n := binary.Uvarint(rows[off:])
-	if n <= 0 || uint64(len(rows)-off-n) < l {
-		return 0, nil, 0, fmt.Errorf("core: corrupt cached row payload")
-	}
-	off += n
-	return int(u), rows[off : off+int(l)], off + int(l), nil
+	return nil
 }

@@ -206,9 +206,6 @@ type jobQuery struct {
 	w       *workflow.Workflow
 	outcome PlanOutcome
 	ev      *localeval.Evaluator
-	// tag prefixes the query's output keys: its uvarint ordinal in a
-	// multi-query job, empty in a job of one (set by startJob).
-	tag []byte
 }
 
 func newJobQuery(w *workflow.Workflow, outcome PlanOutcome) (*jobQuery, error) {
@@ -257,7 +254,7 @@ type jobGroup struct {
 // the facts consumers need to decode, label and account it.
 type jobStart struct {
 	eng     *Engine
-	pipe    *mr.Pipe
+	pipe    *mr.Pipe[*rowChunk]
 	queries []*jobQuery
 	groups  []*jobGroup
 	early   bool
@@ -276,13 +273,13 @@ type jobStart struct {
 //
 // Every map task decodes each record once for the whole job and emits one
 // pair per (geometry group, block); every reduce group evaluates each
-// member query exactly as that query's own job would. A job of one query
-// is the degenerate case, not a separate path: its only group carries an
-// empty tag, so shuffle keys and output keys are the bare single-query
-// bytes and the priced counters are those of a hand-written single-query
-// job. Only a job of one may combine on the map side (the combiner's
-// payloads are per-workflow) or use the result cache; planBatch
-// partitions accordingly.
+// member query exactly as that query's own job would, and each reduce task
+// fills chunks of rows per (query, measure) for the job's output. A job of
+// one query is the degenerate case, not a separate path: its only group
+// carries an empty tag, so shuffle keys are the bare single-query bytes and
+// the priced counters are those of a hand-written single-query job. Only a
+// job of one may combine on the map side (the combiner's payloads are
+// per-workflow) or use the result cache; planBatch partitions accordingly.
 func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (*jobStart, error) {
 	s := ds.Schema
 	arity := s.NumAttrs()
@@ -303,9 +300,6 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		}
 		js.groups = append(js.groups, &jobGroup{tag: tag(len(js.groups)), bm: bm, members: members})
 	}
-	for qi, q := range queries {
-		q.tag = tag(qi)
-	}
 	groups := js.groups
 
 	var plan *earlyAggPlan
@@ -317,7 +311,7 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	}
 	early, ru := js.early, js.reuse
 
-	job := mr.Job{Name: "casm", Input: ds.Input, Config: e.mrConfig()}
+	job := mr.Job[*rowChunk]{Name: "casm", Input: ds.Input, Config: e.mrConfig()}
 
 	// A shuffled record value holds only the columns some query of the job
 	// reads, encoded once per record into the task arena; lays tells each
@@ -365,10 +359,11 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		}
 		for qi, q := range queries {
 			rl.evs[qi] = q.ev.NewSession()
-			rl.outs[qi] = newOwnedOutput(q.tag, len(q.w.Measures()))
+			rl.outs[qi] = newOwnedOutput(qi, q.w)
 		}
 		return rl
 	}
+	job.Finish = finishOutputs
 
 	if early {
 		job.Config.NewCombiner = func(st *mr.MapTaskStats) mr.Combiner { return plan.newCombiner(groups[0].bm, st) }
@@ -416,7 +411,7 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		return nil
 	}
 
-	job.Reduce = func(ctx *mr.ReduceCtx, groupKey []byte, values *mr.GroupIter) error {
+	job.Reduce = func(ctx *mr.ReduceCtx[*rowChunk], groupKey []byte, values *mr.GroupIter) error {
 		rl := ctx.Local.(*reduceLocal)
 		gi, blockKey := 0, groupKey
 		if tagged {
@@ -429,22 +424,20 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		dk, members := rl.dks[gi], groups[gi].members
 		// Result-cache probe: a hit serves the block's owned rows straight
 		// from the cache (the shuffled records are drained unread, their
-		// evaluation skipped); a miss evaluates normally and captures the
-		// emitted rows for the cache on the way out.
-		var canon map[string]int
+		// evaluation skipped); a miss — an entry that does not decode is one
+		// — evaluates normally and captures the emitted rows for the cache
+		// on the way out.
+		var canon []int
 		if ru != nil {
 			rl.cacheKey = append(append(rl.cacheKey[:0], ru.prefix...), blockKey...)
-			if rows, ok := ru.rc.Get(rl.cacheKey); ok {
+			if rows, ok := ru.rc.Get(rl.cacheKey); ok && ru.replay(ctx, rl.outs[0], rows) {
 				ctx.Stats.ResultCacheHits++
 				ctx.Stats.ResultCacheBytes += int64(len(rows))
-				if err := values.Drain(); err != nil {
-					return err
-				}
 				ru.note(rl.cacheKey)
-				return ru.emitCached(ctx, rl.outs[0], rows)
+				return values.Drain()
 			}
 			ctx.Stats.ResultCacheMisses++
-			canon = ru.canonIdx
+			canon = ru.canonOf
 			rl.capture = rl.capture[:0]
 		}
 		// Build the record group once and evaluate every member against it.
@@ -482,12 +475,7 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 			ctx.Stats.WindowLookups += est.WindowLookups
 			// Results alias the evaluator session's arenas and are only valid
 			// inside this group — emitting copies what survives the filter.
-			if !rl.outs[qi].emit(ctx, dk, blockKey, results, canon, &rl.capture) {
-				// Unmappable measure name: drop the fill and poison the
-				// manifest rather than cache an incomplete block.
-				canon = nil
-				ru.markIncomplete()
-			}
+			rl.outs[qi].emit(ctx, dk, blockKey, results, canon, &rl.capture)
 		}
 		if canon != nil {
 			ru.rc.Put(rl.cacheKey, append([]byte(nil), rl.capture...))
@@ -539,12 +527,11 @@ func (js *jobStart) stats() (mr.JobStats, costmodel.Estimate) {
 // canonical order. A job of one first tries the committed manifest of a
 // previous identical run — no job, no input bytes scanned.
 //
-// The job's output is streamed: batches of measure records are decoded
-// into the results as reduce tasks emit them, concurrently with the rest
-// of the reduce phase, instead of materializing one all-reducers []Pair
-// first. The emitted Value buffers become garbage batch by batch and the
-// batch slices recycle through the transport pool, so peak memory holds
-// the decoded result, not the decoded result plus its full wire form.
+// The job's output is streamed: the chunks of rows reduce tasks fill
+// reach the assembler as they are emitted, concurrently with the rest of
+// the reduce phase. A full chunk becomes the Result's storage as it is; a
+// task's last, partly filled ones are copied, so a small measure holds no
+// mostly empty chunk.
 func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) ([]*Result, error) {
 	if len(queries) == 1 {
 		q := queries[0]
@@ -568,17 +555,10 @@ func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (
 		}
 	}
 	asm := assembler{arity: js.arity}
-	err = asm.drain(js.pipe, func(key []byte) (*asmSlot, error) {
-		qi, m, err := js.resolve(key)
-		if err != nil {
-			return nil, err
-		}
-		return asm.slot(results[qi].Measures, m), nil
-	})
-	if err != nil {
+	if err := asm.drain(js.pipe, queries, results); err != nil {
 		return nil, err
 	}
-	// Batches arrive in reduce-completion order; the assembler's sort makes
+	// Chunks arrive in reduce-completion order; the assembler's sort makes
 	// the canonical result bytes independent of that interleaving.
 	if err := asm.finish(ctx, e.cfg.executor); err != nil {
 		return nil, err
@@ -594,23 +574,6 @@ func (e *Engine) runJob(ctx context.Context, ds *Dataset, queries []*jobQuery) (
 		js.reuse.commit()
 	}
 	return results, nil
-}
-
-// resolve demultiplexes one output key into its query and measure.
-func (js *jobStart) resolve(key []byte) (int, *workflow.Measure, error) {
-	qi := 0
-	if len(js.queries) > 1 {
-		q, n := binary.Uvarint(key)
-		if n <= 0 || q >= uint64(len(js.queries)) {
-			return 0, nil, fmt.Errorf("core: output with bad query tag")
-		}
-		qi, key = int(q), key[n:]
-	}
-	m, ok := js.queries[qi].w.Measure(string(key))
-	if !ok {
-		return 0, nil, fmt.Errorf("core: output for unknown measure %q", key)
-	}
-	return qi, m, nil
 }
 
 // mrConfig is the substrate configuration every job of this engine
@@ -722,11 +685,10 @@ func (ml *mapLocal) taggedBlock(gi int, tag, block []byte) []byte {
 	return k
 }
 
-// keyArena gives the bytes a task builds and emits a stable home:
-// projected record values on the map side, packed measure records on the
-// reduce side. Emit retains them, so they cannot live in scratch; the
-// arena amortizes their storage to one allocation per chunk instead of
-// one per pair.
+// keyArena gives the record values a map task builds and emits a stable
+// home: Emit retains them, so they cannot live in scratch; the arena
+// amortizes their storage to one allocation per chunk instead of one per
+// pair.
 type keyArena struct {
 	chunk []byte
 	// next is the next chunk's capacity: chunks grow geometrically from
@@ -753,15 +715,6 @@ func (a *keyArena) reserve(need int) {
 	}
 }
 
-// measureRecord appends one output row's packed measure record and
-// returns the stable bytes.
-func (a *keyArena) measureRecord(coords []int64, v float64) []byte {
-	a.reserve(len(coords)*binary.MaxVarintLen64 + 8)
-	start := len(a.chunk)
-	a.chunk = appendMeasureRecord(a.chunk, coords, v)
-	return a.chunk[start:len(a.chunk):len(a.chunk)]
-}
-
 // record appends the uvarints of record row's attributes cols, read from
 // a batch's columns — a record value projected to those columns — and
 // returns the stable bytes.
@@ -774,61 +727,70 @@ func (a *keyArena) record(batch [][]int64, row int, cols []int) []byte {
 	return a.chunk[start:len(a.chunk):len(a.chunk)]
 }
 
-// ownedOutput is the tail of one query's reduce call: the ownership
-// filter, the output-record encoding, and the emit under a per-task
-// interned key.
+// ownedOutput is the tail of one query's reduce calls in one reduce task:
+// the ownership filter, and per measure the chunk its surviving rows fill.
 type ownedOutput struct {
-	tag []byte // output-key prefix: a multi-query job's query ordinal, else empty
-	// names interns one stable []byte per measure name for EmitStable, and
-	// rows is the task's arena of emitted records: the framework retains
-	// keys and values uncopied, so neither may be scratch.
-	names map[string][]byte
-	rows  keyArena
+	q    int                 // the query's ordinal in its job
+	ms   []*workflow.Measure // the query's measures; rows of ms[m] fill open[m]
+	open []*rowChunk
 }
 
-func newOwnedOutput(tag []byte, measures int) *ownedOutput {
-	return &ownedOutput{tag: tag, names: make(map[string][]byte, measures)}
-}
-
-// key returns the measure's stable output key, interned per task so every
-// record of a measure shares one key slice.
-func (o *ownedOutput) key(measure string) []byte {
-	kb, ok := o.names[measure]
-	if !ok {
-		kb = append(append(make([]byte, 0, len(o.tag)+len(measure)), o.tag...), measure...)
-		o.names[measure] = kb
-	}
-	return kb
+func newOwnedOutput(q int, w *workflow.Workflow) *ownedOutput {
+	return &ownedOutput{q: q, ms: w.Measures(), open: make([]*rowChunk, len(w.Measures()))}
 }
 
 // emit applies the ownership filter (Section III-B.2) to one block's
 // results: only the block owning a result's region may output it;
 // duplicated and partial results in overlapping neighbours are dropped.
-// The check encodes each owner into scratch and allocates nothing.
-// Survivors are encoded once, into the task's arena (the value is handed
-// off to the output). With a non-nil canon every emitted row is also
-// appended to *capture in cached-row form; emit reports false when a
-// measure was missing from canon, leaving the capture incomplete.
-func (o *ownedOutput) emit(ctx *mr.ReduceCtx, dk *distkey.Session, blockKey []byte, results []localeval.Result, canon map[string]int, capture *[]byte) bool {
-	complete, name, key := true, "", []byte(nil)
+// Survivors are copied into their measures' chunks. With a non-nil canon
+// (the canonical index of each of the query's measures) every emitted row
+// is also appended to *capture in cached-row form.
+func (o *ownedOutput) emit(ctx *mr.ReduceCtx[*rowChunk], dk *distkey.Session, blockKey []byte, results []localeval.Result, canon []int, capture *[]byte) {
+	m := 0
 	for _, r := range results {
 		if !dk.Owns(r.Region, blockKey) {
 			continue
 		}
-		if r.Measure != name { // results come measure by measure
-			name, key = r.Measure, o.key(r.Measure)
+		if r.Measure != o.ms[m].Name { // results come measure by measure
+			m = slices.IndexFunc(o.ms, func(x *workflow.Measure) bool { return x.Name == r.Measure })
 		}
-		row := o.rows.measureRecord(r.Region.Coord, r.Value)
-		ctx.EmitStable(key, row)
+		o.add(ctx, m, r.Region.Coord, r.Value)
 		if canon != nil {
-			if idx, ok := canon[r.Measure]; ok {
-				*capture = appendCachedRow(*capture, idx, row)
-			} else {
-				canon, complete = nil, false
+			*capture = appendCachedRow(*capture, canon[m], r.Region.Coord, r.Value)
+		}
+	}
+}
+
+// finishOutputs is the engine job's Finish: at the end of a reduce task it
+// hands the chunks each query still holds to the output — partly filled
+// ones, and full ones no next row of their measure has sent.
+func finishOutputs(ctx *mr.ReduceCtx[*rowChunk]) error {
+	for _, o := range ctx.Local.(*reduceLocal).outs {
+		for _, c := range o.open {
+			if c != nil {
+				ctx.Emit(c, len(c.vals))
 			}
 		}
 	}
-	return complete
+	return nil
+}
+
+// add appends one row of measure m to its chunk. A full chunk goes to the
+// output when the measure's next row needs room, a partly filled one at
+// the task's end (the job's Finish). A measure's first chunk in the task
+// may start small and grow; later ones are allocated whole.
+func (o *ownedOutput) add(ctx *mr.ReduceCtx[*rowChunk], m int, coord []int64, v float64) {
+	c := o.open[m]
+	if c == nil || c.full() {
+		rows := 0
+		if c != nil {
+			ctx.Emit(c, asmChunkRows)
+			rows = asmChunkRows
+		}
+		c = reuseRowChunk(o.q, m, len(coord), rows)
+		o.open[m] = c
+	}
+	c.add(coord, v)
 }
 
 // reduceLocal is one reduce task's reusable state
@@ -851,7 +813,7 @@ type reduceLocal struct {
 // arena of every member query's evaluator session — one flat decode per
 // record and member, no per-record slice allocations — each arena sized
 // beforehand for the task's largest group when the collector knows it.
-func loadGroup(ctx *mr.ReduceCtx, values *mr.GroupIter, evs []*localeval.Session, lays []localeval.Layout, members []int) error {
+func loadGroup(ctx *mr.ReduceCtx[*rowChunk], values *mr.GroupIter, evs []*localeval.Session, lays []localeval.Layout, members []int) error {
 	for _, qi := range members {
 		evs[qi].Reserve(ctx.MaxGroupPairs)
 	}

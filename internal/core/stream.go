@@ -6,7 +6,6 @@ import (
 	"github.com/casm-project/casm/internal/costmodel"
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/mr"
-	"github.com/casm-project/casm/internal/transport"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
@@ -30,20 +29,18 @@ type ResultRow struct {
 // in-flight job (tasks abort, spill state is reclaimed). Stats and
 // Estimate are valid only after the stream has ended.
 //
-// Ownership: a row's Region.Coord is only valid until the following Next
-// call (coordinates decode into a reused buffer); Measure is an interned
-// string, safe to retain.
+// Ownership: a row's Region.Coord aliases the chunk of rows the reduce
+// task filled and is only guaranteed valid until the following Next
+// call; Measure is an interned string, safe to retain.
 type ResultStream struct {
 	// The plan facts, valid immediately.
 	ResultHeader
 
-	js     *jobStart
-	byKey  map[string]*workflow.Measure
-	coords []int64
-	cur    []transport.Pair
-	i      int
-	rows   int64
-	ended  bool // Next reached the end of the stream without error
+	js    *jobStart
+	cur   *rowChunk
+	i     int
+	rows  int64
+	ended bool // Next reached the end of the stream without error
 }
 
 // EvaluateStream plans the workflow and starts its evaluation, returning
@@ -65,51 +62,31 @@ func (e *Engine) EvaluateStream(ctx context.Context, w *workflow.Workflow, ds *D
 	if err != nil {
 		return nil, err
 	}
-	return &ResultStream{
-		ResultHeader: outcome.header(js.early),
-		js:           js,
-		byKey:        make(map[string]*workflow.Measure, len(w.Measures())),
-		coords:       make([]int64, js.arity),
-	}, nil
+	return &ResultStream{ResultHeader: outcome.header(js.early), js: js}, nil
 }
 
 // Next returns the next result row; ok=false ends the stream (err, if
 // any, is the job's). See ResultStream for ownership.
 func (s *ResultStream) Next() (ResultRow, bool, error) {
-	for s.i >= len(s.cur) {
-		if s.cur != nil {
-			transport.RecycleBatch(s.cur)
-			s.cur = nil
+	for s.cur == nil || s.i == len(s.cur.vals) {
+		if s.cur != nil { // the caller is done with its last row
+			spareChunks.Put(s.cur)
 		}
-		_, pairs, ok, err := s.js.pipe.NextBatch()
+		c, ok, err := s.js.pipe.Next()
 		if err != nil || !ok {
 			s.ended = err == nil
 			return ResultRow{}, false, err
 		}
-		s.cur, s.i = pairs, 0
+		s.cur, s.i = c, 0
 	}
-	p := s.cur[s.i]
+	c, i := s.cur, s.i
 	s.i++
-	m, ok := s.byKey[string(p.Key)]
-	if !ok {
-		var err error
-		if _, m, err = s.js.resolve(p.Key); err != nil {
-			return ResultRow{}, false, err
-		}
-		s.byKey[string(p.Key)] = m
-	}
-	key, v, err := splitMeasureRecord(p.Value)
-	if err == nil {
-		err = cube.DecodeCoordsInto(key, s.coords)
-	}
-	if err != nil {
-		return ResultRow{}, false, err
-	}
 	s.rows++
+	m := s.js.queries[c.q].w.Measures()[c.m]
 	return ResultRow{
 		Measure: m.Name,
-		Region:  cube.Region{Grain: m.Grain, Coord: s.coords},
-		Value:   v,
+		Region:  cube.Region{Grain: m.Grain, Coord: c.row(i, s.js.arity)},
+		Value:   c.vals[i],
 	}, true, nil
 }
 

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"github.com/casm-project/casm/internal/transport"
 )
 
 // TestEmitShuffleGroupAllocs pins the steady-state allocation rate of the
@@ -31,7 +33,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 		return records
 	}
 	run := func(records [][]byte) {
-		res, err := Run(Job{
+		res, err := Run(Job[transport.Pair]{
 			Input: indexInput(len(records), 4),
 			Map: perRow(func(ctx *MapCtx, row []int64) error {
 				rec := records[row[0]]
@@ -44,7 +46,7 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 				}
 				return nil
 			}),
-			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+			Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 				return values.Drain()
 			},
 			Config: Config{NumReducers: 4},
@@ -76,8 +78,8 @@ func TestEmitShuffleGroupAllocs(t *testing.T) {
 // reference: the same logical job, but every key round-trips through a Go
 // string into a fresh copy (the allocation pattern of the retired
 // EmitString shims). The byte-keyed plane must be byte-identical to it.
-func propJob(records [][]byte, stringKeyed bool) Job {
-	return Job{
+func propJob(records [][]byte, stringKeyed bool) Job[transport.Pair] {
+	return Job[transport.Pair]{
 		Input: indexInput(len(records), 3),
 		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			rec := records[row[0]]
@@ -92,7 +94,7 @@ func propJob(records [][]byte, stringKeyed bool) Job {
 			}
 			return ctx.Emit(rec[:j], rec[j+1:]) // zero-copy: input records are job-stable
 		}),
-		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+		Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 			var sb strings.Builder
 			for {
 				p, ok, err := values.Next()
@@ -107,7 +109,7 @@ func propJob(records [][]byte, stringKeyed bool) Job {
 				sb.Write(p.Value)
 				sb.WriteByte(';')
 			}
-			ctx.Emit(key, []byte(sb.String())) // Emit copies the key on both planes
+			emitPair(ctx, key, []byte(sb.String())) // emitPair copies the key on both planes
 			return nil
 		},
 		Config: Config{
@@ -120,7 +122,7 @@ func propJob(records [][]byte, stringKeyed bool) Job {
 	}
 }
 
-func sortedOutput(t *testing.T, job Job) []string {
+func sortedOutput(t *testing.T, job Job[transport.Pair]) []string {
 	t.Helper()
 	res, err := Run(job)
 	if err != nil {
@@ -199,13 +201,13 @@ func TestReduceAllocsPerGroup(t *testing.T) {
 		return records
 	}
 	run := func(records [][]byte) {
-		_, err := Run(Job{
+		_, err := Run(Job[transport.Pair]{
 			Input: indexInput(len(records), 4),
 			Map: perRow(func(ctx *MapCtx, row []int64) error {
 				rec := records[row[0]]
 				return ctx.Emit(rec[:6], rec[7:])
 			}),
-			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+			Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 				return values.Drain()
 			},
 			Config: Config{NumReducers: 4},
@@ -246,13 +248,13 @@ func TestReduceCtxKnowsLargestGroup(t *testing.T) {
 			var mu sync.Mutex
 			largest := map[string]int{} // task → largest group reduced
 			told := map[string]int{}
-			res, err := Run(Job{
+			res, err := Run(Job[transport.Pair]{
 				Input: indexInput(len(records), 3),
 				Map: perRow(func(ctx *MapCtx, row []int64) error {
 					rec := records[row[0]]
 					return ctx.Emit(rec[:3], rec[4:])
 				}),
-				Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+				Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 					n := 0
 					for {
 						_, ok, err := values.Next()

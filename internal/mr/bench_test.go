@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"testing"
+
+	"github.com/casm-project/casm/internal/transport"
 )
 
 // BenchmarkShuffleJob measures framework throughput (map + shuffle +
@@ -13,8 +15,8 @@ func BenchmarkShuffleJob(b *testing.B) {
 	for i := range records {
 		records[i] = []byte(fmt.Sprintf("g%d %d", i%997, i))
 	}
-	job := func(dir string) Job {
-		return Job{
+	job := func(dir string) Job[transport.Pair] {
+		return Job[transport.Pair]{
 			Input: indexInput(len(records), 8),
 			Map: perRow(func(ctx *MapCtx, row []int64) error {
 				rec := records[row[0]]
@@ -27,7 +29,7 @@ func BenchmarkShuffleJob(b *testing.B) {
 				}
 				return nil
 			}),
-			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+			Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 				n := 0
 				for {
 					_, ok, err := values.Next()
@@ -39,7 +41,7 @@ func BenchmarkShuffleJob(b *testing.B) {
 					}
 					n++
 				}
-				ctx.Emit(key, []byte(strconv.Itoa(n)))
+				emitPair(ctx, key, []byte(strconv.Itoa(n)))
 				return nil
 			},
 			Config: Config{NumReducers: 4, TempDir: dir},

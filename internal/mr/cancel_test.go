@@ -21,14 +21,14 @@ import (
 // n numeric records (the rows 0…n-1) mapped to (key mod groups, 1) pairs,
 // reduced to per-key counts. SortMemoryItems=2 forces a spill every third
 // pair, so cancellation always lands with spill state on disk.
-func sumJob(n int, cfg Config) Job {
-	return Job{
+func sumJob(n int, cfg Config) Job[transport.Pair] {
+	return Job[transport.Pair]{
 		Name:  "sum",
 		Input: indexInput(n, 8),
 		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			return ctx.Emit([]byte(strconv.Itoa(int(row[0])%199)), one)
 		}),
-		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+		Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 			total := 0
 			for {
 				_, ok, err := values.Next()
@@ -40,7 +40,7 @@ func sumJob(n int, cfg Config) Job {
 				}
 				total++
 			}
-			ctx.Emit(key, []byte(strconv.Itoa(total)))
+			emitPair(ctx, key, []byte(strconv.Itoa(total)))
 			return nil
 		},
 		Config: cfg,
@@ -173,7 +173,7 @@ func TestCancelAtRandomPoints(t *testing.T) {
 				case "reduce":
 					threshold := int64(1 + rng.Intn(40))
 					inner := job.Reduce
-					job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+					job.Reduce = func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 						if reduced.Add(1) == threshold {
 							doCancel()
 						}
@@ -300,7 +300,7 @@ func TestSpillStateReclaimedOnReduceFailure(t *testing.T) {
 		SortMemoryItems: 2,
 		TempDir:         dir,
 	})
-	job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+	job.Reduce = func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 		return fmt.Errorf("injected reduce failure")
 	}
 	res, err := Run(job)
@@ -336,7 +336,7 @@ func TestMultiTaskFailuresAllReported(t *testing.T) {
 		// start together, so both record their error before cancellation
 		// propagates from the other.
 	})
-	job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+	job.Reduce = func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 		if err := values.Drain(); err != nil {
 			return err
 		}

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/casm-project/casm/internal/transport"
 )
 
 // countCombiner is the tests' Combiner: the rows folded under each key
@@ -102,10 +104,10 @@ func indexInput(n, splits int) Input {
 // TestFoldNeedsCombiner: Fold is the way into a combiner, and a job
 // without one fails with an error rather than dropping the records.
 func TestFoldNeedsCombiner(t *testing.T) {
-	_, err := Run(Job{
+	_, err := Run(Job[transport.Pair]{
 		Input:  NewMemoryInput([]int64{7}, 1, 1),
 		Map:    func(ctx *MapCtx, b Batch) error { return ctx.Fold(b, []uint64{1}, []int32{0}) },
-		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error { return values.Drain() },
+		Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error { return values.Drain() },
 		Config: Config{NumReducers: 1},
 	})
 	if err == nil || !strings.Contains(err.Error(), "Fold needs a combiner") {

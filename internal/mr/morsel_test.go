@@ -425,7 +425,7 @@ func TestStoreAndMemoryInputsMapAlike(t *testing.T) {
 	// PairsOut, BytesOut, CombineMerges, LocalAggHits, LocalAggSpills.
 	type counters [8]int64
 	run := func(t *testing.T, in Input, morselBytes int) (string, counters) {
-		res, err := Run(Job{
+		res, err := Run(Job[transport.Pair]{
 			Input: in,
 			Map: func(ctx *MapCtx, b Batch) error {
 				blocks := make([]uint64, b.N)
@@ -434,7 +434,7 @@ func TestStoreAndMemoryInputsMapAlike(t *testing.T) {
 				}
 				return ctx.Fold(b, blocks, iota(b.N))
 			},
-			Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+			Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 				sum := 0
 				for {
 					p, ok, err := values.Next()
@@ -442,7 +442,7 @@ func TestStoreAndMemoryInputsMapAlike(t *testing.T) {
 						return err
 					}
 					if !ok {
-						ctx.Emit(key, []byte(strconv.Itoa(sum)))
+						emitPair(ctx, key, []byte(strconv.Itoa(sum)))
 						return nil
 					}
 					n, err := strconv.Atoi(string(p.Value))

@@ -21,9 +21,12 @@
 // allocates nothing per pair. The string-keyed compatibility shims that
 // eased the migration (EmitString and friends) are gone.
 //
+// A job's output is its own item type O (Job[O]): the engine's job emits
+// chunks of integer result rows, byte-level jobs transport.Pair.
+//
 // Execution is streaming: RunPipe starts the job and returns a Pipe —
-// a single-use iterator over the output pairs that yields each reduce
-// task's records as it emits them, concurrently with the rest of the
+// a single-use iterator over the output items that yields each reduce
+// task's items as it emits them, concurrently with the rest of the
 // reduce phase (per-reducer readiness replaces the global
 // collect→reduce barrier). RunContext is the materializing wrapper
 // (drain the Pipe into one Result slice); Run the context.Background()
@@ -294,8 +297,9 @@ type Combiner interface {
 // the task's CombineMerges counter from inside the combiner.
 type CombinerFactory func(st *MapTaskStats) Combiner
 
-// ReduceCtx is passed to the reduce function.
-type ReduceCtx struct {
+// ReduceCtx is passed to the reduce function of a job whose output
+// items are of type O.
+type ReduceCtx[O any] struct {
 	Stats   *ReduceTaskStats
 	TempDir string
 	// Local is per-task user state created by Config.NewReduceLocal (nil
@@ -304,33 +308,23 @@ type ReduceCtx struct {
 	// MaxGroupPairs is the pair count of the largest group this task will
 	// reduce: what a reducer that buffers a group sizes its buffer by.
 	MaxGroupPairs int
-	emit          func(key, value []byte)
+	emit          func(v O, records int)
 }
 
-// Emit contributes one record to the job output. The framework COPIES
-// key (so borrowed group keys and reused name buffers are safe to pass)
-// but takes ownership of value without copying: the reducer must not
-// reuse or mutate the value slice afterwards.
-func (c *ReduceCtx) Emit(key, value []byte) {
-	c.Stats.OutputRecords++
-	c.emit(append([]byte(nil), key...), value)
-}
-
-// EmitStable is Emit without the key copy, for reducers that emit many
-// records under few distinct keys: the caller guarantees key stays valid
-// and unmodified for the job's duration (an interned or arena-backed key
-// qualifies; a reused scratch buffer does not). The framework retains it
-// uncopied, so output pairs of the same key share one allocation. Value
-// ownership matches Emit: handed off uncopied.
-func (c *ReduceCtx) EmitStable(key, value []byte) {
-	c.Stats.OutputRecords++
-	c.emit(key, value)
+// Emit hands one output item, carrying records output records, to the
+// job's output: OutputRecords counts the records, not the items, and the
+// framework batches items by the records they carry. The item is handed
+// off uncopied, along with everything it references: the reducer must
+// not reuse or mutate any of it afterwards.
+func (c *ReduceCtx[O]) Emit(v O, records int) {
+	c.Stats.OutputRecords += int64(records)
+	c.emit(v, records)
 }
 
 // ReduceFunc processes one group: the pairs of one shuffle key, groups in
 // ascending key order and values in arrival order. groupKey is only valid
 // for the duration of the call — retain a copy if needed.
-type ReduceFunc func(ctx *ReduceCtx, groupKey []byte, values *GroupIter) error
+type ReduceFunc[O any] func(ctx *ReduceCtx[O], groupKey []byte, values *GroupIter) error
 
 // Config tunes a job run.
 type Config struct {
@@ -432,17 +426,22 @@ func HashPartition(key []byte, n int) int {
 	return int(h % uint32(n))
 }
 
-// Job couples input, user functions, and configuration.
-type Job struct {
+// Job couples input, user functions, and configuration. O is the type
+// of the job's output items.
+type Job[O any] struct {
 	Name   string
 	Input  Input
 	Map    MapFunc
-	Reduce ReduceFunc
+	Reduce ReduceFunc[O]
+	// Finish, when non-nil, runs once at the end of each reduce task,
+	// after its last group: a reducer that fills output items across
+	// groups emits what it still holds.
+	Finish func(ctx *ReduceCtx[O]) error
 	Config Config
 }
 
 // Result is a completed job's output.
-type Result struct {
-	Output []transport.Pair
+type Result[O any] struct {
+	Output []O
 	Stats  JobStats
 }

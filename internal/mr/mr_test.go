@@ -1,6 +1,7 @@
 package mr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -11,7 +12,14 @@ import (
 
 	"github.com/casm-project/casm/internal/blockstore"
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/transport"
 )
+
+// emitPair emits one pair as one output record, copying the key: a group
+// key is only valid for its reduce call.
+func emitPair(ctx *ReduceCtx[transport.Pair], key, value []byte) {
+	ctx.Emit(transport.Pair{Key: bytes.Clone(key), Value: value}, 1)
+}
 
 // one is the value a word-count map function ships per word.
 var one = []byte("1")
@@ -22,10 +30,12 @@ var one = []byte("1")
 // vocabulary, which outlives the job as Emit requires, or — with a
 // combiner — folds the row under the word's id, which the reducer turns
 // back into the word. The input has four splits.
-func wordCountJob(lines []string, cfg Config) Job { return wordCountSplits(lines, 4, cfg) }
+func wordCountJob(lines []string, cfg Config) Job[transport.Pair] {
+	return wordCountSplits(lines, 4, cfg)
+}
 
 // wordCountSplits is wordCountJob over the given number of splits.
-func wordCountSplits(lines []string, splits int, cfg Config) Job {
+func wordCountSplits(lines []string, splits int, cfg Config) Job[transport.Pair] {
 	var vocab [][]byte
 	ids := map[string]int64{}
 	var lineWords [][]string
@@ -48,7 +58,7 @@ func wordCountSplits(lines []string, splits int, cfg Config) Job {
 		}
 	}
 	combine := cfg.NewCombiner != nil
-	return Job{
+	return Job[transport.Pair]{
 		Name:  "wordcount",
 		Input: NewMemoryInput(rows, arity, splits),
 		Map: func(ctx *MapCtx, b Batch) error {
@@ -72,7 +82,7 @@ func wordCountSplits(lines []string, splits int, cfg Config) Job {
 			}
 			return nil
 		},
-		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+		Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 			total := 0
 			for {
 				p, ok, err := values.Next()
@@ -91,7 +101,7 @@ func wordCountSplits(lines []string, splits int, cfg Config) Job {
 			if combine {
 				key = vocab[binary.BigEndian.Uint64(key)-1]
 			}
-			ctx.Emit(key, []byte(strconv.Itoa(total)))
+			emitPair(ctx, key, []byte(strconv.Itoa(total)))
 			return nil
 		},
 		Config: cfg,
@@ -111,7 +121,7 @@ var wcWant = map[string]int{
 	"lazy": 1, "dog": 3, "barks": 1, "slow": 1, "and": 2,
 }
 
-func checkWordCount(t *testing.T, res *Result) {
+func checkWordCount(t *testing.T, res *Result[transport.Pair]) {
 	t.Helper()
 	got := map[string]int{}
 	for _, p := range res.Output {
@@ -187,7 +197,7 @@ func TestCombinerReducesTraffic(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		lines = append(lines, wcLines...)
 	}
-	run := func(c CombinerFactory) *Result {
+	run := func(c CombinerFactory) *Result[transport.Pair] {
 		job := wordCountJob(lines, Config{NumReducers: 2, NewCombiner: c, TempDir: t.TempDir()})
 		res, err := Run(job)
 		if err != nil {
@@ -202,7 +212,7 @@ func TestCombinerReducesTraffic(t *testing.T) {
 	for k, v := range wcWant {
 		want[k] = v * 50
 	}
-	for _, res := range []*Result{plain, combined} {
+	for _, res := range []*Result[transport.Pair]{plain, combined} {
 		got := map[string]int{}
 		for _, p := range res.Output {
 			n, _ := strconv.Atoi(string(p.Value))
@@ -318,10 +328,10 @@ func TestSplitOpenFailureFailsJob(t *testing.T) {
 		for _, n := range blocks[1].Replicas {
 			st.FailNode(n)
 		}
-		_, err = Run(Job{
+		_, err = Run(Job[transport.Pair]{
 			Input:  NewStoreInput(st, "data"),
 			Map:    func(*MapCtx, Batch) error { return nil },
-			Reduce: func(*ReduceCtx, []byte, *GroupIter) error { return nil },
+			Reduce: func(*ReduceCtx[transport.Pair], []byte, *GroupIter) error { return nil },
 			Config: Config{NumReducers: 1, TempDir: t.TempDir()},
 		})
 		if err == nil || !strings.Contains(err.Error(), "mr: map task data[") {
@@ -340,7 +350,7 @@ func TestMapErrorPropagates(t *testing.T) {
 
 func TestReduceErrorPropagates(t *testing.T) {
 	job := wordCountJob(wcLines, Config{NumReducers: 1, TempDir: t.TempDir()})
-	job.Reduce = func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+	job.Reduce = func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 		return fmt.Errorf("reduce boom")
 	}
 	if _, err := Run(job); err == nil || !strings.Contains(err.Error(), "reduce boom") {
@@ -349,10 +359,10 @@ func TestReduceErrorPropagates(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := Run(Job{Config: Config{NumReducers: 0}}); err == nil {
+	if _, err := Run(Job[transport.Pair]{Config: Config{NumReducers: 0}}); err == nil {
 		t.Error("zero reducers accepted")
 	}
-	if _, err := Run(Job{Config: Config{NumReducers: 1}}); err == nil {
+	if _, err := Run(Job[transport.Pair]{Config: Config{NumReducers: 1}}); err == nil {
 		t.Error("nil input/map accepted")
 	}
 	job := wordCountJob(wcLines, Config{NumReducers: 1})
@@ -375,12 +385,12 @@ func TestStoreInputEndToEnd(t *testing.T) {
 	if err := st.WriteRecords("data", 2, "", recs); err != nil {
 		t.Fatal(err)
 	}
-	job := Job{
+	job := Job[transport.Pair]{
 		Input: NewStoreInput(st, "data"),
 		Map: perRow(func(ctx *MapCtx, row []int64) error {
 			return ctx.Emit(fmt.Appendf(nil, "g%d", row[0]), one)
 		}),
-		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+		Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 			n := 0
 			for {
 				_, ok, err := values.Next()
@@ -392,7 +402,7 @@ func TestStoreInputEndToEnd(t *testing.T) {
 				}
 				n++
 			}
-			ctx.Emit(key, []byte(strconv.Itoa(n)))
+			emitPair(ctx, key, []byte(strconv.Itoa(n)))
 			return nil
 		},
 		Config: Config{NumReducers: 3, TempDir: t.TempDir()},

@@ -202,7 +202,7 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 
 	outputSeen := make(chan struct{})
 	var mapped atomic.Int64
-	job := Job{
+	job := Job[transport.Pair]{
 		Name:  "pipelined",
 		Input: indexInput(n, 16),
 		Map: perRow(func(ctx *MapCtx, row []int64) error {
@@ -215,7 +215,7 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 			}
 			return ctx.Emit(key, one)
 		}),
-		Reduce: func(ctx *ReduceCtx, key []byte, values *GroupIter) error {
+		Reduce: func(ctx *ReduceCtx[transport.Pair], key []byte, values *GroupIter) error {
 			total := 0
 			for {
 				_, ok, err := values.Next()
@@ -227,7 +227,7 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 				}
 				total++
 			}
-			ctx.Emit(key, []byte(strconv.Itoa(total)))
+			emitPair(ctx, key, []byte(strconv.Itoa(total)))
 			return nil
 		},
 		Config: Config{
@@ -257,7 +257,6 @@ func TestPipelinedFirstOutputBeforeMapDone(t *testing.T) {
 			close(outputSeen) // release the map gate: output observed mid-map
 		}
 		rows += len(pairs)
-		transport.RecycleBatch(pairs)
 	}
 	if err := pipe.Close(); err != nil {
 		t.Fatal(err)

@@ -22,21 +22,22 @@ import (
 // bounds post-cancel latency to microseconds of extra work.
 const cancelCheckStride = 1024
 
-// outputBatchPairs is how many output pairs a reduce task buffers before
-// handing them to the job's output stream as one batch: large enough to
-// amortize the channel operation, small enough that the first results
-// reach the consumer while the reduce phase is still running.
-const outputBatchPairs = 256
+// outputBatchRecords is how many output records a reduce task buffers
+// before handing its items to the job's output stream as one batch: large
+// enough to amortize the channel operation, small enough that the first
+// results reach the consumer while the reduce phase is still running. An
+// item carrying as many records goes as a batch of its own.
+const outputBatchRecords = 256
 
 // Run executes the job to completion under context.Background(); it is
 // the compatibility wrapper around RunContext for callers without a
 // cancellation story.
-func Run(job Job) (*Result, error) { return RunContext(context.Background(), job) }
+func Run[O any](job Job[O]) (*Result[O], error) { return RunContext(context.Background(), job) }
 
 // RunContext executes the job to completion on cfg.Executor's shared
 // worker pool and returns its output and counters. It is the
 // materializing wrapper around RunPipe: the streamed output batches are
-// assembled into Result.Output in per-reducer order (reducer 0's records
+// assembled into Result.Output in per-reducer order (reducer 0's items
 // first, each reducer's in emit order), the order the barrier
 // implementation produced. Cancelling ctx tears the pipeline down
 // promptly — blocked shuffle sends unblock, spill and merge loops abort,
@@ -46,14 +47,14 @@ func Run(job Job) (*Result, error) { return RunContext(context.Background(), job
 // (errors.Join), each prefixed with its task identity; the first real
 // failure also cancels the job's context so sibling tasks abort instead
 // of running a doomed job to completion.
-func RunContext(ctx context.Context, job Job) (*Result, error) {
+func RunContext[O any](ctx context.Context, job Job[O]) (*Result[O], error) {
 	p, err := RunPipe(ctx, job)
 	if err != nil {
 		return nil, err
 	}
-	outputs := make([][]transport.Pair, p.numReducers)
+	outputs := make([][]O, p.numReducers)
 	for {
-		r, pairs, ok, err := p.NextBatch()
+		r, items, ok, err := p.NextBatch()
 		if err != nil {
 			p.Close()
 			return nil, err
@@ -61,13 +62,12 @@ func RunContext(ctx context.Context, job Job) (*Result, error) {
 		if !ok {
 			break
 		}
-		outputs[r] = append(outputs[r], pairs...)
-		transport.RecycleBatch(pairs)
+		outputs[r] = append(outputs[r], items...)
 	}
 	if err := p.Close(); err != nil {
 		return nil, err
 	}
-	result := &Result{Stats: p.Stats()}
+	result := &Result[O]{Stats: p.Stats()}
 	for _, out := range outputs {
 		result.Output = append(result.Output, out...)
 	}
@@ -81,18 +81,18 @@ func RunContext(ctx context.Context, job Job) (*Result, error) {
 // and returns nil on repeat calls.
 var ErrClosed = errors.New("mr: pipe is closed")
 
-// outBatch is one run of output pairs flushed by reduce task r.
-type outBatch struct {
+// outBatch is one run of output items flushed by reduce task r.
+type outBatch[O any] struct {
 	r     int
-	pairs []transport.Pair
+	items []O
 }
 
 // Pipe is a running job's streaming output: a single-use iterator over
-// the output pairs, yielding each reduce task's records as soon as that
+// the output items, yielding each reduce task's items as soon as that
 // task emits them — concurrently with the rest of the reduce phase —
-// instead of after the whole job completes. It implements
-// Iter[transport.Pair] (Next + idempotent Close; see Iter for the full
-// single-use contract). Pipe is single-goroutine.
+// instead of after the whole job completes. It implements Iter[O] (Next
+// + idempotent Close; see Iter for the full single-use contract). Pipe
+// is single-goroutine.
 //
 // Lifecycle: consume with Next (or NextBatch) until ok=false, then check
 // the error and call Close; or Close early to abandon the stream, which
@@ -101,12 +101,11 @@ type outBatch struct {
 // goroutines remain). Stats is valid after the stream has ended or Close
 // has returned.
 //
-// Ownership: yielded pairs carry the reduce functions' emitted key/value
-// bytes uncopied and stay valid indefinitely (they are not reused); the
-// []Pair batch slices from NextBatch are handed off to the caller, who
-// may pass them to transport.RecycleBatch once the pairs are consumed.
-type Pipe struct {
-	out         chan outBatch
+// Ownership: yielded items are the reduce functions' emitted items,
+// uncopied, and stay valid indefinitely (the framework reuses none of
+// them); the batch slices from NextBatch are handed off to the caller.
+type Pipe[O any] struct {
+	out         chan outBatch[O]
 	cancel      context.CancelFunc
 	coordDone   chan struct{}
 	numReducers int
@@ -120,7 +119,7 @@ type Pipe struct {
 	// zero-duration is distinguishable from "no output").
 	firstOut atomic.Int64
 
-	cur      []transport.Pair
+	cur      []O
 	i        int
 	finished bool
 	closed   bool
@@ -130,7 +129,7 @@ type Pipe struct {
 // emitted it. ok=false ends the stream; the returned error, if any, is
 // the job's (joined task failures, or the cancellation error). The batch
 // slice is handed off to the caller (see Pipe ownership).
-func (p *Pipe) NextBatch() (r int, pairs []transport.Pair, ok bool, err error) {
+func (p *Pipe[O]) NextBatch() (r int, items []O, ok bool, err error) {
 	if p.finished {
 		return 0, nil, false, nil
 	}
@@ -143,22 +142,22 @@ func (p *Pipe) NextBatch() (r int, pairs []transport.Pair, ok bool, err error) {
 		<-p.coordDone
 		return 0, nil, false, p.err
 	}
-	return b.r, b.pairs, true, nil
+	return b.r, b.items, true, nil
 }
 
-// Next yields the stream's pairs one at a time (Iter). Use either
+// Next yields the stream's items one at a time (Iter). Use either
 // Next or NextBatch on a given Pipe, not both.
-func (p *Pipe) Next() (transport.Pair, bool, error) {
+func (p *Pipe[O]) Next() (O, bool, error) {
 	for p.i >= len(p.cur) {
-		_, pairs, ok, err := p.NextBatch()
+		_, items, ok, err := p.NextBatch()
 		if err != nil || !ok {
-			return transport.Pair{}, false, err
+			return *new(O), false, err
 		}
-		p.cur, p.i = pairs, 0
+		p.cur, p.i = items, 0
 	}
-	pr := p.cur[p.i]
+	v := p.cur[p.i]
 	p.i++
-	return pr, true, nil
+	return v, true, nil
 }
 
 // Close tears the job down if it is still running (cancelling its
@@ -166,7 +165,7 @@ func (p *Pipe) Next() (transport.Pair, bool, error) {
 // Idempotent. A deliberate early Close is not an error: the resulting
 // context.Canceled is swallowed; real task failures that happened before
 // the cancellation are returned.
-func (p *Pipe) Close() error {
+func (p *Pipe[O]) Close() error {
 	if p.closed {
 		return nil
 	}
@@ -206,13 +205,13 @@ func contextIs(err error) bool {
 
 // Stats returns the job's counters. Valid once the stream has ended
 // (Next/NextBatch returned ok=false) or Close has returned.
-func (p *Pipe) Stats() JobStats { return p.stats }
+func (p *Pipe[O]) Stats() JobStats { return p.stats }
 
 // RunPipe starts the job on cfg.Executor's shared worker pool and
 // returns its streaming output. Validation, split enumeration, and
 // morsel carving run synchronously (so configuration errors surface
 // here); everything else — map phase, shuffle, per-reducer collection,
-// reduce phase — runs under a coordinator service task, and output pairs
+// reduce phase — runs under a coordinator service task, and output items
 // flow to the returned Pipe as reduce tasks emit them.
 //
 // The reduce phase is pipelined per reducer: each reducer's shuffle
@@ -222,7 +221,7 @@ func (p *Pipe) Stats() JobStats { return p.stats }
 // therefore starts — and its first output rows reach the consumer —
 // while other reducers are still collecting (or, with a transport that
 // closes per-reducer streams early, while map tasks still run).
-func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
+func RunPipe[O any](ctx context.Context, job Job[O]) (*Pipe[O], error) {
 	cfg, err := job.Config.withDefaults()
 	if err != nil {
 		return nil, err
@@ -254,8 +253,8 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 	// trigger shared by external cancellation, internal failure, and
 	// Pipe.Close.
 	jobCtx, cancelJob := context.WithCancel(ctx)
-	p := &Pipe{
-		out:         make(chan outBatch, cfg.NumReducers),
+	p := &Pipe[O]{
+		out:         make(chan outBatch[O], cfg.NumReducers),
 		cancel:      cancelJob,
 		coordDone:   make(chan struct{}),
 		numReducers: cfg.NumReducers,
@@ -277,7 +276,7 @@ func RunPipe(ctx context.Context, job Job) (*Pipe, error) {
 // runJob executes the job's stages under the coordinator. It returns
 // whatever stats were gathered even on failure (callers discard them as
 // needed).
-func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselItems []Split, morselOwners []int, tr transport.Transport, cancelJob context.CancelFunc, p *Pipe) (JobStats, error) {
+func runJob[O any](jobCtx context.Context, job Job[O], cfg Config, splits []Split, morselItems []Split, morselOwners []int, tr transport.Transport, cancelJob context.CancelFunc, p *Pipe[O]) (JobStats, error) {
 	start := time.Now()
 	ex := cfg.Executor
 	defer tr.Close()
@@ -318,7 +317,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			// This reducer's stream is complete: hand its collector to a
 			// reduce task now, without waiting for sibling drains.
 			reduceGroup.Go(fmt.Sprintf("mr: reduce task %d", r), &reduceStats[r].Timing, func(tctx context.Context) error {
-				w := &outputWriter{ctx: tctx, ch: p.out, r: r, start: start, first: &p.firstOut}
+				w := &outputWriter[O]{ctx: tctx, ch: p.out, r: r, start: start, first: &p.firstOut}
 				return runReduceTask(tctx, job, collectors[r], &reduceStats[r], cfg, w)
 			})
 			return nil
@@ -347,7 +346,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			w := w
 			mapStats[w].Task = fmt.Sprintf("map-worker-%d", w)
 			mapGroup.Go(fmt.Sprintf("mr: map worker %d", w), &mapStats[w].Timing, func(tctx context.Context) error {
-				return runMapTask(tctx, job, &mapStats[w], cfg, tr, func(p *mapPipeline) error {
+				return runMapTask(tctx, job.Map, &mapStats[w], cfg, tr, func(p *mapPipeline) error {
 					return p.scanMorsels(tctx, w, d)
 				})
 			})
@@ -358,7 +357,7 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 			i, sp := i, sp
 			mapStats[i].Task = sp.Label()
 			mapGroup.Go("mr: map task "+sp.Label(), &mapStats[i].Timing, func(tctx context.Context) error {
-				return runMapTask(tctx, job, &mapStats[i], cfg, tr, func(p *mapPipeline) error {
+				return runMapTask(tctx, job.Map, &mapStats[i], cfg, tr, func(p *mapPipeline) error {
 					return p.scan(tctx, sp)
 				})
 			})
@@ -386,41 +385,39 @@ func runJob(jobCtx context.Context, job Job, cfg Config, splits []Split, morselI
 	return stats, jobErrs.Err()
 }
 
-// outputWriter buffers one reduce task's emitted pairs and flushes them
-// to the job's output stream in outputBatchPairs-sized batches. The send
-// selects against the job context so an emitting reduce task unblocks
-// when the job is cancelled (including by Pipe.Close). Errors latch: the
-// first failed flush stops the writer and is returned by the reduce
-// task.
-type outputWriter struct {
-	ctx   context.Context
-	ch    chan<- outBatch
-	r     int
-	start time.Time
-	first *atomic.Int64
-	buf   []transport.Pair
-	err   error
+// outputWriter buffers one reduce task's emitted items and flushes them
+// to the job's output stream in batches of about outputBatchRecords
+// records. The send selects against the job context so an emitting reduce
+// task unblocks when the job is cancelled (including by Pipe.Close).
+// Errors latch: the first failed flush stops the writer and is returned
+// by the reduce task.
+type outputWriter[O any] struct {
+	ctx     context.Context
+	ch      chan<- outBatch[O]
+	r       int
+	start   time.Time
+	first   *atomic.Int64
+	buf     []O
+	records int // carried by buf's items
+	err     error
 }
 
-func (w *outputWriter) emit(key, value []byte) {
+func (w *outputWriter[O]) emit(v O, records int) {
 	if w.err != nil {
 		return
 	}
-	if w.buf == nil {
-		w.buf = transport.GetBatch(outputBatchPairs)
-	}
-	w.buf = append(w.buf, transport.Pair{Key: key, Value: value})
-	if len(w.buf) >= outputBatchPairs {
+	w.buf = append(w.buf, v)
+	if w.records += records; w.records >= outputBatchRecords {
 		w.flush()
 	}
 }
 
-func (w *outputWriter) flush() {
+func (w *outputWriter[O]) flush() {
 	if w.err != nil || len(w.buf) == 0 {
 		return
 	}
-	b := outBatch{r: w.r, pairs: w.buf}
-	w.buf = nil
+	b := outBatch[O]{r: w.r, items: w.buf}
+	w.buf, w.records = nil, 0
 	select {
 	case w.ch <- b:
 		if w.first.Load() == 0 {
@@ -472,12 +469,12 @@ func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll group
 // morsel worker's whole tour in morsel mode (scan says which). Its error,
 // from the split's Open, a record's decode, the map function or the
 // shuffle, fails the job; nothing is retried.
-func runMapTask(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
+func runMapTask(ctx context.Context, mapFn MapFunc, st *MapTaskStats, cfg Config, tr transport.Transport, scan func(*mapPipeline) error) error {
 	if err := ctx.Err(); err != nil { // dispatched after the job died: open nothing
 		return err
 	}
 	st.Attempts = 1
-	p := newMapPipeline(ctx, job, st, cfg, tr)
+	p := newMapPipeline(ctx, mapFn, st, cfg, tr)
 	if err := scan(p); err != nil {
 		return err
 	}
@@ -501,8 +498,8 @@ type mapPipeline struct {
 	mctx MapCtx
 }
 
-func newMapPipeline(ctx context.Context, job Job, st *MapTaskStats, cfg Config, tr transport.Transport) *mapPipeline {
-	p := &mapPipeline{mapFn: job.Map, st: st, cfg: cfg, bw: transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.shuffleBatchPairs)}
+func newMapPipeline(ctx context.Context, mapFn MapFunc, st *MapTaskStats, cfg Config, tr transport.Transport) *mapPipeline {
+	p := &mapPipeline{mapFn: mapFn, st: st, cfg: cfg, bw: transport.NewBatchWriter(ctx, tr, cfg.NumReducers, cfg.shuffleBatchPairs)}
 	p.mctx = MapCtx{Stats: st, p: p}
 	if cfg.NewCombiner != nil {
 		p.comb = cfg.NewCombiner(st)
@@ -596,7 +593,7 @@ func (p *mapPipeline) flush() error {
 	return nil
 }
 
-func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *ReduceTaskStats, cfg Config, w *outputWriter) error {
+func runReduceTask[O any](ctx context.Context, job Job[O], coll groupx.Collector, st *ReduceTaskStats, cfg Config, w *outputWriter[O]) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -609,13 +606,11 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Redu
 	gs := coll.Stats()
 	fillGroupStats(st, gs)
 
-	rctx := &ReduceCtx{
+	rctx := &ReduceCtx[O]{
 		Stats:         st,
 		TempDir:       cfg.TempDir,
 		MaxGroupPairs: int(gs.MaxGroup),
-		// ReduceCtx.Emit already copied the key and hands off ownership
-		// of the value; the writer batches pairs onto the output stream.
-		emit: w.emit,
+		emit:          w.emit,
 	}
 	if cfg.NewReduceLocal != nil {
 		rctx.Local = cfg.NewReduceLocal(st)
@@ -656,6 +651,11 @@ func runReduceTask(ctx context.Context, job Job, coll groupx.Collector, st *Redu
 	// Merge-path buffer reuses accumulate while iterating; refresh the
 	// counters now that the stream is drained.
 	fillGroupStats(st, coll.Stats())
+	if job.Finish != nil {
+		if err := job.Finish(rctx); err != nil {
+			return err
+		}
+	}
 	w.flush()
 	return w.err
 }

@@ -363,8 +363,8 @@ func (s *Server) streamQuery(w http.ResponseWriter, r *http.Request, tenant, dat
 			break
 		}
 		rows++
-		// Coords alias the stream's reused decode buffer; encoding here,
-		// before the next Next call, is what makes that safe.
+		// Coords alias a chunk the stream recycles; encoding here, before
+		// the next Next call, is what makes that safe.
 		buf = enc.appendRow(buf, row.Measure, row.Region, row.Value)
 		if rows%streamFlushRows == 0 && !send() {
 			return
