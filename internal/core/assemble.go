@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"github.com/casm-project/casm/internal/cube"
 	"github.com/casm-project/casm/internal/exec"
@@ -56,22 +55,47 @@ func newRowChunk(q, m, arity, rows int) *rowChunk {
 	return &rowChunk{q: q, m: m, coords: make([]int64, 0, rows*arity), vals: make([]float64, 0, rows), or: make([]uint64, arity), diff: make([]uint64, arity)}
 }
 
-// spareChunks recycles the chunks no Result keeps — those a stream has
-// read to the end and the partly filled ones the assembler copied — into
-// the chunks reduce tasks fill next.
-var spareChunks sync.Pool
+// spareChunks and spareCoords hold what no Result keeps of the chunks: all
+// of one a stream has read or the assembler copied, all but the
+// coordinates of one a Result keeps. A reduce task's chunk is on loan
+// until it goes to the job's output (or back, when the task fails).
+var (
+	spareChunks = exec.NewFreeList("core.chunks", func(c *rowChunk) int { return 8 * (cap(c.vals) + cap(c.or) + cap(c.diff)) })
+	spareCoords = exec.NewFreeList("core.coords", func(c []int64) int { return 8 * cap(c) })
+	sortWords   = exec.NewFreeList("core.sortWords", func(w []uint64) int { return 8 * cap(w) }) // asmSlot.build's
+)
 
-// reuseRowChunk is newRowChunk, served from spareChunks when the chunk
-// there has the arity and room for rows rows.
-func reuseRowChunk(q, m, arity, rows int) *rowChunk {
-	c, _ := spareChunks.Get().(*rowChunk)
-	if c == nil || len(c.or) != arity || cap(c.vals) < rows {
-		return newRowChunk(q, m, arity, rows)
+// takeRowChunk lends a reduce task an empty whole chunk of the arity.
+func takeRowChunk(q, m, arity int) *rowChunk {
+	c, ok := spareChunks.Get()
+	if !ok || cap(c.or) < arity {
+		c = &rowChunk{vals: make([]float64, 0, asmChunkRows), or: make([]uint64, arity), diff: make([]uint64, arity)}
 	}
-	clear(c.or)
-	clear(c.diff)
-	*c = rowChunk{q: q, m: m, coords: c.coords[:0], vals: c.vals[:0], or: c.or, diff: c.diff}
+	coords, ok := spareCoords.Get()
+	if !ok || cap(coords) < asmChunkRows*arity {
+		coords = make([]int64, 0, asmChunkRows*arity)
+	}
+	or, diff := c.or[:arity], c.diff[:arity]
+	clear(or)
+	clear(diff)
+	*c = rowChunk{q: q, m: m, coords: coords, vals: c.vals[:0], or: or, diff: diff}
 	return c
+}
+
+// giveRowChunk gives back a chunk no Result keeps.
+func giveRowChunk(c *rowChunk) {
+	spareCoords.Give(c.coords[:0])
+	c.coords = nil
+	spareChunks.Give(c)
+}
+
+// takeWords lends n words from sortWords.
+func takeWords(n int) []uint64 {
+	w, _ := sortWords.Get()
+	if cap(w) < n {
+		w = make([]uint64, n)
+	}
+	return w[:n]
 }
 
 // add appends a row; the chunk must not be full.
@@ -147,7 +171,7 @@ func (s *asmSlot) adopt(c *rowChunk) {
 		for i, v := range c.vals {
 			s.push(c.row(i, s.arity), v)
 		}
-		spareChunks.Put(c)
+		giveRowChunk(c)
 		return
 	}
 	s.n += asmChunkRows
@@ -221,7 +245,9 @@ func (a *assembler) finish(ctx context.Context, ex *exec.Executor) error {
 // any suite query's grain) break its ties by a comparator.
 func (s *asmSlot) build() {
 	fields, rowBits, keyBits, rest := s.layout()
-	words := make([]uint64, s.n)
+	words, scratch := takeWords(s.n), takeWords(s.n)
+	defer sortWords.Put(words)
+	defer sortWords.Put(scratch)
 	for i := range words {
 		c, k := s.coord(uint32(i)), uint64(0)
 		for _, f := range fields {
@@ -237,20 +263,26 @@ func (s *asmSlot) build() {
 		}
 		words[i] = k<<rowBits | uint64(i)
 	}
+	sorted := words
 	if len(words) < 256 { // too few to repay the radix passes' 2¹¹ counters
 		slices.Sort(words)
 	} else {
-		words = localeval.Radix(words, make([]uint64, len(words)), rowBits, rowBits+keyBits)
+		sorted = localeval.Radix(words, scratch, rowBits, rowBits+keyBits)
 	}
 	if len(rest) > 0 {
-		s.sortTies(words, rowBits, rest)
+		s.sortTies(sorted, rowBits, rest)
 	}
 	s.recs = make([]MeasureRecord, s.n)
-	for i, w := range words {
+	for i, w := range sorted {
 		r := uint32(w & (1<<rowBits - 1))
 		s.recs[i] = MeasureRecord{Region: cube.Region{Grain: s.m.Grain, Coord: s.coord(r)}, Value: s.chunks[r/asmChunkRows].vals[r%asmChunkRows]}
 	}
-	s.chunks = nil // the records keep the coordinates; the values go
+	for _, c := range s.chunks { // the records keep the coordinates; the rest of a whole chunk is spare
+		if c.coords = nil; cap(c.vals) == asmChunkRows {
+			spareChunks.Give(c)
+		}
+	}
+	s.chunks = nil
 }
 
 // asmField is one varying attribute's place in a packed key: w uvarint

@@ -337,14 +337,9 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 	// reused across all of the task's groups.
 	job.Config.NewMapLocal = func(*mr.MapTaskStats) any {
 		ml := &mapLocal{dks: make([]*distkey.Session, len(groups)), walks: make([]blockWalk, len(groups))}
-		if tagged {
-			ml.keys = make([]map[string][]byte, len(groups))
-		}
 		for gi, g := range groups {
 			ml.dks[gi] = g.bm.NewSession()
-			if tagged {
-				ml.keys[gi] = make(map[string][]byte)
-			}
+			ml.dks[gi].Prefix(g.tag)
 		}
 		return ml
 	}
@@ -395,13 +390,10 @@ func (e *Engine) startJob(ctx context.Context, ds *Dataset, queries []*jobQuery)
 		}
 		for row := int32(0); row < int32(b.N); row++ {
 			value := ml.arena.record(b.Cols, int(row), cols)
-			for gi, g := range groups {
+			for gi := range groups {
 				w := &ml.walks[gi]
 				for ; w.next < len(w.rows) && w.rows[w.next] == row; w.next++ {
-					key := ml.dks[gi].Key(w.ords[w.next]) // interned: encoded once per distinct block per task
-					if tagged {
-						key = ml.taggedBlock(gi, g.tag, key)
-					}
+					key := ml.dks[gi].Key(w.ords[w.next]) // interned, tag and all: encoded once per distinct block per task
 					if err := ctx.Emit(key, value); err != nil {
 						return err
 					}
@@ -659,10 +651,14 @@ func CombinedKey(js mr.JobStats) (cf mr.JobStats, ok bool) {
 type mapLocal struct {
 	dks   []*distkey.Session
 	walks []blockWalk // per group: the current batch's blocks
-	// keys interns, per group of a multi-query job, bare block key bytes →
-	// stable tagged key; nil in a job of one, whose keys carry no tag.
-	keys  []map[string][]byte
 	arena keyArena
+}
+
+// Release gives back the sessions' intern tables; the keys stay valid.
+func (ml *mapLocal) Release() {
+	for _, dk := range ml.dks {
+		dk.Release()
+	}
 }
 
 // blockWalk is a geometry group's distkey.Session.Walk of the current
@@ -671,18 +667,6 @@ type blockWalk struct {
 	ords []uint64
 	rows []int32
 	next int
-}
-
-// taggedBlock interns tag+block once per distinct block per task; the
-// returned slice is stable for the job's duration, satisfying Emit's
-// retention rule at (amortized) zero allocations per pair.
-func (ml *mapLocal) taggedBlock(gi int, tag, block []byte) []byte {
-	if k, ok := ml.keys[gi][string(block)]; ok {
-		return k
-	}
-	k := append(append(make([]byte, 0, len(tag)+len(block)), tag...), block...)
-	ml.keys[gi][string(block)] = k
-	return k
 }
 
 // keyArena gives the record values a map task builds and emits a stable
@@ -766,28 +750,33 @@ func (o *ownedOutput) emit(ctx *mr.ReduceCtx[*rowChunk], dk *distkey.Session, bl
 // ones, and full ones no next row of their measure has sent.
 func finishOutputs(ctx *mr.ReduceCtx[*rowChunk]) error {
 	for _, o := range ctx.Local.(*reduceLocal).outs {
-		for _, c := range o.open {
+		for m, c := range o.open {
 			if c != nil {
-				ctx.Emit(c, len(c.vals))
+				o.open[m] = nil
+				o.hand(ctx, c)
 			}
 		}
 	}
 	return nil
 }
 
+// hand gives a chunk to the job's output, which owns it from then on.
+func (o *ownedOutput) hand(ctx *mr.ReduceCtx[*rowChunk], c *rowChunk) {
+	ctx.Emit(c, len(c.vals))
+	spareCoords.Forget()
+	spareChunks.Forget()
+}
+
 // add appends one row of measure m to its chunk. A full chunk goes to the
 // output when the measure's next row needs room, a partly filled one at
-// the task's end (the job's Finish). A measure's first chunk in the task
-// may start small and grow; later ones are allocated whole.
+// the task's end (the job's Finish).
 func (o *ownedOutput) add(ctx *mr.ReduceCtx[*rowChunk], m int, coord []int64, v float64) {
 	c := o.open[m]
 	if c == nil || c.full() {
-		rows := 0
 		if c != nil {
-			ctx.Emit(c, asmChunkRows)
-			rows = asmChunkRows
+			o.hand(ctx, c)
 		}
-		c = reuseRowChunk(o.q, m, len(coord), rows)
+		c = takeRowChunk(o.q, m, len(coord))
 		o.open[m] = c
 	}
 	c.add(coord, v)
@@ -807,6 +796,19 @@ type reduceLocal struct {
 	// (both copied before the cache retains them).
 	cacheKey []byte
 	capture  []byte
+}
+
+// Release gives back the chunks a failed task did not hand on.
+func (rl *reduceLocal) Release() {
+	for _, o := range rl.outs {
+		for m, c := range o.open {
+			if o.open[m] = nil; c != nil {
+				giveRowChunk(c)
+				spareCoords.Forget()
+				spareChunks.Forget()
+			}
+		}
+	}
 }
 
 // loadGroup streams a group's record values straight into the columnar

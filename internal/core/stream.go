@@ -70,7 +70,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, w *workflow.Workflow, ds *D
 func (s *ResultStream) Next() (ResultRow, bool, error) {
 	for s.cur == nil || s.i == len(s.cur.vals) {
 		if s.cur != nil { // the caller is done with its last row
-			spareChunks.Put(s.cur)
+			giveRowChunk(s.cur)
 		}
 		c, ok, err := s.js.pipe.Next()
 		if err != nil || !ok {

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/exec"
 )
 
 // BlockMapper turns the chosen execution plan — a distribution key plus a
@@ -158,24 +159,64 @@ type Session struct {
 	one                    [][]int64 // Blocks' batch of one record
 	keys                   [][]byte  // reused Blocks output slice
 	enc                    []byte    // reused block-coord encode buffer
+	tag                    []byte    // prefixed to every key the session interns
 	lastOrd                uint64    // the last ordinal Key served, and its key
 	lastKey, arena         []byte    // arena: current chunk; old chunks stay live via interned keys
 	arenaNext              int       // next chunk's capacity (geometric growth, capped)
-	byOrd                  map[uint64][]byte
-	byKey                  map[string]uint64 // blocks without mixed-radix ordinals: key → session ordinal
+	tables                 *internTables
 }
+
+// internTables are a session's interned keys, byOrd by block ordinal and,
+// for blocks without mixed-radix ordinals, byKey's session ordinals: taken
+// from interns on first use, given back cleared by Release. An entry
+// weighs about 48 bytes; peak is the most they have held.
+type internTables struct {
+	byOrd map[uint64][]byte
+	byKey map[string]uint64
+	peak  int
+}
+
+var interns = exec.NewFreeList("distkey.interns", func(t *internTables) int { return 48 * t.peak })
 
 // NewSession returns fresh per-task scratch state for bm.
 func (bm *BlockMapper) NewSession() *Session {
 	n := bm.schema.NumAttrs()
 	ss := &Session{bm: bm, coord: make([]int64, n), block: make([]int64, n),
 		los: make([]int64, len(bm.annAttrs)), his: make([]int64, len(bm.annAttrs)),
-		one: make([][]int64, n), enc: make([]byte, 0, n*3),
-		byOrd: make(map[uint64][]byte), byKey: make(map[string]uint64)}
+		one: make([][]int64, n), enc: make([]byte, 0, n*3)}
 	for a := range ss.one {
 		ss.one[a] = make([]int64, 1)
 	}
 	return ss
+}
+
+// Prefix makes every key the session interns start with tag, a shared
+// scan's group tag. Call it before the first.
+func (ss *Session) Prefix(tag []byte) { ss.tag = tag }
+
+func (ss *Session) interned() *internTables {
+	if ss.tables == nil {
+		if ss.tables, _ = interns.Get(); ss.tables == nil {
+			ss.tables = &internTables{byOrd: map[uint64][]byte{}, byKey: map[string]uint64{}}
+		}
+	}
+	return ss.tables
+}
+
+func (t *internTables) reset() {
+	t.peak = max(t.peak, len(t.byOrd)+len(t.byKey))
+	clear(t.byOrd)
+	clear(t.byKey)
+}
+
+// Release gives the intern tables back once the task is done: the keys
+// handed out stay valid in the arena.
+func (ss *Session) Release() {
+	if t := ss.tables; t != nil {
+		ss.tables, ss.lastKey = nil, nil
+		t.reset()
+		interns.Put(t)
+	}
 }
 
 // Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax: a
@@ -211,9 +252,8 @@ func (ss *Session) arenaCopy(b []byte) []byte {
 // first sight; Key returns its key either way.
 func (ss *Session) Walk(cols [][]int64) (ords []uint64, rows []int32) {
 	bm := ss.bm
-	if len(ss.byOrd) >= maxInterned {
-		clear(ss.byOrd)
-		clear(ss.byKey)
+	if t := ss.tables; t != nil && len(t.byOrd) >= maxInterned {
+		t.reset()
 		ss.lastKey = nil
 	}
 	ss.ords, ss.rows = ss.ords[:0], ss.rows[:0]
@@ -294,12 +334,13 @@ func (ss *Session) add(row int32, home int) {
 			o += uint64(ss.block[i]) * w
 		}
 	} else {
-		ss.enc = cube.AppendCoords(ss.enc[:0], ss.block)
+		ss.enc = cube.AppendCoords(append(ss.enc[:0], ss.tag...), ss.block)
+		t := ss.interned()
 		var ok bool
-		if o, ok = ss.byKey[string(ss.enc)]; !ok {
-			o = uint64(len(ss.byKey))
+		if o, ok = t.byKey[string(ss.enc)]; !ok {
+			o = uint64(len(t.byKey))
 			k := ss.arenaCopy(ss.enc)
-			ss.byKey[string(k)], ss.byOrd[o] = o, k
+			t.byKey[string(k)], t.byOrd[o] = o, k
 		}
 	}
 	if len(ss.ords) == home || o != ss.ords[home] {
@@ -310,11 +351,12 @@ func (ss *Session) add(row int32, home int) {
 // Key returns the interned key of the block Walk numbered ord.
 func (ss *Session) Key(ord uint64) []byte {
 	if ss.lastKey == nil || ord != ss.lastOrd {
-		k, ok := ss.byOrd[ord]
+		t := ss.interned()
+		k, ok := t.byOrd[ord]
 		if !ok {
-			ss.enc = ss.bm.AppendBlockKey(ss.enc[:0], ord)
+			ss.enc = ss.bm.AppendBlockKey(append(ss.enc[:0], ss.tag...), ord)
 			k = ss.arenaCopy(ss.enc)
-			ss.byOrd[ord] = k
+			t.byOrd[ord] = k
 		}
 		ss.lastOrd, ss.lastKey = ord, k
 	}

@@ -28,7 +28,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"unsafe"
 
+	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/transport"
 )
 
@@ -94,22 +96,9 @@ type hashCollector struct {
 	dir      string
 	memItems int
 
-	// The group table outlives flushes: a group seen again after a flush
-	// is found, not rebuilt. slots is the table (table.go), shift places a
-	// hash in it, and groups are the groups by id. resident lists the
-	// groups holding pairs now, sorted by key, through scratch, when a
-	// flush or the iteration walks them, so neither walks the groups an
-	// earlier flush emptied.
-	slots    []uint64
-	shift    uint8
-	groups   []hashGroup
-	resident []int32
-	scratch  []int32
-
-	// chunks holds the n buffered pairs; pair i is chunks[i/pairChunk][i%pairChunk].
-	chunks [][]hashPair
-	n      int
-	stats  Stats
+	*storage     // nil once Close has given it back
+	n        int // pairs buffered in chunks
+	stats    Stats
 
 	// Spill state, made on the first flush: the collector's one run file,
 	// unlinked at creation, its writer, and each run's place in the file
@@ -125,6 +114,31 @@ type hashCollector struct {
 	mem  func() (transport.Pair, bool) // the iteration, when nothing spilled
 	used bool                          // Iterate or Close has run: Add and Iterate are errors
 }
+
+// storage is a collector's memory, from storages: a job's collectors take
+// what earlier ones grew. The group table outlives flushes: a group seen
+// again after a flush is found, not rebuilt. slots is the table
+// (table.go), shift places a hash in it, and groups are the groups by id.
+// resident lists the groups holding pairs now, sorted by key, through
+// scratch, when a flush or the iteration walks them, so neither walks the
+// groups an earlier flush emptied. chunks holds the buffered pairs; pair i
+// is chunks[i/pairChunk][i%pairChunk].
+type storage struct {
+	slots    []uint64
+	shift    uint8
+	groups   []hashGroup
+	resident []int32
+	scratch  []int32
+	chunks   [][]hashPair
+}
+
+var storages = exec.NewFreeList("groupx.storage", func(s *storage) int {
+	n := 8*cap(s.slots) + int(unsafe.Sizeof(hashGroup{}))*cap(s.groups) + 4*(cap(s.resident)+cap(s.scratch))
+	for _, c := range s.chunks {
+		n += int(unsafe.Sizeof(hashPair{})) * cap(c)
+	}
+	return n
+})
 
 // errUsed is Add or Iterate on a collector already iterated or closed.
 var errUsed = errors.New("groupx: collector used after Iterate or Close")
@@ -155,11 +169,16 @@ func NewHashContext(ctx context.Context, dir string, memItems int) Collector {
 	if memItems < 1 || memItems > math.MaxInt32 {
 		memItems = math.MaxInt32 // pairs are chained by int32 index
 	}
+	s, _ := storages.Get()
+	if s == nil {
+		s = new(storage)
+	}
 	return &hashCollector{
 		ctx:      ctx,
 		done:     ctx.Done(),
 		dir:      dir,
 		memItems: memItems,
+		storage:  s,
 	}
 }
 
@@ -487,11 +506,25 @@ func (c *hashCollector) Next() (transport.Pair, bool, error) {
 
 func (c *hashCollector) Close() {
 	c.used = true
-	if c.file != nil {
+	spilled := c.file != nil
+	if spilled {
 		c.file.Close()
 		c.file = nil
 	}
-	c.slots, c.groups, c.resident, c.scratch, c.chunks = nil, nil, nil, nil, nil
+	if s := c.storage; s != nil { // cleared: it keeps no key or value
+		c.storage = nil
+		clear(s.slots)
+		clear(s.groups)
+		for k, ch := range s.chunks {
+			if spilled { // a flush refilled the chunks from the start, short of what it left
+				ch = ch[:cap(ch)]
+			}
+			clear(ch)
+			s.chunks[k] = ch[:0]
+		}
+		s.groups, s.resident = s.groups[:0], s.resident[:0]
+		storages.Put(s)
+	}
 	c.w, c.runs, c.cursors = nil, nil, nil
 }
 

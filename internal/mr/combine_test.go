@@ -59,7 +59,7 @@ func (c *countCombiner) Flush(emit func(key, value []byte) error) error {
 // (size 1), a small batch size, and the default; the output must be
 // identical and the batch counters consistent.
 func TestWordCountAcrossBatchSizes(t *testing.T) {
-	for _, size := range []int{1, 2, DefaultShuffleBatchPairs} {
+	for _, size := range []int{1, 2, transport.DefaultBatchPairs} {
 		// The "channel" name level is kept only so test IDs stay stable.
 		t.Run(fmt.Sprintf("channel/batch=%d", size), func(t *testing.T) {
 			res, err := Run(wordCountJob(wcLines, Config{

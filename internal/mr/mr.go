@@ -300,8 +300,7 @@ type CombinerFactory func(st *MapTaskStats) Combiner
 // ReduceCtx is passed to the reduce function of a job whose output
 // items are of type O.
 type ReduceCtx[O any] struct {
-	Stats   *ReduceTaskStats
-	TempDir string
+	Stats *ReduceTaskStats
 	// Local is per-task user state created by Config.NewReduceLocal (nil
 	// otherwise); see MapCtx.Local.
 	Local any
@@ -363,10 +362,11 @@ type Config struct {
 	// TempDir hosts spill files (default OS temp).
 	TempDir string
 	// NewMapLocal, when non-nil, is called once per map task and its
-	// result exposed as MapCtx.Local.
+	// result exposed as MapCtx.Local. A Local with a Release method has it
+	// called when the task ends, on every path.
 	NewMapLocal func(st *MapTaskStats) any
 	// NewReduceLocal, when non-nil, is called once per reduce task and
-	// its result exposed as ReduceCtx.Local.
+	// its result exposed as ReduceCtx.Local, released as NewMapLocal's is.
 	NewReduceLocal func(st *ReduceTaskStats) any
 
 	// Test seams, left zero by the engine. mapParallelism bounds the
@@ -375,7 +375,7 @@ type Config struct {
 	// the shuffle (default the channel transport); pipe_test.go fakes one
 	// whose per-reducer streams end early. shuffleBatchPairs is how many
 	// pairs a map task buffers per reducer before shipping them as one
-	// batch (default DefaultShuffleBatchPairs).
+	// batch (default transport.DefaultBatchPairs).
 	mapParallelism    int
 	newTransport      func(numReducers int) (transport.Transport, error)
 	shuffleBatchPairs int
@@ -396,7 +396,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.newTransport = func(n int) (transport.Transport, error) { return transport.NewChannel(n, 0) }
 	}
 	if c.shuffleBatchPairs < 1 {
-		c.shuffleBatchPairs = DefaultShuffleBatchPairs
+		c.shuffleBatchPairs = transport.DefaultBatchPairs
 	}
 	if c.LocalAggBudget < 1 {
 		c.LocalAggBudget = 1 << 16
@@ -406,12 +406,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	return c, nil
 }
-
-// DefaultShuffleBatchPairs is the default per-reducer shuffle batch size.
-// 256 pairs amortize the per-frame channel/framing cost well below the
-// per-pair work while keeping at most a few thousand pairs buffered per
-// map task.
-const DefaultShuffleBatchPairs = 256
 
 // HashPartition is the shuffle's FNV-1a partitioner. The hash loop is
 // inlined (rather than hash/fnv) so partitioning a key allocates nothing;

@@ -279,6 +279,7 @@ func RunPipe[O any](ctx context.Context, job Job[O]) (*Pipe[O], error) {
 func runJob[O any](jobCtx context.Context, job Job[O], cfg Config, splits []Split, morselItems []Split, morselOwners []int, tr transport.Transport, cancelJob context.CancelFunc, p *Pipe[O]) (JobStats, error) {
 	start := time.Now()
 	ex := cfg.Executor
+	defer exec.EndJob()
 	defer tr.Close()
 
 	// Reducer collectors: drain the shuffle into per-reducer hash
@@ -433,9 +434,9 @@ func (w *outputWriter[O]) flush() {
 // senders on a full transport forever — but stops *collecting* at the
 // first Add error or once the job is cancelled, and cancels the job on an
 // Add failure so map tasks stop producing into a doomed shuffle.
-// Consumed batch slices are recycled into the transport batch pool (the
-// pairs' key/value bytes live on; the slice itself is dead once its
-// pairs are in the collector).
+// Each emptied batch goes back to the transport's free list: its pairs
+// are in the collector, which keeps their key and value bytes, not the
+// slice.
 func drainShuffle(ctx context.Context, tr transport.Transport, r int, coll groupx.Collector, st *ReduceTaskStats, cancelJob context.CancelFunc) error {
 	done := ctx.Done()
 	var addErr error
@@ -475,6 +476,8 @@ func runMapTask(ctx context.Context, mapFn MapFunc, st *MapTaskStats, cfg Config
 	}
 	st.Attempts = 1
 	p := newMapPipeline(ctx, mapFn, st, cfg, tr)
+	defer releaseLocal(p.mctx.Local)
+	defer p.bw.Close()
 	if err := scan(p); err != nil {
 		return err
 	}
@@ -579,6 +582,13 @@ func (p *mapPipeline) scan(ctx context.Context, sp Split) error {
 	return it.Close()
 }
 
+// releaseLocal calls a task Local's Release, if it has one.
+func releaseLocal(local any) {
+	if r, ok := local.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
 // flush drains the combiner table and the batch writer at task end.
 func (p *mapPipeline) flush() error {
 	if p.comb != nil {
@@ -608,12 +618,12 @@ func runReduceTask[O any](ctx context.Context, job Job[O], coll groupx.Collector
 
 	rctx := &ReduceCtx[O]{
 		Stats:         st,
-		TempDir:       cfg.TempDir,
 		MaxGroupPairs: int(gs.MaxGroup),
 		emit:          w.emit,
 	}
 	if cfg.NewReduceLocal != nil {
 		rctx.Local = cfg.NewReduceLocal(st)
+		defer releaseLocal(rctx.Local)
 	}
 	// groupBuf holds the current group's identity, copied out of the
 	// first pair's key. The copy is mandatory: a spilled pair's key

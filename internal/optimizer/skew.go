@@ -28,6 +28,7 @@ func SimulatedDispatch(s *cube.Schema, key distkey.Key, cf int64, sample []cube.
 	}
 	loads := make([]float64, numReducers)
 	ss := bm.NewSession()
+	defer ss.Release()
 	for _, rec := range sample {
 		for _, block := range ss.Blocks(rec) {
 			loads[partition(block, numReducers)]++

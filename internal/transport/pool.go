@@ -1,46 +1,47 @@
 package transport
 
-import "sync"
+import (
+	"math/bits"
+	"strconv"
 
-// batchPool recycles the []Pair batch slices that carry pairs through
-// the shuffle and the job output stream. Batches are the data plane's
-// highest-volume allocation (one slice per 256 pairs, for the whole
-// job): pooling them turns the per-batch make into a near-free reuse.
-// Only the slices cycle through the pool — the Key/Value bytes the pairs
-// reference are never pooled and keep their documented job-lifetime
-// validity.
-var batchPool = sync.Pool{New: func() any { b := make([]Pair, 0, DefaultBatchPairs); return &b }}
+	"github.com/casm-project/casm/internal/exec"
+)
 
-// DefaultBatchPairs sizes pooled batch slices; callers asking GetBatch
-// for at most this capacity always get a pooled slice back.
+// DefaultBatchPairs is how many pairs a full batch carries: 256 amortize
+// the per-batch channel operation well below the per-pair work while
+// keeping at most a few thousand pairs buffered per map task.
 const DefaultBatchPairs = 256
 
-// GetBatch returns an empty batch slice with capacity ≥ n, reusing a
-// recycled one when possible. The caller owns it until it is handed to
-// SendBatch (whereafter the receiver owns it) or RecycleBatch.
-func GetBatch(n int) []Pair {
-	p := batchPool.Get().(*[]Pair)
-	if cap(*p) >= n {
-		return (*p)[:0]
+// batches are the process's spare batches by room, 32<<i pairs in
+// batches[i]. A sender's first batch to a reducer has room for 32 and moves
+// to twice the room as it fills, so a sender that sends a reducer k pairs
+// holds O(k) slots for it. Only the slices cycle, cleared of their pairs.
+var batches [4]*exec.FreeList[[]Pair]
+
+func init() {
+	for i := range batches {
+		batches[i] = exec.NewFreeList("transport.batches"+strconv.Itoa(i), func(ps []Pair) int { return 48 * cap(ps) })
 	}
-	batchPool.Put(p)
-	return make([]Pair, 0, n)
 }
 
-// RecycleBatch returns a consumed batch slice to the pool. Callers must
-// have taken every pair they need out of ps first: the slice may be
-// reused for a later batch at any moment. Recycling is strictly optional
-// — batches that escape (held by a consumer, crossed a test boundary)
-// are simply collected by the GC. The pair structs are cleared so a
-// pooled slice does not pin the previous job's key/value bytes.
+// room is the index in batches of the least room ≥ n pairs.
+func room(n int) int { return max(bits.Len(uint(n-1))-5, 0) }
+
+// getBatch lends an empty batch with room for n ≤ DefaultBatchPairs pairs.
+func getBatch(n int) []Pair {
+	ps, ok := batches[room(n)].Get()
+	if !ok {
+		ps = make([]Pair, 0, 32<<room(n))
+	}
+	return ps
+}
+
+// RecycleBatch gives back a batch the transport handed out once its reader
+// has taken out every pair it needs: the next sender may refill it at once.
+// A slice from elsewhere is left alone.
 func RecycleBatch(ps []Pair) {
-	if cap(ps) == 0 {
-		return
+	if c := cap(ps); c >= 32 && c <= DefaultBatchPairs && c&(c-1) == 0 {
+		clear(ps)
+		batches[room(c)].Put(ps[:0])
 	}
-	ps = ps[:cap(ps)]
-	for i := range ps {
-		ps[i] = Pair{}
-	}
-	ps = ps[:0]
-	batchPool.Put(&ps)
 }

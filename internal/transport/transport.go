@@ -25,7 +25,9 @@
 // reuse or mutate it, nor the Key/Value bytes it references, for the life
 // of the job. Symmetrically, the bytes a receiver sees stay valid and
 // unmodified for the life of the job, so reducer-side collectors may
-// retain received Key/Value slices without copying.
+// retain received Key/Value slices without copying. The slice itself the
+// receiver gives back with RecycleBatch once it has taken the pairs out,
+// for a BatchWriter's next batch, in this job or the next (pool.go).
 package transport
 
 import (
@@ -51,7 +53,8 @@ func (p Pair) Size() int64 { return int64(len(p.Key) + len(p.Value)) }
 type Transport interface {
 	// SendBatch delivers a batch of pairs to reducer r in one framed
 	// operation. The transport takes ownership of ps (see the package
-	// comment). Empty batches are a no-op. Safe for concurrent use; it
+	// comment), and gives it back to its free list when it fails to
+	// deliver it. Empty batches are a no-op. Safe for concurrent use; it
 	// fails after CloseSend. A sender blocked on backpressure unblocks
 	// with ctx.Err() when ctx is cancelled.
 	SendBatch(ctx context.Context, r int, ps []Pair) error
@@ -80,13 +83,16 @@ type channelTransport struct {
 }
 
 // NewChannel returns an in-memory transport with the given per-reducer
-// buffer in batches (a buffer < 1 defaults to 1024).
+// buffer in batches (a buffer < 1 defaults to 16: a collector busy with a
+// spill does not stall the senders at once, and a job keeps at most a few
+// thousand pairs per reducer in flight, which is what the batch free lists
+// keep between jobs).
 func NewChannel(numReducers, buffer int) (Transport, error) {
 	if numReducers < 1 {
 		return nil, fmt.Errorf("transport: reducer count %d < 1", numReducers)
 	}
 	if buffer < 1 {
-		buffer = 1024
+		buffer = 16
 	}
 	t := &channelTransport{chans: make([]chan []Pair, numReducers)}
 	for i := range t.chans {
@@ -95,10 +101,15 @@ func NewChannel(numReducers, buffer int) (Transport, error) {
 	return t, nil
 }
 
-func (t *channelTransport) SendBatch(ctx context.Context, r int, ps []Pair) error {
+func (t *channelTransport) SendBatch(ctx context.Context, r int, ps []Pair) (err error) {
 	if len(ps) == 0 {
 		return nil
 	}
+	defer func() {
+		if err != nil {
+			RecycleBatch(ps) // undelivered
+		}
+	}()
 	if t.closed.Load() {
 		return fmt.Errorf("transport: send after CloseSend")
 	}
