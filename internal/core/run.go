@@ -798,8 +798,15 @@ type reduceLocal struct {
 	capture  []byte
 }
 
-// Release gives back the chunks a failed task did not hand on.
+// Release gives back the sessions, and the chunks a failed task did not
+// hand on.
 func (rl *reduceLocal) Release() {
+	for _, dk := range rl.dks {
+		dk.Release()
+	}
+	for _, es := range rl.evs {
+		es.Release()
+	}
 	for _, o := range rl.outs {
 		for m, c := range o.open {
 			if o.open[m] = nil; c != nil {

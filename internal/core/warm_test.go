@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -78,7 +79,9 @@ func TestWarmJobAllocatesWhatItKeeps(t *testing.T) {
 // DS0 aggregated early, and the three spilling every second pair — answer
 // byte for byte what each answered on an engine of its own, whether they
 // run interleaved one after another or as two concurrent clients of one
-// Service. Under -race it also checks the lists' locking.
+// Service, and each reduce task reports the EvalArenaBytes it reported
+// cold: what its groups needed, not what a spare brought. Under -race it
+// also checks the lists' locking.
 func TestWarmRunsMatchColdOnes(t *testing.T) {
 	su := workload.NewSuite()
 	ds := MemoryDataset(su.Schema, su.Generate(3000, workload.Uniform, 11), 6)
@@ -96,6 +99,14 @@ func TestWarmRunsMatchColdOnes(t *testing.T) {
 	runs := []run{{"plain", "q1"}, {"plain", "q6"}, {"early", "ds0"}, {"spill", "q1"}, {"spill", "q6"}, {"spill", "ds0"}}
 	ctx := context.Background()
 	cold := map[run][]byte{}
+	coldArena := map[run][]int64{}
+	arenas := func(res *Result) []int64 {
+		var out []int64
+		for _, rt := range res.Stats.ReduceTasks {
+			out = append(out, rt.EvalArenaBytes)
+		}
+		return out
+	}
 	for _, r := range runs {
 		eng, err := NewEngine(configs[r.config])
 		if err != nil {
@@ -105,7 +116,7 @@ func TestWarmRunsMatchColdOnes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold[r] = resultBytes(t, res)
+		cold[r], coldArena[r] = resultBytes(t, res), arenas(res)
 	}
 
 	engines := map[string]*Engine{}
@@ -123,6 +134,9 @@ func TestWarmRunsMatchColdOnes(t *testing.T) {
 			}
 			if !bytes.Equal(resultBytes(t, res), cold[r]) {
 				t.Errorf("round %d: warm %s %s differs from its cold answer", round, r.config, r.query)
+			}
+			if got := arenas(res); !slices.Equal(got, coldArena[r]) {
+				t.Errorf("round %d: warm %s %s reports arenas of %v bytes, cold %v", round, r.config, r.query, got, coldArena[r])
 			}
 		}
 	}

@@ -132,7 +132,9 @@ func (bm *BlockMapper) blockCoord(src, dst []int64) {
 // key's (feasible keys generalize every measure grain); Session.Owns is
 // the allocation-free test against a given block.
 func (bm *BlockMapper) Owner(r cube.Region) string {
-	return string(bm.NewSession().owner(r))
+	ss := bm.NewSession()
+	defer ss.Release()
+	return string(ss.owner(r))
 }
 
 // maxInterned bounds a session's intern tables; past it the next Walk
@@ -143,14 +145,15 @@ const maxInterned = 1 << 17
 // coordinate and block buffers, Walk's reused output, and an intern table
 // of arena-backed block keys by block ordinal, behind a last-block fast
 // path (records arrive clustered in practice), so a block's key is encoded
-// once per session.
+// once per session. Sessions come from interns and go back to it, their
+// scratch and tables cleared, through Release.
 //
 // Interning contract: returned key slices are SHARED across calls and
 // must be treated as immutable. Arena chunks are never reallocated or
 // reused, so every key the session returned stays valid and byte-stable
-// for its lifetime: shuffle batches may retain them for the whole job. A
-// Session is single-goroutine; the BlockMapper is read-only and may be
-// shared by any number of sessions.
+// for its lifetime and after its Release: shuffle batches may retain them
+// for the whole job. A Session is single-goroutine; the BlockMapper is
+// read-only and may be shared by any number of sessions.
 type Session struct {
 	bm                     *BlockMapper
 	coord, block, los, his []int64
@@ -163,29 +166,40 @@ type Session struct {
 	lastOrd                uint64    // the last ordinal Key served, and its key
 	lastKey, arena         []byte    // arena: current chunk; old chunks stay live via interned keys
 	arenaNext              int       // next chunk's capacity (geometric growth, capped)
-	tables                 *internTables
+	tables                 internTables
 }
 
 // internTables are a session's interned keys, byOrd by block ordinal and,
-// for blocks without mixed-radix ordinals, byKey's session ordinals: taken
-// from interns on first use, given back cleared by Release. An entry
-// weighs about 48 bytes; peak is the most they have held.
+// for blocks without mixed-radix ordinals, byKey's session ordinals, made
+// on first use. An entry weighs about 48 bytes; peak is the most they have
+// held.
 type internTables struct {
 	byOrd map[uint64][]byte
 	byKey map[string]uint64
 	peak  int
 }
 
-var interns = exec.NewFreeList("distkey.interns", func(t *internTables) int { return 48 * t.peak })
+// interns keeps released sessions, their tables and scratch, for the next
+// task of any job and mapper.
+var interns = exec.NewFreeList("distkey.interns", func(ss *Session) int {
+	return 48*ss.tables.peak + 12*cap(ss.ords) + cap(ss.enc) + 24*cap(ss.keys) +
+		8*(cap(ss.coord)+cap(ss.block)+cap(ss.los)+cap(ss.his)+cap(ss.one))
+})
 
-// NewSession returns fresh per-task scratch state for bm.
+// NewSession returns per-task scratch state for bm, made of a released
+// session when there is one; Release it when the task is done.
 func (bm *BlockMapper) NewSession() *Session {
+	ss, _ := interns.Get()
+	if ss == nil {
+		ss = new(Session)
+	}
 	n := bm.schema.NumAttrs()
-	ss := &Session{bm: bm, coord: make([]int64, n), block: make([]int64, n),
-		los: make([]int64, len(bm.annAttrs)), his: make([]int64, len(bm.annAttrs)),
-		one: make([][]int64, n), enc: make([]byte, 0, n*3)}
+	ss.bm, ss.lastKey = bm, nil
+	ss.coord, ss.block = exec.Resize(ss.coord, n), exec.Resize(ss.block, n)
+	ss.los, ss.his = exec.Resize(ss.los, len(bm.annAttrs)), exec.Resize(ss.his, len(bm.annAttrs))
+	ss.one = exec.Resize(ss.one, n)
 	for a := range ss.one {
-		ss.one[a] = make([]int64, 1)
+		ss.one[a] = exec.Resize(ss.one[a], 1)
 	}
 	return ss
 }
@@ -195,12 +209,10 @@ func (bm *BlockMapper) NewSession() *Session {
 func (ss *Session) Prefix(tag []byte) { ss.tag = tag }
 
 func (ss *Session) interned() *internTables {
-	if ss.tables == nil {
-		if ss.tables, _ = interns.Get(); ss.tables == nil {
-			ss.tables = &internTables{byOrd: map[uint64][]byte{}, byKey: map[string]uint64{}}
-		}
+	if t := &ss.tables; t.byOrd == nil {
+		t.byOrd, t.byKey = map[uint64][]byte{}, map[string]uint64{}
 	}
-	return ss.tables
+	return &ss.tables
 }
 
 func (t *internTables) reset() {
@@ -209,14 +221,15 @@ func (t *internTables) reset() {
 	clear(t.byKey)
 }
 
-// Release gives the intern tables back once the task is done: the keys
-// handed out stay valid in the arena.
+// Release gives the session back once the task is done: the keys handed
+// out stay valid in the arena, which the session lets go of; the session
+// is invalid after it.
 func (ss *Session) Release() {
-	if t := ss.tables; t != nil {
-		ss.tables, ss.lastKey = nil, nil
-		t.reset()
-		interns.Put(t)
-	}
+	ss.tables.reset()
+	clear(ss.keys[:cap(ss.keys)])
+	ss.bm, ss.tag, ss.lastKey, ss.arena, ss.arenaNext = nil, nil, nil, nil, 0
+	ss.ords, ss.rows, ss.keys = ss.ords[:0], ss.rows[:0], ss.keys[:0]
+	interns.Put(ss)
 }
 
 // Arena chunks grow geometrically from arenaChunkMin to arenaChunkMax: a
@@ -252,8 +265,8 @@ func (ss *Session) arenaCopy(b []byte) []byte {
 // first sight; Key returns its key either way.
 func (ss *Session) Walk(cols [][]int64) (ords []uint64, rows []int32) {
 	bm := ss.bm
-	if t := ss.tables; t != nil && len(t.byOrd) >= maxInterned {
-		t.reset()
+	if len(ss.tables.byOrd) >= maxInterned {
+		ss.tables.reset()
 		ss.lastKey = nil
 	}
 	ss.ords, ss.rows = ss.ords[:0], ss.rows[:0]

@@ -554,3 +554,60 @@ func TestNumBlocksOverflow(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedSessionServesAnyMapper: a session released by a task of one
+// mapper — here one that numbers blocks on first sight, over the suite's
+// schema — serves the next mapper, of another arity, annotated and tagged,
+// exactly as a session of its own does, and the keys the first task was
+// handed stay as they were.
+func TestReleasedSessionServesAnyMapper(t *testing.T) {
+	su := workload.NewSuite()
+	wide, err := NewBlockMapper(su.Schema, FromGrain(su.Schema.GrainFinest()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := blockSchema(t)
+	ti, _ := s.AttrIndex("t")
+	key := FromGrain(s.MustGrain(cube.GrainSpec{Attr: "t", Level: "hour"}))
+	key.Anns[ti] = Ann{Low: -2, High: 0}
+	bm, err := NewBlockMapper(s, key, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	first := wide.NewSession()
+	var handed [][]byte
+	var kept []string
+	for _, rec := range su.Generate(50, workload.Uniform, 5) {
+		for _, k := range first.Blocks(rec) {
+			handed, kept = append(handed, k), append(kept, string(k))
+		}
+	}
+	first.Release()
+	reused := bm.NewSession()
+	if reused != first {
+		t.Fatal("NewSession did not take the released session")
+	}
+	reused.Prefix([]byte{7})
+	own := bm.NewSession()
+	own.Prefix([]byte{7})
+	for range 200 {
+		rec := cube.Record{rng.Int63n(100), rng.Int63n(4 * 86400)}
+		got, want := reused.Blocks(rec), own.Blocks(rec)
+		if len(got) != len(want) {
+			t.Fatalf("record %v: %d blocks, a session of its own has %d", rec, len(got), len(want))
+		}
+		for i := range got {
+			if string(got[i]) != string(want[i]) {
+				t.Fatalf("record %v block %d: %x, a session of its own has %x", rec, i, got[i], want[i])
+			}
+		}
+	}
+	reused.Release()
+	own.Release()
+	for i, k := range handed {
+		if string(k) != kept[i] {
+			t.Fatalf("key %d handed out before the release changed: %x, was %x", i, k, kept[i])
+		}
+	}
+}

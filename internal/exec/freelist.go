@@ -95,6 +95,15 @@ func (l *FreeList[T]) Give(x T) {
 	l.held += size
 }
 
+// Resize returns s with length n, keeping its elements, the spares past
+// its length included: it fits a buffer from a FreeList to a new borrower.
+func Resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
 func (l *FreeList[T]) catchUp() {
 	if ended := jobsEnded.Load(); ended != l.ended {
 		l.ended = ended

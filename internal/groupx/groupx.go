@@ -101,15 +101,12 @@ type hashCollector struct {
 	stats    Stats
 
 	// Spill state, made on the first flush: the collector's one run file,
-	// unlinked at creation, its writer, and each run's place in the file
-	// in spill order. cursors are the merges' run readers — at most fanIn,
-	// reused by every merge pass.
-	file    *os.File
-	w       *bufio.Writer
-	end     int64 // the file's length, where the next run starts; -1 after a failed run
-	lenBuf  [binary.MaxVarintLen64]byte
-	runs    []span
-	cursors []*cursor
+	// unlinked at creation, and each run's place in the file in spill
+	// order. Its writer and readers are the storage's.
+	file   *os.File
+	end    int64 // the file's length, where the next run starts; -1 after a failed run
+	lenBuf [binary.MaxVarintLen64]byte
+	runs   []span
 
 	mem  func() (transport.Pair, bool) // the iteration, when nothing spilled
 	used bool                          // Iterate or Close has run: Add and Iterate are errors
@@ -122,7 +119,9 @@ type hashCollector struct {
 // resident lists the groups holding pairs now, sorted by key, through
 // scratch, when a flush or the iteration walks them, so neither walks the
 // groups an earlier flush emptied. chunks holds the buffered pairs; pair i
-// is chunks[i/pairChunk][i%pairChunk].
+// is chunks[i/pairChunk][i%pairChunk]. w is the spill runs' writer and
+// cursors the merges' run readers — at most fanIn, reused by every merge
+// pass — made by the first collector that spilled.
 type storage struct {
 	slots    []uint64
 	shift    uint8
@@ -130,12 +129,20 @@ type storage struct {
 	resident []int32
 	scratch  []int32
 	chunks   [][]hashPair
+	w        *bufio.Writer
+	cursors  []*cursor
 }
 
 var storages = exec.NewFreeList("groupx.storage", func(s *storage) int {
 	n := 8*cap(s.slots) + int(unsafe.Sizeof(hashGroup{}))*cap(s.groups) + 4*(cap(s.resident)+cap(s.scratch))
 	for _, c := range s.chunks {
 		n += int(unsafe.Sizeof(hashPair{})) * cap(c)
+	}
+	if s.w != nil {
+		n += s.w.Size()
+	}
+	for _, cur := range s.cursors {
+		n += cur.r.Size() + cap(cur.key) + cap(cur.spare) + cap(cur.big)
 	}
 	return n
 })
@@ -311,7 +318,12 @@ func (c *hashCollector) beginRun() (int64, error) {
 		// Unlinked at once, so runs never outlive the process even on a
 		// crash; the disk space is reclaimed when the descriptor closes.
 		os.Remove(f.Name())
-		c.file, c.w, c.end = f, bufio.NewWriterSize(f, runBufSize), 0
+		c.file, c.end = f, 0
+		if c.w == nil {
+			c.w = bufio.NewWriterSize(f, runBufSize)
+		} else {
+			c.w.Reset(f)
+		}
 	}
 	if c.end < 0 {
 		// A failed run wrote an unknown part of itself. The writer is
@@ -523,9 +535,15 @@ func (c *hashCollector) Close() {
 			s.chunks[k] = ch[:0]
 		}
 		s.groups, s.resident = s.groups[:0], s.resident[:0]
+		if s.w != nil { // the run file is closed: let go of it
+			s.w.Reset(nil)
+		}
+		for _, cur := range s.cursors {
+			cur.r.Reset(nil)
+		}
 		storages.Put(s)
 	}
-	c.w, c.runs, c.cursors = nil, nil, nil
+	c.runs = nil
 }
 
 func (c *hashCollector) Stats() Stats { return c.stats }

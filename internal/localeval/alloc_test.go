@@ -12,7 +12,8 @@ import (
 // allocates nothing — no map, heap object or string per region — for a
 // Q1-shaped workflow (three basics at three grains), a DS2-shaped one (a
 // rollup and a self measure over both grains) and a Q5-shaped one (a
-// sliding window).
+// sliding window). The same holds for a reduce task's whole life: a
+// session taken from the list, a block evaluated, the session released.
 func TestEvaluateBlockAllocatesNothing(t *testing.T) {
 	su := workload.NewSuite()
 	ds2, err := su.DS(2)
@@ -27,7 +28,7 @@ func TestEvaluateBlockAllocatesNothing(t *testing.T) {
 		ss := e.NewSession()
 		for _, n := range []int{1, 15, 1024} {
 			records := su.Generate(n, workload.SkewedTime, int64(n))
-			evaluate := func() {
+			evaluate := func(ss *Session) {
 				for _, r := range records {
 					ss.AppendRecord(r)
 				}
@@ -35,10 +36,21 @@ func TestEvaluateBlockAllocatesNothing(t *testing.T) {
 					t.Fatalf("%s, %d rows: %d results, err %v", name, n, len(out), err)
 				}
 			}
-			evaluate() // warm
-			if got := testing.AllocsPerRun(20, evaluate); got != 0 {
+			evaluate(ss) // warm
+			if got := testing.AllocsPerRun(20, func() { evaluate(ss) }); got != 0 {
 				t.Errorf("%s: a block of %d rows allocated %.1f times, want 0", name, n, got)
 			}
+			ss.Release()
+			task := func() {
+				ss = e.NewSession()
+				evaluate(ss)
+				ss.Release()
+			}
+			if got := testing.AllocsPerRun(20, task); got != 0 {
+				t.Errorf("%s: a session from the list allocated %.1f times for a block of %d rows, want 0", name, got, n)
+			}
+			ss = e.NewSession()
 		}
+		ss.Release()
 	}
 }

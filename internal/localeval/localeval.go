@@ -190,6 +190,7 @@ func (e *Evaluator) grainIndex(g cube.Grain) int {
 // should hold one Session and call Session.EvaluateBlock instead.
 func (e *Evaluator) Evaluate(records []cube.Record, opt Options) ([]Result, Stats, error) {
 	ss := e.NewSession()
+	sessions.Forget() // the results are the caller's: the session is not given back
 	for _, rec := range records {
 		ss.AppendRecord(rec)
 	}

@@ -8,16 +8,19 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"github.com/casm-project/casm/internal/cube"
+	"github.com/casm-project/casm/internal/exec"
 	"github.com/casm-project/casm/internal/measure"
 	"github.com/casm-project/casm/internal/workflow"
 )
 
 // Session is the per-reduce-task evaluation state: the reduce-side twin
-// of distkey.Session. One session is created per reduce task (through
+// of distkey.Session. One session is taken per reduce task (through
 // mr.Config.NewReduceLocal) and reused across every group the task
-// evaluates, so every block-sized buffer is allocated once and recycled.
+// evaluates, so every block-sized buffer is allocated once and recycled;
+// Release gives the buffers to the next task, of any job and evaluator.
 //
 // Records are held as fixed-stride rows in one flat []int64 arena, one
 // value per column the evaluator reads (AppendRaw decodes shuffled
@@ -31,15 +34,18 @@ import (
 // regionIndex numbers the group's regions in order of first sight, and
 // each measure keeps a state (a measure.FlatState, or a reused Aggregator
 // for a holistic function) and a value (NaN when undefined) per ordinal
-// of its grain. The scan resolves the rows' ordinals grain by grain,
-// folding each row into the basics at the grain. A group starts in O(1)
-// per grain and measure; a warmed session allocates nothing per region.
+// of its grain. The scan rolls the block's columns to each grain in turn
+// and resolves the rows' ordinals from them, by their offset in the
+// block's box when it is small, folding each row into the basics at the
+// grain as its ordinal is known. A group starts in O(1) per grain and
+// measure; a warmed session allocates nothing per region.
 //
 // Value ownership: the []Result returned by EvaluateBlock and
 // EvaluatePartials, including each Result.Region.Coord, aliases session
 // storage and is valid only until the next Append*/Sort*/Merge*/Evaluate*
-// call on the same session. Callers that need results beyond that must
-// copy. A Session is not safe for concurrent use; the shared Evaluator is.
+// or Release call on the same session. Callers that need results beyond
+// that must copy. A Session is not safe for concurrent use; the shared
+// Evaluator is.
 type Session struct {
 	e *Evaluator
 
@@ -54,40 +60,66 @@ type Session struct {
 	open bool          // MergePartial has started a group EvaluatePartials has not ended
 
 	// Scratch buffers.
-	rec     cube.Record // the row being scanned at full arity: unread attributes stay 0, which rolls to ALL like any value
-	coord   []int64     // CoordOf target
-	roll    []int64     // RollBetween target
-	probe   []int64     // window sibling coordinates
+	coord   []int64 // a region's coordinates
+	roll    []int64 // RollBetween target
+	probe   []int64 // window sibling coordinates
+	col     []int64 // scan: a read column of the block rolled to the grain, in row order
+	offs    []int32 // scan: each row's cell in the grain's box
 	args    []float64
 	results []Result
 
-	// ArenaBytes is the high-water footprint of the session's block
-	// arena (record data and row index), in bytes.
+	// ArenaBytes is the high-water footprint, in bytes, of the record data
+	// and row index the groups needed (the most rows reserved or loaded
+	// at once), whatever capacity a recycled buffer brought.
 	ArenaBytes int64
 }
 
-// NewSession returns an empty session for the evaluator. Sessions are
-// cheap relative to a reduce task but not to a group: create one per
-// task and reuse it.
+// sessions keeps released sessions' buffers for the next reduce task.
+var sessions = exec.NewFreeList("localeval.sessions", func(ss *Session) int {
+	n := 8*(cap(ss.data)+cap(ss.col)) + 4*(cap(ss.rows)+cap(ss.offs))
+	for _, x := range ss.idx[:cap(ss.idx)] {
+		n += 8*(cap(x.cells)+cap(x.coords)) + cap(x.keys) + 4*(cap(x.ends)+cap(x.sorted))
+	}
+	for _, s := range ss.st[:cap(ss.st)] { // a state and a value per ordinal
+		n += (int(unsafe.Sizeof(measure.FlatState{})) + 8) * cap(s.states)
+	}
+	return n
+})
+
+// NewSession returns an empty session for the evaluator, of a released
+// session's buffers when there is one. Take one per reduce task, reuse it
+// for every group, and Release it at the task's end.
 func (e *Evaluator) NewSession() *Session {
-	ss := &Session{
-		e:     e,
-		rec:   make(cube.Record, e.arity),
-		coord: make([]int64, e.arity),
-		roll:  make([]int64, e.arity),
-		probe: make([]int64, e.arity),
-		idx:   make([]regionIndex, len(e.grains)),
-		st:    make([]slots, len(e.order)),
-		vals:  make([][]float64, len(e.order)),
+	ss, _ := sessions.Get()
+	if ss == nil {
+		ss = new(Session)
 	}
+	ss.e, ss.open, ss.ArenaBytes = e, false, 0
+	ss.coord, ss.roll, ss.probe = exec.Resize(ss.coord, e.arity), exec.Resize(ss.roll, e.arity), exec.Resize(ss.probe, e.arity)
+	ss.idx = exec.Resize(ss.idx, len(e.grains))
 	for gi := range ss.idx {
-		ss.idx[gi].arity = e.arity
+		x := &ss.idx[gi]
+		x.arity, x.lo, x.ext = e.arity, exec.Resize(x.lo, e.arity), exec.Resize(x.ext, e.arity)
 	}
+	ss.st, ss.vals = exec.Resize(ss.st, len(e.order)), exec.Resize(ss.vals, len(e.order))
 	for oi, m := range e.order {
-		ss.st[oi].spec = m.Agg
-		ss.st[oi].kind, ss.st[oi].flat = m.Agg.FlatKind()
+		s := &ss.st[oi]
+		if s.spec != m.Agg { // holistic states are kept only for their own function
+			clear(s.aggs[:cap(s.aggs)])
+			s.aggs, s.n = s.aggs[:0], 0
+		}
+		s.spec = m.Agg
+		s.kind, s.flat = m.Agg.FlatKind()
 	}
 	return ss
+}
+
+// Release gives the session's buffers back for the next task; the
+// session and every result it returned are invalid after it.
+func (ss *Session) Release() {
+	clear(ss.results[:cap(ss.results)]) // they name the workflow's grains and measures
+	ss.e, ss.data, ss.rows, ss.results = nil, ss.data[:0], ss.rows[:0], ss.results[:0]
+	sessions.Put(ss)
 }
 
 // ErrCorruptValue is wrapped by every AppendRaw and MergePartial failure.
@@ -134,6 +166,7 @@ func (ss *Session) AppendRecord(rec cube.Record) {
 func (ss *Session) Reserve(records int) {
 	ss.data = slices.Grow(ss.data, max(records*len(ss.e.cols)-len(ss.data), 0))
 	ss.rows = slices.Grow(ss.rows, max(records-len(ss.rows), 0))
+	ss.noteArena(records)
 }
 
 const packMinRows = 96 // the smallest block sortRows sorts as packed integers: on smaller ones the comparison sort is faster
@@ -209,26 +242,45 @@ func (ss *Session) sortPacked(stride int) bool {
 }
 
 // regionIndex numbers the regions of one grain a group occupies, in order
-// of first sight: an open-addressing table over their coordinates, kept
-// for ordinal o in coords[o*arity:], with each region's AppendCoords key,
-// the order results are emitted in, in one byte arena. A cell is live only
-// under the current stamp, so a reset is O(1).
+// of first sight, keeping ordinal o's coordinates in coords[o*arity:] and
+// its AppendCoords key, the order results are emitted in, in one byte
+// arena. Its cells find a region's ordinal: an open-addressing table over
+// the coordinates, or, in box mode, one cell per region of the block's
+// box — the coordinates' observed extents lo[a] ≤ c < lo[a]+ext[a] — at
+// the region's mixed-radix offset in it. A cell is live only under the
+// current stamp, so a reset is O(1).
 type regionIndex struct {
-	arity  int
-	cells  []uint64 // stamp<<32 | ordinal+1
-	stamp  uint64
-	coords []int64
-	keys   []byte
-	ends   []uint32 // ends[o]: where ordinal o's key ends in keys
-	sorted []int32  // the ordinals in key order, while it holds all of them
-	last   int32    // the ordinal intern returned last, -1 after a reset
+	arity   int
+	cells   []uint64 // stamp<<32 | ordinal+1
+	stamp   uint64
+	box     bool
+	lo, ext []int64
+	coords  []int64
+	keys    []byte
+	ends    []uint32 // ends[o]: where ordinal o's key ends in keys
+	sorted  []int32  // the ordinals in key order, while it holds all of them
+	last    int32    // the ordinal intern returned last, -1 after a reset
 }
 
+// reset empties the index into hash mode.
 func (x *regionIndex) reset() {
 	x.coords, x.keys, x.ends, x.sorted, x.last = x.coords[:0], x.keys[:0], x.ends[:0], x.sorted[:0], -1
-	if x.stamp++; x.stamp == 1<<32 {
+	x.box = false
+	x.bump()
+}
+
+// bump kills every cell, clearing them once the stamps run out.
+func (x *regionIndex) bump() {
+	if x.stamp++; x.stamp >= 1<<32 {
 		clear(x.cells)
 		x.stamp = 1
+	}
+}
+
+// grow makes the cells at least n, a power of two.
+func (x *regionIndex) grow(n int) {
+	if n > len(x.cells) {
+		x.cells = make([]uint64, max(16, 1<<bits.Len(uint(n-1))))
 	}
 }
 
@@ -245,9 +297,24 @@ func (x *regionIndex) key(o int32) []byte {
 	return x.keys[start:x.ends[o]]
 }
 
-// find returns the table cell of the region at coord and its ordinal, -1
-// (and a free cell, if the table has any) when the group has no such region.
+// find returns the cell of the region at coord and its ordinal, -1 (and a
+// free cell, if the table has any) when the group has no such region. In
+// box mode a coordinate outside the box has no cell either: -1, -1.
 func (x *regionIndex) find(coord []int64) (int, int32) {
+	if x.box {
+		i := 0
+		for a, c := range coord {
+			d := uint64(c - x.lo[a])
+			if d >= uint64(x.ext[a]) {
+				return -1, -1
+			}
+			i = i*int(x.ext[a]) + int(d)
+		}
+		if c := x.cells[i]; c>>32 == x.stamp {
+			return i, int32(uint32(c)) - 1
+		}
+		return i, -1
+	}
 	if len(x.cells) == 0 {
 		return 0, -1
 	}
@@ -267,19 +334,17 @@ func (x *regionIndex) find(coord []int64) (int, int32) {
 }
 
 // intern returns the ordinal of the region at coord, numbering it if it
-// is new (fresh).
+// is new (fresh). A coordinate outside the box turns the index into a
+// hash table.
 func (x *regionIndex) intern(coord []int64) (o int32, fresh bool) {
 	if x.last >= 0 && slices.Equal(x.coord(x.last), coord) {
 		return x.last, false
 	}
-	if 2*(len(x.ends)+1) > len(x.cells) {
-		x.cells, x.stamp = make([]uint64, max(2*len(x.cells), 16)), 1
-		for o := range int32(len(x.ends)) {
-			i, _ := x.find(x.coord(o))
-			x.cells[i] = 1<<32 | uint64(o+1)
-		}
-	}
 	i, o := x.find(coord)
+	if i < 0 || !x.box && 2*(len(x.ends)+1) > len(x.cells) {
+		x.rehash(2 * (len(x.ends) + 1))
+		i, o = x.find(coord)
+	}
 	if fresh = o < 0; fresh {
 		o = int32(len(x.ends))
 		x.cells[i] = x.stamp<<32 | uint64(o+1)
@@ -289,6 +354,18 @@ func (x *regionIndex) intern(coord []int64) (o int32, fresh bool) {
 	}
 	x.last = o
 	return o, fresh
+}
+
+// rehash makes the cells a hash table of at least size cells holding
+// every ordinal.
+func (x *regionIndex) rehash(size int) {
+	x.grow(size)
+	x.box = false
+	x.bump()
+	for o := range int32(len(x.ends)) {
+		i, _ := x.find(x.coord(o))
+		x.cells[i] = x.stamp<<32 | uint64(o+1)
+	}
 }
 
 // order returns the ordinals in ascending key order: the order of
@@ -371,12 +448,9 @@ func (ss *Session) begin() {
 	ss.results = ss.results[:0]
 }
 
-// noteArena updates the high-water arena footprint counter.
-func (ss *Session) noteArena() {
-	fp := int64(cap(ss.data))*8 + int64(cap(ss.rows))*4
-	if fp > ss.ArenaBytes {
-		ss.ArenaBytes = fp
-	}
+// noteArena raises the high-water arena footprint to a block of rows.
+func (ss *Session) noteArena(rows int) {
+	ss.ArenaBytes = max(ss.ArenaBytes, int64(rows)*int64(8*len(ss.e.cols)+4))
 }
 
 // EvaluateBlock computes all measures over the loaded rows and resets the
@@ -387,41 +461,109 @@ func (ss *Session) EvaluateBlock(Options) ([]Result, Stats, error) {
 	ss.begin()
 	ss.scan(&stats)
 	out, err := ss.finish(&stats)
+	ss.noteArena(len(ss.rows))
 	ss.data, ss.rows = ss.data[:0], ss.rows[:0]
-	ss.noteArena()
 	return out, stats, err
 }
 
-// scan numbers the rows' regions one grain at a time — a row in the last
-// row's region skips the probe — folding each row into the states of the
-// basic measures at the grain as its ordinal is known.
+// A grain's rows find their regions by offset in the block's box (see
+// regionIndex) when the block has at least boxMinRows rows and the box at
+// most boxRowCells cells per row plus boxSlackCells; otherwise, and when
+// its volume overflows, through the hash table. forceIndex is a test
+// hook: indexHash hashes every grain, indexBox boxes every grain whose
+// box holds at most 1<<16 cells, however few its rows.
+const (
+	boxMinRows    = 8
+	boxRowCells   = 4
+	boxSlackCells = 64
+
+	indexAuto, indexHash, indexBox = 0, 1, 2
+)
+
+var forceIndex int
+
+// scan numbers the rows' regions one grain at a time, folding each row
+// into the grain's basics as its ordinal is known: by its offset in the
+// box when the grain has one, else, and for a region not seen yet, by
+// interning its coordinates.
 func (ss *Session) scan(stats *Stats) {
-	e, s := ss.e, ss.e.schema
+	e := ss.e
 	ss.sortRows()
-	stats.SortedItems = int64(len(ss.rows))
-	stride := len(e.cols)
-	stats.ScannedRecords = int64(len(ss.rows))
+	n, stride := len(ss.rows), len(e.cols)
+	stats.SortedItems, stats.ScannedRecords = int64(n), int64(n)
+	ss.col, ss.offs = exec.Resize(ss.col, n), exec.Resize(ss.offs, n)
+	clear(ss.coord)
 	for gi, g := range e.grains {
 		x := &ss.idx[gi]
-		for _, ri := range ss.rows {
+		ss.box(x, g)
+		for r, ri := range ss.rows {
 			row := ss.data[int(ri)*stride:][:stride]
-			for j, c := range e.cols {
-				ss.rec[c] = row[j]
+			o, fresh := int32(-1), false
+			if x.box {
+				if c := x.cells[ss.offs[r]]; c>>32 == x.stamp {
+					o = int32(uint32(c)) - 1
+				}
 			}
-			s.CoordOf(ss.rec, g, ss.coord)
-			o, fresh := x.intern(ss.coord)
+			if o < 0 {
+				for j, a := range e.cols { // unread attributes stay 0, at ALL like any value
+					ss.coord[a] = e.schema.Attr(a).Roll(row[j], g[a])
+				}
+				o, fresh = x.intern(ss.coord)
+			}
 			for _, oi := range e.basicsAt[gi] {
 				sl, v := &ss.st[oi], 0.0
 				if fresh {
 					sl.grow(int(o) + 1)
 				}
 				if a := e.order[oi].InputAttr; a >= 0 {
-					v = float64(ss.rec[a])
+					v = float64(row[e.colOf[a]])
 				}
 				sl.add(o, v)
 			}
 		}
 	}
+}
+
+// box rolls each read column of the block that grain g holds below ALL
+// into ss.col, one column at a time, and sets x's box to the columns'
+// observed extents. When the rows are to take their offsets in the box,
+// it writes them to ss.offs and switches x to box mode.
+func (ss *Session) box(x *regionIndex, g cube.Grain) {
+	e, n, stride := ss.e, len(ss.rows), len(ss.e.cols)
+	limit := uint64(min(boxRowCells*n+boxSlackCells, math.MaxInt32))
+	switch {
+	case forceIndex == indexBox && n > 0:
+		limit = 1 << 16
+	case n < boxMinRows || forceIndex == indexHash:
+		return
+	}
+	for a := range x.lo {
+		x.lo[a], x.ext[a] = 0, 1
+	}
+	clear(ss.offs)
+	vol := uint64(1)
+	for j, a := range e.cols {
+		attr, level := e.schema.Attr(a), g[a]
+		if level == attr.AllIndex() {
+			continue
+		}
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for r, ri := range ss.rows {
+			v := attr.Roll(ss.data[int(ri)*stride+j], level)
+			ss.col[r], lo, hi = v, min(lo, v), max(hi, v)
+		}
+		ext := uint64(hi-lo) + 1
+		if ext == 0 || ext > limit/vol {
+			return
+		}
+		x.lo[a], x.ext[a] = lo, int64(ext)
+		vol *= ext
+		for r, v := range ss.col {
+			ss.offs[r] = ss.offs[r]*int32(ext) + int32(v-lo)
+		}
+	}
+	x.grow(int(vol))
+	x.box = true
 }
 
 // MergePartial merges one shipped partial state into the session's open
@@ -484,7 +626,6 @@ func (ss *Session) EvaluatePartials() ([]Result, Stats, error) {
 	}
 	ss.open = false
 	out, err := ss.finish(&stats)
-	ss.noteArena()
 	return out, stats, err
 }
 

@@ -124,7 +124,8 @@ type Aggregator interface {
 	// aggregator as it was.
 	MergeState(state []byte) error
 	// Result finalizes the aggregate. For an empty group the result is 0
-	// for Count/Sum and NaN otherwise.
+	// for Count/Sum and NaN otherwise. It may use the aggregator's own
+	// scratch, so concurrent calls need their own aggregators.
 	Result() float64
 	// N reports how many raw values have been absorbed.
 	N() int64
@@ -310,6 +311,7 @@ type bufferAgg struct {
 	rank   float64
 	median bool
 	vals   []float64
+	sorted []float64 // Result's scratch: vals in order
 }
 
 func (a *bufferAgg) Add(v float64) { a.vals = append(a.vals, v) }
@@ -320,7 +322,8 @@ func (a *bufferAgg) Result() float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	cp := append([]float64(nil), a.vals...)
+	cp := append(a.sorted[:0], a.vals...)
+	a.sorted = cp
 	sort.Float64s(cp)
 	// MEDIAN uses midpoint interpolation for even n, matching the
 	// conventional definition; QUANTILE uses pure nearest-rank.
